@@ -5,7 +5,7 @@ at every certified sub-network width — is driven single-stream through
 the eager :class:`~repro.engine.session.InferenceSession` path (per-call
 slice/cast/allocate) and through compiled
 :class:`~repro.nn.plan.InferencePlan` objects, once per **convolution
-backend** (``im2col`` / ``im2col-blocked`` / ``shifted-gemm``).  The
+backend** (``im2col`` / ``shifted-gemm``).  The
 report — per-(backend, width, batch) throughput, per-backend overall
 speedup, the shifted-vs-default ratio at the widest width, tracemalloc
 steady-state allocations, and the batch-rows ladder's per-rung arena
@@ -13,8 +13,8 @@ footprint — is recorded to ``BENCH_plan.json``.
 
 Functional facts asserted on every run (CI smoke included):
 
-* exact backends (``im2col``, ``im2col-blocked``) are **bitwise
-  identical** to the eager path at every width;
+* the exact backend (``im2col``) is **bitwise identical** to the eager
+  path at every width;
 * ``shifted-gemm`` is allclose within
   :data:`~repro.nn.functional.SHIFTED_GEMM_TOLERANCE` (relaxed contract:
   its kernel-column reduction is re-associated);
@@ -279,7 +279,7 @@ def _record(report, path=RECORD_PATH) -> None:
             "Single-stream serving workload (micro-batches at every certified "
             "width) through the eager per-request path vs compiled "
             "InferencePlans, one grid per conv backend (im2col bitwise-exact "
-            "default, cache-blocked im2col, shifted-GEMM allclose); includes "
+            "default, shifted-GEMM allclose); includes "
             "the batch-rows ladder's per-rung arena footprint"
         ),
         **report,
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         action="append",
         dest="backends",
         help="restrict the full run to specific backends (repeatable; "
-        "default: all three)",
+        "default: both)",
     )
     args = parser.parse_args(argv)
     if args.smoke:

@@ -78,8 +78,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--conv-backend", choices=CONV_BACKENDS, default=None,
         help="convolution lowering for compiled plans: im2col (bitwise-exact "
-        "default), im2col-blocked (bitwise, cache-blocked gather), or "
-        "shifted-gemm (fastest at wide widths; allclose, not bitwise)",
+        "default) or shifted-gemm (fastest at wide widths; allclose, not bitwise)",
     )
     parser.add_argument(
         "--rows-ladder", default=None, metavar="R1,R2,...",

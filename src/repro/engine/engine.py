@@ -308,7 +308,7 @@ class ExecutionEngine:
             if missing:
                 raise ValueError(f"no input stream for devices {missing}")
             return {op.device: streams[op.device] for op in graph.streams}
-        if x is None:
+        if x is None or x.shape[0] == 0:
             raise ValueError("stream execution needs an input batch")
         k = len(graph.streams)
         chunk = x.shape[0] // k
@@ -316,7 +316,10 @@ class ExecutionEngine:
         for i, op in enumerate(graph.streams):
             lo = i * chunk
             hi = lo + chunk if i < k - 1 else x.shape[0]
-            inputs[op.device] = x[lo:hi]
+            if hi > lo:
+                # Fewer rows than devices: a device with no rows gets no
+                # stream call (a sub-network cannot run on an empty batch).
+                inputs[op.device] = x[lo:hi]
         return inputs
 
     def _execute_streams(
@@ -330,19 +333,20 @@ class ExecutionEngine:
                 f"graph for mode {graph.mode} has no stream ops to execute"
             )
         inputs = self._stream_inputs(graph, x, streams)
+        ops = [op for op in graph.streams if op.device in inputs]
         calls = [
             (
                 lambda endpoint=self.endpoint(op.device),
                 spec=self.resolve_spec(op.subnet),
                 batch=inputs[op.device]: endpoint.run_subnet(spec, batch)
             )
-            for op in graph.streams
+            for op in ops
         ]
         replies, spans, wall = self._dispatch(calls)
 
         outputs: Dict[str, np.ndarray] = {}
         elapsed: List[float] = []
-        for op, reply in zip(graph.streams, replies):
+        for op, reply in zip(ops, replies):
             outputs[op.device] = reply.arrays["logits"]
             elapsed.append(reply.compute_s)
             if reply.payload_bytes:
@@ -351,7 +355,7 @@ class ExecutionEngine:
         # Streams run concurrently: elapsed emulated time is the slowest one.
         self.ledger.compute_s += max(elapsed)
         self._observe_round("stream", max(elapsed), 0, spans, wall)
-        parts = [outputs[op.device] for op in graph.streams if outputs[op.device].size]
+        parts = [outputs[op.device] for op in ops if outputs[op.device].size]
         logits = np.concatenate(parts, axis=0) if parts else None
         return EngineResult(mode=graph.mode, streams=outputs, logits=logits)
 

@@ -116,6 +116,10 @@ class ReplicaSupervisor:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
+            if not self._thread.is_alive():
+                # Only the loop reads it: drop the back-reference so a
+                # closed frontend is plain garbage, not a reference cycle.
+                self.frontend = None
             self._thread = None
 
     def __enter__(self) -> "ReplicaSupervisor":

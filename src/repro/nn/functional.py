@@ -22,15 +22,11 @@ from repro.utils.dtypes import compute_dtype
 
 #: Convolution backends a compiled plan (and the CLI/config layer) may
 #: select.  ``im2col`` is the default and bitwise-identical to the eager
-#: path; ``im2col-blocked`` tiles the same gather over output rows (still
-#: bitwise); ``shifted-gemm`` accumulates kernel-column offset GEMMs over a
+#: path; ``shifted-gemm`` accumulates kernel-column offset GEMMs over a
 #: rolling row panel — no ``(rows, C*k*k)`` column matrix and no strided
 #: per-window gather, but a *relaxed* equality contract (allclose, not
 #: bitwise: the GEMM reduction is re-associated across kernel columns).
-CONV_BACKENDS = ("im2col", "im2col-blocked", "shifted-gemm")
-
-#: L2-resident target for one blocked-gather source band, in bytes.
-IM2COL_BLOCK_TARGET_BYTES = 128 * 1024
+CONV_BACKENDS = ("im2col", "shifted-gemm")
 
 #: The shifted-GEMM relaxed-equality contract, per compute dtype: outputs
 #: must be allclose to the im2col path within these tolerances (the only
@@ -146,7 +142,6 @@ def im2col_into(
     kernel: Tuple[int, int],
     stride: int,
     out: np.ndarray,
-    row_block: Optional[int] = None,
 ) -> Tuple[int, int]:
     """Allocation-free :func:`im2col` for pre-padded inputs.
 
@@ -155,12 +150,6 @@ def im2col_into(
     is written straight into ``out`` — a contiguous ``(N*oh*ow, C*kh*kw)``
     workspace buffer — via a strided-view copy, so the call allocates
     nothing.  Returns ``(out_h, out_w)``.
-
-    ``row_block`` (the ``im2col-blocked`` backend) tiles the gather over
-    output rows so each tile's source band — ``C x (row_block*stride+kh)``
-    input rows — stays cache-resident while its ``kh*kw`` overlapping
-    window reads replay.  The copy is element-for-element the same gather
-    in a different visit order, so the result is bitwise identical.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -171,34 +160,8 @@ def im2col_into(
     # the same (N, oh, ow, C, kh, kw) gather im2col's transpose-reshape does.
     src = windows.transpose(0, 2, 3, 1, 4, 5)
     dst = out.reshape(n, out_h, out_w, c, kh, kw)
-    if row_block is None or row_block >= out_h:
-        np.copyto(dst, src)
-    else:
-        for r0 in range(0, out_h, row_block):
-            r1 = min(r0 + row_block, out_h)
-            np.copyto(dst[:, r0:r1], src[:, r0:r1])
+    np.copyto(dst, src)
     return out_h, out_w
-
-
-def im2col_row_block(
-    channels: int,
-    padded_w: int,
-    kernel: int,
-    stride: int,
-    itemsize: int,
-    target_bytes: int = IM2COL_BLOCK_TARGET_BYTES,
-) -> int:
-    """Output-row tile size whose gather source band fits ``target_bytes``.
-
-    A tile of ``b`` output rows reads an input band of
-    ``channels x (b*stride + kernel - stride) x padded_w`` elements; solve
-    for the largest ``b >= 1`` that keeps the band within the target.
-    """
-    band_row = channels * padded_w * itemsize
-    if band_row <= 0:
-        return 1
-    rows = target_bytes // band_row - (kernel - stride)
-    return max(1, int(rows // stride) if stride > 1 else int(rows))
 
 
 # -- shifted-GEMM convolution -------------------------------------------------

@@ -26,9 +26,6 @@ Convolution lowering is **pluggable** (``conv_backend``):
 * ``"im2col"`` (default): strided window gather into a column matrix, one
   GEMM per conv.  **Bitwise identical** to the eager path at every width
   and under both dtype policies — same reduction orders, same layouts.
-* ``"im2col-blocked"``: the same gather tiled over output rows so each
-  tile's source band stays cache-resident.  Still **bitwise identical**
-  (a copy in a different visit order).
 * ``"shifted-gemm"``: no column matrix at all — each conv is a sum of
   kernel-column offset GEMMs over a rolling row panel (whole-row memcpys,
   no per-window gather), accumulated in place into a wide output arena
@@ -204,7 +201,6 @@ class _ConvStep:
     act: Optional[str]        # unpadded NCHW buffer (only where needed)
     dst: Optional[str]        # next step's padded input (None on the last conv)
     dst_padding: int          # that next step's padding
-    row_block: Optional[int] = None  # im2col-blocked: output-row tile size
 
 
 @dataclass(frozen=True)
@@ -324,9 +320,7 @@ class InferencePlan:
         if conv_backend == "shifted-gemm":
             steps, buffers = cls._compile_shifted(net, walk, batch_rows, dtype)
         else:
-            steps, buffers = cls._compile_im2col(
-                net, walk, batch_rows, dtype, blocked=conv_backend == "im2col-blocked"
-            )
+            steps, buffers = cls._compile_im2col(net, walk, batch_rows, dtype)
 
         classifier = net.classifier
         if not isinstance(classifier, SlicedLinear):
@@ -395,7 +389,7 @@ class InferencePlan:
 
     @classmethod
     def _compile_im2col(
-        cls, net, walk: List[dict], batch_rows: int, dtype: np.dtype, *, blocked: bool
+        cls, net, walk: List[dict], batch_rows: int, dtype: np.dtype
     ) -> Tuple[List[_ConvStep], List[BufferSpec]]:
         steps: List[_ConvStep] = []
         buffers: List[BufferSpec] = []
@@ -440,11 +434,6 @@ class InferencePlan:
                 dst, dst_pad = None, 0
             else:
                 dst, dst_pad = f"in{i + 1}", info["next_padding"]
-            row_block = None
-            if blocked:
-                row_block = F.im2col_row_block(
-                    in_c, size + 2 * pad, k, info["stride"], dtype.itemsize
-                )
             steps.append(
                 _ConvStep(
                     layer=conv,
@@ -462,7 +451,6 @@ class InferencePlan:
                     act=act,
                     dst=dst,
                     dst_padding=dst_pad,
-                    row_block=row_block,
                 )
             )
         return steps, buffers
@@ -631,7 +619,7 @@ class InferencePlan:
             out_h, out_w = step.out_hw
             rows = n * out_h * out_w
             cols = ws[step.cols][:rows]
-            F.im2col_into(x[:n], step.kernel, step.stride, cols, step.row_block)
+            F.im2col_into(x[:n], step.kernel, step.stride, cols)
             w_mat, bias = self.cache.conv_block(
                 step.layer, step.in_slice, step.out_slice, self.dtype
             )

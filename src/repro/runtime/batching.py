@@ -216,6 +216,9 @@ class MicroBatchQueue:
                 return
             batch, saw_shutdown, full, carry = self._gather(item)
             self._flush(batch, full=full)
+            # An idle collector must not pin the batch it just served
+            # (payloads, futures and their callbacks) until the next one.
+            del item, batch
             if saw_shutdown:
                 return
 

@@ -176,26 +176,7 @@ class LiveSystem:
         replica pool -> micro-batching) serving the same shared weight
         store this live system deploys.  ``config`` is a
         :class:`~repro.scheduler.frontend.SchedulerConfig`.
-
-        Passing a loose dict of config keys is deprecated (one-release
-        shim): it is converted through
-        :meth:`SchedulerConfig.from_mapping`, which validates keys the
-        old path silently ignored.
         """
-        from collections.abc import Mapping as _Mapping
+        from repro.scheduler.frontend import ServingFrontend
 
-        from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
-
-        if isinstance(config, _Mapping):
-            import warnings
-
-            warnings.warn(
-                "passing a dict of config keys to LiveSystem.scheduled_queue() "
-                "is deprecated; pass a SchedulerConfig (or build one with "
-                "SchedulerConfig.from_mapping). This shim will be removed "
-                "next release.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = SchedulerConfig.from_mapping(config)
         return ServingFrontend(self.policy.model, config, **frontend_kwargs)

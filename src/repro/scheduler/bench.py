@@ -21,21 +21,14 @@ Used by ``python -m repro serve --sla <ms> --replicas <k>`` and by
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.runtime.batching import DeadlineExceeded
+from repro.faults.plan import CRASH, FaultEvent, FaultPlan, replica_target
 from repro.scheduler.admission import SLA
 from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
-from repro.scheduler.telemetry import nearest_rank
-
-# Outcome labels for one traced request — the single definitions live in
-# the trace layer (re-exported here for existing importers).
-from repro.trace.recorder import LATE, LOST, OK, REJECTED
+from repro.trace.recorder import RequestSpec
+from repro.trace.replay import TraceReplayer
 from repro.utils.rng import derive_seed, make_rng
 
 
@@ -98,98 +91,6 @@ SMOKE_TRACE = TraceConfig(
 )
 
 
-def _make_payloads(model, count: int, seed: int) -> List[np.ndarray]:
-    from repro.serving_bench import make_single_image_requests
-
-    net = getattr(model, "net", model)
-    return make_single_image_requests(
-        count, net.image_size, net.in_channels, seed, "payloads"
-    )
-
-
-def _drive(
-    frontend: ServingFrontend,
-    trace: TraceConfig,
-    payloads: List[np.ndarray],
-    sla: SLA,
-) -> List[Dict]:
-    """Submit the trace open-loop; returns one record per request."""
-    arrivals = trace.arrivals()
-    records: List[Dict] = [
-        {"arrival_s": t, "outcome": LOST, "latency_s": None} for t in arrivals
-    ]
-    done = threading.Event()
-    remaining = [len(arrivals)]
-    remaining_lock = threading.Lock()
-
-    killer: Optional[threading.Timer] = None
-    if trace.kill_at_s is not None:
-        replica = frontend.pool.replicas[trace.kill_replica % len(frontend.pool.replicas)]
-        killer = threading.Timer(trace.kill_at_s, replica.kill)
-        killer.daemon = True
-
-    def _finish(index: int, submit_t: float, future) -> None:
-        now = time.monotonic()
-        record = records[index]
-        exc = future.exception()
-        if exc is None:
-            record["latency_s"] = now - submit_t
-            record["outcome"] = OK if record["latency_s"] <= trace.deadline_s else LATE
-        elif isinstance(exc, DeadlineExceeded):
-            record["outcome"] = REJECTED  # fail-fast: no compute was spent
-        else:
-            record["outcome"] = LOST
-        with remaining_lock:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                done.set()
-
-    start = time.monotonic()
-    if killer is not None:
-        killer.start()
-    for index, arrival in enumerate(arrivals):
-        delay = (start + arrival) - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        submit_t = time.monotonic()
-        future = frontend.submit(payloads[index % len(payloads)], sla)
-        future.add_done_callback(
-            lambda f, i=index, t=submit_t: _finish(i, t, f)
-        )
-    if not done.wait(timeout=60.0):
-        raise RuntimeError(f"trace did not drain: {remaining[0]} requests unresolved")
-    if killer is not None:
-        killer.cancel()
-    return records
-
-
-def summarize(records: List[Dict], trace: TraceConfig) -> Dict:
-    """Goodput / miss-rate / tail-latency stats for one driven trace."""
-    total = len(records)
-    by_outcome = {k: 0 for k in (OK, LATE, REJECTED, LOST)}
-    for r in records:
-        by_outcome[r["outcome"]] += 1
-    latencies = sorted(r["latency_s"] for r in records if r["latency_s"] is not None)
-
-    def pct(p: float) -> float:
-        return nearest_rank(latencies, p)
-
-    misses = total - by_outcome[OK]
-    return {
-        "requests": total,
-        "outcomes": by_outcome,
-        "lost": by_outcome[LOST],
-        "miss_rate": misses / total if total else 0.0,
-        "goodput_rps": by_outcome[OK] / trace.duration_s,
-        "latency": {
-            "p50_s": pct(50),
-            "p95_s": pct(95),
-            "p99_s": pct(99),
-            "max_s": latencies[-1] if latencies else 0.0,
-        },
-    }
-
-
 def run_scheduler_comparison(
     model,
     trace: TraceConfig = SMOKE_TRACE,
@@ -208,43 +109,46 @@ def run_scheduler_comparison(
     stays untraced so the comparison shows tracing's cost where it runs.
     """
     arrivals = trace.arrivals()
-    payloads = _make_payloads(model, min(256, len(arrivals)), trace.seed)
-
     sched_config = scheduler_config or SchedulerConfig(
         replicas=replicas, default_sla=SLA(deadline_s=trace.deadline_s)
     )
     replicas = sched_config.replicas
+    net = getattr(model, "net", model)
+    # _default_candidates returns the lower family narrowest-first.
+    widest = ServingFrontend._default_candidates(model, net)[-1].name
+    faults = None
+    if trace.kill_at_s is not None:
+        target = replica_target(trace.kill_replica % replicas)
+        faults = FaultPlan([FaultEvent(trace.kill_at_s, target, CRASH)])
+    baseline_config = SchedulerConfig(
+        replicas=replicas,
+        enable_admission=False,
+        enable_hedging=False,
+        max_batch=sched_config.max_batch,
+        max_delay_s=sched_config.max_delay_s,
+        replica_backend=sched_config.replica_backend,
+    )
     runs: Dict[str, Dict] = {}
-    for label in ("fixed_widest", "scheduler"):
-        if label == "scheduler":
-            config, sla = sched_config, SLA(deadline_s=trace.deadline_s)
-        else:
-            net = getattr(model, "net", model)
-            # _default_candidates returns the lower family narrowest-first.
-            widest = ServingFrontend._default_candidates(model, net)[-1].name
-            config = SchedulerConfig(
-                replicas=replicas,
-                enable_admission=False,
-                enable_hedging=False,
-                max_batch=sched_config.max_batch,
-                max_delay_s=sched_config.max_delay_s,
-                replica_backend=sched_config.replica_backend,
+    for label, pinned, config, tracing in (
+        ("fixed_widest", widest, baseline_config, {}),
+        ("scheduler", None, sched_config, {"tracer": tracer, "recorder": recorder}),
+    ):
+        specs = [
+            RequestSpec(
+                request_id=i,
+                arrival_s=t,
+                deadline_s=trace.deadline_s,
+                min_width=pinned,
+                max_width=pinned,
+                payload_seed=derive_seed(trace.seed, "payloads", i),
             )
-            sla = SLA(
-                deadline_s=trace.deadline_s, min_width=widest, max_width=widest
-            )
-        if label == "scheduler":
-            frontend = ServingFrontend(model, config, tracer=tracer, recorder=recorder)
-        else:
-            frontend = ServingFrontend(model, config)
-        try:
-            records = _drive(frontend, trace, payloads, sla)
-            runs[label] = {
-                **summarize(records, trace),
-                "frontend": frontend.report(),
-            }
-        finally:
-            frontend.close()
+            for i, t in enumerate(arrivals)
+        ]
+        replayer = TraceReplayer(
+            specs, name=label, duration_s=trace.duration_s, faults=faults
+        )
+        runs[label] = replayer.replay(model, config, **tracing)
+        del runs[label]["records"]  # per-request rows: too bulky for a bench record
 
     sched, base = runs["scheduler"], runs["fixed_widest"]
     return {

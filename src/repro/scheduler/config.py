@@ -1,0 +1,209 @@
+"""`SchedulerConfig`: every tunable of one serving frontend, as data.
+
+Split out of ``frontend.py`` so the config (and its flat, versioned
+mapping — the wire format of ``repro-tuned-config`` artifacts and
+``serve/replay --config``) can be read, built and round-tripped without
+touching threads, queues or futures.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Optional, Tuple
+
+# Module binding, not a name import: repro.faults.policy imports the
+# admission types right back, so the cycle only resolves if attribute
+# access is deferred to call time (annotations stay strings under
+# ``from __future__ import annotations``).
+import repro.faults.policy as fault_policy
+from repro.nn import functional as F
+from repro.scheduler.admission import SLA
+
+#: Version of the flat :meth:`SchedulerConfig.to_mapping` wire format.
+#: Bump when a knob is renamed or its meaning changes; ``from_mapping``
+#: refuses mappings stamped with a *newer* version than it understands.
+CONFIG_MAPPING_VERSION = 1
+
+
+@dataclass(frozen=True)
+class SchedulerConfig:
+    """Tunables of one serving frontend."""
+
+    replicas: int = 2
+    default_sla: SLA = field(default_factory=lambda: SLA(deadline_s=0.05))
+    admission_headroom: float = 1.0
+    enable_admission: bool = True
+    enable_hedging: bool = True
+    hedge_factor: float = 4.0   # hedge a request older than factor x predicted
+    hedge_min_s: float = 0.004  # ...but never earlier than this
+    hedge_ratio: float = 0.1    # hedges may add at most this fraction of load
+    warmup: bool = True         # prime the latency EWMAs with one run per width
+    max_batch: int = 16
+    max_delay_s: float = 0.001
+    compile_plans: bool = True  # compile one InferencePlan per allowed width
+    plan_workspaces: int = 1    # arenas preallocated per plan (grows on demand)
+    conv_backend: str = "im2col"  # plan convolution lowering (see nn.functional.CONV_BACKENDS)
+    rows_ladder: Optional[Tuple[int, ...]] = None  # e.g. (1, 4, 16): compile a
+    # PlanLadder per width so small flushes run on small arenas (the top rung
+    # is always max_batch); None keeps one max_batch-rows plan per width.
+    conv_backend_per_rung: Optional[Tuple[Tuple[int, str], ...]] = None
+    # ((rows, backend), ...) overriding ``conv_backend`` rung by rung — e.g.
+    # ((1, "im2col"), (16, "shifted-gemm")): im2col where gather dominates,
+    # shifted-gemm where the GEMM does (the best column of each BENCH_plan
+    # grid row).  Requires rows_ladder; unmapped rungs use ``conv_backend``.
+    replica_backend: str = "thread"  # "thread" shares one interpreter;
+    # "process" forks GIL-free workers over shared-memory weights
+    # (see repro.scheduler.procpool).
+    supervise: bool = False     # respawn ejected replicas (see faults.supervisor)
+    restart_backoff_s: float = 0.05    # supervisor backoff base ...
+    restart_backoff_max_s: float = 1.0  # ... and cap between respawn attempts
+    restart_budget: int = 3      # deaths tolerated per replica ...
+    restart_window_s: float = 30.0  # ... within this sliding window
+    retry_policy: Optional[RetryPolicy] = None  # None keeps the legacy
+    # unlimited immediate reroute; a policy bounds it with backoff.
+    brownout: Optional[BrownoutPolicy] = None  # None disables brown-out;
+    # a policy sheds low-priority admissions and clamps width under
+    # overload (see faults.policy.BrownoutController).
+
+    def __post_init__(self) -> None:
+        if self.replicas <= 0:
+            raise ValueError("replicas must be positive")
+        if self.restart_backoff_s < 0 or self.restart_backoff_max_s < 0:
+            raise ValueError("restart backoffs must be non-negative")
+        if self.restart_budget < 1:
+            raise ValueError("restart_budget must be at least 1")
+        if self.replica_backend not in ("thread", "process"):
+            raise ValueError(f"unknown replica backend {self.replica_backend!r}")
+        F.check_conv_backend(self.conv_backend)
+        if self.rows_ladder is not None and (
+            len(self.rows_ladder) == 0 or any(r <= 0 for r in self.rows_ladder)
+        ):
+            raise ValueError("rows_ladder must be a non-empty tuple of positive ints")
+        if self.conv_backend_per_rung is not None:
+            if self.rows_ladder is None:
+                raise ValueError("conv_backend_per_rung requires rows_ladder")
+            for rows, backend in self.conv_backend_per_rung:
+                if rows <= 0:
+                    raise ValueError("conv_backend_per_rung rows must be positive")
+                F.check_conv_backend(backend)
+        if self.hedge_factor <= 1.0:
+            raise ValueError("hedge_factor must exceed 1.0")
+        if not 0.0 <= self.hedge_ratio <= 1.0:
+            raise ValueError("hedge_ratio must be in [0, 1]")
+        if self.hedge_min_s < 0 or self.max_delay_s < 0:
+            raise ValueError("time budgets must be non-negative")
+        if self.max_batch <= 0:
+            raise ValueError("max_batch must be positive")
+
+    # -- serialization ---------------------------------------------------------
+    #
+    # The flat mapping below is the *public config wire format*: the offline
+    # tuner (repro.tuning) emits it inside ``repro-tuned-config`` artifacts,
+    # ``serve/replay --config FILE`` consume it, and the CLI's flag overrides
+    # are merged through it.  Nested objects flatten to dotted keys
+    # ("sla.deadline_s"); the optional RetryPolicy / BrownoutPolicy flatten to
+    # a boolean presence key ("retry", "brownout") plus dotted knobs.
+
+    def to_mapping(self) -> Dict[str, object]:
+        """Every knob as a flat, stable-sorted, JSON-serializable mapping.
+
+        ``from_mapping(to_mapping(cfg)) == cfg`` for any valid config, and
+        ``json.dumps(..., sort_keys=True)`` of the result is byte-stable —
+        the property the tuner's artifact determinism rests on.
+        """
+        nested = _nested_knobs()
+        attrs = {attr for attr, _ in nested.values()}
+        mapping: Dict[str, object] = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in attrs
+        }
+        mapping["version"] = CONFIG_MAPPING_VERSION
+        mapping["rows_ladder"] = list(self.rows_ladder) if self.rows_ladder else None
+        mapping["conv_backend_per_rung"] = (
+            [[rows, backend] for rows, backend in self.conv_backend_per_rung]
+            if self.conv_backend_per_rung
+            else None
+        )
+        for prefix, (attr, _) in nested.items():
+            value = getattr(self, attr)
+            if prefix != "sla":
+                mapping[prefix] = value is not None
+            if value is not None:
+                mapping.update({f"{prefix}.{k}": v for k, v in asdict(value).items()})
+        return dict(sorted(mapping.items()))
+
+    @classmethod
+    def from_mapping(cls, mapping) -> "SchedulerConfig":
+        """Rebuild a config from :meth:`to_mapping` output (or a subset).
+
+        Missing keys keep their dataclass defaults, so a partial mapping is
+        a valid *override set* — the CLI builds configs by layering flag
+        overrides onto ``--config FILE`` through this.  Unknown keys and
+        newer ``version`` values are rejected, never ignored: a typo'd knob
+        that silently kept its default would be worse than a crash.
+        """
+        data = dict(mapping)
+        version = data.pop("version", CONFIG_MAPPING_VERSION)
+        if not isinstance(version, int) or isinstance(version, bool):
+            raise ValueError(f"config mapping version must be an int, got {version!r}")
+        if version > CONFIG_MAPPING_VERSION:
+            raise ValueError(
+                f"config mapping version {version} is newer than this "
+                f"build understands ({CONFIG_MAPPING_VERSION})"
+            )
+        nested = _nested_knobs()
+        flat = {f.name for f in fields(cls)} - {attr for attr, _ in nested.values()}
+        nested_knobs = {
+            prefix: {f.name for f in fields(policy_cls)}
+            for prefix, (_, policy_cls) in nested.items()
+        }
+        flags = {prefix: data.pop(prefix, None) for prefix in ("retry", "brownout")}
+        kwargs: Dict[str, object] = {}
+        knobs: Dict[str, Dict[str, object]] = {prefix: {} for prefix in nested}
+        unknown = []
+        for key, value in data.items():
+            prefix, _, knob = key.partition(".")
+            if key == "rows_ladder":
+                kwargs[key] = tuple(value) if value is not None else None
+            elif key == "conv_backend_per_rung":
+                kwargs[key] = (
+                    tuple((rows, backend) for rows, backend in value)
+                    if value is not None
+                    else None
+                )
+            elif key in flat:
+                kwargs[key] = value
+            elif knob in nested_knobs.get(prefix, ()):
+                knobs[prefix][knob] = value
+            else:
+                unknown.append(key)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if knobs["sla"]:
+            # deadline_s is SLA's only required field; a partial override
+            # set (e.g. just "sla.priority") keeps the dataclass default.
+            knobs["sla"].setdefault("deadline_s", 0.05)
+            kwargs["default_sla"] = SLA(**knobs["sla"])
+        for prefix, flag in flags.items():
+            attr, policy_cls = nested[prefix]
+            if flag is False and knobs[prefix]:
+                raise ValueError(
+                    f"{prefix} is disabled but {prefix} knobs given: "
+                    f"{sorted(knobs[prefix])}"
+                )
+            if flag or (flag is None and knobs[prefix]):
+                kwargs[attr] = policy_cls(**knobs[prefix])
+        return cls(**kwargs)
+
+
+def _nested_knobs() -> Dict[str, Tuple[str, type]]:
+    """Mapping-key prefix → (config attribute, dataclass) of each nested object.
+
+    Their knobs flatten to ``"<prefix>.<field>"`` keys straight from the
+    dataclass fields.  Resolved at call time: ``faults.policy`` may still be
+    mid-import when this module loads.
+    """
+    return {
+        "sla": ("default_sla", SLA),
+        "retry": ("retry_policy", fault_policy.RetryPolicy),
+        "brownout": ("brownout", fault_policy.BrownoutPolicy),
+    }

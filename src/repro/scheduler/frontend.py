@@ -16,6 +16,11 @@ A background health loop drives the pool's heartbeat monitors, and a
 watchdog thread **hedges stragglers**: a request still unresolved well
 past its predicted latency gets a duplicate at a narrower width on a
 different replica; whichever finishes first resolves the caller's future.
+
+This module is the *live binding*: threads, queues, futures, metrics.
+The tunables are :mod:`repro.scheduler.config`; the per-request decision
+(steps 1–2) and the ok/late/rejected/lost classifier are
+:mod:`repro.scheduler.core`, shared with the virtual-time simulator.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import heapq
 import itertools
 import threading
 import time
+import weakref
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -36,28 +41,21 @@ import numpy as np
 # ``from __future__ import annotations``).
 import repro.faults.policy as fault_policy
 import repro.faults.supervisor as fault_supervisor
-from repro.nn import functional as F
 from repro.nn.plan import InferencePlan, PlanLadder, compile_width_plans
 from repro.runtime.batching import BatchingConfig, DeadlineExceeded, MicroBatchQueue
+from repro.scheduler import core
 from repro.scheduler.admission import (
     CRITICAL_PRIORITY,
     SLA,
     AdmissionController,
     AdmissionRejected,
 )
+from repro.scheduler.config import CONFIG_MAPPING_VERSION, SchedulerConfig  # noqa: F401
 from repro.scheduler.pool import Replica, ReplicaPool, ReplicaUnavailable
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.scheduler.width_policy import WidthPolicy
 from repro.slimmable.spec import SubNetSpec
-from repro.trace.recorder import (
-    LATE,
-    LOST,
-    OK,
-    REJECTED,
-    RequestRecord,
-    RequestSpec,
-    TraceRecorder,
-)
+from repro.trace.recorder import LOST, OK, RequestRecord, RequestSpec, TraceRecorder
 from repro.trace.tracer import (
     EVENT_ADMISSION,
     EVENT_BATCH,
@@ -77,241 +75,6 @@ from repro.trace.tracer import (
 from repro.utils.config import Config
 from repro.utils.logging import get_logger
 
-#: Version of the flat :meth:`SchedulerConfig.to_mapping` wire format.
-#: Bump when a knob is renamed or its meaning changes; ``from_mapping``
-#: refuses mappings stamped with a *newer* version than it understands.
-CONFIG_MAPPING_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Tunables of one serving frontend."""
-
-    replicas: int = 2
-    default_sla: SLA = field(default_factory=lambda: SLA(deadline_s=0.05))
-    admission_headroom: float = 1.0
-    enable_admission: bool = True
-    enable_hedging: bool = True
-    hedge_factor: float = 4.0   # hedge a request older than factor x predicted
-    hedge_min_s: float = 0.004  # ...but never earlier than this
-    hedge_ratio: float = 0.1    # hedges may add at most this fraction of load
-    warmup: bool = True         # prime the latency EWMAs with one run per width
-    max_batch: int = 16
-    max_delay_s: float = 0.001
-    compile_plans: bool = True  # compile one InferencePlan per allowed width
-    plan_workspaces: int = 1    # arenas preallocated per plan (grows on demand)
-    conv_backend: str = "im2col"  # plan convolution lowering (see nn.functional.CONV_BACKENDS)
-    rows_ladder: Optional[Tuple[int, ...]] = None  # e.g. (1, 4, 16): compile a
-    # PlanLadder per width so small flushes run on small arenas (the top rung
-    # is always max_batch); None keeps one max_batch-rows plan per width.
-    conv_backend_per_rung: Optional[Tuple[Tuple[int, str], ...]] = None
-    # ((rows, backend), ...) overriding ``conv_backend`` rung by rung — e.g.
-    # ((1, "im2col"), (16, "shifted-gemm")): im2col where gather dominates,
-    # shifted-gemm where the GEMM does (the best column of each BENCH_plan
-    # grid row).  Requires rows_ladder; unmapped rungs use ``conv_backend``.
-    replica_backend: str = "thread"  # "thread" shares one interpreter;
-    # "process" forks GIL-free workers over shared-memory weights
-    # (see repro.scheduler.procpool).
-    supervise: bool = False     # respawn ejected replicas (see faults.supervisor)
-    restart_backoff_s: float = 0.05    # supervisor backoff base ...
-    restart_backoff_max_s: float = 1.0  # ... and cap between respawn attempts
-    restart_budget: int = 3      # deaths tolerated per replica ...
-    restart_window_s: float = 30.0  # ... within this sliding window
-    retry_policy: Optional[RetryPolicy] = None  # None keeps the legacy
-    # unlimited immediate reroute; a policy bounds it with backoff.
-    brownout: Optional[BrownoutPolicy] = None  # None disables brown-out;
-    # a policy sheds low-priority admissions and clamps width under
-    # overload (see faults.policy.BrownoutController).
-
-    def __post_init__(self) -> None:
-        if self.replicas <= 0:
-            raise ValueError("replicas must be positive")
-        if self.restart_backoff_s < 0 or self.restart_backoff_max_s < 0:
-            raise ValueError("restart backoffs must be non-negative")
-        if self.restart_budget < 1:
-            raise ValueError("restart_budget must be at least 1")
-        if self.replica_backend not in ("thread", "process"):
-            raise ValueError(f"unknown replica backend {self.replica_backend!r}")
-        F.check_conv_backend(self.conv_backend)
-        if self.rows_ladder is not None and (
-            len(self.rows_ladder) == 0 or any(r <= 0 for r in self.rows_ladder)
-        ):
-            raise ValueError("rows_ladder must be a non-empty tuple of positive ints")
-        if self.conv_backend_per_rung is not None:
-            if self.rows_ladder is None:
-                raise ValueError("conv_backend_per_rung requires rows_ladder")
-            for rows, backend in self.conv_backend_per_rung:
-                if rows <= 0:
-                    raise ValueError("conv_backend_per_rung rows must be positive")
-                F.check_conv_backend(backend)
-        if self.hedge_factor <= 1.0:
-            raise ValueError("hedge_factor must exceed 1.0")
-        if not 0.0 <= self.hedge_ratio <= 1.0:
-            raise ValueError("hedge_ratio must be in [0, 1]")
-        if self.hedge_min_s < 0 or self.max_delay_s < 0:
-            raise ValueError("time budgets must be non-negative")
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-
-    # -- serialization ---------------------------------------------------------
-    #
-    # The flat mapping below is the *public config wire format*: the offline
-    # tuner (repro.tuning) emits it inside ``repro-tuned-config`` artifacts,
-    # ``serve/replay --config FILE`` consume it, and the CLI's flag overrides
-    # are merged through it.  Nested objects flatten to dotted keys
-    # ("sla.deadline_s"); the optional RetryPolicy / BrownoutPolicy flatten to
-    # a boolean presence key ("retry", "brownout") plus dotted knobs.
-
-    def to_mapping(self) -> Dict[str, object]:
-        """Every knob as a flat, stable-sorted, JSON-serializable mapping.
-
-        ``from_mapping(to_mapping(cfg)) == cfg`` for any valid config, and
-        ``json.dumps(..., sort_keys=True)`` of the result is byte-stable —
-        the property the tuner's artifact determinism rests on.
-        """
-        sla = self.default_sla
-        mapping: Dict[str, object] = {
-            "version": CONFIG_MAPPING_VERSION,
-            "replicas": self.replicas,
-            "admission_headroom": self.admission_headroom,
-            "enable_admission": self.enable_admission,
-            "enable_hedging": self.enable_hedging,
-            "hedge_factor": self.hedge_factor,
-            "hedge_min_s": self.hedge_min_s,
-            "hedge_ratio": self.hedge_ratio,
-            "warmup": self.warmup,
-            "max_batch": self.max_batch,
-            "max_delay_s": self.max_delay_s,
-            "compile_plans": self.compile_plans,
-            "plan_workspaces": self.plan_workspaces,
-            "conv_backend": self.conv_backend,
-            "rows_ladder": list(self.rows_ladder) if self.rows_ladder else None,
-            "conv_backend_per_rung": (
-                [[rows, backend] for rows, backend in self.conv_backend_per_rung]
-                if self.conv_backend_per_rung
-                else None
-            ),
-            "replica_backend": self.replica_backend,
-            "supervise": self.supervise,
-            "restart_backoff_s": self.restart_backoff_s,
-            "restart_backoff_max_s": self.restart_backoff_max_s,
-            "restart_budget": self.restart_budget,
-            "restart_window_s": self.restart_window_s,
-            "sla.deadline_s": sla.deadline_s,
-            "sla.priority": sla.priority,
-            "sla.min_width": sla.min_width,
-            "sla.max_width": sla.max_width,
-            "retry": self.retry_policy is not None,
-            "brownout": self.brownout is not None,
-        }
-        if self.retry_policy is not None:
-            mapping.update(
-                {
-                    "retry.max_retries": self.retry_policy.max_retries,
-                    "retry.backoff_base_s": self.retry_policy.backoff_base_s,
-                    "retry.backoff_factor": self.retry_policy.backoff_factor,
-                    "retry.backoff_max_s": self.retry_policy.backoff_max_s,
-                }
-            )
-        if self.brownout is not None:
-            mapping.update(
-                {
-                    "brownout.enter_queue_depth": self.brownout.enter_queue_depth,
-                    "brownout.enter_miss_rate": self.brownout.enter_miss_rate,
-                    "brownout.exit_queue_depth": self.brownout.exit_queue_depth,
-                    "brownout.exit_miss_rate": self.brownout.exit_miss_rate,
-                    "brownout.min_dwell_s": self.brownout.min_dwell_s,
-                    "brownout.shed_below_priority": self.brownout.shed_below_priority,
-                    "brownout.clamp_width": self.brownout.clamp_width,
-                }
-            )
-        return dict(sorted(mapping.items()))
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "SchedulerConfig":
-        """Rebuild a config from :meth:`to_mapping` output (or a subset).
-
-        Missing keys keep their dataclass defaults, so a partial mapping is
-        a valid *override set* — the CLI builds configs by layering flag
-        overrides onto ``--config FILE`` through this.  Unknown keys and
-        newer ``version`` values are rejected, never ignored: a typo'd knob
-        that silently kept its default would be worse than a crash.
-        """
-        data = dict(mapping)
-        version = data.pop("version", CONFIG_MAPPING_VERSION)
-        if not isinstance(version, int) or isinstance(version, bool):
-            raise ValueError(f"config mapping version must be an int, got {version!r}")
-        if version > CONFIG_MAPPING_VERSION:
-            raise ValueError(
-                f"config mapping version {version} is newer than this "
-                f"build understands ({CONFIG_MAPPING_VERSION})"
-            )
-        scalar_fields = {
-            "replicas", "admission_headroom", "enable_admission",
-            "enable_hedging", "hedge_factor", "hedge_min_s", "hedge_ratio",
-            "warmup", "max_batch", "max_delay_s", "compile_plans",
-            "plan_workspaces", "conv_backend", "replica_backend", "supervise",
-            "restart_backoff_s", "restart_backoff_max_s", "restart_budget",
-            "restart_window_s",
-        }
-        sla_fields = {"deadline_s", "priority", "min_width", "max_width"}
-        retry_fields = {
-            "max_retries", "backoff_base_s", "backoff_factor", "backoff_max_s",
-        }
-        brownout_fields = {
-            "enter_queue_depth", "enter_miss_rate", "exit_queue_depth",
-            "exit_miss_rate", "min_dwell_s", "shed_below_priority",
-            "clamp_width",
-        }
-        kwargs: Dict[str, object] = {}
-        sla_kwargs: Dict[str, object] = {}
-        retry_kwargs: Dict[str, object] = {}
-        brownout_kwargs: Dict[str, object] = {}
-        retry_flag = data.pop("retry", None)
-        brownout_flag = data.pop("brownout", None)
-        unknown = []
-        for key, value in data.items():
-            prefix, _, knob = key.partition(".")
-            if key in scalar_fields:
-                kwargs[key] = value
-            elif key == "rows_ladder":
-                kwargs[key] = tuple(value) if value is not None else None
-            elif key == "conv_backend_per_rung":
-                kwargs[key] = (
-                    tuple((rows, backend) for rows, backend in value)
-                    if value is not None
-                    else None
-                )
-            elif prefix == "sla" and knob in sla_fields:
-                sla_kwargs[knob] = value
-            elif prefix == "retry" and knob in retry_fields:
-                retry_kwargs[knob] = value
-            elif prefix == "brownout" and knob in brownout_fields:
-                brownout_kwargs[knob] = value
-            else:
-                unknown.append(key)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if sla_kwargs:
-            # deadline_s is SLA's only required field; a partial override
-            # set (e.g. just "sla.priority") keeps the dataclass default.
-            sla_kwargs.setdefault("deadline_s", 0.05)
-            kwargs["default_sla"] = SLA(**sla_kwargs)
-        if retry_flag is False and retry_kwargs:
-            raise ValueError(
-                f"retry is disabled but retry knobs given: {sorted(retry_kwargs)}"
-            )
-        if retry_flag or (retry_flag is None and retry_kwargs):
-            kwargs["retry_policy"] = fault_policy.RetryPolicy(**retry_kwargs)
-        if brownout_flag is False and brownout_kwargs:
-            raise ValueError(
-                f"brownout is disabled but brownout knobs given: "
-                f"{sorted(brownout_kwargs)}"
-            )
-        if brownout_flag or (brownout_flag is None and brownout_kwargs):
-            kwargs["brownout"] = fault_policy.BrownoutPolicy(**brownout_kwargs)
-        return cls(**kwargs)
-
 
 class _Entry:
     """One in-flight request's scheduling state."""
@@ -319,7 +82,7 @@ class _Entry:
     __slots__ = (
         "x", "sla", "arrival", "deadline", "width", "future",
         "exclude", "primary_replica", "hedged", "lock",
-        "rid", "trace", "spec",
+        "rid", "trace", "spec", "__weakref__",
     )
 
     def __init__(
@@ -348,11 +111,17 @@ class _Entry:
 
 
 class _HedgeWatchdog:
-    """Single thread firing hedge callbacks at scheduled times."""
+    """Single thread firing hedge callbacks at scheduled times.
+
+    The heap holds entries *weakly*: a request's legs (queue tags, done
+    callbacks, retry timers) keep its entry alive exactly as long as it
+    can still be hedged, so an answered request's payload and future are
+    freed at once instead of being pinned until its hedge instant.
+    """
 
     def __init__(self, fire) -> None:
         self._fire = fire
-        self._heap: List[Tuple[float, int, _Entry]] = []
+        self._heap: List[Tuple[float, int, "weakref.ref[_Entry]"]] = []
         self._seq = itertools.count()
         self._cond = threading.Condition()
         self._closed = False
@@ -365,7 +134,7 @@ class _HedgeWatchdog:
         with self._cond:
             if self._closed:
                 return
-            heapq.heappush(self._heap, (at, next(self._seq), entry))
+            heapq.heappush(self._heap, (at, next(self._seq), weakref.ref(entry)))
             self._cond.notify()
 
     def close(self) -> None:
@@ -373,6 +142,10 @@ class _HedgeWatchdog:
             self._closed = True
             self._cond.notify()
         self._thread.join(timeout=5.0)
+        # The callback is a bound method of the frontend that owns this
+        # watchdog: drop it so a closed frontend is not a reference cycle.
+        self._fire = None
+        self._heap.clear()
 
     def _run(self) -> None:
         while True:
@@ -386,8 +159,9 @@ class _HedgeWatchdog:
                         self._cond.wait()
                 if self._closed:
                     return
-                _, _, entry = heapq.heappop(self._heap)
-            self._fire(entry)
+                entry = heapq.heappop(self._heap)[2]()
+            if entry is not None:
+                self._fire(entry)
 
 
 class ServingFrontend:
@@ -475,6 +249,7 @@ class ServingFrontend:
             backend=self.config.replica_backend,
             process_options=process_options,
         )
+        self._view = self._plane_view()
         self._queues: Dict[Tuple[int, str], MicroBatchQueue] = {}
         self._queues_lock = threading.Lock()
         self._closing = False  # submit() stops accepting
@@ -519,6 +294,35 @@ class ServingFrontend:
             return lowers  # bare net: every slice is fair game
         chosen = [s for s in lowers if s.name in certified]
         return chosen if chosen else [spec.full()]
+
+    def _plane_view(self) -> core.PlaneView:
+        """The live binding of :func:`core.decide`'s inputs.
+
+        The callables close over the pool and the registry, not ``self``:
+        a closed frontend must be plain garbage, not a reference cycle.
+        """
+        pool, metrics, max_batch = self.pool, self.metrics, self.config.max_batch
+
+        def queue_wait(floor_s: float) -> float:
+            # Requests already ahead on the least-loaded replica times the
+            # measured per-row service rate of the live width mix (batching
+            # amortisation included, since the EWMA is per batched row).
+            # Before any batch has run, fall back to the narrowest allowed
+            # width's predicted batch time spread over a full batch.
+            least_pending = min((r.pending for r in pool.healthy()), default=0)
+            row_time = metrics.ewma("frontend.row_service_s").value
+            if row_time is None:
+                row_time = floor_s / max_batch
+            return least_pending * row_time
+
+        return core.PlaneView(
+            policy=self.policy,
+            admission=self.admission if self.config.enable_admission else None,
+            brownout=self.brownout,
+            depth=lambda: sum(r.pending for r in pool.replicas),
+            miss_rate=lambda: metrics.ewma("frontend.miss_rate").value,
+            queue_wait=queue_wait,
+        )
 
     def _warmup(self, net) -> None:
         """One serial forward per width on replica 0: primes the EWMAs so the
@@ -574,72 +378,29 @@ class ServingFrontend:
             rows=int(x.shape[0]) if x.ndim >= 1 else 1,
         )
 
-        browned_out = False
-        if self.brownout is not None:
-            # Pressure signals: live pending across the whole pool plus the
-            # deadline-miss EWMA (fed only by served outcomes and losses,
-            # never by sheds — shedding must not keep brown-out engaged).
-            depth = sum(r.pending for r in self.pool.replicas)
-            miss = self.metrics.ewma("frontend.miss_rate").value
-            browned_out = self.brownout.update(depth, miss)
-            if browned_out and self.brownout.should_shed(sla.priority):
-                self.metrics.counter("frontend.brownout_sheds").inc()
-                exc = fault_policy.BrownoutShed("brown-out: low-priority admission shed")
-                self._classify_failure(exc)
-                entry.future.set_exception(exc)
-                trace.emit(rid, EVENT_FAIL, error="BrownoutShed")
-                self._finalize(entry, REJECTED, None)
-                return entry.future
-
-        floor = self.policy.predict(
-            self.policy.narrowest(sla.min_width, sla.max_width).name
-        )
-        healthy = self.pool.healthy()
-        least_pending = min((r.pending for r in healthy), default=0)
-        # Queue wait = requests already ahead on the least-loaded replica
-        # times the measured per-row service rate of the live width mix
-        # (batching amortisation included, since the EWMA is per batched
-        # row).  Before any batch has run, fall back to the narrowest
-        # width's predicted batch time spread over a full batch.
-        row_time = self.metrics.ewma("frontend.row_service_s").value
-        if row_time is None:
-            row_time = floor / self.config.max_batch
-        queue_wait = least_pending * row_time
-        if self.config.enable_admission:
-            decision = self.admission.decide_remaining(
-                sla,
-                remaining_s=entry.deadline - time.monotonic(),
-                queue_wait_s=queue_wait,
-                service_floor_s=floor,
-            )
+        decision = core.decide(sla, entry.deadline - time.monotonic(), self._view)
+        if decision.admission is not None:
             trace.emit(
                 rid,
                 EVENT_ADMISSION,
-                admitted=decision.admitted,
-                reason=decision.reason,
-                estimated_s=decision.estimated_s,
-                queue_wait_s=queue_wait,
+                admitted=decision.admission.admitted,
+                reason=decision.admission.reason,
+                estimated_s=decision.admission.estimated_s,
+                queue_wait_s=decision.queue_wait_s,
             )
-            if not decision.admitted:
-                self.metrics.counter("frontend.rejected").inc()
-                exc = AdmissionRejected(decision.reason)
-                self._classify_failure(exc)
-                entry.future.set_exception(exc)
-                trace.emit(rid, EVENT_FAIL, error="AdmissionRejected")
-                self._finalize(entry, REJECTED, None)
-                return entry.future
-
-        budget = (entry.deadline - time.monotonic()) - queue_wait
-        if browned_out and self.brownout.policy.clamp_width:
-            # Overload valve: serve the narrowest slice each SLA allows —
-            # quality traded for throughput until pressure subsides.
-            spec_w = self.policy.narrowest(sla.min_width, sla.max_width)
-            predicted = self.policy.predict(spec_w.name)
+        if decision.error is not None:
+            self.metrics.counter(
+                "frontend.brownout_sheds" if decision.shed else "frontend.rejected"
+            ).inc()
+            self._classify_failure(decision.error)
+            entry.future.set_exception(decision.error)
+            trace.emit(rid, EVENT_FAIL, error=type(decision.error).__name__)
+            outcome = core.classify_outcome(sla.deadline_s, error=decision.error)
+            self._finalize(entry, outcome, None)
+            return entry.future
+        if decision.clamped:
             self.metrics.counter("frontend.brownout_clamped").inc()
-        else:
-            spec_w, predicted = self.policy.choose(
-                max(budget, 0.0), min_width=sla.min_width, max_width=sla.max_width
-            )
+        spec_w, predicted = decision.width, decision.predicted_s
         entry.width = spec_w.name
         self.metrics.counter(f"frontend.width.{spec_w.name}").inc()
         trace.emit(
@@ -647,7 +408,7 @@ class ServingFrontend:
             EVENT_WIDTH,
             width=spec_w.name,
             predicted_s=predicted,
-            budget_s=max(budget, 0.0),
+            budget_s=decision.budget_s,
         )
         # Critical-priority requests were admitted on "a late answer beats
         # none", so their leg carries no fail-fast deadline.
@@ -723,7 +484,9 @@ class ServingFrontend:
                     self.metrics.ewma("frontend.row_service_s").observe(
                         service / out.shape[0]
                     )
-                    tags = ctx.get("tags", ())
+                    # pop, not get: an idle queue must not pin its last
+                    # batch's entries (payload + future) until the next one.
+                    tags = ctx.pop("tags", ())
                     if any(tag.trace.enabled for tag in tags):
                         info = self._execution_info(w, parts)
                         for tag in tags:
@@ -745,27 +508,21 @@ class ServingFrontend:
         """How this flush actually executed: plan rung, eager fallback, backend."""
         rows = sum(int(p.shape[0]) for p in parts)
         plan = self.plans.get(width)
-        if plan is None:
+        ladder = isinstance(plan, PlanLadder)
+        rung = None
+        if plan is not None and plan.accepts_parts(parts):
+            rung = plan.rung_for(rows) if ladder else plan
+        if rung is None:
             return {"mode": "eager", "rows": rows}
-        if isinstance(plan, PlanLadder):
-            rung = plan.rung_for(rows) if plan.accepts_parts(parts) else None
-            if rung is None:
-                return {"mode": "eager", "rows": rows}
-            return {
-                "mode": "plan",
-                "rows": rows,
-                "plan_rows": rung.batch_rows,
-                "conv_backend": rung.conv_backend,
-                "ladder": True,
-            }
-        if not plan.accepts_parts(parts):
-            return {"mode": "eager", "rows": rows}
-        return {
+        info = {
             "mode": "plan",
             "rows": rows,
-            "plan_rows": plan.batch_rows,
-            "conv_backend": plan.conv_backend,
+            "plan_rows": rung.batch_rows,
+            "conv_backend": rung.conv_backend,
         }
+        if ladder:
+            info["ladder"] = True
+        return info
 
     def _dispatch(
         self,
@@ -929,7 +686,8 @@ class ServingFrontend:
         latency = time.monotonic() - entry.arrival
         self.metrics.histogram("frontend.latency").observe(latency)
         self.metrics.counter("frontend.completed").inc()
-        on_time = time.monotonic() <= entry.deadline
+        outcome = core.classify_outcome(entry.sla.deadline_s, latency)
+        on_time = outcome == OK
         if on_time:
             self.metrics.counter("frontend.completed_within_deadline").inc()
         else:
@@ -952,7 +710,7 @@ class ServingFrontend:
         entry.trace.emit(
             entry.rid, EVENT_RESOLVE, latency_s=latency, on_time=on_time, leg=leg
         )
-        self._finalize(entry, OK if on_time else LATE, latency)
+        self._finalize(entry, outcome, latency)
 
     def _classify_failure(self, exc: BaseException) -> str:
         """Count the terminal failure under its distinct cause.
@@ -985,7 +743,7 @@ class ServingFrontend:
         self.metrics.counter("frontend.failed").inc()
         self._classify_failure(exc)
         entry.trace.emit(entry.rid, EVENT_FAIL, error=type(exc).__name__)
-        outcome = REJECTED if isinstance(exc, DeadlineExceeded) else LOST
+        outcome = core.classify_outcome(entry.sla.deadline_s, error=exc)
         if outcome == LOST:
             # A lost request is the hardest miss signal brown-out sees;
             # rejections and sheds deliberately don't feed it (a shedding

@@ -30,29 +30,17 @@ from repro.runtime.batching import BatchingConfig, MicroBatchQueue
 from repro.utils.rng import derive_seed, make_rng
 
 
-def make_single_image_requests(
-    num_requests: int, image_size: int, in_channels: int, seed: int, *labels
+def _make_requests(
+    num_requests: int, image_size: int, in_channels: int, seed: int
 ) -> List[np.ndarray]:
-    """Deterministic single-image request payloads.
-
-    The one synthetic-payload generator shared by this harness and
-    :mod:`repro.scheduler.bench`: ``labels`` namespace the seed (via
-    :func:`repro.utils.rng.derive_seed`) so each bench's payload stream is
-    reproducible run-to-run and independent of other consumers of ``seed``.
-    """
-    rng = make_rng(derive_seed(seed, *labels))
+    """Deterministic single-image request payloads, seeded through
+    :func:`repro.utils.rng.derive_seed` so the stream is reproducible
+    run-to-run and independent of other consumers of ``seed``."""
+    rng = make_rng(derive_seed(seed, "serving", "payloads"))
     return [
         rng.standard_normal((1, in_channels, image_size, image_size))
         for _ in range(num_requests)
     ]
-
-
-def _make_requests(
-    num_requests: int, image_size: int, in_channels: int, seed: int
-) -> List[np.ndarray]:
-    return make_single_image_requests(
-        num_requests, image_size, in_channels, seed, "serving", "payloads"
-    )
 
 
 def _parameter_ids(session: InferenceSession) -> List[int]:

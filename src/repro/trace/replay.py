@@ -13,20 +13,19 @@ explicit spec list — and re-injects it against a
   the mode that answers "what does *this machine* do under this trace"
   — and the mode the tracing-overhead benchmark uses.
 
-* :meth:`TraceReplayer.simulate` runs the same stream through a
-  **deterministic virtual-time model** of the control plane: real
-  admission arithmetic (:class:`~repro.scheduler.admission.AdmissionController`),
-  real width-ordering (the analytical cost ratios the
-  :class:`~repro.scheduler.width_policy.WidthPolicy` starts from), and a
-  faithful per-(replica, width) micro-batch flush model — but service
-  times are pure functions of (width, rows), so the same corpus yields
-  **bit-identical per-request outcomes** on every run and every machine.
-  This is the mode CI pins: miss-rate drift in ``BENCH_trace_replay.json``
-  means the scheduler's *decision logic* changed, not that the runner was
-  noisy.
-
-The two modes share outcome vocabulary and summary shape with
-``scheduler/bench.py``, so replay results read like bench results.
+* :meth:`TraceReplayer.simulate` runs the same stream in **deterministic
+  virtual time**.  The per-request decision is *shared code*: the same
+  :func:`repro.scheduler.core.decide` the live frontend calls (brown-out
+  gate, admission, budget, width choice over a real
+  :class:`~repro.scheduler.width_policy.WidthPolicy`), the same
+  ``classify_outcome`` and ``summarize_outcomes``.  What executes the
+  decision is an *analytical model*, :class:`_Simulation`: least-loaded
+  routing, a per-(replica, width) micro-batch flush model, fault windows
+  — with service times that are pure functions of (width, rows), so the
+  same corpus yields **bit-identical per-request outcomes** on every run
+  and every machine.  This is the mode CI pins: miss-rate drift in
+  ``BENCH_trace_replay.json`` means the scheduler's *decision logic*
+  changed, not that the runner was noisy.
 """
 
 from __future__ import annotations
@@ -34,30 +33,30 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+# Module binding: faults.policy is mid-import when the scheduler package
+# pulls this module in through repro.trace (see scheduler/config.py).
+import repro.faults.policy as fault_policy
 from repro.faults.plan import (
     CRASH,
     DROP,
     HEARTBEAT_DELAY,
     RECOVER,
     STALL,
-    FaultEvent,
     FaultPlan,
     target_index,
 )
+from repro.scheduler import core
 from repro.scheduler.admission import SLA, AdmissionController
-from repro.scheduler.telemetry import nearest_rank
+from repro.scheduler.core import summarize_outcomes
+from repro.scheduler.width_policy import WidthPolicy
 from repro.trace.recorder import (
     FAULTS_META_KEY,
-    LATE,
     LOST,
-    OK,
-    OUTCOMES,
-    REJECTED,
     RequestRecord,
     RequestSpec,
     TraceRecorder,
@@ -109,34 +108,14 @@ def sla_for(spec: RequestSpec) -> SLA:
     )
 
 
-def summarize_outcomes(
-    records: Sequence[Mapping[str, object]], duration_s: float
-) -> Dict[str, object]:
-    """Goodput / miss-rate / tail-latency stats (bench-compatible shape)."""
-    total = len(records)
-    by_outcome = {k: 0 for k in OUTCOMES}
-    widths: Dict[str, int] = {}
-    for r in records:
-        by_outcome[r["outcome"]] += 1
-        if r.get("width"):
-            widths[r["width"]] = widths.get(r["width"], 0) + 1
-    latencies = sorted(
-        r["latency_s"] for r in records if r.get("latency_s") is not None
-    )
-    misses = total - by_outcome[OK]
+def _blank_record(spec: RequestSpec) -> Dict[str, object]:
+    """A request's result row before it ends: lost until something says otherwise."""
     return {
-        "requests": total,
-        "outcomes": by_outcome,
-        "widths": dict(sorted(widths.items())),
-        "lost": by_outcome[LOST],
-        "miss_rate": misses / total if total else 0.0,
-        "goodput_rps": by_outcome[OK] / duration_s if duration_s > 0 else 0.0,
-        "latency": {
-            "p50_s": nearest_rank(latencies, 50) if latencies else None,
-            "p95_s": nearest_rank(latencies, 95) if latencies else None,
-            "p99_s": nearest_rank(latencies, 99) if latencies else None,
-            "max_s": latencies[-1] if latencies else None,
-        },
+        "request_id": spec.request_id,
+        "arrival_s": spec.arrival_s,
+        "outcome": LOST,
+        "width": None,
+        "latency_s": None,
     }
 
 
@@ -246,16 +225,7 @@ class TraceReplayer:
     def _drive(
         self, frontend, net, timeout_s: float, *, injector=None
     ) -> List[Dict[str, object]]:
-        records: List[Dict[str, object]] = [
-            {
-                "request_id": s.request_id,
-                "arrival_s": s.arrival_s,
-                "outcome": LOST,
-                "width": None,
-                "latency_s": None,
-            }
-            for s in self.specs
-        ]
+        records = [_blank_record(s) for s in self.specs]
         payloads = [payload_for(s, net) for s in self.specs]
         done = threading.Event()
         remaining = [len(self.specs)]
@@ -267,17 +237,9 @@ class TraceReplayer:
             exc = future.exception()
             if exc is None:
                 record["latency_s"] = now - submit_t
-                record["outcome"] = (
-                    OK if record["latency_s"] <= spec.deadline_s else LATE
-                )
-            else:
-                # AdmissionRejected and queue fail-fast both subclass
-                # DeadlineExceeded: no compute was spent.
-                from repro.runtime.batching import DeadlineExceeded
-
-                record["outcome"] = (
-                    REJECTED if isinstance(exc, DeadlineExceeded) else LOST
-                )
+            record["outcome"] = core.classify_outcome(
+                spec.deadline_s, record["latency_s"], exc
+            )
             with lock:
                 remaining[0] -= 1
                 if remaining[0] == 0:
@@ -318,11 +280,12 @@ class TraceReplayer:
     ) -> Dict[str, object]:
         """Replay in virtual time: bit-identical outcomes on every run.
 
-        Models the control plane's decision structure — admission
-        arithmetic, widest-that-fits width choice, least-loaded routing,
-        per-(replica, width) micro-batch coalescing with ``max_batch`` /
-        ``max_delay_s`` flushes, FIFO replica service — with service
-        times that are pure functions of (width, rows):
+        Each request is decided by :func:`repro.scheduler.core.decide`
+        — the live frontend's own code — and executed by an analytical
+        model: least-loaded routing, per-(replica, width) micro-batch
+        coalescing with ``max_batch`` / ``max_delay_s`` flushes, FIFO
+        replica service, with service times that are pure functions of
+        (width, rows):
 
         ``service(w, n) = row_s(w) * (1 + amortize * (n - 1))``
 
@@ -346,7 +309,6 @@ class TraceReplayer:
         depth, so degradation comparisons are CI-deterministic.
         """
         from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
-        from repro.scheduler.width_policy import WidthPolicy
 
         config = config or SchedulerConfig()
         net = getattr(model, "net", model)
@@ -361,7 +323,10 @@ class TraceReplayer:
         def service_s(width: str, rows: int) -> float:
             return row_s[width] * (1.0 + amortize * (rows - 1))
 
-        admission = AdmissionController(headroom=config.admission_headroom)
+        # The policy the shared decision path consults predicts exactly the
+        # table: a first observation *is* the EWMA's value.
+        for name in widest_first:
+            policy.observe(name, service_s(name, 1))
 
         sim = _Simulation(
             replicas=config.replicas,
@@ -373,107 +338,89 @@ class TraceReplayer:
         plan = fault_plan if fault_plan is not None else self.faults
         if plan and recorder is not None:
             recorder.meta.setdefault(FAULTS_META_KEY, plan.to_json())
-        fault_queue: List[FaultEvent] = list(plan.events) if plan else []
-        fault_i = [0]
+        fault_queue = deque(plan.events if plan else ())
 
         def apply_faults_until(t: float) -> None:
             # Interleave scripted faults with flush timers in time order,
             # so the virtual history is a single totally-ordered stream.
-            while fault_i[0] < len(fault_queue) and fault_queue[fault_i[0]].time_s <= t:
-                event = fault_queue[fault_i[0]]
-                fault_i[0] += 1
+            while fault_queue and fault_queue[0].time_s <= t:
+                event = fault_queue.popleft()
                 sim.advance(event.time_s)
                 sim.apply_fault(event, respawn_delay_s)
 
-        brownout = None
-        vnow = [0.0]
-        if getattr(config, "brownout", None) is not None:
-            from repro.faults.policy import BrownoutController
+        # The sim's binding of the decision path: virtual backlog for the
+        # signals, virtual time for the brown-out controller's dwell logic
+        # (so hysteresis stays deterministic).  The callables read the
+        # loop's current arrival time ``t`` and routed ``replica``.
+        t, replica = 0.0, 0
+        view = core.PlaneView(
+            policy=policy,
+            admission=(
+                AdmissionController(headroom=config.admission_headroom)
+                if config.enable_admission
+                else None
+            ),
+            brownout=(
+                fault_policy.BrownoutController(config.brownout, clock=lambda: t)
+                if config.brownout is not None
+                else None
+            ),
+            depth=lambda: sim.depth(t),
+            miss_rate=lambda: None,
+            queue_wait=lambda floor_s: sim.queue_wait(replica, t),
+        )
 
-            # Virtual clock: the controller's dwell logic reads the sim's
-            # current time, so hysteresis stays deterministic.
-            brownout = BrownoutController(config.brownout, clock=lambda: vnow[0])
-
-        def choose(sla: SLA, budget_s: float) -> Tuple[str, float]:
-            allowed = [s.name for s in policy.allowed(sla.min_width, sla.max_width)]
-            for name in allowed:
-                predicted = service_s(name, 1)
-                if predicted <= budget_s:
-                    return name, predicted
-            return allowed[-1], service_s(allowed[-1], 1)
+        def record_sim(spec, record, events) -> None:
+            if recorder is not None:
+                recorder.record(
+                    RequestRecord(
+                        spec=spec,
+                        outcome=record["outcome"],
+                        width=record["width"],
+                        latency_s=record["latency_s"],
+                        events=tuple(events),
+                    )
+                )
 
         records: List[Dict[str, object]] = []
         for spec in self.specs:
-            sla = sla_for(spec)
             t = spec.arrival_s
             apply_faults_until(t)
             sim.advance(t)
-            vnow[0] = t
+            replica = sim.least_loaded(t)
             events: List[Dict[str, object]] = [
                 {"t_s": t, "kind": EVENT_SUBMIT, "deadline_s": spec.deadline_s}
             ]
-            record_stub: Dict[str, object] = {
-                "request_id": spec.request_id,
-                "arrival_s": spec.arrival_s,
-                "outcome": LOST,
-                "width": None,
-                "latency_s": None,
-            }
-            if brownout is not None:
-                engaged = brownout.update(sim.depth(t), None)
-                if engaged and brownout.should_shed(sla.priority):
-                    events.append(
-                        {"t_s": t, "kind": EVENT_FAIL, "error": "BrownoutShed"}
-                    )
-                    record_stub["outcome"] = REJECTED
-                    records.append(record_stub)
-                    self._record_sim(recorder, spec, record_stub, events)
-                    continue
-            replica = sim.least_loaded(t)
-            queue_wait = sim.queue_wait(replica, t)
-            floor = service_s(
-                policy.narrowest(sla.min_width, sla.max_width).name, 1
-            )
-            record = record_stub
-            if config.enable_admission:
-                decision = admission.decide_remaining(
-                    sla,
-                    remaining_s=spec.deadline_s,
-                    queue_wait_s=queue_wait,
-                    service_floor_s=floor,
-                )
+            record = _blank_record(spec)
+            records.append(record)
+            decision = core.decide(sla_for(spec), spec.deadline_s, view)
+            if decision.admission is not None:
                 events.append(
                     {
                         "t_s": t,
                         "kind": EVENT_ADMISSION,
-                        "admitted": decision.admitted,
-                        "reason": decision.reason,
-                        "estimated_s": decision.estimated_s,
+                        "admitted": decision.admission.admitted,
+                        "reason": decision.admission.reason,
+                        "estimated_s": decision.admission.estimated_s,
                     }
                 )
-                if not decision.admitted:
-                    record["outcome"] = REJECTED
-                    records.append(record)
-                    self._record_sim(recorder, spec, record, events)
-                    continue
-            budget = max(spec.deadline_s - queue_wait, 0.0)
-            if (
-                brownout is not None
-                and brownout.engaged
-                and brownout.policy.clamp_width
-            ):
-                width = policy.narrowest(sla.min_width, sla.max_width).name
-                predicted = service_s(width, 1)
-            else:
-                width, predicted = choose(sla, budget)
-            record["width"] = width
+            if decision.error is not None:
+                if decision.shed:
+                    error = type(decision.error).__name__
+                    events.append({"t_s": t, "kind": EVENT_FAIL, "error": error})
+                record["outcome"] = core.classify_outcome(
+                    spec.deadline_s, error=decision.error
+                )
+                record_sim(spec, record, events)
+                continue
+            width = record["width"] = decision.width.name
             events.append(
                 {
                     "t_s": t,
                     "kind": EVENT_WIDTH,
                     "width": width,
-                    "predicted_s": predicted,
-                    "budget_s": budget,
+                    "predicted_s": decision.predicted_s,
+                    "budget_s": decision.budget_s,
                 }
             )
             events.append(
@@ -485,12 +432,10 @@ class TraceReplayer:
                 }
             )
             sim.enqueue(replica, width, t, record, events, spec)
-            records.append(record)
         apply_faults_until(float("inf"))
         sim.drain()
-        if recorder is not None:
-            for spec, record, events in sim.completed:
-                self._record_sim(recorder, spec, record, events)
+        for completed in sim.completed:
+            record_sim(*completed)
         summary = summarize_outcomes(records, self.duration_s)
         return {
             "mode": "sim",
@@ -505,7 +450,7 @@ class TraceReplayer:
                 "widths": widest_first,
                 "faults": plan.to_json() if plan else None,
                 "respawn_delay_s": respawn_delay_s if plan else None,
-                "brownout": brownout is not None,
+                "brownout": view.brownout is not None,
             },
             # Flushed-batch shape: {rows: count}, int keys.  The offline
             # tuner seeds ladder rungs from this (a virtual-time stand-in
@@ -519,26 +464,6 @@ class TraceReplayer:
             **summary,
             "records": records,
         }
-
-    @staticmethod
-    def _record_sim(
-        recorder: Optional[TraceRecorder],
-        spec: RequestSpec,
-        record: Mapping[str, object],
-        events: Sequence[Dict[str, object]],
-    ) -> None:
-        if recorder is None:
-            return
-        recorder.record(
-            RequestRecord(
-                spec=spec,
-                outcome=record["outcome"],
-                width=record.get("width"),
-                latency_s=record.get("latency_s"),
-                events=tuple(events),
-            )
-        )
-
 
 class _Simulation:
     """Virtual-time replica / micro-batch state for :meth:`simulate`.
@@ -708,7 +633,7 @@ class _Simulation:
             # enqueue time — a rerouted member's clock never resets.
             latency = finish - spec.arrival_s
             record["latency_s"] = latency
-            record["outcome"] = OK if latency <= spec.deadline_s else LATE
+            record["outcome"] = core.classify_outcome(spec.deadline_s, latency)
             events.append(
                 {"t_s": finish, "kind": EVENT_RESOLVE, "outcome": record["outcome"]}
             )

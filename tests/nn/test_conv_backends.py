@@ -1,15 +1,12 @@
-"""Property-based equivalence suite for the three conv backends.
+"""Property-based equivalence suite for the conv backends.
 
 The contracts under test (see ``nn/functional.py`` / README):
 
-* ``im2col-blocked`` is **bitwise identical** to the unblocked gather for
-  every kernel size, stride, padding, and tile size — it is the same
-  element-for-element copy in a different visit order;
 * ``shifted-gemm`` is **allclose** (within the per-dtype
   :data:`~repro.nn.functional.SHIFTED_GEMM_TOLERANCE`) to the im2col
   convolution for every stride-1 geometry, in both float64 and float32 —
   the only divergence is reduction re-association across kernel columns;
-* at the plan level, the exact backends stay bitwise equal to the eager
+* at the plan level, the exact backend stays bitwise equal to the eager
   serving path at every width under both dtype policies, and
   shifted-GEMM stays inside its tolerance.
 """
@@ -57,40 +54,6 @@ def _random_case(geo, dtype=np.float64):
     weight = rng.standard_normal((geo["c_out"], geo["c_in"], k, k)).astype(dtype)
     bias = rng.standard_normal(geo["c_out"]).astype(dtype)
     return x, weight, bias
-
-
-class TestBlockedIm2Col:
-    @given(geo=conv_geometry, row_block=st.integers(1, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_blocked_gather_is_bitwise_identical(self, geo, row_block):
-        """Any tile size produces exactly the unblocked column matrix."""
-        x, _, _ = _random_case(geo)
-        k, stride, pad = geo["kernel"], geo["stride"], geo["padding"]
-        ref, (oh, ow) = F.im2col(x, (k, k), stride, pad)
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-        out = np.empty_like(ref)
-        shape = F.im2col_into(padded, (k, k), stride, out, row_block=row_block)
-        assert shape == (oh, ow)
-        np.testing.assert_array_equal(out, ref)
-
-    def test_row_block_targets_band_bytes(self):
-        # One band row is channels * padded_w * itemsize bytes; the chosen
-        # tile's source band must fit the target (or be the minimum of 1).
-        block = F.im2col_row_block(8, 32, 3, 1, 8, target_bytes=16 * 1024)
-        band = 8 * 32 * 8 * (block + 3 - 1)
-        assert block >= 1 and band <= 16 * 1024 + 8 * 32 * 8 * (3 - 1)
-        # A tiny target degrades gracefully to single-row tiles.
-        assert F.im2col_row_block(64, 256, 3, 1, 8, target_bytes=1) == 1
-        # Stride scales the rows a band covers.
-        assert F.im2col_row_block(1, 8, 3, 2, 8) >= 1
-
-    def test_plan_row_blocks_compiled_only_for_blocked_backend(self, fluid_model):
-        plain = InferencePlan.compile(fluid_model, "lower50", batch_rows=4)
-        blocked = InferencePlan.compile(
-            fluid_model, "lower50", batch_rows=4, conv_backend="im2col-blocked"
-        )
-        assert all(s.row_block is None for s in plain._steps)
-        assert all(s.row_block >= 1 for s in blocked._steps)
 
 
 class TestShiftedGemm:

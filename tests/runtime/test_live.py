@@ -66,6 +66,31 @@ class TestHealthyStream:
         thread.join(timeout=5.0)
 
 
+class TestHtFewerRowsThanDevices:
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_serve_batch_matches_eager(self, rng, rows):
+        """HT splits a request across devices; with 1 row on 2 devices the
+        first chunk is empty and must get no stream call (it used to reach
+        Flatten as ``x[0:0]`` and raise out of ``serve_batch``)."""
+        live, thread = make_live("fluid", "throughput")
+        x = rng.standard_normal((rows, 1, 28, 28))
+        served = live.serve_batch(0, x)
+        assert served.mode is ExecutionMode.HIGH_THROUGHPUT
+        assert not served.failed_over
+        net = live.policy.model.net
+        master, worker = live.plan.assignments
+        expected = []
+        for assignment, part in ((master, x[: rows // 2]), (worker, x[rows // 2 :])):
+            if len(part):
+                view = net.view(net.width_spec.find(assignment.subnet))
+                view.train(False)
+                expected.append(view(part))
+        assert served.logits.shape == (rows, 10)
+        np.testing.assert_allclose(served.logits, np.concatenate(expected), atol=1e-5)
+        live.master.shutdown_worker()
+        thread.join(timeout=5.0)
+
+
 class TestMidStreamFailover:
     def test_fluid_fails_over_and_keeps_serving(self, batches):
         """Worker dies after two full HA batches (4 protocol messages each);
@@ -191,32 +216,5 @@ class TestScheduledQueue:
             assert counters["frontend.completed"] == 6
         finally:
             frontend.close()
-            live.master.shutdown_worker()
-            thread.join(timeout=5.0)
-
-    def test_loose_dict_config_warns_and_converts(self):
-        """One-release shim: dict configs warn and go through from_mapping."""
-        live, thread = make_live("fluid", "accuracy")
-        try:
-            with pytest.warns(DeprecationWarning, match="SchedulerConfig"):
-                frontend = live.scheduled_queue(
-                    {"replicas": 2, "warmup": False, "compile_plans": False}
-                )
-            try:
-                assert frontend.config.replicas == 2
-                assert frontend.config.warmup is False
-            finally:
-                frontend.close()
-        finally:
-            live.master.shutdown_worker()
-            thread.join(timeout=5.0)
-
-    def test_loose_dict_with_unknown_key_rejected(self):
-        live, thread = make_live("fluid", "accuracy")
-        try:
-            with pytest.warns(DeprecationWarning):
-                with pytest.raises(ValueError, match="unknown config keys"):
-                    live.scheduled_queue({"replcas": 2})
-        finally:
             live.master.shutdown_worker()
             thread.join(timeout=5.0)

@@ -4,7 +4,9 @@ Includes the PR acceptance property: a replica killed mid-stream is
 absorbed with zero lost requests (every future resolves with a result).
 """
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -278,7 +280,13 @@ class TestHedging:
 
 
 class TestHedgeWatchdog:
-    """arm/close ordering on the watchdog thread itself (no frontend)."""
+    """arm/close ordering on the watchdog thread itself (no frontend).
+
+    The heap holds entries weakly, so the stand-in entries are objects the
+    test keeps alive (a str cannot be weakly referenced)."""
+
+    class _Stub:
+        pass
 
     def test_fires_in_deadline_order_not_arm_order(self):
         from repro.scheduler.frontend import _HedgeWatchdog
@@ -294,10 +302,11 @@ class TestHedgeWatchdog:
         watchdog = _HedgeWatchdog(_fire)
         try:
             now = time.monotonic()
-            watchdog.arm(now + 0.05, "late")
-            watchdog.arm(now + 0.01, "early")
+            late, early = self._Stub(), self._Stub()
+            watchdog.arm(now + 0.05, late)
+            watchdog.arm(now + 0.01, early)
             assert done.wait(timeout=5.0)
-            assert fired == ["early", "late"]
+            assert fired == [early, late]
         finally:
             watchdog.close()
 
@@ -317,7 +326,8 @@ class TestHedgeWatchdog:
 
         fired = []
         watchdog = _HedgeWatchdog(fired.append)
-        watchdog.arm(time.monotonic() + 30.0, "pending")
+        pending = self._Stub()
+        watchdog.arm(time.monotonic() + 30.0, pending)
         watchdog.close()
         assert fired == []
         assert not watchdog._thread.is_alive()
@@ -328,6 +338,46 @@ class TestHedgeWatchdog:
         watchdog = _HedgeWatchdog(lambda entry: None)
         watchdog.close()
         watchdog.close()
+
+    def test_answered_requests_are_released_before_their_hedge_instant(self, model):
+        """Under a 10 s deadline the hedge instant is >= 5 s away; an answered
+        request's payload must be free long before the timer pops it."""
+        payloads = []
+        with make_frontend(model) as frontend:
+            futures = []
+            for seed in range(12):
+                x = one_image(seed)
+                payloads.append(weakref.ref(x))
+                futures.append(frontend.submit(x, SLA(deadline_s=10.0)))
+                del x
+            for future in futures:
+                future.result(timeout=10.0)
+            # result() returns from set_result(); the collector drops its
+            # batch a few bytecodes later — wait for that, not for a timer.
+            deadline = time.monotonic() + 2.0
+            while any(ref() is not None for ref in payloads) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert [ref() for ref in payloads] == [None] * 12
+            heap = frontend._watchdog._heap
+            assert len(heap) == 12  # nothing waited for a hedge instant
+            assert all(entry() is None for _, _, entry in heap)
+
+
+class TestCloseReleasesTheFrontend:
+    def test_closed_frontend_is_freed_without_the_cycle_collector(self, model):
+        """A closed frontend holds its plan arenas; as cyclic garbage it kept
+        them until the collector ran (and slowed later builds)."""
+        gc.collect()
+        gc.disable()
+        try:
+            frontend = make_frontend(model, warmup=True, supervise=True)
+            frontend.submit(one_image(3), SLA(deadline_s=10.0)).result(timeout=10.0)
+            ref = weakref.ref(frontend)
+            frontend.close()
+            del frontend
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCandidateSelection:

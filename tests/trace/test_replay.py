@@ -1,5 +1,8 @@
 """Trace replay: deterministic simulation, live frontend replay, round trips."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.models import build_model
@@ -139,6 +142,32 @@ class TestSimulate:
         second = again.simulate(model, recorder=rec2)
         assert first["outcomes"] == second["outcomes"]
         assert canonical_dumps(recorder.records) == canonical_dumps(rec2.records)
+
+
+class TestPinnedRecord:
+    """The committed virtual-time facts, re-derived in tier-1.
+
+    ``BENCH_trace_replay.json`` was recorded before the decision path moved
+    into ``scheduler/core.py``; exact equality here is the proof that the
+    move (and any later edit of ``core.decide``) changed no decision.
+    """
+
+    RECORD = json.loads(
+        (Path(__file__).resolve().parents[2] / "BENCH_trace_replay.json").read_text()
+    )
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_simulation_reproduces_the_committed_scenario_facts(self, model, name):
+        fact = self.RECORD["scenarios"][name]
+        result = TraceReplayer.from_scenario(name).simulate(
+            model, SchedulerConfig(replicas=self.RECORD["replicas"])
+        )
+        assert result["requests"] == fact["requests"]
+        assert result["outcomes"] == fact["outcomes"]
+        assert result["widths"] == fact["widths"]
+        assert result["miss_rate"] == fact["miss_rate"]
+        assert result["goodput_rps"] == fact["goodput_rps"]
+        assert result["latency"]["p99_s"] == fact["p99_s"]
 
 
 class TestLiveReplay:
