@@ -1,47 +1,40 @@
 """Compiled vs eager distributed execution over the Fig. 2 scenarios.
 
-The PR-7 acceptance benchmark.  Every Fig. 2 serving scenario — solo,
-High-Throughput, High-Accuracy — is re-run on the unified engine over
-in-process endpoints, the in-process wire protocol (InProcChannel), and a
-real TCP subprocess worker, eager vs compiled (``compiled=True`` routes the
-HA rounds through :class:`~repro.engine.dist_plan.DevicePartitionPlan` with
-delta halo exchange).  Functional facts measured alongside the wall-clock:
+Every Fig. 2 serving scenario — solo, High-Throughput, High-Accuracy — is
+timed on the unified engine over in-process endpoints, the in-process wire
+protocol (InProcChannel), and a real TCP subprocess worker, eager vs
+compiled (``compiled=True`` routes the HA rounds through
+:class:`~repro.engine.dist_plan.DevicePartitionPlan` with delta halo
+exchange).  The paper's serving regime is single images, so the number of
+interest is compiled vs eager HA at batch 1; larger batches are GEMM-bound
+and converge.
 
-* **bitwise parity**: compiled logits equal eager logits exactly, on every
-  transport;
-* **delta halos**: the compiled path ships strictly fewer engine-boundary
-  activation bytes per round (the last conv round ships none at all);
-* **zero steady-state allocation**: after warmup, no new plans are
-  compiled and no new arenas are allocated — batches only check
-  workspaces out and back in.
-
-The wall-clock gate is the paper's serving regime: Fig. 2 drives single
-images, so acceptance is compiled >= 1.3x eager on in-process HA at batch
-1 (larger batches are GEMM-bound and converge; they are recorded, not
-gated).  ``--smoke`` asserts only the functional facts unless
-``REPRO_MIN_DIST_SPEEDUP`` is set (shared CI runners are too noisy for an
-unconditional wall-clock gate).
-
-Run directly for the acceptance record::
+Nothing here is gated or committed: ``benchmarks/e2e``'s ``dist_ha`` /
+``dist_ht`` workloads are the calibrated measurement of the compiled path
+(its A/A study put HA-over-TCP spread at ~30% on a shared 2-core box, wider
+than the eager-vs-compiled gap this script sees there).  Bitwise
+compiled/eager parity on every transport, the exact per-round exchange
+bytes and zero steady-state allocation are tier-1's
+(``tests/engine/test_dist_plan.py``).  Run directly to print the table and
+write it, env-stamped, to ``benchmarks/out/dist_plan.json``::
 
     PYTHONPATH=src python benchmarks/bench_dist_plan.py
 
-or the CI functional check::
+or as the CI smoke (in-process and wire only, a few trials, nothing
+written)::
 
     PYTHONPATH=src python benchmarks/bench_dist_plan.py --smoke
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from common import write_out
 from repro.comm import InProcChannel
 from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
 from repro.distributed import LocalCluster, MasterRuntime, WorkerServer
@@ -50,18 +43,15 @@ from repro.engine import BlockPartition
 from repro.slimmable import SlimmableConvNet, paper_width_spec
 from repro.utils import make_rng
 
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_dist_plan.json"
 SPLIT = 8
-SEED = 0
-ACCEPTANCE_THRESHOLD = 1.3
 
 
 def _net() -> SlimmableConvNet:
-    return SlimmableConvNet(paper_width_spec(), rng=make_rng(SEED))
+    return SlimmableConvNet(paper_width_spec(), rng=make_rng(0))
 
 
-def _batch(n: int, seed: int = 42) -> np.ndarray:
-    return make_rng(seed).standard_normal((n, 1, 28, 28))
+def _batch(n: int) -> np.ndarray:
+    return make_rng(42).standard_normal((n, 1, 28, 28))
 
 
 def _median_ms(fn: Callable[[], object], trials: int, warmup: int = 10) -> float:
@@ -75,24 +65,25 @@ def _median_ms(fn: Callable[[], object], trials: int, warmup: int = 10) -> float
     return float(np.median(times)) * 1e3
 
 
-def _paired_ms(
-    a: Callable[[], object],
-    b: Callable[[], object],
-    trials: int,
-    chunks: int = 5,
-) -> tuple:
-    """Noise-robust A/B timing: alternate chunks, min-of-medians per side.
+def _paired(a: Callable[[], object], b: Callable[[], object], trials: int) -> Dict:
+    """Noise-robust eager/compiled timing: alternate chunks, min-of-medians.
 
     Interleaving the two sides cancels slow machine-state drift (frequency
     scaling, cache pressure from earlier measurements) that a single long
     back-to-back pass folds entirely into whichever side ran second.
     """
-    per_chunk = max(trials // chunks, 10)
+    chunks = 5
+    per_chunk = max(trials // chunks, 4)
     medians_a, medians_b = [], []
     for _ in range(chunks):
-        medians_a.append(_median_ms(a, per_chunk, warmup=5))
-        medians_b.append(_median_ms(b, per_chunk, warmup=5))
-    return min(medians_a), min(medians_b)
+        medians_a.append(_median_ms(a, per_chunk, warmup=3))
+        medians_b.append(_median_ms(b, per_chunk, warmup=3))
+    eager_ms, compiled_ms = min(medians_a), min(medians_b)
+    return {
+        "eager_ms": eager_ms,
+        "compiled_ms": compiled_ms,
+        "speedup": eager_ms / compiled_ms,
+    }
 
 
 # -- runtimes over the three endpoint transports ------------------------------
@@ -148,66 +139,23 @@ def measure_inprocess(batch_sizes=(1, 4, 16), trials: int = 300) -> Dict:
         rt.engine.shutdown()
 
     ha: Dict[str, Dict[str, float]] = {}
-    parity = True
-    exchange: Dict[str, List[int]] = {}
     for rows in batch_sizes:
         x = _batch(rows)
         eager = _multidevice(net, compiled=False)
         compiled = _multidevice(net, compiled=True)
         try:
-            eager_ms, compiled_ms = _paired_ms(
+            ha[str(rows)] = _paired(
                 lambda: eager.run_ha(x), lambda: compiled.run_ha(x), trials
             )
-            parity = parity and bool(
-                np.array_equal(eager.run_ha(x), compiled.run_ha(x))
-            )
             if rows == batch_sizes[0]:
-                exchange = {
-                    "eager_per_round": [int(b) for b in eager.engine.last_exchange_bytes],
-                    "compiled_per_round": [
-                        int(b) for b in compiled.engine.last_exchange_bytes
-                    ],
-                }
                 out["overlap_ewma"] = float(
                     compiled.engine.metrics.ewma("round.overlap").value
                 )
-                out["zero_alloc"] = measure_zero_alloc(compiled, x)
-            ha[str(rows)] = {
-                "eager_ms": eager_ms,
-                "compiled_ms": compiled_ms,
-                "speedup": eager_ms / compiled_ms,
-            }
         finally:
             eager.engine.shutdown()
             compiled.engine.shutdown()
     out["ha"] = ha
-    out["parity"] = parity
-    e, c = exchange["eager_per_round"], exchange["compiled_per_round"]
-    exchange["reduction"] = 1.0 - sum(c) / sum(e)
-    out["exchange_bytes"] = exchange
     return out
-
-
-def measure_zero_alloc(rt: MultiDeviceRuntime, x: np.ndarray, extra: int = 10) -> Dict:
-    """Plans/arenas stable across repeat executes; only checkouts move."""
-    endpoints = list(rt.engine.endpoints.values())
-    plans = [ep._plan for ep in endpoints]
-    plan_counts = [len(ep._compiler) for ep in endpoints]
-    created = [p.workspaces.created for p in plans]
-    checkouts = [p.workspaces.checkouts for p in plans]
-    for _ in range(extra):
-        rt.run_ha(x)
-    return {
-        "plans_stable": all(
-            len(ep._compiler) == n for ep, n in zip(endpoints, plan_counts)
-        ),
-        "arenas_stable": all(
-            p.workspaces.created == c for p, c in zip(plans, created)
-        ),
-        "checkouts_grew": all(
-            p.workspaces.checkouts == k + extra for p, k in zip(plans, checkouts)
-        ),
-    }
 
 
 def measure_wire(batch_sizes=(1, 8), trials: int = 200) -> Dict:
@@ -222,153 +170,33 @@ def measure_wire(batch_sizes=(1, 8), trials: int = 200) -> Dict:
         out["ht_ms"] = _median_ms(
             lambda: master.run_ht(lower, upper, x, x), trials // 2
         )
-
     ha: Dict[str, Dict[str, float]] = {}
-    parity = True
     for rows in batch_sizes:
         x = _batch(rows)
-        with _InProcMaster(net, compiled=False) as eager:
-            eager_ms = _median_ms(lambda: eager.run_ha(spec_full, x), trials)
-            out_eager = eager.run_ha(spec_full, x)
-        with _InProcMaster(net, compiled=True) as compiled:
-            compiled_ms = _median_ms(lambda: compiled.run_ha(spec_full, x), trials)
-            parity = parity and bool(
-                np.array_equal(out_eager, compiled.run_ha(spec_full, x))
+        with _InProcMaster(net, compiled=False) as eager, \
+                _InProcMaster(net, compiled=True) as compiled:
+            ha[str(rows)] = _paired(
+                lambda: eager.run_ha(spec_full, x),
+                lambda: compiled.run_ha(spec_full, x),
+                trials,
             )
-        ha[str(rows)] = {
-            "eager_ms": eager_ms,
-            "compiled_ms": compiled_ms,
-            "speedup": eager_ms / compiled_ms,
-        }
     out["ha"] = ha
-    out["parity"] = parity
     return out
 
 
 def measure_tcp(trials: int = 60) -> Dict:
-    """HA over a real subprocess worker on localhost TCP."""
+    """HA at batch 1 over a real subprocess worker on localhost TCP."""
     net = _net()
     spec_full = net.width_spec.full()
     x = _batch(1)
-    with LocalCluster(net, compiled=False) as cluster:
-        eager_ms = _median_ms(lambda: cluster.master.run_ha(spec_full, x), trials)
-        out_eager = cluster.master.run_ha(spec_full, x)
-    with LocalCluster(net, compiled=True) as cluster:
-        compiled_ms = _median_ms(lambda: cluster.master.run_ha(spec_full, x), trials)
-        parity = bool(np.array_equal(out_eager, cluster.master.run_ha(spec_full, x)))
-    return {
-        "ha": {
-            "1": {
-                "eager_ms": eager_ms,
-                "compiled_ms": compiled_ms,
-                "speedup": eager_ms / compiled_ms,
-            }
-        },
-        "parity": parity,
-    }
-
-
-# -- acceptance record --------------------------------------------------------
-
-
-def run_benchmark() -> Dict:
-    inprocess = measure_inprocess()
-    wire = measure_wire()
-    tcp = measure_tcp()
-    gated = inprocess["ha"]["1"]["speedup"]
-    return {
-        "cores": len(os.sched_getaffinity(0)),
-        "acceptance_threshold": ACCEPTANCE_THRESHOLD,
-        "speedup_ha_batch1_inprocess": gated,
-        "meets_threshold": gated >= ACCEPTANCE_THRESHOLD,
-        "parity": {
-            "inprocess": inprocess["parity"],
-            "wire_inproc": wire["parity"],
-            "tcp": tcp["parity"],
-        },
-        "exchange_bytes": inprocess["exchange_bytes"],
-        "zero_alloc": inprocess["zero_alloc"],
-        "overlap_ewma": inprocess["overlap_ewma"],
-        "figure2": {"inprocess": inprocess, "wire_inproc": wire, "tcp": tcp},
-    }
-
-
-def _record(report: Dict) -> None:
-    payload = {
-        "benchmark": "dist_plan",
-        "description": (
-            "Fig. 2 serving scenarios (solo/HT/HA) re-run eager vs compiled "
-            "over in-process endpoints, the InProcChannel wire protocol, and "
-            "a TCP subprocess worker; compiled HA uses per-device partition "
-            "plans with delta halo exchange.  Gated fact: compiled >= 1.3x "
-            "eager on in-process HA at batch 1 (the paper's single-image "
-            "serving regime), with bitwise parity, engine-boundary exchange "
-            "byte reduction, and zero steady-state allocation"
-        ),
-        **report,
-    }
-    RECORD_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-# -- smoke --------------------------------------------------------------------
-
-
-def smoke() -> None:
-    """CI functional check: parity, delta halos, zero-alloc on a small run."""
-    net = _net()
-    x = _batch(4)
-    eager = _multidevice(net, compiled=False)
-    compiled = _multidevice(net, compiled=True)
-    try:
-        out_eager = eager.run_ha(x)
-        out_compiled = compiled.run_ha(x)
-        assert np.array_equal(out_eager, out_compiled), (
-            "compiled HA logits are not bitwise equal to eager"
+    with LocalCluster(net, compiled=False) as eager, \
+            LocalCluster(net, compiled=True) as compiled:
+        timing = _paired(
+            lambda: eager.master.run_ha(spec_full, x),
+            lambda: compiled.master.run_ha(spec_full, x),
+            trials,
         )
-        e = eager.engine.last_exchange_bytes
-        c = compiled.engine.last_exchange_bytes
-        assert len(c) == len(e) and sum(c) < sum(e), (
-            f"delta halos did not reduce exchange bytes: {c} vs {e}"
-        )
-        assert all(cb < eb for cb, eb in zip(c[1:], e[1:])), (
-            "every post-input round must ship fewer bytes compiled"
-        )
-        alloc = measure_zero_alloc(compiled, x, extra=6)
-        assert all(alloc.values()), f"steady-state allocation facts failed: {alloc}"
-    finally:
-        eager.engine.shutdown()
-        compiled.engine.shutdown()
-
-    # Wire-protocol parity (covers the PARTITION_ROUND messages end to end).
-    spec_full = net.width_spec.full()
-    with _InProcMaster(net, compiled=False) as m:
-        wire_eager = m.run_ha(spec_full, x)
-    with _InProcMaster(net, compiled=True) as m:
-        wire_compiled = m.run_ha(spec_full, x)
-    assert np.array_equal(wire_eager, wire_compiled), (
-        "compiled HA over the wire protocol is not bitwise equal to eager"
-    )
-
-    # Wall-clock is opt-in: shared runners are too noisy to gate by default.
-    threshold = float(os.environ.get("REPRO_MIN_DIST_SPEEDUP", "0"))
-    if threshold > 0:
-        x1 = _batch(1)
-        e_rt = _multidevice(net, compiled=False)
-        c_rt = _multidevice(net, compiled=True)
-        try:
-            eager_ms, compiled_ms = _paired_ms(
-                lambda: e_rt.run_ha(x1), lambda: c_rt.run_ha(x1), trials=200
-            )
-        finally:
-            e_rt.engine.shutdown()
-            c_rt.engine.shutdown()
-        speedup = eager_ms / compiled_ms
-        assert speedup >= threshold, (
-            f"compiled HA speedup {speedup:.2f}x below REPRO_MIN_DIST_SPEEDUP="
-            f"{threshold}"
-        )
-        print(f"smoke speedup {speedup:.2f}x (threshold {threshold})")
-    print("smoke OK")
+    return {"ha": {"1": timing}}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -377,34 +205,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="run the CI functional assertions on a small run (no record)",
+        help="in-process and wire transports, a few trials; nothing written",
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        smoke()
-        return 0
-
-    report = run_benchmark()
-    assert all(report["parity"].values()), f"parity failed: {report['parity']}"
-    assert report["meets_threshold"], (
-        f"acceptance requires >={ACCEPTANCE_THRESHOLD}x compiled-vs-eager on "
-        f"in-process HA at batch 1; measured "
-        f"{report['speedup_ha_batch1_inprocess']:.2f}x"
-    )
-    _record(report)
-    print(f"wrote {RECORD_PATH} (cores={report['cores']})")
-    for transport, stats in report["figure2"].items():
+        report = {
+            "inprocess": measure_inprocess(batch_sizes=(1, 4), trials=20),
+            "wire_inproc": measure_wire(batch_sizes=(1,), trials=20),
+        }
+    else:
+        report = {
+            "inprocess": measure_inprocess(),
+            "wire_inproc": measure_wire(),
+            "tcp": measure_tcp(),
+        }
+    for transport, stats in report.items():
         for rows, ha in sorted(stats["ha"].items(), key=lambda kv: int(kv[0])):
             print(
-                f"  {transport:10s} HA batch {rows:>2s}: eager {ha['eager_ms']:7.2f}ms  "
+                f"  {transport:11s} HA batch {rows:>2s}: eager {ha['eager_ms']:7.2f}ms  "
                 f"compiled {ha['compiled_ms']:7.2f}ms  ({ha['speedup']:.2f}x)"
             )
-    ex = report["exchange_bytes"]
-    print(
-        f"  exchange bytes/round: eager {ex['eager_per_round']} -> compiled "
-        f"{ex['compiled_per_round']} ({ex['reduction']:.0%} less)"
-    )
-    print(f"  zero-alloc: {report['zero_alloc']}  overlap {report['overlap_ewma']:.2f}")
+    print(f"  round overlap {report['inprocess']['overlap_ewma']:.2f}")
+    if args.smoke:
+        print("smoke OK")
+    else:
+        print(f"wrote {write_out('dist_plan', report)}")
     return 0
 
 

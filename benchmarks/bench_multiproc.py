@@ -1,48 +1,36 @@
 """Thread-pool vs process-pool serving throughput over shared weights.
 
-The PR-6 acceptance benchmark.  The same batched inference work is driven
-through :class:`~repro.scheduler.pool.Replica` (N session sets sharing one
+The same batched inference work is driven through
+:class:`~repro.scheduler.pool.Replica` (N session sets sharing one
 interpreter — and one GIL) and :class:`~repro.scheduler.procpool.ProcessReplica`
 (N forked workers over one ``multiprocessing.shared_memory`` weight arena,
-rows crossing per-worker shm rings) at 1/2/4/8 workers, recording rows/s
-for each.  Two functional facts are measured alongside the wall-clock:
+rows crossing per-worker shm rings) at 1/2/4/8 workers, reporting rows/s
+for each beside the shm segment counts.
 
-* **zero-copy**: the number of shm *weight* segments is the same (one)
-  whether 1 or 8 workers serve — forked workers map the parent's pages,
-  they never copy the weights;
-* **cross-process invalidation**: a parent-side ``Parameter`` update (its
-  ``version`` counter lives in the shared segment) makes a worker's
-  :class:`~repro.nn.plan.PackedWeightCache` repack, and the worker's
-  outputs match a parent-side session bitwise afterwards.
-
-Wall-clock scaling is machine-conditional: the record carries ``cores``
-(the CPU affinity count at record time) and the CI record check gates the
-process>thread ordering facts only when the recording machine actually
-had cores to scale onto — on a single-core runner every backend
-serialises onto one core and IPC overhead decides the ordering.
-
-Run directly for the acceptance record::
+Wall-clock scaling is machine-conditional — with fewer cores than workers
+every backend serialises and the process pool additionally pays IPC — so
+nothing here is gated or committed; ``benchmarks/e2e``'s ``sat_thread`` /
+``sat_process`` workloads are the calibrated comparison.  The functional
+facts (one weight segment set however many workers, one ring each, a
+parent-side weight update repacks in the worker, bitwise parity, no ring
+left behind) are tier-1's (``tests/scheduler/test_procpool.py``).  Run
+directly to print the table and write it, env-stamped, to
+``benchmarks/out/multiproc.json``::
 
     PYTHONPATH=src python benchmarks/bench_multiproc.py
 
-or with ``--smoke`` for the CI functional check (small run, no record)::
+or with ``--smoke`` (two workers, four batches each, nothing written)::
 
     PYTHONPATH=src python benchmarks/bench_multiproc.py --smoke
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from pathlib import Path
 from typing import Dict, List
 
-import numpy as np
-
-from repro.engine.session import InferenceSession
-from repro.models import build_model
+from common import fluid_model, write_out
 from repro.nn.plan import compile_width_plans
 from repro.nn.shm import list_segments
 from repro.scheduler.pool import Replica
@@ -50,19 +38,12 @@ from repro.scheduler.procpool import make_process_replicas
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.utils import make_rng
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RECORD_PATH = REPO_ROOT / "BENCH_multiproc.json"
-
 WIDTH = "lower100"          # the widest (heaviest) sub-network: worst GIL case
 WORKER_COUNTS = (1, 2, 4, 8)
 BATCH_ROWS = 16
 
 
-def _payload(rows: int, seed: int = 7) -> np.ndarray:
-    return make_rng(seed).standard_normal((rows, 1, 28, 28))
-
-
-def _drive(replicas, batch: np.ndarray, batches_each: int) -> float:
+def _drive(replicas, batch, batches_each: int) -> float:
     """One feeder thread per replica, fixed work each; returns rows/s."""
     barrier = threading.Barrier(len(replicas) + 1)
     errors: List[BaseException] = []
@@ -87,19 +68,18 @@ def _drive(replicas, batch: np.ndarray, batches_each: int) -> float:
     elapsed = time.perf_counter() - started
     if errors:
         raise errors[0]
-    total_rows = len(replicas) * batches_each * batch.shape[0]
-    return total_rows / elapsed
+    return len(replicas) * batches_each * batch.shape[0] / elapsed
 
 
 def measure_backend(
     model, backend: str, workers: int, *, batches_each: int
 ) -> Dict[str, float]:
     """Rows/s for one backend at one pool size (plus shm segment counts)."""
-    batch = _payload(BATCH_ROWS)
-    plan_options = {"batch_rows": BATCH_ROWS}
+    batch = make_rng(7).standard_normal((BATCH_ROWS, 1, 28, 28))
     if backend == "process":
         replicas = make_process_replicas(
-            model, workers, plan_options=plan_options, metrics=MetricsRegistry()
+            model, workers, plan_options={"batch_rows": BATCH_ROWS},
+            metrics=MetricsRegistry(),
         )
     else:
         plans = compile_width_plans(model, [WIDTH], batch_rows=BATCH_ROWS)
@@ -107,137 +87,35 @@ def measure_backend(
     try:
         for replica in replicas:  # warm: plan compile + first packs off the clock
             replica.run_parts([batch], WIDTH)
-        rows_per_s = _drive(replicas, batch, batches_each)
-        weight_segments = len(list_segments("w"))
-        ring_segments = len(list_segments("r"))
-    finally:
-        for replica in replicas:
-            replica.close()
-    return {
-        "rows_per_s": rows_per_s,
-        "weight_segments": weight_segments,
-        "ring_segments": ring_segments,
-    }
-
-
-def measure_invalidation(model) -> Dict[str, bool]:
-    """Parent-side weight update -> worker repack + bitwise parity."""
-    batch = _payload(BATCH_ROWS, seed=11)
-    metrics = MetricsRegistry()
-    replicas = make_process_replicas(
-        model, 2, plan_options={"batch_rows": BATCH_ROWS}, metrics=metrics
-    )
-    try:
-        for replica in replicas:
-            replica.run_parts([batch], WIDTH)
-        packs_before = metrics.counter("worker.0.repacks").value
-        param = next(iter(getattr(model, "net", model).parameters()))
-        param.data *= 1.0 + 1e-6
-        param.bump_version()
-        out = replicas[0].run_parts([batch], WIDTH)
-        packs_after = metrics.counter("worker.0.repacks").value
-        reference = InferenceSession(model, WIDTH).run(batch)
         return {
-            "repacks_observed": packs_after > packs_before,
-            "parity_after_update": bool(np.array_equal(out, reference)),
+            "rows_per_s": _drive(replicas, batch, batches_each),
+            "weight_segments": len(list_segments("w")),
+            "ring_segments": len(list_segments("r")),
         }
     finally:
         for replica in replicas:
             replica.close()
 
 
-def run_benchmark(batches_each: int = 24) -> Dict:
-    model = build_model("fluid", rng=make_rng(0))
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
-    workers_section: Dict[str, Dict] = {}
-    weight_segment_counts: Dict[str, int] = {}
-    for count in WORKER_COUNTS:
+def run_benchmark(worker_counts=WORKER_COUNTS, batches_each: int = 24) -> Dict:
+    model = fluid_model()
+    workers: Dict[str, Dict] = {}
+    for count in worker_counts:
         thread = measure_backend(model, "thread", count, batches_each=batches_each)
         process = measure_backend(model, "process", count, batches_each=batches_each)
-        workers_section[str(count)] = {
+        workers[str(count)] = {
             "thread_rows_per_s": thread["rows_per_s"],
             "process_rows_per_s": process["rows_per_s"],
             "process_vs_thread": process["rows_per_s"] / thread["rows_per_s"],
+            "weight_segments": process["weight_segments"],
             "ring_segments": process["ring_segments"],
         }
-        weight_segment_counts[str(count)] = process["weight_segments"]
-    invalidation = measure_invalidation(model)
-    least, most = str(min(WORKER_COUNTS)), str(max(WORKER_COUNTS))
     return {
-        "cores": cores,
         "batch_rows": BATCH_ROWS,
         "batches_per_worker": batches_each,
         "width": WIDTH,
-        "workers": workers_section,
-        "zero_copy": {
-            "weight_segments_by_worker_count": weight_segment_counts,
-            "single_weight_segment_set": all(
-                v == weight_segment_counts[least]
-                for v in weight_segment_counts.values()
-            )
-            and weight_segment_counts[least] == 1,
-        },
-        "invalidation": invalidation,
-        "scaling": {
-            "process_vs_thread_at_4": workers_section["4"]["process_vs_thread"],
-            "process_vs_thread_at_widest": workers_section[most]["process_vs_thread"],
-            "note": (
-                "wall-clock ordering is machine-conditional: with cores < 4 "
-                "every backend serialises onto the same core and the process "
-                "pool additionally pays IPC, so the >=2x-at-4-workers fact "
-                "is gated on the recorded core count"
-            ),
-        },
+        "workers": workers,
     }
-
-
-def _record(report: Dict, path: Path = RECORD_PATH) -> None:
-    payload = {
-        "benchmark": "benchmarks/bench_multiproc.py",
-        "description": (
-            "Batched inference rows/s through thread-backed replicas (one "
-            "interpreter, one GIL) vs forked process replicas over one "
-            "shared-memory weight arena (rows via per-worker shm rings) at "
-            "1/2/4/8 workers, plus the measured zero-copy and cross-process "
-            "packed-cache invalidation facts"
-        ),
-        **report,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def smoke() -> None:
-    """CI functional check: small live run asserting the hard facts."""
-    model = build_model("fluid", rng=make_rng(0))
-    thread = measure_backend(model, "thread", 2, batches_each=4)
-    process = measure_backend(model, "process", 2, batches_each=4)
-    assert thread["rows_per_s"] > 0 and process["rows_per_s"] > 0
-    assert process["weight_segments"] == 1, (
-        f"{process['weight_segments']} weight segments for 2 workers (expected "
-        "one shared set)"
-    )
-    assert process["ring_segments"] == 2, "expected one I/O ring per worker"
-    assert list_segments("r") == [], "ring segments leaked after close"
-    invalidation = measure_invalidation(model)
-    assert invalidation["repacks_observed"], (
-        "parent-side version bump did not trigger a worker repack"
-    )
-    assert invalidation["parity_after_update"], (
-        "worker output diverged from the parent session after a weight update"
-    )
-    # Parity between the two backends on identical inputs.
-    batch = _payload(BATCH_ROWS, seed=3)
-    replicas = make_process_replicas(model, 1, plan_options={"batch_rows": BATCH_ROWS})
-    try:
-        out = replicas[0].run_parts([batch], WIDTH)
-    finally:
-        replicas[0].close()
-    reference = InferenceSession(model, WIDTH).run(batch)
-    assert np.array_equal(out, reference), "process backend output not bitwise equal"
-    print("smoke OK")
 
 
 def main(argv=None) -> int:
@@ -246,31 +124,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="run the CI functional assertions on a small pool (no record)",
+        help="two workers, four batches each; nothing written",
     )
     parser.add_argument(
-        "--batches", type=int, default=24,
-        help="batches per worker for the record run",
+        "--batches", type=int, default=24, help="batches per worker for the full run",
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        smoke()
-        return 0
-    report = run_benchmark(batches_each=args.batches)
-    _record(report)
-    print(f"wrote {RECORD_PATH} (cores={report['cores']})")
+        report = run_benchmark(worker_counts=(2,), batches_each=4)
+    else:
+        report = run_benchmark(batches_each=args.batches)
     for count, stats in report["workers"].items():
         print(
             f"  {count:>2s} workers: thread {stats['thread_rows_per_s']:8.1f} rows/s  "
             f"process {stats['process_rows_per_s']:8.1f} rows/s  "
-            f"({stats['process_vs_thread']:.2f}x)"
+            f"({stats['process_vs_thread']:.2f}x)  shm: "
+            f"{stats['weight_segments']} weight set, {stats['ring_segments']} rings"
         )
-    zc = report["zero_copy"]
-    print(
-        f"  zero-copy: {zc['single_weight_segment_set']} "
-        f"(weight segments by worker count {zc['weight_segments_by_worker_count']})"
-    )
-    print(f"  invalidation: {report['invalidation']}")
+    if args.smoke:
+        print("smoke OK")
+    else:
+        print(f"wrote {write_out('multiproc', report)}")
     return 0
 
 

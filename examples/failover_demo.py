@@ -9,19 +9,20 @@ Run:  python examples/failover_demo.py   (finishes in seconds)
 """
 
 from repro.comm import CommLatencyModel
-from repro.device import FailureEvent, FailureSchedule, jetson_nx_master, jetson_nx_worker
+from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.distributed import SystemThroughputModel
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.models import build_model
 from repro.runtime import AdaptationPolicy, SystemController
 from repro.utils import make_rng
 
 
 def main() -> None:
-    schedule = FailureSchedule(
+    schedule = FaultPlan(
         [
-            FailureEvent(10.0, "worker", "crash"),
-            FailureEvent(25.0, "worker", "recover"),
-            FailureEvent(40.0, "master", "crash"),
+            FaultEvent(10.0, "worker", "crash"),
+            FaultEvent(25.0, "worker", "recover"),
+            FaultEvent(40.0, "master", "crash"),
         ]
     )
     horizon = 55.0

@@ -6,14 +6,14 @@ Subcommands::
     python -m repro evaluate --family fluid --weights model.npz
     python -m repro fig2 [--fast]
     python -m repro simulate --family fluid --fail worker:10 --recover worker:25
-    python -m repro serve --family fluid --subnet lower50 --requests 256
-    python -m repro serve --sla 40 --replicas 2 --trace out.jsonl
     python -m repro replay --scenario bursts --mode sim
-    python -m repro replay --trace out.jsonl --mode live
+    python -m repro replay --scenario steady_burst_kill --faults --mode live --out out.jsonl
+    python -m repro replay --trace out.jsonl --mode sim
+    python -m repro dist --mode ha
     python -m repro calibration
 
-All commands are deterministic per ``--seed`` (``serve`` timings vary, its
-outputs do not).
+All commands are deterministic per ``--seed`` (``replay --mode live`` and
+``dist`` timings vary, their outputs do not).
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from typing import List, Optional
 
 from repro.comm import CommLatencyModel
 from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.device import (
-    FailureEvent,
-    FailureSchedule,
-    jetson_nx_master,
-    jetson_nx_worker,
-)
+from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.distributed import SystemThroughputModel
 from repro.experiments import (
     calibration_points,
@@ -40,6 +35,7 @@ from repro.experiments import (
     run_fig2,
     shape_checks,
 )
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.models import build_model
 from repro.nn.checkpoint import load_state, save_state
 from repro.nn.functional import CONV_BACKENDS
@@ -50,7 +46,7 @@ from repro.utils import make_rng, resolve_dtype_policy, set_dtype_policy
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared scheduler-config flags (serve --sla mode and replay).
+    """The scheduler-config flags of ``replay``.
 
     Every flag defaults to ``None`` — "not given" — so
     :func:`config_from_args` can layer them as overrides on top of
@@ -136,37 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--horizon", type=float, default=60.0)
     simulate.add_argument("--seed", type=int, default=0)
 
-    serve = sub.add_parser(
-        "serve", help="serve synthetic traffic: serial vs concurrent vs micro-batched, "
-        "or (--sla) the SLA-aware scheduler vs a fixed-widest baseline"
-    )
-    serve.add_argument("--family", choices=("static", "dynamic", "fluid"), default="fluid")
-    serve.add_argument("--subnet", default=None, help="sub-network name (default: full width)")
-    serve.add_argument("--weights", default=None, help="optional npz checkpoint to serve")
-    serve.add_argument("--requests", type=int, default=256)
-    serve.add_argument("--concurrency", type=int, default=4)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--sla", type=float, default=None, metavar="MS",
-        help="per-request deadline in ms: drive the overload+failure trace through "
-        "the SLA scheduler (admission, width selection, hedged routing) vs a "
-        "fixed-widest baseline",
-    )
-    _add_config_flags(serve)
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="pool size for --replica-backend process (alias for --replicas)",
-    )
-    serve.add_argument(
-        "--stats", action="store_true",
-        help="print per-worker telemetry (rows, repacks, rows/s) after the run",
-    )
-    serve.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="record every scheduler-run request lifecycle (admission, width, "
-        "batch, hedge, resolve spans) to this trace artifact; requires --sla",
-    )
-
     replay = sub.add_parser(
         "replay",
         help="replay a scenario-zoo or recorded trace through the SLA "
@@ -211,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "space against the virtual-time simulator on this trace (with "
         "--faults: scored under the attached fault plan — best config "
         "under chaos) and write a repro-tuned-config artifact that "
-        "'serve --config FILE' loads directly.  The scheduler flags above "
+        "'replay --config FILE' loads directly.  The scheduler flags above "
         "are ignored; the tuner searches its own space",
     )
     replay.add_argument(
@@ -252,16 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_events(fails: List[str], recovers: List[str]) -> FailureSchedule:
+def _parse_events(fails: List[str], recovers: List[str]) -> FaultPlan:
     events = []
     for kind, entries in (("crash", fails), ("recover", recovers)):
         for entry in entries:
             try:
                 device, t = entry.split(":")
-                events.append(FailureEvent(float(t), device, kind))
+                events.append(FaultEvent(float(t), device, kind))
             except ValueError as exc:
                 raise SystemExit(f"bad --{kind} spec {entry!r} (expected DEVICE:T)") from exc
-    return FailureSchedule(events)
+    return FaultPlan(events)
 
 
 def cmd_train(args) -> int:
@@ -351,14 +316,14 @@ def _parse_rows_ladder(spec: Optional[str]):
 
 
 def config_from_args(args, defaults=None):
-    """Build the one :class:`SchedulerConfig` both subcommands serve with.
+    """Build the :class:`SchedulerConfig` a replay serves with.
 
     Three layers, lowest precedence first:
 
-    1. ``defaults`` — the subcommand's baseline mapping (e.g. serve's
-       historical ``max_batch=32``),
+    1. ``defaults`` — the subcommand's baseline mapping (e.g. two
+       replicas; supervision and retries under an injected incident),
     2. ``--config FILE`` — a tuned-config artifact or bare mapping,
-    3. explicit flags — only flags actually given override; every shared
+    3. explicit flags — only flags actually given override; every config
        flag parses with ``default=None`` so "absent" is detectable.
 
     The merged mapping goes through ``SchedulerConfig.from_mapping``, the
@@ -367,7 +332,7 @@ def config_from_args(args, defaults=None):
     from repro.scheduler.frontend import SchedulerConfig
 
     mapping = dict(defaults or {})
-    if getattr(args, "config", None):
+    if args.config:
         from repro.tuning import load_config_mapping
 
         try:
@@ -375,186 +340,31 @@ def config_from_args(args, defaults=None):
         except (OSError, ValueError) as exc:
             raise SystemExit(f"--config: {exc}") from exc
         mapping.update(file_mapping)
-    if getattr(args, "replicas", None) is not None:
+    if args.replicas is not None:
         mapping["replicas"] = args.replicas
-    if getattr(args, "workers", None) is not None:
-        mapping["replicas"] = args.workers
-    if getattr(args, "max_batch", None) is not None:
+    if args.max_batch is not None:
         mapping["max_batch"] = args.max_batch
-    if getattr(args, "max_delay_ms", None) is not None:
+    if args.max_delay_ms is not None:
         mapping["max_delay_s"] = args.max_delay_ms / 1000.0
-    if getattr(args, "conv_backend", None) is not None:
+    if args.conv_backend is not None:
         mapping["conv_backend"] = args.conv_backend
         # An explicit backend flag overrides a config file's per-rung
         # assignment too — otherwise the flag would silently only apply
         # to rungs the file left unmapped.
         mapping.pop("conv_backend_per_rung", None)
-    rows_ladder = getattr(args, "rows_ladder", None)
-    if rows_ladder is not None:
-        if isinstance(rows_ladder, str):
-            rows_ladder = _parse_rows_ladder(rows_ladder)
-        mapping["rows_ladder"] = list(rows_ladder)
-    if getattr(args, "replica_backend", None) is not None:
+    if args.rows_ladder is not None:
+        mapping["rows_ladder"] = list(_parse_rows_ladder(args.rows_ladder))
+    if args.replica_backend is not None:
         mapping["replica_backend"] = args.replica_backend
-    if getattr(args, "sla", None) is not None:
-        mapping["sla.deadline_s"] = args.sla / 1000.0
     try:
         return SchedulerConfig.from_mapping(mapping)
     except ValueError as exc:
         raise SystemExit(f"bad scheduler config: {exc}") from exc
 
 
-def cmd_serve(args) -> int:
-    from repro.serving_bench import run_serving_comparison
-
-    # Validate argparse-only facts before paying for a model build.
-    # --config implies the scheduled frontend, same as --sla: the config
-    # wire format *is* a scheduler config.
-    scheduled = args.sla is not None or args.config is not None
-    if args.sla is not None and args.sla <= 0:
-        raise SystemExit("--sla must be a positive deadline in milliseconds")
-    if args.replicas is not None and args.replicas <= 0:
-        raise SystemExit("--replicas must be positive")
-    if not scheduled and (
-        args.conv_backend is not None or args.rows_ladder is not None
-    ):
-        # Only the scheduled frontend compiles plans; silently ignoring
-        # these would report default-backend numbers under another label.
-        raise SystemExit(
-            "--conv-backend/--rows-ladder require --sla or --config "
-            "(compiled-plan serving)"
-        )
-    if not scheduled and (
-        args.replica_backend is not None or args.workers is not None or args.stats
-    ):
-        raise SystemExit(
-            "--replica-backend/--workers/--stats require --sla or --config "
-            "(scheduled serving)"
-        )
-    if not scheduled and args.trace is not None:
-        raise SystemExit(
-            "--trace requires --sla or --config (tracing attaches to the "
-            "scheduler frontend)"
-        )
-    if args.workers is not None and args.workers <= 0:
-        raise SystemExit("--workers must be positive")
-    model = build_model(args.family, rng=make_rng(args.seed))
-    if args.weights:
-        model.load_state_dict(load_state(args.weights))
-    if scheduled:
-        return _serve_scheduled(model, args)
-    subnet = args.subnet or model.width_spec.full().name
-    if subnet not in {s.name for s in model.width_spec.all_specs()}:
-        raise SystemExit(f"unknown subnet {subnet!r} for family {args.family}")
-    report = run_serving_comparison(
-        model,
-        subnet,
-        num_requests=args.requests,
-        concurrency=args.concurrency,
-        max_batch=args.max_batch if args.max_batch is not None else 32,
-        max_delay_s=(
-            args.max_delay_ms if args.max_delay_ms is not None else 2.0
-        ) / 1000.0,
-        seed=args.seed,
-    )
-    print(f"serving {args.family}/{subnet}: {args.requests} single-image requests")
-    for mode, stats in report["modes"].items():
-        extra = ""
-        if "mean_batch_rows" in stats:
-            extra = f"  (mean batch {stats['mean_batch_rows']:.1f} rows)"
-        print(f"  {mode:13s} {stats['requests_per_s']:9.1f} req/s{extra}")
-    print(
-        f"  speedup: micro-batched vs serial "
-        f"{report['speedup']['micro_batched_vs_serial']:.2f}x, "
-        f"concurrent vs serial {report['speedup']['concurrent_vs_serial']:.2f}x"
-    )
-    print(f"  zero-copy: {report['zero_copy']} (shared parameter ids verified)")
-    return 0
-
-
-def _serve_scheduled(model, args) -> int:
-    """``serve --sla/--config``: SLA scheduler vs fixed-widest on the synthetic trace."""
-    from dataclasses import replace
-
-    from repro.scheduler.bench import ACCEPTANCE_TRACE, run_scheduler_comparison
-
-    # The serve batching knobs apply to the scheduler's per-(replica, width)
-    # queues too; --subnet/--requests/--concurrency describe the classic
-    # comparison and have no meaning on the SLA trace.  The defaults layer
-    # keeps the historical serve baseline (2 replicas, 32-row batches, 2ms
-    # flush); --config then flags override it.
-    scheduler_config = config_from_args(
-        args,
-        defaults={"replicas": 2, "max_batch": 32, "max_delay_s": 0.002},
-    )
-    deadline_s = scheduler_config.default_sla.deadline_s
-    trace = replace(ACCEPTANCE_TRACE, deadline_s=deadline_s, seed=args.seed)
-    tracer = recorder = None
-    if args.trace:
-        from repro.trace import TraceRecorder, Tracer
-
-        tracer = Tracer(sampling=1.0, seed=args.seed)
-        recorder = TraceRecorder(
-            args.trace,
-            meta={
-                "name": "serve-sla",
-                "deadline_s": deadline_s,
-                "duration_s": trace.duration_s,
-                "seed": args.seed,
-            },
-        )
-    report = run_scheduler_comparison(
-        model, trace, replicas=scheduler_config.replicas,
-        scheduler_config=scheduler_config, tracer=tracer, recorder=recorder,
-    )
-    print(
-        f"SLA serving ({args.family}): {report['arrivals']} requests over "
-        f"{trace.duration_s:.1f}s, deadline {1e3 * deadline_s:.0f}ms, "
-        f"{scheduler_config.replicas} replicas, replica kill at t={trace.kill_at_s}s"
-    )
-    for label in ("fixed_widest", "scheduler"):
-        stats = report[label]
-        lat = stats["latency"]
-        print(
-            f"  {label:13s} goodput {stats['goodput_rps']:7.1f} req/s  "
-            f"miss-rate {stats['miss_rate']:.3f}  lost {stats['lost']}  "
-            f"p50 {1e3 * lat['p50_s']:.1f}ms  p95 {1e3 * lat['p95_s']:.1f}ms  "
-            f"p99 {1e3 * lat['p99_s']:.1f}ms"
-        )
-    comp = report["comparison"]
-    print(
-        f"  miss-rate reduction {comp['miss_rate_reduction']:+.3f}, "
-        f"goodput ratio {comp['goodput_ratio']:.2f}x, "
-        f"scheduler lost {comp['scheduler_lost']} requests"
-    )
-    if args.stats:
-        workers = report["scheduler"]["frontend"].get("workers", [])
-        if workers:
-            print(f"  per-worker telemetry ({scheduler_config.replica_backend} backend):")
-            for w in workers:
-                rate = w["rows_per_s"]
-                rate_s = f"{rate:9.1f}" if rate is not None else "      n/a"
-                state = "up" if w["alive"] else "DOWN"
-                print(
-                    f"    worker {w['worker']}: {state:4s}  rows {w['rows']:6d}  "
-                    f"batches {w['batches']:5d}  repacks {w['repacks']:4d}  "
-                    f"rows/s {rate_s}"
-                )
-        else:
-            print("  per-worker telemetry: none (thread backend records pool-level metrics)")
-    if recorder is not None:
-        path = recorder.write()
-        stats = tracer.stats()
-        print(
-            f"  trace: {len(recorder)} request records -> {path} "
-            f"(events emitted {stats['emitted']}, dropped {stats['dropped']})"
-        )
-    return 0
-
-
 def cmd_replay(args) -> int:
     """``replay``: re-inject a scenario or trace artifact against the scheduler."""
-    from repro.faults import FAULTY_SCENARIOS, FaultPlan, faulty_replayer
+    from repro.faults import FAULTY_SCENARIOS, faulty_replayer
     from repro.trace import SCENARIOS, TraceRecorder, Tracer, TraceReplayer
     from repro.trace.scenarios import EXTRA_SCENARIOS
 
@@ -833,7 +643,6 @@ COMMANDS = {
     "evaluate": cmd_evaluate,
     "fig2": cmd_fig2,
     "simulate": cmd_simulate,
-    "serve": cmd_serve,
     "replay": cmd_replay,
     "dist": cmd_dist,
     "calibration": cmd_calibration,

@@ -1,4 +1,7 @@
-"""Edge-device emulation: profiles, cost model, failure injection."""
+"""Edge-device emulation: profiles, cost model, the crash-on-Nth-request trigger.
+
+Scripted failure timelines are :class:`repro.faults.plan.FaultPlan`.
+"""
 
 from repro.device.cost import (
     LayerCost,
@@ -11,20 +14,7 @@ from repro.device.cost import (
     subnet_param_count,
     wire_bytes_per_value,
 )
-from repro.device.emulated import DeviceFailed, EmulatedDevice
-from repro.device.energy import (
-    EnergyBreakdown,
-    EnergyModel,
-    PowerProfile,
-    jetson_nx_power,
-)
-from repro.device.failure import (
-    CrashCounter,
-    FailureEvent,
-    FailureSchedule,
-    no_failures,
-    single_failure,
-)
+from repro.device.emulated import CrashCounter, DeviceFailed, EmulatedDevice
 from repro.device.profiles import DeviceProfile, jetson_nx_master, jetson_nx_worker
 
 __all__ = [
@@ -42,13 +32,5 @@ __all__ = [
     "input_image_bytes",
     "EmulatedDevice",
     "DeviceFailed",
-    "PowerProfile",
-    "EnergyModel",
-    "EnergyBreakdown",
-    "jetson_nx_power",
-    "FailureEvent",
-    "FailureSchedule",
-    "single_failure",
-    "no_failures",
     "CrashCounter",
 ]

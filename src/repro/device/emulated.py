@@ -14,7 +14,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.device.cost import subnet_flops, subnet_num_layers, subnet_param_count
-from repro.device.failure import CrashCounter
 from repro.device.profiles import DeviceProfile
 from repro.nn.context import ForwardContext
 from repro.slimmable.slim_net import SlimmableConvNet
@@ -23,6 +22,27 @@ from repro.slimmable.spec import SubNetSpec
 
 class DeviceFailed(RuntimeError):
     """Raised when an emulated device is asked to work after crashing."""
+
+
+class CrashCounter:
+    """Crash-on-Nth-request trigger for the live emulated device.
+
+    Used by integration tests to make a worker die mid-stream
+    deterministically, without wall-clock dependence.
+    """
+
+    def __init__(self, crash_after_requests: Optional[int] = None) -> None:
+        if crash_after_requests is not None and crash_after_requests < 0:
+            raise ValueError("crash_after_requests must be non-negative")
+        self.crash_after_requests = crash_after_requests
+        self.requests_seen = 0
+
+    def record_request(self) -> bool:
+        """Count a request; returns True if the device should now crash."""
+        self.requests_seen += 1
+        if self.crash_after_requests is None:
+            return False
+        return self.requests_seen > self.crash_after_requests
 
 
 class EmulatedDevice:

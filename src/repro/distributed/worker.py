@@ -6,7 +6,7 @@ may run, not artificial weight withholding) and serves the Master's
 requests: standalone sub-network inference (HT mode), partitioned layer
 steps (HA mode), and heartbeats.
 
-Failure injection: a :class:`~repro.device.failure.CrashCounter` makes the
+Failure injection: a :class:`~repro.device.emulated.CrashCounter` makes the
 worker die after N requests — it stops responding and closes its transport,
 exactly what a power failure looks like from the Master's side.
 """

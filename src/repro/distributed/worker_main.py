@@ -13,7 +13,7 @@ import sys
 
 from repro.comm.tcp import TcpListener
 from repro.device.emulated import EmulatedDevice
-from repro.device.failure import CrashCounter
+from repro.device import CrashCounter
 from repro.device.profiles import jetson_nx_worker
 from repro.distributed.worker import WorkerServer
 from repro.nn.checkpoint import load_state

@@ -23,7 +23,7 @@ from repro.engine.endpoints import (
 )
 from repro.engine.dist_plan import DevicePartitionPlan, PartitionPlanCompiler
 from repro.engine.engine import EngineResult, ExecutionEngine
-from repro.engine.session import InferenceSession, serve_concurrent
+from repro.engine.session import InferenceSession
 from repro.engine.graph import (
     BlockPartition,
     ExecutionGraph,
@@ -38,7 +38,6 @@ __all__ = [
     "ExecutionEngine",
     "EngineResult",
     "InferenceSession",
-    "serve_concurrent",
     "Endpoint",
     "EndpointReply",
     "EndpointUnavailable",

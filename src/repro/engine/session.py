@@ -33,8 +33,7 @@ allclose within :data:`~repro.nn.functional.SHIFTED_GEMM_TOLERANCE`.
 
 from __future__ import annotations
 
-import threading
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -93,36 +92,3 @@ class InferenceSession:
 
     def __repr__(self) -> str:
         return f"InferenceSession({self.model!r})"
-
-
-def serve_concurrent(
-    sessions: Sequence[InferenceSession], batches: Sequence[np.ndarray]
-) -> List[np.ndarray]:
-    """Run ``sessions[i].run(batches[i])`` on one thread each; gather results.
-
-    A convenience harness for tests and benchmarks: results come back in
-    submission order regardless of thread scheduling, and any worker
-    exception is re-raised in the caller.
-    """
-    if len(sessions) != len(batches):
-        raise ValueError(f"{len(sessions)} sessions but {len(batches)} batches")
-    results: List[Optional[np.ndarray]] = [None] * len(sessions)
-    errors: List[BaseException] = []
-
-    def _worker(index: int) -> None:
-        try:
-            results[index] = sessions[index].run(batches[index])
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=_worker, args=(i,), name=f"session-{i}")
-        for i in range(len(sessions))
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results  # type: ignore[return-value]

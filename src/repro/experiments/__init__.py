@@ -8,7 +8,7 @@ from repro.experiments.calibration import (
     calibration_points,
     check_calibration,
 )
-from repro.experiments.fig2 import Fig2Cell, Fig2Result, plan_accuracy, run_fig2
+from repro.experiments.fig2 import Fig2Cell, Fig2Result, fig2_plans, plan_accuracy, run_fig2
 from repro.experiments.io import load_result, result_from_dict, result_to_dict, save_result
 from repro.experiments.report import (
     ShapeCheck,
@@ -28,6 +28,7 @@ __all__ = [
     "Fig2Cell",
     "Fig2Result",
     "run_fig2",
+    "fig2_plans",
     "plan_accuracy",
     "save_result",
     "load_result",

@@ -95,6 +95,23 @@ def plan_accuracy(
     return 100.0 * total_weighted / total_rate
 
 
+def fig2_plans(
+    model: ModelFamily, tm: SystemThroughputModel
+) -> List[Tuple[str, str, DeploymentPlan]]:
+    """``(scenario, mode, plan)`` for every Fig. 2 bar of one family, as
+    the adaptation policy decides it (failed bars included)."""
+    bars: List[Tuple[str, str, DeploymentPlan]] = []
+    for scenario in ALL_SCENARIOS:
+        if scenario is Scenario.BOTH:
+            cells = _both_devices_cells(model, tm, scenario)
+        else:
+            plan = AdaptationPolicy(model, tm).plan_for_scenario(scenario)
+            mode = "failed" if plan.mode is ExecutionMode.FAILED else "solo"
+            cells = [(mode, plan)]
+        bars.extend((scenario.value, mode, plan) for mode, plan in cells)
+    return bars
+
+
 def run_fig2(
     models: Dict[str, ModelFamily],
     test_set: ArrayDataset,
@@ -119,27 +136,17 @@ def run_fig2(
             raise KeyError(f"models dict missing family {family!r}")
         model = models[family]
         tm = SystemThroughputModel(model.net, master, worker, comm)
-
-        for scenario in ALL_SCENARIOS:
-            if scenario is Scenario.BOTH:
-                cells = _both_devices_cells(model, tm, scenario)
-            else:
-                policy = AdaptationPolicy(model, tm)
-                plan = policy.plan_for_scenario(scenario)
-                mode = "failed" if plan.mode is ExecutionMode.FAILED else "solo"
-                cells = [(mode, plan)]
-            for mode, plan in cells:
-                breakdown = tm.evaluate_plan(plan)
-                result.add(
-                    Fig2Cell(
-                        family=family,
-                        scenario=scenario.value,
-                        mode=mode,
-                        throughput_ips=breakdown.throughput_ips,
-                        accuracy_pct=plan_accuracy(model, plan, test_set, tm),
-                        plan=plan.describe(),
-                    )
+        for scenario, mode, plan in fig2_plans(model, tm):
+            result.add(
+                Fig2Cell(
+                    family=family,
+                    scenario=scenario,
+                    mode=mode,
+                    throughput_ips=tm.evaluate_plan(plan).throughput_ips,
+                    accuracy_pct=plan_accuracy(model, plan, test_set, tm),
+                    plan=plan.describe(),
                 )
+            )
     return result
 
 

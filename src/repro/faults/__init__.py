@@ -1,7 +1,7 @@
 """Deterministic fault injection, supervised respawn, degradation policies.
 
-The serving-plane half of the repo's fault story (the device-plane
-:mod:`repro.device.failure` is now a thin adapter over these types):
+The repo's fault story (device-plane crash/recover timelines use the same
+:class:`~repro.faults.plan.FaultPlan` type):
 
 * :mod:`~repro.faults.plan` — seeded, serialisable fault schedules;
 * :mod:`~repro.faults.injector` — applies a plan to a live frontend at

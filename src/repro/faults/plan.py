@@ -1,9 +1,9 @@
 """Deterministic fault plans: seeded, serializable failure schedules.
 
-The device plane has always scripted failures
-(:mod:`repro.device.failure`); this module generalises that vocabulary to
-the *serving* plane so a fault schedule is a first-class, replayable
-input — exactly like a traffic trace.  A :class:`FaultPlan` is an ordered
+The device plane has always scripted failures (crash / recover
+timelines over ``master`` and ``worker``); this module holds that
+vocabulary generalised to the *serving* plane, so a fault schedule is a
+first-class, replayable input — exactly like a traffic trace.  A :class:`FaultPlan` is an ordered
 list of :class:`FaultEvent`\\ s, each naming a time, a target and one of
 the :data:`FAULT_KINDS`:
 
@@ -91,7 +91,7 @@ class FaultEvent:
 
     @property
     def device(self) -> str:
-        """Device-plane alias for :attr:`target` (see :mod:`repro.device.failure`)."""
+        """Device-plane name for :attr:`target` (``master`` / ``worker``)."""
         return self.target
 
     def to_json(self) -> Dict[str, object]:
@@ -126,10 +126,10 @@ def _order(event: FaultEvent) -> Tuple[float, str, str]:
 class FaultPlan:
     """A time-ordered schedule of fault events.
 
-    Preserves the :class:`~repro.device.failure.FailureSchedule` liveness
-    contract exactly — ``is_alive`` applies an event *at* the query time
-    (a crash at t=5.0 means dead when asked about t=5.0) — so the device
-    plane can be a thin alias over this type.
+    The liveness contract the device plane (``ScheduleMonitor``,
+    ``SystemController.simulate``) relies on: ``is_alive`` applies an
+    event *at* the query time — a crash at t=5.0 means dead when asked
+    about t=5.0.
     """
 
     events: List[FaultEvent] = field(default_factory=list)
@@ -249,5 +249,5 @@ def chaos_plan(
 
 
 def single_fault(target: str, at_s: float = 0.0, kind: str = CRASH) -> FaultPlan:
-    """A one-event plan (the serving twin of ``device.single_failure``)."""
+    """A one-event plan: ``target`` suffers ``kind`` at ``at_s`` and nothing else happens."""
     return FaultPlan([FaultEvent(at_s, target, kind)])

@@ -18,6 +18,10 @@ The reference incidents:
   blend: one replica's heartbeats go dark (false-positive ejection
   path) while another drops replies for a window (patience-loop path),
   under enough load that brown-out policies have sheddable traffic.
+* ``steady_burst_kill`` — the scheduler-vs-fixed-widest incident: the
+  ``steady_burst`` overload on two replicas, with replica 0 killed
+  mid-burst.  Hedged, failure-aware routing must lose zero requests
+  while the surviving replica rides out the overload alone.
 """
 
 from __future__ import annotations
@@ -82,9 +86,15 @@ def _multi_tenant_faulty() -> FaultyScenario:
     return FaultyScenario(trace, faults)
 
 
+def _steady_burst_kill() -> FaultyScenario:
+    trace = TraceSpec("steady_burst_kill", "steady_burst", seed=23, duration_s=0.75)
+    faults = FaultPlan([FaultEvent(0.35, replica_target(0), CRASH)])
+    return FaultyScenario(trace, faults, replicas=2)
+
+
 FAULTY_SCENARIOS: Dict[str, FaultyScenario] = {
     scenario.name: scenario
-    for scenario in (_bursts_faulty(), _multi_tenant_faulty())
+    for scenario in (_bursts_faulty(), _multi_tenant_faulty(), _steady_burst_kill())
 }
 
 for _scenario in FAULTY_SCENARIOS.values():

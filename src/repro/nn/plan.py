@@ -744,9 +744,10 @@ class PlanLadder:
     frontend) treats ladders and single plans interchangeably.
 
     Rungs may use **different conv backends** (e.g. im2col on the 1-row
-    rung, shifted-gemm on the 16-row rung — the best column of each
-    ``BENCH_plan.json`` grid row); width, dtype, and the weight store
-    must still match.  ``conv_backend`` reports the head (smallest)
+    rung, shifted-gemm on the 16-row rung: shifted-GEMM computes the
+    rung's full row extent whatever the batch holds, so it pays only on
+    well-filled rungs); width, dtype, and the weight store must still
+    match.  ``conv_backend`` reports the head (smallest)
     rung's backend; ``exact`` is True only when *every* rung keeps the
     bitwise contract.
     """

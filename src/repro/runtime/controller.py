@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, FrozenSet, List, Optional
 
-from repro.device.failure import FailureSchedule
+from repro.faults.plan import FaultPlan
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.plan import DeploymentPlan
 from repro.distributed.throughput import SystemThroughputModel, ThroughputBreakdown
@@ -118,7 +118,7 @@ class SystemController:
         )
 
     def simulate(
-        self, schedule: FailureSchedule, horizon_s: float, step_s: float = 1.0
+        self, schedule: FaultPlan, horizon_s: float, step_s: float = 1.0
     ) -> Timeline:
         """Replay a failure script; record transitions only when plans change."""
         if horizon_s <= 0 or step_s <= 0:

@@ -5,7 +5,7 @@ Two flavours:
 * :class:`HeartbeatMonitor` — live: pings a worker through the Master's
   transport and declares death after consecutive missed heartbeats.
 * :class:`ScheduleMonitor` — analytical: replays a scripted
-  :class:`~repro.device.failure.FailureSchedule` over simulated time (the
+  :class:`~repro.faults.plan.FaultPlan` over simulated time (the
   Fig. 2 scenarios are its three fixed points).
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Optional
 
-from repro.device.failure import FailureSchedule
+from repro.faults.plan import FaultPlan
 from repro.distributed.partition import MASTER, WORKER
 from repro.utils.config import Config
 from repro.utils.logging import get_logger
@@ -114,7 +114,7 @@ class HeartbeatMonitor:
 class ScheduleMonitor:
     """Liveness view over a scripted failure schedule at simulated time."""
 
-    def __init__(self, schedule: FailureSchedule, devices=(MASTER, WORKER)) -> None:
+    def __init__(self, schedule: FaultPlan, devices=(MASTER, WORKER)) -> None:
         self.schedule = schedule
         self.devices = tuple(devices)
 

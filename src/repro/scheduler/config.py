@@ -48,9 +48,9 @@ class SchedulerConfig:
     # is always max_batch); None keeps one max_batch-rows plan per width.
     conv_backend_per_rung: Optional[Tuple[Tuple[int, str], ...]] = None
     # ((rows, backend), ...) overriding ``conv_backend`` rung by rung — e.g.
-    # ((1, "im2col"), (16, "shifted-gemm")): im2col where gather dominates,
-    # shifted-gemm where the GEMM does (the best column of each BENCH_plan
-    # grid row).  Requires rows_ladder; unmapped rungs use ``conv_backend``.
+    # ((1, "im2col"), (16, "shifted-gemm")): shifted-gemm computes a rung's
+    # full row extent, so it belongs on rungs traffic fills.  Requires
+    # rows_ladder; unmapped rungs use ``conv_backend``.
     replica_backend: str = "thread"  # "thread" shares one interpreter;
     # "process" forks GIL-free workers over shared-memory weights
     # (see repro.scheduler.procpool).

@@ -5,11 +5,13 @@ A :class:`Replica` models one serving endpoint: a set of
 sub-network width, created lazily) over the *shared* weight store — so N
 replicas still hold zero parameter copies, exactly like the engine's
 in-process endpoints.  The :class:`ReplicaPool` routes each request to
-the least-loaded healthy replica, ejects replicas via the same
+the least-loaded healthy replica and ejects replicas via the same
 :class:`~repro.runtime.monitor.HeartbeatMonitor` the live system uses
-(threshold / interval from config keys), and retries a request on a
-surviving replica when its endpoint dies mid-flight — the HA story at
-request granularity.
+(threshold / interval from config keys).  Retrying a request whose
+endpoint died mid-flight is the caller's cycle —
+:class:`~repro.scheduler.frontend.ServingFrontend` does
+``route`` → ``report_failure`` → ``route(exclude=...)`` over its queues —
+the HA story at request granularity.
 """
 
 from __future__ import annotations
@@ -287,37 +289,6 @@ class ReplicaPool:
             choice = min(options, key=lambda r: (r.pending, r.index))
             choice.begin()
             return choice
-
-    def execute(
-        self, x: np.ndarray, width: str, *, exclude: Tuple[int, ...] = ()
-    ) -> Tuple[np.ndarray, Replica]:
-        """Serve ``x`` on the least-loaded healthy replica; reroute on death.
-
-        Tries every healthy replica at most once; a replica that fails is
-        reported to its monitor (ejection) before the next is tried.
-        Raises :class:`ReplicaUnavailable` only when the whole pool is dead.
-
-        This is the *synchronous* serving path (no batching, no futures);
-        :class:`~repro.scheduler.frontend.ServingFrontend` implements the
-        same route/report/reroute cycle asynchronously over its queues —
-        keep the two semantically aligned when changing either.
-        """
-        tried = tuple(exclude)
-        for _ in range(len(self.replicas)):
-            replica = self.route(exclude=tried)
-            try:
-                # The timer observes into pool.execute_s only on success —
-                # a dead-replica attempt's duration is not a service time.
-                with self.metrics.timer("pool.execute_s"):
-                    out = replica.run(x, width)
-                return out, replica
-            except ReplicaUnavailable:
-                self.report_failure(replica)
-                self.metrics.counter("pool.reroutes").inc()
-                tried = tried + (replica.index,)
-            finally:
-                replica.finish()
-        raise ReplicaUnavailable("no healthy replicas")
 
     # -- lifecycle -------------------------------------------------------------
 

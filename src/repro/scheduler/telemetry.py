@@ -26,9 +26,9 @@ HISTOGRAM_WINDOW = 4096
 def nearest_rank(ordered, p: float) -> float:
     """Nearest-rank percentile of an ascending-sorted sample (0 < p <= 100).
 
-    The single definition shared by :class:`LatencyHistogram` and the
-    scheduler benchmark's trace summaries, so reported tails can never
-    diverge between the two.
+    The single definition shared by :class:`LatencyHistogram` and
+    :func:`~repro.scheduler.core.summarize_outcomes`, so reported tails
+    can never diverge between the two.
     """
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
@@ -218,8 +218,8 @@ class MetricsRegistry:
 
         Usage::
 
-            with metrics.timer("pool.execute_s") as timer:
-                result = replica.run(...)
+            with metrics.timer("frontend.batch_service_s") as timer:
+                result = replica.run_parts(...)
             # timer.elapsed holds the measured seconds
         """
         return Timer(self.histogram(name).observe)

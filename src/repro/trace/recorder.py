@@ -38,7 +38,7 @@ TRACE_VERSION = 1
 #: artifact, so ``replay --faults`` can re-run a recorded incident.
 FAULTS_META_KEY = "faults"
 
-#: Outcome labels for one traced request (shared with the scheduler bench).
+#: Outcome labels for one traced request.
 OK = "ok"               # completed within its deadline
 LATE = "late"           # completed, but after the deadline
 REJECTED = "rejected"   # failed fast (admission / already-expired deadline)

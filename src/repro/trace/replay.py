@@ -204,7 +204,7 @@ class TraceReplayer:
             if recorder is not None:
                 recorder.meta.setdefault(FAULTS_META_KEY, self.faults.to_json())
         try:
-            records = self._drive(frontend, net, timeout_s, injector=injector)
+            records = self.drive(frontend, net, timeout_s, injector=injector)
             # Snapshot before close(): draining clears the per-queue state
             # the report's "batching" section reads.
             report = frontend.report()
@@ -222,9 +222,17 @@ class TraceReplayer:
             "frontend": report,
         }
 
-    def _drive(
-        self, frontend, net, timeout_s: float, *, injector=None
+    def drive(
+        self, frontend, net, timeout_s: float = 120.0, *, injector=None
     ) -> List[Dict[str, object]]:
+        """Submit every spec to ``frontend`` at its arrival offset and wait
+        for all of them to resolve; returns one outcome row per request.
+
+        :meth:`replay` is this plus building and closing the frontend; a
+        caller that must look at the frontend *after* the drain (e.g. to
+        watch a supervisor heal the pool) owns the frontend and calls this.
+        An ``injector`` is started at the trace epoch.
+        """
         records = [_blank_record(s) for s in self.specs]
         payloads = [payload_for(s, net) for s in self.specs]
         done = threading.Event()
@@ -465,14 +473,23 @@ class TraceReplayer:
             "records": records,
         }
 
+def _rows(members) -> int:
+    """Payload rows across a batch's members (a spec without a shape is
+    the model's default single image)."""
+    return sum(spec.shape[0] if spec.shape else 1 for _, _, _, spec in members)
+
+
 class _Simulation:
     """Virtual-time replica / micro-batch state for :meth:`simulate`.
 
     Replicas serve batches FIFO (one forward at a time, like a thread
     replica holding the packed-weight store); an open batch per
     (replica, width) flushes when it reaches ``max_batch`` rows or
-    ``max_delay_s`` after its first row — the
-    :class:`~repro.runtime.batching.MicroBatchQueue` contract.
+    ``max_delay_s`` after its first request, and a request that would
+    push it *past* ``max_batch`` flushes it and seeds the next one — the
+    :class:`~repro.runtime.batching.MicroBatchQueue` contract.  The row
+    budget, service time and batch histogram count payload rows;
+    ``pending`` and :meth:`depth` count requests, as the live plane does.
     """
 
     def __init__(self, *, replicas, max_batch, max_delay_s, service_s) -> None:
@@ -480,7 +497,7 @@ class _Simulation:
         self.max_delay_s = max_delay_s
         self.service_s = service_s
         self.free_at = [0.0] * replicas      # replica busy-until (virtual s)
-        self.pending = [0] * replicas        # rows enqueued but unfinished
+        self.pending = [0] * replicas        # requests enqueued, not yet flushed
         self.down_until = [0.0] * replicas   # unroutable while now < this
         self.stall: Dict[int, Tuple[float, float, float]] = {}  # i → (from, until, delay)
         self.open: Dict[Tuple[int, str], List] = {}  # (replica, width) → members
@@ -491,7 +508,7 @@ class _Simulation:
         self.batch_rows: List[int] = []  # rows of every flushed batch, in order
         self.seq = 0
         self.completed: List[Tuple[RequestSpec, Dict, List[Dict]]] = []
-        self.inflight: List[Tuple[float, int]] = []  # heap of (finish_s, rows)
+        self.inflight: List[Tuple[float, int]] = []  # heap of (finish_s, requests)
 
     def least_loaded(self, now: float = 0.0) -> int:
         alive = [i for i in range(len(self.free_at)) if self.down_until[i] <= now]
@@ -508,7 +525,7 @@ class _Simulation:
         until a request *finishes*, so open rows alone undercount)."""
         while self.inflight and self.inflight[0][0] <= now:
             heapq.heappop(self.inflight)
-        return sum(rows for _, rows in self.inflight) + sum(
+        return sum(requests for _, requests in self.inflight) + sum(
             len(members) for members in self.open.values()
         )
 
@@ -518,23 +535,29 @@ class _Simulation:
         wait = max(self.free_at[replica] - now, 0.0)
         for (r, width), members in self.open.items():
             if r == replica and members:
-                wait += self.service_s(width, len(members))
+                wait += self.service_s(width, _rows(members))
         return wait
 
     def enqueue(self, replica, width, now, record, events, spec) -> None:
         key = (replica, width)
+        member = (now, record, events, spec)
+        if _rows(self.open.get(key, ())) + _rows((member,)) > self.max_batch:
+            # Row budget: the open batch goes as it is and this request is
+            # carried over to seed the next (a lone oversized request
+            # finds nothing open and flushes on its own below).
+            self._flush(key, now)
         members = self.open.setdefault(key, [])
         if not members:
-            # First row opens the batch and starts its max_delay timer.
+            # First request opens the batch and starts its max_delay timer.
             self.seq += 1
             gen = self.generation.get(key, 0)
             heapq.heappush(
                 self.timers,
                 (now + self.max_delay_s, self.seq, replica, width, gen),
             )
-        members.append((now, record, events, spec))
+        members.append(member)
         self.pending[replica] += 1
-        if len(members) >= self.max_batch:
+        if _rows(members) >= self.max_batch:
             self._flush(key, now)
 
     def advance(self, now: float) -> None:
@@ -605,7 +628,7 @@ class _Simulation:
         if not members:
             return
         self.generation[key] = self.generation.get(key, 0) + 1
-        rows = len(members)
+        rows = _rows(members)
         batch_id = self.batches
         self.batches += 1
         self.batch_rows.append(rows)
@@ -616,8 +639,8 @@ class _Simulation:
             service += stall[2]
         finish = start + service
         self.free_at[replica] = finish
-        self.pending[replica] -= rows
-        heapq.heappush(self.inflight, (finish, rows))
+        self.pending[replica] -= len(members)
+        heapq.heappush(self.inflight, (finish, len(members)))
         for arrival, record, events, spec in members:
             events.append(
                 {

@@ -1,8 +1,8 @@
 """The scenario zoo: named, seeded, parameterised traffic generators.
 
 Each generator turns a :class:`TraceSpec` into a deterministic request
-stream (:class:`~repro.trace.recorder.RequestSpec` list) covering a
-traffic shape the steady/burst/steady scheduler bench never exercises:
+stream (:class:`~repro.trace.recorder.RequestSpec` list) covering one
+traffic shape:
 
 * ``diurnal`` — a smooth sinusoidal wave between trough and peak rates
   (the daily load curve, compressed to seconds);
@@ -16,7 +16,12 @@ traffic shape the steady/burst/steady scheduler bench never exercises:
   sub-networks (worst case for admission and width selection);
 * ``multi_tenant`` — three tenants blending priorities: bulk traffic
   with generous deadlines, interactive traffic with tight ones, and a
-  small critical-priority stream that must never be load-shed.
+  small critical-priority stream that must never be load-shed;
+* ``steady_burst`` — three Poisson phases, steady → overload burst →
+  steady: the burst rate sits above what the widest sub-network can
+  serve and below what the narrowest can, so a width-oblivious server
+  misses deadlines the scheduler keeps (``steady_burst_kill`` in
+  :mod:`repro.faults.scenarios` additionally kills a replica mid-burst).
 
 Determinism: every draw flows from ``derive_seed(seed, "scenario",
 name, ...)`` in a fixed order, so ``TraceSpec.generate()`` is
@@ -225,12 +230,33 @@ def _multi_tenant(spec: TraceSpec) -> List[_Draw]:
     return draws
 
 
+def _steady_burst(spec: TraceSpec) -> List[_Draw]:
+    p = spec.params
+    base_rps = float(p.get("base_rps", 300.0))
+    burst_rps = float(p.get("burst_rps", 2500.0))
+    burst_from = float(p.get("burst_from_s", 0.25))
+    burst_until = burst_from + float(p.get("burst_s", 0.25))
+    deadline = float(p.get("deadline_s", 0.04))
+    rng = spec.rng("arrivals")
+    # Each phase restarts the exponential clock at its own boundary.
+    return [
+        (t, {"deadline_s": deadline})
+        for rate, start, end in (
+            (base_rps, 0.0, burst_from),
+            (burst_rps, burst_from, burst_until),
+            (base_rps, burst_until, spec.duration_s),
+        )
+        for t in _poisson_arrivals(rng, rate, start, end)
+    ]
+
+
 GENERATORS: Dict[str, Callable[[TraceSpec], List[_Draw]]] = {
     "diurnal": _diurnal,
     "heavy_tail": _heavy_tail,
     "bursts": _bursts,
     "adversarial": _adversarial,
     "multi_tenant": _multi_tenant,
+    "steady_burst": _steady_burst,
 }
 
 
@@ -266,6 +292,9 @@ def register_scenario(spec: TraceSpec) -> TraceSpec:
         raise ValueError(f"scenario {spec.name!r} already registered differently")
     EXTRA_SCENARIOS[spec.name] = spec
     return spec
+
+
+register_scenario(TraceSpec("steady_burst", "steady_burst", seed=16, duration_s=0.75))
 
 
 def get_scenario(name: str) -> TraceSpec:

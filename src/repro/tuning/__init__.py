@@ -3,7 +3,7 @@
 ``tune()`` searches :class:`SchedulerConfig` space against the
 virtual-time simulator on any replayable trace — optionally under a
 fault plan — and the ``repro-tuned-config`` artifact ships the winner
-to ``serve --config``.  See :mod:`repro.tuning.tuner` for the search,
+to ``replay --config``.  See :mod:`repro.tuning.tuner` for the search,
 :mod:`repro.tuning.space` for what is searched vs derived, and
 :mod:`repro.tuning.artifact` for the wire format.
 """

@@ -17,12 +17,13 @@ is the tuner's fitness function, so the space splits in two:
   tie-break keeps the first — i.e. default — variant.
 
 * **Derived dimensions** (ladder rungs, conv backend per rung) don't
-  change sim outcomes either, but unlike the carried knobs they have a
-  *measured* offline answer: rungs come from the winner's simulated
-  batch-rows histogram, and each rung's conv lowering follows the
-  ``BENCH_plan.json`` grid rule — im2col where the gather dominates
-  (small rows), shifted-gemm where the GEMM does.  See
-  :func:`rungs_from_histogram` / :func:`backends_for_rungs`.
+  change sim outcomes either, but unlike the carried knobs they have an
+  offline answer: rungs come from the winner's simulated batch-rows
+  histogram, and each rung's conv lowering follows a rule of mechanism —
+  shifted-GEMM computes the rung's full row extent whatever the batch
+  holds, so it pays only on well-filled (large) rungs; small rungs keep
+  the bitwise im2col default.  See :func:`rungs_from_histogram` /
+  :func:`backends_for_rungs`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from typing import Dict, List, Mapping, Optional, Tuple
 #: differing only here simulate identically.
 CARRIED_KEYS = ("hedge_ratio", "restart_backoff_s", "retry")
 
-#: Rows at and above which the shifted-GEMM lowering wins the
-#: ``BENCH_plan.json`` grid row (im2col's gather amortises poorly as the
-#: GEMM extent grows); below it the bitwise im2col default wins.
+#: Rung ceiling at and above which a derived ladder assigns shifted-GEMM.
+#: The lowering computes the rung's full row extent whatever the batch
+#: holds, so it can only pay on rungs traffic fills; where the crossover
+#: actually sits is **unmeasured** (ROADMAP item 3) — 8 is a placeholder,
+#: not a recorded number.
 SHIFTED_GEMM_MIN_ROWS = 8
 
 
@@ -161,7 +164,7 @@ def rungs_from_histogram(
 
 
 def backends_for_rungs(rungs: Tuple[int, ...]) -> Tuple[Tuple[int, str], ...]:
-    """Per-rung conv lowering: the best column of each BENCH_plan grid row."""
+    """Per-rung conv lowering: im2col below :data:`SHIFTED_GEMM_MIN_ROWS`."""
     return tuple(
         (rows, "im2col" if rows < SHIFTED_GEMM_MIN_ROWS else "shifted-gemm")
         for rows in rungs

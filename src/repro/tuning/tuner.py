@@ -23,8 +23,8 @@ The search is classic successive halving over the sim:
    batches but blows every tight adversarial deadline.  The tolerance
    keeps the target trace in charge; the zoo only breaks its near-ties.
 3. **Derive**: the winner's full-trace batch-rows histogram seeds the
-   ladder rungs, and each rung gets the conv backend that wins its
-   BENCH_plan grid row.  Under faults the emitted config also switches
+   ladder rungs, and each rung gets its conv backend by
+   :func:`~repro.tuning.space.backends_for_rungs`.  Under faults the emitted config also switches
    supervision on — a chaos-tuned config that couldn't respawn replicas
    would be self-contradictory.
 

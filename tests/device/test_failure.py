@@ -1,58 +1,55 @@
-"""Tests for failure schedules and crash counters."""
+"""The device plane's failure vocabulary: scripted crash/recover timelines
+(:class:`~repro.faults.plan.FaultPlan` over ``master`` / ``worker``) and the
+emulated device's crash-on-Nth-request counter."""
 
 import pytest
 
-from repro.device import (
-    CrashCounter,
-    FailureEvent,
-    FailureSchedule,
-    no_failures,
-    single_failure,
-)
+from repro.device import CrashCounter
+from repro.faults.plan import FaultEvent, FaultPlan, single_fault
 
 
 class TestFailureEvent:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FailureEvent(-1.0, "master")
+            FaultEvent(-1.0, "master")
         with pytest.raises(ValueError):
-            FailureEvent(1.0, "master", kind="explode")
+            FaultEvent(1.0, "master", kind="explode")
 
 
 class TestFailureSchedule:
     def test_alive_before_crash(self):
-        sched = single_failure("worker", at_s=5.0)
+        sched = single_fault("worker", at_s=5.0)
         assert sched.is_alive("worker", 4.9)
         assert not sched.is_alive("worker", 5.0)
         assert sched.is_alive("master", 100.0)
 
     def test_recovery(self):
-        sched = FailureSchedule(
-            [FailureEvent(2.0, "worker", "crash"), FailureEvent(8.0, "worker", "recover")]
+        sched = FaultPlan(
+            [FaultEvent(2.0, "worker", "crash"), FaultEvent(8.0, "worker", "recover")]
         )
         assert sched.is_alive("worker", 1.0)
         assert not sched.is_alive("worker", 5.0)
         assert sched.is_alive("worker", 9.0)
 
     def test_events_sorted_on_construction(self):
-        sched = FailureSchedule(
-            [FailureEvent(8.0, "a", "recover"), FailureEvent(2.0, "a", "crash")]
+        sched = FaultPlan(
+            [FaultEvent(8.0, "a", "recover"), FaultEvent(2.0, "a", "crash")]
         )
         assert [e.time_s for e in sched.events] == [2.0, 8.0]
 
     def test_add_keeps_order(self):
-        sched = no_failures()
-        sched.add(FailureEvent(5.0, "a"))
-        sched.add(FailureEvent(1.0, "b"))
+        sched = FaultPlan()
+        sched.add(FaultEvent(5.0, "a"))
+        sched.add(FaultEvent(1.0, "b"))
         assert [e.time_s for e in sched.events] == [1.0, 5.0]
 
     def test_crash_time(self):
-        sched = single_failure("worker", 3.0)
+        sched = single_fault("worker", 3.0)
         assert sched.crash_time("worker") == 3.0
         assert sched.crash_time("master") is None
 
     def test_no_failures(self):
-        sched = no_failures()
+        sched = FaultPlan()
         assert sched.is_alive("anything", 1e9)
 
 

@@ -203,6 +203,24 @@ class TestDeltaHaloExchange:
         assert sum(compiled_bytes) < 0.7 * sum(eager_bytes)
         assert compiled_bytes[-1] == 2 * x.shape[0] * 10 * np.dtype("float32").itemsize
 
+    def test_exact_bytes_per_round_at_batch_one(self):
+        """The compiled two-device HA exchange for one image, byte for byte
+        (float32 wire): input broadcast, two halo rounds, partial logits.
+        The sum is what ``benchmarks/e2e`` reports as
+        ``engine.exchange_bytes_per_img``."""
+        net = _net()
+        eager = _multidevice(net, compiled=False)
+        compiled = _multidevice(net, compiled=True)
+        try:
+            eager.run_ha(_batch(1))
+            compiled.run_ha(_batch(1))
+            assert list(eager.engine.last_exchange_bytes) == [18816, 28224, 9408, 6352]
+            assert list(compiled.engine.last_exchange_bytes) == [18816, 15680, 3136, 80]
+            assert sum(compiled.engine.last_exchange_bytes) == 37712
+        finally:
+            eager.engine.shutdown()
+            compiled.engine.shutdown()
+
     def test_accounting_uses_wire_itemsize(self):
         """Exchange bytes follow the policy wire dtype, not hardcoded f32."""
         net = _net()

@@ -7,16 +7,24 @@ and the parameter store is never copied or written.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.engine.session import InferenceSession, serve_concurrent
+from repro.engine.session import InferenceSession
 from repro.models import build_model
 from repro.nn import ForwardContext, Linear, ReLU, Sequential
 from repro.utils import make_rng
 
 FAMILIES = ("static", "dynamic", "fluid")
+
+
+def serve_concurrent(sessions, batches):
+    """``sessions[i].run(batches[i])`` on one thread each; results in order
+    (a worker's exception re-raises here)."""
+    with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
+        return list(pool.map(lambda session, x: session.run(x), sessions, batches))
 
 
 def family_subnets(model):

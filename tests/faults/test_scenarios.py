@@ -52,7 +52,7 @@ class TestRegistry:
 
     def test_faulty_seeds_are_distinct_from_the_pinned_generators(self):
         for scenario in FAULTY_SCENARIOS.values():
-            base = SCENARIOS[scenario.trace.generator]
+            base = get_scenario(scenario.trace.generator)
             assert scenario.trace.seed != base.seed
 
     def test_meta_carries_the_plan_and_replica_count(self):
@@ -61,6 +61,15 @@ class TestRegistry:
         assert meta["replicas"] == FAULTY_REPLICAS
         plan = FaultPlan.from_json(meta["faults"])
         assert plan.events == scenario.faults.events
+
+
+    def test_steady_burst_kill_is_scripted_for_two_replicas(self):
+        scenario = get_faulty("steady_burst_kill")
+        assert scenario.replicas == scenario.meta()["replicas"] == 2
+        (kill,) = scenario.faults.events
+        assert (kill.kind, kill.target) == (CRASH, "replica:0")
+        # Mid-burst: inside the overload phase of the steady_burst shape.
+        assert 0.25 < kill.time_s < 0.5
 
 
 class TestReplayerPlumbing:

@@ -241,6 +241,24 @@ class TestAllocationBudget:
             f"{self.PER_REQUEST_BUDGET} B"
         )
 
+    def test_shifted_gemm_stays_in_the_same_budget(self):
+        """The allclose backend's rolling row panel lives in the arena too
+        (measured where it serves: the float32 policy, a full 16-row rung)."""
+        model = build_model("fluid", rng=make_rng(31))
+        x = make_rng(32).standard_normal((16, 1, 28, 28))
+        with dtype_policy(DtypePolicy.fast_inference()):
+            plan = InferencePlan.compile(
+                model, "lower100", batch_rows=16, conv_backend="shifted-gemm"
+            )
+            plan.run(x)
+            runs = 20
+            tracemalloc.start()
+            for _ in range(runs):
+                plan.run(x)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak / runs < self.PER_REQUEST_BUDGET
+
     def test_plan_allocates_far_less_than_eager(self):
         model = build_model("fluid", rng=make_rng(33))
         plan = InferencePlan.compile(model, "lower100", batch_rows=8)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.comm import CommLatencyModel
-from repro.device import FailureEvent, FailureSchedule, jetson_nx_master, jetson_nx_worker, single_failure
+from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.distributed import ExecutionMode, SystemThroughputModel
+from repro.faults.plan import FaultEvent, FaultPlan, single_fault
 from repro.models import build_model
 from repro.runtime import AdaptationPolicy, SystemController
 from repro.utils import make_rng
@@ -33,34 +34,34 @@ class TestObserve:
 class TestSimulation:
     def test_fluid_worker_failure_timeline(self):
         controller = make_controller("fluid")
-        timeline = controller.simulate(single_failure("worker", at_s=10.0), horizon_s=20.0)
+        timeline = controller.simulate(single_fault("worker", at_s=10.0), horizon_s=20.0)
         modes = timeline.modes()
         assert modes == [ExecutionMode.HIGH_ACCURACY, ExecutionMode.SOLO]
         assert timeline.downtime() == 0.0
 
     def test_fluid_master_failure_keeps_serving(self):
         controller = make_controller("fluid")
-        timeline = controller.simulate(single_failure("master", at_s=5.0), horizon_s=10.0)
+        timeline = controller.simulate(single_fault("master", at_s=5.0), horizon_s=10.0)
         assert timeline.modes()[-1] is ExecutionMode.SOLO
         assert timeline.transitions[-1].plan.assignments[0].device == "worker"
         assert timeline.downtime() == 0.0
 
     def test_dynamic_master_failure_downs_system(self):
         controller = make_controller("dynamic")
-        timeline = controller.simulate(single_failure("master", at_s=5.0), horizon_s=10.0)
+        timeline = controller.simulate(single_fault("master", at_s=5.0), horizon_s=10.0)
         assert timeline.modes()[-1] is ExecutionMode.FAILED
         assert timeline.downtime() > 0.0
 
     def test_static_any_failure_downs_system(self):
         for device in ("master", "worker"):
             controller = make_controller("static")
-            timeline = controller.simulate(single_failure(device, at_s=2.0), horizon_s=6.0)
+            timeline = controller.simulate(single_fault(device, at_s=2.0), horizon_s=6.0)
             assert timeline.modes() == [ExecutionMode.HIGH_ACCURACY, ExecutionMode.FAILED]
 
     def test_crash_and_recovery_cycle(self):
         controller = make_controller("fluid")
-        schedule = FailureSchedule(
-            [FailureEvent(3.0, "worker", "crash"), FailureEvent(7.0, "worker", "recover")]
+        schedule = FaultPlan(
+            [FaultEvent(3.0, "worker", "crash"), FaultEvent(7.0, "worker", "recover")]
         )
         timeline = controller.simulate(schedule, horizon_s=10.0)
         assert timeline.modes() == [
@@ -71,11 +72,11 @@ class TestSimulation:
 
     def test_plan_at(self):
         controller = make_controller("fluid")
-        timeline = controller.simulate(single_failure("worker", at_s=10.0), horizon_s=20.0)
+        timeline = controller.simulate(single_fault("worker", at_s=10.0), horizon_s=20.0)
         assert timeline.plan_at(5.0).mode is ExecutionMode.HIGH_ACCURACY
         assert timeline.plan_at(15.0).mode is ExecutionMode.SOLO
 
     def test_validation(self):
         controller = make_controller("fluid")
         with pytest.raises(ValueError):
-            controller.simulate(single_failure("worker"), horizon_s=0)
+            controller.simulate(single_fault("worker"), horizon_s=0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import FailureEvent, FailureSchedule, single_failure
+from repro.faults.plan import FaultEvent, FaultPlan, single_fault
 from repro.runtime import HeartbeatMonitor, ScheduleMonitor
 
 
@@ -47,20 +47,20 @@ class TestHeartbeatMonitor:
 
 class TestScheduleMonitor:
     def test_alive_sets_over_time(self):
-        monitor = ScheduleMonitor(single_failure("worker", at_s=10.0))
+        monitor = ScheduleMonitor(single_fault("worker", at_s=10.0))
         assert monitor.alive_at(5.0) == frozenset({"master", "worker"})
         assert monitor.alive_at(10.0) == frozenset({"master"})
 
     def test_recovery(self):
-        schedule = FailureSchedule(
-            [FailureEvent(5.0, "master", "crash"), FailureEvent(15.0, "master", "recover")]
+        schedule = FaultPlan(
+            [FaultEvent(5.0, "master", "crash"), FaultEvent(15.0, "master", "recover")]
         )
         monitor = ScheduleMonitor(schedule)
         assert monitor.alive_at(7.0) == frozenset({"worker"})
         assert monitor.alive_at(20.0) == frozenset({"master", "worker"})
 
     def test_next_event(self):
-        monitor = ScheduleMonitor(single_failure("worker", at_s=10.0))
+        monitor = ScheduleMonitor(single_fault("worker", at_s=10.0))
         assert monitor.next_event_after(0.0) == 10.0
         assert monitor.next_event_after(10.0) is None
 

@@ -24,6 +24,15 @@ def one_image(seed=1):
     return make_rng(seed).standard_normal((1, 1, 28, 28))
 
 
+def serve(pool, x, width, exclude=()):
+    """One synchronous request: the route -> run -> finish a caller owes the pool."""
+    replica = pool.route(exclude=exclude)
+    try:
+        return replica.run(x, width), replica
+    finally:
+        replica.finish()
+
+
 class TestRouting:
     def test_route_picks_least_pending(self, pool):
         pool.replicas[0].begin()
@@ -53,7 +62,7 @@ class TestRouting:
 
 class TestServing:
     def test_execute_runs_on_a_replica(self, pool):
-        out, replica = pool.execute(one_image(), "lower50")
+        out, replica = serve(pool, one_image(), "lower50")
         assert out.shape == (1, 10)
         assert replica.pending == 0  # released after completion
 
@@ -76,18 +85,28 @@ class TestServing:
         # Force routing to consider the dead replica first.
         pool.replicas[1].begin()
         pool.replicas[2].begin()
-        out, replica = pool.execute(one_image(), "lower25")
+        dead = pool.route()
+        assert dead.index == 0  # routing has not noticed yet
+        with pytest.raises(ReplicaUnavailable):
+            dead.run(one_image(), "lower25")
+        dead.finish()
+        pool.report_failure(dead)
+        out, replica = serve(pool, one_image(), "lower25", exclude=(0,))
         assert out.shape == (1, 10)
         assert replica.index != 0
-        assert pool.metrics.counter("pool.reroutes").value >= 1
         # The failure was reported through the heartbeat state machine.
         assert pool.monitors[0].declared_dead
+        assert pool.route().index != 0  # and routing avoids it from now on
 
     def test_execute_raises_when_all_replicas_dead(self, pool):
         for replica in pool.replicas:
             replica.kill()
-        with pytest.raises(ReplicaUnavailable):
-            pool.execute(one_image(), "lower25")
+        for replica in pool.replicas:  # each attempt fails and is reported ...
+            with pytest.raises(ReplicaUnavailable):
+                replica.run(one_image(), "lower25")
+            pool.report_failure(replica)
+        with pytest.raises(ReplicaUnavailable, match="no healthy replicas"):
+            pool.route()  # ... until there is nowhere left to route
 
 
 class TestHealth:
@@ -158,7 +177,7 @@ class TestRespawn:
         # Make slot 0 the clear least-loaded choice again.
         pool.replicas[1].begin()
         pool.replicas[2].begin()
-        out, replica = pool.execute(one_image(), "lower25")
+        out, replica = serve(pool, one_image(), "lower25")
         assert out.shape == (1, 10)
         assert replica.index == 0
 

@@ -122,7 +122,9 @@ class TestPoolIntegration:
         rings_before = len(list_segments("r"))
         pool = ReplicaPool(model, 2, backend="process")
         try:
-            out, served_by = pool.execute(one_batch(), "lower50")
+            served_by = pool.route()
+            out = served_by.run(one_batch(), "lower50")
+            served_by.finish()
             assert out.shape == (3, 10)
             assert isinstance(served_by, ProcessReplica)
             # The weight store was created once (or reused): never per worker.
@@ -155,7 +157,15 @@ class TestPoolIntegration:
         pool = ReplicaPool(model, 2, backend="process")
         try:
             pool.replicas[0].kill()  # SIGKILL twin of the thread-replica kill
-            out, served_by = pool.execute(one_batch(), "lower25")
+            dead = pool.route()
+            assert dead.index == 0
+            with pytest.raises(ReplicaUnavailable):
+                dead.run(one_batch(), "lower25")
+            dead.finish()
+            pool.report_failure(dead)
+            served_by = pool.route()
+            out = served_by.run(one_batch(), "lower25")
+            served_by.finish()
             assert out.shape == (3, 10)
             assert served_by.index == 1
         finally:

@@ -1,0 +1,175 @@
+"""What the benchmark tree claims, re-derived in tier-1.
+
+The rule (README, "Tests and measurements"): a number is committed at the
+repo root only if a test here regenerates it — in-process, through the same
+function its script writes it with — and finds it *equal*; a fact about the
+code is asserted against the regenerated values, never read off a stored
+flag.  Wall-clock numbers are ``benchmarks/e2e``'s and are not committed.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))  # the scripts import `common` by bare name
+
+import bench_chaos  # noqa: E402
+import bench_paper  # noqa: E402
+import bench_scheduler  # noqa: E402
+import bench_trace_replay  # noqa: E402
+import bench_tuning  # noqa: E402
+from common import fluid_model  # noqa: E402
+
+from repro.trace.replay import TraceReplayer  # noqa: E402
+from repro.trace.scenarios import SCENARIOS  # noqa: E402
+
+#: Every BENCH record at the repo root; each has a regenerating test below.
+ROOT_RECORDS = ("BENCH_chaos.json", "BENCH_trace_replay.json", "BENCH_tuning.json")
+
+
+@pytest.fixture(scope="module")
+def model():
+    return fluid_model()
+
+
+def committed(name: str) -> dict:
+    return json.loads((ROOT / name).read_text())
+
+
+class TestCommittedRecords:
+    def test_every_root_record_has_a_regenerator(self):
+        assert sorted(p.name for p in ROOT.glob("BENCH_*.json")) == list(ROOT_RECORDS)
+        names = [*ROOT_RECORDS, "REPRO.json"]
+        assert sum((ROOT / n).stat().st_size for n in names) <= 20 * 1024
+
+    def test_trace_replay_record_regenerates(self, model):
+        payload = bench_trace_replay.record_payload(model)
+        assert payload == committed("BENCH_trace_replay.json")
+        # One outcome per request, and the pinned stream is the simulated one.
+        for name, fact in payload["scenarios"].items():
+            assert sum(fact["outcomes"].values()) == fact["requests"] > 0
+            assert payload["corpus"][name]["requests"] == fact["requests"]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_pinned_corpus_is_its_generators_bytes(self, name):
+        path = bench_trace_replay.corpus_path(name)
+        assert path.read_text() == bench_trace_replay.corpus_text(name), (
+            f"{path} drifted from its generator (seed {SCENARIOS[name].seed})"
+        )
+        assert list(TraceReplayer.from_file(path).specs) == SCENARIOS[name].generate()
+
+    def test_chaos_record_regenerates(self, model):
+        payload = bench_chaos.record_payload(model)
+        assert payload == committed("BENCH_chaos.json")
+        sim, brown = payload["sim"], payload["brownout"]
+        assert sim["byte_identical"], "fault-aware simulation is not deterministic"
+        assert sim["lost"] == 0
+        assert sum(sim["outcomes"].values()) == sim["requests"]
+        # Degrade, don't fail: shedding sheddable traffic spares critical traffic.
+        assert (
+            brown["brownout"]["critical_miss_rate"]
+            < brown["baseline"]["critical_miss_rate"]
+        )
+
+    @pytest.mark.slow
+    def test_tuning_record_regenerates(self, model):
+        payload = bench_tuning.record_payload(model)
+        assert payload == committed("BENCH_tuning.json")
+        tuning, chaos = payload["tuning"], payload["chaos"]
+        assert tuning["byte_identical"], "two tune() runs wrote different artifacts"
+        for name in bench_tuning.MUST_BEAT:
+            row = tuning["scenarios"][name]
+            assert row["tuned_miss_rate"] < row["default_miss_rate"], name
+        # The emitted config is the winner plus the derived ladder.
+        config = tuning["config"]
+        for key, value in tuning["winner_mapping"].items():
+            if key not in ("retry", "restart_backoff_s"):  # flattened / scalar default
+                assert config[key] == value, key
+        assert config["rows_ladder"] == tuning["derived"]["rows_ladder"]
+        assert config["conv_backend_per_rung"] == tuning["derived"]["conv_backend_per_rung"]
+        # Tuned under chaos: beats the default with the live fault plane on.
+        assert chaos["tuned_miss_rate"] < chaos["default_miss_rate"]
+        assert chaos["supervise"] and chaos["retry"]
+
+
+class TestSchedulerBeatsFixedWidest:
+    """The control plane's headline fact, deterministic in virtual time."""
+
+    def test_on_the_steady_burst_kill_incident(self, model):
+        report = bench_scheduler.run_scheduler_comparison(model, mode="sim")
+        comp = report["comparison"]
+        assert comp["miss_rate_scheduler"] < comp["miss_rate_fixed_widest"]
+        assert comp["goodput_ratio"] >= 1.0
+        assert comp["scheduler_lost"] == 0 and report["fixed_widest"]["lost"] == 0
+        # The two sides describe the same trace.
+        assert (
+            report["fixed_widest"]["requests"]
+            == report["scheduler"]["requests"]
+            == report["arrivals"]
+        )
+        assert set(report["fixed_widest"]["widths"]) == {"lower100"}
+        assert bench_scheduler.beats_fixed_widest(report)
+
+
+class TestPaperRecord:
+    """The analytic half of ``REPRO.json``: the calibrated model's Fig. 2."""
+
+    @pytest.fixture(scope="class")
+    def analytic(self):
+        return bench_paper.analytic_facts()
+
+    def test_analytic_block_regenerates(self, analytic):
+        assert analytic == committed("REPRO.json")["analytic"]
+
+    def test_eleven_bars_match_the_paper(self, analytic):
+        bars = analytic["fig2_throughput_ips"]
+        assert len(bars) == 11
+        for key, bar in bars.items():
+            if key.endswith("/failed"):
+                assert bar["reproduced"] == 0.0 == bar["paper"], key
+            else:
+                assert bar["reproduced"] == pytest.approx(bar["paper"], rel=0.005), key
+        # Static loses everything on any failure; Dynamic only the worker-only case.
+        assert sorted(k for k in bars if k.endswith("/failed")) == [
+            "dynamic/only_worker/failed",
+            "static/only_master/failed",
+            "static/only_worker/failed",
+        ]
+
+    def test_headline_speedups(self, analytic):
+        for ratio in analytic["ht_speedup"].values():
+            assert ratio["reproduced"] == pytest.approx(ratio["paper"], rel=0.02)
+
+    def test_link_cost_hurts_ha_and_never_ht(self, analytic):
+        rows = analytic["ablations"]["comm_latency"]
+        ha, ht = [r["ha"] for r in rows], [r["ht"] for r in rows]
+        assert all(a > b for a, b in zip(ha, ha[1:]))
+        assert ht == pytest.approx([ht[0]] * len(ht))
+        # Even a free link does not let HA catch a lone 50% model.
+        assert rows[0]["scale"] == 0.0 and rows[0]["ha"] < rows[0]["solo"]
+
+    def test_balanced_split_is_best_and_the_curve_is_unimodal(self, analytic):
+        by_split = analytic["ablations"]["partition_split_ha_ips"]
+        series = [by_split[str(s)] for s in bench_paper.SPLITS]
+        peak = series.index(max(series))
+        assert bench_paper.SPLITS[peak] == 8
+        assert series[: peak + 1] == sorted(series[: peak + 1])
+        assert series[peak:] == sorted(series[peak:], reverse=True)
+
+    def test_width_partitioning_beats_depth_and_fits_the_device(self, analytic):
+        rows = analytic["ablations"]["width_vs_depth_ips"]
+        assert rows["width_ha"] > rows["depth_sequential_best"]
+        assert rows["depth_sequential_best"] < rows["depth_pipelined_best"] < rows["width_ht"]
+        assert rows["depth_survives_single_failure"] is False
+        memory = analytic["ablations"]["worker_memory_params"]
+        assert memory["fluid_worker"] <= memory["capacity"] < memory["disjoint_worker"]
+
+    def test_record_carries_its_environment(self):
+        record = committed("REPRO.json")
+        assert {"cores", "blas", "numpy", "python", "commit"} <= set(record["env"])
+        assert set(record["trained"]["fig2"]["accuracy_pct"]) == set(
+            record["analytic"]["fig2_throughput_ips"]
+        )

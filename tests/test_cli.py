@@ -102,54 +102,21 @@ class TestTrainEvaluateRoundtrip:
         assert "upper50" in out and "standalone" in out
 
 
-class TestScheduledServe:
-    def test_sla_flags_parse(self):
-        args = build_parser().parse_args(["serve", "--sla", "40", "--replicas", "3"])
-        assert args.sla == 40.0
-        assert args.replicas == 3
-
-    def test_sla_defaults_off(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.sla is None
-        # Config flags default to None so --config FILE can tell "absent"
-        # from "explicitly set" (flags override file values).
-        assert args.replicas is None
-        assert args.config is None
-
-    def test_invalid_sla_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--sla", "-5"])
-        with pytest.raises(SystemExit):
-            main(["serve", "--sla", "40", "--replicas", "0"])
-
-    @pytest.mark.slow
-    def test_sla_mode_end_to_end(self, capsys, monkeypatch):
-        """serve --sla drives the comparison trace and prints the summary."""
-        from dataclasses import replace
-
-        import repro.scheduler.bench as sched_bench
-
-        # Shrink the trace so the CLI round-trip stays fast in CI.
-        monkeypatch.setattr(
-            sched_bench,
-            "ACCEPTANCE_TRACE",
-            replace(
-                sched_bench.SMOKE_TRACE,
-                pre_s=0.1, burst_s=0.1, post_s=0.1, kill_at_s=0.15,
-            ),
-        )
-        assert main(["serve", "--sla", "40", "--replicas", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "scheduler" in out and "fixed_widest" in out
-        assert "miss-rate" in out and "p99" in out
-
-
 class TestReplayCommand:
+    def test_serve_subcommand_is_gone(self, capsys):
+        """`replay` is the one way to drive the scheduler from the CLI."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve"])
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
     def test_flags_parse_with_defaults(self):
         args = build_parser().parse_args(["replay", "--scenario", "bursts"])
         assert args.scenario == "bursts"
         assert args.mode == "sim"
+        # Config flags default to None so --config FILE can tell "absent"
+        # from "explicitly set" (flags override file values).
         assert args.replicas is None
+        assert args.config is None
         assert args.sampling == 1.0
         assert args.out is None
         assert args.tune is False
@@ -168,12 +135,33 @@ class TestReplayCommand:
     def test_list_prints_the_zoo(self, capsys):
         assert main(["replay", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("diurnal", "heavy_tail", "bursts", "adversarial", "multi_tenant"):
+        for name in ("diurnal", "heavy_tail", "bursts", "adversarial", "multi_tenant",
+                     "steady_burst", "steady_burst_kill"):
             assert name in out
 
-    def test_serve_trace_requires_sla(self, capsys):
+    def test_nonpositive_replicas_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["serve", "--trace", "out.jsonl"])
+            main(["replay", "--scenario", "bursts", "--replicas", "0"])
+
+    def test_steady_burst_sim(self, capsys):
+        assert main(["replay", "--scenario", "steady_burst", "--mode", "sim"]) == 0
+        out = capsys.readouterr().out
+        assert "replay steady_burst (sim)" in out and "lost 0" in out
+
+    @pytest.mark.slow
+    def test_live_incident_end_to_end(self, tmp_path, capsys):
+        """The scheduler-bench incident, live: a real kill, nothing lost,
+        and the recorded artifact carries the plan for a sim re-run."""
+        out_path = tmp_path / "incident.jsonl"
+        assert main([
+            "replay", "--scenario", "steady_burst_kill", "--faults",
+            "--mode", "live", "--out", str(out_path),
+        ]) == 0
+        printed = capsys.readouterr().out
+        assert "replay steady_burst_kill (live)" in printed
+        assert "1 injected (1 crash)" in printed and "lost 0" in printed
+        assert main(["replay", "--trace", str(out_path), "--faults"]) == 0
+        assert "1 injected (1 crash)" in capsys.readouterr().out
 
     @pytest.mark.slow
     def test_sim_replay_end_to_end_with_artifact(self, tmp_path, capsys):
@@ -193,17 +181,17 @@ class TestReplayCommand:
 
 class TestConvBackendFlags:
     def test_defaults(self):
-        args = build_parser().parse_args(["serve"])
+        args = build_parser().parse_args(["replay"])
         # None = "not given": config_from_args falls back to the
         # SchedulerConfig default (im2col) unless --config overrides it.
         assert args.conv_backend is None
         assert args.rows_ladder is None
 
     def test_backend_choices(self):
-        args = build_parser().parse_args(["serve", "--conv-backend", "shifted-gemm"])
+        args = build_parser().parse_args(["replay", "--conv-backend", "shifted-gemm"])
         assert args.conv_backend == "shifted-gemm"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--conv-backend", "winograd"])
+            build_parser().parse_args(["replay", "--conv-backend", "winograd"])
 
     def test_rows_ladder_parsing(self):
         from repro.cli import _parse_rows_ladder
@@ -217,15 +205,9 @@ class TestConvBackendFlags:
         with pytest.raises(SystemExit):
             _parse_rows_ladder("")
 
-    def test_plan_flags_require_sla_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--conv-backend", "shifted-gemm"])
-        with pytest.raises(SystemExit):
-            main(["serve", "--rows-ladder", "1,4"])
-
 
 class TestConfigFromArgs:
-    """The single flag->SchedulerConfig path both subcommands share."""
+    """The single flag->SchedulerConfig path."""
 
     @staticmethod
     def _config(argv, defaults=None):
@@ -235,7 +217,7 @@ class TestConfigFromArgs:
 
     def test_defaults_layer_applies_when_flags_absent(self):
         config = self._config(
-            ["serve"], defaults={"replicas": 2, "max_batch": 32, "max_delay_s": 0.002}
+            ["replay"], defaults={"replicas": 2, "max_batch": 32, "max_delay_s": 0.002}
         )
         assert config.replicas == 2
         assert config.max_batch == 32
@@ -243,7 +225,7 @@ class TestConfigFromArgs:
 
     def test_flags_override_defaults(self):
         config = self._config(
-            ["serve", "--replicas", "4", "--max-delay-ms", "1"],
+            ["replay", "--replicas", "4", "--max-delay-ms", "1"],
             defaults={"replicas": 2, "max_delay_s": 0.002},
         )
         assert config.replicas == 4
@@ -255,15 +237,11 @@ class TestConfigFromArgs:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"replicas": 3, "max_batch": 8}))
         config = self._config(
-            ["serve", "--config", str(path), "--max-batch", "16"],
+            ["replay", "--config", str(path), "--max-batch", "16"],
             defaults={"replicas": 2, "max_batch": 32},
         )
         assert config.replicas == 3      # file beats defaults
         assert config.max_batch == 16    # flag beats file
-
-    def test_sla_flag_becomes_deadline(self):
-        config = self._config(["serve", "--sla", "40"])
-        assert config.default_sla.deadline_s == pytest.approx(0.040)
 
     def test_unknown_key_in_config_file_rejected(self, tmp_path):
         import json
@@ -271,11 +249,11 @@ class TestConfigFromArgs:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"replcas": 3}))
         with pytest.raises(SystemExit, match="unknown config keys"):
-            self._config(["serve", "--config", str(path)])
+            self._config(["replay", "--config", str(path)])
 
     def test_missing_config_file_rejected(self):
         with pytest.raises(SystemExit, match="--config"):
-            self._config(["serve", "--config", "/nonexistent/cfg.json"])
+            self._config(["replay", "--config", "/nonexistent/cfg.json"])
 
     def test_conv_backend_flag_clears_per_rung_assignment(self, tmp_path):
         import json
@@ -286,7 +264,7 @@ class TestConfigFromArgs:
             "conv_backend_per_rung": [[1, "im2col"], [8, "shifted-gemm"]],
         }))
         config = self._config(
-            ["serve", "--config", str(path), "--conv-backend", "shifted-gemm"]
+            ["replay", "--config", str(path), "--conv-backend", "shifted-gemm"]
         )
         assert config.conv_backend == "shifted-gemm"
         assert config.conv_backend_per_rung is None

@@ -45,9 +45,9 @@ class TestFastExamples:
         assert "HT/HA throughput ratio: 2.55x" in out
         assert "28.3" in out and "11.1" in out
 
-    def test_scaling_energy_demo(self):
-        out = run_example("scaling_energy_demo.py")
-        assert "J/img" in out
+    def test_scaling_demo(self):
+        out = run_example("scaling_demo.py")
+        assert "HT img/s" in out
         assert "k=1:" in out  # reliability decay table rendered
 
 

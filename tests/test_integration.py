@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker, single_failure
+from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.distributed import ExecutionMode, SystemThroughputModel
 from repro.experiments import (
     load_result,
@@ -19,6 +19,7 @@ from repro.experiments import (
     shape_checks,
     subnet_accuracy_table,
 )
+from repro.faults.plan import single_fault
 from repro.runtime import AdaptationPolicy, SystemController
 
 
@@ -64,7 +65,7 @@ class TestFullPipeline:
             model.net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
         )
         controller = SystemController(AdaptationPolicy(model, tm), tm)
-        timeline = controller.simulate(single_failure("master", at_s=5.0), horizon_s=10.0)
+        timeline = controller.simulate(single_fault("master", at_s=5.0), horizon_s=10.0)
         final = timeline.transitions[-1]
         assert final.plan.mode is ExecutionMode.SOLO
         cell = result.get("fluid", "only_worker", "solo")

@@ -118,6 +118,61 @@ class TestSimulate:
         served = sum(rows * n for rows, n in batches["rows"].items())
         assert served == result["outcomes"][OK] + result["outcomes"][LATE]
 
+    @staticmethod
+    def _simulate_rows(model, rows_per_request, **config):
+        """Simultaneous multi-row requests pinned to one width on one replica."""
+        specs = [
+            RequestSpec(
+                request_id=i, arrival_s=0.0, deadline_s=5.0,
+                min_width="lower100", max_width="lower100",
+                shape=(rows, 1, 28, 28),
+            )
+            for i, rows in enumerate(rows_per_request)
+        ]
+        return TraceReplayer(specs, duration_s=1.0).simulate(
+            model, SchedulerConfig(replicas=1, enable_admission=False, **config)
+        )
+
+    def test_row_budget_counts_rows_not_requests(self, model):
+        """Eight 4-row requests are two full 16-row batches, as
+        MicroBatchQueue would flush them — not one 8-request batch."""
+        result = self._simulate_rows(model, [4] * 8, max_batch=16)
+        assert result["batches"] == {"count": 2, "rows": {16: 2}}
+        first, second = (
+            {r["latency_s"] for r in result["records"][i : i + 4]} for i in (0, 4)
+        )
+        assert len(first) == len(second) == 1  # one latency per batch ...
+        assert first.pop() < second.pop()      # ... the second waits for the first
+        # Service time follows rows too: a 16-row batch costs what sixteen
+        # batched 1-row requests cost.
+        ones = self._simulate_rows(model, [1] * 16, max_batch=16)
+        assert ones["batches"] == {"count": 1, "rows": {16: 1}}
+        assert ones["records"][0]["latency_s"] == result["records"][0]["latency_s"]
+
+    def test_overflowing_request_is_carried_to_the_next_batch(self, model):
+        """A request that would push the open batch past max_batch flushes
+        it and seeds the next one (which then waits out its own timer)."""
+        result = self._simulate_rows(model, [6, 6, 6], max_batch=16)
+        assert result["batches"] == {"count": 2, "rows": {6: 1, 12: 1}}
+        a, b, carried = (r["latency_s"] for r in result["records"])
+        assert a == b < carried
+
+    def test_lone_oversized_request_is_served_alone(self, model):
+        result = self._simulate_rows(model, [12, 20, 1], max_batch=16)
+        assert result["batches"] == {"count": 3, "rows": {1: 1, 12: 1, 20: 1}}
+        assert result["outcomes"][OK] == 3
+
+    def test_depth_counts_requests(self, model):
+        """The brown-out / admission depth signal stays per request, as the
+        live plane's pending counters are: 4-row requests are not 4 deep."""
+        from repro.faults.policy import BrownoutPolicy
+
+        config = dict(max_batch=16, brownout=BrownoutPolicy(enter_queue_depth=8,
+                                                            exit_queue_depth=2))
+        assert self._simulate_rows(model, [4] * 7, **config)["outcomes"][OK] == 7
+        shed = self._simulate_rows(model, [1] * 12, **config)["outcomes"]
+        assert shed[REJECTED] > 0
+
     def test_tight_deadlines_are_rejected_not_served(self, model):
         """Admission arithmetic is real: impossible deadlines fail fast."""
         specs = [

@@ -3,7 +3,16 @@
 import pytest
 
 from repro.scheduler.admission import CRITICAL_PRIORITY
-from repro.trace.scenarios import GENERATORS, SCENARIOS, TraceSpec, get_scenario
+from repro.trace.scenarios import (
+    EXTRA_SCENARIOS,
+    GENERATORS,
+    SCENARIOS,
+    TraceSpec,
+    get_scenario,
+)
+
+#: The pinned five plus the registered steady/burst/steady variant.
+ZOO = {**SCENARIOS, "steady_burst": EXTRA_SCENARIOS["steady_burst"]}
 
 
 class TestZoo:
@@ -11,7 +20,10 @@ class TestZoo:
         assert set(SCENARIOS) == {
             "diurnal", "heavy_tail", "bursts", "adversarial", "multi_tenant",
         }
-        assert set(GENERATORS) == set(SCENARIOS)
+        # One generator per shape; steady_burst is registered, not pinned
+        # (no committed corpus file, outside the tuner's validation zoo).
+        assert set(GENERATORS) == set(ZOO)
+        assert get_scenario("steady_burst") is ZOO["steady_burst"]
 
     def test_get_scenario_rejects_unknown(self):
         with pytest.raises(KeyError):
@@ -27,14 +39,14 @@ class TestZoo:
 
 
 class TestGeneratedStreams:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(ZOO))
     def test_generation_is_deterministic(self, name):
-        spec = SCENARIOS[name]
+        spec = ZOO[name]
         assert spec.generate() == spec.generate()
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(ZOO))
     def test_stream_is_well_formed(self, name):
-        spec = SCENARIOS[name]
+        spec = ZOO[name]
         stream = spec.generate()
         assert stream, f"{name} generated no requests"
         assert [s.request_id for s in stream] == list(range(len(stream)))
@@ -95,6 +107,25 @@ class TestShapeCharacteristics:
         gaps = [b.arrival_s - a.arrival_s for a, b in zip(stream, stream[1:])]
         clustered = sum(1 for g in gaps if g < 0.002)
         assert clustered > len(gaps) * 0.25
+
+    def test_steady_burst_has_three_phases(self):
+        """Steady, an overload burst several times the base rate, steady."""
+        spec = ZOO["steady_burst"]
+        third = spec.duration_s / 3
+        counts = [0, 0, 0]
+        for s in spec.generate():
+            counts[min(int(s.arrival_s / third), 2)] += 1
+        pre, burst, post = counts
+        assert burst > 4 * pre and burst > 4 * post
+        assert pre > 0 and post > 0
+
+    def test_steady_burst_phase_rates_are_parameters(self):
+        spec = ZOO["steady_burst"]
+        calm = TraceSpec(
+            "calm", "steady_burst", seed=spec.seed, duration_s=spec.duration_s,
+            params={"burst_rps": 300.0},
+        )
+        assert len(calm.generate()) < len(spec.generate()) / 2
 
 
 class TestMeta:
