@@ -15,10 +15,13 @@ engine re-broadcasts the *full* reassembled activation each round.  A
   boundary-exchange buffers: each layer's padded input arena spans the
   *combined* channel width, so a peer's half is absorbed by one strided
   copy into its channel rows — the arena *is* the halo-exchange buffer;
-* **fused kernels** (``im2col_into`` / ``gemm_bias_relu`` /
-  ``maxpool2d_into``) replacing the eager per-call path, with the same
-  reduction orders — outputs are **bitwise identical** to
-  ``conv_block_half`` / ``fc_partial`` at every width and dtype policy.
+* **the fused conv block** of :mod:`repro.nn.plan`
+  (:func:`~repro.nn.plan.conv_block_into` over the steps
+  :class:`~repro.nn.plan.InferencePlan`'s own im2col lowering produces)
+  replacing the eager per-call path — the single-device plan is the same
+  code with "block = whole layer" — with the same reduction orders, so
+  outputs are **bitwise identical** to ``conv_block_half`` /
+  ``fc_partial`` at every width and dtype policy.
 
 Delta halo exchange falls out of the layout: this device's own conv output
 is pooled straight into the *next* layer's arena interior at its own
@@ -32,51 +35,30 @@ workspace), but many plans share one :class:`PackedWeightCache`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import functional as F
-from repro.nn.plan import PackedWeightCache, _interior
+from repro.engine.graph import BlockPartition
+from repro.nn.plan import (
+    InferencePlan,
+    PackedWeightCache,
+    _ConvStep,
+    _interior,
+    conv_block_into,
+)
 from repro.nn.workspace import BufferSpec, Workspace, WorkspacePool
-from repro.slimmable.sliced_conv import SlicedConv2d
 from repro.slimmable.sliced_linear import SlicedLinear
 from repro.slimmable.spec import ChannelSlice, SubNetSpec
 from repro.utils.dtypes import compute_dtype
 
 
-@dataclass(frozen=True)
-class _RoundStep:
-    """Precompiled geometry of one partitioned conv round on one device."""
-
-    layer: SlicedConv2d
-    index: int                 # conv index
-    in_slice: ChannelSlice     # full combined input range (packed-weight key)
-    block: ChannelSlice        # this device's output rows at this layer
-    kernel: Tuple[int, int]
-    stride: int
-    padding: int
-    in_hw: Tuple[int, int]
-    out_hw: Tuple[int, int]
-    pool: Optional[Tuple[int, int, Tuple[int, int]]]
-    src: str                   # padded full-width input arena of this layer
-    cols: str
-    gemm: str
-    act: Optional[str]         # own-block NCHW staging (pool input / features)
-    dst: Optional[str]         # next layer's arena (own rows) or feature buffer
-    dst_padding: int
-    dst_block: ChannelSlice    # own channel rows inside dst (this layer's block)
-
-
 class _PartitionRun:
     """One in-flight partitioned batch: a checked-out workspace + row count."""
 
-    def __init__(self, plan: "DevicePartitionPlan", workspace: Workspace, rows: int):
-        self.plan = plan
+    def __init__(self, workspace: Workspace, rows: int) -> None:
         self.workspace = workspace
         self.rows = rows
-        self.halves: Dict[int, np.ndarray] = {}  # layer -> own shipped half view
 
 
 class DevicePartitionPlan:
@@ -90,9 +72,8 @@ class DevicePartitionPlan:
         index: int,
         batch_rows: int,
         dtype: np.dtype,
-        steps: List[_RoundStep],
+        steps: List[_ConvStep],
         feature_slice: ChannelSlice,
-        fc_block: ChannelSlice,
         buffers: List[BufferSpec],
         cache: PackedWeightCache,
     ) -> None:
@@ -105,7 +86,6 @@ class DevicePartitionPlan:
         self.cache = cache
         self._steps = steps
         self._feature_slice = feature_slice
-        self.fc_block = fc_block
         self.workspaces = WorkspacePool(buffers, prealloc=1)
 
     # -- compilation ----------------------------------------------------------
@@ -130,113 +110,44 @@ class DevicePartitionPlan:
         """
         if batch_rows <= 0:
             raise ValueError("batch_rows must be positive")
-        boundaries = tuple(int(b) for b in boundaries)
-        if not 0 <= index < len(boundaries) - 1:
-            raise ValueError(f"device index {index} out of range for {boundaries}")
+        partition = BlockPartition(tuple(int(b) for b in boundaries))
+        if not 0 <= index < partition.num_blocks:
+            raise ValueError(
+                f"device index {index} out of range for {partition.boundaries}"
+            )
         if not spec.is_lower():
             raise ValueError("partition plans apply to combined (lower-anchored) specs")
         dtype = np.dtype(dtype) if dtype is not None else compute_dtype(training=False)
         if cache is None:
             cache = PackedWeightCache()
 
-        dt = dtype.name
-        steps: List[_RoundStep] = []
-        buffers: List[BufferSpec] = []
-        size = net.image_size
-        num = len(net.convs)
-        prev_full: Optional[ChannelSlice] = None
-        for i, (conv, out_sl) in enumerate(zip(net.convs, spec.conv_slices)):
-            if not isinstance(conv, SlicedConv2d):
-                raise TypeError(f"cannot compile layer {type(conv).__name__}")
-            in_sl, out_sl = conv.resolve_slices(prev_full, out_sl)
-            block = _clipped(boundaries, index, out_sl.stop)
-            k, pad = conv.kernel_size, conv.padding
-            out_h = F.conv_out_size(size, k, conv.stride, pad)
-            pool_layer = net.pools.get(i)
-            pool = None
-            after = (out_h, out_h)
-            if pool_layer is not None:
-                ph = F.conv_out_size(out_h, pool_layer.kernel_size, pool_layer.stride, 0)
-                pool = (pool_layer.kernel_size, pool_layer.stride, (ph, ph))
-                after = (ph, ph)
-            last = i == num - 1
-
-            # Full-combined-width padded input arena: this layer's activation
-            # AND its halo-exchange buffer in one allocation.
-            src = f"in{i}"
-            buffers.append(
-                BufferSpec(
-                    src,
-                    (batch_rows, in_sl.width, size + 2 * pad, size + 2 * pad),
-                    dt,
-                    zeroed=pad > 0,
-                )
-            )
-            gemm_rows = batch_rows * out_h * out_h
-            buffers.append(BufferSpec(f"cols{i}", (gemm_rows, in_sl.width * k * k), dt))
-            buffers.append(BufferSpec(f"gemm{i}", (gemm_rows, block.width), dt))
-            act = f"act{i}" if (pool is not None or last) else None
-            if act is not None:
-                buffers.append(BufferSpec(act, (batch_rows, block.width, out_h, out_h), dt))
-            if last:
-                # Own feature block only: the classifier never needs the
-                # peers' channels, which is why the last round ships no half.
-                dst, dst_pad = "feat", 0
-                buffers.append(
-                    BufferSpec(dst, (batch_rows, block.width, after[0], after[1]), dt)
-                )
-                dst_block = ChannelSlice(0, block.width)
-            else:
-                dst = f"in{i + 1}"
-                dst_pad = net.convs[i + 1].padding
-                dst_block = block
-            steps.append(
-                _RoundStep(
-                    layer=conv,
-                    index=i,
-                    in_slice=in_sl,
-                    block=block,
-                    kernel=(k, k),
-                    stride=conv.stride,
-                    padding=pad,
-                    in_hw=(size, size),
-                    out_hw=(out_h, out_h),
-                    pool=pool,
-                    src=src,
-                    cols=f"cols{i}",
-                    gemm=f"gemm{i}",
-                    act=act,
-                    dst=dst,
-                    dst_padding=dst_pad,
-                    dst_block=dst_block,
-                )
-            )
-            size = after[0]
-            prev_full = out_sl
-
+        # Own-block steps over full-combined-width input arenas: each arena
+        # is this layer's activation AND its halo-exchange buffer, and the
+        # last step keeps only the own feature block (the classifier never
+        # needs the peers' channels, which is why the last round ships no half).
+        steps, buffers = InferencePlan._compile_im2col(
+            net, InferencePlan._walk(net, spec), batch_rows, dtype,
+            block_of=lambda out: partition.clipped_block(index, out.stop),
+        )
         classifier = net.classifier
         if not isinstance(classifier, SlicedLinear):
             raise TypeError(f"cannot compile classifier {type(classifier).__name__}")
-        fc_block = _clipped(boundaries, index, spec.last_slice.stop)
-        feature_slice = classifier.resolve_feature_slice(net.feature_slice_for(fc_block))
-        buffers.append(BufferSpec("logits", (batch_rows, classifier.out_features), dt))
+        feature_slice = classifier.resolve_feature_slice(
+            net.feature_slice_for(steps[-1].out_slice)
+        )
+        buffers.append(
+            BufferSpec("logits", (batch_rows, classifier.out_features), dtype.name)
+        )
 
         # Warm the packed cache at compile time so the first round already
         # runs the steady-state lock-free lookup.
         for step in steps:
-            cache.conv_block(step.layer, step.in_slice, step.block, dtype)
+            cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
         cache.linear_block(classifier, feature_slice, dtype)
         return cls(
-            net, spec, boundaries, index, batch_rows, dtype, steps,
-            feature_slice, fc_block, buffers, cache,
+            net, spec, partition.boundaries, index, batch_rows, dtype, steps,
+            feature_slice, buffers, cache,
         )
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self._steps)
-
-    def block_at(self, layer: int) -> ChannelSlice:
-        return self._steps[layer].block
 
     # -- execution ------------------------------------------------------------
 
@@ -246,25 +157,25 @@ class DevicePartitionPlan:
             raise ValueError(
                 f"{rows} rows outside this plan's 1..{self.batch_rows} arena"
             )
-        return _PartitionRun(self, self.workspaces.acquire(), rows)
+        return _PartitionRun(self.workspaces.acquire(), rows)
 
     def finish(self, run: _PartitionRun) -> None:
-        run.halves.clear()
         self.workspaces.release(run.workspace)
+
+    def _input(self, run: _PartitionRun, layer: int) -> np.ndarray:
+        """Writable interior of ``layer``'s full-width input arena."""
+        step = self._steps[layer]
+        return _interior(run.workspace[step.src], run.rows, step.padding, step.in_hw)
 
     def scatter_input(self, run: _PartitionRun, x: np.ndarray) -> None:
         """Place the input batch into layer 0's padded arena interior."""
-        first = self._steps[0]
-        dst = _interior(run.workspace[first.src], run.rows, first.padding, first.in_hw)
-        np.copyto(dst, x)  # casts to the plan dtype; borders stay zero
+        np.copyto(self._input(run, 0), x)  # casts to the plan dtype; borders stay zero
 
     def absorb(
         self, run: _PartitionRun, layer: int, block: ChannelSlice, half: np.ndarray
     ) -> None:
         """Copy a peer's previous-round half into this layer's arena rows."""
-        step = self._steps[layer]
-        interior = _interior(run.workspace[step.src], run.rows, step.padding, step.in_hw)
-        np.copyto(interior[:, block.start : block.stop], half)
+        np.copyto(self._input(run, layer)[:, block.start : block.stop], half)
 
     def run_layer(self, run: _PartitionRun, layer: int) -> Optional[np.ndarray]:
         """One conv round: fused conv+ReLU(+pool) of this device's block.
@@ -273,34 +184,10 @@ class DevicePartitionPlan:
         layer's arena interior — or ``None`` on the last conv round (the
         classifier needs only the locally-kept feature block).
         """
-        step = self._steps[layer]
-        ws = run.workspace
-        n = run.rows
-        out_h, out_w = step.out_hw
-        gemm_rows = n * out_h * out_w
-        cols = ws[step.cols][:gemm_rows]
-        F.im2col_into(ws[step.src][:n], step.kernel, step.stride, cols)
-        w_mat, bias = self.cache.conv_block(step.layer, step.in_slice, step.block, self.dtype)
-        gemm = ws[step.gemm][:gemm_rows]
-        F.gemm_bias_relu(cols, w_mat, bias, gemm)
-        nchw = gemm.reshape(n, out_h, out_w, step.block.width).transpose(0, 3, 1, 2)
-
-        last = step.dst == "feat"
-        if step.pool is not None:
-            act = ws[step.act][:n]
-            np.copyto(act, nchw)
-            pk, ps, pooled_hw = step.pool
-            dst_interior = _interior(ws[step.dst], n, step.dst_padding, pooled_hw)
-            own = dst_interior[:, step.dst_block.start : step.dst_block.stop]
-            F.maxpool2d_into(act, pk, ps, own)
-        else:
-            dst_interior = _interior(ws[step.dst], n, step.dst_padding, step.out_hw)
-            own = dst_interior[:, step.dst_block.start : step.dst_block.stop]
-            np.copyto(own, nchw)
-        if last:
-            return None
-        run.halves[layer] = own
-        return own
+        own = conv_block_into(
+            run.workspace, self._steps[layer], run.rows, self.cache, self.dtype
+        )
+        return own if layer < len(self._steps) - 1 else None
 
     def run_fc(self, run: _PartitionRun, include_bias: bool) -> np.ndarray:
         """Partial logits over this device's own feature block."""
@@ -319,18 +206,6 @@ class DevicePartitionPlan:
             f"DevicePartitionPlan({self.spec.name}, blocks={self.boundaries}, "
             f"index={self.index}, rows={self.batch_rows}, dtype={self.dtype.name})"
         )
-
-
-def _clipped(boundaries: Tuple[int, ...], index: int, width: int) -> ChannelSlice:
-    """Block ``index`` clipped to ``width`` output channels (graph semantics)."""
-    start = min(boundaries[index], width)
-    stop = min(boundaries[index + 1], width)
-    if stop <= start:
-        raise ValueError(
-            f"block {index} [{boundaries[index]}, {boundaries[index + 1]}) "
-            f"is empty at width {width}"
-        )
-    return ChannelSlice(start, stop)
 
 
 class PartitionPlanCompiler:

@@ -25,7 +25,9 @@ default slices and must not run concurrently with endpoint traffic.
 Emulated-time accounting mirrors the historical master runtime exactly:
 local endpoints report their per-layer compute seconds (and charge the
 device's busy clock); transport endpoints report the wire payload of each
-request/reply pair so the engine can charge the communication model.
+request/reply pair so the engine can charge the communication model.  The
+worker behind a transport serves through a :class:`LocalEndpoint` of its
+own, so a device's clock reads the same on either side of the wire.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import numpy as np
 from repro.comm.message import Message, MessageKind
 from repro.comm.transport import Transport, TransportError
 from repro.comm.wire import cast_for_wire
-from repro.device.cost import block_partitioned_costs, subnet_layer_costs
-from repro.device.emulated import EmulatedDevice
+from repro.device.cost import LayerCost, block_partitioned_costs
+from repro.device.emulated import DeviceFailed, EmulatedDevice
 from repro.distributed.partitioned import (
     conv_block_half,
     fc_partial,
@@ -117,9 +119,11 @@ class Endpoint:
         self,
         spec: SubNetSpec,
         block: ChannelSlice,
-        full: np.ndarray,
+        features: np.ndarray,
         include_bias: bool,
     ) -> EndpointReply:
+        """Partial logits from ``features``, this device's own ``block`` of
+        the last activation (remote peers kept theirs and ignore it)."""
         raise NotImplementedError
 
     # -- compiled partitioned program (delta halo exchange) --------------------
@@ -166,7 +170,16 @@ class Endpoint:
 
 
 class LocalEndpoint(Endpoint):
-    """Runs directly on an in-process emulated device."""
+    """Runs directly on an in-process emulated device.
+
+    The one copy of a device's side of a round: the master's own endpoint,
+    every ``MultiDeviceRuntime`` block and (behind the wire codec) the
+    :class:`~repro.distributed.worker.WorkerServer` all serve through it.
+    Every call ticks the device's liveness once — a crash-after-N counter
+    counts calls, i.e. protocol messages — and a
+    :class:`~repro.device.emulated.DeviceFailed` surfaces as the engine's
+    failure signal, :class:`EndpointUnavailable`.
+    """
 
     def __init__(self, name: str, device: EmulatedDevice) -> None:
         self.name = name
@@ -181,11 +194,24 @@ class LocalEndpoint(Endpoint):
     def available(self) -> bool:
         return self.device.alive
 
+    def _tick(self) -> None:
+        try:
+            self.device._check_alive()
+        except DeviceFailed as exc:
+            raise EndpointUnavailable(str(exc)) from exc
+
     def ping(self, timeout: float = 1.0) -> bool:
-        return self.device.alive
+        try:
+            self._tick()
+        except EndpointUnavailable:
+            return False
+        return True
 
     def run_subnet(self, spec: SubNetSpec, x: np.ndarray) -> EndpointReply:
-        logits = self.device.execute_subnet(spec, x)
+        try:
+            logits = self.device.execute_subnet(spec, x)  # ticks liveness itself
+        except DeviceFailed as exc:
+            raise EndpointUnavailable(str(exc)) from exc
         compute_s = self.device.estimated_latency(spec) * x.shape[0]
         return EndpointReply(arrays={"logits": logits}, compute_s=compute_s)
 
@@ -194,7 +220,9 @@ class LocalEndpoint(Endpoint):
     def begin_partition(
         self, spec: SubNetSpec, boundaries: Sequence[int], index: int
     ) -> None:
-        key = (spec.name, id(spec), tuple(boundaries), index)
+        # Keyed by the spec's value (a frozen dataclass): ``WidthSpec.find``
+        # builds a fresh object per lookup, so an id() key would never hit.
+        key = (spec, tuple(boundaries), index)
         costs = self._partition_cost_cache.get(key)
         if costs is None:
             per_device, _ = block_partitioned_costs(
@@ -203,10 +231,40 @@ class LocalEndpoint(Endpoint):
             costs = self._partition_cost_cache[key] = per_device[index]
         self._partition_costs = (spec.name, costs)
 
-    def _session_cost(self, spec: SubNetSpec, layer: int):
+    def abandon_partition(self) -> None:
+        """Drop the open partitioned program (a peer or a request failed mid-batch)."""
+        if self._run is not None:
+            self._plan.finish(self._run)
+            self._run = None
+        self._partition_costs = None
+
+    def _open_round(self, spec: SubNetSpec, layer: int) -> LayerCost:
+        """Liveness tick, then this device's cost entry for round ``layer``."""
+        self._tick()
         if self._partition_costs is None or self._partition_costs[0] != spec.name:
             raise RuntimeError("partition round before begin_partition")
-        return self._partition_costs[1][layer]
+        costs = self._partition_costs[1]
+        if not 0 <= layer < len(costs):
+            raise IndexError(f"{spec.name} has no round {layer}")
+        return costs[layer]
+
+    def _close_round(
+        self, arrays: Dict[str, np.ndarray], cost: LayerCost, rows: int
+    ) -> EndpointReply:
+        """Charge a finished round to the device; reply with the ledger's seconds.
+
+        The historical master runtime's formulas (``tests/engine/test_parity.py``):
+        conv rounds charge the busy clock for the whole batch; the classifier
+        round does not, and counts the batch as one request served.
+        """
+        profile = self.device.profile
+        if cost.name == "fc":
+            self.device.requests_served += 1
+        else:
+            self.device.busy_time_s += profile.compute_time(cost.flops * rows, rows)
+        return EndpointReply(
+            arrays=arrays, compute_s=profile.compute_time(cost.flops, 1) * rows
+        )
 
     def partition_layer(
         self,
@@ -217,31 +275,26 @@ class LocalEndpoint(Endpoint):
         full: np.ndarray,
         prev_block: Optional[ChannelSlice],
     ) -> EndpointReply:
+        cost = self._open_round(spec, layer)
         half = conv_block_half(self.device.net, layer, full, block, in_slice)
-        n = full.shape[0]
-        cost = self._session_cost(spec, layer)
-        profile = self.device.profile
-        self.device.busy_time_s += profile.compute_time(cost.flops * n, n)
-        return EndpointReply(
-            arrays={"half": half},
-            compute_s=profile.compute_time(cost.flops, 1) * n,
-        )
+        return self._close_round({"half": half}, cost, full.shape[0])
 
     def partition_fc(
         self,
         spec: SubNetSpec,
         block: ChannelSlice,
-        full: np.ndarray,
+        features: np.ndarray,
         include_bias: bool,
     ) -> EndpointReply:
+        cost = self._open_round(spec, len(spec.conv_slices))
         net = self.device.net
-        feats = flatten_channel_block(full[:, block.start : block.stop])
         logits = fc_partial(
-            net, feats, feature_slice_for_block(net, block), include_bias=include_bias
+            net,
+            flatten_channel_block(features),
+            feature_slice_for_block(net, block),
+            include_bias=include_bias,
         )
-        cost = self._session_cost(spec, len(spec.conv_slices))
-        compute_s = self.device.profile.compute_time(cost.flops, 1) * full.shape[0]
-        return EndpointReply(arrays={"partial_logits": logits}, compute_s=compute_s)
+        return self._close_round({"partial_logits": logits}, cost, features.shape[0])
 
     # -- compiled partitioned program ------------------------------------------
 
@@ -250,14 +303,12 @@ class LocalEndpoint(Endpoint):
     ) -> None:
         from repro.engine.dist_plan import PartitionPlanCompiler
 
+        self.abandon_partition()  # a batch left open by a peer crashing mid-round
         self.begin_partition(spec, boundaries, index)
         if self._compiler is None or self._compiler.net is not self.device.net:
             self._compiler = PartitionPlanCompiler(self.device.net)
-        plan = self._compiler.plan_for(spec, tuple(boundaries), index, rows)
-        if self._run is not None:  # abandoned batch (e.g. a peer crashed mid-round)
-            self._plan.finish(self._run)
-        self._plan = plan
-        self._run = plan.begin(rows)
+        self._plan = self._compiler.plan_for(spec, tuple(boundaries), index, rows)
+        self._run = self._plan.begin(rows)
 
     def _require_run(self):
         if self._run is None:
@@ -272,6 +323,7 @@ class LocalEndpoint(Endpoint):
         peers: Sequence[Tuple[ChannelSlice, np.ndarray]] = (),
         need_half: bool = True,
     ) -> EndpointReply:
+        cost = self._open_round(spec, layer)
         plan, run = self._require_run()
         if layer == 0:
             if x is None:
@@ -281,27 +333,18 @@ class LocalEndpoint(Endpoint):
             for block, half in peers:
                 plan.absorb(run, layer, block, half)
         half = plan.run_layer(run, layer)
-        # Same emulated-time formulas as the eager partition_layer, so the
-        # compiled path stays ledger-comparable with the reference runtime.
-        cost = self._session_cost(spec, layer)
-        n = run.rows
-        profile = self.device.profile
-        self.device.busy_time_s += profile.compute_time(cost.flops * n, n)
         arrays = {"half": half} if (need_half and half is not None) else {}
-        return EndpointReply(
-            arrays=arrays, compute_s=profile.compute_time(cost.flops, 1) * n
-        )
+        return self._close_round(arrays, cost, run.rows)
 
     def partition_fc_round(self, spec: SubNetSpec, include_bias: bool) -> EndpointReply:
+        cost = self._open_round(spec, len(spec.conv_slices))
         plan, run = self._require_run()
         logits = plan.run_fc(run, include_bias)
-        cost = self._session_cost(spec, len(spec.conv_slices))
-        compute_s = self.device.profile.compute_time(cost.flops, 1) * run.rows
         # The logits view stays valid until the next begin_partition_plan
         # re-acquires the workspace; the engine consumes it within the round.
         plan.finish(run)
         self._run = None
-        return EndpointReply(arrays={"partial_logits": logits}, compute_s=compute_s)
+        return self._close_round({"partial_logits": logits}, cost, run.rows)
 
 
 class TransportEndpoint(Endpoint):
@@ -468,7 +511,7 @@ class TransportEndpoint(Endpoint):
         self,
         spec: SubNetSpec,
         block: ChannelSlice,
-        full: np.ndarray,
+        features: np.ndarray,
         include_bias: bool,
     ) -> EndpointReply:
         if include_bias:

@@ -37,8 +37,8 @@ the emulated and measured views side by side.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from queue import SimpleQueue
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,14 +52,12 @@ from repro.engine.endpoints import Endpoint, EndpointReply, EndpointUnavailable
 from repro.engine.graph import (
     BlockPartition,
     ExecutionGraph,
-    PartitionFcOp,
     PartitionLayerOp,
     compile_plan,
 )
 from repro.engine.ledger import EmulatedTimeLedger
-from repro.slimmable.spec import SubNetSpec, WidthSpec
+from repro.slimmable.spec import ChannelSlice, SubNetSpec, WidthSpec
 from repro.utils.dtypes import dtype_policy, get_dtype_policy
-from repro.utils.logging import get_logger
 
 
 @dataclass
@@ -125,17 +123,15 @@ class ExecutionEngine:
         *,
         partition: Optional[BlockPartition] = None,
         comm_model: Optional[CommLatencyModel] = None,
-        ledger: Optional[EmulatedTimeLedger] = None,
         extra_specs: Optional[Mapping[str, SubNetSpec]] = None,
         compiled: bool = False,
         metrics=None,  # MetricsRegistry; imported lazily (scheduler pkg cycle)
-        tracer=None,   # repro.trace Tracer; engine-side round events (optional)
     ) -> None:
         self.endpoints: Dict[str, Endpoint] = dict(endpoints)
         self.width_spec = width_spec
         self.partition = partition
         self.comm_model = comm_model or CommLatencyModel()
-        self.ledger = ledger or EmulatedTimeLedger()
+        self.ledger = EmulatedTimeLedger()
         self.extra_specs: Dict[str, SubNetSpec] = dict(extra_specs or {})
         self.compiled = compiled
         if metrics is None:
@@ -145,12 +141,6 @@ class ExecutionEngine:
 
             metrics = MetricsRegistry()
         self.metrics = metrics
-        # Optional request-lifecycle tracer: when set, every observed round
-        # also lands as an "engine.round" trace event.  Callers serving one
-        # request wrap the execute in ``tracer.scope(request_id)`` so the
-        # thread-local binding joins the event to that request's timeline.
-        self.tracer = tracer
-        self.logger = get_logger("engine")
         #: Per-round exchanged activation bytes of the most recent
         #: partitioned execute (engine↔endpoint boundary, wire itemsize).
         self.last_exchange_bytes: List[int] = []
@@ -178,9 +168,11 @@ class ExecutionEngine:
         spec = None
         if plan.mode is ExecutionMode.HIGH_ACCURACY:
             spec = self.resolve_spec(plan.combined_subnet)
-        # Plans are frozen dataclasses, so identical deployments hit the
-        # cache; id(spec) keys out a re-registered spec under the same name.
-        key = (plan, id(spec))
+        # Plans and specs are frozen dataclasses, so identical deployments
+        # hit the cache (by value: ``WidthSpec.find`` returns a fresh spec
+        # object per lookup) and a re-registered spec under the same name,
+        # with other slices, does not.
+        key = (plan, spec)
         graph = self._graph_cache.get(key)
         if graph is None:
             if len(self._graph_cache) >= 256:
@@ -260,17 +252,6 @@ class ExecutionEngine:
             # 1/k when the k calls ran back-to-back, →1 under perfect overlap.
             m.ewma(f"{kind}.overlap").observe(sum(spans) / (wall * len(spans)))
         self._wall_rounds_s += wall
-        if self.tracer is not None:
-            # EVENT_ENGINE_ROUND from repro.trace.tracer (literal here to
-            # keep the trace package import out of the engine's hot path).
-            self.tracer.emit_scoped(
-                "engine.round",
-                round=kind,
-                wall_s=wall,
-                compute_s=compute_s,
-                comm_bytes=int(comm_bytes),
-                calls=len(spans),
-            )
 
     # -- execution -------------------------------------------------------------
 
@@ -371,173 +352,119 @@ class ExecutionEngine:
             )
         spec = self.resolve_spec(graph.subnet)
         self.last_exchange_bytes = []
-        if self.compiled:
-            return self._execute_partitioned_compiled(graph, spec, x)
-        return self._execute_partitioned_eager(graph, spec, x)
-
-    def _execute_partitioned_eager(
-        self, graph: ExecutionGraph, spec: SubNetSpec, x: np.ndarray
-    ) -> EngineResult:
-        devices = graph.devices
-        boundaries = self.partition.boundaries
-        for index, device in enumerate(devices):
-            self.endpoint(device).begin_partition(spec, boundaries, index)
-
-        item = wire_dtype().itemsize
-        current = x
-        logits: Optional[np.ndarray] = None
-        prev_blocks: Dict[str, Optional[object]] = {d: None for d in devices}
-        for op in graph.rounds:
-            if isinstance(op, PartitionLayerOp):
-                calls = [
-                    (
-                        lambda endpoint=self.endpoint(device),
-                        block=block,
-                        full=current,
-                        prev=prev_blocks[device]: endpoint.partition_layer(
-                            spec, op.layer, block, op.in_slice, full, prev
-                        )
-                    )
-                    for device, block in op.blocks
-                ]
-                replies, spans, wall = self._dispatch(calls)
-                halves = []
-                round_compute = []
-                round_bytes = 0
-                for (device, block), reply in zip(op.blocks, replies):
-                    half = reply.arrays["half"]
-                    halves.append(half)
-                    round_compute.append(reply.compute_s)
-                    if reply.payload_bytes:
-                        self.ledger.comm_s += self.comm_model.transfer_time(
-                            reply.payload_bytes
-                        )
-                    # Full previous activation broadcast out, own half back.
-                    round_bytes += (current.size + half.size) * item
-                    prev_blocks[device] = block
-                self.ledger.compute_s += max(round_compute)
-                current = np.concatenate(halves, axis=1)
-                self.last_exchange_bytes.append(round_bytes)
-                self._observe_round("round", max(round_compute), round_bytes, spans, wall)
-            elif isinstance(op, PartitionFcOp):
-                calls = [
-                    (
-                        lambda endpoint=self.endpoint(device),
-                        block=block,
-                        full=current,
-                        bias=(block.start == 0): endpoint.partition_fc(
-                            spec, block, full, include_bias=bias
-                        )
-                    )
-                    for device, block in op.blocks
-                ]
-                replies, spans, wall = self._dispatch(calls)
-                round_compute = []
-                round_bytes = 0
-                for (device, block), reply in zip(op.blocks, replies):
-                    part = reply.arrays["partial_logits"]
-                    logits = part if logits is None else logits + part
-                    round_compute.append(reply.compute_s)
-                    if reply.payload_bytes:
-                        self.ledger.comm_s += self.comm_model.transfer_time(
-                            reply.payload_bytes
-                        )
-                    round_bytes += (current.size + part.size) * item
-                self.ledger.compute_s += max(round_compute)
-                self.last_exchange_bytes.append(round_bytes)
-                self._observe_round("round", max(round_compute), round_bytes, spans, wall)
-            else:  # pragma: no cover - compile_plan only emits the two ops
-                raise TypeError(f"unknown graph op {op!r}")
+        interpret = self._compiled_rounds if self.compiled else self._eager_rounds
+        logits = interpret(graph, spec, x)
         self.ledger.images += x.shape[0]
         return EngineResult(mode=graph.mode, logits=logits)
 
-    def _execute_partitioned_compiled(
-        self, graph: ExecutionGraph, spec: SubNetSpec, x: np.ndarray
-    ) -> EngineResult:
-        devices = graph.devices
-        boundaries = self.partition.boundaries
-        rows = x.shape[0]
-        for index, device in enumerate(devices):
-            self.endpoint(device).begin_partition_plan(spec, boundaries, index, rows)
+    def _partitioned_round(
+        self, calls: Sequence[Callable[[], EndpointReply]], sent_values: int
+    ) -> List[EndpointReply]:
+        """Dispatch one lock-step round and account its gathered replies.
 
-        item = wire_dtype().itemsize
-        num_conv_rounds = graph.num_layer_rounds
-        # device -> (block, half) produced in the previous round.
-        halves: Dict[str, Optional[Tuple[object, np.ndarray]]] = {d: None for d in devices}
+        The one place a partitioned round touches the ledger,
+        ``last_exchange_bytes`` and the ``round.*`` metrics — the eager and
+        the compiled interpreter differ only in which calls they hand in and
+        how many activation values those calls ship (``sent_values``).  The
+        values that came back are every array in the replies (halves, or
+        partial logits); both directions are counted at the wire itemsize.
+        """
+        replies, spans, wall = self._dispatch(calls)
+        for reply in replies:
+            if reply.payload_bytes:
+                self.ledger.comm_s += self.comm_model.transfer_time(reply.payload_bytes)
+        # Devices compute concurrently: the round lasts as long as the slowest.
+        compute_s = max(reply.compute_s for reply in replies)
+        self.ledger.compute_s += compute_s
+        returned = sum(a.size for reply in replies for a in reply.arrays.values())
+        round_bytes = (sent_values + returned) * wire_dtype().itemsize
+        self.last_exchange_bytes.append(round_bytes)
+        self._observe_round("round", compute_s, round_bytes, spans, wall)
+        return replies
+
+    def _eager_rounds(
+        self, graph: ExecutionGraph, spec: SubNetSpec, x: np.ndarray
+    ) -> np.ndarray:
+        """The reference interpreter: every round re-broadcasts the full
+        previous activation and gets each device's half back."""
+        for index, device in enumerate(graph.devices):
+            self.endpoint(device).begin_partition(spec, self.partition.boundaries, index)
+        current = x
+        prev_blocks: Dict[str, Optional[ChannelSlice]] = dict.fromkeys(graph.devices)
         logits: Optional[np.ndarray] = None
         for op in graph.rounds:
+            sent = current.size * len(op.blocks)
             if isinstance(op, PartitionLayerOp):
-                # Delta halo exchange: the last conv round's halves are never
-                # shipped — the classifier reads only each device's own block.
-                need_half = op.layer < num_conv_rounds - 1
-                calls = []
-                sent_values = []
-                for device, block in op.blocks:
-                    endpoint = self.endpoint(device)
-                    if op.layer == 0:
-                        calls.append(
-                            lambda endpoint=endpoint, need=need_half: endpoint.partition_round(
-                                spec, 0, x=x, need_half=need
-                            )
-                        )
-                        sent_values.append(x.size)
-                    else:
-                        peers = tuple(
-                            halves[d] for d in devices if d != device and halves[d]
-                        )
-                        calls.append(
-                            lambda endpoint=endpoint,
-                            layer=op.layer,
-                            peers=peers,
-                            need=need_half: endpoint.partition_round(
-                                spec, layer, peers=peers, need_half=need
-                            )
-                        )
-                        sent_values.append(sum(h.size for _, h in peers))
-                replies, spans, wall = self._dispatch(calls)
-                round_compute = []
-                round_bytes = 0
-                for (device, block), reply, sent in zip(op.blocks, replies, sent_values):
-                    half = reply.arrays.get("half")
-                    halves[device] = (block, half) if half is not None else None
-                    round_compute.append(reply.compute_s)
-                    if reply.payload_bytes:
-                        self.ledger.comm_s += self.comm_model.transfer_time(
-                            reply.payload_bytes
-                        )
-                    round_bytes += (sent + (half.size if half is not None else 0)) * item
-                self.ledger.compute_s += max(round_compute)
-                self.last_exchange_bytes.append(round_bytes)
-                self._observe_round("round", max(round_compute), round_bytes, spans, wall)
-            elif isinstance(op, PartitionFcOp):
                 calls = [
-                    (
-                        lambda endpoint=self.endpoint(device),
-                        bias=(block.start == 0): endpoint.partition_fc_round(
-                            spec, include_bias=bias
-                        )
+                    partial(
+                        self.endpoint(device).partition_layer,
+                        spec, op.layer, block, op.in_slice, current, prev_blocks[device],
                     )
                     for device, block in op.blocks
                 ]
-                replies, spans, wall = self._dispatch(calls)
-                round_compute = []
-                round_bytes = 0
-                for (device, block), reply in zip(op.blocks, replies):
-                    part = reply.arrays["partial_logits"]
-                    logits = part if logits is None else logits + part
-                    round_compute.append(reply.compute_s)
-                    if reply.payload_bytes:
-                        self.ledger.comm_s += self.comm_model.transfer_time(
-                            reply.payload_bytes
+                replies = self._partitioned_round(calls, sent)
+                current = np.concatenate([r.arrays["half"] for r in replies], axis=1)
+                prev_blocks.update(op.blocks)
+            else:  # PartitionFcOp
+                calls = [
+                    partial(
+                        self.endpoint(device).partition_fc,
+                        spec, block, current[:, block.start : block.stop],
+                        include_bias=(block.start == 0),
+                    )
+                    for device, block in op.blocks
+                ]
+                replies = self._partitioned_round(calls, sent)
+                logits = reduce(np.add, [r.arrays["partial_logits"] for r in replies])
+        return logits
+
+    def _compiled_rounds(
+        self, graph: ExecutionGraph, spec: SubNetSpec, x: np.ndarray
+    ) -> np.ndarray:
+        """Delta halo exchange over the devices' compiled plans: a round ships
+        each device only its peers' halves, and the last conv round ships
+        none — the classifier reads only each device's own block."""
+        devices = graph.devices
+        for index, device in enumerate(devices):
+            self.endpoint(device).begin_partition_plan(
+                spec, self.partition.boundaries, index, x.shape[0]
+            )
+        last_conv = graph.num_layer_rounds - 1
+        # device -> (block, half) it shipped in the previous round.
+        shipped: Dict[str, Tuple[ChannelSlice, np.ndarray]] = {}
+        logits: Optional[np.ndarray] = None
+        for op in graph.rounds:
+            if isinstance(op, PartitionLayerOp):
+                first = op.layer == 0  # the only round that carries the input
+                calls = []
+                sent = 0
+                for device, _ in op.blocks:
+                    peers = tuple(shipped[d] for d in devices if d != device and d in shipped)
+                    calls.append(
+                        partial(
+                            self.endpoint(device).partition_round,
+                            spec, op.layer, x=x if first else None, peers=peers,
+                            need_half=op.layer < last_conv,
                         )
-                    round_bytes += part.size * item
-                self.ledger.compute_s += max(round_compute)
-                self.last_exchange_bytes.append(round_bytes)
-                self._observe_round("round", max(round_compute), round_bytes, spans, wall)
-            else:  # pragma: no cover - compile_plan only emits the two ops
-                raise TypeError(f"unknown graph op {op!r}")
-        self.ledger.images += rows
-        return EngineResult(mode=graph.mode, logits=logits)
+                    )
+                    sent += (x.size if first else 0) + sum(h.size for _, h in peers)
+                replies = self._partitioned_round(calls, sent)
+                shipped = {
+                    device: (block, reply.arrays["half"])
+                    for (device, block), reply in zip(op.blocks, replies)
+                    if "half" in reply.arrays
+                }
+            else:  # PartitionFcOp
+                calls = [
+                    partial(
+                        self.endpoint(device).partition_fc_round,
+                        spec, include_bias=(block.start == 0),
+                    )
+                    for device, block in op.blocks
+                ]
+                replies = self._partitioned_round(calls, 0)
+                logits = reduce(np.add, [r.arrays["partial_logits"] for r in replies])
+        return logits
 
     # -- reporting -------------------------------------------------------------
 

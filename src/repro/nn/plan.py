@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -184,23 +184,29 @@ class PackedWeightCache:
 
 @dataclass(frozen=True)
 class _ConvStep:
-    """Precompiled geometry of one conv (+ReLU, +optional pool) block."""
+    """Precompiled geometry of one conv (+ReLU, +optional pool) block.
+
+    Shared by the single-device plan (``out_slice`` is the whole layer) and
+    by :class:`~repro.engine.dist_plan.DevicePartitionPlan` (``out_slice``
+    is one device's channel block of it).
+    """
 
     layer: SlicedConv2d
-    in_slice: ChannelSlice
-    out_slice: ChannelSlice
+    in_slice: ChannelSlice    # the layer's full input range
+    out_slice: ChannelSlice   # the output rows this plan computes
     kernel: Tuple[int, int]
     stride: int
     padding: int
     in_hw: Tuple[int, int]    # unpadded input spatial size
     out_hw: Tuple[int, int]   # conv output spatial size
     pool: Optional[Tuple[int, int, Tuple[int, int]]]  # (kernel, stride, pooled_hw)
-    src: str                  # padded input buffer
+    src: str                  # padded full-width input arena
     cols: str                 # im2col columns buffer
     gemm: str                 # GEMM/epilogue buffer, (rows, C_out) NHWC-flat
-    act: Optional[str]        # unpadded NCHW buffer (only where needed)
-    dst: Optional[str]        # next step's padded input (None on the last conv)
-    dst_padding: int          # that next step's padding
+    act: Optional[str]        # unpadded NCHW pool input (only when pooled)
+    dst: str                  # next step's padded input arena, or "feat"
+    dst_padding: int          # that destination's padding
+    dst_rows: ChannelSlice    # channel rows of ``dst`` the output lands in
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,37 @@ def _flat_interior(
     if padding == 0:
         return view
     return view[:, :, padding : padding + h, padding : padding + w]
+
+
+def conv_block_into(
+    ws: Workspace, step: _ConvStep, n: int, cache: PackedWeightCache, dtype: np.dtype
+) -> np.ndarray:
+    """One fused conv block over the first ``n`` arena rows.
+
+    im2col -> GEMM+bias+ReLU -> NCHW -> optional pool, written into the
+    step's own channel rows of its destination; returns that view.  The
+    only im2col conv kernel sequence in the tree — both compiled plans run
+    it, with the same reduction orders as the eager layers.
+    """
+    out_h, out_w = step.out_hw
+    rows = n * out_h * out_w
+    cols = ws[step.cols][:rows]
+    F.im2col_into(ws[step.src][:n], step.kernel, step.stride, cols)
+    w_mat, bias = cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
+    gemm = ws[step.gemm][:rows]
+    F.gemm_bias_relu(cols, w_mat, bias, gemm)
+    nchw = gemm.reshape(n, out_h, out_w, step.out_slice.width).transpose(0, 3, 1, 2)
+    hw = step.pool[2] if step.pool is not None else step.out_hw
+    own = _interior(ws[step.dst], n, step.dst_padding, hw)[
+        :, step.dst_rows.start : step.dst_rows.stop
+    ]
+    if step.pool is not None:
+        act = ws[step.act][:n]
+        np.copyto(act, nchw)
+        F.maxpool2d_into(act, step.pool[0], step.pool[1], own)
+    else:
+        np.copyto(own, nchw)
+    return own
 
 
 class InferencePlan:
@@ -389,8 +426,17 @@ class InferencePlan:
 
     @classmethod
     def _compile_im2col(
-        cls, net, walk: List[dict], batch_rows: int, dtype: np.dtype
+        cls, net, walk: List[dict], batch_rows: int, dtype: np.dtype,
+        block_of: Optional[Callable[[ChannelSlice], ChannelSlice]] = None,
     ) -> Tuple[List[_ConvStep], List[BufferSpec]]:
+        """Lower the geometry walk to im2col steps and the arenas they run in.
+
+        ``block_of`` maps a layer's output slice to the channel block this plan
+        computes; ``None`` is the single-device case, "block = whole layer".
+        Every input arena spans the layer's *full* input width either way, so a
+        partitioned plan's arena doubles as its halo-exchange buffer: peers'
+        halves are copied into the channel rows this plan does not write.
+        """
         steps: List[_ConvStep] = []
         buffers: List[BufferSpec] = []
         dt = dtype.name
@@ -400,8 +446,9 @@ class InferencePlan:
             size = info["in_hw"][0]
             out_h, out_w = info["out_hw"]
             in_c = info["in_slice"].width
-            out_c = info["out_slice"].width
-            pool, last = info["pool"], info["last"]
+            full = info["out_slice"]
+            block = block_of(full) if block_of is not None else full
+            pool = info["pool"]
             src = f"in{i}"
             buffers.append(
                 BufferSpec(
@@ -413,32 +460,27 @@ class InferencePlan:
             )
             rows = batch_rows * out_h * out_w
             buffers.append(BufferSpec(f"cols{i}", (rows, in_c * k * k), dt))
-            buffers.append(BufferSpec(f"gemm{i}", (rows, out_c), dt))
+            buffers.append(BufferSpec(f"gemm{i}", (rows, block.width), dt))
             # The NHWC-flat GEMM result must land in NCHW somewhere: in a
-            # dedicated act buffer when a pool reads it (or when it is the
-            # final feature map), otherwise straight into the next conv's
-            # padded input interior.
-            act = f"act{i}" if (pool is not None or last) else None
+            # staging buffer when a pool reads it, otherwise straight into the
+            # destination's interior.
+            act = f"act{i}" if pool is not None else None
             if act is not None:
-                buffers.append(BufferSpec(act, (batch_rows, out_c, out_h, out_w), dt))
-            if last and pool is not None:
-                # A pooled final conv writes its features into a dedicated
-                # unpadded buffer (dst would otherwise be the next conv's
-                # padded input).
-                after = pool[2]
-                dst, dst_pad = f"pool{i}", 0
-                buffers.append(
-                    BufferSpec(dst, (batch_rows, out_c, after[0], after[1]), dt)
-                )
-            elif last:
-                dst, dst_pad = None, 0
+                buffers.append(BufferSpec(act, (batch_rows, block.width, out_h, out_w), dt))
+            if info["last"]:
+                # The classifier's input: this plan's own feature block only.
+                after = pool[2] if pool is not None else (out_h, out_w)
+                dst, dst_pad = "feat", 0
+                dst_rows = ChannelSlice(0, block.width)
+                buffers.append(BufferSpec(dst, (batch_rows, block.width) + after, dt))
             else:
                 dst, dst_pad = f"in{i + 1}", info["next_padding"]
+                dst_rows = ChannelSlice(block.start - full.start, block.stop - full.start)
             steps.append(
                 _ConvStep(
                     layer=conv,
                     in_slice=info["in_slice"],
-                    out_slice=info["out_slice"],
+                    out_slice=block,
                     kernel=(k, k),
                     stride=info["stride"],
                     padding=pad,
@@ -451,6 +493,7 @@ class InferencePlan:
                     act=act,
                     dst=dst,
                     dst_padding=dst_pad,
+                    dst_rows=dst_rows,
                 )
             )
         return steps, buffers
@@ -469,7 +512,7 @@ class InferencePlan:
                     f"only (conv{info['index']} has stride {info['stride']}); "
                     "use an im2col backend"
                 )
-            i = info["index"]
+            i, conv = info["index"], info["conv"]
             k, pad = info["kernel"], info["padding"]
             size = info["in_hw"][0]
             hp = wp = size + 2 * pad
@@ -614,36 +657,9 @@ class InferencePlan:
             )
             offset += k
 
-        x = src  # padded NCHW input of the current step
         for step in self._steps:
-            out_h, out_w = step.out_hw
-            rows = n * out_h * out_w
-            cols = ws[step.cols][:rows]
-            F.im2col_into(x[:n], step.kernel, step.stride, cols)
-            w_mat, bias = self.cache.conv_block(
-                step.layer, step.in_slice, step.out_slice, self.dtype
-            )
-            gemm = ws[step.gemm][:rows]
-            F.gemm_bias_relu(cols, w_mat, bias, gemm)
-            nchw = gemm.reshape(n, out_h, out_w, step.out_slice.width).transpose(0, 3, 1, 2)
-            if step.act is not None:
-                act = ws[step.act][:n]
-                np.copyto(act, nchw)
-                if step.pool is not None:
-                    pk, ps, pooled_hw = step.pool
-                    dst = _interior(ws[step.dst], n, step.dst_padding, pooled_hw)
-                    F.maxpool2d_into(act, pk, ps, dst)
-                    x = ws[step.dst]
-                else:
-                    x = ws[step.act]  # final feature map
-            else:
-                # No pool in between: transpose straight into the next
-                # conv's padded interior.
-                np.copyto(_interior(ws[step.dst], n, step.dst_padding, step.out_hw), nchw)
-                x = ws[step.dst]
-
-        features = x[:n].reshape(n, -1)
-        return self._classify(ws, features, n)
+            conv_block_into(ws, step, n, self.cache, self.dtype)
+        return self._classify(ws, ws["feat"][:n].reshape(n, -1), n)
 
     def _execute_shifted(
         self, ws: Workspace, parts: Sequence[np.ndarray], n: int

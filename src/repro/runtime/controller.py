@@ -9,7 +9,7 @@ paper's three static Fig. 2 scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.distributed.modes import ExecutionMode
@@ -18,11 +18,6 @@ from repro.distributed.throughput import SystemThroughputModel, ThroughputBreakd
 from repro.runtime.monitor import ScheduleMonitor
 from repro.runtime.policy import AdaptationPolicy
 from repro.utils.logging import get_logger
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
-    from repro.engine.engine import EngineResult, ExecutionEngine
 
 
 @dataclass(frozen=True)
@@ -84,22 +79,12 @@ class SystemController:
         self,
         policy: AdaptationPolicy,
         throughput_model: SystemThroughputModel,
-        engine: Optional["ExecutionEngine"] = None,
     ) -> None:
         self.policy = policy
         self.tm = throughput_model
-        self.engine = engine
         self.current_plan: Optional[DeploymentPlan] = None
         self.current_alive: Optional[FrozenSet[str]] = None
         self.logger = get_logger("controller")
-
-    def execute_current(self, x: "np.ndarray") -> "EngineResult":
-        """Run the current plan on an attached execution engine."""
-        if self.engine is None:
-            raise RuntimeError("no execution engine attached to this controller")
-        if self.current_plan is None:
-            raise RuntimeError("no plan yet: call observe() first")
-        return self.engine.execute(self.current_plan, x)
 
     def observe(self, alive: FrozenSet[str], now_s: float = 0.0) -> Transition:
         """Update liveness; re-plan if it changed; return the transition."""

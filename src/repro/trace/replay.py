@@ -280,11 +280,8 @@ class TraceReplayer:
         model,
         config=None,
         *,
-        narrowest_row_s: float = SIM_NARROWEST_ROW_S,
-        amortize: float = SIM_AMORTIZE,
         recorder: Optional[TraceRecorder] = None,
         fault_plan: Optional[FaultPlan] = None,
-        respawn_delay_s: float = SIM_RESPAWN_DELAY_S,
     ) -> Dict[str, object]:
         """Replay in virtual time: bit-identical outcomes on every run.
 
@@ -295,16 +292,16 @@ class TraceReplayer:
         replica service, with service times that are pure functions of
         (width, rows):
 
-        ``service(w, n) = row_s(w) * (1 + amortize * (n - 1))``
+        ``service(w, n) = row_s(w) * (1 + SIM_AMORTIZE * (n - 1))``
 
         where ``row_s`` preserves the analytical cost *ratios* between
-        widths and anchors the narrowest at ``narrowest_row_s``.  No
+        widths and anchors the narrowest at ``SIM_NARROWEST_ROW_S``.  No
         wall clock is read anywhere, so the per-request outcome stream
         is a pure function of (specs, config, parameters).
 
         Faults (``fault_plan`` argument, else the replayer's attached
         plan) are modelled analytically: a **crash** makes the replica
-        unroutable for ``respawn_delay_s`` virtual seconds (the
+        unroutable for ``SIM_RESPAWN_DELAY_S`` virtual seconds (the
         supervisor's detect + respawn + warmup, collapsed to a constant)
         and reroutes its open, un-flushed batches to survivors —
         batches already flushed are treated as completing, the sim's
@@ -325,11 +322,11 @@ class TraceReplayer:
         # Width cost table: analytical ratios, anchored at the narrowest.
         base = {spec.name: policy.predict(spec.name) for spec in policy.candidates}
         anchor = min(base.values())
-        row_s = {name: narrowest_row_s * cost / anchor for name, cost in base.items()}
+        row_s = {name: SIM_NARROWEST_ROW_S * cost / anchor for name, cost in base.items()}
         widest_first = [spec.name for spec in policy.candidates]  # widest → narrowest
 
         def service_s(width: str, rows: int) -> float:
-            return row_s[width] * (1.0 + amortize * (rows - 1))
+            return row_s[width] * (1.0 + SIM_AMORTIZE * (rows - 1))
 
         # The policy the shared decision path consults predicts exactly the
         # table: a first observation *is* the EWMA's value.
@@ -354,7 +351,7 @@ class TraceReplayer:
             while fault_queue and fault_queue[0].time_s <= t:
                 event = fault_queue.popleft()
                 sim.advance(event.time_s)
-                sim.apply_fault(event, respawn_delay_s)
+                sim.apply_fault(event)
 
         # The sim's binding of the decision path: virtual backlog for the
         # signals, virtual time for the brown-out controller's dwell logic
@@ -450,14 +447,14 @@ class TraceReplayer:
             "name": self.name,
             "duration_s": self.duration_s,
             "params": {
-                "narrowest_row_s": narrowest_row_s,
-                "amortize": amortize,
+                "narrowest_row_s": SIM_NARROWEST_ROW_S,
+                "amortize": SIM_AMORTIZE,
                 "replicas": config.replicas,
                 "max_batch": config.max_batch,
                 "max_delay_s": config.max_delay_s,
                 "widths": widest_first,
                 "faults": plan.to_json() if plan else None,
-                "respawn_delay_s": respawn_delay_s if plan else None,
+                "respawn_delay_s": SIM_RESPAWN_DELAY_S if plan else None,
                 "brownout": view.brownout is not None,
             },
             # Flushed-batch shape: {rows: count}, int keys.  The offline
@@ -575,7 +572,7 @@ class _Simulation:
 
     # -- faults (virtual) ------------------------------------------------------
 
-    def apply_fault(self, event, respawn_delay_s: float) -> None:
+    def apply_fault(self, event) -> None:
         """Fold one scripted fault into the virtual state (see simulate)."""
         try:
             index = target_index(event.target)
@@ -584,7 +581,7 @@ class _Simulation:
         if not 0 <= index < len(self.free_at):
             return
         if event.kind == CRASH:
-            self._down(index, event.time_s, event.time_s + respawn_delay_s)
+            self._down(index, event.time_s, event.time_s + SIM_RESPAWN_DELAY_S)
         elif event.kind in (DROP, HEARTBEAT_DELAY):
             # A reply blackout and a heartbeat blackout both read as "this
             # replica serves nothing for the window" from virtual time.

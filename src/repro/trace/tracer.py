@@ -13,12 +13,6 @@ goodput cost when disabled.
 Timestamps are monotonic-clock offsets from the tracer's ``epoch``
 (construction time), so event timelines are directly comparable to the
 request arrival offsets the recorder writes.
-
-Engine-side events (:data:`EVENT_ENGINE_ROUND`) carry no request id of
-their own; callers that drive the engine on behalf of one request wrap
-the call in :meth:`Tracer.scope` and the engine's
-``emit_scoped`` attaches the thread-local request id — one request's
-timeline then spans the frontend and the engine.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ EVENT_HEDGE_LOST = "hedge_lost"    # the primary beat its hedge
 EVENT_REROUTE = "reroute"          # leg displaced off a dead replica
 EVENT_RESOLVE = "resolve"          # future resolved with a result
 EVENT_FAIL = "fail"                # future failed (rejection / loss)
-EVENT_ENGINE_ROUND = "engine.round"  # one engine dispatch round (PR 7 counters)
 EVENT_FAULT = "fault.inject"         # a FaultPlan event fired (kind, target)
 EVENT_RESPAWN = "replica.respawn"    # supervisor returned a replica to routing
 EVENT_BROWNOUT_ENTER = "brownout.enter"  # overload valve engaged
@@ -71,7 +64,6 @@ EVENT_VOCABULARY = (
     EVENT_REROUTE,
     EVENT_RESOLVE,
     EVENT_FAIL,
-    EVENT_ENGINE_ROUND,
     EVENT_FAULT,
     EVENT_RESPAWN,
     EVENT_BROWNOUT_ENTER,
@@ -81,7 +73,7 @@ EVENT_VOCABULARY = (
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One structured event on one request's (or the engine's) timeline."""
+    """One structured event on one request's (or the control plane's) timeline."""
 
     request_id: Optional[int]
     t_s: float  # seconds since the tracer's epoch (monotonic clock)
@@ -109,52 +101,18 @@ class NullTracer:
     def emit(self, request_id: Optional[int], kind: str, **data) -> None:
         pass
 
-    def emit_scoped(self, kind: str, **data) -> None:
-        pass
-
     def take(self, request_id: int) -> List[TraceEvent]:
         return []
 
     def events(self, request_id: Optional[int] = None) -> List[TraceEvent]:
         return []
 
-    def scope(self, request_id: int) -> "_NullScope":
-        return _NULL_SCOPE
-
     def stats(self) -> Dict[str, object]:
         return {"enabled": False, "emitted": 0, "dropped": 0, "sampling": 0.0}
 
 
-class _NullScope:
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_SCOPE = _NullScope()
-
 #: Shared no-op tracer instance (stateless, safe to share everywhere).
 NULL_TRACER = NullTracer()
-
-
-class _Scope:
-    """Context manager binding a request id to the current thread."""
-
-    __slots__ = ("_local", "_request_id", "_previous")
-
-    def __init__(self, local: threading.local, request_id: int) -> None:
-        self._local = local
-        self._request_id = request_id
-
-    def __enter__(self) -> "_Scope":
-        self._previous = getattr(self._local, "request_id", None)
-        self._local.request_id = self._request_id
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._local.request_id = self._previous
 
 
 class Tracer:
@@ -198,7 +156,6 @@ class Tracer:
         self._closed_order: Deque[int] = deque()
         self._closed: set = set()
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._emitted = 0
         self._dropped = 0
 
@@ -224,17 +181,6 @@ class Tracer:
             self._emitted += 1
             if request_id is not None and request_id not in self._closed:
                 self._by_request.setdefault(request_id, []).append(event)
-
-    def emit_scoped(self, kind: str, **data) -> None:
-        """Emit under the thread's :meth:`scope`-bound request id (or None)."""
-        self.emit(self.current_request(), kind, **data)
-
-    def scope(self, request_id: int) -> _Scope:
-        """Bind ``request_id`` to this thread for :meth:`emit_scoped` calls."""
-        return _Scope(self._local, request_id)
-
-    def current_request(self) -> Optional[int]:
-        return getattr(self._local, "request_id", None)
 
     # -- consumption -----------------------------------------------------------
 

@@ -1,10 +1,17 @@
 """Tests for the N-device generalisation."""
 
+import numpy as np
 import pytest
 
 from repro.comm import CommLatencyModel
 from repro.device import jetson_nx_master
-from repro.distributed.multidevice import BlockPartition, MultiDeviceModel
+from repro.distributed import ExecutionMode, solo_plan
+from repro.distributed.multidevice import (
+    BlockPartition,
+    MultiDeviceModel,
+    MultiDeviceRuntime,
+)
+from repro.engine import EndpointUnavailable
 from repro.slimmable import SlimmableConvNet, WidthSpec
 from repro.utils import make_rng
 
@@ -103,3 +110,42 @@ class TestMultiDeviceModel:
     def test_alive_index_validation(self, quad_model):
         with pytest.raises(ValueError):
             quad_model.ht_throughput([5])
+
+
+class TestRuntimeDeviceFailure:
+    """A crashed in-process device is the engine's failure signal, exactly
+    as a crashed worker behind a transport is."""
+
+    @pytest.fixture(params=[False, True], ids=["eager", "compiled"])
+    def runtime(self, request, quad_net):
+        rt = MultiDeviceRuntime(
+            quad_net,
+            [jetson_nx_master()] * 2,
+            BlockPartition.even(2, 16),
+            compiled=request.param,
+        )
+        yield rt
+        rt.engine.shutdown()
+
+    def test_run_ha_raises_once_a_block_is_down(self, runtime):
+        x = make_rng(5).standard_normal((3, 1, 28, 28))
+        before = runtime.run_ha(x)
+        runtime.devices[1].crash()
+        with pytest.raises(EndpointUnavailable):
+            runtime.run_ha(x)
+        # A solo plan on the dead device reports the same signal.
+        with pytest.raises(EndpointUnavailable):
+            runtime.engine.execute(solo_plan("dev1", "block1"), x)
+        runtime.devices[1].recover()
+        np.testing.assert_array_equal(runtime.run_ha(x), before)
+
+    def test_serve_answers_in_ht_over_the_survivor(self, runtime, quad_net):
+        x = make_rng(5).standard_normal((3, 1, 28, 28))
+        assert runtime.serve(x).mode is ExecutionMode.HIGH_ACCURACY
+        runtime.devices[1].crash()
+        served = runtime.serve(x)
+        assert served.mode is ExecutionMode.HIGH_THROUGHPUT
+        assert list(served.streams) == ["dev0"]
+        view = quad_net.view(runtime.partition.block_spec(0, len(quad_net.convs)))
+        view.train(False)
+        np.testing.assert_array_equal(served.logits, view(x))

@@ -1,4 +1,4 @@
-"""Tracer unit tests: ring buffer, sampling, scopes, the null tracer."""
+"""Tracer unit tests: ring buffer, sampling, the null tracer."""
 
 import threading
 
@@ -20,11 +20,8 @@ class TestNullTracer:
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.sample(0) is False
         NULL_TRACER.emit(1, EVENT_SUBMIT, rows=1)  # no-op, no state
-        NULL_TRACER.emit_scoped(EVENT_SUBMIT)
         assert NULL_TRACER.take(1) == []
         assert NULL_TRACER.events() == []
-        with NULL_TRACER.scope(1):
-            pass
         assert NULL_TRACER.stats()["enabled"] is False
 
     def test_is_a_shared_singleton_type(self):
@@ -124,47 +121,9 @@ class TestSampling:
             Tracer(capacity=0)
 
 
-class TestScope:
-    def test_emit_scoped_attaches_bound_request(self):
-        tracer = Tracer()
-        with tracer.scope(9):
-            tracer.emit_scoped("engine.round", calls=2)
-        (event,) = tracer.events(9)
-        assert event.request_id == 9
-        assert event.data["calls"] == 2
-
-    def test_unscoped_emit_scoped_has_no_request(self):
-        tracer = Tracer()
-        tracer.emit_scoped("engine.round")
-        (event,) = tracer.events()
-        assert event.request_id is None
-
-    def test_scopes_nest_and_restore(self):
-        tracer = Tracer()
-        with tracer.scope(1):
-            with tracer.scope(2):
-                assert tracer.current_request() == 2
-            assert tracer.current_request() == 1
-        assert tracer.current_request() is None
-
-    def test_scope_is_thread_local(self):
-        tracer = Tracer()
-        seen = {}
-
-        def _worker():
-            seen["worker"] = tracer.current_request()
-
-        with tracer.scope(3):
-            t = threading.Thread(target=_worker)
-            t.start()
-            t.join()
-        assert seen["worker"] is None
-
-
 class TestVocabulary:
-    def test_vocabulary_is_unique_and_covers_engine_round(self):
+    def test_vocabulary_is_unique(self):
         assert len(set(EVENT_VOCABULARY)) == len(EVENT_VOCABULARY)
-        assert "engine.round" in EVENT_VOCABULARY
 
     def test_trace_event_is_frozen(self):
         event = TraceEvent(1, 0.0, EVENT_SUBMIT)
