@@ -3,6 +3,12 @@
 All transforms are callables ``(image, rng) -> image`` over 2-D float
 arrays in [0, 1]; :class:`Compose` chains them.  Random parameters are drawn
 from the supplied generator only (repo determinism rule).
+
+``scipy.ndimage`` is imported inside the three transforms that use it:
+``repro.data`` sits on the serving stack's import path (``models.base``
+reads its loaders), and serving never generates a dataset — a module-level
+import would put scipy (and the ``numpy.testing`` / ``unittest`` it drags
+in) into every serving interpreter and every forked worker.
 """
 
 from __future__ import annotations
@@ -10,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 
 class Compose:
@@ -44,6 +49,8 @@ class RandomAffine:
         self.max_shift = max_shift
 
     def __call__(self, image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        from scipy import ndimage
+
         angle = np.deg2rad(rng.uniform(-self.max_rotation_deg, self.max_rotation_deg))
         scale = rng.uniform(*self.scale_range)
         shift = rng.uniform(-self.max_shift, self.max_shift, size=2)
@@ -69,6 +76,8 @@ class GaussianBlur:
         sigma = rng.uniform(*self.sigma_range)
         if sigma == 0:
             return image
+        from scipy import ndimage
+
         return ndimage.gaussian_filter(image, sigma=sigma)
 
 
@@ -98,6 +107,8 @@ class ElasticDistortion:
     def __call__(self, image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.alpha == 0:
             return image
+        from scipy import ndimage
+
         dx = ndimage.gaussian_filter(rng.uniform(-1, 1, image.shape), self.sigma) * self.alpha
         dy = ndimage.gaussian_filter(rng.uniform(-1, 1, image.shape), self.sigma) * self.alpha
         ys, xs = np.meshgrid(np.arange(image.shape[0]), np.arange(image.shape[1]), indexing="ij")

@@ -13,11 +13,12 @@ the pool's health view and, per ejected slot,
    more than ``restart_budget`` times within ``budget_window_s`` stays
    down, is counted in ``supervisor.gave_up`` and reported via
    :meth:`status` — flapping hardware must not eat the control plane;
-3. **warms the replacement up** before it rejoins routing: one untimed
-   forward per candidate width re-primes the worker-side plan compile
-   (and ladder rungs) so the first real request never pays a compile
-   stall — and so cold-start times never poison the width policy's
-   calibrated EWMAs;
+3. gets the replacement back **warm**: ``spawn_replica`` returns a
+   process worker only after it compiled, packed and ran every candidate
+   width and answered its readiness ping (a revived thread replica never
+   went cold), so the first real request never pays a compile stall — and
+   nothing here is timed, so cold-start times never poison the width
+   policy's calibrated EWMAs;
 4. adopts it (:meth:`ReplicaPool.adopt` swaps the slot and rebinds the
    monitor) and invalidates the frontend's stale per-(replica, width)
    queues, then emits a ``replica.respawn`` trace event.
@@ -33,8 +34,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional
-
-import numpy as np
 
 from repro.trace.tracer import EVENT_RESPAWN, NULL_TRACER
 from repro.utils.logging import get_logger
@@ -66,7 +65,6 @@ class ReplicaSupervisor:
         jitter: float = 0.1,
         restart_budget: int = 3,
         budget_window_s: float = 30.0,
-        warmup: bool = True,
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -89,7 +87,6 @@ class ReplicaSupervisor:
         self.jitter = jitter
         self.restart_budget = restart_budget
         self.budget_window_s = budget_window_s
-        self.warmup = warmup
         self._clock = clock
         # Deterministic jitter: two supervisors with the same seed retry
         # on the same schedule (chaos runs stay reproducible).
@@ -191,15 +188,7 @@ class ReplicaSupervisor:
                 self.metrics.counter("supervisor.respawns").inc()
 
     def _respawn(self, index: int) -> None:
-        fresh = self.pool.spawn_replica(index)
-        if self.warmup:
-            net = self.frontend.net
-            x = np.zeros((1, net.in_channels, net.image_size, net.image_size))
-            for spec in self.frontend.policy.candidates:
-                # Untimed on purpose: a fresh worker's first forward pays
-                # plan compilation, and observing that into the width
-                # policy would bias every later latency prediction.
-                fresh.run(x, spec.name)
+        fresh = self.pool.spawn_replica(index)  # returns booted and warm
         replaced = self.pool.adopt(index, fresh)
         self.frontend.invalidate_replica_queues(index)
         if replaced is not fresh:

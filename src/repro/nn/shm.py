@@ -23,10 +23,12 @@ Three building blocks:
   Only the creating process may write (bump versions / update weights);
   workers are readers — the single-writer rule is what makes the unlocked
   version compare safe.
-* :class:`ShmRing` — a byte ring over a segment region used to carry
-  request/response rows between frontend and worker without pickling:
-  the sender places rows, ships ``(offset, shape, dtype)`` in a small
-  control message, and the receiver maps a view at that offset.
+* :class:`ShmRing` — one reusable slot over a segment region used to
+  carry request/response rows between frontend and worker without
+  pickling: the sender places rows at the region's base, ships
+  ``(offset, shape, dtype)`` in a small control message, and the receiver
+  maps a view at that offset.  One batch is in flight per ring, so every
+  placement reuses the same pages.
 
 Lifecycle: every segment created here registers in a process-local
 registry with ``atexit`` + ``SIGTERM`` unlink hooks, so repeated serve
@@ -352,17 +354,20 @@ def ensure_shared_parameters(model) -> SharedParameterStore:
 
 
 class ShmRing:
-    """A byte ring over one region of a shared segment.
+    """One reusable slot over a region of a shared segment.
 
     Carries request/response rows across the process boundary: the writer
-    :meth:`place`\\ s an array (contiguous bytes, wrapping to the region
-    start when the tail cannot hold it), ships the returned offset in a
-    control message, and the reader maps :meth:`view` at that offset.
+    :meth:`place`\\ s an array at the region's base, ships the returned
+    offset in a control message, and the reader maps :meth:`view` at that
+    offset.
 
     The serving protocol keeps **at most one batch in flight per ring**
-    (the replica's transport lock serialises request/reply), so the ring
-    needs no head/tail handshake — the cursor only has to avoid splitting
-    one placement across the wrap point.
+    (the replica's transport lock serialises request/reply), so every
+    placement starts at the base and overwrites the previous one: the
+    pages a ring ever touches are one batch's worth, on both sides of the
+    fork, however large the region is.  The reader therefore owns a
+    placement only until the next exchange on the same ring — it must
+    consume or copy it before letting one start.
     """
 
     def __init__(self, segment: shared_memory.SharedMemory, offset: int, nbytes: int) -> None:
@@ -371,50 +376,38 @@ class ShmRing:
         self.segment = segment
         self.base = offset
         self.capacity = nbytes
-        self._cursor = 0
 
     def place(self, array: np.ndarray) -> int:
-        """Copy ``array``'s bytes into the ring; returns the absolute offset."""
+        """Copy ``array``'s bytes to the ring's base; returns that offset."""
         array = np.ascontiguousarray(array)
         if array.nbytes > self.capacity:
             raise MemoryError(
                 f"{array.nbytes} bytes exceed the ring capacity {self.capacity}"
             )
-        aligned = -(-self._cursor // _ALIGN) * _ALIGN
-        if aligned + array.nbytes > self.capacity:
-            aligned = 0  # wrap: placements are always contiguous
-        offset = self.base + aligned
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=self.segment.buf, offset=offset)
-        np.copyto(view, array)
-        self._cursor = aligned + array.nbytes
-        return offset
+        np.copyto(self.view(self.base, array.shape, array.dtype), array)
+        return self.base
 
     def place_parts(self, parts: Sequence[np.ndarray], dtype) -> Tuple[int, int]:
         """Scatter per-request row groups into one contiguous placement.
 
         Returns ``(offset, rows)``.  The parts are written back-to-back
-        (casting to ``dtype``), exactly the layout one stacked batch would
-        have — the reader maps a single ``(rows, *part_shape)`` view.
+        from the ring's base (casting to ``dtype``), exactly the layout
+        one stacked batch would have — the reader maps a single
+        ``(rows, *part_shape)`` view.
         """
         dtype = np.dtype(dtype)
         rows = sum(p.shape[0] for p in parts)
-        tail = parts[0].shape[1:]
-        row_nbytes = int(np.prod(tail, dtype=np.int64)) * dtype.itemsize
-        total = rows * row_nbytes
+        tail = tuple(parts[0].shape[1:])
+        total = rows * int(np.prod(tail, dtype=np.int64)) * dtype.itemsize
         if total > self.capacity:
             raise MemoryError(f"{total} bytes exceed the ring capacity {self.capacity}")
-        aligned = -(-self._cursor // _ALIGN) * _ALIGN
-        if aligned + total > self.capacity:
-            aligned = 0
-        offset = self.base + aligned
-        batch = np.ndarray((rows,) + tuple(tail), dtype=dtype, buffer=self.segment.buf, offset=offset)
+        batch = self.view(self.base, (rows,) + tail, dtype)
         at = 0
         for part in parts:
             k = part.shape[0]
             np.copyto(batch[at : at + k], part)  # casts to the ring dtype
             at += k
-        self._cursor = aligned + total
-        return offset, rows
+        return self.base, rows
 
     def view(self, offset: int, shape: Sequence[int], dtype) -> np.ndarray:
         """Map the placement at absolute ``offset`` (reader side)."""

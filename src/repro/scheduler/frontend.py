@@ -189,7 +189,6 @@ class ServingFrontend:
         self._rids = itertools.count()
         self._batch_ids = itertools.count()
         net = getattr(model, "net", model)
-        self.net = net  # the supervisor's warmup needs the bare net's shape
         if candidates is None:
             candidates = self._default_candidates(model, net)
         # One compiled plan — or, with ``rows_ladder``, one PlanLadder of
@@ -200,13 +199,17 @@ class ServingFrontend:
         # dispatches each flush to the smallest rung that fits, so mostly-
         # small traffic touches mostly-small arenas.  ``conv_backend``
         # selects the convolution lowering for every compiled width.
+        # On the process backend the workers run their own plans; the
+        # parent's are read for ``flops_per_image`` / ``accepts_parts`` /
+        # ``rung_for`` only, so they are compiled without an arena.
+        process_backend = self.config.replica_backend == "process"
         self.plans: Dict[str, Union[InferencePlan, PlanLadder]] = {}
         if self.config.compile_plans:
             self.plans = compile_width_plans(
                 model,
                 list(candidates),
                 batch_rows=self.config.max_batch,
-                workspaces=self.config.plan_workspaces,
+                workspaces=0 if process_backend else self.config.plan_workspaces,
                 conv_backend=self.config.conv_backend,
                 rows_ladder=self.config.rows_ladder,
                 conv_backend_per_rung=self.config.conv_backend_per_rung,
@@ -225,12 +228,14 @@ class ServingFrontend:
                 self.config.brownout, metrics=self.metrics, tracer=self.tracer
             )
         process_options = None
-        if self.config.replica_backend == "process":
+        if process_backend:
             # Workers compile their *own* plans (packed blocks and
             # workspaces must live in worker memory, GIL-free); this
             # forwards the parent's plan recipe so both backends run the
-            # same compiled configuration.
+            # same compiled configuration, and the widths each worker
+            # compiles and runs once before it answers its readiness ping.
             process_options = {
+                "widths": [spec.name for spec in self.policy.candidates],
                 "plan_options": {
                     "compile": self.config.compile_plans,
                     "batch_rows": self.config.max_batch,
@@ -272,7 +277,6 @@ class ServingFrontend:
                 backoff_max_s=self.config.restart_backoff_max_s,
                 restart_budget=self.config.restart_budget,
                 budget_window_s=self.config.restart_window_s,
-                warmup=self.config.warmup,
             ).start()
 
     @staticmethod
@@ -326,7 +330,12 @@ class ServingFrontend:
 
     def _warmup(self, net) -> None:
         """One serial forward per width on replica 0: primes the EWMAs so the
-        first real requests see calibrated wall-clock predictions."""
+        first real requests see calibrated wall-clock predictions.
+
+        No timed run carries a boot or a compile: thread replicas share
+        the plans compiled above, and process workers compiled and ran
+        theirs before the pool handed them out.
+        """
         x = np.zeros((1, net.in_channels, net.image_size, net.image_size))
         replica = self.pool.replicas[0]
         for spec in self.policy.candidates:
@@ -334,13 +343,6 @@ class ServingFrontend:
                 replica.run(x, spec.name)
             self.policy.observe(spec.name, timer.elapsed)
             self.metrics.ewma("frontend.row_service_s").observe(timer.elapsed)
-        if self.config.replica_backend == "process":
-            # Process workers compile plans per-process; prime the rest so
-            # no request pays a mid-trace compile stall (untimed — the
-            # EWMAs were calibrated on worker 0 above).
-            for other in self.pool.replicas[1:]:
-                for spec in self.policy.candidates:
-                    other.run(x, spec.name)
 
     # -- submission -----------------------------------------------------------
 
@@ -844,14 +846,17 @@ class ServingFrontend:
         return report
 
     def _worker_stats(self, snapshot: Dict) -> List[Dict]:
-        """Per-worker rows / repacks / measured rows/s (process backend)."""
+        """Per-worker rows / repacks / measured rows/s (process backend).
+
+        Every worker is listed, one that has served nothing yet with zeros.
+        """
+        if self.pool.backend != "process":
+            return []
         counters = snapshot["counters"]
         ewmas = snapshot["ewmas"]
         stats = []
         for replica in self.pool.replicas:
             label = f"worker.{replica.index}"
-            if f"{label}.rows" not in counters and f"{label}.repacks" not in counters:
-                continue
             rate = ewmas.get(f"{label}.rows_per_s", {})
             stats.append(
                 {

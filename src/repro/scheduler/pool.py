@@ -120,6 +120,9 @@ class Replica:
             raise ReplicaUnavailable(f"replica {self.index} died mid-request")
         return out
 
+    def stop(self) -> None:
+        """Ask the endpoint to stop, without waiting for it (threads: nothing to ask)."""
+
     def close(self) -> None:
         """Release endpoint resources (thread replicas hold none)."""
 
@@ -236,9 +239,11 @@ class ReplicaPool:
         """Build a fresh replica for slot ``index`` from the pool's recipe.
 
         Process backend: forks a brand-new worker (the old process is
-        gone — SIGKILL is not survivable).  Thread backend: revives the
-        existing object in place.  The result is *not* yet routed; warm
-        it up, then :meth:`adopt` it.
+        gone — SIGKILL is not survivable) and returns once it has compiled
+        its plans and answered the readiness ping; a worker that does not
+        come up raises :class:`ReplicaUnavailable`.  Thread backend:
+        revives the existing object in place.  The result is *not* yet
+        routed; :meth:`adopt` it.
         """
         replica = self.replicas[index]
         if self.backend != "process":
@@ -254,7 +259,9 @@ class ReplicaPool:
         options.setdefault(
             "omp_threads", partition_thread_budget(len(self.replicas), total_threads)
         )
-        return ProcessReplica(index, self._model, metrics=self.metrics, **options)
+        return ProcessReplica(
+            index, self._model, metrics=self.metrics, **options
+        ).wait_ready()
 
     def adopt(self, index: int, replica: Replica) -> Replica:
         """Swap ``replica`` into slot ``index`` and return it to routing.
@@ -293,7 +300,13 @@ class ReplicaPool:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release every replica (process workers shut down and unlink shm)."""
+        """Release every replica (process workers shut down and unlink shm).
+
+        Every worker is told to stop before any is joined, so N workers
+        leave in the time of the slowest, not the sum.
+        """
+        for replica in self.replicas:
+            replica.stop()
         for replica in self.replicas:
             replica.close()
 

@@ -15,11 +15,19 @@ before the machine does.  :class:`ProcessReplica` is the escape hatch:
   updates on its ordinary lock-free version compare and repacks — no
   invalidation message exists in the protocol.
 * **Plans** are compiled *inside* each worker against the shared arenas
-  (packed blocks and workspaces are per-worker, private, GIL-free).
-* **Rows** cross the boundary through a per-worker shared-memory ring
-  (:class:`~repro.nn.shm.ShmRing`); the wire carries only a placement
-  descriptor, never pickled arrays.  Batches that outgrow the ring fall
-  back to inline arrays on the same message.
+  (packed blocks and workspaces are per-worker, private, GIL-free).  A
+  worker is told its widths at fork and compiles, packs and runs each
+  once **before it reads its first message**; the parent forks every
+  worker first and only then waits for each one's PONG
+  (:meth:`ProcessReplica.wait_ready`), so the workers boot side by side
+  and a replica that is handed out has nothing cold left in it.
+* **Rows** cross the boundary through one reusable shared-memory slot
+  per direction (:class:`~repro.nn.shm.ShmRing`); the wire carries only
+  a placement descriptor, never pickled arrays.  One exchange is in
+  flight per worker (``_transport_lock``) and the reply is copied out of
+  the out-ring *before* that lock is released, so every batch reuses the
+  same few pages.  ``ring_bytes`` is the size above which a batch
+  travels as inline arrays on the same message instead.
 * **Compute budget**: each worker pins ``OMP_NUM_THREADS`` (and the
   loaded OpenBLAS) to its slice of the machine, so K workers × B threads
   never oversubscribe the cores.
@@ -38,13 +46,14 @@ pool's ordinary eject/reroute machinery.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import signal
 import socket
 import threading
 import time
 from multiprocessing import get_context
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,10 +71,15 @@ from repro.scheduler.pool import Replica, ReplicaUnavailable
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.utils.dtypes import compute_dtype
 
-#: Default per-direction ring capacity (rows in, logits out).  16 MiB
-#: holds a 16-row float64 CIFAR-scale batch with two orders of magnitude
-#: to spare; MNIST-scale batches use a fraction of it.
+#: Default per-direction ring size (rows in, logits out): the threshold
+#: above which a batch travels inline on the wire instead.  Only the pages
+#: a batch actually covers are ever touched (a 16-row float64 MNIST batch
+#: is ~100 KB), so the size costs address space, not memory.
 DEFAULT_RING_BYTES = 16 << 20
+#: How long a forked worker may take to compile its plans and answer the
+#: readiness ping.  A worker that *dies* while booting fails the wait at
+#: once (its socket closes); this only bounds one that hangs.
+BOOT_TIMEOUT_S = 30.0
 
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -102,6 +116,30 @@ def _loaded_blas_libraries() -> List[str]:
     return paths
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_thread_setters() -> Tuple[Callable, ...]:
+    """The thread-count setter of every BLAS mapped into this process.
+
+    Resolved once: scanning ``/proc/self/maps`` and re-opening each
+    library through ctypes is a fifth of a worker's boot, and ``fork``
+    hands the child the parent's mappings and this cache with them — the
+    parent resolves before it forks, the worker only calls.
+    """
+    setters = []
+    for path in _loaded_blas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_SYMBOLS:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                setters.append(fn)
+                break
+    return tuple(setters)
+
+
 def pin_blas_threads(n: int) -> bool:
     """Pin this process's BLAS/OpenMP pool to ``n`` threads.
 
@@ -114,22 +152,10 @@ def pin_blas_threads(n: int) -> bool:
     n = max(1, int(n))
     for var in _BLAS_ENV_VARS:
         os.environ[var] = str(n)
-    applied = False
-    for path in _loaded_blas_libraries():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_SYMBOLS:
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                try:
-                    fn(ctypes.c_int(n))
-                except (ctypes.ArgumentError, OSError):
-                    continue
-                applied = True
-                break
-    return applied
+    setters = _blas_thread_setters()
+    for setter in setters:
+        setter(n)
+    return bool(setters)
 
 
 def partition_thread_budget(workers: int, total: Optional[int] = None) -> int:
@@ -148,31 +174,30 @@ def partition_thread_budget(workers: int, total: Optional[int] = None) -> int:
 def _worker_main(
     model,
     transport_sock: socket.socket,
-    ring_segment_name: str,
-    ring_bytes: int,
+    in_ring: ShmRing,
+    out_ring: ShmRing,
     plan_options: Dict,
     omp_threads: int,
+    widths: Sequence[str],
 ) -> None:
-    """Forked worker entry: serve run_parts requests until shutdown.
+    """Forked worker entry: boot, then serve run_parts requests until shutdown.
 
     Inherits ``model`` whose parameter storage already lives in shared
     memory (the fork copied only the Python object graph, not the weight
-    pages).  Compiles its own plans lazily per width against the shared
-    arenas; packed blocks and workspaces stay private to this process.
+    pages), and the parent's two rings with their mapping — nothing is
+    attached by name.  Compiles its own plans against the shared arenas —
+    every one of ``widths`` before the first message is read, any other
+    width on first use; packed blocks and workspaces stay private to this
+    process.
     """
     signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
     pin_blas_threads(omp_threads)
 
-    from multiprocessing import shared_memory
-
     from repro.engine.session import InferenceSession
     from repro.nn.plan import PackedWeightCache, compile_width_plans
 
     transport = TcpTransport(transport_sock)
-    segment = shared_memory.SharedMemory(name=ring_segment_name)
-    in_ring = ShmRing(segment, 0, ring_bytes)
-    out_ring = ShmRing(segment, ring_bytes, ring_bytes)
     cache = PackedWeightCache()
     sessions: Dict[str, InferenceSession] = {}
     compile_options = dict(plan_options)
@@ -187,6 +212,14 @@ def _worker_main(
                 )[width]
             sessions[width] = InferenceSession(model, width, plan=plan)
         return sessions[width]
+
+    # Boot: compile, pack and run each announced width once, so the PONG
+    # that answers the parent's readiness ping means "nothing cold is
+    # left".  A failure here ends the process before it ever answers.
+    net = getattr(model, "net", model)
+    probe = np.zeros((1, net.in_channels, net.image_size, net.image_size))
+    for width in widths:
+        _session(width).run(probe)
 
     def _handle_run_parts(message: Message) -> Message:
         fields = message.fields
@@ -241,10 +274,6 @@ def _worker_main(
                 break
     finally:
         transport.close()
-        try:
-            segment.close()
-        except BufferError:
-            pass
         # Skip inherited atexit machinery (pytest plugins, parent cleanup
         # hooks): the worker owns nothing that outlives it — the ring and
         # weight segments belong to the parent.
@@ -261,6 +290,10 @@ class ProcessReplica(Replica):
     (:func:`repro.nn.shm.ensure_shared_parameters`) — the fork then
     inherits shm-backed storage, and parent-side weight writes (plus
     their version bumps) are visible in every worker immediately.
+
+    The constructor returns as soon as the worker is forked; the worker
+    compiles ``widths`` on its own time.  :meth:`wait_ready` is the
+    barrier — fork every worker, then wait for each.
     """
 
     def __init__(
@@ -269,6 +302,7 @@ class ProcessReplica(Replica):
         model,
         *,
         plan_options: Optional[Dict] = None,
+        widths: Sequence[str] = (),
         omp_threads: int = 1,
         ring_bytes: int = DEFAULT_RING_BYTES,
         request_timeout: float = 2.0,
@@ -276,14 +310,16 @@ class ProcessReplica(Replica):
     ) -> None:
         super().__init__(index, model, plans=None)
         self.metrics = metrics or MetricsRegistry()
-        self._ring_bytes = int(ring_bytes)
-        self._segment = create_segment(RING_SEGMENT_TAG, 2 * self._ring_bytes)
-        self._in_ring = ShmRing(self._segment, 0, self._ring_bytes)
-        self._out_ring = ShmRing(self._segment, self._ring_bytes, self._ring_bytes)
+        ring_bytes = int(ring_bytes)
+        self._segment = create_segment(RING_SEGMENT_TAG, 2 * ring_bytes)
+        self._in_ring = ShmRing(self._segment, 0, ring_bytes)
+        self._out_ring = ShmRing(self._segment, ring_bytes, ring_bytes)
         self._transport_lock = threading.Lock()  # one in-flight batch per worker
+        self._stop_sent: Optional[bool] = None  # did stop() deliver SHUTDOWN; None: not tried
         self._reaped = False  # set once close() has reaped the process object
         self._last_packs = 0
 
+        _blas_thread_setters()  # resolved here so the fork inherits them
         parent_sock, child_sock = socket.socketpair()
         ctx = get_context("fork")
         self._proc = ctx.Process(
@@ -291,10 +327,11 @@ class ProcessReplica(Replica):
             args=(
                 model,
                 child_sock,
-                self._segment.name,
-                self._ring_bytes,
+                self._in_ring,
+                self._out_ring,
                 dict(plan_options or {"batch_rows": 16}),
                 omp_threads,
+                tuple(widths),
             ),
             name=f"repro-worker-{index}",
             daemon=True,
@@ -323,6 +360,22 @@ class ProcessReplica(Replica):
         """
         return self._alive and self._proc.is_alive()
 
+    def wait_ready(self) -> "ProcessReplica":
+        """Block until the worker has booted: its answer to one PING.
+
+        The worker reads no message before its plans are compiled, packed
+        and run once, so the PONG doubles as "warm".  A worker that died
+        on the way closed its socket, which fails the wait at once; one
+        that hangs fails it after :data:`BOOT_TIMEOUT_S`.  Either way the
+        replica is closed and :class:`ReplicaUnavailable` raised.
+        """
+        with self._transport_lock:
+            ready = self._endpoint.ping(timeout=BOOT_TIMEOUT_S)
+        if not ready:
+            self.close()
+            raise ReplicaUnavailable(f"worker {self.index} did not come up")
+        return self
+
     def kill(self) -> None:
         """``kill -9`` the worker (the fault-injection twin of thread kill)."""
         if self._proc.is_alive():
@@ -345,15 +398,16 @@ class ProcessReplica(Replica):
             started = time.perf_counter()
             reply = self._exchange(parts, width, dtype)
             service_s = time.perf_counter() - started
-        if "ring_offset" in reply.fields:
-            view = self._out_ring.view(
-                int(reply.fields["ring_offset"]),
-                tuple(reply.fields["out_shape"]),
-                reply.fields["dtype"],
-            )
-            out = view.copy()  # the ring is reused by the next batch
-        else:
-            out = reply.arrays["out"]
+            if "ring_offset" in reply.fields:
+                # Copied while the lock still excludes the next exchange:
+                # that exchange's reply lands on these very bytes.
+                out = self._out_ring.view(
+                    int(reply.fields["ring_offset"]),
+                    tuple(reply.fields["out_shape"]),
+                    reply.fields["dtype"],
+                ).copy()
+            else:
+                out = reply.arrays["out"]
         self._observe(reply, out.shape[0], service_s)
         return out
 
@@ -424,38 +478,47 @@ class ProcessReplica(Replica):
 
     # -- lifecycle ------------------------------------------------------------
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Bounded shutdown: SHUTDOWN message, join, SIGTERM, SIGKILL, unlink.
+    def stop(self, timeout: float = 5.0) -> None:
+        """Tell the worker to stop, without waiting for it to.
 
         The transport lock is held by any in-flight exchange; a *hung*
-        exchange (stalled worker, dropped reply) must not stall close
-        forever, so the graceful SHUTDOWN leg waits at most ``timeout``
-        for the lock and is skipped — straight to signal escalation —
-        when it cannot be taken.  Either way the worker is dead and the
-        ring segment unlinked when this returns.
+        exchange (stalled worker, dropped reply) must not stall shutdown
+        forever, so this waits at most ``timeout`` for the lock and
+        otherwise leaves the worker to :meth:`close`'s signal escalation.
         """
         self._alive = False
+        if self._stop_sent is not None or self._reaped or not self._proc.is_alive():
+            return
+        self._stop_sent = False
+        if self._transport_lock.acquire(timeout=timeout):
+            try:
+                self._endpoint.shutdown()  # sends SHUTDOWN, closes transport
+                self._stop_sent = True
+            except (TransportError, OSError):
+                pass
+            finally:
+                self._transport_lock.release()
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Bounded shutdown: :meth:`stop`, join, SIGTERM, SIGKILL, unlink.
+
+        A worker that took the SHUTDOWN message is joined; one that could
+        not be told (wedged transport lock) or does not leave goes
+        straight to signal escalation.  Either way the worker is dead and
+        the ring segment unlinked when this returns.
+        """
+        self.stop(timeout)
         if self._reaped:
             return  # idempotent: the process object is already closed
-        shutdown_sent = False
+        if self._stop_sent:
+            self._proc.join(timeout=timeout)
         if self._proc.is_alive():
-            if self._transport_lock.acquire(timeout=timeout):
-                try:
-                    self._endpoint.shutdown()  # sends SHUTDOWN, closes transport
-                    shutdown_sent = True
-                except (TransportError, OSError):
-                    pass
-                finally:
-                    self._transport_lock.release()
-            if shutdown_sent:
-                self._proc.join(timeout=timeout)
-            if self._proc.is_alive():
-                self._proc.terminate()  # SIGTERM: the worker's handler exits
-                self._proc.join(timeout=timeout)
-            if self._proc.is_alive():
-                self._proc.kill()  # SIGKILL: unconditional
-                self._proc.join(timeout=timeout)
-        if not shutdown_sent:
+            self._proc.terminate()  # SIGTERM: the worker's handler exits
+            self._proc.join(timeout=timeout)
+        if self._proc.is_alive():
+            self._proc.kill()  # SIGKILL: unconditional
+            self._proc.join(timeout=timeout)
+        if not self._stop_sent:
             try:
                 self._endpoint.transport.close()
             except (TransportError, OSError):
@@ -476,21 +539,28 @@ def make_process_replicas(
     count: int,
     *,
     plan_options: Optional[Dict] = None,
+    widths: Sequence[str] = (),
     ring_bytes: int = DEFAULT_RING_BYTES,
     request_timeout: float = 2.0,
     metrics: Optional[MetricsRegistry] = None,
     total_threads: Optional[int] = None,
 ) -> List[ProcessReplica]:
-    """Share the weights, partition the thread budget, fork ``count`` workers."""
+    """Share the weights, partition the thread budget, fork ``count`` workers.
+
+    Every worker is forked before any is waited for, so they compile
+    ``widths`` side by side; the replicas returned have all answered
+    their readiness ping.  If one does not come up, all are closed.
+    """
     from repro.nn.shm import ensure_shared_parameters
 
     ensure_shared_parameters(model)
     budget = partition_thread_budget(count, total_threads)
-    return [
+    replicas = [
         ProcessReplica(
             i,
             model,
             plan_options=plan_options,
+            widths=widths,
             omp_threads=budget,
             ring_bytes=ring_bytes,
             request_timeout=request_timeout,
@@ -498,3 +568,11 @@ def make_process_replicas(
         )
         for i in range(count)
     ]
+    try:
+        for replica in replicas:
+            replica.wait_ready()
+    except ReplicaUnavailable:
+        for replica in replicas:
+            replica.close()
+        raise
+    return replicas

@@ -78,7 +78,7 @@ class TestRespawn:
             w: s["observed_ewma_s"]
             for w, s in frontend.policy.calibration_snapshot().items()
         }
-        sup = ReplicaSupervisor(frontend, clock=FakeClock(), warmup=True)
+        sup = ReplicaSupervisor(frontend, clock=FakeClock())
         eject(frontend, 1)
         sup.poll()
         after = {

@@ -137,13 +137,16 @@ class TestShmRing:
         offset = ring.place(x)
         assert np.array_equal(ring.view(offset, (4, 7), x.dtype), x)
 
-    def test_place_wraps_at_capacity(self):
-        ring = self._ring(4096)
-        x = np.arange(256, dtype=np.float64)  # 2048 bytes
-        first = ring.place(x)
-        second = ring.place(x)
-        third = ring.place(x)  # cannot fit past the tail: wraps to the start
-        assert first == 0 and second == 2048 and third == 0
+    def test_consecutive_placements_reuse_the_base_slot(self):
+        segment = create_segment(RING_SEGMENT_TAG, 8192)
+        ring = ShmRing(segment, 4096, 4096)
+        first = np.arange(256, dtype=np.float64)  # 2048 bytes: two would fit
+        second = first[::-1].copy()
+        assert ring.place(first) == 4096
+        assert ring.place(second) == 4096
+        # One batch in flight per ring: the second placement overwrote the first.
+        assert np.array_equal(ring.view(4096, (256,), np.float64), second)
+        assert ring.place_parts([first[:8].reshape(2, 4)], np.float64) == (4096, 2)
 
     def test_place_parts_matches_concatenate(self):
         ring = self._ring()

@@ -1,19 +1,24 @@
 """Process-pool replicas: parity, fault injection, telemetry, cleanup."""
 
+import itertools
 import os
 import signal
+import sys
+import threading
 import time
 from concurrent.futures import wait
 
 import numpy as np
 import pytest
 
+from repro.engine.endpoints import TransportEndpoint
 from repro.engine.session import InferenceSession
 from repro.models import build_model
 from repro.nn.shm import list_segments, unlink_created_segments
 from repro.scheduler.admission import SLA
 from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
 from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable, wait_for_ejection
+from repro.scheduler import procpool
 from repro.scheduler.procpool import (
     ProcessReplica,
     make_process_replicas,
@@ -114,6 +119,127 @@ class TestProcessReplica:
         finally:
             for r in replicas:
                 r.close()
+
+
+def mapping_rss_kb(name):
+    """Resident KiB of this process's mapping of shm segment ``name``."""
+    with open("/proc/self/smaps") as smaps:
+        lines = iter(smaps)
+        for line in lines:
+            if line.rstrip().endswith("/" + name):
+                return next(
+                    int(field.split()[1]) for field in lines if field.startswith("Rss:")
+                )
+    raise AssertionError(f"segment {name} is not mapped")
+
+
+class TestRingSlot:
+    def test_concurrent_callers_each_get_their_own_batch(self, model, replica):
+        """The reply is copied out of the out-ring before the transport
+        lock admits the next exchange: every placement reuses the ring's
+        base, so a reader that mapped its reply after releasing the lock
+        would return the other caller's logits.  The slowed ``view`` is
+        that reader being preempted at the worst moment."""
+        width, batches = "lower25", 200
+        session = InferenceSession(model, width)
+
+        def inputs(seed):
+            rng = make_rng(seed)
+            return [
+                [rng.standard_normal((1, 1, 28, 28)) for _ in range(1 + k % 16)]
+                for k in range(batches)
+            ]
+
+        work = {seed: inputs(seed) for seed in (11, 12)}
+        expected = {
+            seed: [session.run_parts(parts) for parts in batch_list]
+            for seed, batch_list in work.items()
+        }
+        view, calls = replica._out_ring.view, itertools.count()
+
+        def preempted_view(*args):
+            if next(calls) % 4 == 0:
+                time.sleep(0.003)  # several exchanges long
+            return view(*args)
+
+        replica._out_ring.view = preempted_view
+        answers = {seed: [] for seed in work}
+
+        def drive(seed):
+            for parts in work[seed]:
+                answers[seed].append(replica.run_parts(parts, width))
+
+        threads = [threading.Thread(target=drive, args=(seed,)) for seed in work]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in work:
+            assert len(answers[seed]) == batches
+            wrong = [
+                k for k, (got, want) in enumerate(zip(answers[seed], expected[seed]))
+                if not np.array_equal(got, want)
+            ]
+            assert wrong == [], f"caller {seed}: batches {wrong[:5]} are not its own"
+
+    def test_ring_mapping_stays_one_batch_resident(self, model, replica):
+        parts = [one_batch(1, seed=k) for k in range(16)]
+        for _ in range(400):
+            replica.run_parts(parts, "lower25")
+        # 400 x 100 KB of rows went in; a marching cursor leaves all 16 MiB resident.
+        assert mapping_rss_kb(replica._segment.name) < 1024
+
+
+class TestBoot:
+    def test_replicas_are_handed_out_ready(self, model, monkeypatch):
+        pongs = []
+        ping = TransportEndpoint.ping
+
+        def recording_ping(self, timeout=1.0):
+            pongs.append((self.name, ping(self, timeout)))
+            return pongs[-1][1]
+
+        monkeypatch.setattr(TransportEndpoint, "ping", recording_ping)
+        frontend = ServingFrontend(
+            model, SchedulerConfig(replicas=2, replica_backend="process")
+        )
+        try:
+            assert sorted(pongs) == [("worker-0", True), ("worker-1", True)]
+            # Workers run the plans; the parent's copies never own an arena.
+            assert frontend.plans
+            assert all(p.workspaces.created == 0 for p in frontend.plans.values())
+            # Listed before it has served anything (only worker 0 was primed).
+            workers = {w["worker"]: w for w in frontend.report()["workers"]}
+            assert set(workers) == {0, 1}
+            assert workers[1]["rows"] == 0 and workers[1]["batches"] == 0
+        finally:
+            frontend.close()
+
+    def test_worker_killed_while_booting_fails_the_wait_at_once(self, model, monkeypatch):
+        rings_before = list_segments("r")
+        pool = ReplicaPool(model, 1, backend="process")
+        try:
+            # Forked workers inherit the patch: each dies on its first line.
+            monkeypatch.setattr(
+                procpool, "pin_blas_threads", lambda n: os.kill(os.getpid(), signal.SIGKILL)
+            )
+            for spawn in (
+                lambda: make_process_replicas(model, 2),
+                lambda: pool.spawn_replica(0),
+            ):
+                started = time.monotonic()
+                with pytest.raises(ReplicaUnavailable):
+                    spawn()
+                assert time.monotonic() - started < 1.0
+        finally:
+            pool.close()
+        assert list_segments("r") == rings_before
 
 
 class TestPoolIntegration:
