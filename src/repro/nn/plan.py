@@ -10,7 +10,10 @@ all of that exactly once:
 * :meth:`InferencePlan.compile` walks the network for one sub-network spec
   and precomputes every layer's geometry (output spatial sizes, im2col
   column shapes, classifier feature slice) plus the arena
-  :class:`~repro.nn.workspace.BufferSpec` set the pass needs;
+  :class:`~repro.nn.workspace.BufferSpec` set the pass needs — each
+  transient with the kernel steps it ``live``\\ s through, so a workspace
+  lays buffers that never meet over the same bytes (the padded ``in*``
+  input arenas and ``logits`` declare none: they keep bytes of their own);
 * a :class:`PackedWeightCache` holds contiguous compute-dtype copies of
   each layer's active weight sub-block, keyed by ``(layer, slices, dtype)``
   and invalidated by the :class:`~repro.nn.parameter.Parameter` version
@@ -440,6 +443,7 @@ class InferencePlan:
         steps: List[_ConvStep] = []
         buffers: List[BufferSpec] = []
         dt = dtype.name
+        at = 0  # program order: the next kernel step's index (BufferSpec.live)
         for info in walk:
             i, conv = info["index"], info["conv"]
             k, pad = info["kernel"], info["padding"]
@@ -449,6 +453,11 @@ class InferencePlan:
             full = info["out_slice"]
             block = block_of(full) if block_of is not None else full
             pool = info["pool"]
+            # One conv block is gather -> GEMM -> NCHW copy (-> pool); its
+            # last step is the one that writes the block's destination.
+            gather, gemm, copy = at, at + 1, at + 2
+            write = copy + 1 if pool is not None else copy
+            at = write + 1
             src = f"in{i}"
             buffers.append(
                 BufferSpec(
@@ -459,20 +468,31 @@ class InferencePlan:
                 )
             )
             rows = batch_rows * out_h * out_w
-            buffers.append(BufferSpec(f"cols{i}", (rows, in_c * k * k), dt))
-            buffers.append(BufferSpec(f"gemm{i}", (rows, block.width), dt))
+            buffers.append(
+                BufferSpec(f"cols{i}", (rows, in_c * k * k), dt, live=(gather, gemm))
+            )
+            buffers.append(
+                BufferSpec(f"gemm{i}", (rows, block.width), dt, live=(gemm, copy))
+            )
             # The NHWC-flat GEMM result must land in NCHW somewhere: in a
             # staging buffer when a pool reads it, otherwise straight into the
             # destination's interior.
             act = f"act{i}" if pool is not None else None
             if act is not None:
-                buffers.append(BufferSpec(act, (batch_rows, block.width, out_h, out_w), dt))
+                buffers.append(
+                    BufferSpec(
+                        act, (batch_rows, block.width, out_h, out_w), dt, live=(copy, write)
+                    )
+                )
             if info["last"]:
-                # The classifier's input: this plan's own feature block only.
+                # The classifier's input: this plan's own feature block only;
+                # the classifier is the step after the last block.
                 after = pool[2] if pool is not None else (out_h, out_w)
                 dst, dst_pad = "feat", 0
                 dst_rows = ChannelSlice(0, block.width)
-                buffers.append(BufferSpec(dst, (batch_rows, block.width) + after, dt))
+                buffers.append(
+                    BufferSpec(dst, (batch_rows, block.width) + after, dt, live=(write, at))
+                )
             else:
                 dst, dst_pad = f"in{i + 1}", info["next_padding"]
                 dst_rows = ChannelSlice(block.start - full.start, block.stop - full.start)
@@ -505,6 +525,7 @@ class InferencePlan:
         steps: List[_ShiftedStep] = []
         buffers: List[BufferSpec] = []
         dt = dtype.name
+        at = 0  # program order: the next kernel step's index (BufferSpec.live)
         for info in walk:
             if info["stride"] != 1:
                 raise ValueError(
@@ -523,6 +544,11 @@ class InferencePlan:
             out_c = info["out_slice"].width
             out_h, out_w = info["out_hw"]
             pool, last = info["pool"], info["last"]
+            # One conv block is offset GEMMs -> bias+ReLU (-> pool); after the
+            # last block come the feature transpose and the classifier.
+            conv_at, epilogue = at, at + 1
+            write = epilogue + 1 if pool is not None else epilogue
+            at = write + 1
             src = f"in{i}"
             # Padding borders and the inter-image tail are never written, so
             # they stay zero forever.  Interior rows beyond a smaller batch
@@ -530,17 +556,31 @@ class InferencePlan:
             # whose outputs are computed at full extent and discarded (the
             # valid result is always sliced to the live row count).
             buffers.append(BufferSpec(src, (in_c, length + tail), dt, zeroed=True))
-            buffers.append(BufferSpec(f"panel{i}", (in_c * k, length), dt))
-            buffers.append(BufferSpec(f"wide{i}", (out_c, length), dt))
-            buffers.append(BufferSpec(f"scratch{i}", (out_c, length), dt))
+            buffers.append(
+                BufferSpec(f"panel{i}", (in_c * k, length), dt, live=(conv_at, conv_at))
+            )
+            buffers.append(
+                BufferSpec(f"wide{i}", (out_c, length), dt, live=(conv_at, epilogue))
+            )
+            buffers.append(
+                BufferSpec(f"scratch{i}", (out_c, length), dt, live=(conv_at, conv_at))
+            )
             act = f"act{i}" if (pool is not None or last) else None
             if act is not None:
-                buffers.append(BufferSpec(act, (out_c, batch_rows, out_h, out_w), dt))
+                # Read by the pool, or (last block, no pool) by the transpose.
+                reader = write if pool is not None else at
+                buffers.append(
+                    BufferSpec(
+                        act, (out_c, batch_rows, out_h, out_w), dt, live=(epilogue, reader)
+                    )
+                )
             if last and pool is not None:
                 after = pool[2]
                 dst, dst_pad = f"pool{i}", 0
                 buffers.append(
-                    BufferSpec(dst, (out_c, batch_rows * after[0] * after[1]), dt)
+                    BufferSpec(
+                        dst, (out_c, batch_rows * after[0] * after[1]), dt, live=(write, at)
+                    )
                 )
             elif last:
                 dst, dst_pad = None, 0
@@ -572,7 +612,9 @@ class InferencePlan:
         feat_c = last_info["out_slice"].width
         feat_hw = last_info["pool"][2] if last_info["pool"] else last_info["out_hw"]
         buffers.append(
-            BufferSpec("feat", (batch_rows, feat_c * feat_hw[0] * feat_hw[1]), dt)
+            BufferSpec(
+                "feat", (batch_rows, feat_c * feat_hw[0] * feat_hw[1]), dt, live=(at, at + 1)
+            )
         )
         return steps, buffers
 

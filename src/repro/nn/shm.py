@@ -41,6 +41,7 @@ parent's parameter arrays) stay valid until the process exits.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import signal
 import threading
@@ -398,7 +399,7 @@ class ShmRing:
         dtype = np.dtype(dtype)
         rows = sum(p.shape[0] for p in parts)
         tail = tuple(parts[0].shape[1:])
-        total = rows * int(np.prod(tail, dtype=np.int64)) * dtype.itemsize
+        total = rows * math.prod(tail) * dtype.itemsize
         if total > self.capacity:
             raise MemoryError(f"{total} bytes exceed the ring capacity {self.capacity}")
         batch = self.view(self.base, (rows,) + tail, dtype)
@@ -410,5 +411,20 @@ class ShmRing:
         return self.base, rows
 
     def view(self, offset: int, shape: Sequence[int], dtype) -> np.ndarray:
-        """Map the placement at absolute ``offset`` (reader side)."""
-        return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=self.segment.buf, offset=offset)
+        """Map the placement at absolute ``offset`` (reader side).
+
+        The descriptor arrives in a control message, so it is checked: a
+        placement that does not lie inside this ring's own region — the
+        neighbouring ring and the rest of the segment are one ``offset``
+        away — is refused with ``ValueError``.
+        """
+        shape = tuple(map(int, shape))
+        dtype = np.dtype(dtype)
+        stop = offset + math.prod(shape) * dtype.itemsize
+        end = self.base + self.capacity
+        if min(shape, default=0) < 0 or not self.base <= offset <= stop <= end:
+            raise ValueError(
+                f"placement {shape} {dtype.name} at {offset} is outside the ring "
+                f"[{self.base}, {end})"
+            )
+        return np.ndarray(shape, dtype=dtype, buffer=self.segment.buf, offset=offset)

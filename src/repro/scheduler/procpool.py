@@ -412,24 +412,24 @@ class ProcessReplica(Replica):
         return out
 
     def _exchange(self, parts: List[np.ndarray], width: str, dtype) -> EndpointReply:
-        total = sum(p.shape[0] for p in parts) * int(
-            np.prod(parts[0].shape[1:], dtype=np.int64)
-        ) * np.dtype(dtype).itemsize
         try:
-            if total <= self._in_ring.capacity:
-                offset, rows = self._in_ring.place_parts(parts, dtype)
-                fields = {
-                    "ring_offset": int(offset),
-                    "rows": int(rows),
-                    "row_shape": [int(d) for d in parts[0].shape[1:]],
-                    "dtype": np.dtype(dtype).name,
-                }
-                return self._await(width, fields, None)
+            offset, rows = self._in_ring.place_parts(parts, dtype)
+        except MemoryError:  # larger than the ring: the batch travels inline
             stacked = np.ascontiguousarray(
                 np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0],
                 dtype=dtype,
             )
-            return self._await(width, {}, {"x": stacked})
+            fields, arrays = {}, {"x": stacked}
+        else:
+            arrays = None
+            fields = {
+                "ring_offset": int(offset),
+                "rows": int(rows),
+                "row_shape": [int(d) for d in parts[0].shape[1:]],
+                "dtype": np.dtype(dtype).name,
+            }
+        try:
+            return self._await(width, fields, arrays)
         except EndpointUnavailable as exc:
             # An ERROR reply from a live worker leaves the transport in
             # sync — the replica survives (the request reroutes anyway).

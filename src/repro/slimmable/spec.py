@@ -9,8 +9,9 @@ four *lower* sub-networks (25/50/75/100%, nested from channel 0) plus two
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,12 @@ class WidthSpec:
 
     # -- families ------------------------------------------------------------
 
+    def _families(self) -> "_Families":
+        return _families(self.max_width, tuple(self.lower_widths), self.split, self.num_convs)
+
     def lower_family(self) -> List[SubNetSpec]:
         """All nested lower sub-networks, smallest first (incremental order)."""
-        return [self.lower(w) for w in self.lower_widths]
+        return list(self._families().lower)
 
     def upper_family(self) -> List[SubNetSpec]:
         """All upper sub-networks implied by lower widths above the split.
@@ -148,20 +152,41 @@ class WidthSpec:
         For the paper's [4, 8, 12, 16] family with split 8 this yields the
         upper-25% (channels 8–12) and upper-50% (channels 8–16) models.
         """
-        specs = []
-        for w in self.lower_widths:
-            if w > self.split:
-                specs.append(self.upper(w - self.split))
-        return specs
+        return list(self._families().upper)
 
     def all_specs(self) -> List[SubNetSpec]:
         return self.lower_family() + self.upper_family()
 
     def find(self, name: str) -> SubNetSpec:
-        for spec in self.all_specs():
-            if spec.name == name:
-                return spec
-        raise KeyError(f"no sub-network named {name!r}")
+        spec = self._families().by_name.get(name)
+        if spec is None:
+            raise KeyError(f"no sub-network named {name!r}")
+        return spec
+
+
+class _Families(NamedTuple):
+    lower: Tuple[SubNetSpec, ...]
+    upper: Tuple[SubNetSpec, ...]
+    by_name: Dict[str, SubNetSpec]  # first match, lower before upper
+
+
+@functools.lru_cache(maxsize=128)
+def _families(
+    max_width: int, lower_widths: Tuple[int, ...], split: int, num_convs: int
+) -> _Families:
+    """The families of one :class:`WidthSpec` *value*, built once.
+
+    Keyed by value, not instance: every net build makes a fresh equal
+    ``WidthSpec``, and ``find`` runs per message on the distributed path.
+    The specs are immutable, so every caller may share them.
+    """
+    spec = WidthSpec(max_width, lower_widths, split, num_convs)
+    lower = tuple(spec.lower(w) for w in lower_widths)
+    upper = tuple(spec.upper(w - split) for w in lower_widths if w > split)
+    by_name: Dict[str, SubNetSpec] = {}
+    for sub in lower + upper:
+        by_name.setdefault(sub.name, sub)
+    return _Families(lower, upper, by_name)
 
 
 def paper_width_spec() -> WidthSpec:

@@ -164,6 +164,29 @@ class TestShmRing:
         with pytest.raises(MemoryError):
             ring.place(np.zeros(4096))
 
+    @pytest.mark.parametrize(
+        "offset, shape",
+        [
+            (0, (8,)),           # the neighbouring ring, below this one
+            (4096 - 8, (2,)),    # starts inside, ends below the base
+            (8192 - 8, (2,)),    # starts inside, runs past the end
+            (8192, (1,)),        # the rest of the segment
+            (4096, (513,)),      # more rows than the ring holds
+            (4096, (-1, 4)),     # a negative extent
+            (4096, (-2, -2)),    # ... whose product looks like a size
+            (-8, (1,)),          # numpy would count this from the segment's end
+            (4096, (2**62, 4)),  # a byte count that overflows int64
+        ],
+    )
+    def test_view_refuses_a_placement_outside_its_own_region(self, offset, shape):
+        segment = create_segment(RING_SEGMENT_TAG, 3 * 4096)
+        ring = ShmRing(segment, 4096, 4096)
+        with pytest.raises(ValueError, match="outside the ring"):
+            ring.view(offset, shape, np.float64)
+        # The whole region, and nothing of it, are both inside.
+        assert ring.view(4096, (512,), np.float64).nbytes == ring.capacity
+        assert ring.view(8192, (0, 4), np.float64).size == 0
+
 
 class TestLifecycle:
     def test_unlink_created_segments_is_a_leak_backstop(self):

@@ -1,9 +1,12 @@
 """Tests for workspace arenas and the checkout pool."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.nn.workspace import BufferSpec, Workspace, WorkspacePool
 
@@ -23,6 +26,11 @@ class TestBufferSpec:
     def test_nbytes(self):
         assert BufferSpec("x", (4, 3), "float32").nbytes == 48
 
+    def test_rejects_lifetimes_that_are_not_intervals(self):
+        for live in ((3, 2), (-1, 0)):
+            with pytest.raises(ValueError):
+                BufferSpec("x", (2,), "float32", live=live)
+
 
 class TestWorkspace:
     def test_buffers_have_spec_shapes_and_dtypes(self):
@@ -37,6 +45,114 @@ class TestWorkspace:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             Workspace([BufferSpec("a", (1,), "float64"), BufferSpec("a", (2,), "float64")])
+
+    def test_one_workspace_is_two_allocations_and_scratch_is_not_cleared(self, monkeypatch):
+        specs = [
+            BufferSpec("pad", (2, 2, 6, 6), "float32", zeroed=True),
+            BufferSpec("cols", (300, 300), "float64", live=(0, 1)),
+            BufferSpec("gemm", (300, 40), "float64", live=(1, 2)),
+            BufferSpec("act", (40, 300), "float64", live=(2, 3)),
+            BufferSpec("logits", (4, 10), "float64"),
+        ]
+        zeroed_bytes = []
+        zeros = np.zeros
+        monkeypatch.setattr(
+            np, "zeros", lambda n, **kw: zeroed_bytes.append(n) or zeros(n, **kw)
+        )
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(arrays)
+            ws = Workspace(specs)
+            after = tracemalloc.take_snapshot().filter_traces(arrays)
+        finally:
+            tracemalloc.stop()
+        blocks = [d for d in after.compare_to(before, "traceback") if d.count_diff]
+        assert sum(d.count_diff for d in blocks) == 2
+        assert sorted(d.size_diff for d in blocks) == sorted(
+            [ws.persistent.nbytes, ws.scratch.nbytes]
+        )
+        # Only the persistent region is asked for cleared memory: a cleared
+        # scratch region would be a memset of the whole arena on every build.
+        assert zeroed_bytes == [ws.persistent.nbytes]
+        assert ws.nbytes == ws.persistent.nbytes + ws.scratch.nbytes < sum(
+            s.nbytes for s in specs
+        )
+
+    def test_buffers_without_a_lifetime_keep_bytes_of_their_own(self):
+        specs = [BufferSpec(n, (5, 7), "float64") for n in "abc"]
+        ws = Workspace(specs)
+        assert ws.scratch.nbytes == 0
+        for k, name in enumerate("abc"):
+            ws[name][...] = k
+        for k, name in enumerate("abc"):
+            np.testing.assert_array_equal(ws[name], np.full((5, 7), float(k)))
+
+
+def _aligned(nbytes):
+    return -(-nbytes // 64) * 64
+
+
+_LIFETIMES = st.none() | st.tuples(st.integers(0, 9), st.integers(0, 9)).map(sorted).map(tuple)
+_BUFFERS = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+        st.sampled_from(["float64", "float32", "uint8"]),
+        st.booleans(),
+        _LIFETIMES,
+    ),
+    max_size=12,
+)
+
+
+class TestLifetimePlacement:
+    """Two buffers share bytes only if they are never alive together."""
+
+    @given(_BUFFERS)
+    def test_placement_is_sound_aligned_and_bounded(self, buffers):
+        specs = [
+            BufferSpec(f"b{k}", shape, dtype, zeroed, live)
+            for k, (shape, dtype, zeroed, live) in enumerate(buffers)
+        ]
+        ws = Workspace(specs)
+        regions = {True: ws.persistent, False: ws.scratch}
+        spans = {}
+        for spec in specs:
+            view, region = ws[spec.name], regions[spec.persistent]
+            assert view.shape == spec.shape and view.dtype == spec.dtype
+            start = view.ctypes.data - region.ctypes.data
+            assert start % 64 == 0 and 0 <= start and start + view.nbytes <= region.nbytes
+            spans[spec.name] = (spec.persistent, start, start + view.nbytes)
+        for i, a in enumerate(specs):
+            for b in specs[i + 1 :]:
+                together = (
+                    a.persistent
+                    or b.persistent
+                    or (a.live[0] <= b.live[1] and b.live[0] <= a.live[1])
+                )
+                (pa, lo_a, hi_a), (pb, lo_b, hi_b) = spans[a.name], spans[b.name]
+                shares = pa == pb and lo_a < hi_b and lo_b < hi_a
+                assert not (together and shares), (a, b)
+        whole_run = sum(s.nbytes for s in specs if s.persistent)
+        transients = [s for s in specs if not s.persistent]
+        peak = max(
+            sum(s.nbytes for s in transients if s.live[0] <= step <= s.live[1])
+            for step in range(10)
+        )
+        assert whole_run + peak <= ws.nbytes <= sum(_aligned(s.nbytes) for s in specs)
+        assert WorkspacePool(specs, prealloc=0).workspace_nbytes == ws.nbytes
+
+    def test_disjoint_lifetimes_do_share(self):
+        specs = [
+            BufferSpec("early", (100,), "float64", live=(0, 1)),
+            BufferSpec("late", (60,), "float64", live=(2, 3)),
+            BufferSpec("both", (10,), "float64", live=(1, 2)),
+        ]
+        ws = Workspace(specs)
+        assert np.shares_memory(ws["early"], ws["late"])
+        assert not np.shares_memory(ws["both"], ws["early"])
+        assert not np.shares_memory(ws["both"], ws["late"])
+        assert ws.nbytes == _aligned(800) + _aligned(80)
 
 
 class TestWorkspacePool:

@@ -59,7 +59,7 @@ class TestRowBudgetCarryOver:
         calls = []
         queue = MicroBatchQueue(
             rows_runner(calls),
-            BatchingConfig(max_batch=4, max_delay_s=5.0),
+            BatchingConfig(max_batch=4, max_delay_s=0.05),
             autostart=False,
         )
         futures = [queue.submit(np.full((3, 2), float(i))) for i in range(4)]
@@ -197,7 +197,7 @@ class TestCancellation:
         cancelled request is dropped, its batch-mates still get results,
         and later submissions keep being served."""
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=3, max_delay_s=5.0), autostart=False
+            rows_runner(), BatchingConfig(max_batch=3, max_delay_s=0.05), autostart=False
         )
         doomed = queue.submit(np.full((1,), 0.0))
         survivor_a = queue.submit(np.full((1,), 1.0))
@@ -213,7 +213,7 @@ class TestCancellation:
 
     def test_all_cancelled_batch_is_skipped(self):
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=2, max_delay_s=5.0), autostart=False
+            rows_runner(), BatchingConfig(max_batch=2, max_delay_s=0.05), autostart=False
         )
         futures = [queue.submit(np.full((1,), float(i))) for i in range(2)]
         for f in futures:

@@ -11,7 +11,7 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
-from repro.engine.endpoints import TransportEndpoint
+from repro.engine.endpoints import EndpointUnavailable, TransportEndpoint
 from repro.engine.session import InferenceSession
 from repro.models import build_model
 from repro.nn.shm import list_segments, unlink_created_segments
@@ -70,6 +70,31 @@ class TestProcessReplica:
             assert np.array_equal(out, InferenceSession(model, "lower25").run(x))
         finally:
             replicas[0].close()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # The reply ring next door: the last batch's logits as input.
+            {"ring_offset": procpool.DEFAULT_RING_BYTES},
+            {"ring_offset": -8},
+            {"rows": 10**6},  # past the ring, into the rest of the segment
+            {"rows": -1},
+            {"row_shape": [1, 2**40, 2**40]},
+        ],
+        ids=lambda bad: "-".join(bad),
+    )
+    def test_hostile_ring_descriptor_is_refused_and_the_worker_keeps_serving(
+        self, model, replica, bad
+    ):
+        x = one_batch()
+        want = InferenceSession(model, "lower50").run(x)
+        assert np.array_equal(replica.run(x, "lower50"), want)
+        fields = {"ring_offset": 0, "rows": 3, "row_shape": [1, 28, 28], "dtype": "float64"}
+        fields.update(bad)
+        with pytest.raises(EndpointUnavailable, match="outside the ring"):
+            replica._endpoint.run_parts("lower50", fields)
+        assert replica.ping()
+        assert np.array_equal(replica.run(x, "lower50"), want)
 
     def test_parent_version_bump_triggers_worker_repack(self, model):
         metrics = MetricsRegistry()

@@ -107,3 +107,41 @@ class TestWidthSpec:
         ws = paper_width_spec()
         names = [s.name for s in ws.all_specs()]
         assert len(names) == len(set(names))
+
+    def test_families_are_built_once_per_value(self, monkeypatch):
+        """``find`` runs per message on the distributed path and every net
+        build makes a fresh, equal ``WidthSpec``: none of them may rebuild."""
+        first = WidthSpec(max_width=20, lower_widths=(5, 10, 15, 20), split=10, num_convs=2)
+        family = first.all_specs()
+        built = []
+        init = SubNetSpec.__init__
+        monkeypatch.setattr(
+            SubNetSpec, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw)
+        )
+        again = WidthSpec(max_width=20, lower_widths=(5, 10, 15, 20), split=10, num_convs=2)
+        assert again is not first
+        assert all(a is b for a, b in zip(again.all_specs(), family))
+        assert again.find("upper25") is family[-2]
+        assert built == []
+
+    def test_family_lists_are_the_callers_to_mutate(self):
+        ws = paper_width_spec()
+        ws.lower_family().clear()
+        ws.upper_family().append(None)
+        ws.all_specs().reverse()
+        assert [s.name for s in ws.all_specs()] == [
+            "lower25", "lower50", "lower75", "lower100", "upper25", "upper50",
+        ]
+
+    def test_lower_widths_given_as_a_list(self):
+        ws = WidthSpec(max_width=8, lower_widths=[2, 4, 8], split=4, num_convs=2)
+        assert [s.name for s in ws.lower_family()] == ["lower25", "lower50", "lower100"]
+        assert ws.find("upper50").conv_slices == (ChannelSlice(4, 8),) * 2
+
+    def test_find_keeps_the_first_match_and_the_error_text(self):
+        # 1/1000 and 4/1000 both round to "lower0": the narrower one came first.
+        ws = WidthSpec(max_width=1000, lower_widths=(1, 4, 1000), split=500, num_convs=1)
+        assert [s.name for s in ws.lower_family()][:2] == ["lower0", "lower0"]
+        assert ws.find("lower0").last_slice == ChannelSlice(0, 1)
+        with pytest.raises(KeyError, match=r"^\"no sub-network named 'lower33'\"$"):
+            ws.find("lower33")
