@@ -77,16 +77,16 @@ def measure_backend(
     """Rows/s for one backend at one pool size (plus shm segment counts)."""
     batch = make_rng(7).standard_normal((BATCH_ROWS, 1, 28, 28))
     if backend == "process":
+        # ``widths``: each worker compiles and runs its plan once before it
+        # answers the readiness ping, off the clock like the plans below.
         replicas = make_process_replicas(
             model, workers, plan_options={"batch_rows": BATCH_ROWS},
-            metrics=MetricsRegistry(),
+            widths=[WIDTH], metrics=MetricsRegistry(),
         )
     else:
         plans = compile_width_plans(model, [WIDTH], batch_rows=BATCH_ROWS)
         replicas = [Replica(i, model, plans) for i in range(workers)]
     try:
-        for replica in replicas:  # warm: plan compile + first packs off the clock
-            replica.run_parts([batch], WIDTH)
         return {
             "rows_per_s": _drive(replicas, batch, batches_each),
             "weight_segments": len(list_segments("w")),

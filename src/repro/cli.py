@@ -69,7 +69,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-delay-ms", type=float, default=None,
-        help="micro-batch flush delay in milliseconds",
+        help="longest a request with company waits for batch-mates, in "
+        "milliseconds (a lone request is flushed at once)",
     )
     parser.add_argument(
         "--conv-backend", choices=CONV_BACKENDS, default=None,

@@ -13,6 +13,7 @@ malicious peer cannot smuggle object arrays.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Any, Dict, Tuple
 
@@ -86,12 +87,16 @@ def decode_frame(frame: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
             raise WireError(f"dtype {dtype!r} not allowed on the wire")
         if any((not isinstance(d, int)) or d < 0 for d in shape):
             raise WireError(f"bad shape {shape!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # exact: int64 would wrap on a hostile shape
         nbytes = count * np.dtype(dtype).itemsize
         if offset + nbytes > len(frame):
             raise WireError(f"frame truncated inside array {name!r}")
         flat = np.frombuffer(frame, dtype=np.dtype(dtype).newbyteorder("<"), count=count, offset=offset)
-        arrays[name] = flat.reshape(shape).astype(dtype)
+        try:
+            arrays[name] = flat.reshape(shape).astype(dtype)
+        except (ValueError, TypeError) as exc:
+            # An empty payload under dimensions NumPy cannot hold ([0, 2**62]).
+            raise WireError(f"bad shape {shape!r}") from exc
         offset += nbytes
     if offset != len(frame):
         raise WireError(f"{len(frame) - offset} trailing bytes after last array")

@@ -10,6 +10,14 @@ the first queued request) is exhausted, runs **one** batched forward via
 the supplied ``run_batch`` callable, and scatters the result rows back to
 the per-request futures in submission order.
 
+One rule sits in front of the two budgets: a request its submitter knows
+to be *alone* (``submit(..., alone=True)`` — nothing else it could be
+batched with is on its way) that also finds the queue empty is flushed at
+once, as a batch of its own.  The timer exists to collect batch-mates;
+holding a request for mates that cannot exist only adds ``max_delay_s`` to
+its latency.  A caller that passes no such evidence gets the two budgets
+and nothing else.
+
 ``run_batch`` is typically an
 :class:`~repro.engine.session.InferenceSession`'s :meth:`run` (stateless,
 shared weights), or :class:`~repro.runtime.live.LiveSystem.serve_batch`
@@ -30,6 +38,9 @@ import numpy as np
 
 _SHUTDOWN = object()
 
+# One queued request: payload, future, caller tag, submitted-alone evidence.
+_Item = Tuple[np.ndarray, Future, object, bool]
+
 
 class DeadlineExceeded(RuntimeError):
     """A request's deadline expired before it could be served.
@@ -46,7 +57,9 @@ class BatchingConfig:
     """Budgets for one micro-batching queue."""
 
     max_batch: int = 32       # flush when this many *rows* are pending
-    max_delay_s: float = 0.002  # flush this long after the first pending request
+    # flush this long after the first pending request (one submitted
+    # ``alone`` into an empty queue does not wait at all)
+    max_delay_s: float = 0.002
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
@@ -74,8 +87,10 @@ class BatchingStats:
     requests: int = 0
     batches: int = 0
     rows: int = 0
-    full_flushes: int = 0      # flushed because max_batch rows were pending
-    deadline_flushes: int = 0  # flushed because max_delay_s expired
+    # Why each batch flushed; the three always sum to ``batches``.
+    full_flushes: int = 0      # max_batch rows were pending
+    deadline_flushes: int = 0  # max_delay_s expired (or close() cut the wait short)
+    lone_flushes: int = 0      # submitted alone into an empty queue: no wait
     expired_rejects: int = 0   # requests failed fast: deadline already past at submit
     recent_batch_sizes: "deque" = field(
         default_factory=lambda: deque(maxlen=RECENT_BATCH_WINDOW)
@@ -96,6 +111,7 @@ class BatchingStats:
                 "rows": self.rows,
                 "full_flushes": self.full_flushes,
                 "deadline_flushes": self.deadline_flushes,
+                "lone_flushes": self.lone_flushes,
                 "expired_rejects": self.expired_rejects,
                 "mean_batch_rows": self.mean_batch_rows(),
                 "recent_batch_sizes": list(self.recent_batch_sizes),
@@ -155,7 +171,12 @@ class MicroBatchQueue:
     # -- client side -----------------------------------------------------------
 
     def submit(
-        self, x: np.ndarray, *, deadline: Optional[float] = None, tag: object = None
+        self,
+        x: np.ndarray,
+        *,
+        deadline: Optional[float] = None,
+        tag: object = None,
+        alone: bool = False,
     ) -> "Future[np.ndarray]":
         """Enqueue one request (rows = ``x.shape[0]``); returns its future.
 
@@ -168,6 +189,14 @@ class MicroBatchQueue:
         ``tag`` is an opaque caller handle carried alongside the request
         and handed back through the ``on_batch`` hook with the batch it
         flushed in.
+
+        ``alone`` is the submitter's evidence that no other request that
+        could share this one's batch exists right now (the serving frontend
+        passes "nothing else is routed and unresolved on any replica").
+        If the collector also finds the queue empty behind it, the request
+        is flushed at once instead of waiting out ``max_delay_s`` for
+        batch-mates nobody can send.  Still non-blocking: the batch runs
+        on the collector thread, never on the caller's.
         """
         if x.ndim < 1 or x.shape[0] == 0:
             raise ValueError(f"request must have at least one row, got shape {x.shape}")
@@ -184,7 +213,7 @@ class MicroBatchQueue:
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError("submit on a closed MicroBatchQueue")
-            self._queue.put((x, future, tag))
+            self._queue.put((x, future, tag, alone))
         return future
 
     def close(self, timeout: Optional[float] = None) -> None:
@@ -206,7 +235,7 @@ class MicroBatchQueue:
     # -- collector side ---------------------------------------------------------
 
     def _collector(self) -> None:
-        carry: Optional[Tuple[np.ndarray, Future, object]] = None
+        carry: Optional[_Item] = None
         while True:
             if carry is not None:
                 item, carry = carry, None
@@ -214,8 +243,8 @@ class MicroBatchQueue:
                 item = self._queue.get()
             if item is _SHUTDOWN:
                 return
-            batch, saw_shutdown, full, carry = self._gather(item)
-            self._flush(batch, full=full)
+            batch, saw_shutdown, kind, carry = self._gather(item)
+            self._flush(batch, kind)
             # An idle collector must not pin the batch it just served
             # (payloads, futures and their callbacks) until the next one.
             del item, batch
@@ -223,49 +252,52 @@ class MicroBatchQueue:
                 return
 
     def _gather(
-        self, first: Tuple[np.ndarray, Future, object]
-    ) -> Tuple[
-        List[Tuple[np.ndarray, Future, object]],
-        bool,
-        bool,
-        Optional[Tuple[np.ndarray, Future, object]],
-    ]:
+        self, first: _Item
+    ) -> Tuple[List[_Item], bool, str, Optional[_Item]]:
         """Collect requests until the row or deadline budget is spent.
 
-        Returns ``(batch, saw_shutdown, full, carry)`` where ``full`` means
-        the row budget (not the deadline) ended collection.  A request that
+        Returns ``(batch, saw_shutdown, kind, carry)`` where ``kind`` names
+        what ended collection — ``"full"`` (the row budget), ``"deadline"``
+        (the timer, or shutdown) or ``"lone"`` — and is the
+        :class:`BatchingStats` counter the flush lands in.  A request that
         would push the batch *past* ``max_batch`` rows is carried over to
         seed the next batch instead of overflowing this one — downstream
         backends (compiled-plan arenas in particular) size themselves to
         exactly ``max_batch`` rows.  Only a single request larger than
         ``max_batch`` on its own ever produces an oversized batch.
+
+        A first request that was submitted alone and has nothing queued
+        behind it is not held for the timer: its submitter saw no possible
+        batch-mate, and anything that arrived since would be in the queue.
         """
         batch = [first]
+        if first[3] and self._queue.empty():
+            return batch, False, "lone", None
         rows = first[0].shape[0]
         flush_at = time.monotonic() + self.config.max_delay_s
         while rows < self.config.max_batch:
             remaining = flush_at - time.monotonic()
             if remaining <= 0:
-                return batch, False, False, None
+                return batch, False, "deadline", None
             try:
                 item = self._queue.get(timeout=remaining)
             except queue.Empty:
-                return batch, False, False, None
+                return batch, False, "deadline", None
             if item is _SHUTDOWN:
-                return batch, True, False, None
+                return batch, True, "deadline", None
             if rows + item[0].shape[0] > self.config.max_batch:
-                return batch, False, True, item
+                return batch, False, "full", item
             batch.append(item)
             rows += item[0].shape[0]
-        return batch, False, True, None
+        return batch, False, "full", None
 
-    def _flush(self, batch: List[Tuple[np.ndarray, Future, object]], *, full: bool) -> None:
+    def _flush(self, batch: List[_Item], kind: str) -> None:
         # Claim every future before computing: set_running_or_notify_cancel
         # returns False for futures the client already cancelled (dropped
         # here), and afterwards cancel() can no longer succeed — so the
         # set_result/set_exception calls below cannot race a cancellation
         # and kill the collector.
-        batch = [(x, f, t) for x, f, t in batch if f.set_running_or_notify_cancel()]
+        batch = [(x, f, t) for x, f, t, _ in batch if f.set_running_or_notify_cancel()]
         if not batch:
             return
         arrays = [x for x, _, _ in batch]
@@ -294,8 +326,10 @@ class MicroBatchQueue:
             self.stats.batches += 1
             self.stats.rows += sum(rows)
             self.stats.recent_batch_sizes.append(sum(rows))
-            if full:
+            if kind == "full":
                 self.stats.full_flushes += 1
+            elif kind == "lone":
+                self.stats.lone_flushes += 1
             else:
                 self.stats.deadline_flushes += 1
         offset = 0

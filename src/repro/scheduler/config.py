@@ -39,7 +39,7 @@ class SchedulerConfig:
     hedge_ratio: float = 0.1    # hedges may add at most this fraction of load
     warmup: bool = True         # prime the latency EWMAs with one run per width
     max_batch: int = 16
-    max_delay_s: float = 0.001
+    max_delay_s: float = 0.001  # longest a request with company waits for batch-mates
     compile_plans: bool = True  # compile one InferencePlan per allowed width
     plan_workspaces: int = 1    # arenas preallocated per plan (grows on demand)
     conv_backend: str = "im2col"  # plan convolution lowering (see nn.functional.CONV_BACKENDS)

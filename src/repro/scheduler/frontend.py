@@ -11,6 +11,9 @@ slimmable weight store:
    mid-flight is transparently rerouted — zero lost requests.
 4. Per-(replica, width) :class:`~repro.runtime.batching.MicroBatchQueue`
    instances coalesce same-width requests into large batched forwards.
+   A request that is *alone* — nothing else routed and unresolved on any
+   replica when it is dispatched — is flushed at once; only a request
+   with company waits (at most ``max_delay_s``) for batch-mates.
 
 A background health loop drives the pool's heartbeat monitors, and a
 watchdog thread **hedges stragglers**: a request still unresolved well
@@ -116,12 +119,18 @@ class _HedgeWatchdog:
     The heap holds entries *weakly*: a request's legs (queue tags, done
     callbacks, retry timers) keep its entry alive exactly as long as it
     can still be hedged, so an answered request's payload and future are
-    freed at once instead of being pinned until its hedge instant.
+    freed at once instead of being pinned until its hedge instant.  Only
+    the timer pops, so the dead references themselves are swept whenever
+    the heap has doubled since the last sweep: it stays O(in-flight), not
+    O(request rate x time to the hedge instant).
     """
+
+    SWEEP_FLOOR = 64  # never sweep a heap smaller than this
 
     def __init__(self, fire) -> None:
         self._fire = fire
         self._heap: List[Tuple[float, int, "weakref.ref[_Entry]"]] = []
+        self._sweep_at = self.SWEEP_FLOOR
         self._seq = itertools.count()
         self._cond = threading.Condition()
         self._closed = False
@@ -134,6 +143,11 @@ class _HedgeWatchdog:
         with self._cond:
             if self._closed:
                 return
+            if len(self._heap) >= self._sweep_at:
+                # Live tuples are kept whole: no hedge instant moves.
+                self._heap[:] = [item for item in self._heap if item[2]() is not None]
+                heapq.heapify(self._heap)
+                self._sweep_at = 2 * len(self._heap) + self.SWEEP_FLOOR
             heapq.heappush(self._heap, (at, next(self._seq), weakref.ref(entry)))
             self._cond.notify()
 
@@ -544,10 +558,18 @@ class ServingFrontend:
         producing a result (a late answer is a miss, never a loss).
         ``leg`` labels the dispatch for tracing and hedge-outcome
         accounting: ``"primary"``, ``"reroute"`` or ``"hedge"``.
+
+        Every leg tells its queue whether it is *alone*: no leg of any
+        request is routed and unresolved on any replica (the plane's
+        ``depth``, read before ``route()`` counts this one).  The queue flushes such a leg at
+        once; the rule is frontend-wide, not per queue, because a
+        collector's own queue is always idle when it gathers — while the
+        other replica has a batch in flight, nobody is alone.
         """
         if self._closed:
             self._fail(entry, ReplicaUnavailable("frontend closed"))
             return
+        alone = self._view.depth() == 0
         try:
             replica = self.pool.route(exclude=exclude)
         except ReplicaUnavailable as exc:
@@ -561,7 +583,7 @@ class ServingFrontend:
         )
         try:
             inner = self._queue_for(replica, width).submit(
-                entry.x, deadline=deadline, tag=entry
+                entry.x, deadline=deadline, tag=entry, alone=alone
             )
         except (RuntimeError, ValueError) as exc:
             # Closed queue (frontend shutting down under a reroute/hedge) or

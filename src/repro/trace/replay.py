@@ -487,6 +487,12 @@ class _Simulation:
     :class:`~repro.runtime.batching.MicroBatchQueue` contract.  The row
     budget, service time and batch histogram count payload rows;
     ``pending`` and :meth:`depth` count requests, as the live plane does.
+
+    Known gap: the live frontend flushes a request that is alone in the
+    whole plane at once; this model still charges it ``max_delay_s``.
+    Mirroring the rule here moves every committed ``BENCH_*.json``; the
+    clock/executor rebinding (ROADMAP item 3) deletes this class and
+    inherits the rule from the live plane instead.
     """
 
     def __init__(self, *, replicas, max_batch, max_delay_s, service_s) -> None:

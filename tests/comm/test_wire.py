@@ -151,28 +151,39 @@ class TestRejections:
         with pytest.raises(WireError):
             decode_frame(frame)
 
-    def test_smuggled_dtype_rejected(self):
-        # Craft a header claiming an object dtype.
+    @staticmethod
+    def _declared(shape, payload=b"", dtype="float32"):
+        """A well-formed frame whose one array claims ``shape`` and ``dtype``."""
         import json
         import struct
 
         header = json.dumps(
-            {"meta": {}, "arrays": [{"name": "x", "dtype": "object", "shape": [1]}]}
+            {"meta": {}, "arrays": [{"name": "x", "dtype": dtype, "shape": shape}]}
         ).encode()
-        frame = b"FDN1" + struct.pack(">I", len(header)) + header + b"\x00" * 8
+        return b"FDN1" + struct.pack(">I", len(header)) + header + payload
+
+    def test_smuggled_dtype_rejected(self):
+        frame = self._declared([1], payload=b"\x00" * 8, dtype="object")
         with pytest.raises(WireError, match="not allowed"):
             decode_frame(frame)
 
     def test_negative_shape_rejected(self):
-        import json
-        import struct
-
-        header = json.dumps(
-            {"meta": {}, "arrays": [{"name": "x", "dtype": "float64", "shape": [-1]}]}
-        ).encode()
-        frame = b"FDN1" + struct.pack(">I", len(header)) + header
         with pytest.raises(WireError):
+            decode_frame(self._declared([-1], dtype="float64"))
+
+    def test_shape_that_overflows_int64_is_truncation_not_a_crash(self):
+        """(2**62 + 1) * 4 wraps to 4 in int64 and matched a 4-element payload."""
+        frame = self._declared([2**62 + 1, 4], payload=b"\x00" * 16)
+        with pytest.raises(WireError, match="truncated"):
             decode_frame(frame)
+
+    def test_zero_dimensions_decode_or_fail_cleanly(self):
+        arrays, _ = decode_frame(self._declared([0, 0]))
+        assert arrays["x"].shape == (0, 0)
+        # Zero elements, no payload to be short of — and not an ndarray shape.
+        for shape in ([0, 2**62 + 1], [2**40, 2**40, 0]):
+            with pytest.raises(WireError, match="bad shape"):
+                decode_frame(self._declared(shape))
 
     def test_oversized_declared_header(self):
         import struct

@@ -128,6 +128,90 @@ class TestFlushTriggers:
         queue.close()
 
 
+class TestLoneFlush:
+    """A request submitted ``alone`` into an empty queue never waits.
+
+    ``max_delay_s=5.0`` means "the timer never fires": a result inside the
+    2 s timeouts below cannot have come from it."""
+
+    @staticmethod
+    def _flush_kinds(stats):
+        return (stats.full_flushes, stats.deadline_flushes, stats.lone_flushes)
+
+    def test_alone_into_an_empty_queue_is_flushed_at_once(self):
+        calls = []
+        queue = MicroBatchQueue(
+            rows_runner(calls), BatchingConfig(max_batch=4, max_delay_s=5.0)
+        )
+        out = queue.submit(np.full((1, 2), 3.0), alone=True).result(timeout=2.0)
+        np.testing.assert_array_equal(out, np.full((1, 2), 30.0))
+        assert [c.shape for c in calls] == [(1, 2)]
+        assert queue.stats.batches == 1
+        assert self._flush_kinds(queue.stats) == (0, 0, 1)
+        assert queue.stats.snapshot()["lone_flushes"] == 1
+        queue.close()
+
+    def test_alone_with_company_already_queued_gathers_normally(self):
+        calls = []
+        queue = MicroBatchQueue(
+            rows_runner(calls),
+            BatchingConfig(max_batch=4, max_delay_s=5.0),
+            autostart=False,
+        )
+        futures = [queue.submit(np.full((1, 2), 0.0), alone=True)]
+        futures += [queue.submit(np.full((1, 2), float(i))) for i in range(1, 4)]
+        queue.start()
+        for i, f in enumerate(futures):
+            np.testing.assert_array_equal(f.result(timeout=2.0), np.full((1, 2), 10.0 * i))
+        assert [c.shape for c in calls] == [(4, 2)]
+        assert self._flush_kinds(queue.stats) == (1, 0, 0)
+        queue.close()
+
+    def test_not_alone_waits_for_the_row_budget(self):
+        """Without the evidence the first request is held for batch-mates,
+        even on an idle running collector: all four ride one batch."""
+        calls = []
+        queue = MicroBatchQueue(
+            rows_runner(calls), BatchingConfig(max_batch=4, max_delay_s=5.0)
+        )
+        futures = [queue.submit(np.full((1, 2), float(i))) for i in range(4)]
+        for i, f in enumerate(futures):
+            np.testing.assert_array_equal(f.result(timeout=2.0), np.full((1, 2), 10.0 * i))
+        assert [c.shape for c in calls] == [(4, 2)]
+        assert self._flush_kinds(queue.stats) == (1, 0, 0)
+        queue.close()
+
+    def test_cancelled_lone_request_is_dropped(self):
+        calls = []
+        queue = MicroBatchQueue(
+            rows_runner(calls),
+            BatchingConfig(max_batch=4, max_delay_s=5.0),
+            autostart=False,
+        )
+        doomed = queue.submit(np.full((1,), 1.0), alone=True)
+        assert doomed.cancel()
+        queue.start()
+        later = queue.submit(np.full((1,), 7.0), alone=True)
+        np.testing.assert_array_equal(later.result(timeout=2.0), np.full((1,), 70.0))
+        assert len(calls) == 1  # the cancelled request never reached the runner
+        assert queue.stats.requests == 1 and queue.stats.batches == 1
+        assert self._flush_kinds(queue.stats) == (0, 0, 1)
+        queue.close()
+
+    def test_flush_kinds_sum_to_batches(self):
+        queue = MicroBatchQueue(
+            rows_runner(), BatchingConfig(max_batch=2, max_delay_s=5.0)
+        )
+        queue.submit(np.ones((1,)), alone=True).result(timeout=2.0)   # lone
+        for f in [queue.submit(np.ones((1,))) for _ in range(2)]:     # row budget
+            f.result(timeout=2.0)
+        held = queue.submit(np.ones((1,)))  # has no evidence: only close() frees it
+        queue.close(timeout=5.0)
+        held.result(timeout=2.0)
+        assert self._flush_kinds(queue.stats) == (1, 1, 1)
+        assert sum(self._flush_kinds(queue.stats)) == queue.stats.batches == 3
+
+
 class TestScatterOrder:
     def test_each_future_gets_its_own_rows(self):
         """Results scatter back per request, in submission order, any sizes."""

@@ -5,6 +5,7 @@ absorbed with zero lost requests (every future resolves with a result).
 """
 
 import gc
+import threading
 import time
 import weakref
 
@@ -216,6 +217,93 @@ class TestFailureAbsorption:
             frontend.close()
 
 
+class TestLoneRequestNeverWaits:
+    """The frontend's one batching rule: a request with nothing else routed
+    and unresolved on any replica is flushed at once; one with company takes
+    the row budget / ``max_delay_s`` path.
+
+    ``max_delay_s=5.0`` means "the timer never fires" (a result inside a 2 s
+    timeout cannot have come from it), and company is made by holding a
+    request inside a replica on an ``Event`` — nothing here sleeps."""
+
+    SLA_WIDE = SLA(deadline_s=60.0, min_width="lower100", max_width="lower100")
+
+    @staticmethod
+    def _block(replica):
+        """Hold every ``run_parts`` on ``replica`` until ``gate`` is set."""
+        entered, gate = threading.Event(), threading.Event()
+        run_parts = replica.run_parts
+
+        def _held(parts, width):
+            entered.set()
+            assert gate.wait(timeout=30.0)
+            return run_parts(parts, width)
+
+        replica.run_parts = _held
+        return entered, gate
+
+    def test_lone_request_resolves_without_the_timer(self, model):
+        with make_frontend(model, max_delay_s=5.0) as frontend:
+            out = frontend.submit(one_image(), self.SLA_WIDE).result(timeout=2.0)
+            assert out.shape == (1, 10)
+            (stats,) = frontend.report()["batching"].values()
+            assert stats["lone_flushes"] == stats["batches"] == 1
+            assert stats["deadline_flushes"] == 0
+
+    def test_requests_with_company_coalesce_to_max_batch(self, model):
+        with make_frontend(model, max_batch=2, max_delay_s=5.0) as frontend:
+            entered, gate = self._block(frontend.pool.replicas[0])
+            try:
+                held = frontend.submit(one_image(0), self.SLA_WIDE)  # alone -> replica 0
+                assert entered.wait(timeout=10.0)
+                # Least-loaded routing with one request held on replica 0:
+                # replica 1, replica 0 (tie), replica 1.
+                first, queued, second = (
+                    frontend.submit(one_image(i), self.SLA_WIDE) for i in (1, 2, 3)
+                )
+                # Replica 1 was idle, yet its first request waited for the
+                # second: one full 2-row batch, not a lone flush and a straggler.
+                assert first.result(timeout=2.0).shape == (1, 10)
+                assert second.result(timeout=2.0).shape == (1, 10)
+                on_one = frontend.report()["batching"]["1:lower100"]
+                assert (on_one["batches"], on_one["rows"]) == (1, 2)
+                assert (on_one["full_flushes"], on_one["lone_flushes"]) == (1, 0)
+            finally:
+                gate.set()
+            assert held.result(timeout=10.0).shape == (1, 10)
+            assert frontend.report()["batching"]["0:lower100"]["lone_flushes"] == 1
+        # Behind the held batch and never alone: only close() freed it.
+        assert queued.result(timeout=1.0).shape == (1, 10)
+
+    def test_hedge_leg_beside_its_primary_is_not_alone(self, model):
+        with make_frontend(model, max_delay_s=5.0, hedge_ratio=1.0) as frontend:
+            entered, gate = self._block(frontend.pool.replicas[0])
+            try:
+                future = frontend.submit(one_image(), SLA(deadline_s=60.0))
+                assert entered.wait(timeout=10.0)
+                entry = frontend._watchdog._heap[0][2]()
+                frontend._hedge(entry)  # fire the straggler hedge by hand
+                assert frontend.metrics.counter("frontend.hedges").value == 1
+                hedge_queue = frontend._queues[(1, "lower75")]
+            finally:
+                gate.set()
+            assert future.result(timeout=10.0).shape == (1, 10)
+        # The hedge leg sat out the timer in its queue until close() cut it short.
+        stats = hedge_queue.stats
+        assert (stats.batches, stats.lone_flushes, stats.deadline_flushes) == (1, 0, 1)
+
+    def test_report_carries_lone_flushes_beside_the_flush_counters(self, model):
+        with make_frontend(model) as frontend:
+            for i in range(5):
+                frontend.submit(one_image(i), SLA(deadline_s=5.0)).result(timeout=10.0)
+            for stats in frontend.report()["batching"].values():
+                assert {"batches", "rows", "deadline_flushes", "lone_flushes"} <= set(stats)
+                assert (
+                    stats["full_flushes"] + stats["deadline_flushes"] + stats["lone_flushes"]
+                    == stats["batches"]
+                )
+
+
 class TestHedging:
     """The watchdog's firing *schedule* is wall-clock driven (covered by the
     bench, where hedges fire under real backlog); these tests drive the
@@ -338,6 +426,34 @@ class TestHedgeWatchdog:
         watchdog = _HedgeWatchdog(lambda entry: None)
         watchdog.close()
         watchdog.close()
+
+    def test_heap_stays_proportional_to_what_is_in_flight(self):
+        """Only the timer pops, and the hedge instant is 5 s away: without a
+        sweep 10 000 answered requests leave 10 000 dead tuples."""
+        from repro.scheduler.frontend import _HedgeWatchdog
+
+        fired = []
+        watchdog = _HedgeWatchdog(fired.append)
+        try:
+            at = time.monotonic() + 5.0
+            in_flight = [self._Stub() for _ in range(3)]
+            for k, stub in enumerate(in_flight):
+                watchdog.arm(at + k, stub)
+            for _ in range(10_000):
+                watchdog.arm(at, self._Stub())  # answered (dropped) at once
+                assert len(watchdog._heap) <= 2 * len(in_flight) + 64
+            # Live entries keep their hedge instants.
+            live = sorted((t, e()) for t, _, e in watchdog._heap if e() is not None)
+            assert live == [(at + k, stub) for k, stub in enumerate(in_flight)]
+            assert fired == []
+        finally:
+            watchdog.close()
+
+    def test_served_requests_do_not_pile_up_in_the_frontend_heap(self, model):
+        with make_frontend(model, replicas=1) as frontend:
+            for i in range(300):
+                frontend.submit(one_image(i % 4), SLA(deadline_s=10.0)).result(timeout=10.0)
+                assert len(frontend._watchdog._heap) <= 2 * 1 + 64
 
     def test_answered_requests_are_released_before_their_hedge_instant(self, model):
         """Under a 10 s deadline the hedge instant is >= 5 s away; an answered
