@@ -76,15 +76,18 @@ def measure_backend(
 ) -> Dict[str, float]:
     """Rows/s for one backend at one pool size (plus shm segment counts)."""
     batch = make_rng(7).standard_normal((BATCH_ROWS, 1, 28, 28))
+    # Both backends serve the same compiled plan; a process pool's parent
+    # never runs it, so there it is compiled without an arena.
+    plans = compile_width_plans(
+        model, [WIDTH], batch_rows=BATCH_ROWS, workspaces=int(backend == "thread")
+    )
     if backend == "process":
-        # ``widths``: each worker compiles and runs its plan once before it
-        # answers the readiness ping, off the clock like the plans below.
+        # ``widths``: each worker probes the plan before it answers the
+        # readiness ping, off the clock like the compile above.
         replicas = make_process_replicas(
-            model, workers, plan_options={"batch_rows": BATCH_ROWS},
-            widths=[WIDTH], metrics=MetricsRegistry(),
+            model, workers, plans=plans, widths=[WIDTH], metrics=MetricsRegistry(),
         )
     else:
-        plans = compile_width_plans(model, [WIDTH], batch_rows=BATCH_ROWS)
         replicas = [Replica(i, model, plans) for i in range(workers)]
     try:
         return {

@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dist.add_argument(
         "--eager", dest="compiled", action="store_false",
-        help="run only the eager path",
+        help="run only the eager path (HA only: solo and HT streams always "
+        "run each device's compiled plan)",
     )
 
     sub.add_parser("calibration", help="show emulated-testbed calibration vs paper")

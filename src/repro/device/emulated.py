@@ -83,14 +83,22 @@ class EmulatedDevice:
         """Whether the sub-network's parameter count fits device memory."""
         return subnet_param_count(self.net, spec) <= self.profile.memory_capacity_params
 
-    def execute_subnet(self, spec: SubNetSpec, x: np.ndarray) -> np.ndarray:
-        """Run a standalone sub-network on a batch; accounts emulated time."""
+    def execute_subnet(self, spec: SubNetSpec, x: np.ndarray, plan=None) -> np.ndarray:
+        """Run a standalone sub-network on a batch; accounts emulated time.
+
+        ``plan`` is a compiled :class:`~repro.nn.plan.InferencePlan` of
+        ``spec`` over this device's net; a batch it accepts runs through it
+        (bitwise the eager forward), any other batch runs eager.
+        """
         self._check_alive()
-        view = self.net.view(spec)
-        view.train(False)
-        # Stateless inference: slice bindings and (skipped) activation tape
-        # live on the per-call context, not on the shared net.
-        logits = view.forward(x, ForwardContext(recording=False))
+        if plan is not None and plan.accepts(x):
+            logits = plan.run(x)
+        else:
+            view = self.net.view(spec)
+            view.train(False)
+            # Stateless inference: slice bindings and (skipped) activation
+            # tape live on the per-call context, not on the shared net.
+            logits = view.forward(x, ForwardContext(recording=False))
         flops = subnet_flops(self.net, spec) * x.shape[0]
         layers = subnet_num_layers(self.net) * x.shape[0]
         self.busy_time_s += self.profile.compute_time(flops, layers)

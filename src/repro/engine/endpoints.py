@@ -48,6 +48,7 @@ from repro.distributed.partitioned import (
     feature_slice_for_block,
     flatten_channel_block,
 )
+from repro.nn.plan import InferencePlan, PackedWeightCache
 from repro.slimmable.spec import ChannelSlice, SubNetSpec
 from repro.utils.dtypes import compute_dtype
 
@@ -179,6 +180,12 @@ class LocalEndpoint(Endpoint):
     counts calls, i.e. protocol messages — and a
     :class:`~repro.device.emulated.DeviceFailed` surfaces as the engine's
     failure signal, :class:`EndpointUnavailable`.
+
+    Standalone sub-networks (solo and High-Throughput streams) run through
+    one compiled :class:`~repro.nn.plan.InferencePlan` per spec, whose
+    arena grows to the largest batch seen; partitioned rounds through the
+    compiler's per-device plans.  Both pack from one
+    :class:`~repro.nn.plan.PackedWeightCache` per endpoint.
     """
 
     def __init__(self, name: str, device: EmulatedDevice) -> None:
@@ -186,6 +193,8 @@ class LocalEndpoint(Endpoint):
         self.device = device
         self._partition_costs: Optional[Tuple[str, list]] = None
         self._partition_cost_cache: Dict[tuple, list] = {}
+        self._cache = PackedWeightCache()
+        self._subnet_plans: Dict[SubNetSpec, InferencePlan] = {}
         self._compiler: Optional[Any] = None  # PartitionPlanCompiler, lazy
         self._plan: Optional[Any] = None      # DevicePartitionPlan of the open run
         self._run: Optional[Any] = None       # its checked-out _PartitionRun
@@ -208,8 +217,16 @@ class LocalEndpoint(Endpoint):
         return True
 
     def run_subnet(self, spec: SubNetSpec, x: np.ndarray) -> EndpointReply:
+        plan = self._subnet_plans.get(spec)
+        if plan is None or plan.batch_rows < len(x):
+            plan = InferencePlan.compile(
+                self.device.net, spec,
+                batch_rows=max(len(x), plan.batch_rows if plan else 1),
+                cache=self._cache,
+            )
+            self._subnet_plans[spec] = plan
         try:
-            logits = self.device.execute_subnet(spec, x)  # ticks liveness itself
+            logits = self.device.execute_subnet(spec, x, plan)  # ticks liveness itself
         except DeviceFailed as exc:
             raise EndpointUnavailable(str(exc)) from exc
         compute_s = self.device.estimated_latency(spec) * x.shape[0]
@@ -220,8 +237,9 @@ class LocalEndpoint(Endpoint):
     def begin_partition(
         self, spec: SubNetSpec, boundaries: Sequence[int], index: int
     ) -> None:
-        # Keyed by the spec's value (a frozen dataclass): ``WidthSpec.find``
-        # builds a fresh object per lookup, so an id() key would never hit.
+        # Keyed by the spec's value (a frozen dataclass), so a spec looked
+        # up again under the same name hits, and one re-registered with
+        # other slices does not.
         key = (spec, tuple(boundaries), index)
         costs = self._partition_cost_cache.get(key)
         if costs is None:
@@ -306,7 +324,7 @@ class LocalEndpoint(Endpoint):
         self.abandon_partition()  # a batch left open by a peer crashing mid-round
         self.begin_partition(spec, boundaries, index)
         if self._compiler is None or self._compiler.net is not self.device.net:
-            self._compiler = PartitionPlanCompiler(self.device.net)
+            self._compiler = PartitionPlanCompiler(self.device.net, cache=self._cache)
         self._plan = self._compiler.plan_for(spec, tuple(boundaries), index, rows)
         self._run = self._plan.begin(rows)
 
@@ -381,14 +399,18 @@ class TransportEndpoint(Endpoint):
         return self.transport is not None and not self.transport.closed
 
     def ping(self, timeout: float = 1.0) -> bool:
+        return self.pong(timeout) is not None
+
+    def pong(self, timeout: float = 1.0) -> Optional[Message]:
+        """PING the peer: its PONG (whose fields a peer may fill), or None."""
         if not self.available:
-            return False
+            return None
         try:
             self.transport.send(Message(MessageKind.PING))
             reply = self.transport.recv(timeout=timeout)
         except TransportError:
-            return False
-        return reply.kind == MessageKind.PONG
+            return None
+        return reply if reply.kind == MessageKind.PONG else None
 
     def _request(self, message: Message) -> Tuple[Message, int]:
         if not self.available:

@@ -14,7 +14,9 @@ whole round behind it.  Ledger updates happen after the gather, in graph
 op order — emulated-time totals are bit-for-bit what the historical serial
 loop produced.
 
-With ``compiled=True`` the partitioned (HA) path runs each device's
+Solo and High-Throughput streams always run each local endpoint's compiled
+:class:`~repro.nn.plan.InferencePlan` (bitwise the eager forward).  With
+``compiled=True`` the partitioned (HA) path too runs each device's
 :class:`~repro.engine.dist_plan.DevicePartitionPlan` instead of the eager
 per-round kernels, and switches the exchange to *delta halos*: each round
 ships only the peers' halves (every device already holds its own half in
@@ -161,17 +163,13 @@ class ExecutionEngine:
             return self.extra_specs[name]
         return self.width_spec.find(name)
 
-    def ping(self, device: str, timeout: float = 1.0) -> bool:
-        return self.endpoint(device).ping(timeout=timeout)
-
     def compile(self, plan: DeploymentPlan) -> ExecutionGraph:
         spec = None
         if plan.mode is ExecutionMode.HIGH_ACCURACY:
             spec = self.resolve_spec(plan.combined_subnet)
         # Plans and specs are frozen dataclasses, so identical deployments
-        # hit the cache (by value: ``WidthSpec.find`` returns a fresh spec
-        # object per lookup) and a re-registered spec under the same name,
-        # with other slices, does not.
+        # hit the cache by value and a re-registered spec under the same
+        # name, with other slices, does not.
         key = (plan, spec)
         graph = self._graph_cache.get(key)
         if graph is None:

@@ -14,11 +14,12 @@ the pool's health view and, per ejected slot,
    down, is counted in ``supervisor.gave_up`` and reported via
    :meth:`status` — flapping hardware must not eat the control plane;
 3. gets the replacement back **warm**: ``spawn_replica`` returns a
-   process worker only after it compiled, packed and ran every candidate
-   width and answered its readiness ping (a revived thread replica never
-   went cold), so the first real request never pays a compile stall — and
-   nothing here is timed, so cold-start times never poison the width
-   policy's calibrated EWMAs;
+   process worker — forked over the pool's already compiled plans — only
+   after it probed every candidate width and answered its readiness ping
+   (a revived thread replica never went cold), so the first real request
+   never pays a cold start — and the primes that worker reports are
+   observed by nobody, so a respawn never moves the width policy's
+   calibrated EWMAs;
 4. adopts it (:meth:`ReplicaPool.adopt` swaps the slot and rebinds the
    monitor) and invalidates the frontend's stale per-(replica, width)
    queues, then emits a ``replica.respawn`` trace event.

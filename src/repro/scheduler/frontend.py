@@ -213,9 +213,8 @@ class ServingFrontend:
         # dispatches each flush to the smallest rung that fits, so mostly-
         # small traffic touches mostly-small arenas.  ``conv_backend``
         # selects the convolution lowering for every compiled width.
-        # On the process backend the workers run their own plans; the
-        # parent's are read for ``flops_per_image`` / ``accepts_parts`` /
-        # ``rung_for`` only, so they are compiled without an arena.
+        # Process workers inherit these plans through ``fork``; the parent
+        # never runs them, so there they are compiled without an arena.
         process_backend = self.config.replica_backend == "process"
         self.plans: Dict[str, Union[InferencePlan, PlanLadder]] = {}
         if self.config.compile_plans:
@@ -241,24 +240,9 @@ class ServingFrontend:
             self.brownout = fault_policy.BrownoutController(
                 self.config.brownout, metrics=self.metrics, tracer=self.tracer
             )
-        process_options = None
-        if process_backend:
-            # Workers compile their *own* plans (packed blocks and
-            # workspaces must live in worker memory, GIL-free); this
-            # forwards the parent's plan recipe so both backends run the
-            # same compiled configuration, and the widths each worker
-            # compiles and runs once before it answers its readiness ping.
-            process_options = {
-                "widths": [spec.name for spec in self.policy.candidates],
-                "plan_options": {
-                    "compile": self.config.compile_plans,
-                    "batch_rows": self.config.max_batch,
-                    "workspaces": self.config.plan_workspaces,
-                    "conv_backend": self.config.conv_backend,
-                    "rows_ladder": self.config.rows_ladder,
-                    "conv_backend_per_rung": self.config.conv_backend_per_rung,
-                }
-            }
+        # The widths each process worker probes before it answers its readiness ping.
+        widths = [spec.name for spec in self.policy.candidates]
+        process_options = {"widths": widths} if process_backend else None
         self.pool = ReplicaPool(
             model,
             self.config.replicas,
@@ -280,7 +264,7 @@ class ServingFrontend:
         )
         self._health_thread.start()
         if self.config.warmup:
-            self._warmup(net)
+            self._warmup()
         self.supervisor: Optional[ReplicaSupervisor] = None
         if self.config.supervise:
             # Started after warmup so the supervisor never races the
@@ -342,21 +326,15 @@ class ServingFrontend:
             queue_wait=queue_wait,
         )
 
-    def _warmup(self, net) -> None:
-        """One serial forward per width on replica 0: primes the EWMAs so the
-        first real requests see calibrated wall-clock predictions.
-
-        No timed run carries a boot or a compile: thread replicas share
-        the plans compiled above, and process workers compiled and ran
-        theirs before the pool handed them out.
-        """
-        x = np.zeros((1, net.in_channels, net.image_size, net.image_size))
-        replica = self.pool.replicas[0]
-        for spec in self.policy.candidates:
-            with self.metrics.timer("frontend.warmup_s") as timer:
-                replica.run(x, spec.name)
-            self.policy.observe(spec.name, timer.elapsed)
-            self.metrics.ewma("frontend.row_service_s").observe(timer.elapsed)
+    def _warmup(self) -> None:
+        """Prime the EWMAs with replica 0's seconds for a 1-row service per
+        width (:meth:`Replica.warm_service_s`: a thread replica times a run
+        now, a process worker reports the probes it timed while booting)."""
+        names = [spec.name for spec in self.policy.candidates]
+        for width, seconds in self.pool.replicas[0].warm_service_s(names).items():
+            self.metrics.histogram("frontend.warmup_s").observe(seconds)
+            self.policy.observe(width, seconds)
+            self.metrics.ewma("frontend.row_service_s").observe(seconds)
 
     # -- submission -----------------------------------------------------------
 

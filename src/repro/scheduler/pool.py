@@ -18,18 +18,24 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.session import InferenceSession
 from repro.runtime.monitor import HeartbeatMonitor
-from repro.scheduler.telemetry import MetricsRegistry
+from repro.scheduler.telemetry import MetricsRegistry, Timer
 from repro.utils.config import Config
 
 
 class ReplicaUnavailable(RuntimeError):
     """The targeted replica (or every replica) cannot serve the request."""
+
+
+def probe_input(model) -> np.ndarray:
+    """One all-zero image for ``model``: the row a warm-up probe serves."""
+    net = getattr(model, "net", model)
+    return np.zeros((1, net.in_channels, net.image_size, net.image_size))
 
 
 class Replica:
@@ -120,6 +126,15 @@ class Replica:
             raise ReplicaUnavailable(f"replica {self.index} died mid-request")
         return out
 
+    def warm_service_s(self, widths: Sequence[str]) -> Dict[str, float]:
+        """Seconds of one timed 1-row run per width: what a frontend primes from."""
+        x, seconds = probe_input(self._model), {}
+        for width in widths:
+            with Timer() as timer:
+                self.run(x, width)
+            seconds[width] = timer.elapsed
+        return seconds
+
     def stop(self) -> None:
         """Ask the endpoint to stop, without waiting for it (threads: nothing to ask)."""
 
@@ -140,8 +155,9 @@ class ReplicaPool:
     (:mod:`repro.scheduler.procpool`) — same routing, health and reroute
     machinery either way, but process replicas escape the GIL and can
     genuinely die (``kill -9``), which the heartbeat path handles
-    identically to a simulated thread kill.  ``process_options`` forwards
-    to :func:`~repro.scheduler.procpool.make_process_replicas`.
+    identically to a simulated thread kill.  Either backend serves
+    ``plans``; ``process_options`` forwards the rest to
+    :func:`~repro.scheduler.procpool.make_process_replicas`.
     """
 
     def __init__(
@@ -172,8 +188,9 @@ class ReplicaPool:
             self.replicas: List[Replica] = make_process_replicas(
                 model,
                 num_replicas,
+                plans=plans,
                 metrics=self.metrics,
-                **(process_options or {}),
+                **self._process_options,
             )
         else:
             self.replicas = [Replica(i, model, plans) for i in range(num_replicas)]
@@ -238,10 +255,11 @@ class ReplicaPool:
     def spawn_replica(self, index: int) -> Replica:
         """Build a fresh replica for slot ``index`` from the pool's recipe.
 
-        Process backend: forks a brand-new worker (the old process is
-        gone — SIGKILL is not survivable) and returns once it has compiled
-        its plans and answered the readiness ping; a worker that does not
-        come up raises :class:`ReplicaUnavailable`.  Thread backend:
+        Process backend: forks a brand-new worker over the pool's plans
+        (SIGKILL is not survivable) and returns once it has probed its
+        widths and answered the readiness ping — nobody observes its
+        primes; one that does not come up raises
+        :class:`ReplicaUnavailable`.  Thread backend:
         revives the existing object in place.  The result is *not* yet
         routed; :meth:`adopt` it.
         """
@@ -260,7 +278,7 @@ class ReplicaPool:
             "omp_threads", partition_thread_budget(len(self.replicas), total_threads)
         )
         return ProcessReplica(
-            index, self._model, metrics=self.metrics, **options
+            index, self._model, plans=self._plans, metrics=self.metrics, **options
         ).wait_ready()
 
     def adopt(self, index: int, replica: Replica) -> Replica:

@@ -14,13 +14,15 @@ before the machine does.  :class:`ProcessReplica` is the escape hatch:
   :class:`~repro.nn.plan.PackedWeightCache` observes parent-side weight
   updates on its ordinary lock-free version compare and repacks — no
   invalidation message exists in the protocol.
-* **Plans** are compiled *inside* each worker against the shared arenas
-  (packed blocks and workspaces are per-worker, private, GIL-free).  A
-  worker is told its widths at fork and compiles, packs and runs each
-  once **before it reads its first message**; the parent forks every
-  worker first and only then waits for each one's PONG
-  (:meth:`ProcessReplica.wait_ready`), so the workers boot side by side
-  and a replica that is handed out has nothing cold left in it.
+* **Plans** are the frontend's own ``plans`` dict, handed to every
+  worker compiled and packed by ``fork``: a worker compiles nothing and
+  grows its workspaces in its own memory (the parent never runs them, so
+  no lock inside a plan is held at ``fork``).  **Before it reads its
+  first message** a worker probes each of its widths once through its
+  own ``RUN_PARTS`` handler and rings; worker 0 then times one more probe
+  per width for the PONG answering the readiness PING
+  (:attr:`ProcessReplica.primes`).  Every worker is forked before any is
+  waited for, so a replica handed out has nothing cold left in it.
 * **Rows** cross the boundary through one reusable shared-memory slot
   per direction (:class:`~repro.nn.shm.ShmRing`); the wire carries only
   a placement descriptor, never pickled arrays.  One exchange is in
@@ -66,8 +68,8 @@ from repro.engine.endpoints import (
     EndpointUnavailable,
     TransportEndpoint,
 )
-from repro.nn.shm import RING_SEGMENT_TAG, ShmRing, create_segment
-from repro.scheduler.pool import Replica, ReplicaUnavailable
+from repro.nn.shm import RING_SEGMENT_TAG, ShmRing, _unlink_quietly, create_segment
+from repro.scheduler.pool import Replica, ReplicaUnavailable, probe_input
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.utils.dtypes import compute_dtype
 
@@ -76,7 +78,7 @@ from repro.utils.dtypes import compute_dtype
 #: a batch actually covers are ever touched (a 16-row float64 MNIST batch
 #: is ~100 KB), so the size costs address space, not memory.
 DEFAULT_RING_BYTES = 16 << 20
-#: How long a forked worker may take to compile its plans and answer the
+#: How long a forked worker may take to run its boot probes and answer the
 #: readiness ping.  A worker that *dies* while booting fails the wait at
 #: once (its socket closes); this only bounds one that hangs.
 BOOT_TIMEOUT_S = 30.0
@@ -168,6 +170,31 @@ def partition_thread_budget(workers: int, total: Optional[int] = None) -> int:
     return max(1, total // max(1, workers))
 
 
+def _packs(plans: Dict[str, object]) -> int:
+    """(Re-)packs so far of the weight caches ``plans`` serve from, each once."""
+    return sum({id(p.cache): p.cache.packs for p in plans.values()}.values())
+
+
+def _rows_request(ring: ShmRing, parts: Sequence[np.ndarray], dtype) -> Tuple[Dict, Dict]:
+    """``(fields, arrays)`` of a ``RUN_PARTS`` request: the rows placed in
+    ``ring``, or one inline array when the batch outgrows it."""
+    try:
+        offset, rows = ring.place_parts(parts, dtype)
+    except MemoryError:
+        stacked = np.ascontiguousarray(
+            np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0],
+            dtype=dtype,
+        )
+        return {}, {"x": stacked}
+    fields = {
+        "ring_offset": int(offset),
+        "rows": int(rows),
+        "row_shape": [int(d) for d in parts[0].shape[1:]],
+        "dtype": np.dtype(dtype).name,
+    }
+    return fields, {}
+
+
 # -- worker side ---------------------------------------------------------------
 
 
@@ -176,50 +203,26 @@ def _worker_main(
     transport_sock: socket.socket,
     in_ring: ShmRing,
     out_ring: ShmRing,
-    plan_options: Dict,
+    plans: Dict[str, object],
     omp_threads: int,
     widths: Sequence[str],
+    timed: bool,
 ) -> None:
     """Forked worker entry: boot, then serve run_parts requests until shutdown.
 
-    Inherits ``model`` whose parameter storage already lives in shared
-    memory (the fork copied only the Python object graph, not the weight
-    pages), and the parent's two rings with their mapping — nothing is
-    attached by name.  Compiles its own plans against the shared arenas —
-    every one of ``widths`` before the first message is read, any other
-    width on first use; packed blocks and workspaces stay private to this
-    process.
+    Inherits ``model`` over shared-memory weights, the parent's rings and
+    its compiled ``plans``, served as a thread replica serves them.  Boot,
+    before the first message: one untimed 1-row probe per width through
+    the handler and rings (a first run also faults a fresh arena in: up to
+    twice a steady exchange), then, when ``timed``, one more per width —
+    the seconds the PONG carries.  A failure here ends the process.
     """
     signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
     pin_blas_threads(omp_threads)
 
-    from repro.engine.session import InferenceSession
-    from repro.nn.plan import PackedWeightCache, compile_width_plans
-
     transport = TcpTransport(transport_sock)
-    cache = PackedWeightCache()
-    sessions: Dict[str, InferenceSession] = {}
-    compile_options = dict(plan_options)
-    compile_plans = compile_options.pop("compile", True)
-
-    def _session(width: str) -> InferenceSession:
-        if width not in sessions:
-            plan = None
-            if compile_plans:
-                plan = compile_width_plans(
-                    model, [width], cache=cache, **compile_options
-                )[width]
-            sessions[width] = InferenceSession(model, width, plan=plan)
-        return sessions[width]
-
-    # Boot: compile, pack and run each announced width once, so the PONG
-    # that answers the parent's readiness ping means "nothing cold is
-    # left".  A failure here ends the process before it ever answers.
-    net = getattr(model, "net", model)
-    probe = np.zeros((1, net.in_channels, net.image_size, net.image_size))
-    for width in widths:
-        _session(width).run(probe)
+    local = Replica(0, model, plans)
 
     def _handle_run_parts(message: Message) -> Message:
         fields = message.fields
@@ -230,12 +233,12 @@ def _worker_main(
         else:
             x = message.arrays["x"]
         started = time.perf_counter()
-        out = _session(width).run(x)
+        out = local.run(x, width)
         compute_s = time.perf_counter() - started
         reply_fields = {
             "compute_s": compute_s,
             "rows": int(out.shape[0]),
-            "packs": cache.packs,  # cumulative; the parent diffs per reply
+            "packs": _packs(plans),  # cumulative; the parent diffs per reply
         }
         if out.nbytes <= out_ring.capacity:
             offset = out_ring.place(out)
@@ -248,6 +251,23 @@ def _worker_main(
             )
         return result_message({"out": out}, **reply_fields)
 
+    probe, dtype = probe_input(model), compute_dtype(training=False)
+
+    def _probe(width: str, wire: bool = False) -> float:
+        started = time.perf_counter()
+        fields, arrays = _rows_request(in_ring, [probe], dtype)
+        request = Message(MessageKind.RUN_PARTS, fields={"spec": width, **fields}, arrays=arrays)
+        if wire:  # through the codec both ways, as an exchange goes
+            Message.decode(_handle_run_parts(Message.decode(request.encode())).encode())
+        else:
+            _handle_run_parts(request)
+        return time.perf_counter() - started
+
+    for width in widths:
+        _probe(width)
+    primes = {width: _probe(width, wire=True) for width in widths} if timed else {}
+    pong = Message(MessageKind.PONG, fields={"primes": primes, "packs": _packs(plans)})
+
     try:
         while True:
             try:
@@ -255,7 +275,7 @@ def _worker_main(
             except TransportError:
                 break  # parent gone: nothing left to serve
             if message.kind == MessageKind.PING:
-                transport.send(Message(MessageKind.PONG))
+                transport.send(pong)
                 continue
             if message.kind == MessageKind.SHUTDOWN:
                 break
@@ -291,9 +311,11 @@ class ProcessReplica(Replica):
     inherits shm-backed storage, and parent-side weight writes (plus
     their version bumps) are visible in every worker immediately.
 
-    The constructor returns as soon as the worker is forked; the worker
-    compiles ``widths`` on its own time.  :meth:`wait_ready` is the
-    barrier — fork every worker, then wait for each.
+    The worker serves ``plans`` (which the parent must never run) and
+    probes ``widths`` on its own time; replica 0, the one a frontend
+    primes from, also times them (:attr:`primes`), the others come up
+    that much sooner.  Nothing may be served before :meth:`wait_ready`
+    returns — the probes use the rings: fork every worker, then wait.
     """
 
     def __init__(
@@ -301,14 +323,14 @@ class ProcessReplica(Replica):
         index: int,
         model,
         *,
-        plan_options: Optional[Dict] = None,
+        plans: Optional[Dict[str, object]] = None,
         widths: Sequence[str] = (),
         omp_threads: int = 1,
         ring_bytes: int = DEFAULT_RING_BYTES,
         request_timeout: float = 2.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(index, model, plans=None)
+        super().__init__(index, model, plans=plans)
         self.metrics = metrics or MetricsRegistry()
         ring_bytes = int(ring_bytes)
         self._segment = create_segment(RING_SEGMENT_TAG, 2 * ring_bytes)
@@ -317,22 +339,16 @@ class ProcessReplica(Replica):
         self._transport_lock = threading.Lock()  # one in-flight batch per worker
         self._stop_sent: Optional[bool] = None  # did stop() deliver SHUTDOWN; None: not tried
         self._reaped = False  # set once close() has reaped the process object
-        self._last_packs = 0
+        self.primes: Dict[str, float] = {}  # replica 0's timed boot probes
+        self._last_packs = _packs(self._plans)  # the worker's starting count
 
         _blas_thread_setters()  # resolved here so the fork inherits them
         parent_sock, child_sock = socket.socketpair()
         ctx = get_context("fork")
         self._proc = ctx.Process(
             target=_worker_main,
-            args=(
-                model,
-                child_sock,
-                self._in_ring,
-                self._out_ring,
-                dict(plan_options or {"batch_rows": 16}),
-                omp_threads,
-                tuple(widths),
-            ),
+            args=(model, child_sock, self._in_ring, self._out_ring, self._plans,
+                  omp_threads, tuple(widths), index == 0),
             name=f"repro-worker-{index}",
             daemon=True,
         )
@@ -363,18 +379,25 @@ class ProcessReplica(Replica):
     def wait_ready(self) -> "ProcessReplica":
         """Block until the worker has booted: its answer to one PING.
 
-        The worker reads no message before its plans are compiled, packed
-        and run once, so the PONG doubles as "warm".  A worker that died
-        on the way closed its socket, which fails the wait at once; one
-        that hangs fails it after :data:`BOOT_TIMEOUT_S`.  Either way the
-        replica is closed and :class:`ReplicaUnavailable` raised.
+        The worker reads no message before it has probed every width, so
+        the PONG means "warm" (on replica 0 it carries the :attr:`primes`).
+        A worker that died on the way closed its socket, which fails the
+        wait at once; one that hangs fails it after :data:`BOOT_TIMEOUT_S`.
+        Either way the replica is closed and :class:`ReplicaUnavailable`
+        raised.
         """
         with self._transport_lock:
-            ready = self._endpoint.ping(timeout=BOOT_TIMEOUT_S)
-        if not ready:
+            pong = self._endpoint.pong(timeout=BOOT_TIMEOUT_S)
+        if pong is None:
             self.close()
             raise ReplicaUnavailable(f"worker {self.index} did not come up")
+        self.primes = {w: float(s) for w, s in pong.fields["primes"].items()}
+        self._count_repacks(int(pong.fields["packs"]))
         return self
+
+    def warm_service_s(self, widths: Sequence[str]) -> Dict[str, float]:
+        """Replica 0's timed boot probes (:attr:`primes`): nothing more is run."""
+        return {width: self.primes[width] for width in widths}
 
     def kill(self) -> None:
         """``kill -9`` the worker (the fault-injection twin of thread kill)."""
@@ -412,22 +435,7 @@ class ProcessReplica(Replica):
         return out
 
     def _exchange(self, parts: List[np.ndarray], width: str, dtype) -> EndpointReply:
-        try:
-            offset, rows = self._in_ring.place_parts(parts, dtype)
-        except MemoryError:  # larger than the ring: the batch travels inline
-            stacked = np.ascontiguousarray(
-                np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0],
-                dtype=dtype,
-            )
-            fields, arrays = {}, {"x": stacked}
-        else:
-            arrays = None
-            fields = {
-                "ring_offset": int(offset),
-                "rows": int(rows),
-                "row_shape": [int(d) for d in parts[0].shape[1:]],
-                "dtype": np.dtype(dtype).name,
-            }
+        fields, arrays = _rows_request(self._in_ring, parts, dtype)
         try:
             return self._await(width, fields, arrays)
         except EndpointUnavailable as exc:
@@ -436,9 +444,7 @@ class ProcessReplica(Replica):
             # A dead process / closed transport is permanent.
             if not (self._proc.is_alive() and self._endpoint.available):
                 self._alive = False
-            raise ReplicaUnavailable(
-                f"worker {self.index} lost: {exc}"
-            ) from exc
+            raise ReplicaUnavailable(f"worker {self.index} lost: {exc}") from exc
 
     def _await(self, width: str, fields: Dict, arrays) -> EndpointReply:
         """Send one run_parts request; wait out slowness, fail on death.
@@ -457,24 +463,23 @@ class ProcessReplica(Replica):
                 message, payload = self._endpoint.await_reply()
             except EndpointTimeout:
                 continue
-            return EndpointReply(
-                arrays=message.arrays,
-                fields=message.fields,
-                compute_s=float(message.fields.get("compute_s", 0.0)),
-                payload_bytes=payload,
-            )
+            compute_s = float(message.fields.get("compute_s", 0.0))
+            return EndpointReply(message.arrays, message.fields, compute_s, payload)
 
     def _observe(self, reply: EndpointReply, rows: int, service_s: float) -> None:
         """Per-worker telemetry: rows served, repacks, measured rows/s."""
         label = f"worker.{self.index}"
         self.metrics.counter(f"{label}.rows").inc(rows)
         self.metrics.counter(f"{label}.batches").inc()
-        packs = int(reply.fields.get("packs", self._last_packs))
-        if packs > self._last_packs:
-            self.metrics.counter(f"{label}.repacks").inc(packs - self._last_packs)
-            self._last_packs = packs
+        self._count_repacks(int(reply.fields.get("packs", self._last_packs)))
         if service_s > 0:
             self.metrics.ewma(f"{label}.rows_per_s").observe(rows / service_s)
+
+    def _count_repacks(self, packs: int) -> None:
+        # Cumulative packs the worker reports, against the plans' count at fork.
+        if packs > self._last_packs:
+            self.metrics.counter(f"worker.{self.index}.repacks").inc(packs - self._last_packs)
+            self._last_packs = packs
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -525,8 +530,6 @@ class ProcessReplica(Replica):
                 pass
         self._proc.close()
         self._reaped = True
-        from repro.nn.shm import _unlink_quietly
-
         _unlink_quietly(self._segment.name)
 
     def __repr__(self) -> str:
@@ -538,7 +541,7 @@ def make_process_replicas(
     model,
     count: int,
     *,
-    plan_options: Optional[Dict] = None,
+    plans: Optional[Dict[str, object]] = None,
     widths: Sequence[str] = (),
     ring_bytes: int = DEFAULT_RING_BYTES,
     request_timeout: float = 2.0,
@@ -547,7 +550,7 @@ def make_process_replicas(
 ) -> List[ProcessReplica]:
     """Share the weights, partition the thread budget, fork ``count`` workers.
 
-    Every worker is forked before any is waited for, so they compile
+    Every worker is forked before any is waited for, so they probe
     ``widths`` side by side; the replicas returned have all answered
     their readiness ping.  If one does not come up, all are closed.
     """
@@ -559,7 +562,7 @@ def make_process_replicas(
         ProcessReplica(
             i,
             model,
-            plan_options=plan_options,
+            plans=plans,
             widths=widths,
             omp_threads=budget,
             ring_bytes=ring_bytes,

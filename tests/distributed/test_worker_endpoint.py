@@ -93,9 +93,9 @@ class TestPlansResolvedByNameHitTheCaches:
     @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
     def test_repeated_batches_keep_one_graph_and_one_cost_table(self, paper_net, compiled):
         """``execute`` resolves the plan's subnet by name, and ``WidthSpec.find``
-        builds a fresh spec object per lookup: caches keyed on ``id(spec)``
-        missed on every batch (recompiling the graph, recomputing the cost
-        table) and grew by an entry per request."""
+        used to build a fresh spec object per lookup: caches keyed on
+        ``id(spec)`` missed on every batch (recompiling the graph, recomputing
+        the cost table) and grew by an entry per request."""
         engine = ExecutionEngine(
             {
                 name: LocalEndpoint(name, EmulatedDevice(profile, paper_net))

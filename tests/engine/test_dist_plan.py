@@ -27,8 +27,10 @@ from repro.engine import (
     EndpointReply,
     ExecutionEngine,
     ExecutionGraph,
+    LocalEndpoint,
     PartitionLayerOp,
 )
+from repro.nn.context import ForwardContext
 from repro.slimmable import SlimmableConvNet, paper_width_spec
 from repro.utils import make_rng
 from repro.utils.dtypes import DtypePolicy, dtype_policy, set_dtype_policy
@@ -262,6 +264,58 @@ class TestZeroSteadyStateAllocation:
                 assert plan.workspaces.checkouts == k + 10
         finally:
             rt.engine.shutdown()
+
+
+class TestCompiledStreams:
+    """Solo and High-Throughput streams run the endpoint's compiled plan."""
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_standalone_runs_match_the_eager_forward_bitwise(self, policy_name):
+        net = _net()
+        with dtype_policy(POLICIES[policy_name]):
+            endpoint = LocalEndpoint("master", EmulatedDevice(jetson_nx_master(), net))
+            # The HT pair and the master's solo width; 1 -> 8 -> 16 rows
+            # grows each spec's one plan twice.
+            for name in ("lower50", "upper50", "lower100"):
+                spec = net.width_spec.find(name)
+                view = net.view(spec)
+                view.train(False)
+                for rows in (1, 8, 16, 8):
+                    x = make_rng(rows).standard_normal((rows, 1, 28, 28))
+                    got = endpoint.run_subnet(spec, x).arrays["logits"]
+                    want = view.forward(x, ForwardContext(recording=False))
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+                plan = endpoint._subnet_plans[spec]
+                assert plan.batch_rows == 16
+                assert plan.workspaces.checkouts == 2  # the 16 rows, then 8 again
+            # One weight cache per endpoint: every block packed exactly once.
+            assert endpoint._cache.packs == len(endpoint._cache)
+
+    def test_accounting_is_the_eager_devices(self):
+        net = _net()
+        compiled = EmulatedDevice(jetson_nx_master(), net)
+        eager = EmulatedDevice(jetson_nx_master(), net)
+        endpoint = LocalEndpoint("master", compiled)
+        spec = net.width_spec.find("lower50")
+        for rows in (1, 16):
+            x = _batch(rows)
+            reply = endpoint.run_subnet(spec, x)
+            eager.execute_subnet(spec, x)
+            assert reply.compute_s == eager.estimated_latency(spec) * rows
+        assert compiled.busy_time_s == eager.busy_time_s
+        assert compiled.requests_served == eager.requests_served == 2
+
+    def test_a_batch_the_plan_refuses_runs_eager(self):
+        net = _net()
+        endpoint = LocalEndpoint("master", EmulatedDevice(jetson_nx_master(), net))
+        spec = net.width_spec.find("lower50")
+        x = _batch(2)
+        endpoint.run_subnet(spec, x)  # compiles a float64 plan
+        with dtype_policy(DtypePolicy.fast_inference()):
+            got = endpoint.run_subnet(spec, x).arrays["logits"]
+        assert got.dtype == np.float32
+        assert endpoint._subnet_plans[spec].workspaces.checkouts == 1
 
 
 class _BarrierEndpoint(Endpoint):

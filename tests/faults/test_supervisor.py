@@ -203,9 +203,12 @@ class TestSupervisedFrontend:
             frontend.pool.replicas[0].kill()
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
+                # The counter moves after adoption: waiting on health alone
+                # raced the supervisor thread's last few lines.
                 if (
                     len(frontend.pool.healthy()) == 2
                     and frontend.pool.replicas[0].alive
+                    and frontend.metrics.counter("supervisor.respawns").value >= 1
                 ):
                     break
                 time.sleep(0.005)

@@ -14,6 +14,7 @@ import pytest
 from repro.engine.endpoints import EndpointUnavailable, TransportEndpoint
 from repro.engine.session import InferenceSession
 from repro.models import build_model
+from repro.nn.plan import InferencePlan, compile_width_plans
 from repro.nn.shm import list_segments, unlink_created_segments
 from repro.scheduler.admission import SLA
 from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
@@ -40,8 +41,15 @@ def one_batch(rows=3, seed=1):
 
 
 @pytest.fixture
-def replica(model):
-    replicas = make_process_replicas(model, 1, plan_options={"batch_rows": 8})
+def plans(model):
+    """What a process-backend frontend hands its workers: compiled, no arena."""
+    widths = [s.name for s in model.width_spec.lower_family()]
+    return compile_width_plans(model, widths, batch_rows=8, workspaces=0)
+
+
+@pytest.fixture
+def replica(model, plans):
+    replicas = make_process_replicas(model, 1, plans=plans)
     yield replicas[0]
     replicas[0].close()
 
@@ -59,11 +67,9 @@ class TestProcessReplica:
             out, InferenceSession(model, "lower100").run_parts(parts)
         )
 
-    def test_oversized_batch_falls_back_to_inline_arrays(self, model):
+    def test_oversized_batch_falls_back_to_inline_arrays(self, model, plans):
         # A ring too small for the batch forces the inline-arrays path.
-        replicas = make_process_replicas(
-            model, 1, plan_options={"batch_rows": 8}, ring_bytes=1024
-        )
+        replicas = make_process_replicas(model, 1, plans=plans, ring_bytes=1024)
         try:
             x = one_batch(4, seed=4)
             out = replicas[0].run(x, "lower25")
@@ -96,20 +102,30 @@ class TestProcessReplica:
         assert replica.ping()
         assert np.array_equal(replica.run(x, "lower50"), want)
 
-    def test_parent_version_bump_triggers_worker_repack(self, model):
+    def test_parent_version_bump_triggers_worker_repack(self, model, plans):
         metrics = MetricsRegistry()
+        widths = list(plans)
         replicas = make_process_replicas(
-            model, 1, plan_options={"batch_rows": 8}, metrics=metrics
+            model, 1, plans=plans, widths=widths, metrics=metrics
         )
+        # The same request on a parent-side twin: how many blocks it repacks.
+        twin = compile_width_plans(model, ["lower50"], batch_rows=8)["lower50"]
         try:
+            # The worker's own boot runs are no repacks.
+            assert metrics.counter("worker.0.repacks").value == 0
             x = one_batch(seed=5)
             replicas[0].run(x, "lower50")
-            before = metrics.counter("worker.0.repacks").value
+            twin.run(x)
+            assert metrics.counter("worker.0.repacks").value == 0
             param = next(iter(model.net.parameters()))
             param.data *= 1.0 + 1e-9
             param.bump_version()
             out = replicas[0].run(x, "lower50")
-            assert metrics.counter("worker.0.repacks").value > before
+            packs = twin.cache.packs
+            twin.run(x)
+            repacked = twin.cache.packs - packs
+            assert repacked == 1  # conv 0's lower50 block
+            assert metrics.counter("worker.0.repacks").value == repacked
             assert np.array_equal(out, InferenceSession(model, "lower50").run(x))
         finally:
             replicas[0].close()
@@ -128,11 +144,9 @@ class TestProcessReplica:
         with pytest.raises(RuntimeError):
             replica.revive()
 
-    def test_telemetry_counters_are_worker_labelled(self, model):
+    def test_telemetry_counters_are_worker_labelled(self, model, plans):
         metrics = MetricsRegistry()
-        replicas = make_process_replicas(
-            model, 2, plan_options={"batch_rows": 8}, metrics=metrics
-        )
+        replicas = make_process_replicas(model, 2, plans=plans, metrics=metrics)
         try:
             replicas[0].run(one_batch(3), "lower50")
             replicas[1].run(one_batch(2), "lower50")
@@ -224,27 +238,111 @@ class TestRingSlot:
 class TestBoot:
     def test_replicas_are_handed_out_ready(self, model, monkeypatch):
         pongs = []
-        ping = TransportEndpoint.ping
+        pong = TransportEndpoint.pong
 
-        def recording_ping(self, timeout=1.0):
-            pongs.append((self.name, ping(self, timeout)))
-            return pongs[-1][1]
+        def recording_pong(self, timeout=1.0):
+            reply = pong(self, timeout)
+            pongs.append((self.name, reply is not None))
+            return reply
 
-        monkeypatch.setattr(TransportEndpoint, "ping", recording_ping)
+        monkeypatch.setattr(TransportEndpoint, "pong", recording_pong)
         frontend = ServingFrontend(
             model, SchedulerConfig(replicas=2, replica_backend="process")
         )
         try:
             assert sorted(pongs) == [("worker-0", True), ("worker-1", True)]
-            # Workers run the plans; the parent's copies never own an arena.
-            assert frontend.plans
-            assert all(p.workspaces.created == 0 for p in frontend.plans.values())
-            # Listed before it has served anything (only worker 0 was primed).
+            # Listed before they have served anything: the warm-up made no exchange.
             workers = {w["worker"]: w for w in frontend.report()["workers"]}
             assert set(workers) == {0, 1}
-            assert workers[1]["rows"] == 0 and workers[1]["batches"] == 0
+            assert all(w["rows"] == 0 and w["batches"] == 0 for w in workers.values())
+            assert all(w["repacks"] == 0 for w in workers.values())
         finally:
             frontend.close()
+
+    def test_parent_plans_are_never_checked_out_or_repacked(self, model):
+        """The workers serve the frontend's plans through ``fork``; the parent
+        never runs them, so no lock inside a plan can be held at a fork."""
+        frontend = ServingFrontend(
+            model, SchedulerConfig(replicas=2, replica_backend="process")
+        )
+        try:
+            plans = frontend.plans
+            assert plans
+            packs = {w: p.cache.packs for w, p in plans.items()}
+            for i in range(4):
+                frontend.submit(one_batch(1, seed=i)).result(timeout=30.0)
+            assert all(p.workspaces.created == 0 for p in plans.values())
+            assert all(p.workspaces.checkouts == 0 for p in plans.values())
+            assert {w: p.cache.packs for w, p in plans.items()} == packs
+        finally:
+            frontend.close()
+
+    def test_every_width_is_primed_without_a_run_parts_exchange(self, model, monkeypatch):
+        exchanges = []
+        run_parts = TransportEndpoint.run_parts
+
+        def counting_run_parts(self, *args, **kwargs):
+            exchanges.append(self.name)
+            return run_parts(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransportEndpoint, "run_parts", counting_run_parts)
+        frontend = ServingFrontend(
+            model, SchedulerConfig(replicas=2, replica_backend="process")
+        )
+        try:
+            assert exchanges == []
+            primes = frontend.pool.replicas[0].primes
+            calibration = frontend.policy.calibration_snapshot()
+            assert set(primes) == set(calibration)
+            for width, stats in calibration.items():
+                assert 0 < primes[width] == stats["observed_ewma_s"]
+        finally:
+            frontend.close()
+
+    def test_worker_compiles_and_packs_nothing_at_boot(self, model, plans, monkeypatch):
+        def no_compiling(*args, **kwargs):
+            raise AssertionError("a worker compiled a plan")
+
+        # Forked workers inherit the patch (every compile path ends in it):
+        # one that compiled would die booting and fail the readiness wait.
+        monkeypatch.setattr(InferencePlan, "compile", no_compiling)
+        metrics = MetricsRegistry()
+        replicas = make_process_replicas(
+            model, 2, plans=plans, widths=list(plans), metrics=metrics
+        )
+        try:
+            # Only replica 0, the one a frontend primes from, times its probes.
+            assert set(replicas[0].primes) == set(plans) and replicas[1].primes == {}
+            for replica in replicas:
+                assert metrics.counter(f"worker.{replica.index}.repacks").value == 0
+                assert replica._last_packs == plans["lower25"].cache.packs
+        finally:
+            for replica in replicas:
+                replica.close()
+
+    def test_respawned_workers_report_never_feeds_the_ewmas(self, model):
+        from repro.faults.supervisor import ReplicaSupervisor
+
+        with ServingFrontend(
+            model, SchedulerConfig(replicas=2, replica_backend="process")
+        ) as frontend:
+            before = {
+                w: s["observed_ewma_s"]
+                for w, s in frontend.policy.calibration_snapshot().items()
+            }
+            row_service = frontend.metrics.ewma("frontend.row_service_s").count
+            dead = frontend.pool.replicas[0]
+            dead.kill()
+            frontend.pool.report_failure(dead)
+            ReplicaSupervisor(frontend, clock=lambda: 0.0).poll()
+            fresh = frontend.pool.replicas[0]
+            assert fresh is not dead and set(fresh.primes) == set(before)
+            after = {
+                w: s["observed_ewma_s"]
+                for w, s in frontend.policy.calibration_snapshot().items()
+            }
+            assert after == before
+            assert frontend.metrics.ewma("frontend.row_service_s").count == row_service
 
     def test_worker_killed_while_booting_fails_the_wait_at_once(self, model, monkeypatch):
         rings_before = list_segments("r")
@@ -391,12 +489,12 @@ class TestFrontendFaults:
 
 
 class TestCloseEscalation:
-    def test_close_with_wedged_transport_escalates_and_unlinks(self, model):
+    def test_close_with_wedged_transport_escalates_and_unlinks(self, model, plans):
         """close() must return within its bound even when the transport
         lock never frees (a worker wedged mid-batch): SIGTERM -> SIGKILL,
         and the ring segment is still unlinked — no /dev/shm leak."""
         rings_before = list_segments("r")
-        replicas = make_process_replicas(model, 1, plan_options={"batch_rows": 8})
+        replicas = make_process_replicas(model, 1, plans=plans)
         replica = replicas[0]
         pid = replica._proc.pid
         assert replica._transport_lock.acquire()  # simulate a stuck batch
@@ -411,9 +509,9 @@ class TestCloseEscalation:
             os.kill(pid, 0)
         assert list_segments("r") == rings_before
 
-    def test_close_after_sigkill_reaps_and_unlinks(self, model):
+    def test_close_after_sigkill_reaps_and_unlinks(self, model, plans):
         rings_before = list_segments("r")
-        replicas = make_process_replicas(model, 1, plan_options={"batch_rows": 8})
+        replicas = make_process_replicas(model, 1, plans=plans)
         replica = replicas[0]
         pid = replica._proc.pid
         replica.kill()
@@ -422,8 +520,8 @@ class TestCloseEscalation:
             os.kill(pid, 0)
         assert list_segments("r") == rings_before
 
-    def test_close_is_idempotent(self, model):
-        replicas = make_process_replicas(model, 1, plan_options={"batch_rows": 8})
+    def test_close_is_idempotent(self, model, plans):
+        replicas = make_process_replicas(model, 1, plans=plans)
         replica = replicas[0]
         replica.close()
         replica.close()  # second call: early-out, no crash
