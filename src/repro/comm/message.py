@@ -7,7 +7,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from repro.comm.wire import decode_frame, encode_frame
+from repro.comm.wire import WireError, decode_frame, encode_frame
 
 
 class MessageKind:
@@ -56,8 +56,8 @@ class Message:
     @classmethod
     def decode(cls, frame: bytes) -> "Message":
         arrays, meta = decode_frame(frame)
-        if not isinstance(meta, dict) or "kind" not in meta:
-            raise ValueError("frame metadata missing message kind")
+        if not isinstance(meta, dict) or meta.get("kind") not in MessageKind.ALL:
+            raise WireError("frame metadata carries no known message kind")
         return cls(kind=meta["kind"], fields=meta.get("fields", {}), arrays=arrays)
 
 

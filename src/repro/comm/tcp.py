@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.comm.message import Message
 from repro.comm.transport import Transport, TransportClosed, TransportError
@@ -28,6 +28,11 @@ class TcpTransport(Transport):
         except OSError:
             pass  # AF_UNIX socketpairs (process-pool workers) have no Nagle
         self._closed = False
+        # What a timed-out recv had read of the next frame: its length once
+        # the header is in, and the chunks so far.  The next recv resumes.
+        self._length: Optional[int] = None
+        self._chunks: List[bytes] = []
+        self._have = 0
 
     def send(self, message: Message) -> None:
         if self._closed:
@@ -44,11 +49,14 @@ class TcpTransport(Transport):
             raise TransportClosed("transport closed")
         self._sock.settimeout(timeout)
         try:
-            header = self._recv_exact(_LEN_STRUCT.size)
-            (length,) = _LEN_STRUCT.unpack(header)
-            if length > MAX_FRAME_BYTES:
-                raise TransportError(f"peer declared oversized frame ({length} bytes)")
-            frame = self._recv_exact(length)
+            if self._length is None:
+                (length,) = _LEN_STRUCT.unpack(self._recv_exact(_LEN_STRUCT.size))
+                if length > MAX_FRAME_BYTES:
+                    self.close()  # the stream cannot be resynchronised
+                    raise TransportError(f"peer declared oversized frame ({length} bytes)")
+                self._length = length
+            frame = self._recv_exact(self._length)
+            self._length = None
         except socket.timeout as exc:
             raise TransportError("recv timeout") from exc
         except OSError as exc:
@@ -57,16 +65,16 @@ class TcpTransport(Transport):
         return Message.decode(frame)
 
     def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
+        while self._have < n:
+            chunk = self._sock.recv(min(n - self._have, 1 << 20))
             if not chunk:
                 self.close()
                 raise TransportError("connection closed by peer")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            self._chunks.append(chunk)
+            self._have += len(chunk)
+        data = b"".join(self._chunks)
+        self._chunks, self._have = [], 0
+        return data
 
     def close(self) -> None:
         if not self._closed:

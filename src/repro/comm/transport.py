@@ -63,10 +63,11 @@ class _InProcEndpoint(Transport):
         try:
             frame = self._inbox.get(timeout=timeout if timeout is not None else 5.0)
         except queue.Empty as exc:
-            if self._state["peer_closed"]:
-                raise TransportError("peer endpoint closed") from exc
-            raise TransportError("recv timeout") from exc
+            if not self._state["peer_closed"]:
+                raise TransportError("recv timeout") from exc
+            frame = None
         if frame is None:
+            self.close()  # a lost peer is a lost transport, as over TCP
             raise TransportError("peer endpoint closed")
         return Message.decode(frame)
 

@@ -1,12 +1,14 @@
-"""Worker-side protocol server: a message codec around one ``LocalEndpoint``.
+"""The worker side of the wire: the one message loop, and a device codec on it.
 
-A Worker owns the full slimmable weight store (models are small; what
-matters for the paper's reliability argument is which *certified* slices it
-may run, not artificial weight withholding) and serves the Master's
-requests: standalone sub-network inference (HT mode), partitioned layer
-steps (HA mode), and heartbeats.
-
-Each handler decodes a request, calls the
+:class:`WorkerLoop` is the only worker-side message loop: recv → handler →
+reply, under one error policy.  A worker declares what it serves as a table
+from message kind to handler; :class:`~repro.scheduler.procpool.ProcessWorker`
+serves a frontend's ``RUN_PARTS`` batches in a forked process, and
+:class:`WorkerServer` serves a Master: standalone sub-network inference (HT
+mode), partitioned layer steps (HA mode), and heartbeats.  A Worker owns the
+full slimmable weight store (models are small; what matters for the paper's
+reliability argument is which *certified* slices it may run, not artificial
+weight withholding).  Each handler decodes a request, calls the
 :class:`~repro.engine.endpoints.LocalEndpoint` method the master would have
 called had the device been in its own process, and encodes the reply.  The
 kernels, the compiled plans, the liveness tick, the busy clock and
@@ -20,13 +22,13 @@ exactly what a power failure looks like from the Master's side.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.comm.message import Message, MessageKind, error_message, result_message
 from repro.comm.transport import Transport, TransportError
-from repro.comm.wire import cast_for_wire
+from repro.comm.wire import WireError, cast_for_wire
 from repro.device.emulated import EmulatedDevice
 from repro.engine.endpoints import EndpointReply, EndpointUnavailable, LocalEndpoint
 from repro.engine.graph import BlockPartition
@@ -38,8 +40,72 @@ from repro.utils.logging import get_logger
 WORKER_BLOCK = 1
 
 
-class WorkerServer:
-    """Serves one Master over one transport until shutdown or crash."""
+class WorkerLoop:
+    """Serves one peer over one transport: the loop and its error policy.
+
+    ``HANDLERS`` maps a message kind to the name of the method answering
+    it; a handler returns the reply, or closes the transport to end the
+    loop without one.  The policy belongs to the loop, not to a handler:
+
+    * SHUTDOWN, or a lost transport, ends the loop;
+    * a handler that raises, a kind with no handler, and a frame that
+      arrived whole but does not decode are each answered with ERROR, and
+      the loop keeps serving.
+    """
+
+    HANDLERS: Dict[str, str] = {MessageKind.SHUTDOWN: "_shutdown"}
+
+    def __init__(self, transport: Transport) -> None:
+        self.transport = transport
+        self.logger = get_logger("worker")
+
+    def serve_forever(self, poll_timeout: float = 0.5) -> None:
+        """Handle requests until SHUTDOWN, a handler's close, or transport loss."""
+        while not self.transport.closed:
+            try:
+                message = self.transport.recv(timeout=poll_timeout)
+            except WireError as exc:  # the frame was consumed whole: still in sync
+                reply = error_message(f"{type(exc).__name__}: {exc}")
+            except TransportError:
+                continue  # a poll timeout; a lost transport has closed itself
+            else:
+                reply = self._handle(message)
+            if self.transport.closed:
+                return
+            try:
+                self.transport.send(reply)
+            except TransportError:
+                return
+
+    def _handle(self, message: Message) -> Optional[Message]:
+        name = self.HANDLERS.get(message.kind)
+        if name is None:
+            return error_message(f"unsupported message kind {message.kind!r}")
+        try:
+            return getattr(self, name)(message)
+        except Exception as exc:  # noqa: BLE001 - reported to the peer; keep serving
+            self._failed(message, exc)
+            return error_message(f"{type(exc).__name__}: {exc}")
+
+    def _failed(self, message: Message, exc: Exception) -> None:
+        """A handler raised ``exc``; its ERROR reply follows."""
+        self.logger.warning("%s request failed", message.kind, exc_info=True)
+
+    def _shutdown(self, message: Message) -> None:
+        self.transport.close()
+
+
+class WorkerServer(WorkerLoop):
+    """Serves one Master's device requests through a ``LocalEndpoint``."""
+
+    HANDLERS = {
+        **WorkerLoop.HANDLERS,
+        MessageKind.PING: "_ping",
+        MessageKind.CRASH: "_crash",
+        MessageKind.RUN_SUBNET: "_run_subnet",
+        MessageKind.PARTIAL_FORWARD: "_round",
+        MessageKind.PARTITION_ROUND: "_round",
+    }
 
     def __init__(
         self,
@@ -48,8 +114,8 @@ class WorkerServer:
         *,
         partition_split: int,
     ) -> None:
+        super().__init__(transport)
         self.device = device
-        self.transport = transport
         # The shared block geometry: the worker owns the upper block of the
         # same two-way partition the engine compiles HA plans against.
         self.partition = BlockPartition.two_way(
@@ -62,62 +128,24 @@ class WorkerServer:
         self._ha_half: Optional[np.ndarray] = None
         self._ha_spec: Optional[SubNetSpec] = None
 
-    # -- main loop -------------------------------------------------------------
-
-    def serve_forever(self, poll_timeout: float = 0.5) -> None:
-        """Handle requests until SHUTDOWN, CRASH, or transport loss."""
-        while True:
-            try:
-                message = self.transport.recv(timeout=poll_timeout)
-            except TransportError:
-                if self.transport.closed:
-                    return
-                continue
-            if not self._handle(message):
-                return
-
-    def _handle(self, message: Message) -> bool:
-        """Dispatch one message; returns False when the loop should stop."""
-        if message.kind == MessageKind.SHUTDOWN:
+    def _failed(self, message: Message, exc: Exception) -> None:
+        if isinstance(exc, EndpointUnavailable):
+            # The device died serving this request: vanish as a crash does.
             self.transport.close()
-            return False
-        if message.kind == MessageKind.CRASH:
-            # Simulated power failure: vanish without a reply.
-            self.device.crash()
-            self.transport.close()
-            return False
-        try:
-            reply = self._dispatch(message)
-        except EndpointUnavailable:
-            # The device died serving this request: same as above.
-            self.transport.close()
-            return False
-        except Exception as exc:  # noqa: BLE001 - reported to the master; keep serving
-            self.logger.warning("%s request failed", message.kind, exc_info=True)
-            self._drop_session()
-            reply = error_message(f"{type(exc).__name__}: {exc}")
-        try:
-            self.transport.send(reply)
-        except TransportError:
-            return False
-        return True
-
-    def _drop_session(self) -> None:
-        self._ha_half = self._ha_spec = None
+            return
+        super()._failed(message, exc)
+        self._ha_half = self._ha_spec = None  # the failed request ends its session
         self.endpoint.abandon_partition()
 
-    def _dispatch(self, message: Message) -> Message:
-        if message.kind == MessageKind.PING:
-            if not self.endpoint.ping():
-                raise EndpointUnavailable(f"device {self.device.name!r} is down")
-            return Message(MessageKind.PONG, fields={"device": self.device.name})
-        if message.kind == MessageKind.RUN_SUBNET:
-            return self._run_subnet(message)
-        if message.kind == MessageKind.PARTIAL_FORWARD:
-            return self._round(message, self._partial_layer, self._partial_fc)
-        if message.kind == MessageKind.PARTITION_ROUND:
-            return self._round(message, self._plan_layer, self._plan_fc)
-        return error_message(f"unsupported message kind {message.kind!r}")
+    def _ping(self, message: Message) -> Message:
+        if not self.endpoint.ping():
+            raise EndpointUnavailable(f"device {self.device.name!r} is down")
+        return Message(MessageKind.PONG, fields={"device": self.device.name})
+
+    def _crash(self, message: Message) -> None:
+        # Simulated power failure: vanish without a reply.
+        self.device.crash()
+        self.transport.close()
 
     # -- handlers -----------------------------------------------------------------
 
@@ -136,13 +164,16 @@ class WorkerServer:
         reply = self.endpoint.run_subnet(spec, message.arrays["x"])
         return self._encode(reply, spec=spec.name, compute_s=reply.compute_s)
 
-    def _round(self, message: Message, layer_op, fc_op) -> Message:
+    def _round(self, message: Message) -> Message:
+        """One HA round, eager (PARTIAL_FORWARD) or compiled (PARTITION_ROUND)."""
+        eager = message.kind == MessageKind.PARTIAL_FORWARD
         op = message.fields["op"]
         spec = self.device.net.width_spec.find(message.fields["spec"])
         if op == "layer":
+            layer_op = self._partial_layer if eager else self._plan_layer
             return layer_op(message, spec, int(message.fields["layer"]))
         if op == "fc":
-            return fc_op(message, spec)
+            return (self._partial_fc if eager else self._plan_fc)(message, spec)
         raise ValueError(f"unknown {message.kind} op {op!r}")
 
     # -- eager partitioned rounds (PARTIAL_FORWARD) ----------------------------

@@ -9,7 +9,10 @@ partial-logit gather — plus liveness and teardown.  Two implementations:
 * :class:`TransportEndpoint` speaks the master/worker wire protocol over
   any :class:`~repro.comm.transport.Transport` (in-process channel or TCP),
   so the same engine drives a remote
-  :class:`~repro.distributed.worker.WorkerServer` unchanged.
+  :class:`~repro.distributed.worker.WorkerServer` unchanged.  It also
+  carries the process pool's ``run_parts`` op; built with an
+  ``alive_probe`` it waits out a slow peer inside
+  :meth:`~TransportEndpoint.await_reply` and fails only a dead one.
 
 All endpoint compute is stateless with respect to activations: standalone
 sub-network runs execute under per-call non-recording
@@ -55,18 +58,6 @@ from repro.utils.dtypes import compute_dtype
 
 class EndpointUnavailable(RuntimeError):
     """Raised when an endpoint's device cannot be reached (the failure signal)."""
-
-
-class EndpointTimeout(RuntimeError):
-    """The endpoint missed the request timeout but its peer is still alive.
-
-    Distinct from :class:`EndpointUnavailable` so callers can hedge or keep
-    waiting (the reply is still coming — the transport stays in sync and
-    :meth:`TransportEndpoint.await_reply` resumes the wait) instead of
-    ejecting a worker that is merely slow.  Raised only when the endpoint
-    was built with an ``alive_probe``; without one, every failure keeps the
-    legacy "unavailable" classification.
-    """
 
 
 @dataclass
@@ -382,8 +373,7 @@ class TransportEndpoint(Endpoint):
         # Optional () -> bool liveness oracle independent of the transport
         # (e.g. ``Process.is_alive`` for a process-pool worker).  With a
         # probe installed, a recv timeout on an open transport whose peer
-        # probes alive raises EndpointTimeout ("slow") instead of
-        # EndpointUnavailable ("dead").
+        # probes alive means "slow", and the wait goes on.
         self.alive_probe = alive_probe
         # Optional fault-injection hook consulted before each reply wait
         # (see repro.faults.injector).  It may sleep (a delayed reply) or
@@ -412,7 +402,7 @@ class TransportEndpoint(Endpoint):
             return None
         return reply if reply.kind == MessageKind.PONG else None
 
-    def _request(self, message: Message) -> Tuple[Message, int]:
+    def _request(self, message: Message) -> EndpointReply:
         if not self.available:
             raise EndpointUnavailable(f"no transport to {self.name}")
         try:
@@ -422,29 +412,27 @@ class TransportEndpoint(Endpoint):
         self._pending_sent_bytes = sum(a.nbytes for a in message.arrays.values())
         return self.await_reply()
 
-    def await_reply(self, timeout: Optional[float] = None) -> Tuple[Message, int]:
-        """Wait for the reply to the request currently in flight.
+    def await_reply(self) -> EndpointReply:
+        """The reply to the request in flight, with its accounting facts.
 
-        After an :class:`EndpointTimeout` the worker is still computing and
-        the transport is still in sync — call this again to keep waiting.
-        Re-*sending* after a timeout would desynchronise request/reply
-        pairing; patience loops must resume the recv instead.
+        Slow is not dead.  Without an ``alive_probe`` one ``request_timeout``
+        bounds the wait.  With one, the wait goes on a timeout at a time,
+        re-consulting ``intercept`` each time, while the transport stays
+        open and the peer probes alive: the reply is still coming, and a
+        re-*send* would desynchronise request/reply pairing (stragglers are
+        the hedge watchdog's problem).  :class:`EndpointUnavailable` once
+        the probe fails or the transport closes (hard failures close it),
+        or when the peer answers ERROR.
         """
-        try:
-            if self.intercept is not None:
-                self.intercept()
-            reply = self.transport.recv(timeout=timeout or self.request_timeout)
-        except TransportError as exc:
-            # A timeout leaves the transport open; hard failures close it.
-            # "Slow" therefore means: transport open AND the liveness probe
-            # (when we have one) still vouches for the peer.
-            if (
-                self.available
-                and self.alive_probe is not None
-                and self.alive_probe()
-            ):
-                raise EndpointTimeout(f"{self.name} slow: {exc}") from exc
-            raise EndpointUnavailable(str(exc)) from exc
+        while True:
+            try:
+                if self.intercept is not None:
+                    self.intercept()
+                reply = self.transport.recv(timeout=self.request_timeout)
+                break
+            except TransportError as exc:
+                if not (self.alive_probe is not None and self.available and self.alive_probe()):
+                    raise EndpointUnavailable(str(exc)) from exc
         if reply.kind == MessageKind.ERROR:
             raise EndpointUnavailable(
                 f"{self.name} error: {reply.fields.get('reason')}"
@@ -453,23 +441,19 @@ class TransportEndpoint(Endpoint):
             self._pending_sent_bytes,
             sum(a.nbytes for a in reply.arrays.values()),
         )
-        return reply, int(payload)
+        compute_s = float(reply.fields.get("compute_s", 0.0))
+        return EndpointReply(reply.arrays, reply.fields, compute_s, int(payload))
 
     def run_subnet(self, spec: SubNetSpec, x: np.ndarray) -> EndpointReply:
-        reply, payload = self._request(
+        reply = self._request(
             Message(
                 MessageKind.RUN_SUBNET,
                 fields={"spec": spec.name},
                 arrays={"x": cast_for_wire(x)},
             )
         )
-        logits = reply.arrays["logits"].astype(compute_dtype())
-        return EndpointReply(
-            arrays={"logits": logits},
-            fields=reply.fields,
-            compute_s=float(reply.fields.get("compute_s", 0.0)),
-            payload_bytes=payload,
-        )
+        reply.arrays = {"logits": reply.arrays["logits"].astype(compute_dtype())}
+        return reply
 
     def run_parts(
         self,
@@ -485,18 +469,12 @@ class TransportEndpoint(Endpoint):
         for batches that outgrow the ring.  The reply mirrors the choice:
         ring replies carry only an output placement descriptor.
         """
-        reply, payload = self._request(
+        return self._request(
             Message(
                 MessageKind.RUN_PARTS,
                 fields={"spec": width, **fields},
                 arrays=dict(arrays or {}),
             )
-        )
-        return EndpointReply(
-            arrays=reply.arrays,
-            fields=reply.fields,
-            compute_s=float(reply.fields.get("compute_s", 0.0)),
-            payload_bytes=payload,
         )
 
     def partition_layer(
@@ -519,7 +497,7 @@ class TransportEndpoint(Endpoint):
                     "(the wire protocol ships only the channels below it)"
                 )
             arrays = {"master_half": cast_for_wire(full[:, : prev_block.start])}
-        reply, payload = self._request(
+        reply = self._request(
             Message(
                 MessageKind.PARTIAL_FORWARD,
                 fields={"op": "layer", "layer": layer, "spec": spec.name},
@@ -527,7 +505,7 @@ class TransportEndpoint(Endpoint):
             )
         )
         half = reply.arrays["half"].astype(compute_dtype())
-        return EndpointReply(arrays={"half": half}, payload_bytes=payload)
+        return EndpointReply(arrays={"half": half}, payload_bytes=reply.payload_bytes)
 
     def partition_fc(
         self,
@@ -538,11 +516,11 @@ class TransportEndpoint(Endpoint):
     ) -> EndpointReply:
         if include_bias:
             raise ValueError("the classifier bias is owned by the first (local) block")
-        reply, payload = self._request(
+        reply = self._request(
             Message(MessageKind.PARTIAL_FORWARD, fields={"op": "fc", "spec": spec.name})
         )
         logits = reply.arrays["partial_logits"].astype(compute_dtype())
-        return EndpointReply(arrays={"partial_logits": logits}, payload_bytes=payload)
+        return EndpointReply(arrays={"partial_logits": logits}, payload_bytes=reply.payload_bytes)
 
     # -- compiled partitioned program ------------------------------------------
 
@@ -585,23 +563,23 @@ class TransportEndpoint(Endpoint):
                 arrays[f"peer{j}"] = cast_for_wire(half)
                 blocks.append([int(block.start), int(block.stop)])
             fields["peers"] = blocks
-        reply, payload = self._request(
+        reply = self._request(
             Message(MessageKind.PARTITION_ROUND, fields=fields, arrays=arrays)
         )
         out: Dict[str, np.ndarray] = {}
         if "half" in reply.arrays:
             out["half"] = reply.arrays["half"].astype(compute_dtype())
-        return EndpointReply(arrays=out, payload_bytes=payload)
+        return EndpointReply(arrays=out, payload_bytes=reply.payload_bytes)
 
     def partition_fc_round(self, spec: SubNetSpec, include_bias: bool) -> EndpointReply:
-        reply, payload = self._request(
+        reply = self._request(
             Message(
                 MessageKind.PARTITION_ROUND,
                 fields={"op": "fc", "spec": spec.name, "include_bias": bool(include_bias)},
             )
         )
         logits = reply.arrays["partial_logits"].astype(compute_dtype())
-        return EndpointReply(arrays={"partial_logits": logits}, payload_bytes=payload)
+        return EndpointReply(arrays={"partial_logits": logits}, payload_bytes=reply.payload_bytes)
 
     def shutdown(self) -> None:
         if self.available:

@@ -6,12 +6,12 @@ production code grows a test-only branch:
 * **crash** → :meth:`Replica.kill` (SIGKILL for a process worker).
 * **stall** → wraps the replica's ``run_parts`` instance attribute to
   sleep ``delay_s`` before delegating; the replica becomes a straggler
-  the hedge watchdog and the ``EndpointTimeout`` patience loop already
-  know how to ride out.
+  the hedge watchdog already knows how to ride out.
 * **drop** → installs a :attr:`TransportEndpoint.intercept` that raises
   :class:`~repro.comm.transport.TransportError` on the await/reply path
-  for the window (replies look lost; the worker stays alive, the
-  transport stays in sync, the reply is drained once the window ends).
+  for the window (replies look lost; the worker stays alive, so
+  :meth:`TransportEndpoint.await_reply` keeps waiting, the transport
+  stays in sync, and the reply is drained once the window ends).
   Thread replicas have no transport, so drop degrades to a transient
   ``ReplicaUnavailable`` wrapper — a reroute without an ejection.
 * **heartbeat_delay** → rebinds the replica's monitor ping to a
@@ -48,7 +48,7 @@ from repro.faults.plan import (
 from repro.scheduler.pool import ReplicaUnavailable
 from repro.trace.tracer import EVENT_FAULT, NULL_TRACER
 
-#: How long a drop intercept naps before raising, so the patience loop
+#: How long a drop intercept naps before raising, so the endpoint's wait
 #: polls the window at a bounded rate instead of spinning.
 _DROP_POLL_S = 0.005
 

@@ -148,8 +148,10 @@ class _HedgeWatchdog:
                 self._heap[:] = [item for item in self._heap if item[2]() is not None]
                 heapq.heapify(self._heap)
                 self._sweep_at = 2 * len(self._heap) + self.SWEEP_FLOOR
-            heapq.heappush(self._heap, (at, next(self._seq), weakref.ref(entry)))
-            self._cond.notify()
+            item = (at, next(self._seq), weakref.ref(entry))
+            heapq.heappush(self._heap, item)
+            if self._heap[0] is item:  # the timer's next instant moved earlier
+                self._cond.notify()
 
     def close(self) -> None:
         with self._cond:

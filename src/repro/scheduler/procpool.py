@@ -36,11 +36,13 @@ before the machine does.  :class:`ProcessReplica` is the escape hatch:
 
 The frontend talks to a worker over the existing
 :class:`~repro.engine.endpoints.TransportEndpoint` wire protocol
-(extended with the ``run_parts`` op) on an ``AF_UNIX`` socketpair.  A
-worker that misses the request timeout while its process is still alive
-raises :class:`~repro.engine.endpoints.EndpointTimeout` — the replica
-keeps waiting (the hedge watchdog covers stragglers independently);
-a dead process surfaces as
+(extended with the ``run_parts`` op) on an ``AF_UNIX`` socketpair.  The
+worker serves on the one worker-side loop,
+:class:`~repro.distributed.worker.WorkerLoop`, with its own handler table
+(:class:`ProcessWorker`).  The endpoint is built with the process's
+liveness as its ``alive_probe``: a worker that misses the request timeout
+while its process is still alive is waited for (the hedge watchdog covers
+stragglers independently); a dead process surfaces as
 :class:`~repro.scheduler.pool.ReplicaUnavailable` and flows through the
 pool's ordinary eject/reroute machinery.
 """
@@ -59,15 +61,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.message import Message, MessageKind, error_message, result_message
+from repro.comm.message import Message, MessageKind, result_message
 from repro.comm.tcp import TcpTransport
 from repro.comm.transport import TransportError
-from repro.engine.endpoints import (
-    EndpointReply,
-    EndpointTimeout,
-    EndpointUnavailable,
-    TransportEndpoint,
-)
+from repro.distributed.worker import WorkerLoop
+from repro.engine.endpoints import EndpointReply, EndpointUnavailable, TransportEndpoint
 from repro.nn.shm import RING_SEGMENT_TAG, ShmRing, _unlink_quietly, create_segment
 from repro.scheduler.pool import Replica, ReplicaUnavailable, probe_input
 from repro.scheduler.telemetry import MetricsRegistry
@@ -198,6 +196,73 @@ def _rows_request(ring: ShmRing, parts: Sequence[np.ndarray], dtype) -> Tuple[Di
 # -- worker side ---------------------------------------------------------------
 
 
+class ProcessWorker(WorkerLoop):
+    """A forked worker's handlers on the one worker loop.
+
+    ``RUN_PARTS`` serves a batch through a local :class:`Replica` over the
+    frontend's plans, rows read from the in-ring and logits written to the
+    out-ring (inline arrays either way when a batch outgrows its ring);
+    ``PING`` answers with the boot PONG (:attr:`pong`); ``CRASH`` ends the
+    process on the spot.
+    """
+
+    HANDLERS = {
+        **WorkerLoop.HANDLERS,
+        MessageKind.RUN_PARTS: "_run_parts",
+        MessageKind.PING: "_ping",
+        MessageKind.CRASH: "_crash",
+    }
+
+    def __init__(self, transport, model, plans, in_ring: ShmRing, out_ring: ShmRing) -> None:
+        super().__init__(transport)
+        self.replica, self.plans = Replica(0, model, plans), plans
+        self.in_ring, self.out_ring = in_ring, out_ring
+        self.pong = Message(MessageKind.PONG)  # the boot probes fill it in
+
+    def _ping(self, message: Message) -> Message:
+        return self.pong
+
+    def _crash(self, message: Message) -> None:
+        os._exit(1)
+
+    def _run_parts(self, message: Message) -> Message:
+        fields = message.fields
+        if "ring_offset" in fields:
+            shape = (int(fields["rows"]),) + tuple(fields["row_shape"])
+            x = self.in_ring.view(int(fields["ring_offset"]), shape, fields["dtype"])
+        else:
+            x = message.arrays["x"]
+        started = time.perf_counter()
+        out = self.replica.run(x, fields["spec"])
+        reply_fields = {
+            "compute_s": time.perf_counter() - started,
+            "rows": int(out.shape[0]),
+            "packs": _packs(self.plans),  # cumulative; the parent diffs per reply
+        }
+        if out.nbytes <= self.out_ring.capacity:
+            return result_message(
+                {},
+                **reply_fields,
+                ring_offset=int(self.out_ring.place(out)),
+                out_shape=[int(d) for d in out.shape],
+                dtype=out.dtype.name,
+            )
+        return result_message({"out": out}, **reply_fields)
+
+    def probe(self, x: np.ndarray, width: str, wire: bool = False) -> float:
+        """Seconds of one ``RUN_PARTS`` request for ``x`` through the handler
+        and the rings; ``wire`` adds the codec both ways, as an exchange."""
+        dtype = compute_dtype(training=False)
+        started = time.perf_counter()
+        fields, arrays = _rows_request(self.in_ring, [x], dtype)
+        request = Message(MessageKind.RUN_PARTS, fields={"spec": width, **fields}, arrays=arrays)
+        if wire:
+            Message.decode(self._run_parts(Message.decode(request.encode())).encode())
+        else:
+            self._run_parts(request)
+        return time.perf_counter() - started
+
+
 def _worker_main(
     model,
     transport_sock: socket.socket,
@@ -208,7 +273,7 @@ def _worker_main(
     widths: Sequence[str],
     timed: bool,
 ) -> None:
-    """Forked worker entry: boot, then serve run_parts requests until shutdown.
+    """Forked worker entry: boot, then serve on the one loop until it ends.
 
     Inherits ``model`` over shared-memory weights, the parent's rings and
     its compiled ``plans``, served as a thread replica serves them.  Boot,
@@ -221,79 +286,15 @@ def _worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
     pin_blas_threads(omp_threads)
 
-    transport = TcpTransport(transport_sock)
-    local = Replica(0, model, plans)
-
-    def _handle_run_parts(message: Message) -> Message:
-        fields = message.fields
-        width = fields["spec"]
-        if "ring_offset" in fields:
-            shape = (int(fields["rows"]),) + tuple(fields["row_shape"])
-            x = in_ring.view(int(fields["ring_offset"]), shape, fields["dtype"])
-        else:
-            x = message.arrays["x"]
-        started = time.perf_counter()
-        out = local.run(x, width)
-        compute_s = time.perf_counter() - started
-        reply_fields = {
-            "compute_s": compute_s,
-            "rows": int(out.shape[0]),
-            "packs": _packs(plans),  # cumulative; the parent diffs per reply
-        }
-        if out.nbytes <= out_ring.capacity:
-            offset = out_ring.place(out)
-            return result_message(
-                {},
-                **reply_fields,
-                ring_offset=int(offset),
-                out_shape=[int(d) for d in out.shape],
-                dtype=out.dtype.name,
-            )
-        return result_message({"out": out}, **reply_fields)
-
-    probe, dtype = probe_input(model), compute_dtype(training=False)
-
-    def _probe(width: str, wire: bool = False) -> float:
-        started = time.perf_counter()
-        fields, arrays = _rows_request(in_ring, [probe], dtype)
-        request = Message(MessageKind.RUN_PARTS, fields={"spec": width, **fields}, arrays=arrays)
-        if wire:  # through the codec both ways, as an exchange goes
-            Message.decode(_handle_run_parts(Message.decode(request.encode())).encode())
-        else:
-            _handle_run_parts(request)
-        return time.perf_counter() - started
-
+    worker = ProcessWorker(TcpTransport(transport_sock), model, plans, in_ring, out_ring)
+    probe = probe_input(model)
     for width in widths:
-        _probe(width)
-    primes = {width: _probe(width, wire=True) for width in widths} if timed else {}
-    pong = Message(MessageKind.PONG, fields={"primes": primes, "packs": _packs(plans)})
-
+        worker.probe(probe, width)
+    primes = {width: worker.probe(probe, width, wire=True) for width in widths} if timed else {}
+    worker.pong = Message(MessageKind.PONG, fields={"primes": primes, "packs": _packs(plans)})
     try:
-        while True:
-            try:
-                message = transport.recv(timeout=None)
-            except TransportError:
-                break  # parent gone: nothing left to serve
-            if message.kind == MessageKind.PING:
-                transport.send(pong)
-                continue
-            if message.kind == MessageKind.SHUTDOWN:
-                break
-            if message.kind == MessageKind.CRASH:
-                os._exit(1)
-            try:
-                if message.kind == MessageKind.RUN_PARTS:
-                    reply = _handle_run_parts(message)
-                else:
-                    reply = error_message(f"unsupported op {message.kind!r}")
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                reply = error_message(f"{type(exc).__name__}: {exc}")
-            try:
-                transport.send(reply)
-            except TransportError:
-                break
+        worker.serve_forever()
     finally:
-        transport.close()
         # Skip inherited atexit machinery (pytest plugins, parent cleanup
         # hooks): the worker owns nothing that outlives it — the ring and
         # weight segments belong to the parent.
@@ -419,7 +420,16 @@ class ProcessReplica(Replica):
         dtype = compute_dtype(training=False)
         with self._transport_lock:
             started = time.perf_counter()
-            reply = self._exchange(parts, width, dtype)
+            fields, arrays = _rows_request(self._in_ring, parts, dtype)
+            try:
+                reply = self._endpoint.run_parts(width, fields, arrays)
+            except EndpointUnavailable as exc:
+                # An ERROR reply from a live worker leaves the transport in
+                # sync — the replica survives (the request reroutes anyway).
+                # A dead process / closed transport is permanent.
+                if not (self._proc.is_alive() and self._endpoint.available):
+                    self._alive = False
+                raise ReplicaUnavailable(f"worker {self.index} lost: {exc}") from exc
             service_s = time.perf_counter() - started
             if "ring_offset" in reply.fields:
                 # Copied while the lock still excludes the next exchange:
@@ -433,38 +443,6 @@ class ProcessReplica(Replica):
                 out = reply.arrays["out"]
         self._observe(reply, out.shape[0], service_s)
         return out
-
-    def _exchange(self, parts: List[np.ndarray], width: str, dtype) -> EndpointReply:
-        fields, arrays = _rows_request(self._in_ring, parts, dtype)
-        try:
-            return self._await(width, fields, arrays)
-        except EndpointUnavailable as exc:
-            # An ERROR reply from a live worker leaves the transport in
-            # sync — the replica survives (the request reroutes anyway).
-            # A dead process / closed transport is permanent.
-            if not (self._proc.is_alive() and self._endpoint.available):
-                self._alive = False
-            raise ReplicaUnavailable(f"worker {self.index} lost: {exc}") from exc
-
-    def _await(self, width: str, fields: Dict, arrays) -> EndpointReply:
-        """Send one run_parts request; wait out slowness, fail on death.
-
-        :class:`EndpointTimeout` means the process is alive and still
-        computing — re-entering the recv keeps the transport in sync (a
-        re-send would desynchronise request/reply pairing).  Stragglers
-        are the hedge watchdog's problem, not ours.
-        """
-        try:
-            return self._endpoint.run_parts(width, fields, arrays)
-        except EndpointTimeout:
-            pass
-        while True:
-            try:
-                message, payload = self._endpoint.await_reply()
-            except EndpointTimeout:
-                continue
-            compute_s = float(message.fields.get("compute_s", 0.0))
-            return EndpointReply(message.arrays, message.fields, compute_s, payload)
 
     def _observe(self, reply: EndpointReply, rows: int, service_s: float) -> None:
         """Per-worker telemetry: rows served, repacks, measured rows/s."""

@@ -1,11 +1,14 @@
 """Tests for the TCP transport over localhost."""
 
+import socket
+import struct
 import threading
 
 import numpy as np
 import pytest
 
 from repro.comm import Message, MessageKind, TcpListener, TransportError, connect
+from repro.comm.tcp import TcpTransport
 
 
 @pytest.fixture
@@ -68,3 +71,26 @@ class TestTcpTransport:
         listener.close()
         with pytest.raises(TransportError):
             connect("127.0.0.1", port, timeout=0.5)
+
+
+@pytest.mark.parametrize("cut", ["header", "frame"])
+def test_recv_resumes_a_frame_a_timeout_cut_short(rng, cut):
+    """A timeout mid-frame keeps what was read: the next recv completes that
+    frame instead of parsing frame bytes as a length header."""
+    a, b = socket.socketpair()
+    sender, receiver = TcpTransport(a), TcpTransport(b)
+    try:
+        message = Message(MessageKind.RESULT, fields={"n": 1}, arrays={"x": rng.standard_normal(4096)})
+        frame = message.encode()
+        wire = struct.pack(">Q", len(frame)) + frame
+        split = 3 if cut == "header" else 8 + len(frame) // 2
+        a.sendall(wire[:split])
+        with pytest.raises(TransportError, match="timeout"):
+            receiver.recv(timeout=0.05)
+        a.sendall(wire[split:])
+        got = receiver.recv(timeout=2.0)
+        assert got.fields == {"n": 1}
+        np.testing.assert_array_equal(got.arrays["x"], message.arrays["x"])
+    finally:
+        sender.close()
+        receiver.close()

@@ -1,10 +1,12 @@
-"""TransportEndpoint timeout classification: worker slow vs worker dead.
+"""TransportEndpoint's wait: a slow worker is waited for, a dead one fails.
 
 A recv timeout alone is ambiguous: the peer may be computing a long batch
-(keep waiting / hedge) or it may be gone (eject immediately).  The
-endpoint disambiguates with an ``alive_probe`` — an OS-level liveness
-oracle independent of the transport.  Without a probe the legacy
-behaviour (every failure is :class:`EndpointUnavailable`) is preserved.
+(keep waiting; the hedge watchdog covers stragglers) or it may be gone
+(eject at once).  An endpoint built with an ``alive_probe`` — an OS-level
+liveness oracle independent of the transport — waits inside
+``await_reply`` for as long as the probe vouches for the peer.  Everything
+else is :class:`EndpointUnavailable`: a failed probe, no probe at all (one
+timeout bounds the wait), a closed peer, and an ERROR reply.
 """
 
 import threading
@@ -13,15 +15,11 @@ import numpy as np
 import pytest
 
 from repro.comm.message import Message, MessageKind, result_message
-from repro.comm.transport import InProcChannel
-from repro.engine.endpoints import (
-    EndpointTimeout,
-    EndpointUnavailable,
-    TransportEndpoint,
-)
+from repro.comm.transport import InProcChannel, TransportError
+from repro.engine.endpoints import EndpointUnavailable, TransportEndpoint
 
 
-def _endpoint(channel, probe=None, timeout=0.05):
+def _endpoint(channel, probe=None, timeout=0.02):
     return TransportEndpoint(
         "w0", channel.a, request_timeout=timeout, alive_probe=probe
     )
@@ -29,23 +27,31 @@ def _endpoint(channel, probe=None, timeout=0.05):
 
 class TestSlowVsDead:
     def test_timeout_with_live_probe_is_slow(self):
+        """Each timeout re-asks the probe: the wait outlasts three timeouts
+        while it vouches for the peer, and ends the moment it stops."""
         channel = InProcChannel()
-        endpoint = _endpoint(channel, probe=lambda: True)
-        with pytest.raises(EndpointTimeout):
+        answers = iter([True, True, True, False])
+        probes = []
+
+        def probe():
+            probes.append(1)
+            return next(answers)
+
+        endpoint = _endpoint(channel, probe=probe)
+        with pytest.raises(EndpointUnavailable, match="timeout"):
             endpoint.run_parts("lower50", {"rows": 1})
-        # The transport survived the timeout: the reply can still arrive.
-        assert endpoint.available
+        assert len(probes) == 4
 
     def test_timeout_with_dead_probe_is_unavailable(self):
         channel = InProcChannel()
         endpoint = _endpoint(channel, probe=lambda: False)
-        with pytest.raises(EndpointUnavailable):
+        with pytest.raises(EndpointUnavailable, match="timeout"):
             endpoint.run_parts("lower50", {"rows": 1})
 
     def test_timeout_without_probe_keeps_legacy_classification(self):
         channel = InProcChannel()
         endpoint = _endpoint(channel, probe=None)
-        with pytest.raises(EndpointUnavailable):
+        with pytest.raises(EndpointUnavailable, match="timeout"):
             endpoint.run_parts("lower50", {"rows": 1})
 
     def test_closed_peer_is_unavailable_even_with_live_probe(self):
@@ -55,37 +61,67 @@ class TestSlowVsDead:
         with pytest.raises(EndpointUnavailable):
             endpoint.run_parts("lower50", {"rows": 1})
 
+    def test_peer_closing_mid_wait_is_unavailable_even_with_live_probe(self):
+        channel = InProcChannel()
+        endpoint = _endpoint(channel, probe=lambda: True)
+
+        def leaving_worker():
+            channel.b.recv(timeout=5.0)
+            channel.b.close()
+
+        worker = threading.Thread(target=leaving_worker, daemon=True)
+        worker.start()
+        with pytest.raises(EndpointUnavailable, match="closed"):
+            endpoint.run_parts("lower50", {"rows": 1})
+        worker.join(timeout=5.0)
+        assert not endpoint.available
+
 
 class TestAwaitReply:
     def test_await_reply_resumes_after_timeout(self):
-        """The patience loop: a slow reply is eventually collected in sync."""
+        """A live probe keeps the wait going until the late reply arrives."""
         channel = InProcChannel()
-        endpoint = _endpoint(channel, probe=lambda: True, timeout=0.02)
+        probes = []
+        late = threading.Event()  # the worker answers once the wait has timed out thrice
 
-        def _slow_worker():
-            request = channel.b.recv(timeout=1.0)
+        def probe():
+            probes.append(1)
+            if len(probes) == 3:
+                late.set()
+            return True
+
+        def slow_worker():
+            request = channel.b.recv(timeout=5.0)
             assert request.kind == MessageKind.RUN_PARTS
-            import time
-
-            time.sleep(0.08)  # several request timeouts
+            late.wait(timeout=5.0)
             channel.b.send(result_message({"out": np.ones((2, 3))}, compute_s=0.08))
 
-        worker = threading.Thread(target=_slow_worker, daemon=True)
+        worker = threading.Thread(target=slow_worker, daemon=True)
         worker.start()
-        with pytest.raises(EndpointTimeout):
-            endpoint.run_parts("lower50", {"rows": 2})
-        for _ in range(50):
-            try:
-                message, payload = endpoint.await_reply()
-                break
-            except EndpointTimeout:
-                continue
-        else:
-            pytest.fail("reply never arrived")
-        worker.join()
-        assert message.kind == MessageKind.RESULT
-        assert np.array_equal(message.arrays["out"], np.ones((2, 3)))
-        assert payload == message.arrays["out"].nbytes
+        reply = _endpoint(channel, probe=probe).run_parts("lower50", {"rows": 2})
+        worker.join(timeout=5.0)
+        assert len(probes) >= 3
+        np.testing.assert_array_equal(reply.arrays["out"], np.ones((2, 3)))
+        assert reply.compute_s == 0.08
+        assert reply.payload_bytes == reply.arrays["out"].nbytes
+
+    def test_dropped_replies_are_waited_out_through_the_intercept(self):
+        """A drop window (``faults.injector``) raises from ``intercept`` on
+        every wait; the reply queued behind it is collected once it ends."""
+        channel = InProcChannel()
+        endpoint = _endpoint(channel, probe=lambda: True)
+        drops = []
+
+        def intercept():
+            if len(drops) < 3:
+                drops.append(1)
+                raise TransportError("fault: reply dropped")
+
+        endpoint.intercept = intercept
+        channel.b.send(result_message({"out": np.zeros(2)}))
+        reply = endpoint.run_parts("lower50", {"rows": 1})
+        assert len(drops) == 3
+        np.testing.assert_array_equal(reply.arrays["out"], np.zeros(2))
 
     def test_error_reply_is_unavailable(self):
         channel = InProcChannel()

@@ -479,6 +479,57 @@ class TestHedgeWatchdog:
             assert all(entry() is None for _, _, entry in heap)
 
 
+class TestHedgeWatchdogWakeups:
+    """Every admitted request arms the watchdog; only an arm that moves its
+    next instant earlier may wake the thread."""
+
+    class _Stub:
+        pass
+
+    def test_later_arms_never_wake_the_timer_and_an_earlier_one_fires_on_time(self):
+        from repro.scheduler.frontend import _HedgeWatchdog
+
+        fired, done = [], threading.Event()
+
+        def _fire(entry):
+            fired.append((time.monotonic(), entry))
+            done.set()
+
+        watchdog = _HedgeWatchdog(_fire)
+        cond = watchdog._cond
+        wait, notify = cond.wait, cond.notify
+        waits, notifies, waiting = [], [], threading.Event()
+
+        def counting_wait(timeout=None):
+            waits.append(timeout)
+            waiting.set()
+            return wait(timeout)
+
+        def counting_notify(n=1):
+            notifies.append(n)
+            notify(n)
+
+        cond.wait, cond.notify = counting_wait, counting_notify
+        try:
+            now = time.monotonic()
+            later = [self._Stub() for _ in range(20)]
+            for k, stub in enumerate(later):
+                watchdog.arm(now + 60.0 + k, stub)
+                if k == 0:  # the heap was empty: one wake, then a wait on this instant
+                    assert waiting.wait(timeout=5.0)
+            assert len(notifies) == 1
+            assert len(waits) <= 2
+            early = self._Stub()
+            at = time.monotonic() + 0.02
+            watchdog.arm(at, early)
+            assert done.wait(timeout=5.0)
+            fired_at, entry = fired[0]
+            assert entry is early
+            assert at <= fired_at < at + 1.0  # its own instant, not the head's
+        finally:
+            watchdog.close()
+
+
 class TestCloseReleasesTheFrontend:
     def test_closed_frontend_is_freed_without_the_cycle_collector(self, model):
         """A closed frontend holds its plan arenas; as cyclic garbage it kept
