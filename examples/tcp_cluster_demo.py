@@ -11,7 +11,8 @@ Run:  python examples/tcp_cluster_demo.py   (about a minute)
 import numpy as np
 
 from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.distributed import LocalCluster, WorkerUnavailable
+from repro.distributed import LocalCluster
+from repro.engine.endpoints import EndpointUnavailable
 from repro.training import RecipeConfig, TrainConfig, train_fluid
 from repro.utils import make_rng
 
@@ -54,7 +55,7 @@ def main() -> None:
         cluster.kill_worker()
         try:
             master.run_remote(ws.find("upper50"), x[:4])
-        except WorkerUnavailable as exc:
+        except EndpointUnavailable as exc:
             print(f"  master detected the failure: {type(exc).__name__}: {exc}")
         print(f"  heartbeat: {master.ping_worker()}")
 

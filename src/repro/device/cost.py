@@ -53,11 +53,7 @@ class LayerCost:
 
 
 def subnet_layer_costs(net: SlimmableConvNet, spec: SubNetSpec) -> List[LayerCost]:
-    """Per-layer costs of running ``spec`` end-to-end on one device.
-
-    Stateless: slices are resolved from ``spec`` directly, so cost queries
-    never disturb the net's active defaults (they run on live serve paths).
-    """
+    """Per-layer costs of running ``spec`` end-to-end on one device."""
     costs: List[LayerCost] = []
     size = net.image_size
     prev = None

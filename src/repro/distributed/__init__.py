@@ -2,7 +2,7 @@
 
 from repro.distributed.cluster import LocalCluster, WorkerProcess
 from repro.distributed.layer_partition import LayerCut, LayerPartitionModel
-from repro.distributed.master import MasterRuntime, WorkerUnavailable
+from repro.distributed.master import MasterRuntime
 from repro.distributed.multidevice import (
     BlockPartition,
     MultiDeviceModel,
@@ -57,7 +57,6 @@ __all__ = [
     "ThroughputBreakdown",
     "MasterRuntime",
     "WorkerServer",
-    "WorkerUnavailable",
     "EmulatedTimeLedger",
     "LocalCluster",
     "WorkerProcess",

@@ -21,16 +21,12 @@ from repro.device.emulated import EmulatedDevice
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.partition import MASTER, WORKER
 from repro.distributed.plan import DeploymentPlan, ha_plan, ht_plan, solo_plan
-from repro.engine.endpoints import EndpointUnavailable, LocalEndpoint, TransportEndpoint
+from repro.engine.endpoints import LocalEndpoint, TransportEndpoint
 from repro.engine.engine import EngineResult, ExecutionEngine
 from repro.engine.graph import BlockPartition
 from repro.engine.ledger import EmulatedTimeLedger
 from repro.slimmable.spec import SubNetSpec
 from repro.utils.logging import get_logger
-
-# Backwards-compatible alias: the worker being unreachable is the engine's
-# endpoint-unavailable signal.
-WorkerUnavailable = EndpointUnavailable
 
 
 class MasterRuntime:

@@ -19,11 +19,9 @@ sub-network runs execute under per-call non-recording
 :class:`~repro.nn.context.ForwardContext`\\ s (see
 :meth:`EmulatedDevice.execute_subnet`), and the partitioned rounds call the
 stateless kernels in :mod:`repro.distributed.partitioned` directly — no
-endpoint ever caches activations on the shared net.  Width-bound
-:class:`~repro.engine.session.InferenceSession`\\ s (built with a subnet
-name, hence context slice bindings) may therefore share the endpoints'
-weight store; sessions over a *bare* slimmable net read the layers'
-default slices and must not run concurrently with endpoint traffic.
+endpoint ever caches activations on the shared net, and no call mutates it,
+so any number of :class:`~repro.engine.session.InferenceSession`\\ s may
+share the endpoints' weight store.
 
 Emulated-time accounting mirrors the historical master runtime exactly:
 local endpoints report their per-layer compute seconds (and charge the

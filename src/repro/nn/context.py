@@ -17,10 +17,11 @@ The context has two compartments:
   both the bookkeeping and, where possible, the computation (e.g. the ReLU
   mask is never materialised).
 * **bindings** — call-scoped configuration installed by the *caller* before
-  the pass runs.  Slimmable views bind their spec's channel slices here, so
-  two threads can run different sub-network widths against the same
-  :class:`~repro.slimmable.slim_net.SlimmableConvNet` without touching the
-  container's ``set_active`` state.
+  the pass runs.  Slimmable views bind their spec's channel slices here; a
+  binding is the only way to select a sub-network, so two threads can run
+  different widths against the same
+  :class:`~repro.slimmable.slim_net.SlimmableConvNet`, which no call ever
+  mutates.
 
 Both compartments are keyed by module identity.  A context must not be
 shared between concurrent calls; it is cheap to create one per request.

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn import functional as F
@@ -14,16 +12,12 @@ from repro.nn.module import Module
 class ReLU(Module):
     """Elementwise rectified linear unit."""
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         y, mask = F.relu_forward(x, need_mask=ctx.recording)
         ctx.put(self, mask=mask)
         return y
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         return F.relu_backward(grad_output, ctx.require(self)["mask"])
 
     def __repr__(self) -> str:
@@ -33,16 +27,12 @@ class ReLU(Module):
 class Tanh(Module):
     """Elementwise hyperbolic tangent."""
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         y = np.tanh(x)
         ctx.put(self, y=y)
         return y
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         y = ctx.require(self)["y"]
         return grad_output * (1.0 - y**2)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn import functional as F
@@ -53,18 +51,14 @@ class Conv2d(Module):
         fan_in = in_channels * kernel_size * kernel_size
         self.bias = Parameter(init.bias_uniform((out_channels,), fan_in, rng), name="bias")
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         x_shape = x.shape
         x, w, b = F.cast_compute(self.training, x, self.weight.data, self.bias.data)
         y, cols = F.conv2d_forward(x, w, b, self.stride, self.padding)
         ctx.put(self, cols=cols, x_shape=x_shape)
         return y
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         state = ctx.require(self)
         grad_x, grad_w, grad_b = F.conv2d_backward(
             grad_output,

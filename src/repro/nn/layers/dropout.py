@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn.context import ForwardContext
@@ -29,8 +27,7 @@ class Dropout(Module):
         self.p = p
         self.rng = rng
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         if not self.training or self.p == 0.0:
             ctx.put(self, mask=None)
             return x
@@ -39,10 +36,7 @@ class Dropout(Module):
         ctx.put(self, mask=mask)
         return x * mask
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         mask = ctx.require(self)["mask"]
         if mask is None:  # eval mode or p == 0: forward was the identity
             return grad_output

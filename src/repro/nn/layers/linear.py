@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn import functional as F
@@ -27,8 +25,7 @@ class Linear(Module):
         self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng), name="weight")
         self.bias = Parameter(init.bias_uniform((out_features,), in_features, rng), name="bias")
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         if x.ndim != 2:
             raise ValueError(f"Linear expects (N, features), got shape {x.shape}")
         if x.shape[1] != self.in_features:
@@ -37,10 +34,7 @@ class Linear(Module):
         ctx.put(self, x=x)
         return x @ w.T + b
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         x = ctx.require(self)["x"]
         self.weight.accumulate_grad(grad_output.T @ x)
         self.bias.accumulate_grad(grad_output.sum(axis=0))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn import functional as F
@@ -21,18 +19,14 @@ class MaxPool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         y, argmax = F.maxpool2d_forward(
             x, self.kernel_size, self.stride, need_indices=ctx.recording
         )
         ctx.put(self, argmax=argmax, x_shape=x.shape)
         return y
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         state = ctx.require(self)
         return F.maxpool2d_backward(
             grad_output, state["argmax"], state["x_shape"], self.kernel_size, self.stride
@@ -45,15 +39,11 @@ class MaxPool2d(Module):
 class GlobalAvgPool2d(Module):
     """Average over the spatial dimensions: ``(N, C, H, W) -> (N, C)``."""
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         ctx.put(self, x_shape=x.shape)
         return x.mean(axis=(2, 3))
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         x_shape = ctx.require(self)["x_shape"]
         n, c, h, w = x_shape
         scale = 1.0 / (h * w)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn.context import ForwardContext
@@ -13,15 +11,11 @@ from repro.nn.module import Module
 class Flatten(Module):
     """Flatten all dims after the batch dim: ``(N, ...) -> (N, prod(...))``."""
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         ctx.put(self, x_shape=x.shape)
         return x.reshape(x.shape[0], -1)
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         return grad_output.reshape(ctx.require(self)["x_shape"])
 
     def __repr__(self) -> str:

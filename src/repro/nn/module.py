@@ -3,23 +3,17 @@
 Modules implement explicit ``forward``/``backward`` passes (no autograd
 tape).  Both take a :class:`~repro.nn.context.ForwardContext`:
 ``forward(x, ctx)`` records whatever the matching ``backward`` needs on the
-context's activation tape; ``backward(grad, ctx)`` reads it back, must
-(a) accumulate parameter gradients and (b) return the gradient w.r.t. the
-module input.  Modules therefore hold only parameters and hyper-parameters
-— never per-call state — so one weight store can serve any number of
-concurrent forward passes, each with its own context.  This matters doubly
-for slimmable layers, which alias weight storage between sub-networks.
+context's activation tape; ``backward(grad, ctx)`` reads it back from the
+same context, must (a) accumulate parameter gradients and (b) return the
+gradient w.r.t. the module input.  Modules therefore hold only parameters
+and hyper-parameters — never per-call state — so one weight store can
+serve any number of concurrent forward passes, each with its own context.
+This matters doubly for slimmable layers, which alias weight storage
+between sub-networks.
 
-For single-caller convenience a thin compatibility shim remains:
-``module(x)`` with no context creates an *implicit* context and remembers
-it, and ``module.backward(grad)`` with no context resolves that implicit
-context.  Concurrent callers (the engine's inference sessions, the
-micro-batching runtime) must pass explicit contexts; the implicit slot is
-deliberately last-call-wins and not thread-safe.  Explicit-context calls
-never read or write the implicit slot, so explicit and implicit usage of
-one module do not corrupt each other's tapes; if you passed a context to
-``forward``, pass the same one to ``backward`` — a bare ``backward(grad)``
-always resolves the last *implicit* forward, not the last forward overall.
+``module(x)`` with no context runs on a fresh non-recording context that
+nothing keeps: an inference call.  A caller that means to run ``backward``
+creates the context, passes it to ``forward`` and hands the same one back.
 """
 
 from __future__ import annotations
@@ -136,36 +130,14 @@ class Module:
 
     # -- compute -------------------------------------------------------------
 
-    def _forward_ctx(self, ctx: Optional[ForwardContext]) -> ForwardContext:
-        """Resolve the context for a forward pass.
-
-        With no explicit context a fresh implicit one is created and
-        remembered so a later ``backward()`` without a context finds it.
-        """
-        if ctx is None:
-            ctx = ForwardContext()
-            object.__setattr__(self, "_implicit_ctx", ctx)
-        return ctx
-
-    def _backward_ctx(self, ctx: Optional[ForwardContext]) -> ForwardContext:
-        """Resolve the context for a backward pass (implicit shim)."""
-        if ctx is not None:
-            return ctx
-        implicit = getattr(self, "_implicit_ctx", None)
-        if implicit is None:
-            raise RuntimeError("backward called before forward (no context)")
-        return implicit
-
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        return self.forward(x, ctx)
+        return self.forward(x, ForwardContext(recording=False) if ctx is None else ctx)
 
     def __repr__(self) -> str:
         child_repr = ", ".join(f"{k}={v!r}" for k, v in self._modules.items())
@@ -193,16 +165,12 @@ class Sequential(Module):
     def __getitem__(self, index: int) -> Module:
         return self.layers[index]
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, ctx)
         return x
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output, ctx)
         return grad_output
@@ -215,10 +183,8 @@ class Sequential(Module):
 class Identity(Module):
     """No-op module (useful as a placeholder in partition plans)."""
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         return x
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         return grad_output

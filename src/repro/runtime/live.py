@@ -15,9 +15,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.distributed.master import MasterRuntime, WorkerUnavailable
+from repro.distributed.master import MasterRuntime
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.plan import DeploymentPlan
+from repro.engine.endpoints import EndpointUnavailable
 from repro.runtime.batching import BatchingConfig, MicroBatchQueue
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.runtime.policy import AdaptationPolicy
@@ -117,7 +118,7 @@ class LiveSystem:
                     logits=logits,
                     failed_over=(attempt > 0),
                 )
-            except WorkerUnavailable:
+            except EndpointUnavailable:
                 self.logger.warning("worker lost while serving batch %d", index)
                 self.declare_worker_dead()
         # Second attempt also failed (no worker involved => plan is FAILED).
@@ -160,7 +161,7 @@ class LiveSystem:
             if log is not None:
                 log.batches.append(served)
             if served.logits is None:
-                raise WorkerUnavailable(
+                raise EndpointUnavailable(
                     f"no serving capacity (mode {served.mode.name}) for batch "
                     f"{served.batch_index}"
                 )

@@ -5,13 +5,13 @@ operates on an *active* ``(in_slice, out_slice)`` sub-block.  Sub-networks
 therefore share weights by construction — "copy trained weights to the next
 model" in the paper's Algorithm 1 is the aliasing itself.
 
-Slice selection is two-tier: :meth:`set_slices` installs a default on the
-layer (legacy single-caller path), while a caller-bound
-:class:`~repro.nn.context.ForwardContext` binding overrides it per call.
-Context bindings never mutate the layer, so concurrent forward passes may
-run different widths against the same weight store.  The slices actually
-used are recorded on the context's tape, so backward scatters gradients
-into the correct region even if the layer's default changed in between.
+The only way to select a sub-block is a
+:class:`~repro.nn.context.ForwardContext` binding written by the caller
+(:meth:`~repro.slimmable.slim_net.SlimmableConvNet.bind_spec`); a call with no binding runs at full
+width.  The layer never changes, so concurrent forward passes may run
+different widths against the same weight store.  The slices a forward used
+are recorded on the context's tape, and backward scatters gradients into
+exactly that region.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class SlicedConv2d(Module):
         fan_in = max_in_channels * kernel_size * kernel_size
         self.bias = Parameter(init.bias_uniform((max_out_channels,), fan_in, rng), name="bias")
 
-        self._in_slice = ChannelSlice(0, max_in_channels)
-        self._out_slice = ChannelSlice(0, max_out_channels)
+        self.full_in_slice = ChannelSlice(0, max_in_channels)
+        self.full_out_slice = ChannelSlice(0, max_out_channels)
 
     # -- slice management ----------------------------------------------------
 
@@ -80,52 +80,25 @@ class SlicedConv2d(Module):
         ``in_slice`` is ignored when ``slice_input`` is False (first layer).
         """
         if not self.slice_input or in_slice is None:
-            in_slice = ChannelSlice(0, self.max_in_channels)
+            in_slice = self.full_in_slice
         if in_slice.stop > self.max_in_channels:
             raise ValueError(f"in_slice {in_slice} exceeds {self.max_in_channels} channels")
         if out_slice.stop > self.max_out_channels:
             raise ValueError(f"out_slice {out_slice} exceeds {self.max_out_channels} channels")
         return in_slice, out_slice
 
-    def set_slices(self, in_slice: Optional[ChannelSlice], out_slice: ChannelSlice) -> None:
-        """Install the layer's *default* weight sub-block (legacy path)."""
-        self._in_slice, self._out_slice = self.resolve_slices(in_slice, out_slice)
-
-    @property
-    def in_slice(self) -> ChannelSlice:
-        return self._in_slice
-
-    @property
-    def out_slice(self) -> ChannelSlice:
-        return self._out_slice
-
-    def _call_slices(
-        self, ctx: ForwardContext
-    ) -> "tuple[ChannelSlice, ChannelSlice]":
-        """The slices for this call: context bindings over layer defaults."""
-        in_slice = ctx.bound(self, "in_slice", self._in_slice)
-        out_slice = ctx.bound(self, "out_slice", self._out_slice)
-        return in_slice, out_slice
-
-    def active_weight(
-        self,
-        in_slice: Optional[ChannelSlice] = None,
-        out_slice: Optional[ChannelSlice] = None,
-    ) -> np.ndarray:
-        """View of an active weight block (no copy); defaults to the layer's."""
-        in_slice = in_slice if in_slice is not None else self._in_slice
-        out_slice = out_slice if out_slice is not None else self._out_slice
+    def active_weight(self, in_slice: ChannelSlice, out_slice: ChannelSlice) -> np.ndarray:
+        """View of one weight sub-block (no copy)."""
         return self.weight.data[out_slice.as_slice(), in_slice.as_slice()]
 
-    def active_bias(self, out_slice: Optional[ChannelSlice] = None) -> np.ndarray:
-        out_slice = out_slice if out_slice is not None else self._out_slice
+    def active_bias(self, out_slice: ChannelSlice) -> np.ndarray:
         return self.bias.data[out_slice.as_slice()]
 
     # -- compute ---------------------------------------------------------------
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
-        in_slice, out_slice = self._call_slices(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
+        in_slice = ctx.bound(self, "in_slice", self.full_in_slice)
+        out_slice = ctx.bound(self, "out_slice", self.full_out_slice)
         if x.shape[1] != in_slice.width:
             raise ValueError(
                 f"active in_slice {in_slice} expects {in_slice.width} channels, "
@@ -142,10 +115,7 @@ class SlicedConv2d(Module):
         ctx.put(self, cols=cols, x_shape=x_shape, in_slice=in_slice, out_slice=out_slice)
         return y
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         state = ctx.require(self)
         in_slice, out_slice = state["in_slice"], state["out_slice"]
         w = np.ascontiguousarray(self.active_weight(in_slice, out_slice))
@@ -161,16 +131,9 @@ class SlicedConv2d(Module):
         return grad_x
 
     def flops_per_image(
-        self,
-        in_h: int,
-        in_w: int,
-        in_slice: Optional[ChannelSlice] = None,
-        out_slice: Optional[ChannelSlice] = None,
+        self, in_h: int, in_w: int, in_slice: ChannelSlice, out_slice: ChannelSlice
     ) -> int:
-        """MAC cost of an active sub-block for one image (defaults to the
-        layer's default slices; explicit slices keep cost queries stateless)."""
-        in_slice = in_slice if in_slice is not None else self._in_slice
-        out_slice = out_slice if out_slice is not None else self._out_slice
+        """MAC cost of one weight sub-block for one image."""
         out_h = F.conv_out_size(in_h, self.kernel_size, self.stride, self.padding)
         out_w = F.conv_out_size(in_w, self.kernel_size, self.stride, self.padding)
         macs = out_h * out_w * out_slice.width * in_slice.width * self.kernel_size**2
@@ -179,5 +142,5 @@ class SlicedConv2d(Module):
     def __repr__(self) -> str:
         return (
             f"SlicedConv2d(max_in={self.max_in_channels}, max_out={self.max_out_channels}, "
-            f"k={self.kernel_size}, active={self._in_slice}->{self._out_slice})"
+            f"k={self.kernel_size})"
         )

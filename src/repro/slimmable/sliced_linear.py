@@ -6,13 +6,11 @@ input-feature range is sliced.  Input features are laid out channel-major
 feature range ``[a * spatial, b * spatial)``.
 
 Like :class:`~repro.slimmable.sliced_conv.SlicedConv2d`, the feature slice
-is two-tier: :meth:`set_feature_slice` installs a mutable default, a
-context binding overrides it per call without touching the layer.
+comes only from a context binding; a call with no binding reads every
+feature.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -45,28 +43,18 @@ class SlicedLinear(Module):
             init.kaiming_uniform((out_features, max_in_features), rng), name="weight"
         )
         self.bias = Parameter(init.bias_uniform((out_features,), max_in_features, rng), name="bias")
-        self._feature_slice = ChannelSlice(0, max_in_features)
+        self.full_feature_slice = ChannelSlice(0, max_in_features)
 
     def resolve_feature_slice(self, feature_slice: ChannelSlice) -> ChannelSlice:
         if feature_slice.stop > self.max_in_features:
             raise ValueError(f"slice {feature_slice} exceeds {self.max_in_features} features")
         return feature_slice
 
-    def set_feature_slice(self, feature_slice: ChannelSlice) -> None:
-        """Install the layer's *default* feature slice (legacy path)."""
-        self._feature_slice = self.resolve_feature_slice(feature_slice)
-
-    @property
-    def feature_slice(self) -> ChannelSlice:
-        return self._feature_slice
-
-    def active_weight(self, feature_slice: Optional[ChannelSlice] = None) -> np.ndarray:
-        feature_slice = feature_slice if feature_slice is not None else self._feature_slice
+    def active_weight(self, feature_slice: ChannelSlice) -> np.ndarray:
         return self.weight.data[:, feature_slice.as_slice()]
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
-        feature_slice = ctx.bound(self, "feature_slice", self._feature_slice)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
+        feature_slice = ctx.bound(self, "feature_slice", self.full_feature_slice)
         expected = feature_slice.width
         if x.ndim != 2 or x.shape[1] != expected:
             raise ValueError(
@@ -79,10 +67,7 @@ class SlicedLinear(Module):
         ctx.put(self, x=x, feature_slice=feature_slice)
         return x @ w.T + b
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         state = ctx.require(self)
         feature_slice = state["feature_slice"]
         full_grad_w = np.zeros_like(self.weight.data)
@@ -91,12 +76,8 @@ class SlicedLinear(Module):
         self.bias.accumulate_grad(grad_output.sum(axis=0))
         return grad_output @ self.active_weight(feature_slice)
 
-    def flops_per_image(self, feature_slice: Optional[ChannelSlice] = None) -> int:
-        feature_slice = feature_slice if feature_slice is not None else self._feature_slice
+    def flops_per_image(self, feature_slice: ChannelSlice) -> int:
         return 2 * feature_slice.width * self.out_features
 
     def __repr__(self) -> str:
-        return (
-            f"SlicedLinear(max_in={self.max_in_features}, out={self.out_features}, "
-            f"active={self._feature_slice})"
-        )
+        return f"SlicedLinear(max_in={self.max_in_features}, out={self.out_features})"

@@ -6,16 +6,11 @@
 container to one :class:`~repro.slimmable.spec.SubNetSpec`.  All views
 alias the same storage — that aliasing is the paper's weight sharing.
 
-Sub-network selection has two paths:
-
-* :meth:`SlimmableConvNet.set_active` mutates the layers' default slices
-  in place (legacy single-caller path, still used by the cost model and
-  the partitioned kernels);
-* :meth:`SlimmableConvNet.bind_spec` writes the same selection into a
-  :class:`~repro.nn.context.ForwardContext` as call-scoped bindings,
-  leaving the container untouched.  Views passed an explicit context use
-  only bindings, so concurrent calls can run different widths against one
-  shared weight store.
+A sub-network is selected in one way only: :meth:`SlimmableConvNet.bind_spec`
+writes its per-layer slices into a :class:`~repro.nn.context.ForwardContext`
+as call-scoped bindings.  The container is never mutated by a call, so
+concurrent calls can run different widths against one shared weight store;
+a forward with no binding runs the full-width network.
 """
 
 from __future__ import annotations
@@ -100,10 +95,7 @@ class SlimmableConvNet(Module):
         self.flatten = Flatten()
         self.classifier = SlicedLinear(w * self.feature_spatial, num_classes, rng=rng)
 
-        self._active: Optional[SubNetSpec] = None
-        self.set_active(width_spec.full())
-
-    # -- activation of sub-networks ------------------------------------------
+    # -- sub-network selection -------------------------------------------------
 
     def feature_slice_for(self, channel_slice: ChannelSlice) -> ChannelSlice:
         """Map the last conv's channel slice to classifier feature columns."""
@@ -112,29 +104,16 @@ class SlimmableConvNet(Module):
             channel_slice.stop * self.feature_spatial,
         )
 
-    def _check_spec(self, spec: SubNetSpec) -> None:
-        if len(spec.conv_slices) != len(self.convs):
-            raise ValueError(
-                f"spec has {len(spec.conv_slices)} conv slices, net has {len(self.convs)}"
-            )
-
-    def set_active(self, spec: SubNetSpec) -> None:
-        """Select the default sub-network by mutating the layers in place."""
-        self._check_spec(spec)
-        prev: Optional[ChannelSlice] = None
-        for conv, out_slice in zip(self.convs, spec.conv_slices):
-            conv.set_slices(prev, out_slice)
-            prev = out_slice
-        self.classifier.set_feature_slice(self.feature_slice_for(spec.last_slice))
-        self._active = spec
-
     def bind_spec(self, spec: SubNetSpec, ctx: ForwardContext) -> None:
         """Select a sub-network for one call only, via context bindings.
 
         Writes the per-layer slice selection into ``ctx`` without touching
         the container, so concurrent calls may bind different specs.
         """
-        self._check_spec(spec)
+        if len(spec.conv_slices) != len(self.convs):
+            raise ValueError(
+                f"spec has {len(spec.conv_slices)} conv slices, net has {len(self.convs)}"
+            )
         prev: Optional[ChannelSlice] = None
         for conv, out_slice in zip(self.convs, spec.conv_slices):
             in_slice, out_slice = conv.resolve_slices(prev, out_slice)
@@ -148,12 +127,6 @@ class SlimmableConvNet(Module):
         )
         ctx.bind(self, spec=spec)
 
-    @property
-    def active_spec(self) -> SubNetSpec:
-        if self._active is None:
-            raise RuntimeError("no active sub-network")
-        return self._active
-
     def view(self, spec: SubNetSpec) -> "SubNetworkView":
         return SubNetworkView(self, spec)
 
@@ -163,18 +136,14 @@ class SlimmableConvNet(Module):
 
     # -- compute ---------------------------------------------------------------
 
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        ctx = self._forward_ctx(ctx)
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         for i, (conv, relu) in enumerate(zip(self.convs, self.relus)):
             x = relu.forward(conv.forward(x, ctx), ctx)
             if i in self.pools:
                 x = self.pools[i].forward(x, ctx)
         return self.classifier.forward(self.flatten.forward(x, ctx), ctx)
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         grad = self.flatten.backward(self.classifier.backward(grad_output, ctx), ctx)
         for i in reversed(range(len(self.convs))):
             if i in self.pools:
@@ -188,11 +157,8 @@ class SlimmableConvNet(Module):
         """(parameter, coverage-mask) pairs for every weight ``spec`` touches."""
         pairs: List[Tuple[object, np.ndarray]] = []
         prev: Optional[ChannelSlice] = None
-        for i, (conv, out_slice) in enumerate(zip(self.convs, spec.conv_slices)):
-            if i == 0 or not conv.slice_input:
-                in_slice = ChannelSlice(0, conv.max_in_channels)
-            else:
-                in_slice = prev
+        for conv, out_slice in zip(self.convs, spec.conv_slices):
+            in_slice, out_slice = conv.resolve_slices(prev, out_slice)
             pairs.append((conv.weight, conv_region(conv.weight.shape, out_slice, in_slice)))
             pairs.append((conv.bias, vector_region(conv.bias.shape, out_slice)))
             prev = out_slice
@@ -219,31 +185,16 @@ class SlimmableConvNet(Module):
         for param in self.parameters():
             param.set_freeze_mask(None)
 
-    # -- cost model hooks ---------------------------------------------------------
-
-    def flops_per_image(self) -> int:
-        """FLOPs for one image through the *active* sub-network."""
-        total = 0
-        size = self.image_size
-        for i, conv in enumerate(self.convs):
-            total += conv.flops_per_image(size, size)
-            if i in self.pools:
-                size //= 2
-        total += self.classifier.flops_per_image()
-        return total
-
 
 class SubNetworkView(Module):
     """A sub-network of a :class:`SlimmableConvNet`, usable as a model.
 
-    With an explicit context, forward *binds* the spec's slices into the
-    context and never mutates the container — views are then freely usable
-    from concurrent threads over one shared weight store.  On the implicit
-    (no-context) path a view also activates its spec in place, preserving
-    the legacy contract that the container reflects the last view run.
-    Parameter traversal delegates to the parent container, meaning
-    optimizers built on a view see the full shared storage — combined with
-    freeze masks this gives incremental training its semantics.
+    Forward *binds* the spec's slices into the call's context and never
+    mutates the container, so views are freely usable from concurrent
+    threads over one shared weight store.  Parameter traversal delegates to
+    the parent container, meaning optimizers built on a view see the full
+    shared storage — combined with freeze masks this gives incremental
+    training its semantics.
     """
 
     def __init__(self, net: SlimmableConvNet, spec: SubNetSpec) -> None:
@@ -253,27 +204,11 @@ class SubNetworkView(Module):
         object.__setattr__(self, "net", net)
         self.spec = spec
 
-    def activate(self) -> None:
-        self.net.set_active(self.spec)
-
-    def forward(self, x: np.ndarray, ctx: Optional[ForwardContext] = None) -> np.ndarray:
-        if ctx is None:
-            ctx = self._forward_ctx(ctx)
-            self.activate()
+    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         self.net.bind_spec(self.spec, ctx)
         return self.net.forward(x, ctx)
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: Optional[ForwardContext] = None
-    ) -> np.ndarray:
-        if ctx is None and self.net.active_spec is not self.spec:
-            # Legacy guard: another view activated the container since this
-            # view's implicit forward.
-            raise RuntimeError(
-                f"backward for view {self.spec.name!r} but active spec is "
-                f"{self.net.active_spec.name!r}"
-            )
-        ctx = self._backward_ctx(ctx)
+    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         bound = ctx.bound(self.net, "spec")
         if bound is not self.spec:
             raise RuntimeError(
@@ -295,10 +230,6 @@ class SubNetworkView(Module):
 
     def zero_grad(self) -> None:
         self.net.zero_grad()
-
-    def flops_per_image(self) -> int:
-        self.activate()
-        return self.net.flops_per_image()
 
     @property
     def name(self) -> str:

@@ -41,10 +41,10 @@ def find_dead_channels(
     ``probe`` is a small input batch; a channel is dead if its post-ReLU
     activation is zero everywhere on it.
     """
-    net.set_active(spec)
     dead: List[List[int]] = []
     act = probe
     ctx = ForwardContext(recording=False)
+    net.bind_spec(spec, ctx)
     for i, conv in enumerate(net.convs):
         act = net.relus[i].forward(conv.forward(act, ctx), ctx)
         if i in net.pools:
@@ -75,15 +75,15 @@ def revive_dead_channels(
         if not dead:
             continue
         conv = net.convs[layer_index]
-        net.set_active(spec)
-        in_width = conv.in_slice.width
-        in_start = conv.in_slice.start
+        ctx = ForwardContext(recording=False)
+        net.bind_spec(spec, ctx)
+        in_slice = ctx.bound(conv, "in_slice")
         for channel in dead:
             if tracker is not None and not _row_trainable(conv, channel, tracker):
                 continue
-            row_shape = (1, in_width, conv.kernel_size, conv.kernel_size)
+            row_shape = (1, in_slice.width, conv.kernel_size, conv.kernel_size)
             fresh = nn_init.kaiming_uniform(row_shape, rng)[0]
-            conv.weight.data[channel, in_start : in_start + in_width] = fresh
+            conv.weight.data[channel, in_slice.as_slice()] = fresh
             conv.weight.bump_version()
             conv.bias.data[channel] = _REVIVED_BIAS
             conv.bias.bump_version()

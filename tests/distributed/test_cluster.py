@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.distributed import LocalCluster, WorkerUnavailable
+from repro.distributed import LocalCluster
+from repro.engine.endpoints import EndpointUnavailable
 from repro.slimmable import SlimmableConvNet, paper_width_spec
 from repro.utils import make_rng
 
@@ -48,7 +49,7 @@ class TestLocalCluster:
 
             cluster.kill_worker()  # power outage
 
-            with pytest.raises(WorkerUnavailable):
+            with pytest.raises(EndpointUnavailable):
                 cluster.master.run_remote(spec, x)
             assert not cluster.master.ping_worker()
 
@@ -64,5 +65,5 @@ class TestLocalCluster:
             spec = cluster_net.width_spec.find("upper25")
             x = rng.standard_normal((1, 1, 28, 28))
             cluster.master.run_remote(spec, x)
-            with pytest.raises(WorkerUnavailable):
+            with pytest.raises(EndpointUnavailable):
                 cluster.master.run_remote(spec, x)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.distributed import conv_block_half, fc_partial, partitioned_forward_reference
 from repro.distributed.partitioned import feature_slice_for_block, flatten_channel_block
+from repro.nn import ForwardContext
 from repro.slimmable import ChannelSlice
 from repro.utils import make_rng
 
@@ -54,8 +55,9 @@ class TestConvBlockHalf:
         assert lower.shape == (2, 8, 14, 14)
         assert upper.shape == (2, 8, 14, 14)
         # Full layer through the net's own forward path.
-        paper_net.set_active(spec)
-        full = paper_net.pools[0](paper_net.relus[0](paper_net.convs[0](x)))
+        ctx = ForwardContext(recording=False)
+        paper_net.bind_spec(spec, ctx)
+        full = paper_net.pools[0](paper_net.relus[0](paper_net.convs[0](x, ctx), ctx), ctx)
         np.testing.assert_allclose(np.concatenate([lower, upper], axis=1), full, atol=1e-12)
 
     def test_channel_mismatch_raises(self, paper_net, rng):
@@ -72,12 +74,13 @@ class TestFcPartial:
         view.train(False)
         reference = view(x)
         # Recompute features through the conv stack.
-        paper_net.set_active(spec)
+        ctx = ForwardContext(recording=False)
+        paper_net.bind_spec(spec, ctx)
         act = x
         for i in range(3):
-            act = paper_net.relus[i](paper_net.convs[i](act))
+            act = paper_net.relus[i](paper_net.convs[i](act, ctx), ctx)
             if i in paper_net.pools:
-                act = paper_net.pools[i](act)
+                act = paper_net.pools[i](act, ctx)
         lower_feats = flatten_channel_block(act[:, :8])
         upper_feats = flatten_channel_block(act[:, 8:])
         logits = fc_partial(

@@ -7,7 +7,8 @@ import pytest
 
 from repro.comm import InProcChannel, Message, MessageKind
 from repro.device import CrashCounter, EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import MasterRuntime, WorkerServer, WorkerUnavailable
+from repro.distributed import MasterRuntime, WorkerServer
+from repro.engine.endpoints import EndpointUnavailable
 
 
 @pytest.fixture
@@ -124,7 +125,7 @@ class TestFailureHandling:
         x = rng.standard_normal((1, 1, 28, 28))
         master.run_remote(spec, x)
         master.run_remote(spec, x)
-        with pytest.raises(WorkerUnavailable):
+        with pytest.raises(EndpointUnavailable):
             master.run_remote(spec, x)
         thread.join(timeout=5.0)
 
@@ -132,7 +133,7 @@ class TestFailureHandling:
         master, worker_device = protocol_pair
         master.crash_worker()
         spec = worker_device.net.width_spec.find("upper50")
-        with pytest.raises(WorkerUnavailable):
+        with pytest.raises(EndpointUnavailable):
             master.run_remote(spec, rng.standard_normal((1, 1, 28, 28)))
 
     def test_local_execution_survives_worker_crash(self, protocol_pair, rng):

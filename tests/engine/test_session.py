@@ -124,16 +124,6 @@ class TestConcurrentMatchesSerial:
         for name in subnets:
             np.testing.assert_array_equal(results[name], expected[name])
 
-    def test_container_state_untouched_by_sessions(self, models):
-        """Explicit-context serving must not move the net's active spec."""
-        model = models["fluid"]
-        net = model.net
-        net.set_active(net.width_spec.full())
-        active_before = net.active_spec
-        session = InferenceSession(model, "lower25")
-        session.run(make_rng(5).standard_normal((2, 1, 28, 28)))
-        assert net.active_spec is active_before
-
 
 class TestPlainModules:
     def test_sequential_sessions_share_weights(self):

@@ -2,9 +2,11 @@
 
 Events are fired synchronously (``injector.fire``) against a
 thread-backend frontend so nothing here depends on timer scheduling;
-one test exercises the timer path with a generous wait.
+drop windows run on a fake clock, and the timer-path tests wait on events
+and thread joins, never on a sleep.
 """
 
+import threading
 import time
 
 import pytest
@@ -44,6 +46,27 @@ def one_image(seed=1):
 
 def injector_for(frontend, *events):
     return FaultInjector(frontend, FaultPlan(list(events)))
+
+
+def recording_fire(inj):
+    """Route ``inj``'s timers through a wrapper; returns the events it saw."""
+    fired = []
+    fire = inj.fire
+
+    def record(event):
+        fired.append(event)
+        fire(event)
+
+    inj.fire = record
+    return fired
+
+
+def assert_exited_unfired(timers, fired):
+    assert timers
+    for timer in timers:
+        timer.join(timeout=5.0)
+        assert not timer.is_alive()
+    assert fired == []
 
 
 class TestCrashAndRecover:
@@ -88,14 +111,16 @@ class TestStall:
 class TestDrop:
     def test_drop_on_thread_replica_raises_transiently(self, frontend):
         replica = frontend.pool.replicas[1]
-        inj = injector_for(
+        now = [100.0]
+        inj = FaultInjector(
             frontend,
-            FaultEvent(0.0, replica_target(1), DROP, duration_s=0.05),
+            FaultPlan([FaultEvent(0.0, replica_target(1), DROP, duration_s=30.0)]),
+            clock=lambda: now[0],
         )
         inj.fire(inj.plan.events[0])
         with pytest.raises(ReplicaUnavailable):
             replica.run_parts([one_image()], "lower25")
-        time.sleep(0.08)  # window over: the wrapper delegates again
+        now[0] += 31.0  # window over: the wrapper delegates again
         assert replica.run_parts([one_image()], "lower25").shape == (1, 10)
         inj.stop()
 
@@ -167,23 +192,35 @@ class TestLifecycle:
 
     def test_timer_path_fires_scripted_events(self, frontend):
         inj = injector_for(frontend, FaultEvent(0.0, replica_target(0), CRASH))
+        fired = threading.Event()
+        fire = inj.fire
+
+        def fire_and_signal(event):
+            fire(event)
+            fired.set()
+
+        inj.fire = fire_and_signal  # the timers resolve ``self.fire`` at start()
         inj.start()
-        deadline = time.monotonic() + 5.0
-        while frontend.pool.replicas[0].alive and time.monotonic() < deadline:
-            time.sleep(0.005)
+        assert fired.wait(timeout=5.0)
         assert not frontend.pool.replicas[0].alive
         inj.stop()
 
     def test_stop_cancels_pending_events(self, frontend):
         inj = injector_for(frontend, FaultEvent(30.0, replica_target(0), CRASH))
+        fired = recording_fire(inj)
         inj.start()
+        timers = list(inj._timers)
         inj.stop()
-        time.sleep(0.02)
+        assert_exited_unfired(timers, fired)
         assert frontend.pool.replicas[0].alive
 
     def test_context_manager_arms_and_unwinds(self, frontend):
         event = FaultEvent(30.0, replica_target(0), CRASH)
-        with injector_for(frontend, event):
-            pass  # exit cancels the pending timer
-        time.sleep(0.02)
+        inj = injector_for(frontend, event)
+        fired = recording_fire(inj)
+        with inj:
+            timers = list(inj._timers)
+        # exit cancelled the pending timer
+        assert_exited_unfired(timers, fired)
         assert frontend.pool.replicas[0].alive
+

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import ForwardContext
+
 
 def numerical_grad_wrt_array(f, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar ``f()`` w.r.t. ``array`` in place."""
@@ -35,8 +37,9 @@ def check_layer_gradients(layer, x: np.ndarray, rng, atol: float = 1e-6) -> None
         return float((layer(x) * g).sum())
 
     layer.zero_grad()
-    layer(x)
-    grad_x = layer.backward(g)
+    ctx = ForwardContext()
+    layer(x, ctx)
+    grad_x = layer.backward(g, ctx)
 
     num_grad_x = numerical_grad_wrt_array(objective, x)
     np.testing.assert_allclose(grad_x, num_grad_x, atol=atol, rtol=1e-4)

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear, MaxPool2d, ReLU, Tanh
+from repro.nn import (
+    Conv2d,
+    Dropout,
+    Flatten,
+    ForwardContext,
+    GlobalAvgPool2d,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    Tanh,
+)
 from repro.utils import make_rng
 from tests.nn.gradcheck import check_layer_gradients
 
@@ -25,7 +35,7 @@ class TestConv2dLayer:
     def test_backward_before_forward_raises(self, rng):
         conv = Conv2d(1, 1, 3, rng=rng)
         with pytest.raises(RuntimeError):
-            conv.backward(np.zeros((1, 1, 3, 3)))
+            conv.backward(np.zeros((1, 1, 3, 3)), ForwardContext())
 
     def test_invalid_args_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -93,9 +103,10 @@ class TestFlatten:
     def test_roundtrip(self, rng):
         flat = Flatten()
         x = rng.standard_normal((2, 3, 4, 4))
-        y = flat(x)
+        ctx = ForwardContext()
+        y = flat(x, ctx)
         assert y.shape == (2, 48)
-        np.testing.assert_array_equal(flat.backward(y), x)
+        np.testing.assert_array_equal(flat.backward(y, ctx), x)
 
 
 class TestDropout:
@@ -119,8 +130,9 @@ class TestDropout:
         drop = Dropout(0.5, rng=make_rng(1))
         drop.train(True)
         x = np.ones((10, 10))
-        y = drop(x)
-        g = drop.backward(np.ones_like(x))
+        ctx = ForwardContext()
+        y = drop(x, ctx)
+        g = drop.backward(np.ones_like(x), ctx)
         np.testing.assert_array_equal(g != 0, y != 0)
 
     def test_p_zero_is_identity_in_train(self, rng):

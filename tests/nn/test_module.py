@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Flatten, Identity, Linear, MaxPool2d, Module, ReLU, Sequential
+from repro.nn import (
+    Conv2d,
+    Flatten,
+    ForwardContext,
+    Identity,
+    Linear,
+    MaxPool2d,
+    Module,
+    ReLU,
+    Sequential,
+)
 from repro.nn.parameter import Parameter
 from repro.utils import make_rng
 
@@ -97,9 +107,10 @@ class TestSequential:
             Linear(2 * 4 * 4, 3, rng=rng),
         )
         x = rng.standard_normal((2, 1, 8, 8))
-        y = net(x)
+        ctx = ForwardContext()
+        y = net(x, ctx)
         assert y.shape == (2, 3)
-        grad = net.backward(np.ones_like(y))
+        grad = net.backward(np.ones_like(y), ctx)
         assert grad.shape == x.shape
 
     def test_append_and_indexing(self, rng):
@@ -110,8 +121,9 @@ class TestSequential:
 
     def test_zero_grad_clears_all(self, rng):
         net = small_mlp(rng)
-        y = net(rng.standard_normal((2, 4)))
-        net.backward(np.ones_like(y))
+        ctx = ForwardContext()
+        y = net(rng.standard_normal((2, 4)), ctx)
+        net.backward(np.ones_like(y), ctx)
         assert any(p.grad.any() for p in net.parameters())
         net.zero_grad()
         assert all(not p.grad.any() for p in net.parameters())
@@ -126,4 +138,4 @@ class TestIdentity:
         x = rng.standard_normal((3, 3))
         ident = Identity()
         np.testing.assert_array_equal(ident(x), x)
-        np.testing.assert_array_equal(ident.backward(x), x)
+        np.testing.assert_array_equal(ident.backward(x, ForwardContext()), x)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.engine.session import InferenceSession
 from repro.models import build_model
-from repro.nn import SGD
+from repro.nn import SGD, ForwardContext
 from repro.nn.plan import (
     InferencePlan,
     PackedWeightCache,
@@ -185,8 +185,9 @@ class TestStaleness:
 
         view = model.net.view(model.width_spec.full())
         view.train(True)
-        logits = view(x)
-        view.backward(np.ones_like(logits))
+        ctx = ForwardContext()
+        logits = view(x, ctx)
+        view.backward(np.ones_like(logits), ctx)
         SGD(view.parameters(), lr=0.1).step()
         view.train(False)
 

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn import SoftmaxCrossEntropy
+from repro.device.cost import subnet_flops
+from repro.engine.session import InferenceSession
+from repro.nn import ForwardContext, SoftmaxCrossEntropy
 from repro.slimmable import ChannelSlice, SlimmableConvNet, paper_width_spec
+from repro.training.revival import find_dead_channels
 from repro.utils import make_rng
 
 
@@ -29,7 +32,7 @@ class TestArchitecture:
         from repro.slimmable import uniform_spec
 
         with pytest.raises(ValueError):
-            paper_net.set_active(uniform_spec("bad", 0, 4, 5))
+            paper_net.bind_spec(uniform_spec("bad", 0, 4, 5), ForwardContext())
 
     def test_too_much_pooling_rejected(self, paper_spec):
         with pytest.raises(ValueError):
@@ -87,25 +90,16 @@ class TestWeightSharing:
 
 
 class TestViews:
-    def test_view_activates_on_forward(self, paper_net, rng):
-        ws = paper_net.width_spec
-        lower = paper_net.view(ws.find("lower25"))
-        upper = paper_net.view(ws.find("upper25"))
-        x = rng.standard_normal((1, 1, 28, 28))
-        lower(x)
-        assert paper_net.active_spec.name == "lower25"
-        upper(x)
-        assert paper_net.active_spec.name == "upper25"
-
     def test_backward_guards_against_stale_spec(self, paper_net, rng):
         ws = paper_net.width_spec
         view_a = paper_net.view(ws.find("lower25"))
         view_b = paper_net.view(ws.find("lower50"))
         x = rng.standard_normal((1, 1, 28, 28))
-        y = view_a(x)
-        view_b(x)  # switches active spec
-        with pytest.raises(RuntimeError):
-            view_a.backward(np.ones_like(y))
+        ctx = ForwardContext()
+        y = view_a.forward(x, ctx)
+        view_b.forward(x, ctx)  # rebinds the context to lower50
+        with pytest.raises(RuntimeError, match="bound to 'lower50'"):
+            view_a.backward(np.ones_like(y), ctx)
 
     def test_view_parameters_are_container_parameters(self, paper_net):
         view = paper_net.view(paper_net.width_spec.find("lower25"))
@@ -117,7 +111,7 @@ class TestViews:
 
     def test_flops_monotone_in_width(self, paper_net):
         ws = paper_net.width_spec
-        flops = [paper_net.view(ws.lower(w)).flops_per_image() for w in ws.lower_widths]
+        flops = [subnet_flops(paper_net, ws.lower(w)) for w in ws.lower_widths]
         assert flops == sorted(flops)
         assert flops[0] < flops[-1]
 
@@ -127,11 +121,12 @@ class TestTrainingThroughViews:
         ws = paper_net.width_spec
         view = paper_net.view(ws.find("upper25"))
         x = rng.standard_normal((2, 1, 28, 28))
-        y = view(x)
+        ctx = ForwardContext()
+        y = view(x, ctx)
         loss_fn = SoftmaxCrossEntropy()
         _, grad = loss_fn(y, np.array([1, 2]))
         view.zero_grad()
-        view.backward(grad)
+        view.backward(grad, ctx)
         # conv2 gradient must live only in block [8:12, 8:12].
         g = paper_net.convs[1].weight.grad
         assert g[8:12, 8:12].any()
@@ -146,13 +141,43 @@ class TestTrainingThroughViews:
         x = rng.standard_normal((2, 1, 28, 28))
         for spec in ws.all_specs():
             view = paper_net.view(spec)
-            y = view(x)
+            ctx = ForwardContext()
+            y = view(x, ctx)
             _, grad = loss_fn(y, np.array([0, 1]))
             view.zero_grad()
-            view.backward(grad)
+            view.backward(grad, ctx)
             regions = {id(p): m for p, m in paper_net.region_masks(spec)}
             for param in paper_net.parameters():
                 support = (param.grad != 0).astype(float)
                 region = regions[id(param)]
                 outside = support * (1 - region)
                 assert not outside.any(), f"{spec.name}: {param.name} grad outside region"
+
+
+class TestNoCallState:
+    def test_modules_hold_no_call_state(self, paper_net, rng):
+        """Every way of running a sub-network leaves each module's attributes
+        as they were: same keys, and every value the very same object."""
+        ws = paper_net.width_spec
+        specs = [ws.find("lower50"), ws.find("upper50"), ws.full()]
+        views = [paper_net.view(spec) for spec in specs]
+        # Building a session flips eval mode, its one documented write; it
+        # happens before serving, so before the snapshot.
+        sessions = [InferenceSession(paper_net, spec.name) for spec in specs]
+        modules = list(paper_net.modules()) + views
+        snapshots = [dict(vars(module)) for module in modules]
+        x = rng.standard_normal((2, 1, 28, 28))
+        for spec, view, session in zip(specs, views, sessions):
+            view(x)
+            ctx = ForwardContext()
+            y = view.forward(x, ctx)
+            view.backward(np.ones_like(y), ctx)
+            session.run(x)
+            subnet_flops(paper_net, spec)
+            find_dead_channels(paper_net, spec, x)
+        for module, snapshot in zip(modules, snapshots):
+            state = vars(module)
+            name = type(module).__name__
+            assert state.keys() == snapshot.keys(), name
+            for key, value in snapshot.items():
+                assert state[key] is value, f"{name}.{key} changed"

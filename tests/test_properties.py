@@ -22,7 +22,7 @@ from repro.distributed import (
     partitioned_forward_reference,
 )
 from repro.models import build_model
-from repro.nn import SGD, SoftmaxCrossEntropy
+from repro.nn import SGD, ForwardContext, SoftmaxCrossEntropy
 from repro.slimmable import RegionTracker, SlimmableConvNet, paper_width_spec
 from repro.utils import make_rng
 
@@ -152,10 +152,11 @@ class TestFreezeInvariant:
             view = net.view(spec)
             opt = SGD(view.parameters(), lr=0.1, momentum=0.9)
             for _ in range(2):
-                logits = view(x)
+                ctx = ForwardContext()
+                logits = view(x, ctx)
                 _, grad = loss_fn(logits, y)
                 opt.zero_grad()
-                view.backward(grad)
+                view.backward(grad, ctx)
                 opt.step()
             # Check every previously covered region is bit-identical.
             for params_snapshot, covered_snapshot in snapshots:
