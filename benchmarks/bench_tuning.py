@@ -88,7 +88,6 @@ def tuning_facts(model=None) -> dict:
         "evaluations": result.evaluations,
         "stages": result.stages,
         "winner_mapping": dict(sorted(result.winner.mapping.items())),
-        "derived": result.derived,
         "config": result.config.to_mapping(),
         "byte_identical": artifacts[0] == artifacts[1],
         "scenarios": scenarios,
@@ -119,8 +118,7 @@ def chaos_tuning_facts(model=None) -> dict:
 
 
 def record_payload(model=None) -> dict:
-    """``BENCH_tuning.json`` as data (JSON's terms: int dict keys become
-    strings, e.g. the batch-rows histogram)."""
+    """``BENCH_tuning.json`` as data, in JSON's terms (tuples become lists)."""
     model = model or fluid_model()
     payload = {
         "benchmark": "benchmarks/bench_tuning.py",

@@ -350,10 +350,6 @@ def config_from_args(args, defaults=None):
         mapping["max_delay_s"] = args.max_delay_ms / 1000.0
     if args.conv_backend is not None:
         mapping["conv_backend"] = args.conv_backend
-        # An explicit backend flag overrides a config file's per-rung
-        # assignment too — otherwise the flag would silently only apply
-        # to rungs the file left unmapped.
-        mapping.pop("conv_backend_per_rung", None)
     if args.rows_ladder is not None:
         mapping["rows_ladder"] = list(_parse_rows_ladder(args.rows_ladder))
     if args.replica_backend is not None:
@@ -512,12 +508,6 @@ def _replay_tune(replayer, model, args) -> int:
         )
     winner = dict(sorted(result.winner.mapping.items()))
     print(f"  winner    {winner}")
-    if result.derived.get("rows_ladder"):
-        backends = result.derived["conv_backend_per_rung"] or []
-        rungs = "  ".join(
-            f"{rows}:{backend}" for rows, backend in backends
-        ) or "/".join(str(r) for r in result.derived["rows_ladder"])
-        print(f"  derived   rows_ladder {rungs}")
     verdict = "improved" if result.improved else "no improvement (kept for audit)"
     print(f"  artifact  {path} ({verdict})")
     return 0

@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulate a power failure after N requests",
     )
-    parser.add_argument("--ready-fd", type=int, default=None, help=argparse.SUPPRESS)
     return parser
 
 

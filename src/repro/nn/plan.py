@@ -44,6 +44,8 @@ a :class:`PlanLadder` of row-ceiling rungs (e.g. 1/4/16) per width, all
 sharing one :class:`PackedWeightCache`; each request batch runs on the
 smallest rung that fits, so arena memory and (for shifted-GEMM) compute
 extent track the traffic's actual batch sizes instead of the worst case.
+Every rung of a ladder uses the same conv lowering: which one is a
+plan-wide choice between bitwise-exact and fastest.
 
 Plans are immutable after compile and safe for concurrent use: all
 per-request state lives in the checked-out workspace, and the packed
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,9 +68,8 @@ from repro.slimmable.sliced_linear import SlicedLinear
 from repro.slimmable.spec import ChannelSlice, SubNetSpec
 from repro.utils.dtypes import compute_dtype
 
-#: Default batch-row ceilings for :func:`compile_plan_ladder` /
-#: :func:`compile_width_ladders` (the top rung is always the caller's
-#: ``batch_rows``; these seed the smaller rungs).
+#: Default batch-row ceilings for :func:`compile_plan_ladder` (the top
+#: rung is always the caller's ``batch_rows``; these seed the smaller rungs).
 DEFAULT_ROWS_LADDER = (1, 4, 16)
 
 
@@ -801,13 +802,8 @@ class PlanLadder:
     (:class:`~repro.engine.session.InferenceSession`, replicas, the
     frontend) treats ladders and single plans interchangeably.
 
-    Rungs may use **different conv backends** (e.g. im2col on the 1-row
-    rung, shifted-gemm on the 16-row rung: shifted-GEMM computes the
-    rung's full row extent whatever the batch holds, so it pays only on
-    well-filled rungs); width, dtype, and the weight store must still
-    match.  ``conv_backend`` reports the head (smallest)
-    rung's backend; ``exact`` is True only when *every* rung keeps the
-    bitwise contract.
+    Every rung shares the width, dtype, conv backend and weight store, so
+    the ladder's ``exact`` is any one rung's.
     """
 
     def __init__(self, plans: Sequence[InferencePlan]) -> None:
@@ -819,10 +815,11 @@ class PlanLadder:
             if (
                 plan.width != head.width
                 or plan.dtype != head.dtype
+                or plan.conv_backend != head.conv_backend
                 or plan.net is not head.net
             ):
                 raise ValueError(
-                    "ladder rungs must share width, dtype and weight store"
+                    "ladder rungs must share width, dtype, conv backend and weight store"
                 )
         if len({p.batch_rows for p in rungs}) != len(rungs):
             raise ValueError("ladder rungs must have distinct batch_rows")
@@ -835,7 +832,7 @@ class PlanLadder:
 
     @property
     def exact(self) -> bool:
-        return all(p.exact for p in self.rungs)
+        return self.rungs[0].exact
 
     @property
     def batch_rows(self) -> int:
@@ -883,14 +880,9 @@ class PlanLadder:
 
     def __repr__(self) -> str:
         rows = "/".join(str(p.batch_rows) for p in self.rungs)
-        backends = {p.conv_backend for p in self.rungs}
-        if len(backends) == 1:
-            backend = self.conv_backend
-        else:
-            backend = "/".join(p.conv_backend for p in self.rungs)
         return (
             f"PlanLadder({self.width}, rows={rows}, dtype={self.dtype.name}, "
-            f"backend={backend})"
+            f"backend={self.conv_backend})"
         )
 
 
@@ -919,27 +911,10 @@ def compile_plan_ladder(
     cache: Optional[PackedWeightCache] = None,
     workspaces: int = 1,
     conv_backend: str = "im2col",
-    conv_backend_per_rung: Optional[
-        Union[Mapping[int, str], Sequence[Tuple[int, str]]]
-    ] = None,
 ) -> PlanLadder:
-    """Compile one :class:`PlanLadder` (see there) for a single width.
-
-    ``conv_backend_per_rung`` maps a rung's row ceiling to its conv
-    lowering (``{1: "im2col", 16: "shifted-gemm"}`` or the equivalent
-    pair sequence); unmapped rungs fall back to ``conv_backend``.  Keys
-    must name rungs of the *normalized* ladder — a typo'd rung would
-    otherwise silently compile the default backend.
-    """
+    """Compile one :class:`PlanLadder` (see there) for a single width."""
     if cache is None:
         cache = PackedWeightCache()
-    rungs = normalize_rows_ladder(rows_ladder, batch_rows)
-    per_rung = dict(conv_backend_per_rung or {})
-    unknown = sorted(set(per_rung) - set(rungs))
-    if unknown:
-        raise ValueError(
-            f"conv_backend_per_rung keys {unknown} are not ladder rungs {rungs}"
-        )
     plans = [
         InferencePlan.compile(
             model,
@@ -948,9 +923,9 @@ def compile_plan_ladder(
             dtype=dtype,
             cache=cache,
             workspaces=workspaces,
-            conv_backend=per_rung.get(rows, conv_backend),
+            conv_backend=conv_backend,
         )
-        for rows in rungs
+        for rows in normalize_rows_ladder(rows_ladder, batch_rows)
     ]
     return PlanLadder(plans)
 
@@ -965,9 +940,6 @@ def compile_width_plans(
     workspaces: int = 1,
     conv_backend: str = "im2col",
     rows_ladder: Optional[Sequence[int]] = None,
-    conv_backend_per_rung: Optional[
-        Union[Mapping[int, str], Sequence[Tuple[int, str]]]
-    ] = None,
 ) -> Dict[str, Union[InferencePlan, PlanLadder]]:
     """One plan (or, with ``rows_ladder``, one ladder) per width.
 
@@ -977,8 +949,6 @@ def compile_width_plans(
     """
     if cache is None:  # an empty cache is falsy (len 0) — test identity
         cache = PackedWeightCache()
-    if conv_backend_per_rung and rows_ladder is None:
-        raise ValueError("conv_backend_per_rung requires rows_ladder")
     plans: Dict[str, Union[InferencePlan, PlanLadder]] = {}
     for width in widths:
         if rows_ladder is not None:
@@ -991,7 +961,6 @@ def compile_width_plans(
                 cache=cache,
                 workspaces=workspaces,
                 conv_backend=conv_backend,
-                conv_backend_per_rung=conv_backend_per_rung,
             )
         else:
             plan = InferencePlan.compile(

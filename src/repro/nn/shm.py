@@ -7,7 +7,9 @@ one GIL.  This module is the cross-*process* analogue: parameter storage
 moves into ``multiprocessing.shared_memory`` segments, so forked worker
 processes map the **same physical pages** (zero weight copies, N
 interpreters, N GILs) while the parent keeps mutating the very arrays its
-optimizers always held.
+optimizers always held.  Workers only ever ``fork``: they inherit every
+mapping, so no process attaches to a segment by name (there is no
+spawn-mode path).
 
 Three building blocks:
 
@@ -34,7 +36,9 @@ Lifecycle: every segment created here registers in a process-local
 registry with ``atexit`` + ``SIGTERM`` unlink hooks, so repeated serve
 runs and crashed workers never leak ``/dev/shm`` entries.  The hooks are
 pid-guarded: a forked worker inheriting them never unlinks segments it
-does not own.  Unlinking removes the name only — live mappings (the
+does not own.  A creator killed outright (``SIGKILL``) runs no hook; the
+next process to create a segment reaps what it left
+(:func:`reap_orphaned_segments`).  Unlinking removes the name only — live mappings (the
 parent's parameter arrays) stay valid until the process exits.
 """
 
@@ -47,7 +51,7 @@ import signal
 import threading
 import uuid
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,6 +128,35 @@ def unlink_created_segments() -> int:
     return removed
 
 
+def _creator_alive(name: str) -> bool:
+    """Whether the process whose pid ``name`` embeds is still running."""
+    try:
+        pid = int(name[len(SEGMENT_PREFIX):].split("-")[1])
+    except (IndexError, ValueError):
+        return True  # not a name this module made: leave it alone
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # alive, owned by another user
+    return True
+
+
+def reap_orphaned_segments() -> int:
+    """Unlink every segment whose creator died without its hooks running.
+
+    ``SIGKILL`` (or an OOM kill) skips ``atexit`` and the ``SIGTERM``
+    handler, so such a creator's segments outlive it; every name carries
+    its creator's pid, so the next creator on the host removes them.
+    Segments of live creators are never touched.  Returns how many went.
+    """
+    orphans = [name for name in list_segments() if not _creator_alive(name)]
+    for name in orphans:
+        _unlink_quietly(name)
+    return len(orphans)
+
+
 def _sigterm_cleanup(signum, frame):
     unlink_created_segments()
     previous = _previous_sigterm
@@ -138,13 +171,15 @@ def install_cleanup_hooks() -> None:
     """Idempotently install the atexit + SIGTERM unlink backstops.
 
     Only effective from the main thread (signal API restriction); callers
-    on other threads still get the ``atexit`` hook.
+    on other threads still get the ``atexit`` hook.  The first call also
+    reaps segments that killed creators left behind.
     """
     global _hooks_installed, _previous_sigterm
     with _registry_lock:
         if _hooks_installed:
             return
         _hooks_installed = True
+    reap_orphaned_segments()
     atexit.register(unlink_created_segments)
     if threading.current_thread() is threading.main_thread():
         previous = signal.getsignal(signal.SIGTERM)
@@ -184,36 +219,24 @@ def create_segment(tag: str, nbytes: int) -> shared_memory.SharedMemory:
     return segment
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment by name (spawn-mode workers)."""
-    segment = shared_memory.SharedMemory(name=name)
-    _untrack(segment)  # attachers never own the name
-    return segment
-
-
 # -- arena --------------------------------------------------------------------
 
 
 class ShmArena:
-    """Bump allocator over one shared-memory segment.
+    """Bump allocator over one shared-memory segment this process created.
 
-    ``alloc`` returns ndarray views into the segment; the layout (offset,
-    shape, dtype per allocation) is recorded so another process can
-    rebuild identical views with :meth:`view`.
+    ``alloc`` returns ndarray views into the segment; :meth:`view` rebuilds
+    one from its ``(offset, shape, dtype)``.  Forked workers inherit the
+    mapping, so the views alias the same pages on both sides of the fork.
     """
 
-    def __init__(self, segment: shared_memory.SharedMemory, *, owner: bool) -> None:
+    def __init__(self, segment: shared_memory.SharedMemory) -> None:
         self.segment = segment
-        self.owner = owner
         self._cursor = 0
 
     @classmethod
     def create(cls, nbytes: int, tag: str = WEIGHT_SEGMENT_TAG) -> "ShmArena":
-        return cls(create_segment(tag, nbytes), owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmArena":
-        return cls(attach_segment(name), owner=False)
+        return cls(create_segment(tag, nbytes))
 
     @property
     def name(self) -> str:
@@ -241,9 +264,8 @@ class ShmArena:
         return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=self.segment.buf, offset=offset)
 
     def unlink(self) -> None:
-        """Remove the segment name (creator only); live views stay valid."""
-        if self.owner:
-            _unlink_quietly(self.name)
+        """Remove the segment name; live views stay valid."""
+        _unlink_quietly(self.name)
 
     def __repr__(self) -> str:
         return f"ShmArena({self.name}, {self.nbytes} bytes, cursor={self._cursor})"
@@ -257,20 +279,13 @@ class SharedParameterStore:
 
     Created by :meth:`share` in the serving parent **before** workers fork;
     forked workers inherit the mapping (true sharing — the pages are
-    ``MAP_SHARED``), and spawn-mode workers can :meth:`attach` by name.
-    Either way there is exactly **one** weight segment regardless of the
-    number of workers — the zero-copy fact the multiproc bench measures.
+    ``MAP_SHARED``), so there is exactly **one** weight segment regardless
+    of the number of workers — the zero-copy fact the multiproc bench
+    measures.  The version table is the arena's first allocation.
     """
 
-    def __init__(
-        self,
-        arena: ShmArena,
-        layout: List[Tuple[str, int, Tuple[int, ...], str]],
-        versions_offset: int,
-    ) -> None:
+    def __init__(self, arena: ShmArena) -> None:
         self.arena = arena
-        self.layout = layout
-        self.versions_offset = versions_offset
 
     @classmethod
     def share(cls, module) -> "SharedParameterStore":
@@ -284,62 +299,22 @@ class SharedParameterStore:
         existing = getattr(module, "_shm_parameter_store", None)
         if existing is not None:
             return existing
-        params = list(module.named_parameters())
+        params = [param for _, param in module.named_parameters()]
         if not params:
             raise ValueError("module has no parameters to share")
-        data_bytes = sum(
-            -(-p.data.nbytes // _ALIGN) * _ALIGN for _, p in params
-        )
+        data_bytes = sum(-(-p.data.nbytes // _ALIGN) * _ALIGN for p in params)
         version_bytes = len(params) * np.dtype(np.int64).itemsize
         arena = ShmArena.create(data_bytes + version_bytes + _ALIGN, WEIGHT_SEGMENT_TAG)
-        versions, versions_offset = arena.alloc((len(params),), np.int64)
-        layout: List[Tuple[str, int, Tuple[int, ...], str]] = []
-        for i, (name, param) in enumerate(params):
-            view, offset = arena.alloc(param.data.shape, param.data.dtype)
+        versions, _ = arena.alloc((len(params),), np.int64)
+        for i, param in enumerate(params):
+            view, _ = arena.alloc(param.data.shape, param.data.dtype)
             np.copyto(view, param.data)
             param.data = view
             versions[i] = param.version
             param.attach_version_slot(versions[i : i + 1])
-            layout.append((name, offset, tuple(param.data.shape), param.data.dtype.name))
-        store = cls(arena, layout, versions_offset)
+        store = cls(arena)
         module._shm_parameter_store = store
         return store
-
-    @classmethod
-    def attach(cls, module, segment_name: str, layout, versions_offset: int) -> "SharedParameterStore":
-        """Map ``module``'s parameters onto an existing shared store.
-
-        Spawn-mode worker entry: the module is freshly built (same
-        architecture), then every parameter's storage is replaced by the
-        shared view.  Workers are read-only — they never bump versions.
-        """
-        arena = ShmArena.attach(segment_name)
-        params = dict(module.named_parameters())
-        versions = arena.view(versions_offset, (len(layout),), np.int64)
-        for i, (name, offset, shape, dtype) in enumerate(layout):
-            param = params[name]
-            if tuple(param.data.shape) != tuple(shape):
-                raise ValueError(
-                    f"parameter {name!r} shape {param.data.shape} does not match "
-                    f"shared layout {tuple(shape)}"
-                )
-            param.data = arena.view(offset, shape, dtype)
-            param.attach_version_slot(versions[i : i + 1])
-        store = cls(arena, list(layout), versions_offset)
-        module._shm_parameter_store = store
-        return store
-
-    @property
-    def segment_name(self) -> str:
-        return self.arena.name
-
-    def describe(self) -> Dict:
-        """JSON-friendly layout (what a spawn-mode worker needs to attach)."""
-        return {
-            "segment": self.segment_name,
-            "versions_offset": self.versions_offset,
-            "layout": [list(entry) for entry in self.layout],
-        }
 
     def unlink(self) -> None:
         self.arena.unlink()

@@ -4,6 +4,16 @@ Split out of ``frontend.py`` so the config (and its flat, versioned
 mapping — the wire format of ``repro-tuned-config`` artifacts and
 ``serve/replay --config``) can be read, built and round-tripped without
 touching threads, queues or futures.
+
+A field exists only if a caller outside the tests sets it (a CLI flag, a
+benchmark, the fault plane) or the tuner ranks it in the simulator; the
+one exception, ``hedge_ratio``, is the hedge budget the tuner will search
+once the simulator models hedges.  What no caller varies is a constant
+where it is used: the hedge instant's factor and floor
+(``frontend.HEDGE_FACTOR`` / ``HEDGE_MIN_S``), plan compilation and its
+workspaces, and the supervisor's backoff and restart budget
+(``ReplicaSupervisor``'s defaults).  A plan ladder has one conv lowering,
+``conv_backend``, on every rung.
 """
 
 from __future__ import annotations
@@ -22,7 +32,9 @@ from repro.scheduler.admission import SLA
 #: Version of the flat :meth:`SchedulerConfig.to_mapping` wire format.
 #: Bump when a knob is renamed or its meaning changes; ``from_mapping``
 #: refuses mappings stamped with a *newer* version than it understands.
-CONFIG_MAPPING_VERSION = 1
+#: Version 2 dropped nine knobs no caller set; a full version-1 dump names
+#: them and fails as unknown keys.
+CONFIG_MAPPING_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -34,31 +46,18 @@ class SchedulerConfig:
     admission_headroom: float = 1.0
     enable_admission: bool = True
     enable_hedging: bool = True
-    hedge_factor: float = 4.0   # hedge a request older than factor x predicted
-    hedge_min_s: float = 0.004  # ...but never earlier than this
     hedge_ratio: float = 0.1    # hedges may add at most this fraction of load
     warmup: bool = True         # prime the latency EWMAs with one run per width
     max_batch: int = 16
     max_delay_s: float = 0.001  # longest a request with company waits for batch-mates
-    compile_plans: bool = True  # compile one InferencePlan per allowed width
-    plan_workspaces: int = 1    # arenas preallocated per plan (grows on demand)
     conv_backend: str = "im2col"  # plan convolution lowering (see nn.functional.CONV_BACKENDS)
     rows_ladder: Optional[Tuple[int, ...]] = None  # e.g. (1, 4, 16): compile a
     # PlanLadder per width so small flushes run on small arenas (the top rung
     # is always max_batch); None keeps one max_batch-rows plan per width.
-    conv_backend_per_rung: Optional[Tuple[Tuple[int, str], ...]] = None
-    # ((rows, backend), ...) overriding ``conv_backend`` rung by rung — e.g.
-    # ((1, "im2col"), (16, "shifted-gemm")): shifted-gemm computes a rung's
-    # full row extent, so it belongs on rungs traffic fills.  Requires
-    # rows_ladder; unmapped rungs use ``conv_backend``.
     replica_backend: str = "thread"  # "thread" shares one interpreter;
     # "process" forks GIL-free workers over shared-memory weights
     # (see repro.scheduler.procpool).
     supervise: bool = False     # respawn ejected replicas (see faults.supervisor)
-    restart_backoff_s: float = 0.05    # supervisor backoff base ...
-    restart_backoff_max_s: float = 1.0  # ... and cap between respawn attempts
-    restart_budget: int = 3      # deaths tolerated per replica ...
-    restart_window_s: float = 30.0  # ... within this sliding window
     retry_policy: Optional[RetryPolicy] = None  # None keeps the legacy
     # unlimited immediate reroute; a policy bounds it with backoff.
     brownout: Optional[BrownoutPolicy] = None  # None disables brown-out;
@@ -68,10 +67,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.replicas <= 0:
             raise ValueError("replicas must be positive")
-        if self.restart_backoff_s < 0 or self.restart_backoff_max_s < 0:
-            raise ValueError("restart backoffs must be non-negative")
-        if self.restart_budget < 1:
-            raise ValueError("restart_budget must be at least 1")
         if self.replica_backend not in ("thread", "process"):
             raise ValueError(f"unknown replica backend {self.replica_backend!r}")
         F.check_conv_backend(self.conv_backend)
@@ -79,19 +74,10 @@ class SchedulerConfig:
             len(self.rows_ladder) == 0 or any(r <= 0 for r in self.rows_ladder)
         ):
             raise ValueError("rows_ladder must be a non-empty tuple of positive ints")
-        if self.conv_backend_per_rung is not None:
-            if self.rows_ladder is None:
-                raise ValueError("conv_backend_per_rung requires rows_ladder")
-            for rows, backend in self.conv_backend_per_rung:
-                if rows <= 0:
-                    raise ValueError("conv_backend_per_rung rows must be positive")
-                F.check_conv_backend(backend)
-        if self.hedge_factor <= 1.0:
-            raise ValueError("hedge_factor must exceed 1.0")
         if not 0.0 <= self.hedge_ratio <= 1.0:
             raise ValueError("hedge_ratio must be in [0, 1]")
-        if self.hedge_min_s < 0 or self.max_delay_s < 0:
-            raise ValueError("time budgets must be non-negative")
+        if self.max_delay_s < 0:
+            raise ValueError("max_delay_s must be non-negative")
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
 
@@ -118,11 +104,6 @@ class SchedulerConfig:
         }
         mapping["version"] = CONFIG_MAPPING_VERSION
         mapping["rows_ladder"] = list(self.rows_ladder) if self.rows_ladder else None
-        mapping["conv_backend_per_rung"] = (
-            [[rows, backend] for rows, backend in self.conv_backend_per_rung]
-            if self.conv_backend_per_rung
-            else None
-        )
         for prefix, (attr, _) in nested.items():
             value = getattr(self, attr)
             if prefix != "sla":
@@ -164,12 +145,6 @@ class SchedulerConfig:
             prefix, _, knob = key.partition(".")
             if key == "rows_ladder":
                 kwargs[key] = tuple(value) if value is not None else None
-            elif key == "conv_backend_per_rung":
-                kwargs[key] = (
-                    tuple((rows, backend) for rows, backend in value)
-                    if value is not None
-                    else None
-                )
             elif key in flat:
                 kwargs[key] = value
             elif knob in nested_knobs.get(prefix, ()):

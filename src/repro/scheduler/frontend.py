@@ -78,6 +78,11 @@ from repro.trace.tracer import (
 from repro.utils.config import Config
 from repro.utils.logging import get_logger
 
+#: A request is hedged no earlier than this many predicted service times...
+HEDGE_FACTOR = 4.0
+#: ...and never within this many seconds of its arrival.
+HEDGE_MIN_S = 0.004
+
 
 class _Entry:
     """One in-flight request's scheduling state."""
@@ -218,17 +223,14 @@ class ServingFrontend:
         # Process workers inherit these plans through ``fork``; the parent
         # never runs them, so there they are compiled without an arena.
         process_backend = self.config.replica_backend == "process"
-        self.plans: Dict[str, Union[InferencePlan, PlanLadder]] = {}
-        if self.config.compile_plans:
-            self.plans = compile_width_plans(
-                model,
-                list(candidates),
-                batch_rows=self.config.max_batch,
-                workspaces=0 if process_backend else self.config.plan_workspaces,
-                conv_backend=self.config.conv_backend,
-                rows_ladder=self.config.rows_ladder,
-                conv_backend_per_rung=self.config.conv_backend_per_rung,
-            )
+        self.plans: Dict[str, Union[InferencePlan, PlanLadder]] = compile_width_plans(
+            model,
+            list(candidates),
+            batch_rows=self.config.max_batch,
+            workspaces=0 if process_backend else 1,
+            conv_backend=self.config.conv_backend,
+            rows_ladder=self.config.rows_ladder,
+        )
         self.policy = WidthPolicy(
             net,
             candidates,
@@ -242,9 +244,6 @@ class ServingFrontend:
             self.brownout = fault_policy.BrownoutController(
                 self.config.brownout, metrics=self.metrics, tracer=self.tracer
             )
-        # The widths each process worker probes before it answers its readiness ping.
-        widths = [spec.name for spec in self.policy.candidates]
-        process_options = {"widths": widths} if process_backend else None
         self.pool = ReplicaPool(
             model,
             self.config.replicas,
@@ -252,7 +251,8 @@ class ServingFrontend:
             metrics=self.metrics,
             plans=self.plans,
             backend=self.config.replica_backend,
-            process_options=process_options,
+            # What each process worker probes before it answers its readiness ping.
+            widths=[spec.name for spec in self.policy.candidates],
         )
         self._view = self._plane_view()
         self._queues: Dict[Tuple[int, str], MicroBatchQueue] = {}
@@ -271,13 +271,7 @@ class ServingFrontend:
         if self.config.supervise:
             # Started after warmup so the supervisor never races the
             # initial priming runs on replica 0.
-            self.supervisor = fault_supervisor.ReplicaSupervisor(
-                self,
-                backoff_base_s=self.config.restart_backoff_s,
-                backoff_max_s=self.config.restart_backoff_max_s,
-                restart_budget=self.config.restart_budget,
-                budget_window_s=self.config.restart_window_s,
-            ).start()
+            self.supervisor = fault_supervisor.ReplicaSupervisor(self).start()
 
     @staticmethod
     def _default_candidates(model, net) -> List[SubNetSpec]:
@@ -417,9 +411,7 @@ class ServingFrontend:
             # would double the overload.
             now = time.monotonic()
             hedge_at = now + max(
-                self.config.hedge_min_s,
-                self.config.hedge_factor * predicted,
-                0.5 * (entry.deadline - now),
+                HEDGE_MIN_S, HEDGE_FACTOR * predicted, 0.5 * (entry.deadline - now)
             )
             self._watchdog.arm(hedge_at, entry)
         return entry.future
@@ -503,10 +495,10 @@ class ServingFrontend:
     def _execution_info(self, width: str, parts: Sequence[np.ndarray]) -> Dict[str, object]:
         """How this flush actually executed: plan rung, eager fallback, backend."""
         rows = sum(int(p.shape[0]) for p in parts)
-        plan = self.plans.get(width)
+        plan = self.plans[width]  # every candidate width has one
         ladder = isinstance(plan, PlanLadder)
         rung = None
-        if plan is not None and plan.accepts_parts(parts):
+        if plan.accepts_parts(parts):
             rung = plan.rung_for(rows) if ladder else plan
         if rung is None:
             return {"mode": "eager", "rows": rows}

@@ -156,8 +156,8 @@ class ReplicaPool:
     machinery either way, but process replicas escape the GIL and can
     genuinely die (``kill -9``), which the heartbeat path handles
     identically to a simulated thread kill.  Either backend serves
-    ``plans``; ``process_options`` forwards the rest to
-    :func:`~repro.scheduler.procpool.make_process_replicas`.
+    ``plans``; each process worker also probes ``widths`` before it
+    answers its readiness ping (thread replicas ignore them).
     """
 
     def __init__(
@@ -169,7 +169,7 @@ class ReplicaPool:
         metrics: Optional[MetricsRegistry] = None,
         plans: Optional[Dict[str, object]] = None,
         backend: str = "thread",
-        process_options: Optional[Dict] = None,
+        widths: Sequence[str] = (),
     ) -> None:
         if num_replicas <= 0:
             raise ValueError("num_replicas must be positive")
@@ -181,16 +181,12 @@ class ReplicaPool:
         # replica with exactly the recipe the pool was built from.
         self._model = model
         self._plans = plans
-        self._process_options = dict(process_options or {})
+        self._widths = tuple(widths)
         if backend == "process":
             from repro.scheduler.procpool import make_process_replicas
 
             self.replicas: List[Replica] = make_process_replicas(
-                model,
-                num_replicas,
-                plans=plans,
-                metrics=self.metrics,
-                **self._process_options,
+                model, num_replicas, plans=plans, widths=self._widths, metrics=self.metrics
             )
         else:
             self.replicas = [Replica(i, model, plans) for i in range(num_replicas)]
@@ -267,18 +263,15 @@ class ReplicaPool:
         if self.backend != "process":
             replica.revive()
             return replica
-        from repro.scheduler.procpool import (
-            ProcessReplica,
-            partition_thread_budget,
-        )
+        from repro.scheduler.procpool import ProcessReplica, partition_thread_budget
 
-        options = dict(self._process_options)
-        total_threads = options.pop("total_threads", None)
-        options.setdefault(
-            "omp_threads", partition_thread_budget(len(self.replicas), total_threads)
-        )
         return ProcessReplica(
-            index, self._model, plans=self._plans, metrics=self.metrics, **options
+            index,
+            self._model,
+            plans=self._plans,
+            widths=self._widths,
+            omp_threads=partition_thread_budget(len(self.replicas)),
+            metrics=self.metrics,
         ).wait_ready()
 
     def adopt(self, index: int, replica: Replica) -> Replica:

@@ -524,7 +524,6 @@ def make_process_replicas(
     ring_bytes: int = DEFAULT_RING_BYTES,
     request_timeout: float = 2.0,
     metrics: Optional[MetricsRegistry] = None,
-    total_threads: Optional[int] = None,
 ) -> List[ProcessReplica]:
     """Share the weights, partition the thread budget, fork ``count`` workers.
 
@@ -535,7 +534,7 @@ def make_process_replicas(
     from repro.nn.shm import ensure_shared_parameters
 
     ensure_shared_parameters(model)
-    budget = partition_thread_budget(count, total_threads)
+    budget = partition_thread_budget(count)
     replicas = [
         ProcessReplica(
             i,

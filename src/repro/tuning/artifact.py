@@ -27,7 +27,9 @@ from repro.scheduler.frontend import SchedulerConfig
 from repro.tuning.tuner import TuningResult
 
 TUNED_CONFIG_FORMAT = "repro-tuned-config"
-TUNED_CONFIG_VERSION = 1
+#: Version 2 dropped the ``derived`` block; its ``config`` is a version-2
+#: :meth:`SchedulerConfig.to_mapping`.
+TUNED_CONFIG_VERSION = 2
 
 
 def artifact_payload(result: TuningResult) -> Dict[str, object]:
@@ -39,7 +41,6 @@ def artifact_payload(result: TuningResult) -> Dict[str, object]:
         "seed": result.seed,
         "faults": result.faults,
         "config": result.config.to_mapping(),
-        "derived": result.derived,
         "baseline": result.baseline.to_json(),
         "winner": result.winner.to_json(),
         "tuned": result.tuned.to_json(),

@@ -12,9 +12,7 @@ The search is classic successive halving over the sim:
 1. **Coarse**: every searched-dimension combination (seeded subsample if
    the grid exceeds ``max_candidates``) is scored on a *prefix* of the
    trace — arrivals in the first ``coarse_frac`` of the duration.
-2. **Refine**: the best survivors are expanded over the carried knobs
-   (hedge ratio, retry, supervisor backoff — see
-   :mod:`repro.tuning.space`) and re-scored on the **full** trace.
+2. **Refine**: the best survivors are re-scored on the **full** trace.
 2b. **Validate**: finalists within ``miss_tolerance`` of the best
    target-trace miss rate are re-ranked by mean miss across the pinned
    scenario zoo.  A hairline win on the target trace (a handful of
@@ -22,11 +20,11 @@ The search is classic successive halving over the sim:
    e.g. a long ``max_delay_s`` that coalesces two extra multi_tenant
    batches but blows every tight adversarial deadline.  The tolerance
    keeps the target trace in charge; the zoo only breaks its near-ties.
-3. **Derive**: the winner's full-trace batch-rows histogram seeds the
-   ladder rungs, and each rung gets its conv backend by
-   :func:`~repro.tuning.space.backends_for_rungs`.  Under faults the emitted config also switches
-   supervision on — a chaos-tuned config that couldn't respawn replicas
-   would be self-contradictory.
+3. **Emit**: the winner's mapping — only searched knobs (see
+   :mod:`repro.tuning.space`); every other knob keeps its default.  Under
+   faults the emitted config also switches supervision and bounded
+   retries on — a chaos-tuned config that couldn't respawn replicas would
+   be self-contradictory.
 
 Every simulation is virtual-time and every tie-break is by candidate
 index, so the whole run — and the artifact serialized from it — is a
@@ -41,17 +39,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.scheduler.frontend import SchedulerConfig
 from repro.trace.replay import TraceReplayer
-from repro.tuning.space import (
-    CARRIED_KEYS,
-    SearchSpace,
-    backends_for_rungs,
-    rungs_from_histogram,
-)
+from repro.tuning.space import SearchSpace
 from repro.utils.rng import derive_seed, make_rng
 
 #: Fraction of the trace (by arrival time) the coarse stage scores.
@@ -74,15 +67,13 @@ class Evaluation:
     miss_rate: float
     goodput_rps: float
     requests: int
-    batch_rows: Dict[int, int] = field(default_factory=dict)
 
     @property
     def score(self) -> Tuple[float, float, int]:
         """Lexicographic fitness: miss rate, then goodput, then index.
 
-        The index term makes ties — including the carried knobs the sim
-        is blind to — resolve to the *first* (default) variant, which is
-        what keeps the whole run deterministic.
+        The index term makes ties resolve to the *first* candidate, which
+        is what keeps the whole run deterministic.
         """
         return (self.miss_rate, -self.goodput_rps, self.index)
 
@@ -98,7 +89,7 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class TuningResult:
-    """Everything ``tune()`` decided, measured, and derived."""
+    """Everything ``tune()`` decided and measured."""
 
     trace_name: str
     seed: int
@@ -106,8 +97,7 @@ class TuningResult:
     baseline: Evaluation          # default SchedulerConfig on the full trace
     winner: Evaluation            # best refine-stage candidate (full trace)
     tuned: Evaluation             # the final emitted config, re-scored
-    config: SchedulerConfig       # winner + derived rungs/backends (+ chaos knobs)
-    derived: Dict[str, object]    # the histogram-derived dimensions
+    config: SchedulerConfig       # the winner's mapping (+ chaos knobs)
     leaderboard: Tuple[Evaluation, ...]  # refine stage, best first
     stages: Dict[str, object]     # candidate counts per stage
     validation: Optional[Dict[str, object]]  # zoo re-rank facts (None if skipped)
@@ -135,13 +125,7 @@ def _evaluate(task: Tuple[int, Dict[str, object], float]) -> Tuple:
     replayer = TraceReplayer(specs, name="tune", duration_s=duration_s)
     config = SchedulerConfig.from_mapping(mapping)
     result = replayer.simulate(model, config, fault_plan=faults)
-    return (
-        index,
-        result["miss_rate"],
-        result["goodput_rps"],
-        result["requests"],
-        result["batches"]["rows"],
-    )
+    return index, result["miss_rate"], result["goodput_rps"], result["requests"]
 
 
 def _evaluate_many(
@@ -166,7 +150,7 @@ def _evaluate_many(
     else:
         raws = [_evaluate(task) for task in tasks]
     out = []
-    for (index, mapping, _), (ridx, miss, goodput, requests, rows) in zip(
+    for (index, mapping, _), (ridx, miss, goodput, requests) in zip(
         tasks, sorted(raws, key=lambda r: r[0])
     ):
         assert index == ridx
@@ -177,7 +161,6 @@ def _evaluate_many(
                 miss_rate=miss,
                 goodput_rps=goodput,
                 requests=requests,
-                batch_rows={int(k): v for k, v in rows.items()},
             )
         )
     return out
@@ -250,9 +233,7 @@ def tune(
         keep_n = min(keep_n, len(coarse_evals))
         ranked = sorted(coarse_evals, key=lambda e: e.score)[:keep_n]
 
-        refine: List[Dict[str, object]] = []
-        for evaluation in ranked:
-            refine.extend(space.refine_variants(evaluation.mapping))
+        refine = [evaluation.mapping for evaluation in ranked]
         refine_evals = _evaluate_many(
             [(i, mapping, 1.0) for i, mapping in enumerate(refine)], workers
         )
@@ -270,23 +251,11 @@ def tune(
             zoo = {
                 name: TraceReplayer.from_scenario(name) for name in SCENARIOS
             }
-            # Carried-knob variants simulate identically (see space.py) —
-            # memoize their zoo score by the searched dimensions alone.
-            by_key: Dict[Tuple, float] = {}
             mean_miss: Dict[int, float] = {}
             for evaluation in finalists:
-                key = tuple(sorted(
-                    (k, v) for k, v in evaluation.mapping.items()
-                    if k not in CARRIED_KEYS
-                ))
-                if key not in by_key:
-                    config = SchedulerConfig.from_mapping(evaluation.mapping)
-                    misses = [
-                        z.simulate(model, config)["miss_rate"]
-                        for z in zoo.values()
-                    ]
-                    by_key[key] = sum(misses) / len(misses)
-                mean_miss[evaluation.index] = by_key[key]
+                config = SchedulerConfig.from_mapping(evaluation.mapping)
+                misses = [z.simulate(model, config)["miss_rate"] for z in zoo.values()]
+                mean_miss[evaluation.index] = sum(misses) / len(misses)
             winner = min(
                 finalists, key=lambda e: (mean_miss[e.index],) + e.score
             )
@@ -298,28 +267,11 @@ def tune(
                     str(e.index): mean_miss[e.index] for e in finalists
                 },
                 "winner_index": winner.index,
-                "simulations": len(by_key) * len(zoo),
+                "simulations": len(finalists) * len(zoo),
             }
 
-        # Derive the sim-invariant dimensions from the winner's own
-        # full-trace batch shape, then re-score the exact config we emit.
+        # Re-score the exact config we emit.
         final_mapping = dict(winner.mapping)
-        max_batch = int(final_mapping.get("max_batch", SchedulerConfig().max_batch))
-        rungs = rungs_from_histogram(winner.batch_rows, max_batch)
-        derived: Dict[str, object] = {
-            "rows_ladder": list(rungs) if rungs else None,
-            "conv_backend_per_rung": None,
-            "batch_rows_histogram": dict(sorted(winner.batch_rows.items())),
-        }
-        if rungs is not None:
-            backends = backends_for_rungs(rungs)
-            final_mapping["rows_ladder"] = list(rungs)
-            final_mapping["conv_backend_per_rung"] = [
-                [rows, backend] for rows, backend in backends
-            ]
-            derived["conv_backend_per_rung"] = [
-                [rows, backend] for rows, backend in backends
-            ]
         if use_faults:
             # A chaos-tuned config must be able to live through the chaos:
             # supervised respawn and bounded retries are the live plane's
@@ -338,7 +290,6 @@ def tune(
             winner=winner,
             tuned=tuned,
             config=SchedulerConfig.from_mapping(final_mapping),
-            derived=derived,
             leaderboard=leaderboard[: min(5, len(leaderboard))],
             stages={
                 "grid": grid_size,

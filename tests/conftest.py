@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 from repro.data import ArrayDataset, SynthMNISTConfig, load_synth_mnist
+from repro.nn.shm import reap_orphaned_segments
 from repro.slimmable import SlimmableConvNet, WidthSpec, paper_width_spec
 from repro.training import RecipeConfig, TrainConfig, train_family
 from repro.utils import make_rng
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_orphaned_segments():
+    """Start from a /dev/shm holding no segment of a killed process, so the
+    leak tests' before/after counts see only what the suite creates."""
+    reap_orphaned_segments()
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ on the supervision thread's timing; one end-to-end test runs the real
 loop against a supervised frontend.
 """
 
-import time
+import threading
 
 import pytest
 
@@ -199,19 +199,22 @@ class TestSupervisedFrontend:
             heartbeat_config=Config({"heartbeat_interval_s": 0.005}),
         )
         try:
-            assert frontend.supervisor is not None
+            supervisor = frontend.supervisor
+            assert supervisor is not None
+            # Signal the end of the pass whose _respawn adopted the new
+            # replica: the counter moves after adoption, so waiting on health
+            # alone raced the supervisor thread's last few lines.
+            healed, poll = threading.Event(), supervisor.poll
+
+            def watched_poll():
+                poll()
+                if frontend.metrics.counter("supervisor.respawns").value >= 1:
+                    healed.set()
+
+            supervisor.poll = watched_poll
             frontend.pool.replicas[0].kill()
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                # The counter moves after adoption: waiting on health alone
-                # raced the supervisor thread's last few lines.
-                if (
-                    len(frontend.pool.healthy()) == 2
-                    and frontend.pool.replicas[0].alive
-                    and frontend.metrics.counter("supervisor.respawns").value >= 1
-                ):
-                    break
-                time.sleep(0.005)
+            assert healed.wait(timeout=10.0)
+            assert frontend.pool.replicas[0].alive
             assert len(frontend.pool.healthy()) == 2
             assert frontend.metrics.counter("supervisor.respawns").value >= 1
             out = frontend.submit(one_image(), SLA(deadline_s=5.0)).result(timeout=10.0)

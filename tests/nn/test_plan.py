@@ -387,14 +387,31 @@ class TestPlanLadder:
         with pytest.raises(ValueError, match="at least one"):
             PlanLadder([])
 
-    def test_mixed_conv_backends_allowed(self, ladder):
-        """Rungs may differ in conv lowering (the per-rung tuning target)."""
+    def test_mixed_conv_backends_rejected(self, ladder):
+        """One lowering per ladder, like one width and one dtype."""
         model, lad = ladder
+        assert lad.rungs[0].conv_backend == "im2col"
         other_backend = InferencePlan.compile(
             model, "lower50", batch_rows=2, conv_backend="shifted-gemm"
         )
-        mixed = PlanLadder([lad.rungs[0], other_backend])
-        assert "im2col/shifted-gemm" in repr(mixed)
+        with pytest.raises(ValueError, match="conv backend"):
+            PlanLadder([lad.rungs[0], other_backend])
+
+    def test_shifted_gemm_ladder_matches_eager_on_every_rung(self, ladder):
+        model, _ = ladder
+        lad = compile_plan_ladder(
+            model, "lower50", batch_rows=16, rows_ladder=(1, 16),
+            conv_backend="shifted-gemm",
+        )
+        assert [p.conv_backend for p in lad.rungs] == ["shifted-gemm"] * 2
+        assert not lad.exact
+        session = InferenceSession(model, "lower50")
+        rng = make_rng(49)
+        for rows in (1, 16):
+            x = rng.standard_normal((rows, 1, 28, 28))
+            np.testing.assert_allclose(
+                lad.run(x), session.run(x), rtol=1e-10, atol=1e-12
+            )
 
     def test_normalize_rows_ladder(self):
         assert normalize_rows_ladder((1, 4, 16), 8) == (1, 4, 8)
@@ -416,61 +433,3 @@ class TestPlanLadder:
         # All widths' rungs share one cache.
         caches = {id(lad.cache) for lad in plans.values()}
         assert len(caches) == 1
-
-
-class TestPerRungBackends:
-    """conv_backend_per_rung: each rung compiles its own conv lowering."""
-
-    @pytest.fixture(scope="class")
-    def model(self):
-        return build_model("fluid", rng=make_rng(48))
-
-    def test_ladder_compiles_mapped_backends(self, model):
-        lad = compile_plan_ladder(
-            model, "lower50", batch_rows=16, rows_ladder=(1, 4, 16),
-            conv_backend_per_rung={1: "im2col", 16: "shifted-gemm"},
-        )
-        backends = {p.batch_rows: p.conv_backend for p in lad.rungs}
-        assert backends == {1: "im2col", 4: "im2col", 16: "shifted-gemm"}
-
-    def test_pair_sequence_accepted(self, model):
-        lad = compile_plan_ladder(
-            model, "lower50", batch_rows=16, rows_ladder=(1, 16),
-            conv_backend_per_rung=[(16, "shifted-gemm")],
-        )
-        assert [p.conv_backend for p in lad.rungs] == ["im2col", "shifted-gemm"]
-
-    def test_unknown_rung_key_rejected(self, model):
-        with pytest.raises(ValueError, match="rung"):
-            compile_plan_ladder(
-                model, "lower50", batch_rows=16, rows_ladder=(1, 16),
-                conv_backend_per_rung={8: "shifted-gemm"},
-            )
-
-    def test_outputs_match_eager_across_mixed_rungs(self, model):
-        lad = compile_plan_ladder(
-            model, "lower50", batch_rows=16, rows_ladder=(1, 16),
-            conv_backend_per_rung={16: "shifted-gemm"},
-        )
-        session = InferenceSession(model, "lower50")
-        rng = make_rng(49)
-        for rows in (1, 16):
-            x = rng.standard_normal((rows, 1, 28, 28))
-            np.testing.assert_allclose(
-                lad.run(x), session.run(x), rtol=1e-10, atol=1e-12
-            )
-
-    def test_width_plans_thread_the_per_rung_map(self, model):
-        plans = compile_width_plans(
-            model, ["lower25", "lower50"], batch_rows=16, rows_ladder=(1, 16),
-            conv_backend_per_rung={1: "im2col", 16: "shifted-gemm"},
-        )
-        for lad in plans.values():
-            assert [p.conv_backend for p in lad.rungs] == ["im2col", "shifted-gemm"]
-
-    def test_per_rung_without_ladder_rejected(self, model):
-        with pytest.raises(ValueError, match="rows_ladder"):
-            compile_width_plans(
-                model, ["lower50"], batch_rows=16,
-                conv_backend_per_rung={16: "shifted-gemm"},
-            )

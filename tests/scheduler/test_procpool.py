@@ -1,6 +1,5 @@
 """Process-pool replicas: parity, fault injection, telemetry, cleanup."""
 
-import itertools
 import os
 import signal
 import sys
@@ -175,8 +174,10 @@ class TestRingSlot:
         """The reply is copied out of the out-ring before the transport
         lock admits the next exchange: every placement reuses the ring's
         base, so a reader that mapped its reply after releasing the lock
-        would return the other caller's logits.  The slowed ``view`` is
-        that reader being preempted at the worst moment."""
+        would return the other caller's logits.  A reader that finds the
+        lock free is preempted at the worst moment: it waits until the
+        other caller's next exchange has landed its reply.  Holding the
+        lock, as it must, a reader never waits."""
         width, batches = "lower25", 200
         session = InferenceSession(model, width)
 
@@ -192,21 +193,45 @@ class TestRingSlot:
             seed: [session.run_parts(parts) for parts in batch_list]
             for seed, batch_list in work.items()
         }
-        view, calls = replica._out_ring.view, itertools.count()
+        # Exchanges each caller has completed; a reader stops waiting on a
+        # caller that has finished.
+        landed, done, cond = {seed: 0 for seed in work}, set(), threading.Condition()
+        exchange = replica._endpoint.run_parts
+
+        def counted_exchange(*args, **kwargs):
+            try:
+                return exchange(*args, **kwargs)
+            finally:
+                with cond:
+                    landed[int(threading.current_thread().name)] += 1
+                    cond.notify_all()
+
+        view = replica._out_ring.view
 
         def preempted_view(*args):
-            if next(calls) % 4 == 0:
-                time.sleep(0.003)  # several exchanges long
+            if not replica._transport_lock.locked():
+                (other,) = set(work) - {int(threading.current_thread().name)}
+                with cond:
+                    seen = landed[other]
+                    cond.wait_for(lambda: landed[other] > seen or other in done, timeout=30.0)
             return view(*args)
 
+        replica._endpoint.run_parts = counted_exchange
         replica._out_ring.view = preempted_view
         answers = {seed: [] for seed in work}
 
         def drive(seed):
-            for parts in work[seed]:
-                answers[seed].append(replica.run_parts(parts, width))
+            try:
+                for parts in work[seed]:
+                    answers[seed].append(replica.run_parts(parts, width))
+            finally:
+                with cond:
+                    done.add(seed)
+                    cond.notify_all()
 
-        threads = [threading.Thread(target=drive, args=(seed,)) for seed in work]
+        threads = [
+            threading.Thread(target=drive, args=(seed,), name=str(seed)) for seed in work
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

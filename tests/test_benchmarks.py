@@ -23,6 +23,7 @@ import bench_trace_replay  # noqa: E402
 import bench_tuning  # noqa: E402
 from common import fluid_model  # noqa: E402
 
+from repro.scheduler import SchedulerConfig  # noqa: E402
 from repro.trace.replay import TraceReplayer  # noqa: E402
 from repro.trace.scenarios import SCENARIOS  # noqa: E402
 
@@ -83,13 +84,10 @@ class TestCommittedRecords:
         for name in bench_tuning.MUST_BEAT:
             row = tuning["scenarios"][name]
             assert row["tuned_miss_rate"] < row["default_miss_rate"], name
-        # The emitted config is the winner plus the derived ladder.
+        # The emitted config is the winner's mapping over the defaults.
         config = tuning["config"]
-        for key, value in tuning["winner_mapping"].items():
-            if key not in ("retry", "restart_backoff_s"):  # flattened / scalar default
-                assert config[key] == value, key
-        assert config["rows_ladder"] == tuning["derived"]["rows_ladder"]
-        assert config["conv_backend_per_rung"] == tuning["derived"]["conv_backend_per_rung"]
+        default = SchedulerConfig().to_mapping()
+        assert config == {**default, **tuning["winner_mapping"]}
         # Tuned under chaos: beats the default with the live fault plane on.
         assert chaos["tuned_miss_rate"] < chaos["default_miss_rate"]
         assert chaos["supervise"] and chaos["retry"]

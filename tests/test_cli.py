@@ -255,20 +255,6 @@ class TestConfigFromArgs:
         with pytest.raises(SystemExit, match="--config"):
             self._config(["replay", "--config", "/nonexistent/cfg.json"])
 
-    def test_conv_backend_flag_clears_per_rung_assignment(self, tmp_path):
-        import json
-
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "rows_ladder": [1, 8],
-            "conv_backend_per_rung": [[1, "im2col"], [8, "shifted-gemm"]],
-        }))
-        config = self._config(
-            ["replay", "--config", str(path), "--conv-backend", "shifted-gemm"]
-        )
-        assert config.conv_backend == "shifted-gemm"
-        assert config.conv_backend_per_rung is None
-
 
 class TestTuneFlags:
     def test_tune_requires_sim_mode(self, capsys):

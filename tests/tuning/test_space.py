@@ -1,16 +1,19 @@
-"""Search-space enumeration and the histogram-derived dimensions."""
+"""Search-space enumeration."""
+
+from dataclasses import fields
 
 import pytest
 
-from repro.tuning import (
-    SHIFTED_GEMM_MIN_ROWS,
-    SearchSpace,
-    backends_for_rungs,
-    rungs_from_histogram,
-)
+from repro.tuning import SearchSpace
 
 
 class TestSearchSpace:
+    def test_only_simulator_ranked_dimensions_are_searched(self):
+        assert [f.name for f in fields(SearchSpace)] == [
+            "replicas", "max_batch", "max_delay_s", "admission_headroom",
+            "brownout_enter_depth",
+        ]
+
     def test_coarse_candidates_cover_the_grid(self):
         space = SearchSpace.small()
         candidates = space.coarse_candidates()
@@ -36,18 +39,6 @@ class TestSearchSpace:
         for mapping in space.coarse_candidates():
             assert "brownout" not in mapping
 
-    def test_refine_variants_vary_only_carried_knobs(self):
-        space = SearchSpace.small()
-        base = {"replicas": 2, "max_batch": 16}
-        variants = space.refine_variants(base)
-        assert len(variants) == 1  # small() pins each carried dim
-        space = SearchSpace(hedge_ratio=(0.1, 0.2), retry=(True, False))
-        variants = space.refine_variants(base)
-        assert len(variants) == 2 * 2 * len(space.restart_backoff_s)
-        for variant in variants:
-            assert variant["replicas"] == 2 and variant["max_batch"] == 16
-            assert {"hedge_ratio", "retry", "restart_backoff_s"} <= set(variant)
-
     def test_empty_dimension_rejected(self):
         with pytest.raises(ValueError, match="replicas"):
             SearchSpace(replicas=())
@@ -59,27 +50,3 @@ class TestSearchSpace:
             SearchSpace(max_batch=(-1,))
         with pytest.raises(ValueError):
             SearchSpace(max_delay_s=(-0.001,))
-
-
-class TestDerivedDimensions:
-    def test_rungs_from_percentiles(self):
-        # p50 lands on 1, p90 on 8: ladder is (1, 8, max_batch).
-        histogram = {1: 60, 8: 35, 16: 5}
-        assert rungs_from_histogram(histogram, 32) == (1, 8, 32)
-
-    def test_empty_histogram_means_no_ladder(self):
-        assert rungs_from_histogram({}, 32) is None
-
-    def test_all_at_ceiling_means_no_ladder(self):
-        assert rungs_from_histogram({32: 100}, 32) is None
-
-    def test_rungs_clamped_to_max_batch(self):
-        # Percentiles above the ceiling clamp to it (and then dedupe away).
-        assert rungs_from_histogram({64: 100}, 32) is None
-        assert rungs_from_histogram({1: 60, 64: 40}, 32) == (1, 32)
-
-    def test_backends_split_at_the_bench_plan_rule(self):
-        backends = dict(backends_for_rungs((1, 4, 8, 32)))
-        for rows, backend in backends.items():
-            expected = "im2col" if rows < SHIFTED_GEMM_MIN_ROWS else "shifted-gemm"
-            assert backend == expected

@@ -80,14 +80,26 @@ class TestTune:
         with pytest.raises(ValueError, match="empty"):
             tune(empty, model, space=SearchSpace.small())
 
-    def test_derived_ladder_matches_winner_histogram(self, model):
-        result = small_tune(model)
-        ladder = result.derived["rows_ladder"]
-        if ladder is not None:
-            assert result.config.rows_ladder == tuple(ladder)
-            assert ladder[-1] == result.config.max_batch
-            per_rung = result.derived["conv_backend_per_rung"]
-            assert [rows for rows, _ in per_rung] == ladder
+    @pytest.mark.parametrize("use_faults", [False, True])
+    def test_emits_only_searched_keys(self, model, use_faults):
+        """Nothing the simulator cannot rank leaves the tuner: every other
+        knob keeps its default.  Under faults the live fault plane (supervise,
+        bounded retries) is switched on as well."""
+        scenario = "bursts_faulty" if use_faults else "multi_tenant"
+        replayer = (
+            faulty_replayer(scenario) if use_faults else TraceReplayer.from_scenario(scenario)
+        )
+        result = tune(
+            replayer, model, seed=0, space=SearchSpace.small(), workers=1,
+            validate=False, use_faults=use_faults,
+        )
+        emitted, default = result.config.to_mapping(), SchedulerConfig().to_mapping()
+        changed = {k for k in emitted.keys() | default.keys() if emitted.get(k) != default.get(k)}
+        searched = {"replicas", "max_batch", "max_delay_s", "admission_headroom"}
+        families = ("brownout", "retry") if use_faults else ("brownout",)
+        assert changed, "the tuned config should differ from the default"
+        for key in changed - searched - ({"supervise"} if use_faults else set()):
+            assert key.partition(".")[0] in families, key
 
 
 class TestArtifact:
