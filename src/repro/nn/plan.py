@@ -1,4 +1,4 @@
-"""Compiled inference plans: the allocation-free serving hot path.
+"""Compiled inference plans: the arena-backed serving hot path.
 
 Eager slimmable inference re-derives everything per request: each
 ``SlicedConv2d`` call resolves its channel slices, copies the active weight
@@ -21,8 +21,10 @@ all of that exactly once:
   slicing and casting vanish from the steady-state hot path;
 * :meth:`InferencePlan.run` executes the pass through fused in-place
   kernels into a workspace checked out from the plan's
-  :class:`~repro.nn.workspace.WorkspacePool` — zero steady-state
-  allocations beyond the returned logits.
+  :class:`~repro.nn.workspace.WorkspacePool`.  A warm run allocates no
+  array beyond the returned logits and retains nothing; NumPy's iterator
+  buffers (``gemm += bias``, ``maxpool2d_into``) are transient, ~76 KB at
+  1 row and ~194 KB at 16 rows of ``lower100`` under ``tracemalloc``.
 
 Convolution lowering is **pluggable** (``conv_backend``):
 
@@ -765,8 +767,8 @@ class InferencePlan:
         w, b = self.cache.linear_block(self.net.classifier, self._feature_slice, self.dtype)
         logits = ws["logits"][:n]
         F.gemm_bias(features, w, b, logits)
-        # The workspace buffer goes back into the pool; the caller gets an
-        # owned copy (the only steady-state allocation on the hot path).
+        # The workspace buffer goes back into the pool; the caller gets an owned
+        # copy: the run's one array allocation (iterator buffers are transient).
         return logits.copy()
 
     # -- cost hooks -----------------------------------------------------------

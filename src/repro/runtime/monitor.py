@@ -32,8 +32,8 @@ class HeartbeatMonitor:
 
     ``interval_s`` is the cadence at which the owner is expected to call
     :meth:`check`; the monitor itself never sleeps, it just records the
-    configured cadence so health loops (the scheduler's replica-pool
-    ejector, live-serving heartbeats) all read one source of truth.
+    configured cadence so every heartbeat caller (the frontend's timer,
+    live-serving heartbeats) reads one source of truth.
     """
 
     def __init__(

@@ -15,10 +15,10 @@ slimmable weight store:
    replica when it is dispatched — is flushed at once; only a request
    with company waits (at most ``max_delay_s``) for batch-mates.
 
-A background health loop drives the pool's heartbeat monitors, and a
-watchdog thread **hedges stragglers**: a request still unresolved well
-past its predicted latency gets a duplicate at a narrower width on a
-different replica; whichever finishes first resolves the caller's future.
+One timer thread drives the pool's heartbeat monitors, fires retry
+backoffs and **hedges stragglers**: a request still unresolved well past
+its predicted latency gets a duplicate at a narrower width on a different
+replica; whichever finishes first resolves the caller's future.
 
 This module is the *live binding*: threads, queues, futures, metrics.
 The tunables are :mod:`repro.scheduler.config`; the per-request decision
@@ -83,6 +83,8 @@ HEDGE_FACTOR = 4.0
 #: ...and never within this many seconds of its arrival.
 HEDGE_MIN_S = 0.004
 
+_LOG = get_logger("scheduler.frontend")
+
 
 class _Entry:
     """One in-flight request's scheduling state."""
@@ -118,71 +120,109 @@ class _Entry:
         self.spec = spec        # replayed RequestSpec (None for live traffic)
 
 
-class _HedgeWatchdog:
-    """Single thread firing hedge callbacks at scheduled times.
+class _Timer:
+    """The frontend's one timer: a thread firing ``(instant, seq, action)``
+    off one clock-ordered heap.
 
-    The heap holds entries *weakly*: a request's legs (queue tags, done
-    callbacks, retry timers) keep its entry alive exactly as long as it
-    can still be hedged, so an answered request's payload and future are
-    freed at once instead of being pinned until its hedge instant.  Only
-    the timer pops, so the dead references themselves are swept whenever
-    the heap has doubled since the last sweep: it stays O(in-flight), not
-    O(request rate x time to the hedge instant).
+    A hedge is a *weak* reference to its request's :class:`_Entry`, fired
+    through ``hedge``: an answered request is freed at once, not pinned until
+    its hedge instant, and dead references are swept whenever the heap has
+    doubled, so it stays O(in-flight).  The ``heartbeat`` re-arms itself
+    every ``every_s``; a retry backoff is a one-shot callable.  :meth:`drain`
+    drops the hedges and runs the backoffs now (and any armed later, on the
+    arming thread); heartbeats go on until :meth:`close`.
     """
 
     SWEEP_FLOOR = 64  # never sweep a heap smaller than this
 
-    def __init__(self, fire) -> None:
-        self._fire = fire
-        self._heap: List[Tuple[float, int, "weakref.ref[_Entry]"]] = []
+    def __init__(self, hedge=None, heartbeat=None, every_s: float = 1.0) -> None:
+        self._hedge, self._heartbeat, self._every_s = hedge, heartbeat, every_s
+        self._heap: List[Tuple[float, int, object]] = []
         self._sweep_at = self.SWEEP_FLOOR
         self._seq = itertools.count()
         self._cond = threading.Condition()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="hedge-watchdog", daemon=True
-        )
+        self._draining = self._closed = self._firing = False
+        if heartbeat is not None:
+            self._heap.append((time.monotonic() + every_s, next(self._seq), heartbeat))
+        self._thread = threading.Thread(target=self._run, name="frontend-timer", daemon=True)
         self._thread.start()
 
     def arm(self, at: float, entry: _Entry) -> None:
+        """Hedge ``entry`` at ``at`` unless it is answered by then."""
         with self._cond:
-            if self._closed:
+            if self._draining:
                 return
             if len(self._heap) >= self._sweep_at:
-                # Live tuples are kept whole: no hedge instant moves.
-                self._heap[:] = [item for item in self._heap if item[2]() is not None]
+                # Live tuples are kept whole: no instant moves.
+                self._heap[:] = [
+                    item for item in self._heap
+                    if not isinstance(item[2], weakref.ref) or item[2]() is not None
+                ]
                 heapq.heapify(self._heap)
                 self._sweep_at = 2 * len(self._heap) + self.SWEEP_FLOOR
-            item = (at, next(self._seq), weakref.ref(entry))
-            heapq.heappush(self._heap, item)
-            if self._heap[0] is item:  # the timer's next instant moved earlier
-                self._cond.notify()
+            self._push(at, weakref.ref(entry))
+
+    def call_at(self, at: float, action) -> None:
+        """Run ``action`` once at ``at``; while draining, at once."""
+        with self._cond:
+            if not self._draining:
+                self._push(at, action)
+                return
+        action()
+
+    def drain(self) -> None:
+        with self._cond:
+            self._draining = True
+            while self._firing:  # a backoff already popped lands first
+                self._cond.wait()
+            due = sorted(item for item in self._heap if not isinstance(item[2], weakref.ref))
+            self._heap[:] = [item for item in due if item[2] is self._heartbeat]
+        for _, _, action in due:
+            if action is not self._heartbeat:
+                action()
 
     def close(self) -> None:
+        self.drain()
         with self._cond:
             self._closed = True
             self._cond.notify()
         self._thread.join(timeout=5.0)
-        # The callback is a bound method of the frontend that owns this
-        # watchdog: drop it so a closed frontend is not a reference cycle.
-        self._fire = None
+        # The callbacks are bound methods of the frontend that owns this
+        # timer: drop them so a closed frontend is not a reference cycle.
+        self._hedge = self._heartbeat = None
         self._heap.clear()
+
+    def _push(self, at: float, action) -> None:
+        item = (at, next(self._seq), action)
+        heapq.heappush(self._heap, item)
+        if self._heap[0] is item:  # the timer's next instant moved earlier
+            self._cond.notify()
 
     def _run(self) -> None:
         while True:
             with self._cond:
+                self._firing = False
+                if self._draining:
+                    self._cond.notify_all()  # a drain waits for the last action
                 while not self._closed and (
                     not self._heap or self._heap[0][0] > time.monotonic()
                 ):
-                    if self._heap:
-                        self._cond.wait(self._heap[0][0] - time.monotonic())
-                    else:
-                        self._cond.wait()
+                    self._cond.wait(self._heap[0][0] - time.monotonic() if self._heap else None)
                 if self._closed:
                     return
-                entry = heapq.heappop(self._heap)[2]()
-            if entry is not None:
-                self._fire(entry)
+                action = heapq.heappop(self._heap)[2]
+                if action is self._heartbeat:
+                    self._push(time.monotonic() + self._every_s, action)
+                self._firing = True
+            try:
+                if isinstance(action, weakref.ref):
+                    entry = action()
+                    if entry is not None:
+                        self._hedge(entry)
+                else:
+                    action()
+            except Exception:  # one failed action must not stop the others
+                _LOG.exception("frontend timer action failed")
 
 
 class ServingFrontend:
@@ -201,7 +241,6 @@ class ServingFrontend:
     ) -> None:
         self.config = config or SchedulerConfig()
         self.metrics = metrics or MetricsRegistry()
-        self.logger = get_logger("scheduler.frontend")
         # Tracing is opt-in: without a tracer every emit call lands on the
         # shared NULL_TRACER no-op, and sampled-out requests bind it too.
         self.tracer = tracer or NULL_TRACER
@@ -259,12 +298,8 @@ class ServingFrontend:
         self._queues_lock = threading.Lock()
         self._closing = False  # submit() stops accepting
         self._closed = False   # dispatch (incl. reroutes) fully stopped
-        self._watchdog = _HedgeWatchdog(self._hedge) if self.config.enable_hedging else None
-        self._health_stop = threading.Event()
-        self._health_thread = threading.Thread(
-            target=self._health_loop, name="pool-health", daemon=True
-        )
-        self._health_thread.start()
+        hedge = self._hedge if self.config.enable_hedging else None
+        self._timer = _Timer(hedge, self._heartbeat, max(self.pool.heartbeat_interval_s, 1e-3))
         if self.config.warmup:
             self._warmup()
         self.supervisor: Optional[ReplicaSupervisor] = None
@@ -404,7 +439,7 @@ class ServingFrontend:
         # none", so their leg carries no fail-fast deadline.
         leg_deadline = entry.deadline if sla.priority < CRITICAL_PRIORITY else None
         self._dispatch(entry, spec_w.name, deadline=leg_deadline, primary=True)
-        if self._watchdog is not None:
+        if self.config.enable_hedging:
             # Hedge a true straggler, not ordinary backlog: no earlier than
             # several predicted service times AND half the remaining budget
             # — under a burst every request is "old", and hedging them all
@@ -413,7 +448,7 @@ class ServingFrontend:
             hedge_at = now + max(
                 HEDGE_MIN_S, HEDGE_FACTOR * predicted, 0.5 * (entry.deadline - now)
             )
-            self._watchdog.arm(hedge_at, entry)
+            self._timer.arm(hedge_at, entry)
         return entry.future
 
     # -- dispatch / completion -------------------------------------------------
@@ -589,53 +624,34 @@ class ServingFrontend:
             with entry.lock:
                 entry.exclude = entry.exclude + (replica.index,)
                 exclude = entry.exclude
-            self.logger.warning(
-                "replica %d lost mid-request; rerouting at width %s", replica.index, width
-            )
-            entry.trace.emit(
-                entry.rid, EVENT_REROUTE, dead_replica=replica.index, width=width
-            )
-            retry = self.config.retry_policy
+            _LOG.warning("replica %d lost mid-request; rerouting at width %s",
+                         replica.index, width)
+            entry.trace.emit(entry.rid, EVENT_REROUTE, dead_replica=replica.index, width=width)
+
+            def reroute() -> None:
+                self._dispatch(entry, width, exclude=exclude, primary=True, leg="reroute")
+
+            delay, retry = 0.0, self.config.retry_policy
             if retry is not None:
                 # Attempt number = replicas already burned on this request;
                 # the policy answers "retry, and after how long?" against
                 # the remaining deadline budget.  Critical priority never
                 # gives up (a late answer beats none), but still backs off.
-                attempt = len(exclude)
-                remaining = entry.deadline - time.monotonic()
+                attempt, remaining = len(exclude), entry.deadline - time.monotonic()
                 critical = entry.sla.priority >= CRITICAL_PRIORITY
                 delay = retry.delay_for(attempt, remaining, critical=critical)
                 if delay is None:
-                    if remaining <= 0:
-                        # The deadline expired while rerouting: that is a
-                        # miss, not an infrastructure loss — classify it
-                        # with the other expired-deadline paths.
-                        self._fail(
-                            entry,
-                            DeadlineExceeded(
-                                "deadline expired while rerouting"
-                            ),
-                        )
-                    else:
-                        self._fail(
-                            entry,
-                            fault_policy.RetryExhausted(
-                                f"retry budget exhausted after {attempt} attempts"
-                            ),
-                        )
+                    # A deadline that expired while rerouting is a miss, not
+                    # an infrastructure loss: classified with the other expiries.
+                    why = f"retry budget exhausted after {attempt} attempts"
+                    self._fail(entry, fault_policy.RetryExhausted(why) if remaining > 0
+                               else DeadlineExceeded("deadline expired while rerouting"))
                     return
                 self.metrics.counter("frontend.retries").inc()
-                if delay > 0:
-                    timer = threading.Timer(
-                        delay,
-                        self._dispatch,
-                        args=(entry, width),
-                        kwargs={"exclude": exclude, "primary": True, "leg": "reroute"},
-                    )
-                    timer.daemon = True
-                    timer.start()
-                    return
-            self._dispatch(entry, width, exclude=exclude, primary=True, leg="reroute")
+            if delay > 0:
+                self._timer.call_at(time.monotonic() + delay, reroute)
+            else:
+                reroute()
             return
         if isinstance(exc, DeadlineExceeded):
             # The initial leg expired before it could even enter a batch
@@ -645,7 +661,7 @@ class ServingFrontend:
         self._fail(entry, exc or RuntimeError("request cancelled"))
 
     def _hedge(self, entry: _Entry) -> None:
-        """Watchdog callback: duplicate a straggler at a narrower width.
+        """Timer callback: duplicate a straggler at a narrower width.
 
         Subject to the hedge budget: duplicated work may add at most
         ``hedge_ratio`` of total traffic, so a backlog where *every*
@@ -796,13 +812,10 @@ class ServingFrontend:
         for queue in stale:
             queue.close(timeout=5.0)
 
-    # -- background health -----------------------------------------------------
-
-    def _health_loop(self) -> None:
-        interval = max(self.pool.heartbeat_interval_s, 1e-3)
-        while not self._health_stop.wait(interval):
-            for replica in self.pool.check_health():
-                self.logger.warning("health loop ejected replica %d", replica.index)
+    def _heartbeat(self) -> None:
+        """One heartbeat round, fired by the timer every heartbeat interval."""
+        for replica in self.pool.check_health():
+            _LOG.warning("heartbeat ejected replica %d", replica.index)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -865,7 +878,7 @@ class ServingFrontend:
         return stats
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Drain every queue, stop the watchdog and the health loop.
+        """Drain every queue, then stop the timer.
 
         Draining happens in rounds with rerouting still enabled: if a
         replica dies while its queue drains, the displaced requests spawn
@@ -880,12 +893,11 @@ class ServingFrontend:
         # queues the drain rounds below are trying to empty).
         if self.supervisor is not None:
             self.supervisor.close(timeout=timeout)
-        # Stop the watchdog first: a hedge firing mid-drain could insert a
-        # queue after the final drain round and leak its collector thread.
-        # Reroutes stay enabled throughout — they run synchronously inside
-        # each queue's close(), so every round catches what they spawn.
-        if self._watchdog is not None:
-            self._watchdog.close()
+        # No hedge fires from here on: one firing mid-drain could insert a
+        # queue after the final round and leak its collector thread.  Retry
+        # backoffs end now; reroutes run synchronously inside each queue's
+        # close(), so every round catches what they spawn.  Heartbeats go on.
+        self._timer.drain()
         while True:
             with self._queues_lock:
                 if not self._queues:
@@ -905,8 +917,7 @@ class ServingFrontend:
             self._queues.clear()
         for queue in stragglers:
             queue.close(timeout=timeout)
-        self._health_stop.set()
-        self._health_thread.join(timeout=timeout)
+        self._timer.close()
         # Last: process workers shut down and unlink their shm rings (a
         # no-op for thread replicas).  After the queue drain nothing can
         # still be in flight on them.

@@ -17,7 +17,6 @@ the HA story at request granularity.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -211,7 +210,7 @@ class ReplicaPool:
         """Run one heartbeat round; returns replicas newly declared dead.
 
         Serialised with :meth:`report_failure` (one lock) so a death seen
-        simultaneously by the health loop and a failing request counts as
+        simultaneously by a heartbeat round and a failing request counts as
         exactly one ejection.
         """
         ejected = []
@@ -323,20 +322,3 @@ class ReplicaPool:
 
     def __repr__(self) -> str:
         return f"ReplicaPool({self.replicas!r})"
-
-
-def wait_for_ejection(
-    pool: ReplicaPool, *, timeout_s: float = 1.0
-) -> List[Replica]:
-    """Drive heartbeat rounds until an ejection happens or ``timeout_s`` passes.
-
-    Test/benchmark helper mirroring what the frontend's background health
-    loop does continuously.
-    """
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        ejected = pool.check_health()
-        if ejected:
-            return ejected
-        time.sleep(pool.heartbeat_interval_s)
-    return []

@@ -383,17 +383,20 @@ class ProcessReplica(Replica):
         The worker reads no message before it has probed every width, so
         the PONG means "warm" (on replica 0 it carries the :attr:`primes`).
         A worker that died on the way closed its socket, which fails the
-        wait at once; one that hangs fails it after :data:`BOOT_TIMEOUT_S`.
-        Either way the replica is closed and :class:`ReplicaUnavailable`
-        raised.
+        wait at once; one that hangs fails it after :data:`BOOT_TIMEOUT_S`;
+        a PONG without numeric ``primes`` / ``packs`` fails it too.  Either
+        way the replica is closed and :class:`ReplicaUnavailable` raised.
         """
         with self._transport_lock:
             pong = self._endpoint.pong(timeout=BOOT_TIMEOUT_S)
-        if pong is None:
+        try:
+            if pong is None:
+                raise ValueError("no PONG")
+            self.primes = {w: float(s) for w, s in pong.fields["primes"].items()}
+            self._count_repacks(int(pong.fields["packs"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             self.close()
-            raise ReplicaUnavailable(f"worker {self.index} did not come up")
-        self.primes = {w: float(s) for w, s in pong.fields["primes"].items()}
-        self._count_repacks(int(pong.fields["packs"]))
+            raise ReplicaUnavailable(f"worker {self.index} did not come up: {exc!r}") from exc
         return self
 
     def warm_service_s(self, widths: Sequence[str]) -> Dict[str, float]:

@@ -20,6 +20,7 @@ from repro.scheduler import (
     SchedulerConfig,
     ServingFrontend,
 )
+from repro.scheduler.frontend import _Timer
 from repro.utils import make_rng
 
 
@@ -36,6 +37,12 @@ def make_frontend(model, **overrides):
     defaults = dict(replicas=2, warmup=False)
     defaults.update(overrides)
     return ServingFrontend(model, SchedulerConfig(**defaults))
+
+
+def hedges(frontend):
+    """The timer's pending hedges: weak entry references (the heartbeat
+    round shares their heap)."""
+    return [a for _, _, a in frontend._timer._heap if isinstance(a, weakref.ref)]
 
 
 class TestBasicServing:
@@ -198,7 +205,7 @@ class TestFailureAbsorption:
             with pytest.raises(Exception):
                 future.result(timeout=10.0)
 
-    def test_health_loop_ejects_without_traffic(self, model):
+    def test_heartbeat_ejects_without_traffic(self, model):
         from repro.utils.config import Config
 
         frontend = ServingFrontend(
@@ -207,7 +214,7 @@ class TestFailureAbsorption:
             heartbeat_config=Config({"heartbeat_interval_s": 0.005}),
         )
         try:
-            # The health loop runs check_health every heartbeat: signal the
+            # The timer runs check_health every heartbeat: signal the
             # round that leaves replica 1 ejected.
             ejected, check_health = threading.Event(), frontend.pool.check_health
 
@@ -289,7 +296,7 @@ class TestLoneRequestNeverWaits:
             try:
                 future = frontend.submit(one_image(), SLA(deadline_s=60.0))
                 assert entered.wait(timeout=10.0)
-                entry = frontend._watchdog._heap[0][2]()
+                (entry,) = (ref() for ref in hedges(frontend))
                 frontend._hedge(entry)  # fire the straggler hedge by hand
                 assert frontend.metrics.counter("frontend.hedges").value == 1
                 hedge_queue = frontend._queues[(1, "lower75")]
@@ -313,7 +320,7 @@ class TestLoneRequestNeverWaits:
 
 
 class TestHedging:
-    """The watchdog's firing *schedule* is wall-clock driven (covered by the
+    """The timer's firing *schedule* is wall-clock driven (covered by the
     bench, where hedges fire under real backlog); these tests drive the
     hedge callback directly so CI never depends on thread timing."""
 
@@ -376,7 +383,7 @@ class TestHedging:
 
 
 class TestHedgeWatchdog:
-    """arm/close ordering on the watchdog thread itself (no frontend).
+    """arm/close ordering on the timer thread itself (no frontend).
 
     The heap holds entries weakly, so the stand-in entries are objects the
     test keeps alive (a str cannot be weakly referenced)."""
@@ -385,8 +392,6 @@ class TestHedgeWatchdog:
         pass
 
     def test_fires_in_deadline_order_not_arm_order(self):
-        from repro.scheduler.frontend import _HedgeWatchdog
-
         fired = []
         done = __import__("threading").Event()
 
@@ -395,72 +400,64 @@ class TestHedgeWatchdog:
             if len(fired) == 2:
                 done.set()
 
-        watchdog = _HedgeWatchdog(_fire)
+        timer = _Timer(_fire)
         try:
             now = time.monotonic()
             late, early = self._Stub(), self._Stub()
-            watchdog.arm(now + 0.05, late)
-            watchdog.arm(now + 0.01, early)
+            timer.arm(now + 0.05, late)
+            timer.arm(now + 0.01, early)
             assert done.wait(timeout=5.0)
             assert fired == [early, late]
         finally:
-            watchdog.close()
+            timer.close()
 
     def test_arm_after_close_never_fires(self):
-        from repro.scheduler.frontend import _HedgeWatchdog
-
         fired = []
-        watchdog = _HedgeWatchdog(fired.append)
-        watchdog.close()
-        assert not watchdog._thread.is_alive()  # joined: nothing can fire any more
-        watchdog.arm(time.monotonic() - 1.0, "dropped")  # no-op, no crash
-        assert fired == [] and watchdog._heap == []
+        timer = _Timer(fired.append)
+        timer.close()
+        assert not timer._thread.is_alive()  # joined: nothing can fire any more
+        timer.arm(time.monotonic() - 1.0, "dropped")  # no-op, no crash
+        assert fired == [] and timer._heap == []
 
     def test_close_with_pending_entries_does_not_fire_them(self):
-        from repro.scheduler.frontend import _HedgeWatchdog
-
         fired = []
-        watchdog = _HedgeWatchdog(fired.append)
+        timer = _Timer(fired.append)
         pending = self._Stub()
-        watchdog.arm(time.monotonic() + 30.0, pending)
-        watchdog.close()
+        timer.arm(time.monotonic() + 30.0, pending)
+        timer.close()
         assert fired == []
-        assert not watchdog._thread.is_alive()
+        assert not timer._thread.is_alive()
 
     def test_close_is_idempotent(self):
-        from repro.scheduler.frontend import _HedgeWatchdog
-
-        watchdog = _HedgeWatchdog(lambda entry: None)
-        watchdog.close()
-        watchdog.close()
+        timer = _Timer(lambda entry: None)
+        timer.close()
+        timer.close()
 
     def test_heap_stays_proportional_to_what_is_in_flight(self):
         """Only the timer pops, and the hedge instant is 5 s away: without a
         sweep 10 000 answered requests leave 10 000 dead tuples."""
-        from repro.scheduler.frontend import _HedgeWatchdog
-
         fired = []
-        watchdog = _HedgeWatchdog(fired.append)
+        timer = _Timer(fired.append)
         try:
             at = time.monotonic() + 5.0
             in_flight = [self._Stub() for _ in range(3)]
             for k, stub in enumerate(in_flight):
-                watchdog.arm(at + k, stub)
+                timer.arm(at + k, stub)
             for _ in range(10_000):
-                watchdog.arm(at, self._Stub())  # answered (dropped) at once
-                assert len(watchdog._heap) <= 2 * len(in_flight) + 64
+                timer.arm(at, self._Stub())  # answered (dropped) at once
+                assert len(timer._heap) <= 2 * len(in_flight) + 64
             # Live entries keep their hedge instants.
-            live = sorted((t, e()) for t, _, e in watchdog._heap if e() is not None)
+            live = sorted((t, e()) for t, _, e in timer._heap if e() is not None)
             assert live == [(at + k, stub) for k, stub in enumerate(in_flight)]
             assert fired == []
         finally:
-            watchdog.close()
+            timer.close()
 
     def test_served_requests_do_not_pile_up_in_the_frontend_heap(self, model):
         with make_frontend(model, replicas=1) as frontend:
             for i in range(300):
                 frontend.submit(one_image(i % 4), SLA(deadline_s=10.0)).result(timeout=10.0)
-                assert len(frontend._watchdog._heap) <= 2 * 1 + 64
+                assert len(hedges(frontend)) <= 2 * 1 + 64
 
     def test_answered_requests_are_released_before_their_hedge_instant(self, model):
         """Under a 10 s deadline the hedge instant is >= 5 s away; an answered
@@ -486,29 +483,27 @@ class TestHedgeWatchdog:
             # batch a few bytecodes later — wait for that, not for a timer.
             assert all_freed.wait(timeout=2.0)
             assert [ref() for ref in payloads] == [None] * 12
-            heap = frontend._watchdog._heap
-            assert len(heap) == 12  # nothing waited for a hedge instant
-            assert all(entry() is None for _, _, entry in heap)
+            refs = hedges(frontend)
+            assert len(refs) == 12  # nothing waited for a hedge instant
+            assert all(ref() is None for ref in refs)
 
 
 class TestHedgeWatchdogWakeups:
-    """Every admitted request arms the watchdog; only an arm that moves its
+    """Every admitted request arms the timer; only an arm that moves its
     next instant earlier may wake the thread."""
 
     class _Stub:
         pass
 
     def test_later_arms_never_wake_the_timer_and_an_earlier_one_fires_on_time(self):
-        from repro.scheduler.frontend import _HedgeWatchdog
-
         fired, done = [], threading.Event()
 
         def _fire(entry):
             fired.append((time.monotonic(), entry))
             done.set()
 
-        watchdog = _HedgeWatchdog(_fire)
-        cond = watchdog._cond
+        timer = _Timer(_fire)
+        cond = timer._cond
         wait, notify = cond.wait, cond.notify
         waits, notifies, waiting = [], [], threading.Event()
 
@@ -526,20 +521,94 @@ class TestHedgeWatchdogWakeups:
             now = time.monotonic()
             later = [self._Stub() for _ in range(20)]
             for k, stub in enumerate(later):
-                watchdog.arm(now + 60.0 + k, stub)
+                timer.arm(now + 60.0 + k, stub)
                 if k == 0:  # the heap was empty: one wake, then a wait on this instant
                     assert waiting.wait(timeout=5.0)
             assert len(notifies) == 1
             assert len(waits) <= 2
             early = self._Stub()
             at = time.monotonic() + 0.02
-            watchdog.arm(at, early)
+            timer.arm(at, early)
             assert done.wait(timeout=5.0)
             fired_at, entry = fired[0]
             assert entry is early
             assert at <= fired_at < at + 1.0  # its own instant, not the head's
         finally:
-            watchdog.close()
+            timer.close()
+
+
+class TestOneTimer:
+    """Hedges, heartbeat rounds and retry backoffs share one timer thread."""
+
+    def test_serving_frontend_runs_one_timer_beside_its_collectors(self, model):
+        before = set(threading.enumerate())
+        frontend = make_frontend(model)
+        try:
+            frontend.submit(one_image(), SLA(deadline_s=5.0)).result(timeout=10.0)
+            started = [t for t in threading.enumerate() if t not in before]
+            # One used (replica, width) queue: one collector.
+            assert sorted(t.name for t in started) == ["frontend-timer", "micro-batcher"]
+        finally:
+            frontend.close()
+        assert not any(t.is_alive() for t in started)
+
+    def test_close_serves_a_request_waiting_out_its_retry_backoff(self, model):
+        from repro.faults.policy import RetryPolicy
+        from repro.utils.config import Config
+
+        frontend = ServingFrontend(
+            model,
+            SchedulerConfig(
+                replicas=2,
+                warmup=False,
+                retry_policy=RetryPolicy(backoff_base_s=60.0, backoff_max_s=60.0),
+            ),
+            # No heartbeat round ejects replica 0 before the request routes to it.
+            heartbeat_config=Config({"heartbeat_interval_s": 60.0}),
+        )
+        # A retry is counted just before its backoff is armed, so close()
+        # starts on either side of the arming: both must serve the request.
+        retried, retries = threading.Event(), frontend.metrics.counter("frontend.retries")
+        count = retries.inc
+
+        def watched_inc(n=1):
+            count(n)
+            retried.set()
+
+        retries.inc = watched_inc
+        try:
+            frontend.pool.replicas[0].kill()
+            future = frontend.submit(one_image(), SLA(deadline_s=120.0))
+            assert retried.wait(timeout=10.0)  # failed on replica 0, backing off 60 s
+            assert not future.done()
+        finally:
+            frontend.close()
+        assert future.done()
+        assert future.result().shape == (1, 10)  # served by replica 1, not failed
+        counters = frontend.metrics.snapshot()["counters"]
+        assert counters["frontend.retries"] == counters["frontend.completed"] == 1
+        assert counters.get("frontend.failed", 0) == 0
+
+    def test_drain_runs_backoffs_at_once_and_keeps_the_heartbeat(self):
+        beats, ran, beat_after_drain = [], [], threading.Event()
+
+        def heartbeat():
+            beats.append(None)
+            if ran:
+                beat_after_drain.set()
+
+        timer = _Timer(heartbeat=heartbeat, every_s=0.001)
+        try:
+            timer.call_at(time.monotonic() + 60.0, lambda: ran.append("late"))
+            timer.call_at(time.monotonic() + 30.0, lambda: ran.append("early"))
+            timer.drain()
+            assert ran == ["early", "late"]  # in instant order, on this thread
+            timer.call_at(time.monotonic() + 60.0, lambda: ran.append("after"))
+            assert ran == ["early", "late", "after"]  # armed while draining: at once
+            assert beat_after_drain.wait(timeout=5.0)
+        finally:
+            timer.close()
+        assert not timer._thread.is_alive() and timer._heap == []
 
 
 class TestCloseReleasesTheFrontend:

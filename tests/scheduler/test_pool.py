@@ -5,7 +5,7 @@ import pytest
 
 from repro.models import build_model
 from repro.runtime.monitor import HeartbeatMonitor
-from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable, wait_for_ejection
+from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable
 from repro.utils import make_rng
 from repro.utils.config import Config
 
@@ -132,11 +132,6 @@ class TestHealth:
     def test_monitors_are_the_shared_heartbeat_monitor(self, pool):
         assert all(isinstance(m, HeartbeatMonitor) for m in pool.monitors)
 
-    def test_wait_for_ejection_observes_kill(self, pool):
-        pool.replicas[2].kill()
-        ejected = wait_for_ejection(pool, timeout_s=2.0)
-        assert [r.index for r in ejected] == [2]
-
     def test_report_failure_is_idempotent(self, pool):
         pool.replicas[0].kill()
         pool.report_failure(pool.replicas[0])
@@ -162,8 +157,8 @@ class TestRespawn:
 
     def test_adopt_returns_the_replica_to_routing(self, pool):
         pool.replicas[2].kill()
-        ejected = wait_for_ejection(pool, timeout_s=2.0)
-        assert [r.index for r in ejected] == [2]
+        assert pool.check_health() == []  # one miss: not declared yet
+        assert pool.check_health() == [pool.replicas[2]]
         fresh = pool.spawn_replica(2)
         replaced = pool.adopt(2, fresh)
         assert replaced is fresh  # thread backend: same object, revived

@@ -17,7 +17,7 @@ from repro.nn.plan import InferencePlan, compile_width_plans
 from repro.nn.shm import list_segments, unlink_created_segments
 from repro.scheduler.admission import SLA
 from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
-from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable, wait_for_ejection
+from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable
 from repro.scheduler import procpool
 from repro.scheduler.procpool import (
     ProcessReplica,
@@ -387,6 +387,36 @@ class TestBoot:
             pool.close()
         assert list_segments("r") == rings_before
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"primes": {"lower25": 0.001}}, {"primes": {"lower25": "fast"}, "packs": 0}],
+        ids=["missing-packs", "non-numeric-prime"],
+    )
+    def test_malformed_pong_closes_the_worker_and_its_ring(self, model, monkeypatch, fields):
+        import multiprocessing
+
+        from repro.comm.message import Message, MessageKind
+
+        pool = ReplicaPool(model, 1, backend="process")
+        children = {p.pid for p in multiprocessing.active_children()}
+        segments = list_segments()
+        try:
+            monkeypatch.setattr(
+                TransportEndpoint,
+                "pong",
+                lambda self, timeout=1.0: Message(MessageKind.PONG, fields=dict(fields)),
+            )
+            for spawn in (
+                lambda: make_process_replicas(model, 2),
+                lambda: pool.spawn_replica(0),
+            ):
+                with pytest.raises(ReplicaUnavailable, match="did not come up"):
+                    spawn()
+                assert {p.pid for p in multiprocessing.active_children()} == children
+                assert list_segments() == segments
+        finally:
+            pool.close()
+
 
 class TestPoolIntegration:
     def test_pool_backend_process_shares_one_weight_segment(self, model):
@@ -419,8 +449,9 @@ class TestPoolIntegration:
         )
         try:
             os.kill(pool.replicas[1]._proc.pid, signal.SIGKILL)
-            ejected = wait_for_ejection(pool, timeout_s=5.0)
-            assert [r.index for r in ejected] == [1]
+            pool.replicas[1]._proc.join(timeout=5.0)  # dead and reaped: ping says so
+            assert pool.check_health() == []  # one miss: not declared yet
+            assert pool.check_health() == [pool.replicas[1]]
             assert [r.index for r in pool.healthy()] == [0]
         finally:
             pool.close()
