@@ -5,19 +5,18 @@ The serving workload — micro-batches at every certified sub-network width
 :class:`~repro.engine.session.InferenceSession` path (per-call
 slice/cast/allocate) and through compiled
 :class:`~repro.nn.plan.InferencePlan` objects, once per **convolution
-backend** (``im2col`` / ``shifted-gemm``).  Each (width, batch) cell runs
-on a plan compiled for exactly that many rows: a backend's compute extent
-is the rung, so timing one row on a 16-row plan measures the other fifteen.
+backend** (``im2col`` / ``shifted-gemm``).  Every (width, batch) cell runs
+on the one plan per width the frontend serves with, compiled for the
+largest batch: a run's work follows its live rows either way.
 Reported: per-(backend, width, batch) rows/s, per-backend overall speedup
-over eager, the shifted-vs-default ratio at the widest width,
-tracemalloc steady-state allocations, and the batch-rows ladder's per-rung
-arena footprint.
+over eager, the shifted-vs-default ratio at the widest width, and
+tracemalloc steady-state allocations.
 
 This is the one measurement ``benchmarks/e2e`` does not make (it times the
 default backend only), and the one ROADMAP item 3 still needs — where
 shifted-GEMM crosses over im2col.  Nothing here is gated or committed:
-the equality contracts, the allocation budget, rung dispatch and the eager
-fallback are tier-1's (``tests/nn/test_plan.py``,
+the equality contracts, the allocation budget, the live-row extent and the
+eager fallback are tier-1's (``tests/nn/test_plan.py``,
 ``tests/nn/test_conv_backends.py``).  Run directly to print the grid and
 write it, env-stamped, to ``benchmarks/out/plan.json``::
 
@@ -37,7 +36,7 @@ import tracemalloc
 from common import fluid_model, write_out
 from repro.engine.session import InferenceSession
 from repro.nn.functional import CONV_BACKENDS
-from repro.nn.plan import compile_plan_ladder, compile_width_plans
+from repro.nn.plan import compile_width_plans
 from repro.utils import make_rng
 from repro.utils.dtypes import DtypePolicy, dtype_policy
 
@@ -93,16 +92,13 @@ def run_plan_comparison(
             for key, x in inputs.items()
         }
         for backend in backends:
-            plans = {
-                batch: compile_width_plans(
-                    model, list(WIDTHS), batch_rows=batch, conv_backend=backend
-                )
-                for batch in batches
-            }
+            plans = compile_width_plans(
+                model, list(WIDTHS), batch_rows=top, conv_backend=backend
+            )
             grid = []
             eager_total = plan_total = 0.0
             for (width, batch), x in inputs.items():
-                plan_rps = _throughput(plans[batch][width].run, x, iters)
+                plan_rps = _throughput(plans[width].run, x, iters)
                 e_rps = eager_rps[(width, batch)]
                 eager_total += iters * batch / e_rps
                 plan_total += iters * batch / plan_rps
@@ -116,21 +112,16 @@ def run_plan_comparison(
                     }
                 )
             report["backends"][backend] = {
-                "exact": plans[top][WIDEST].exact,
+                "exact": plans[WIDEST].exact,
                 "grid": grid,
                 "speedup_overall": eager_total / plan_total,
                 "alloc_bytes_per_request": _alloc_per_request(
-                    plans[top][WIDEST].run, inputs[(WIDEST, top)]
+                    plans[WIDEST].run, inputs[(WIDEST, top)]
                 ),
             }
         report["eager_alloc_bytes_per_request"] = _alloc_per_request(
             sessions[WIDEST].run, inputs[(WIDEST, top)]
         )
-        ladder = compile_plan_ladder(model, WIDEST, batch_rows=top)
-        report["ladder"] = {
-            "rungs": [r.batch_rows for r in ladder.rungs],
-            "arena_bytes_per_rung": ladder.arena_nbytes(),
-        }
     if {"im2col", "shifted-gemm"} <= set(report["backends"]):
         widest_top = {
             backend: next(
@@ -163,11 +154,6 @@ def print_report(report: dict) -> None:
     ratio = report.get("shifted_vs_default_widest")
     if ratio is not None:
         print(f"shifted-gemm vs default plan at {WIDEST}: {ratio:.2f}x")
-    arenas = ", ".join(
-        f"{rows}: {nbytes / 1024:.0f}KiB"
-        for rows, nbytes in report["ladder"]["arena_bytes_per_rung"].items()
-    )
-    print(f"ladder rungs {report['ladder']['rungs']} arena bytes {{{arenas}}}")
 
 
 def main(argv=None) -> int:

@@ -78,12 +78,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "default) or shifted-gemm (fastest at wide widths; allclose, not bitwise)",
     )
     parser.add_argument(
-        "--rows-ladder", default=None, metavar="R1,R2,...",
-        help="comma-separated batch-row rungs (e.g. 1,4,16): compile a plan "
-        "ladder per width so small flushes run on small arenas; the top rung "
-        "is always the batch ceiling",
-    )
-    parser.add_argument(
         "--replica-backend", choices=("thread", "process"), default=None,
         help="what a replica is: thread (shared interpreter) or process "
         "(forked workers over shared-memory weights, GIL-free)",
@@ -302,21 +296,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_rows_ladder(spec: Optional[str]):
-    """``"1,4,16"`` -> ``(1, 4, 16)``; None passes through."""
-    if spec is None:
-        return None
-    try:
-        rungs = tuple(int(r) for r in spec.split(","))
-    except ValueError as exc:
-        raise SystemExit(
-            f"bad --rows-ladder {spec!r} (expected comma-separated ints)"
-        ) from exc
-    if not rungs or any(r <= 0 for r in rungs):
-        raise SystemExit("--rows-ladder rungs must be positive")
-    return rungs
-
-
 def config_from_args(args, defaults=None):
     """Build the :class:`SchedulerConfig` a replay serves with.
 
@@ -350,8 +329,6 @@ def config_from_args(args, defaults=None):
         mapping["max_delay_s"] = args.max_delay_ms / 1000.0
     if args.conv_backend is not None:
         mapping["conv_backend"] = args.conv_backend
-    if args.rows_ladder is not None:
-        mapping["rows_ladder"] = list(_parse_rows_ladder(args.rows_ladder))
     if args.replica_backend is not None:
         mapping["replica_backend"] = args.replica_backend
     try:

@@ -21,12 +21,11 @@ Sessions must be created before concurrent serving begins: construction
 flips the model to eval mode (idempotent), which is the only shared-state
 write in the session lifecycle.
 
-A session may carry a compiled :class:`~repro.nn.plan.InferencePlan` (or
-a :class:`~repro.nn.plan.PlanLadder` of row-ceiling rungs — the two duck
-as one): requests the plan accepts (matching shape, batch fits the arena,
-active dtype policy matches the compiled dtype) run allocation-free
-through the plan's workspace pool; everything else falls back to the
-eager path.  Plan and eager outputs are bitwise identical for the exact
+A session may carry a compiled :class:`~repro.nn.plan.InferencePlan`:
+requests the plan accepts (matching shape, batch fits the arena, active
+dtype policy matches the compiled dtype) run allocation-free through the
+plan's workspace pool, computing over the batch's rows only; everything
+else falls back to the eager path.  Plan and eager outputs are bitwise identical for the exact
 conv backends (``plan.exact``); the opt-in ``shifted-gemm`` backend is
 allclose within :data:`~repro.nn.functional.SHIFTED_GEMM_TOLERANCE`.
 """

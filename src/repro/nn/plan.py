@@ -37,22 +37,17 @@ Convolution lowering is **pluggable** (``conv_backend``):
   whose valid pixels are a strided view.  **Relaxed equality**: the GEMM
   reduction is re-associated across kernel columns, so outputs are
   allclose, not bitwise-equal, to the eager path (``plan.exact`` is
-  False).  Stride-1 convolutions only, and the compute extent is fixed at
-  ``batch_rows`` (smaller batches pay the full-extent GEMMs — pair it
-  with a :class:`PlanLadder` so batches land on a matching rung).
+  False).  Stride-1 convolutions only.
 
-On top sits the **batch-rows ladder**: :func:`compile_plan_ladder` builds
-a :class:`PlanLadder` of row-ceiling rungs (e.g. 1/4/16) per width, all
-sharing one :class:`PackedWeightCache`; each request batch runs on the
-smallest rung that fits, so arena memory and (for shifted-GEMM) compute
-extent track the traffic's actual batch sizes instead of the worst case.
-Every rung of a ladder uses the same conv lowering: which one is a
-plan-wide choice between bitwise-exact and fastest.
+Either way a plan's work follows the batch: a run of ``n`` rows computes
+over the leading ``n`` rows of arenas sized for ``batch_rows``, so one
+plan per width serves every batch size up to its ceiling, and the
+lowering is a plan-wide choice between bitwise-exact and fastest.
 
 Plans are immutable after compile and safe for concurrent use: all
 per-request state lives in the checked-out workspace, and the packed
 cache is lock-protected (many plans may share one cache — the serving
-frontend compiles one plan/ladder per width over a single shared cache).
+frontend compiles one plan per width over a single shared cache).
 """
 
 from __future__ import annotations
@@ -69,11 +64,6 @@ from repro.slimmable.sliced_conv import SlicedConv2d
 from repro.slimmable.sliced_linear import SlicedLinear
 from repro.slimmable.spec import ChannelSlice, SubNetSpec
 from repro.utils.dtypes import compute_dtype
-
-#: Default batch-row ceilings for :func:`compile_plan_ladder` (the top
-#: rung is always the caller's ``batch_rows``; these seed the smaller rungs).
-DEFAULT_ROWS_LADDER = (1, 4, 16)
-
 
 class PackedWeightCache:
     """Contiguous compute-dtype copies of active weight sub-blocks.
@@ -222,6 +212,9 @@ class _ShiftedStep:
     Activations flow channel-major: every ``src``/``dst`` arena is a
     flattened ``(C, rows*Hp*Wp + tail)`` padded buffer whose per-image
     blocks are contiguous, so each offset operand is a whole-row slice.
+    Arenas are sized for ``rows = batch_rows``; a run of ``n`` rows uses
+    C-contiguous leading ``n*Hp*Wp``-column views of ``panel``, ``wide``
+    and ``scratch``.
     """
 
     layer: SlicedConv2d
@@ -260,6 +253,12 @@ def _flat_interior(
     if padding == 0:
         return view
     return view[:, :, padding : padding + h, padding : padding + w]
+
+
+def _leading(buf: np.ndarray, cols: int) -> np.ndarray:
+    """C-contiguous ``(C, cols)`` view of a ``(C, L)`` buffer's first bytes."""
+    c = buf.shape[0]
+    return buf.reshape(-1)[: c * cols].reshape(c, cols)
 
 
 def conv_block_into(
@@ -347,9 +346,8 @@ class InferencePlan:
         when ``width`` is omitted), or a model family plus a subnet name.
         ``dtype`` defaults to the active policy's inference dtype;
         ``batch_rows`` is the widest batch the plan's arenas can hold —
-        smaller requests run in leading-row views of the same buffers
-        (``shifted-gemm`` computes the full extent regardless — see the
-        module docs).  ``conv_backend`` picks the convolution lowering.
+        smaller requests compute over leading-row views of the same
+        buffers.  ``conv_backend`` picks the convolution lowering.
         """
         F.check_conv_backend(conv_backend)
         if batch_rows <= 0:
@@ -555,9 +553,8 @@ class InferencePlan:
             src = f"in{i}"
             # Padding borders and the inter-image tail are never written, so
             # they stay zero forever.  Interior rows beyond a smaller batch
-            # are NOT re-zeroed — they hold a previous request's activations,
-            # whose outputs are computed at full extent and discarded (the
-            # valid result is always sliced to the live row count).
+            # are NOT re-zeroed: they hold an earlier batch's activations,
+            # which no valid pixel of the live rows reads.
             buffers.append(BufferSpec(src, (in_c, length + tail), dt, zeroed=True))
             buffers.append(
                 BufferSpec(f"panel{i}", (in_c * k, length), dt, live=(conv_at, conv_at))
@@ -709,48 +706,48 @@ class InferencePlan:
     def _execute_shifted(
         self, ws: Workspace, parts: Sequence[np.ndarray], n: int
     ) -> np.ndarray:
-        rows = self.batch_rows  # fixed compute extent (see module docs)
         first = self._steps[0]
         src = ws[first.src]
-        interior = _flat_interior(src, rows, first.padding, first.in_hw)
+        interior = _flat_interior(src, n, first.padding, first.in_hw)
         offset = 0
         for part in parts:
             k = part.shape[0]
-            # Channel-major scatter; rows beyond n keep whatever a previous
-            # request left — their outputs are computed and discarded.
             np.copyto(interior[:, offset : offset + k], part.transpose(1, 0, 2, 3))
             offset += k
 
+        # Every GEMM spans the n live images' n*Hp*Wp columns.  A valid pixel
+        # of image i < n reads only flattened positions below (i+1)*Hp*Wp, so
+        # rows an earlier, larger batch left behind feed discarded pixels only.
         x = src
         final = None
         for step in self._steps:
             hp, wp = step.padded_hw
             out_h, out_w = step.out_hw
+            length = n * hp * wp
             w_panels, bias = self.cache.conv_panels(
                 step.layer, step.in_slice, step.out_slice, self.dtype
             )
             wide = F.shifted_gemm_conv(
-                x, w_panels, ws[step.panel], ws[step.wide], ws[step.scratch],
+                x, w_panels, _leading(ws[step.panel], length),
+                _leading(ws[step.wide], length), _leading(ws[step.scratch], length),
                 step.kernel, wp,
             )
-            valid = wide.reshape(step.out_slice.width, rows, hp, wp)[
-                :, :, :out_h, :out_w
-            ]
+            valid = wide.reshape(step.out_slice.width, n, hp, wp)[:, :, :out_h, :out_w]
             if step.pool is not None:
-                act = ws[step.act]
+                act = ws[step.act][:, :n]
                 F.bias_act_into(valid, bias, act)
                 pk, ps, pooled_hw = step.pool
-                dst = _flat_interior(ws[step.dst], rows, step.dst_padding, pooled_hw)
+                dst = _flat_interior(ws[step.dst], n, step.dst_padding, pooled_hw)
                 F.maxpool2d_into(act, pk, ps, dst)
                 x = ws[step.dst]
                 final = dst if step.dst.startswith("pool") else None
             elif step.act is not None:
-                act = ws[step.act]
+                act = ws[step.act][:, :n]
                 F.bias_act_into(valid, bias, act)
                 x = act
                 final = act
             else:
-                dst = _flat_interior(ws[step.dst], rows, step.dst_padding, step.out_hw)
+                dst = _flat_interior(ws[step.dst], n, step.dst_padding, step.out_hw)
                 F.bias_act_into(valid, bias, dst)
                 x = ws[step.dst]
 
@@ -759,7 +756,7 @@ class InferencePlan:
         c = final.shape[0]
         np.copyto(
             feat.reshape(n, c, final.shape[2], final.shape[3]),
-            final[:, :n].transpose(1, 0, 2, 3),
+            final.transpose(1, 0, 2, 3),
         )
         return self._classify(ws, feat, n)
 
@@ -790,148 +787,6 @@ class InferencePlan:
         )
 
 
-class PlanLadder:
-    """A ladder of row-ceiling rungs for one ``(width, dtype, backend)``.
-
-    Each rung is an :class:`InferencePlan` compiled at one ``batch_rows``
-    ceiling; all rungs share one weight store and one
-    :class:`PackedWeightCache`, so the ladder costs extra *arena* memory
-    only — and the small rungs' arenas are tiny.  :meth:`run` /
-    :meth:`run_parts` dispatch each batch to the **smallest rung that
-    fits**, so mostly-small traffic touches mostly-small arenas (and, for
-    the shifted-GEMM backend, pays a matching compute extent instead of
-    the top rung's).  Ducks as a plan: the serving stack
-    (:class:`~repro.engine.session.InferenceSession`, replicas, the
-    frontend) treats ladders and single plans interchangeably.
-
-    Every rung shares the width, dtype, conv backend and weight store, so
-    the ladder's ``exact`` is any one rung's.
-    """
-
-    def __init__(self, plans: Sequence[InferencePlan]) -> None:
-        if not plans:
-            raise ValueError("PlanLadder needs at least one rung")
-        rungs = sorted(plans, key=lambda p: p.batch_rows)
-        head = rungs[0]
-        for plan in rungs[1:]:
-            if (
-                plan.width != head.width
-                or plan.dtype != head.dtype
-                or plan.conv_backend != head.conv_backend
-                or plan.net is not head.net
-            ):
-                raise ValueError(
-                    "ladder rungs must share width, dtype, conv backend and weight store"
-                )
-        if len({p.batch_rows for p in rungs}) != len(rungs):
-            raise ValueError("ladder rungs must have distinct batch_rows")
-        self.rungs: Tuple[InferencePlan, ...] = tuple(rungs)
-        self.net = head.net
-        self.width = head.width
-        self.dtype = head.dtype
-        self.conv_backend = head.conv_backend
-        self.cache = head.cache
-
-    @property
-    def exact(self) -> bool:
-        return self.rungs[0].exact
-
-    @property
-    def batch_rows(self) -> int:
-        """The top rung's ceiling — the largest batch the ladder serves."""
-        return self.rungs[-1].batch_rows
-
-    def rung_for(self, rows: int) -> Optional[InferencePlan]:
-        """The smallest rung whose arena holds ``rows`` (None when none does)."""
-        for plan in self.rungs:
-            if rows <= plan.batch_rows:
-                return plan
-        return None
-
-    def accepts(self, x: np.ndarray) -> bool:
-        return self.rungs[-1].accepts(x)
-
-    def accepts_parts(self, parts: Sequence[np.ndarray]) -> bool:
-        return self.rungs[-1].accepts_parts(parts)
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        plan = self.rung_for(x.shape[0]) if x.ndim >= 1 else None
-        if plan is None:
-            raise ValueError(
-                f"{x.shape[0]} rows exceed the ladder's top rung ({self.batch_rows})"
-            )
-        return plan.run(x)
-
-    def run_parts(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        rows = sum(p.shape[0] for p in parts)
-        plan = self.rung_for(rows)
-        if plan is None:
-            raise ValueError(
-                f"{rows} rows exceed the ladder's top rung ({self.batch_rows})"
-            )
-        return plan.run_parts(parts)
-
-    def flops_per_image(self) -> int:
-        return self.rungs[-1].flops_per_image()
-
-    def arena_nbytes(self) -> Dict[int, int]:
-        """Per-rung workspace footprint in bytes (one workspace each)."""
-        return {
-            p.batch_rows: p.workspaces.workspace_nbytes for p in self.rungs
-        }
-
-    def __repr__(self) -> str:
-        rows = "/".join(str(p.batch_rows) for p in self.rungs)
-        return (
-            f"PlanLadder({self.width}, rows={rows}, dtype={self.dtype.name}, "
-            f"backend={self.conv_backend})"
-        )
-
-
-def normalize_rows_ladder(
-    rows_ladder: Sequence[int], batch_rows: int
-) -> Tuple[int, ...]:
-    """Sorted unique rungs capped at ``batch_rows``, top rung included.
-
-    Rungs above the ceiling are dropped (not clamped) and the ceiling
-    itself is always a rung, so every admissible batch has a home and no
-    arena is larger than the caller's budget.
-    """
-    if batch_rows <= 0:
-        raise ValueError("batch_rows must be positive")
-    rungs = sorted({int(r) for r in rows_ladder if 0 < int(r) < batch_rows})
-    return tuple(rungs) + (batch_rows,)
-
-
-def compile_plan_ladder(
-    model,
-    width: Union[str, SubNetSpec, None] = None,
-    *,
-    batch_rows: int,
-    rows_ladder: Sequence[int] = DEFAULT_ROWS_LADDER,
-    dtype: Optional[np.dtype] = None,
-    cache: Optional[PackedWeightCache] = None,
-    workspaces: int = 1,
-    conv_backend: str = "im2col",
-) -> PlanLadder:
-    """Compile one :class:`PlanLadder` (see there) for a single width."""
-    if cache is None:
-        cache = PackedWeightCache()
-    plans = [
-        InferencePlan.compile(
-            model,
-            width,
-            batch_rows=rows,
-            dtype=dtype,
-            cache=cache,
-            workspaces=workspaces,
-            conv_backend=conv_backend,
-        )
-        for rows in normalize_rows_ladder(rows_ladder, batch_rows)
-    ]
-    return PlanLadder(plans)
-
-
 def compile_width_plans(
     model,
     widths: Sequence[Union[str, SubNetSpec]],
@@ -941,9 +796,8 @@ def compile_width_plans(
     cache: Optional[PackedWeightCache] = None,
     workspaces: int = 1,
     conv_backend: str = "im2col",
-    rows_ladder: Optional[Sequence[int]] = None,
-) -> Dict[str, Union[InferencePlan, PlanLadder]]:
-    """One plan (or, with ``rows_ladder``, one ladder) per width.
+) -> Dict[str, InferencePlan]:
+    """One plan per width.
 
     The serving frontend's bulk entry point: all plans alias one weight
     store and one :class:`PackedWeightCache`, so N widths cost N arena
@@ -951,28 +805,16 @@ def compile_width_plans(
     """
     if cache is None:  # an empty cache is falsy (len 0) — test identity
         cache = PackedWeightCache()
-    plans: Dict[str, Union[InferencePlan, PlanLadder]] = {}
+    plans: Dict[str, InferencePlan] = {}
     for width in widths:
-        if rows_ladder is not None:
-            plan: Union[InferencePlan, PlanLadder] = compile_plan_ladder(
-                model,
-                width,
-                batch_rows=batch_rows,
-                rows_ladder=rows_ladder,
-                dtype=dtype,
-                cache=cache,
-                workspaces=workspaces,
-                conv_backend=conv_backend,
-            )
-        else:
-            plan = InferencePlan.compile(
-                model,
-                width,
-                batch_rows=batch_rows,
-                dtype=dtype,
-                cache=cache,
-                workspaces=workspaces,
-                conv_backend=conv_backend,
-            )
+        plan = InferencePlan.compile(
+            model,
+            width,
+            batch_rows=batch_rows,
+            dtype=dtype,
+            cache=cache,
+            workspaces=workspaces,
+            conv_backend=conv_backend,
+        )
         plans[plan.width] = plan
     return plans

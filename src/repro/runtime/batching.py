@@ -136,10 +136,7 @@ class MicroBatchQueue:
         # run_batch_parts receives the per-request arrays unconcatenated
         # (stacked row order preserved) — a compiled-plan backend scatters
         # them straight into its input arena, skipping the np.concatenate
-        # temporary this queue would otherwise build per flush.  With a
-        # PlanLadder backend the flush's total row count also picks the
-        # smallest arena rung, so deadline flushes of one or two requests
-        # never touch the max_batch-sized buffers.
+        # temporary this queue would otherwise build per flush.
         self.run_batch_parts = run_batch_parts
         # Called on the collector thread with ([tags...], total_rows)
         # immediately before each batched forward — the hook tracing uses

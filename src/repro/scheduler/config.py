@@ -12,8 +12,9 @@ once the simulator models hedges.  What no caller varies is a constant
 where it is used: the hedge instant's factor and floor
 (``frontend.HEDGE_FACTOR`` / ``HEDGE_MIN_S``), plan compilation and its
 workspaces, and the supervisor's backoff and restart budget
-(``ReplicaSupervisor``'s defaults).  A plan ladder has one conv lowering,
-``conv_backend``, on every rung.
+(``ReplicaSupervisor``'s defaults).  Each width compiles one plan of
+``max_batch`` rows whose work follows the flush's live rows, lowered by
+``conv_backend``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from repro.scheduler.admission import SLA
 #: Version of the flat :meth:`SchedulerConfig.to_mapping` wire format.
 #: Bump when a knob is renamed or its meaning changes; ``from_mapping``
 #: refuses mappings stamped with a *newer* version than it understands.
-#: Version 2 dropped nine knobs no caller set; a full version-1 dump names
-#: them and fails as unknown keys.
-CONFIG_MAPPING_VERSION = 2
+#: Version 2 dropped nine knobs no caller set, version 3 the batch-rows
+#: ladder; a full dump of an older version names them and fails as unknown
+#: keys.
+CONFIG_MAPPING_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,6 @@ class SchedulerConfig:
     max_batch: int = 16
     max_delay_s: float = 0.001  # longest a request with company waits for batch-mates
     conv_backend: str = "im2col"  # plan convolution lowering (see nn.functional.CONV_BACKENDS)
-    rows_ladder: Optional[Tuple[int, ...]] = None  # e.g. (1, 4, 16): compile a
-    # PlanLadder per width so small flushes run on small arenas (the top rung
-    # is always max_batch); None keeps one max_batch-rows plan per width.
     replica_backend: str = "thread"  # "thread" shares one interpreter;
     # "process" forks GIL-free workers over shared-memory weights
     # (see repro.scheduler.procpool).
@@ -70,10 +69,6 @@ class SchedulerConfig:
         if self.replica_backend not in ("thread", "process"):
             raise ValueError(f"unknown replica backend {self.replica_backend!r}")
         F.check_conv_backend(self.conv_backend)
-        if self.rows_ladder is not None and (
-            len(self.rows_ladder) == 0 or any(r <= 0 for r in self.rows_ladder)
-        ):
-            raise ValueError("rows_ladder must be a non-empty tuple of positive ints")
         if not 0.0 <= self.hedge_ratio <= 1.0:
             raise ValueError("hedge_ratio must be in [0, 1]")
         if self.max_delay_s < 0:
@@ -103,7 +98,6 @@ class SchedulerConfig:
             f.name: getattr(self, f.name) for f in fields(self) if f.name not in attrs
         }
         mapping["version"] = CONFIG_MAPPING_VERSION
-        mapping["rows_ladder"] = list(self.rows_ladder) if self.rows_ladder else None
         for prefix, (attr, _) in nested.items():
             value = getattr(self, attr)
             if prefix != "sla":
@@ -143,9 +137,7 @@ class SchedulerConfig:
         unknown = []
         for key, value in data.items():
             prefix, _, knob = key.partition(".")
-            if key == "rows_ladder":
-                kwargs[key] = tuple(value) if value is not None else None
-            elif key in flat:
+            if key in flat:
                 kwargs[key] = value
             elif knob in nested_knobs.get(prefix, ()):
                 knobs[prefix][knob] = value

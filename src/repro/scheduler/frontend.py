@@ -34,7 +34,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, InvalidStateError
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ import numpy as np
 # ``from __future__ import annotations``).
 import repro.faults.policy as fault_policy
 import repro.faults.supervisor as fault_supervisor
-from repro.nn.plan import InferencePlan, PlanLadder, compile_width_plans
+from repro.nn.plan import InferencePlan, compile_width_plans
 from repro.runtime.batching import BatchingConfig, DeadlineExceeded, MicroBatchQueue
 from repro.scheduler import core
 from repro.scheduler.admission import (
@@ -251,24 +251,22 @@ class ServingFrontend:
         net = getattr(model, "net", model)
         if candidates is None:
             candidates = self._default_candidates(model, net)
-        # One compiled plan — or, with ``rows_ladder``, one PlanLadder of
-        # row-ceiling rungs — per allowed width, all over a single shared
+        # One compiled plan per allowed width, all over a single shared
         # packed-weight cache: the per-request resolve/cast/allocate work
         # vanishes from the hot path, and the replicas share the plans
-        # (workspace checkout isolates concurrent requests).  A ladder
-        # dispatches each flush to the smallest rung that fits, so mostly-
-        # small traffic touches mostly-small arenas.  ``conv_backend``
-        # selects the convolution lowering for every compiled width.
+        # (workspace checkout isolates concurrent requests).  A plan sized
+        # for ``max_batch`` rows computes a smaller flush over its leading
+        # rows only.  ``conv_backend`` selects the convolution lowering for
+        # every compiled width.
         # Process workers inherit these plans through ``fork``; the parent
         # never runs them, so there they are compiled without an arena.
         process_backend = self.config.replica_backend == "process"
-        self.plans: Dict[str, Union[InferencePlan, PlanLadder]] = compile_width_plans(
+        self.plans: Dict[str, InferencePlan] = compile_width_plans(
             model,
             list(candidates),
             batch_rows=self.config.max_batch,
             workspaces=0 if process_backend else 1,
             conv_backend=self.config.conv_backend,
-            rows_ladder=self.config.rows_ladder,
         )
         self.policy = WidthPolicy(
             net,
@@ -528,24 +526,17 @@ class ServingFrontend:
             return self._queues[key]
 
     def _execution_info(self, width: str, parts: Sequence[np.ndarray]) -> Dict[str, object]:
-        """How this flush actually executed: plan rung, eager fallback, backend."""
+        """How this flush actually executed: plan or eager fallback, backend."""
         rows = sum(int(p.shape[0]) for p in parts)
         plan = self.plans[width]  # every candidate width has one
-        ladder = isinstance(plan, PlanLadder)
-        rung = None
-        if plan.accepts_parts(parts):
-            rung = plan.rung_for(rows) if ladder else plan
-        if rung is None:
+        if not plan.accepts_parts(parts):
             return {"mode": "eager", "rows": rows}
-        info = {
+        return {
             "mode": "plan",
             "rows": rows,
-            "plan_rows": rung.batch_rows,
-            "conv_backend": rung.conv_backend,
+            "plan_rows": plan.batch_rows,
+            "conv_backend": plan.conv_backend,
         }
-        if ladder:
-            info["ladder"] = True
-        return info
 
     def _dispatch(
         self,

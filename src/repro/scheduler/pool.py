@@ -41,12 +41,11 @@ class Replica:
     """One serving endpoint: per-width sessions over shared weights.
 
     ``plans`` maps width names to compiled
-    :class:`~repro.nn.plan.InferencePlan` (or
-    :class:`~repro.nn.plan.PlanLadder`) objects; a width with a plan
+    :class:`~repro.nn.plan.InferencePlan` objects; a width with a plan
     serves through the allocation-free compiled path (plans are immutable
     and thread-safe, so all replicas share one plan per width — workspace
-    isolation happens inside the plan's pool, and a ladder additionally
-    lands each flush on the smallest row-ceiling rung that fits it).
+    isolation happens inside the plan's pool, and a flush computes over
+    its own rows only, whatever the plan's ceiling).
     """
 
     def __init__(self, index: int, model, plans: Optional[Dict[str, object]] = None) -> None:

@@ -261,24 +261,45 @@ def write_trace(
     return target
 
 
+def parse_json(text: str, source: object) -> object:
+    """``json.loads`` whose error is a ``ValueError`` naming ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: not valid JSON ({exc})") from None
+
+
+def check_header(header: object, source: object, fmt: str, supported: int) -> None:
+    """Refuse anything but a ``fmt`` header object at a version this build reads.
+
+    The version must be an ``int`` (not a bool): a malformed one is
+    "invalid", and only a well-formed one above ``supported`` is "newer".
+    """
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ValueError(f"{source}: not a {fmt} artifact (header {header!r})")
+    version = header.get("version")
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise ValueError(f"{source}: invalid artifact version {version!r}")
+    if version > supported:
+        raise ValueError(
+            f"{source}: artifact version {version} is newer than this build "
+            f"understands ({supported})"
+        )
+
+
 def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     """Parse a trace artifact; returns ``(header, record_dicts)``.
 
-    Rejects unknown formats and future versions — a reader must never
-    silently misinterpret an artifact written by a newer layout.
+    Rejects unknown formats, malformed and future versions, and lines that
+    are not JSON, each with a ``ValueError`` naming the file — a reader
+    must never silently misinterpret an artifact written by a newer layout.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty trace artifact")
-    header = json.loads(lines[0])
-    if header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"{path}: not a {TRACE_FORMAT} artifact (header {header})")
-    if int(header.get("version", -1)) > TRACE_VERSION:
-        raise ValueError(
-            f"{path}: artifact version {header.get('version')} is newer than "
-            f"supported version {TRACE_VERSION}"
-        )
-    return header, [json.loads(line) for line in lines[1:] if line.strip()]
+    header = parse_json(lines[0], path)
+    check_header(header, path, TRACE_FORMAT, TRACE_VERSION)
+    return header, [parse_json(line, path) for line in lines[1:] if line.strip()]
 
 
 def read_specs(path: Union[str, Path]) -> Tuple[Dict[str, object], List[RequestSpec]]:

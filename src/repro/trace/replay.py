@@ -457,9 +457,8 @@ class TraceReplayer:
                 "respawn_delay_s": SIM_RESPAWN_DELAY_S if plan else None,
                 "brownout": view.brownout is not None,
             },
-            # Flushed-batch shape: {rows: count}, int keys.  The offline
-            # tuner seeds ladder rungs from this (a virtual-time stand-in
-            # for the live plane's BatchingStats.recent_batch_sizes).
+            # Flushed-batch shape: {rows: count}, int keys (a virtual-time
+            # stand-in for the live plane's BatchingStats.recent_batch_sizes).
             "batches": {
                 "count": sim.batches,
                 "rows": dict(

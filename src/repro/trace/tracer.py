@@ -2,7 +2,7 @@
 
 A :class:`Tracer` collects structured :class:`TraceEvent`\\ s describing
 what the serving control plane did to each request — submission,
-admission verdict, width decision, micro-batch membership, plan/rung
+admission verdict, width decision, micro-batch membership, plan or eager
 execution, hedges, reroutes, resolution — into a thread-safe bounded
 ring buffer.  The frontend decides *once per request* (deterministically,
 from the request id) whether the request is traced; untraced requests
@@ -39,7 +39,7 @@ EVENT_ADMISSION = "admission"      # admission verdict (admitted/reason)
 EVENT_WIDTH = "width"              # chosen width + predicted vs. budget
 EVENT_ENQUEUE = "enqueue"          # leg queued on a (replica, width) queue
 EVENT_BATCH = "batch"              # micro-batch membership (batch id, rows)
-EVENT_EXECUTE = "execute"          # plan/rung/eager execution of the batch
+EVENT_EXECUTE = "execute"          # plan or eager execution of the batch
 EVENT_HEDGE = "hedge"              # watchdog fired (or suppressed) a hedge
 EVENT_HEDGE_WON = "hedge_won"      # the hedge leg resolved the request
 EVENT_HEDGE_LOST = "hedge_lost"    # the primary beat its hedge

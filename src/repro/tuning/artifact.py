@@ -1,8 +1,9 @@
 """The ``repro-tuned-config`` artifact: a tuner run you can ship.
 
-Mirrors the trace artifact's versioning discipline
+Shares the trace artifact's versioning discipline and header check
 (:mod:`repro.trace.recorder`): a format tag plus an integer version in
-the header, foreign formats and newer versions rejected on read.  The
+the header; malformed JSON, foreign formats, invalid and newer versions
+are rejected on read with a ``ValueError`` naming the file.  The
 payload is the winner's full :meth:`SchedulerConfig.to_mapping` plus the
 provenance needed to audit (or byte-reproduce) the run: trace name,
 seed, fault plan, baseline-vs-tuned scores, stage sizes.
@@ -21,14 +22,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.scheduler.frontend import SchedulerConfig
+from repro.trace.recorder import check_header, parse_json
 from repro.tuning.tuner import TuningResult
 
 TUNED_CONFIG_FORMAT = "repro-tuned-config"
-#: Version 2 dropped the ``derived`` block; its ``config`` is a version-2
-#: :meth:`SchedulerConfig.to_mapping`.
+#: Version 2 dropped the ``derived`` block.  Its ``config`` block is a
+#: :meth:`SchedulerConfig.to_mapping` stamped with its own
+#: ``CONFIG_MAPPING_VERSION``, which ``from_mapping`` checks, so a config
+#: schema change leaves this version alone.
 TUNED_CONFIG_VERSION = 2
 
 
@@ -62,25 +66,11 @@ def write_tuned_config(path: Union[str, Path], result: TuningResult) -> Path:
     return path
 
 
-def _check_header(data: Dict[str, object], source: str) -> None:
-    if data.get("format") != TUNED_CONFIG_FORMAT:
-        raise ValueError(
-            f"{source}: not a {TUNED_CONFIG_FORMAT} artifact "
-            f"(format={data.get('format')!r})"
-        )
-    version = data.get("version")
-    if not isinstance(version, int) or version > TUNED_CONFIG_VERSION:
-        raise ValueError(
-            f"{source}: artifact version {version!r} is newer than this "
-            f"build understands ({TUNED_CONFIG_VERSION})"
-        )
-
-
 def read_tuned_config(path: Union[str, Path]) -> Dict[str, object]:
     """Load and validate a full artifact; returns the parsed payload."""
     path = Path(path)
-    data = json.loads(path.read_text())
-    _check_header(data, str(path))
+    data = parse_json(path.read_text(), path)
+    check_header(data, path, TUNED_CONFIG_FORMAT, TUNED_CONFIG_VERSION)
     if not isinstance(data.get("config"), dict):
         raise ValueError(f"{path}: artifact has no config mapping")
     return data
@@ -96,11 +86,11 @@ def load_config_mapping(path: Union[str, Path]) -> Dict[str, object]:
     decides which envelope the file used.
     """
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = parse_json(path.read_text(), path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
     if "format" in data:
-        _check_header(data, str(path))
+        check_header(data, path, TUNED_CONFIG_FORMAT, TUNED_CONFIG_VERSION)
         config = data.get("config")
         if not isinstance(config, dict):
             raise ValueError(f"{path}: artifact has no config mapping")

@@ -1,15 +1,8 @@
-"""Thin logging facade.
-
-Keeps a single namespaced logger hierarchy (``repro.*``) and a default
-formatter that is quiet under test but informative in examples.
-"""
+"""Thin logging facade: a single namespaced logger hierarchy (``repro.*``)."""
 
 from __future__ import annotations
 
 import logging
-import sys
-
-_CONFIGURED = False
 
 
 def get_logger(name: str) -> logging.Logger:
@@ -17,17 +10,3 @@ def get_logger(name: str) -> logging.Logger:
     if not name.startswith("repro"):
         name = f"repro.{name}"
     return logging.getLogger(name)
-
-
-def configure(level: int = logging.INFO, stream=None) -> None:
-    """Install a basic handler on the ``repro`` root logger (idempotent)."""
-    global _CONFIGURED
-    root = logging.getLogger("repro")
-    if _CONFIGURED:
-        root.setLevel(level)
-        return
-    handler = logging.StreamHandler(stream or sys.stderr)
-    handler.setFormatter(logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s", "%H:%M:%S"))
-    root.addHandler(handler)
-    root.setLevel(level)
-    _CONFIGURED = True

@@ -148,8 +148,9 @@ class TestPlanBackendEquivalence:
         np.testing.assert_array_equal(split, whole)
 
     def test_shifted_smaller_batch_unpolluted_by_previous_rows(self, fluid_model):
-        """The fixed compute extent reuses arena rows beyond n; earlier
-        requests' rows must never leak into a later, smaller request."""
+        """Arena rows beyond n keep an earlier, larger request's rows (the
+        offset GEMMs' tail reads into them); they must never leak into a
+        later, smaller request."""
         rng = make_rng(10)
         plan = InferencePlan.compile(
             fluid_model, "lower25", batch_rows=4, conv_backend="shifted-gemm"

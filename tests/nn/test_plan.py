@@ -8,6 +8,8 @@ The load-bearing properties:
   interfere with nothing;
 * the steady-state hot path stays within a tiny allocation budget
   (tracemalloc-measured);
+* a run's work follows its live rows: one plan per width serves every
+  batch size up to its ceiling, and larger batches fall back to eager;
 * packed blocks refresh when an optimizer step bumps the parameter
   version counter.
 """
@@ -21,14 +23,8 @@ import pytest
 from repro.engine.session import InferenceSession
 from repro.models import build_model
 from repro.nn import SGD, ForwardContext
-from repro.nn.plan import (
-    InferencePlan,
-    PackedWeightCache,
-    PlanLadder,
-    compile_plan_ladder,
-    compile_width_plans,
-    normalize_rows_ladder,
-)
+from repro.nn import functional as F
+from repro.nn.plan import InferencePlan, PackedWeightCache, compile_width_plans
 from repro.utils import make_rng
 from repro.utils.dtypes import DtypePolicy, dtype_policy
 from repro.slimmable import paper_width_spec
@@ -126,7 +122,13 @@ class TestCompile:
         model = models["fluid"]
         plans = compile_width_plans(model, ["lower25", "lower100"], batch_rows=2)
         assert set(plans) == {"lower25", "lower100"}
-        assert plans["lower25"].cache is plans["lower100"].cache
+        cache = plans["lower25"].cache
+        assert plans["lower100"].cache is cache
+        # Same (layer, slices, dtype) keys: plans of another row ceiling
+        # over the same cache cost zero extra packs.
+        packs = cache.packs
+        compile_width_plans(model, ["lower25", "lower100"], batch_rows=16, cache=cache)
+        assert cache.packs == packs
 
     def test_oversized_request_rejected(self, models):
         plan = InferencePlan.compile(models["fluid"], "lower25", batch_rows=2)
@@ -244,7 +246,7 @@ class TestAllocationBudget:
 
     def test_shifted_gemm_stays_in_the_same_budget(self):
         """The allclose backend's rolling row panel lives in the arena too
-        (measured where it serves: the float32 policy, a full 16-row rung)."""
+        (measured where it serves: the float32 policy, a full 16-row batch)."""
         model = build_model("fluid", rng=make_rng(31))
         x = make_rng(32).standard_normal((16, 1, 28, 28))
         with dtype_policy(DtypePolicy.fast_inference()):
@@ -281,155 +283,72 @@ class TestAllocationBudget:
         assert plan_peak * 10 < eager_peak, (plan_peak, eager_peak)
 
 
-class TestPlanLadder:
-    """Batch-rows ladder: smallest fitting rung, shared cache, zero allocs."""
+class TestLiveRows:
+    """One plan per width serves every batch size up to its ceiling."""
+
+    ROWS = (16, 3, 1, 16, 7, 1, 2)  # shrinking after growing reuses stale rows
 
     @pytest.fixture(scope="class")
-    def ladder(self):
-        model = build_model("fluid", rng=make_rng(41))
-        return model, compile_plan_ladder(model, "lower50", batch_rows=16)
+    def model(self):
+        return build_model("fluid", rng=make_rng(41))
 
-    def test_default_rungs_and_ordering(self, ladder):
-        _, lad = ladder
-        assert [p.batch_rows for p in lad.rungs] == [1, 4, 16]
-        assert lad.batch_rows == 16
+    def test_shifted_gemm_runs_only_the_live_columns(self, model, monkeypatch):
+        plan = InferencePlan.compile(
+            model, "lower50", batch_rows=16, conv_backend="shifted-gemm"
+        )
+        columns = []
+        real = F.shifted_gemm_conv
 
-    def test_every_batch_lands_on_smallest_fitting_rung(self, ladder):
-        _, lad = ladder
-        for rows in range(1, 17):
-            rung = lad.rung_for(rows)
-            expected = min(r.batch_rows for r in lad.rungs if rows <= r.batch_rows)
-            assert rung.batch_rows == expected, (rows, rung.batch_rows)
-        assert lad.rung_for(17) is None
+        def recording(xflat, w_panels, panel, *rest):
+            columns.append(panel.shape[1])
+            return real(xflat, w_panels, panel, *rest)
 
-    def test_run_dispatches_to_matching_rung_arena(self, ladder):
-        model, lad = ladder
-        rng = make_rng(42)
-        for rows, expected in ((1, 1), (2, 4), (4, 4), (5, 16), (16, 16)):
-            rung = lad.rung_for(rows)
-            before = rung.workspaces.checkouts
-            lad.run(rng.standard_normal((rows, 1, 28, 28)))
-            assert rung.batch_rows == expected
-            assert rung.workspaces.checkouts == before + 1
+        monkeypatch.setattr(F, "shifted_gemm_conv", recording)
+        plan.run(make_rng(42).standard_normal((1, 1, 28, 28)))
+        assert columns == [hp * wp for hp, wp in (s.padded_hw for s in plan._steps)]
 
-    def test_outputs_match_eager_on_every_rung(self, ladder):
-        model, lad = ladder
-        session = InferenceSession(model, "lower50")
+    @pytest.mark.parametrize("policy", POLICIES, ids=["float64", "float32"])
+    def test_one_shifted_plan_per_width_tracks_eager(self, model, policy):
         rng = make_rng(43)
-        for rows in (1, 3, 16):
-            x = rng.standard_normal((rows, 1, 28, 28))
-            np.testing.assert_array_equal(lad.run(x), session.run(x))
+        with dtype_policy(policy):
+            plans = compile_width_plans(
+                model, [s.name for s in model.width_spec.all_specs()],
+                batch_rows=16, conv_backend="shifted-gemm",
+            )
+            for width, plan in plans.items():
+                session = InferenceSession(model, width)
+                for rows in self.ROWS:
+                    x = rng.standard_normal((rows, 1, 28, 28))
+                    np.testing.assert_allclose(
+                        plan.run(x), session.run(x), **F.shifted_gemm_tolerance(plan.dtype)
+                    )
 
-    def test_run_parts_uses_total_rows(self, ladder):
-        _, lad = ladder
-        rng = make_rng(44)
-        parts = [rng.standard_normal((2, 1, 28, 28)) for _ in range(2)]
-        rung = lad.rung_for(4)
-        before = rung.workspaces.checkouts
-        out = lad.run_parts(parts)
-        assert out.shape == (4, 10)
-        assert rung.workspaces.checkouts == before + 1
-
-    def test_rungs_share_one_packed_cache(self, ladder):
-        _, lad = ladder
-        assert all(p.cache is lad.cache for p in lad.rungs)
-        # Identical (layer, slices, dtype) keys: N rungs cost zero extra
-        # packs over a single plan.
-        single = InferencePlan.compile(lad.net, "lower50", batch_rows=4)
-        assert len(lad.cache) == len(single.cache)
-
-    def test_oversized_batch_raises(self, ladder):
-        _, lad = ladder
-        with pytest.raises(ValueError, match="top rung"):
-            lad.run(make_rng(45).standard_normal((17, 1, 28, 28)))
-
-    def test_session_falls_back_to_eager_outside_every_rung(self, ladder):
-        model, lad = ladder
-        session = InferenceSession(model, "lower50", plan=lad)
+    def test_session_falls_back_to_eager_above_batch_rows(self, model):
+        plan = InferencePlan.compile(model, "lower50", batch_rows=16)
+        session = InferenceSession(model, "lower50", plan=plan)
         x = make_rng(46).standard_normal((17, 1, 28, 28))
-        assert not lad.accepts(x)
-        checkouts = [r.workspaces.checkouts for r in lad.rungs]
+        assert not plan.accepts(x)
+        checkouts = plan.workspaces.checkouts
         out = session.run(x)
         assert out.shape == (17, 10)
-        assert [r.workspaces.checkouts for r in lad.rungs] == checkouts
+        assert plan.workspaces.checkouts == checkouts
         np.testing.assert_array_equal(out, InferenceSession(model, "lower50").run(x))
 
-    def test_small_rung_arenas_are_smaller(self, ladder):
-        _, lad = ladder
-        sizes = lad.arena_nbytes()
-        assert sizes[1] < sizes[4] < sizes[16]
-
-    def test_zero_steady_state_allocations_on_every_rung(self, ladder):
-        _, lad = ladder
+    def test_zero_steady_state_allocations_at_1_and_16_rows(self, model):
         rng = make_rng(47)
-        inputs = {p.batch_rows: rng.standard_normal((p.batch_rows, 1, 28, 28))
-                  for p in lad.rungs}
-        for x in inputs.values():
-            lad.run(x)  # warm every rung's arena
-        runs = 10
-        tracemalloc.start()
-        for _ in range(runs):
-            for x in inputs.values():
-                lad.run(x)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        per_request = peak / (runs * len(inputs))
-        assert per_request < TestAllocationBudget.PER_REQUEST_BUDGET, per_request
-
-    def test_mixed_rungs_rejected(self, ladder):
-        model, lad = ladder
-        other_width = InferencePlan.compile(model, "lower25", batch_rows=2)
-        with pytest.raises(ValueError, match="share"):
-            PlanLadder([lad.rungs[0], other_width])
-        dup = InferencePlan.compile(model, "lower50", batch_rows=1)
-        with pytest.raises(ValueError, match="distinct"):
-            PlanLadder([lad.rungs[0], dup])
-        with pytest.raises(ValueError, match="at least one"):
-            PlanLadder([])
-
-    def test_mixed_conv_backends_rejected(self, ladder):
-        """One lowering per ladder, like one width and one dtype."""
-        model, lad = ladder
-        assert lad.rungs[0].conv_backend == "im2col"
-        other_backend = InferencePlan.compile(
-            model, "lower50", batch_rows=2, conv_backend="shifted-gemm"
-        )
-        with pytest.raises(ValueError, match="conv backend"):
-            PlanLadder([lad.rungs[0], other_backend])
-
-    def test_shifted_gemm_ladder_matches_eager_on_every_rung(self, ladder):
-        model, _ = ladder
-        lad = compile_plan_ladder(
-            model, "lower50", batch_rows=16, rows_ladder=(1, 16),
-            conv_backend="shifted-gemm",
-        )
-        assert [p.conv_backend for p in lad.rungs] == ["shifted-gemm"] * 2
-        assert not lad.exact
-        session = InferenceSession(model, "lower50")
-        rng = make_rng(49)
-        for rows in (1, 16):
-            x = rng.standard_normal((rows, 1, 28, 28))
-            np.testing.assert_allclose(
-                lad.run(x), session.run(x), rtol=1e-10, atol=1e-12
+        inputs = [rng.standard_normal((rows, 1, 28, 28)) for rows in (1, 16)]
+        for backend in F.CONV_BACKENDS:
+            plan = InferencePlan.compile(
+                model, "lower50", batch_rows=16, conv_backend=backend
             )
-
-    def test_normalize_rows_ladder(self):
-        assert normalize_rows_ladder((1, 4, 16), 8) == (1, 4, 8)
-        assert normalize_rows_ladder((4, 1, 4), 16) == (1, 4, 16)
-        assert normalize_rows_ladder((32,), 8) == (8,)
-        assert normalize_rows_ladder((), 3) == (3,)
-        with pytest.raises(ValueError):
-            normalize_rows_ladder((1, 2), 0)
-
-    def test_compile_width_plans_builds_ladders_on_request(self, ladder):
-        model, _ = ladder
-        plans = compile_width_plans(
-            model, ["lower25", "lower50"], batch_rows=8, rows_ladder=(1, 4)
-        )
-        assert set(plans) == {"lower25", "lower50"}
-        for lad in plans.values():
-            assert isinstance(lad, PlanLadder)
-            assert [p.batch_rows for p in lad.rungs] == [1, 4, 8]
-        # All widths' rungs share one cache.
-        caches = {id(lad.cache) for lad in plans.values()}
-        assert len(caches) == 1
+            for x in inputs:
+                plan.run(x)  # warm the arena
+            runs = 10
+            tracemalloc.start()
+            for _ in range(runs):
+                for x in inputs:
+                    plan.run(x)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            per_request = peak / (runs * len(inputs))
+            assert per_request < TestAllocationBudget.PER_REQUEST_BUDGET, (backend, per_request)

@@ -8,6 +8,7 @@ unknown keys / newer versions are rejected rather than ignored.
 
 import json
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +23,6 @@ from repro.scheduler import CONFIG_MAPPING_VERSION, SLA, SchedulerConfig
 # JSON round-trip is exact equality.
 pos_float = st.floats(0.001, 10.0, allow_nan=False, allow_infinity=False)
 small_float = st.floats(0.0, 0.05, allow_nan=False, allow_infinity=False)
-
-
-ladders = st.one_of(
-    st.none(),
-    st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True).map(
-        lambda rs: tuple(sorted(rs))
-    ),
-)
 
 
 @st.composite
@@ -65,7 +58,6 @@ def configs(draw):
         max_batch=draw(st.integers(1, 64)),
         max_delay_s=draw(small_float),
         conv_backend=draw(st.sampled_from(CONV_BACKENDS)),
-        rows_ladder=draw(ladders),
         replica_backend=draw(st.sampled_from(["thread", "process"])),
         supervise=draw(st.booleans()),
         retry_policy=draw(
@@ -109,6 +101,12 @@ class TestRoundTrip:
         config = SchedulerConfig()
         assert SchedulerConfig.from_mapping(config.to_mapping()) == config
 
+    def test_schema_size(self):
+        """Fourteen fields, eighteen keys: a knob added or dropped shows here."""
+        assert len(fields(SchedulerConfig)) == 14
+        assert len(SchedulerConfig().to_mapping()) == 18
+        assert CONFIG_MAPPING_VERSION == 3
+
     def test_empty_mapping_is_the_default_config(self):
         assert SchedulerConfig.from_mapping({}) == SchedulerConfig()
 
@@ -139,13 +137,15 @@ class TestPartialMappings:
         assert config.brownout is not None
         assert config.brownout.enter_queue_depth == 32
 
-    def test_rows_ladder_list_becomes_tuple(self):
-        config = SchedulerConfig.from_mapping({"rows_ladder": [1, 8]})
-        assert config.rows_ladder == (1, 8)
-
     def test_version_1_override_set_without_removed_keys_still_loads(self):
         config = SchedulerConfig.from_mapping({"version": 1, "replicas": 3})
         assert config == SchedulerConfig(replicas=3)
+
+    def test_version_2_override_set_without_removed_key_still_loads(self):
+        config = SchedulerConfig.from_mapping(
+            {"version": 2, "max_batch": 8, "conv_backend": "shifted-gemm"}
+        )
+        assert config == SchedulerConfig(max_batch=8, conv_backend="shifted-gemm")
 
 
 class TestRejection:
@@ -183,8 +183,9 @@ class TestRejection:
 
     def test_full_version_1_dump_names_the_removed_keys(self):
         """The tuned config ``BENCH_tuning.json`` carried under mapping
-        version 1.  The nine knobs version 2 dropped are spelled in pieces,
-        so that a search of the tree for any of them finds no live use."""
+        version 1.  The ten knobs versions 2 and 3 dropped are spelled in
+        pieces, so that a search of the tree for any of them finds no live
+        use."""
         removed = {
             "_".join(parts): value
             for parts, value in [
@@ -197,6 +198,7 @@ class TestRejection:
                 (("restart", "backoff", "s"), 0.05),
                 (("restart", "budget"), 3),
                 (("restart", "window", "s"), 30.0),
+                (("rows", "ladder"), [1, 8]),
             ]
         }
         v1 = {
@@ -205,13 +207,22 @@ class TestRejection:
             "max_batch": 8, "max_delay_s": 0.0005, "replica_backend": "thread",
             "replicas": 4, "retry": True, "retry.backoff_base_s": 0.002,
             "retry.backoff_factor": 2.0, "retry.backoff_max_s": 0.05,
-            "retry.max_retries": 3, "rows_ladder": [1, 8], "sla.deadline_s": 0.05,
+            "retry.max_retries": 3, "sla.deadline_s": 0.05,
             "sla.max_width": None, "sla.min_width": None, "sla.priority": 0,
             "supervise": False, "version": 1, "warmup": True, **removed,
         }
         message = f"unknown config keys: {sorted(removed)}"
         with pytest.raises(ValueError, match=re.escape(message)):
             SchedulerConfig.from_mapping(v1)
+
+    def test_full_version_2_dump_names_the_removed_key(self):
+        """A default config as mapping version 2 wrote it: today's keys plus
+        the batch-rows ladder key, spelled in pieces as above."""
+        removed = "_".join(("rows", "ladder"))
+        v2 = dict(SchedulerConfig().to_mapping(), version=2, **{removed: None})
+        assert len(v2) == 19
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{removed}']")):
+            SchedulerConfig.from_mapping(v2)
 
     def test_invalid_values_still_validated(self):
         with pytest.raises(ValueError):

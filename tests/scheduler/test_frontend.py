@@ -729,28 +729,17 @@ class TestReport:
 
 
 class TestConvBackendAndLadderConfig:
-    def test_frontend_compiles_ladders_when_configured(self, model):
-        from repro.nn.plan import PlanLadder
+    def test_one_plan_per_width(self, model):
+        from repro.nn.plan import InferencePlan
 
-        with make_frontend(model, rows_ladder=(1, 4), max_batch=8) as frontend:
-            for ladder in frontend.plans.values():
-                assert isinstance(ladder, PlanLadder)
-                assert [p.batch_rows for p in ladder.rungs] == [1, 4, 8]
-            caches = {id(ladder.cache) for ladder in frontend.plans.values()}
+        with make_frontend(model, max_batch=8) as frontend:
+            for plan in frontend.plans.values():
+                assert isinstance(plan, InferencePlan)
+                assert plan.batch_rows == 8
+            caches = {id(plan.cache) for plan in frontend.plans.values()}
             assert len(caches) == 1
             out = frontend.submit(one_image(21), SLA(deadline_s=5.0)).result(timeout=10.0)
             assert out.shape == (1, 10)
-
-    def test_single_request_lands_on_smallest_rung(self, model):
-        sla = SLA(deadline_s=5.0, min_width="lower50", max_width="lower50")
-        with make_frontend(
-            model, rows_ladder=(1, 4), max_batch=8, max_delay_s=0.0
-        ) as frontend:
-            ladder = frontend.plans["lower50"]
-            small = ladder.rungs[0]
-            before = small.workspaces.checkouts
-            frontend.submit(one_image(22), sla).result(timeout=10.0)
-            assert small.workspaces.checkouts == before + 1
 
     def test_shifted_backend_serves_within_tolerance(self, model):
         from repro.engine.session import InferenceSession
@@ -767,9 +756,10 @@ class TestConvBackendAndLadderConfig:
         )
 
     def test_invalid_backend_and_ladder_rejected(self):
+        """The batch-rows ladder is gone: a config that still names it is
+        refused, never silently served on one plan per width."""
         with pytest.raises(ValueError, match="unknown conv backend"):
             SchedulerConfig(conv_backend="winograd")
-        with pytest.raises(ValueError, match="rows_ladder"):
-            SchedulerConfig(rows_ladder=())
-        with pytest.raises(ValueError, match="rows_ladder"):
-            SchedulerConfig(rows_ladder=(0, 4))
+        removed = "_".join(("rows", "ladder"))
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{removed}'\\]"):
+            SchedulerConfig.from_mapping({removed: [1, 4]})

@@ -185,25 +185,12 @@ class TestConvBackendFlags:
         # None = "not given": config_from_args falls back to the
         # SchedulerConfig default (im2col) unless --config overrides it.
         assert args.conv_backend is None
-        assert args.rows_ladder is None
 
     def test_backend_choices(self):
         args = build_parser().parse_args(["replay", "--conv-backend", "shifted-gemm"])
         assert args.conv_backend == "shifted-gemm"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay", "--conv-backend", "winograd"])
-
-    def test_rows_ladder_parsing(self):
-        from repro.cli import _parse_rows_ladder
-
-        assert _parse_rows_ladder("1,4,16") == (1, 4, 16)
-        assert _parse_rows_ladder(None) is None
-        with pytest.raises(SystemExit):
-            _parse_rows_ladder("1,x")
-        with pytest.raises(SystemExit):
-            _parse_rows_ladder("0,4")
-        with pytest.raises(SystemExit):
-            _parse_rows_ladder("")
 
 
 class TestConfigFromArgs:

@@ -109,7 +109,7 @@ class TestSimulate:
         assert result["requests"] == len(SCENARIOS["adversarial"].generate())
 
     def test_batch_rows_histogram_accounts_for_every_flush(self, model):
-        """The tuner's ladder derivation feeds off this histogram."""
+        """The simulated flush shapes the batch-rows histogram records."""
         result = TraceReplayer.from_scenario("bursts").simulate(model)
         batches = result["batches"]
         assert sum(batches["rows"].values()) == batches["count"]
