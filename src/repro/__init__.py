@@ -1,8 +1,9 @@
 """Fluid Dynamic DNNs — reliable and adaptive distributed inference.
 
 Reproduction of Xun et al., "Fluid Dynamic DNNs for Reliable and Adaptive
-Distributed Inference on Edge Devices" (DATE 2024).  See DESIGN.md for the
-system inventory and EXPERIMENTS.md for the paper-vs-measured record.
+Distributed Inference on Edge Devices" (DATE 2024).  The README's module
+map is the system inventory; ``REPRO.json``, written by
+``benchmarks/bench_paper.py``, is the paper-vs-measured record.
 
 Subpackages
 -----------

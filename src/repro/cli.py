@@ -193,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--subnet", default=None, help="combined sub-network for HA (default lower100)")
     dist.add_argument("--batch", type=int, default=16)
     dist.add_argument("--batches", type=int, default=8, help="timed batches after one warmup")
-    dist.add_argument("--split", type=int, default=None, help="partition split (default: family split)")
+    dist.add_argument(
+        "--split", type=int, default=None,
+        help="partition split (default: family split; --tcp runs only that one)",
+    )
     dist.add_argument("--seed", type=int, default=0)
     dist.add_argument(
         "--tcp", action="store_true",
@@ -499,6 +502,11 @@ def cmd_dist(args) -> int:
     net = SlimmableConvNet(paper_width_spec(), rng=make_rng(args.seed))
     width = net.width_spec
     split = args.split if args.split is not None else width.split
+    if args.tcp and split != width.split:
+        # LocalCluster's worker process splits at the width spec's split.
+        raise SystemExit(
+            f"--split {split} conflicts with --tcp: the TCP cluster splits at {width.split}"
+        )
     spec_name = args.subnet or "lower100"
     if spec_name not in {s.name for s in width.all_specs()}:
         raise SystemExit(f"unknown subnet {spec_name!r}")

@@ -14,14 +14,12 @@ from repro.comm.wire import (
     cast_for_wire,
     decode_frame,
     encode_frame,
-    frame_payload_bytes,
     wire_dtype,
 )
 
 __all__ = [
     "encode_frame",
     "decode_frame",
-    "frame_payload_bytes",
     "cast_for_wire",
     "wire_dtype",
     "WireError",

@@ -41,11 +41,6 @@ class CommLatencyModel:
     def total_time(self, transfers: Iterable[int]) -> float:
         return sum(self.transfer_time(n) for n in transfers)
 
-    def scaled_bandwidth(self, factor: float) -> "CommLatencyModel":
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(self, bandwidth_bytes_per_s=self.bandwidth_bytes_per_s * factor)
-
     def scaled_latency(self, factor: float) -> "CommLatencyModel":
         if factor < 0:
             raise ValueError("factor must be non-negative")

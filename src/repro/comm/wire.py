@@ -103,11 +103,6 @@ def decode_frame(frame: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     return arrays, header["meta"]
 
 
-def frame_payload_bytes(arrays: Dict[str, np.ndarray]) -> int:
-    """Payload size an array dict would occupy on the wire."""
-    return int(sum(np.ascontiguousarray(a).nbytes for a in arrays.values()))
-
-
 def wire_dtype() -> np.dtype:
     """Dtype float activations take on the wire, per the global policy."""
     dtype = get_dtype_policy().wire_dtype

@@ -1,7 +1,10 @@
-"""Datasets and loaders (synthetic MNIST substitute — see DESIGN.md §2)."""
+"""Datasets and loaders.
+
+The paper evaluates on MNIST; the reproduction downloads nothing, so
+:mod:`repro.data.synth_mnist` renders a deterministic MNIST-shaped stand-in.
+"""
 
 from repro.data.dataset import ArrayDataset
-from repro.data.io import load_dataset, load_synth_mnist_cached, save_dataset
 from repro.data.loader import DataLoader
 from repro.data.synth_mnist import (
     IMAGE_SIZE,
@@ -23,9 +26,6 @@ from repro.data.transforms import (
 __all__ = [
     "ArrayDataset",
     "DataLoader",
-    "save_dataset",
-    "load_dataset",
-    "load_synth_mnist_cached",
     "SynthMNISTConfig",
     "load_synth_mnist",
     "generate_images",

@@ -48,6 +48,3 @@ class ArrayDataset:
         order = rng.permutation(len(self))
         cut = int(round(fraction * len(self)))
         return self.subset(order[:cut]), self.subset(order[cut:])
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)

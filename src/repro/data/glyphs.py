@@ -4,7 +4,8 @@ Each digit is a 7x5 binary matrix (classic seven-row font).  The synthetic
 dataset (:mod:`repro.data.synth_mnist`) upsamples these, applies random
 affine distortion, stroke-thickness variation, blur and noise to produce
 28x28 grayscale images that play the role of MNIST in the paper's
-evaluation (see DESIGN.md §2 for the substitution rationale).
+evaluation (:mod:`repro.data.synth_mnist` gives the reason for the
+substitution).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Synthetic MNIST-like dataset.
 
-The paper evaluates on MNIST; this environment has no network access, so we
+The paper evaluates on MNIST; the reproduction downloads nothing, so we
 generate an MNIST-shaped stand-in: 28x28 grayscale digit images rendered
 from glyph bitmaps with randomized elastic/affine/blur/noise distortion.
 A small CNN reaches the same high-90s accuracy band as on MNIST, which is
 what the paper's accuracy comparisons need (relations between model
-variants, not absolute MNIST scores).  See DESIGN.md §2.
+variants, not absolute MNIST scores).
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ Scripted failure timelines are :class:`repro.faults.plan.FaultPlan`.
 from repro.device.cost import (
     LayerCost,
     WIRE_BYTES_PER_VALUE,
-    input_image_bytes,
-    partitioned_device_costs,
+    block_partitioned_costs,
     subnet_flops,
     subnet_layer_costs,
     subnet_num_layers,
@@ -28,8 +27,7 @@ __all__ = [
     "subnet_flops",
     "subnet_num_layers",
     "subnet_param_count",
-    "partitioned_device_costs",
-    "input_image_bytes",
+    "block_partitioned_costs",
     "EmulatedDevice",
     "DeviceFailed",
     "CrashCounter",

@@ -149,26 +149,6 @@ def block_partitioned_costs(
     return per_device, exchange
 
 
-def partitioned_device_costs(
-    net: SlimmableConvNet, spec: SubNetSpec, split: int
-) -> Tuple[List[LayerCost], List[LayerCost], List[int]]:
-    """Two-device specialisation of :func:`block_partitioned_costs`.
-
-    The Master computes output channels ``[0, split)``, the Worker
-    ``[split, stop)``.  Returns ``(master_costs, worker_costs,
-    exchange_bytes)``.
-    """
-    full = spec.conv_slices[0]
-    if not (full.start == 0 and split < full.stop):
-        raise ValueError(
-            f"partition split {split} must fall inside the combined slice {full}"
-        )
-    per_device, exchange = block_partitioned_costs(
-        net, spec, (0, split, spec.last_slice.stop)
-    )
-    return per_device[0], per_device[1], exchange
-
-
 def subnet_param_count(net: SlimmableConvNet, spec: SubNetSpec) -> int:
     """Parameter count of a standalone sub-network (for memory-capacity checks)."""
     total = 0
@@ -182,6 +162,3 @@ def subnet_param_count(net: SlimmableConvNet, spec: SubNetSpec) -> int:
     return total
 
 
-def input_image_bytes(net: SlimmableConvNet) -> int:
-    """Wire size of one input image."""
-    return net.in_channels * net.image_size**2 * wire_bytes_per_value()

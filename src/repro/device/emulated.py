@@ -9,11 +9,11 @@ a board that computes, takes time, and sometimes dies.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.device.cost import subnet_flops, subnet_num_layers, subnet_param_count
+from repro.device.cost import subnet_flops, subnet_num_layers
 from repro.device.profiles import DeviceProfile
 from repro.nn.context import ForwardContext
 from repro.slimmable.slim_net import SlimmableConvNet
@@ -78,10 +78,6 @@ class EmulatedDevice:
         if self.crash_counter.record_request():
             self.alive = False
             raise DeviceFailed(f"device {self.name!r} crashed mid-stream")
-
-    def can_host(self, spec: SubNetSpec) -> bool:
-        """Whether the sub-network's parameter count fits device memory."""
-        return subnet_param_count(self.net, spec) <= self.profile.memory_capacity_params
 
     def execute_subnet(self, spec: SubNetSpec, x: np.ndarray, plan=None) -> np.ndarray:
         """Run a standalone sub-network on a batch; accounts emulated time.

@@ -15,7 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import List, Optional
+from typing import Optional
 
 from repro.comm.latency_model import CommLatencyModel
 from repro.comm.tcp import connect

@@ -18,7 +18,6 @@ import numpy as np
 from repro.comm.latency_model import CommLatencyModel
 from repro.comm.transport import Transport
 from repro.device.emulated import EmulatedDevice
-from repro.distributed.modes import ExecutionMode
 from repro.distributed.partition import MASTER, WORKER
 from repro.distributed.plan import DeploymentPlan, ha_plan, ht_plan, solo_plan
 from repro.engine.endpoints import LocalEndpoint, TransportEndpoint
@@ -63,15 +62,6 @@ class MasterRuntime:
     @property
     def ledger(self) -> EmulatedTimeLedger:
         return self.engine.ledger
-
-    @property
-    def transport(self) -> Optional[Transport]:
-        """The worker's transport; assigning swaps the endpoint's link too."""
-        return self._worker.transport
-
-    @transport.setter
-    def transport(self, transport: Optional[Transport]) -> None:
-        self._worker.transport = transport
 
     # -- worker plumbing -----------------------------------------------------
 

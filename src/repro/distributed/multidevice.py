@@ -30,6 +30,7 @@ from repro.device.cost import subnet_layer_costs, subnet_num_layers
 from repro.device.emulated import EmulatedDevice
 from repro.device.profiles import DeviceProfile
 from repro.distributed.plan import DeploymentPlan, failed_plan, partitioned_plan, streams_plan
+from repro.distributed.throughput import ha_step_times
 from repro.engine.endpoints import LocalEndpoint
 from repro.engine.engine import EngineResult, ExecutionEngine
 from repro.engine.graph import BlockPartition
@@ -81,30 +82,21 @@ class MultiDeviceModel:
 
         Only defined when *all* devices are alive (the combined model needs
         every block's rows); each device computes its rows from the full
-        activation, then the blocks are all-gathered.  With N devices the
-        per-layer exchange is bounded by the largest block each device must
-        receive: ``(N-1)/N`` of the activation in the symmetric case.
+        activation, then the blocks are all-gathered.  The arithmetic is
+        :func:`~repro.distributed.throughput.ha_step_times`, the same as the
+        two-device :class:`~repro.distributed.throughput.SystemThroughputModel`.
         """
         alive = self._check_alive(alive)
         if len(alive) != self.partition.num_blocks:
             return 0.0
-        spec = self.partition.combined_spec(len(self.net.convs))
-        costs = subnet_layer_costs(self.net, spec)
-        layers = subnet_num_layers(self.net)
-
-        device_times = []
-        for i in alive:
-            share = self.partition.block_slice(i).width / self.partition.max_width
-            flops = sum(c.flops * share for c in costs)
-            device_times.append(self.profiles[i].compute_time(flops, layers))
-
-        comm_total = 0.0
-        for cost in costs[:-1]:
-            # Each device must receive every other block: (N-1)/N of the layer.
-            other = cost.activation_bytes * (self.partition.num_blocks - 1)
-            comm_total += self.comm.transfer_time(other // self.partition.num_blocks)
-        comm_total += self.comm.transfer_time(costs[-1].activation_bytes)
-        return 1.0 / (max(device_times) + comm_total)
+        compute, exchange = ha_step_times(
+            self.net,
+            self.partition.combined_spec(len(self.net.convs)),
+            self.partition.boundaries,
+            self.profiles,
+            self.comm,
+        )
+        return 1.0 / (max(compute) + exchange)
 
     # -- survivability ---------------------------------------------------------------
 

@@ -9,7 +9,7 @@ sub-networks a device can still run after its peer dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.slimmable.spec import ChannelSlice, SubNetSpec, WidthSpec
 
@@ -64,7 +64,3 @@ class WidthPartition:
     def survivor_options(self, role: str, certified: Tuple[str, ...]) -> List[SubNetSpec]:
         """Resident AND standalone-certified sub-networks for a lone device."""
         return [s for s in self.resident_specs(role) if s.name in certified]
-
-    def residency_table(self) -> Dict[str, List[str]]:
-        """Human-readable residency map (used by reports and docs)."""
-        return {role: [s.name for s in self.resident_specs(role)] for role in ROLES}

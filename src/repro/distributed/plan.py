@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.distributed.modes import ExecutionMode
 
@@ -40,12 +40,6 @@ class DeploymentPlan:
             raise ValueError("HA plans must name the combined sub-network")
         if self.mode == ExecutionMode.FAILED and self.assignments:
             raise ValueError("failed plans cannot carry assignments")
-
-    def assignment_for(self, device: str) -> Optional[Assignment]:
-        for a in self.assignments:
-            if a.device == device:
-                return a
-        return None
 
     def devices(self) -> List[str]:
         return [a.device for a in self.assignments]

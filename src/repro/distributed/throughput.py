@@ -16,16 +16,40 @@ computation and communication latency."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.latency_model import CommLatencyModel
-from repro.device.cost import partitioned_device_costs, subnet_flops, subnet_num_layers
+from repro.device.cost import block_partitioned_costs, subnet_flops, subnet_num_layers
 from repro.device.profiles import DeviceProfile
 from repro.distributed.partition import MASTER, WORKER, WidthPartition
 from repro.distributed.plan import DeploymentPlan
 from repro.distributed.modes import ExecutionMode
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import SubNetSpec
+
+
+def ha_step_times(
+    net: SlimmableConvNet,
+    spec: SubNetSpec,
+    boundaries: Sequence[int],
+    profiles: Sequence[DeviceProfile],
+    comm: CommLatencyModel,
+) -> Tuple[List[float], float]:
+    """Per-image seconds of width-partitioned (High-Accuracy) execution.
+
+    Device ``k`` (``profiles[k]``) computes block ``[boundaries[k],
+    boundaries[k+1])`` of every layer of the combined ``spec``.  Returns
+    ``(compute_s, exchange_s)``: each device's compute time, and the time of
+    the per-layer all-gathers plus the partial-logit gather.  The devices
+    work in lock-step, so one image takes ``max(compute_s) + exchange_s``.
+    """
+    per_device, exchanges = block_partitioned_costs(net, spec, tuple(boundaries))
+    layers = subnet_num_layers(net)
+    compute = [
+        profile.compute_time(sum(c.flops for c in costs), layers)
+        for profile, costs in zip(profiles, per_device)
+    ]
+    return compute, comm.total_time(exchanges)
 
 
 @dataclass(frozen=True)
@@ -82,13 +106,13 @@ class SystemThroughputModel:
 
     def ha_throughput(self, spec: SubNetSpec) -> ThroughputBreakdown:
         """Width-partitioned joint inference of a combined sub-network."""
-        master_costs, worker_costs, exchanges = partitioned_device_costs(
-            self.net, spec, self.partition.split
+        (t_m, t_w), t_comm = ha_step_times(
+            self.net,
+            spec,
+            (0, self.partition.split, spec.last_slice.stop),
+            (self.profiles[MASTER], self.profiles[WORKER]),
+            self.comm,
         )
-        layers = subnet_num_layers(self.net)
-        t_m = self.profiles[MASTER].compute_time(sum(c.flops for c in master_costs), layers)
-        t_w = self.profiles[WORKER].compute_time(sum(c.flops for c in worker_costs), layers)
-        t_comm = self.comm.total_time(exchanges)
         total = max(t_m, t_w) + t_comm
         return ThroughputBreakdown(
             mode="HA",

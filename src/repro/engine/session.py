@@ -9,13 +9,10 @@ the exact property the slimmable design wants, since sub-network views
 already alias one storage and cloning it per request would defeat the
 paper's weight sharing.
 
-Accepted model objects (duck-typed):
-
-* a plain :class:`~repro.nn.module.Module` (e.g. ``Sequential``);
-* a :class:`~repro.slimmable.slim_net.SubNetworkView` (binds its spec
-  into each call's context — the container is never mutated);
-* a :class:`~repro.slimmable.slim_net.SlimmableConvNet` or a model family
-  (anything with ``.view()``/``.width_spec``) plus a ``subnet`` name.
+The model is a :class:`~repro.slimmable.slim_net.SlimmableConvNet` or a
+model family, and ``subnet`` names the width served; the session runs the
+:class:`~repro.slimmable.slim_net.SubNetworkView` that binds that spec into
+each call's context, so the container is never mutated.
 
 Sessions must be created before concurrent serving begins: construction
 flips the model to eval mode (idempotent), which is the only shared-state
@@ -32,7 +29,7 @@ allclose within :data:`~repro.nn.functional.SHIFTED_GEMM_TOLERANCE`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,29 +40,18 @@ from repro.nn.module import Module
 class InferenceSession:
     """One serving handle: shared read-only weights, per-call contexts."""
 
-    def __init__(self, model, subnet: Optional[str] = None, *, plan=None) -> None:
-        self.model = self._resolve(model, subnet)
-        self.plan = plan
-        if plan is not None and subnet is not None and plan.width != subnet:
+    def __init__(self, model, subnet: str, *, plan=None) -> None:
+        if plan is not None and plan.width != subnet:
             raise ValueError(f"plan is compiled for {plan.width!r}, session serves {subnet!r}")
+        # SlimmableConvNet takes a SubNetSpec; model families take a name.
+        if isinstance(model, Module):
+            self.model = model.view(model.width_spec.find(subnet))
+        else:
+            self.model = model.view(subnet)
+        self.plan = plan
         # Eval mode is the one shared write; do it here, serially, so the
         # serve path is pure reads.
         self.model.train(False)
-
-    @staticmethod
-    def _resolve(model, subnet: Optional[str]) -> Module:
-        if subnet is None:
-            if not isinstance(model, Module):
-                raise TypeError(
-                    f"{type(model).__name__} needs a subnet name to build a view"
-                )
-            return model
-        if hasattr(model, "width_spec") and hasattr(model, "view"):
-            # SlimmableConvNet takes a SubNetSpec; model families take a name.
-            if isinstance(model, Module):
-                return model.view(model.width_spec.find(subnet))
-            return model.view(subnet)
-        raise TypeError(f"cannot build a {subnet!r} view from {type(model).__name__}")
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """One inference request; reentrant and thread-safe."""

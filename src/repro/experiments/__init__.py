@@ -6,16 +6,13 @@ from repro.experiments.calibration import (
     PAPER_HT_VS_STATIC,
     OperatingPoint,
     calibration_points,
-    check_calibration,
 )
 from repro.experiments.fig2 import Fig2Cell, Fig2Result, fig2_plans, plan_accuracy, run_fig2
-from repro.experiments.io import load_result, result_from_dict, result_to_dict, save_result
 from repro.experiments.report import (
     ShapeCheck,
     format_fig2_table,
     format_shape_checks,
     shape_checks,
-    subnet_accuracy_table,
 )
 
 __all__ = [
@@ -24,19 +21,13 @@ __all__ = [
     "PAPER_HT_VS_DYNAMIC",
     "OperatingPoint",
     "calibration_points",
-    "check_calibration",
     "Fig2Cell",
     "Fig2Result",
     "run_fig2",
     "fig2_plans",
     "plan_accuracy",
-    "save_result",
-    "load_result",
-    "result_to_dict",
-    "result_from_dict",
     "ShapeCheck",
     "shape_checks",
     "format_fig2_table",
     "format_shape_checks",
-    "subnet_accuracy_table",
 ]

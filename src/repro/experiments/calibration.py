@@ -99,10 +99,3 @@ def calibration_points(
         "distributed_ha": OperatingPoint("distributed_ha", 11.1, ha),
     }
     return points
-
-
-def check_calibration(net: SlimmableConvNet, tolerance: float = 0.02) -> bool:
-    """True if every calibration point is within ``tolerance`` relative error."""
-    return all(
-        p.relative_error <= tolerance for p in calibration_points(net).values()
-    )

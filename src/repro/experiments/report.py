@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.experiments.calibration import (
     PAPER_FIG2,
@@ -56,7 +56,7 @@ class ShapeCheck:
 def shape_checks(
     result: Fig2Result, accuracy_tolerance_pct: float = 1.0
 ) -> List[ShapeCheck]:
-    """Verify the paper's qualitative claims (DESIGN.md §5) on a result.
+    """Verify the paper's qualitative claims on a result.
 
     These are the repro contract: who wins, by roughly what factor, and
     which configurations fail outright.
@@ -150,30 +150,6 @@ def shape_checks(
         )
     )
     return checks
-
-
-def subnet_accuracy_table(models: dict, test_set) -> str:
-    """Per-sub-network accuracy table across families (EXPERIMENTS.md §3).
-
-    ``models`` maps family name to a trained
-    :class:`~repro.models.ModelFamily`; every sub-network of every family is
-    evaluated, with uncertified entries marked.
-    """
-    families = sorted(models)
-    any_model = models[families[0]]
-    names = [spec.name for spec in any_model.width_spec.all_specs()]
-    header = f"{'family':8s} " + " ".join(f"{n:>9s}" for n in names)
-    lines = [header, "-" * len(header)]
-    for family in families:
-        model = models[family]
-        cells = []
-        for name in names:
-            acc = 100 * model.evaluate(name, test_set)
-            marker = "" if model.is_standalone_certified(name) else "*"
-            cells.append(f"{acc:8.1f}{marker or ' '}")
-        lines.append(f"{family:8s} " + " ".join(cells))
-    lines.append("(* = not certified standalone; the runtime never deploys it)")
-    return "\n".join(lines)
 
 
 def format_shape_checks(checks: List[ShapeCheck]) -> str:

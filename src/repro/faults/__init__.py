@@ -29,7 +29,6 @@ from repro.faults.plan import (
     STALL,
     FaultEvent,
     FaultPlan,
-    chaos_plan,
     replica_target,
     single_fault,
     target_index,
@@ -60,7 +59,6 @@ __all__ = [
     "STALL",
     "FaultEvent",
     "FaultPlan",
-    "chaos_plan",
     "replica_target",
     "single_fault",
     "target_index",

@@ -26,16 +26,13 @@ the :data:`FAULT_KINDS`:
     shared-memory attach, exercising supervisor backoff.
 
 Plans serialize to JSON (they ride in ``repro-trace`` artifact meta, see
-:mod:`repro.trace.recorder`) and are generated deterministically from a
-seed via :func:`repro.utils.rng.derive_seed` — same seed, same incident.
+:mod:`repro.trace.recorder`), so an incident replays exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.utils.rng import derive_seed, make_rng
+from typing import Dict, List, Tuple
 
 CRASH = "crash"
 RECOVER = "recover"
@@ -152,23 +149,6 @@ class FaultPlan:
             alive = event.kind == RECOVER
         return alive
 
-    def crash_time(self, target: str) -> Optional[float]:
-        """Time of the first scripted crash of ``target``, if any."""
-        for event in self.events:
-            if event.target == target and event.kind == CRASH:
-                return event.time_s
-        return None
-
-    def of_kind(self, *kinds: str) -> List[FaultEvent]:
-        return [e for e in self.events if e.kind in kinds]
-
-    def targets(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for event in self.events:
-            if event.target not in seen:
-                seen.append(event.target)
-        return tuple(seen)
-
     def to_json(self) -> Dict[str, object]:
         return {"events": [e.to_json() for e in self.events]}
 
@@ -182,70 +162,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-def chaos_plan(
-    seed: int,
-    *,
-    replicas: int,
-    duration_s: float,
-    crashes: int = 1,
-    stalls: int = 0,
-    drops: int = 0,
-    heartbeat_delays: int = 0,
-    window: Tuple[float, float] = (0.25, 0.75),
-    stall_duration_s: float = 0.2,
-    stall_delay_s: float = 0.02,
-    drop_duration_s: float = 0.08,
-    heartbeat_duration_s: float = 0.15,
-) -> FaultPlan:
-    """Seed-deterministic chaos schedule over a replica pool.
-
-    Draws fault times uniformly inside ``window`` (fractions of
-    ``duration_s``) and assigns targets from a seeded permutation so one
-    schedule never crashes the same replica twice — and never crashes
-    *every* replica (at least one survivor keeps the zero-lost invariant
-    reachable).  The draw order is fixed (crashes, stalls, drops,
-    heartbeat delays), so a given ``(seed, kwargs)`` always yields the
-    same plan.
-    """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    rng = make_rng(derive_seed(seed, "faults", "chaos_plan"))
-    lo, hi = window
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ValueError(f"window must satisfy 0 <= lo <= hi <= 1, got {window}")
-
-    def draw_time() -> float:
-        return round(duration_s * (lo + (hi - lo) * float(rng.random())), 6)
-
-    order = [int(i) for i in rng.permutation(replicas)]
-    cursor = 0
-
-    def next_target() -> str:
-        nonlocal cursor
-        target = replica_target(order[cursor % len(order)])
-        cursor += 1
-        return target
-
-    events: List[FaultEvent] = []
-    for _ in range(min(crashes, max(0, replicas - 1))):
-        events.append(FaultEvent(draw_time(), next_target(), CRASH))
-    for _ in range(stalls):
-        events.append(FaultEvent(
-            draw_time(), next_target(), STALL,
-            duration_s=stall_duration_s, delay_s=stall_delay_s,
-        ))
-    for _ in range(drops):
-        events.append(FaultEvent(
-            draw_time(), next_target(), DROP, duration_s=drop_duration_s,
-        ))
-    for _ in range(heartbeat_delays):
-        events.append(FaultEvent(
-            draw_time(), next_target(), HEARTBEAT_DELAY,
-            duration_s=heartbeat_duration_s,
-        ))
-    return FaultPlan(events)
 
 
 def single_fault(target: str, at_s: float = 0.0, kind: str = CRASH) -> FaultPlan:

@@ -10,13 +10,12 @@ the system correctly declares failure (paper Fig. 1b/1c).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.nn.context import ForwardContext
-from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.slimmable.slim_net import SlimmableConvNet, SubNetworkView
 from repro.slimmable.spec import SubNetSpec, WidthSpec

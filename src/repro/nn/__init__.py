@@ -1,18 +1,20 @@
 """A from-scratch numpy DNN framework.
 
-This package substitutes for PyTorch in the reproduction (see DESIGN.md §2):
-explicit forward/backward modules, im2col convolutions, SGD/Adam optimizers
-and npz checkpointing — everything the paper's training algorithms need.
+This package stands in for PyTorch, which the reproduction does not depend
+on: explicit forward/backward modules, im2col convolutions, SGD and npz
+checkpointing — exactly what the paper's net (three width-sliced
+convolutions and a sliced classifier, see :mod:`repro.slimmable`) and its
+training algorithms build, plus the compiled inference plans that serve it.
 """
 
 from repro.nn import functional
-from repro.nn.checkpoint import load_model, load_state, save_model, save_state
+from repro.nn.checkpoint import load_state, save_state
 from repro.nn.context import ForwardContext
-from repro.nn.layers import Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear, MaxPool2d, ReLU, Tanh
-from repro.nn.loss import MSELoss, SoftmaxCrossEntropy
-from repro.nn.metrics import accuracy, confusion_matrix, per_class_accuracy, top_k_accuracy
-from repro.nn.module import Identity, Module, Sequential
-from repro.nn.optim import SGD, Adam, ConstantLR, CosineLR, LRScheduler, Optimizer, StepLR
+from repro.nn.layers import Flatten, MaxPool2d, ReLU
+from repro.nn.loss import SoftmaxCrossEntropy
+from repro.nn.metrics import accuracy
+from repro.nn.module import Module
+from repro.nn.optim import SGD, Optimizer
 from repro.nn.parameter import Parameter
 from repro.nn.plan import InferencePlan, PackedWeightCache, compile_width_plans
 from repro.nn.workspace import BufferSpec, Workspace, WorkspacePool
@@ -22,33 +24,15 @@ __all__ = [
     "ForwardContext",
     "Parameter",
     "Module",
-    "Sequential",
-    "Identity",
-    "Conv2d",
-    "Linear",
     "ReLU",
-    "Tanh",
     "MaxPool2d",
-    "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
     "SoftmaxCrossEntropy",
-    "MSELoss",
     "Optimizer",
     "SGD",
-    "Adam",
-    "LRScheduler",
-    "StepLR",
-    "CosineLR",
-    "ConstantLR",
     "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
     "save_state",
     "load_state",
-    "save_model",
-    "load_model",
     "InferencePlan",
     "PackedWeightCache",
     "compile_width_plans",

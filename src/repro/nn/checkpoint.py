@@ -11,8 +11,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.nn.module import Module
-
 
 def save_state(path: str, state: Dict[str, np.ndarray]) -> None:
     """Write a state dict to ``path`` as a compressed npz archive."""
@@ -25,12 +23,3 @@ def load_state(path: str) -> Dict[str, np.ndarray]:
     """Read a state dict written by :func:`save_state`."""
     with np.load(path, allow_pickle=False) as archive:
         return {key: archive[key].copy() for key in archive.files}
-
-
-def save_model(path: str, model: Module) -> None:
-    save_state(path, model.state_dict())
-
-
-def load_model(path: str, model: Module, strict: bool = True) -> Module:
-    model.load_state_dict(load_state(path), strict=strict)
-    return model

@@ -11,34 +11,19 @@ from typing import Tuple
 import numpy as np
 
 
-def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    if len(shape) == 2:  # Linear: (out, in)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # Conv: (out, in, kh, kw)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        raise ValueError(f"unsupported weight shape {shape}")
-    return fan_in, fan_out
+def _fan_in(shape: Tuple[int, ...]) -> int:
+    if len(shape) == 2:  # linear: (out, in)
+        return shape[1]
+    if len(shape) == 4:  # conv: (out, in, kh, kw)
+        return shape[1] * shape[2] * shape[3]
+    raise ValueError(f"unsupported weight shape {shape}")
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = np.sqrt(2.0)) -> np.ndarray:
     """He/Kaiming uniform init (appropriate for ReLU networks)."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = gain * np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform init."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
 
 
 def bias_uniform(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,19 +1,7 @@
-"""Layer catalogue for the numpy DNN framework."""
+"""The unsliced layers the slimmable net is built from."""
 
-from repro.nn.layers.activation import ReLU, Tanh
-from repro.nn.layers.conv import Conv2d
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.linear import Linear
-from repro.nn.layers.pooling import GlobalAvgPool2d, MaxPool2d
+from repro.nn.layers.activation import ReLU
+from repro.nn.layers.pooling import MaxPool2d
 from repro.nn.layers.reshape import Flatten
 
-__all__ = [
-    "Conv2d",
-    "Linear",
-    "ReLU",
-    "Tanh",
-    "MaxPool2d",
-    "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
-]
+__all__ = ["ReLU", "MaxPool2d", "Flatten"]

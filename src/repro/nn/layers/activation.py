@@ -22,19 +22,3 @@ class ReLU(Module):
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Tanh(Module):
-    """Elementwise hyperbolic tangent."""
-
-    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        y = np.tanh(x)
-        ctx.put(self, y=y)
-        return y
-
-    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        y = ctx.require(self)["y"]
-        return grad_output * (1.0 - y**2)
-
-    def __repr__(self) -> str:
-        return "Tanh()"

@@ -34,20 +34,3 @@ class MaxPool2d(Module):
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel_size={self.kernel_size}, stride={self.stride})"
-
-
-class GlobalAvgPool2d(Module):
-    """Average over the spatial dimensions: ``(N, C, H, W) -> (N, C)``."""
-
-    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        ctx.put(self, x_shape=x.shape)
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        x_shape = ctx.require(self)["x_shape"]
-        n, c, h, w = x_shape
-        scale = 1.0 / (h * w)
-        return np.broadcast_to(grad_output[:, :, None, None], x_shape) * scale
-
-    def __repr__(self) -> str:
-        return "GlobalAvgPool2d()"

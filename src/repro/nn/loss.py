@@ -28,7 +28,7 @@ class SoftmaxCrossEntropy:
         if labels.min() < 0 or labels.max() >= num_classes:
             raise ValueError("labels out of range")
         # One shifted-exp pass yields both log-probs (for the loss) and
-        # probs (for the gradient), with log_softmax-grade stability.
+        # probs (for the gradient), stable for any logit scale.
         rows = np.arange(n)
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
@@ -38,15 +38,3 @@ class SoftmaxCrossEntropy:
         grad[rows, labels] -= 1.0
         grad /= n
         return float(loss), grad
-
-
-class MSELoss:
-    """Mean squared error against dense targets (utility, used in tests)."""
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-        if pred.shape != target.shape:
-            raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-        diff = pred - target
-        loss = float(np.mean(diff**2))
-        grad = 2.0 * diff / diff.size
-        return loss, grad

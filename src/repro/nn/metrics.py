@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 
@@ -17,29 +15,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("empty batch")
     pred = logits.argmax(axis=1)
     return float((pred == labels).mean())
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Top-k accuracy in [0, 1]."""
-    if k <= 0 or k > logits.shape[1]:
-        raise ValueError(f"k must be in [1, {logits.shape[1]}], got {k}")
-    top_k = np.argsort(-logits, axis=1)[:, :k]
-    hits = (top_k == labels[:, None]).any(axis=1)
-    return float(hits.mean())
-
-
-def confusion_matrix(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Row = true class, column = predicted class."""
-    pred = logits.argmax(axis=1)
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (labels, pred), 1)
-    return cm
-
-
-def per_class_accuracy(cm: np.ndarray) -> Dict[int, float]:
-    """Per-class recall from a confusion matrix; classes with no samples map to nan."""
-    out: Dict[int, float] = {}
-    for cls in range(cm.shape[0]):
-        total = cm[cls].sum()
-        out[cls] = float(cm[cls, cls] / total) if total else float("nan")
-    return out

@@ -37,12 +37,6 @@ class Module:
 
     # -- registration ------------------------------------------------------
 
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        if name in self._parameters:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._parameters[name] = param
-        return param
-
     def register_module(self, name: str, module: "Module") -> "Module":
         if name in self._modules:
             raise ValueError(f"duplicate module name {name!r}")
@@ -96,9 +90,6 @@ class Module:
             module.training = mode
         return self
 
-    def eval(self) -> "Module":
-        return self.train(False)
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
@@ -142,49 +133,3 @@ class Module:
     def __repr__(self) -> str:
         child_repr = ", ".join(f"{k}={v!r}" for k, v in self._modules.items())
         return f"{type(self).__name__}({child_repr})"
-
-
-class Sequential(Module):
-    """Chain of modules executed in order; backward runs in reverse."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers: List[Module] = []
-        for i, layer in enumerate(layers):
-            self.register_module(str(i), layer)
-            self.layers.append(layer)
-
-    def append(self, layer: Module) -> "Sequential":
-        self.register_module(str(len(self.layers)), layer)
-        self.layers.append(layer)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
-
-    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x, ctx)
-        return x
-
-    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_output = layer.backward(grad_output, ctx)
-        return grad_output
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(layer) for layer in self.layers)
-        return f"Sequential({inner})"
-
-
-class Identity(Module):
-    """No-op module (useful as a placeholder in partition plans)."""
-
-    def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        return x
-
-    def backward(self, grad_output: np.ndarray, ctx: ForwardContext) -> np.ndarray:
-        return grad_output

@@ -1,8 +1,6 @@
-"""Optimizers and learning-rate schedules."""
+"""Optimizers."""
 
-from repro.nn.optim.adam import Adam
 from repro.nn.optim.base import Optimizer
-from repro.nn.optim.scheduler import ConstantLR, CosineLR, LRScheduler, StepLR
 from repro.nn.optim.sgd import SGD
 
-__all__ = ["Optimizer", "SGD", "Adam", "LRScheduler", "StepLR", "CosineLR", "ConstantLR"]
+__all__ = ["Optimizer", "SGD"]

@@ -159,9 +159,6 @@ class Workspace:
             for name, in_scratch, offset, shape, dtype in layout.slots
         }
 
-    def buffer(self, name: str) -> np.ndarray:
-        return self._buffers[name]
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self._buffers[name]
 

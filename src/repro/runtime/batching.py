@@ -7,8 +7,8 @@ individual input arrays and get a :class:`concurrent.futures.Future` back;
 a single collector thread accumulates requests until either the batch-size
 budget (``max_batch`` rows) or the deadline budget (``max_delay_s`` after
 the first queued request) is exhausted, runs **one** batched forward via
-the supplied ``run_batch`` callable, and scatters the result rows back to
-the per-request futures in submission order.
+the supplied ``run_batch_parts`` callable, and scatters the result rows
+back to the per-request futures in submission order.
 
 One rule sits in front of the two budgets: a request its submitter knows
 to be *alone* (``submit(..., alone=True)`` — nothing else it could be
@@ -18,10 +18,10 @@ holding a request for mates that cannot exist only adds ``max_delay_s`` to
 its latency.  A caller that passes no such evidence gets the two budgets
 and nothing else.
 
-``run_batch`` is typically an
-:class:`~repro.engine.session.InferenceSession`'s :meth:`run` (stateless,
-shared weights), or :class:`~repro.runtime.live.LiveSystem.serve_batch`
-via :meth:`LiveSystem.request_queue` for the full failover-aware stack.
+``run_batch_parts`` receives the per-request arrays unconcatenated, in
+submission order: the serving frontend hands them to an
+:class:`~repro.engine.session.InferenceSession`'s :meth:`run_parts`, whose
+compiled plan scatters them straight into its input arena.
 """
 
 from __future__ import annotations
@@ -123,20 +123,12 @@ class MicroBatchQueue:
 
     def __init__(
         self,
-        run_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        run_batch_parts: Callable[[List[np.ndarray]], np.ndarray],
         config: Optional[BatchingConfig] = None,
         *,
-        run_batch_parts: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None,
         on_batch: Optional[Callable[[List[object], int], None]] = None,
         autostart: bool = True,
     ) -> None:
-        if (run_batch is None) == (run_batch_parts is None):
-            raise ValueError("pass exactly one of run_batch / run_batch_parts")
-        self.run_batch = run_batch
-        # run_batch_parts receives the per-request arrays unconcatenated
-        # (stacked row order preserved) — a compiled-plan backend scatters
-        # them straight into its input arena, skipping the np.concatenate
-        # temporary this queue would otherwise build per flush.
         self.run_batch_parts = run_batch_parts
         # Called on the collector thread with ([tags...], total_rows)
         # immediately before each batched forward — the hook tracing uses
@@ -305,14 +297,10 @@ class MicroBatchQueue:
             # collector thread — later submissions still get served.
             if self.on_batch is not None:
                 self.on_batch([t for _, _, t in batch], sum(rows))
-            if self.run_batch_parts is not None:
-                out = self.run_batch_parts(arrays)
-            else:
-                stacked = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
-                out = self.run_batch(stacked)
+            out = self.run_batch_parts(arrays)
             if out.shape[0] != sum(rows):
                 raise RuntimeError(
-                    f"run_batch returned {out.shape[0]} rows for {sum(rows)} inputs"
+                    f"run_batch_parts returned {out.shape[0]} rows for {sum(rows)} inputs"
                 )
         except BaseException as exc:  # noqa: BLE001 - delivered via futures
             for future in futures:

@@ -40,15 +40,6 @@ class Timeline:
     def add(self, transition: Transition) -> None:
         self.transitions.append(transition)
 
-    def plan_at(self, now_s: float) -> Optional[DeploymentPlan]:
-        current = None
-        for t in self.transitions:
-            if t.time_s <= now_s:
-                current = t.plan
-            else:
-                break
-        return current
-
     def modes(self) -> List[ExecutionMode]:
         return [t.plan.mode for t in self.transitions]
 

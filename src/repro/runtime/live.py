@@ -19,7 +19,6 @@ from repro.distributed.master import MasterRuntime
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.plan import DeploymentPlan
 from repro.engine.endpoints import EndpointUnavailable
-from repro.runtime.batching import BatchingConfig, MicroBatchQueue
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.runtime.policy import AdaptationPolicy
 from repro.utils.config import Config
@@ -141,43 +140,3 @@ class LiveSystem:
         for index, x in enumerate(batches):
             log.batches.append(self.serve_batch(index, x))
         return log
-
-    def request_queue(
-        self, config: Optional[BatchingConfig] = None, *, log: Optional[LiveLog] = None
-    ) -> MicroBatchQueue:
-        """Micro-batching front door: single requests in, per-request logits out.
-
-        Individual request arrays submitted to the returned queue are
-        grouped into one batch per flush and served through
-        :meth:`serve_batch` (so failover still applies); each caller's
-        future receives only its own logit rows.  A served batch with no
-        capacity left (FAILED plan) rejects its requests via the futures.
-        """
-        counter = {"index": 0}
-
-        def _run(batch: np.ndarray) -> np.ndarray:
-            served = self.serve_batch(counter["index"], batch)
-            counter["index"] += 1
-            if log is not None:
-                log.batches.append(served)
-            if served.logits is None:
-                raise EndpointUnavailable(
-                    f"no serving capacity (mode {served.mode.name}) for batch "
-                    f"{served.batch_index}"
-                )
-            return served.logits
-
-        return MicroBatchQueue(_run, config)
-
-    def scheduled_queue(self, config=None, **frontend_kwargs):
-        """SLA-aware front door over this system's model family.
-
-        Returns a :class:`~repro.scheduler.frontend.ServingFrontend`
-        (admission -> deadline-driven width selection -> failure-aware
-        replica pool -> micro-batching) serving the same shared weight
-        store this live system deploys.  ``config`` is a
-        :class:`~repro.scheduler.frontend.SchedulerConfig`.
-        """
-        from repro.scheduler.frontend import ServingFrontend
-
-        return ServingFrontend(self.policy.model, config, **frontend_kwargs)

@@ -122,9 +122,3 @@ class ScheduleMonitor:
         return frozenset(
             d for d in self.devices if self.schedule.is_alive(d, now_s)
         )
-
-    def next_event_after(self, now_s: float) -> Optional[float]:
-        for event in self.schedule.events:
-            if event.time_s > now_s:
-                return event.time_s
-        return None

@@ -64,10 +64,6 @@ class AdmissionDecision:
     reason: str
     estimated_s: float  # predicted queue wait + floor service time
 
-    def raise_if_rejected(self) -> None:
-        if not self.admitted:
-            raise AdmissionRejected(self.reason)
-
 
 class AdmissionController:
     """Decides, per request, whether its deadline is still reachable.

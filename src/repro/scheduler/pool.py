@@ -289,9 +289,6 @@ class ReplicaPool:
 
     # -- routing --------------------------------------------------------------
 
-    def total_pending(self) -> int:
-        return sum(r.pending for r in self.healthy())
-
     def route(self, exclude: Tuple[int, ...] = ()) -> Replica:
         """Least-loaded healthy replica, skipping ``exclude`` indices."""
         with self._lock:

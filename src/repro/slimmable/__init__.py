@@ -8,7 +8,6 @@ weights stored once, sub-networks expressed as channel slices
 
 from repro.slimmable.masks import (
     RegionTracker,
-    clear_freeze_masks,
     conv_region,
     linear_region,
     vector_region,
@@ -38,5 +37,4 @@ __all__ = [
     "conv_region",
     "vector_region",
     "linear_region",
-    "clear_freeze_masks",
 ]

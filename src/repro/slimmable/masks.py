@@ -9,11 +9,11 @@ for stage ``k`` is ``region(k) - union(region(1..k-1))``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
-from repro.slimmable.spec import ChannelSlice, SubNetSpec
+from repro.slimmable.spec import ChannelSlice
 
 
 class RegionTracker:
@@ -68,8 +68,3 @@ def linear_region(shape, feature_slice: ChannelSlice) -> np.ndarray:
     mask = np.zeros(shape)
     mask[:, feature_slice.as_slice()] = 1.0
     return mask
-
-
-def clear_freeze_masks(params: Iterable) -> None:
-    for p in params:
-        p.set_freeze_mask(None)

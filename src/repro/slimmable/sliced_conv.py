@@ -30,12 +30,13 @@ from repro.utils.rng import check_rng
 
 
 class SlicedConv2d(Module):
-    """Conv2d whose in/out channel ranges are selected at call time.
+    """2-D convolution whose in/out channel ranges are selected at call time.
 
     Args:
         max_in_channels: full-width input channel count.
         max_out_channels: full-width output channel count.
-        kernel_size / stride / padding: as in :class:`repro.nn.Conv2d`.
+        kernel_size / stride / padding: square kernel side, stride and zero
+            padding of :func:`repro.nn.functional.conv2d_forward`.
         slice_input: if False the layer always consumes the full input range
             (used for the first conv, which reads the raw image).
     """

@@ -130,10 +130,6 @@ class SlimmableConvNet(Module):
     def view(self, spec: SubNetSpec) -> "SubNetworkView":
         return SubNetworkView(self, spec)
 
-    def views(self) -> Dict[str, "SubNetworkView"]:
-        """Views for the entire sub-network family, keyed by name."""
-        return {spec.name: self.view(spec) for spec in self.width_spec.all_specs()}
-
     # -- compute ---------------------------------------------------------------
 
     def forward(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
@@ -175,11 +171,6 @@ class SlimmableConvNet(Module):
         """
         for param, region in self.region_masks(spec):
             param.set_freeze_mask(tracker.trainable_mask(param, region))
-
-    def mark_trained(self, spec: SubNetSpec, tracker: RegionTracker) -> None:
-        """Record ``spec``'s region as covered after its stage completes."""
-        for param, region in self.region_masks(spec):
-            tracker.mark(param, region)
 
     def clear_freeze(self) -> None:
         for param in self.parameters():

@@ -35,9 +35,6 @@ class ChannelSlice:
     def contains(self, other: "ChannelSlice") -> bool:
         return self.start <= other.start and other.stop <= self.stop
 
-    def overlaps(self, other: "ChannelSlice") -> bool:
-        return self.start < other.stop and other.start < self.stop
-
     def __repr__(self) -> str:
         return f"[{self.start}:{self.stop})"
 
@@ -66,10 +63,6 @@ class SubNetSpec:
     def is_lower(self) -> bool:
         """True if every slice starts at channel 0 (a classic nested subnet)."""
         return all(s.start == 0 for s in self.conv_slices)
-
-    def is_uniform(self) -> bool:
-        """True if all layers use the same slice."""
-        return all(s == self.conv_slices[0] for s in self.conv_slices)
 
     def __repr__(self) -> str:
         return f"SubNetSpec({self.name}: {list(self.conv_slices)})"

@@ -1,6 +1,5 @@
 """Training algorithms: plain, incremental [3] and nested incremental (Alg. 1)."""
 
-from repro.training.callbacks import Callback, EarlyStopping, LoggingCallback
 from repro.training.history import EpochRecord, History
 from repro.training.incremental import IncrementalTrainer
 from repro.training.nested_incremental import NestedIncrementalTrainer, NestedTrainConfig
@@ -30,7 +29,4 @@ __all__ = [
     "train_family",
     "History",
     "EpochRecord",
-    "Callback",
-    "LoggingCallback",
-    "EarlyStopping",
 ]

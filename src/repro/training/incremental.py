@@ -23,7 +23,6 @@ from repro.data.dataset import ArrayDataset
 from repro.models.base import ModelFamily
 from repro.slimmable.masks import RegionTracker
 from repro.slimmable.spec import SubNetSpec
-from repro.training.callbacks import Callback
 from repro.training.history import History
 from repro.training.trainer import TrainConfig, Trainer
 from repro.utils.rng import check_rng
@@ -32,14 +31,8 @@ from repro.utils.rng import check_rng
 class IncrementalTrainer:
     """Trains the nested lower sub-network family, freezing as it grows."""
 
-    def __init__(
-        self,
-        callbacks: Optional[Sequence[Callback]] = None,
-        *,
-        freeze_classifier_bias: bool = False,
-    ) -> None:
-        self.trainer = Trainer(callbacks)
-        self.freeze_classifier_bias = freeze_classifier_bias
+    def __init__(self) -> None:
+        self.trainer = Trainer()
 
     def _stage_specs(self, model: ModelFamily) -> Sequence[SubNetSpec]:
         return model.width_spec.lower_family()
@@ -78,6 +71,6 @@ class IncrementalTrainer:
 
     def _mark(self, net, spec: SubNetSpec, tracker: RegionTracker) -> None:
         for param, region in net.region_masks(spec):
-            if param is net.classifier.bias and not self.freeze_classifier_bias:
+            if param is net.classifier.bias:
                 continue
             tracker.mark(param, region)

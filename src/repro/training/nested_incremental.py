@@ -26,14 +26,13 @@ views over the shared store never leaves activation state behind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.models.base import ModelFamily
 from repro.slimmable.masks import RegionTracker
-from repro.training.callbacks import Callback
 from repro.training.history import History
 from repro.training.revival import revive_dead_channels
 from repro.training.trainer import TrainConfig, Trainer
@@ -77,14 +76,8 @@ class NestedTrainConfig:
 class NestedIncrementalTrainer:
     """Implements Algorithm 1 over a Fluid DyDNN."""
 
-    def __init__(
-        self,
-        callbacks: Optional[Sequence[Callback]] = None,
-        *,
-        freeze_classifier_bias: bool = False,
-    ) -> None:
-        self.trainer = Trainer(callbacks)
-        self.freeze_classifier_bias = freeze_classifier_bias
+    def __init__(self) -> None:
+        self.trainer = Trainer()
 
     def fit(
         self,
@@ -149,6 +142,6 @@ class NestedIncrementalTrainer:
 
     def _mark(self, net, spec, tracker: RegionTracker) -> None:
         for param, region in net.region_masks(spec):
-            if param is net.classifier.bias and not self.freeze_classifier_bias:
+            if param is net.classifier.bias:
                 continue
             tracker.mark(param, region)

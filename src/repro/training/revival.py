@@ -12,7 +12,7 @@ sub-network on a data batch and re-initialise the *trainable* dead channels
 (kaiming weights, small positive bias).  Frozen channels are never touched,
 so incremental ordering inside the upper pass is preserved.  This is an
 implementation requirement of the paper's tiny model rather than a new
-algorithm; DESIGN.md records it.
+algorithm.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ which freeze masks are installed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.data.loader import DataLoader
 from repro.nn.context import ForwardContext
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.optim.sgd import SGD
-from repro.training.callbacks import Callback
 from repro.training.history import EpochRecord, History
 from repro.utils.rng import check_rng
 
@@ -62,9 +61,8 @@ class TrainConfig:
 class Trainer:
     """Single-model trainer (softmax cross-entropy, SGD with momentum)."""
 
-    def __init__(self, callbacks: Optional[Sequence[Callback]] = None) -> None:
+    def __init__(self) -> None:
         self.loss_fn = SoftmaxCrossEntropy()
-        self.callbacks = list(callbacks or [])
 
     def fit(
         self,
@@ -90,11 +88,8 @@ class Trainer:
             weight_decay=config.weight_decay,
         )
         loader = DataLoader(train_set, config.batch_size, shuffle=True, rng=rng)
-        for cb in self.callbacks:
-            cb.on_stage_start(stage)
 
         model.train(True)
-        stop = False
         for epoch in range(config.epochs):
             epoch_loss = 0.0
             epoch_correct = 0
@@ -125,13 +120,7 @@ class Trainer:
                 lr=optimizer.lr,
             )
             history.add(record)
-            for cb in self.callbacks:
-                stop = cb.on_epoch_end(record) or stop
-            if stop:
-                break
 
-        for cb in self.callbacks:
-            cb.on_stage_end(stage)
         model.train(False)
         return history
 

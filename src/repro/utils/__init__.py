@@ -5,7 +5,7 @@ Everything stochastic in :mod:`repro` takes an explicit
 place generators are created so experiments are reproducible per seed.
 """
 
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.config import Config
 from repro.utils.dtypes import (
     DtypePolicy,
@@ -18,7 +18,6 @@ from repro.utils.logging import get_logger
 
 __all__ = [
     "make_rng",
-    "spawn_rngs",
     "Config",
     "get_logger",
     "DtypePolicy",

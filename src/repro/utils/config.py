@@ -61,12 +61,6 @@ class Config:
     def get(self, key: str, default: Any = None) -> Any:
         return self.values.get(key, default)
 
-    def updated(self, **overrides: Any) -> "Config":
-        """Return a new Config with ``overrides`` applied."""
-        merged = dict(self.values)
-        merged.update(overrides)
-        return Config(merged)
-
     def require(self, *keys: str) -> "Config":
         """Raise ``KeyError`` listing any missing required keys."""
         missing = [k for k in keys if k not in self.values]
@@ -83,9 +77,6 @@ class Config:
         from repro.utils.dtypes import DtypePolicy
 
         return DtypePolicy.from_config(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.values)
 
     def to_json(self) -> str:
         return json.dumps(self.values, sort_keys=True)

@@ -139,11 +139,6 @@ def compute_dtype(training: bool = False) -> np.dtype:
     return get_dtype_policy().compute_dtype(training)
 
 
-def as_compute(x: np.ndarray, training: bool = False) -> np.ndarray:
-    """Cast ``x`` to the active compute dtype (no copy when already there)."""
-    return np.asarray(x, dtype=compute_dtype(training))
-
-
 def resolve_dtype_policy(name: str) -> DtypePolicy:
     """Map a CLI-style name to a policy: ``float64`` | ``float32``."""
     if name == "float64":

@@ -1,15 +1,15 @@
 """Deterministic random-number plumbing.
 
 The repository-wide convention is that no module ever touches global numpy
-random state.  Components receive a :class:`numpy.random.Generator` and, when
-they need independent child streams (e.g. one per device, one per data split),
-derive them with :func:`spawn_rngs` so that adding a consumer never perturbs
-the stream seen by another.
+random state.  Components receive a :class:`numpy.random.Generator`; one
+configured by value (a seed crossing a process boundary, a per-request
+payload) derives its own stream with :func:`derive_seed`, so adding a
+consumer never perturbs the stream seen by another.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -27,19 +27,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` statistically independent child generators.
-
-    Child streams are derived through ``SeedSequence.spawn`` semantics by
-    drawing fresh 128-bit seeds from ``rng``, so the parent stream advances by
-    exactly ``count`` draws regardless of how children are used afterwards.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def derive_seed(seed: int, *labels: Union[str, int]) -> int:

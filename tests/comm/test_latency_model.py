@@ -28,7 +28,6 @@ class TestCommLatencyModel:
 
     def test_scaling_helpers(self):
         model = CommLatencyModel(base_latency_s=0.001, bandwidth_bytes_per_s=1e6)
-        assert model.scaled_bandwidth(2.0).bandwidth_bytes_per_s == 2e6
         assert model.scaled_latency(0.5).base_latency_s == pytest.approx(0.0005)
 
     def test_validation(self):
@@ -38,5 +37,3 @@ class TestCommLatencyModel:
             CommLatencyModel(bandwidth_bytes_per_s=0)
         with pytest.raises(ValueError):
             CommLatencyModel().transfer_time(-5)
-        with pytest.raises(ValueError):
-            CommLatencyModel().scaled_bandwidth(0)

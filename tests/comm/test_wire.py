@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import WireError, decode_frame, encode_frame, frame_payload_bytes
+from repro.comm import WireError, decode_frame, encode_frame
 from repro.comm.wire import _ALLOWED_DTYPES, cast_for_wire, wire_dtype
 from repro.utils import dtype_policy, make_rng
 
@@ -191,9 +191,3 @@ class TestRejections:
         frame = b"FDN1" + struct.pack(">I", 1 << 24) + b"x"
         with pytest.raises(WireError):
             decode_frame(frame)
-
-
-class TestPayloadBytes:
-    def test_counts(self, rng):
-        arrays = {"a": np.zeros((2, 3)), "b": np.zeros(5, dtype=np.float32)}
-        assert frame_payload_bytes(arrays) == 2 * 3 * 8 + 5 * 4

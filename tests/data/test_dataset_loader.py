@@ -44,10 +44,6 @@ class TestArrayDataset:
         with pytest.raises(TypeError):
             toy_dataset().split(0.5, 42)
 
-    def test_class_counts(self):
-        counts = toy_dataset(9).class_counts()
-        np.testing.assert_array_equal(counts, [3, 3, 3])
-
     def test_subset(self):
         ds = toy_dataset(10)
         sub = ds.subset(np.array([0, 5]))

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.device import (
-    input_image_bytes,
-    partitioned_device_costs,
+    block_partitioned_costs,
     subnet_flops,
     subnet_layer_costs,
     subnet_num_layers,
@@ -46,23 +45,23 @@ class TestPartitionedCosts:
     def test_halves_sum_to_total(self, paper_net):
         spec = paper_net.width_spec.full()
         total = subnet_flops(paper_net, spec)
-        master, worker, _ = partitioned_device_costs(paper_net, spec, 8)
+        (master, worker), _ = block_partitioned_costs(paper_net, spec, (0, 8, 16))
         assert sum(c.flops for c in master) + sum(c.flops for c in worker) == total
 
     def test_even_split_gives_equal_halves(self, paper_net):
         spec = paper_net.width_spec.full()
-        master, worker, _ = partitioned_device_costs(paper_net, spec, 8)
+        (master, worker), _ = block_partitioned_costs(paper_net, spec, (0, 8, 16))
         assert sum(c.flops for c in master) == sum(c.flops for c in worker) == 685216
 
     def test_exchange_sizes(self, paper_net):
         spec = paper_net.width_spec.full()
-        _, _, exchanges = partitioned_device_costs(paper_net, spec, 8)
+        _, exchanges = block_partitioned_costs(paper_net, spec, (0, 8, 16))
         # Pooled half-activations: 8*14*14*4, 8*7*7*4, 8*7*7*4, then 10 logits.
         assert exchanges == [6272, 1568, 1568, 40]
 
     def test_uneven_split(self, paper_net):
         spec = paper_net.width_spec.full()
-        master, worker, exchanges = partitioned_device_costs(paper_net, spec, 4)
+        (master, worker), exchanges = block_partitioned_costs(paper_net, spec, (0, 4, 16))
         assert master[0].out_channels == 4
         assert worker[0].out_channels == 12
         # Exchange bounded by the larger half.
@@ -71,7 +70,7 @@ class TestPartitionedCosts:
     def test_split_outside_spec_rejected(self, paper_net):
         spec = paper_net.width_spec.find("lower50")  # channels [0, 8)
         with pytest.raises(ValueError):
-            partitioned_device_costs(paper_net, spec, 8)
+            block_partitioned_costs(paper_net, spec, (0, 8, 8))
 
 
 class TestParamCount:
@@ -89,8 +88,3 @@ class TestParamCount:
         assert subnet_param_count(paper_net, ws.find("upper50")) == subnet_param_count(
             paper_net, ws.find("lower50")
         )
-
-
-class TestInputBytes:
-    def test_image_bytes(self, paper_net):
-        assert input_image_bytes(paper_net) == 28 * 28 * 4

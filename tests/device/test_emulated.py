@@ -64,10 +64,3 @@ class TestFailures:
         with pytest.raises(DeviceFailed):
             device.execute_subnet(spec, x)
         assert not device.alive
-
-
-class TestCapacity:
-    def test_can_host_respects_capacity(self, device):
-        ws = device.net.width_spec
-        assert device.can_host(ws.find("lower50"))
-        assert not device.can_host(ws.find("lower100"))

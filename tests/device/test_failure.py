@@ -43,11 +43,6 @@ class TestFailureSchedule:
         sched.add(FaultEvent(1.0, "b"))
         assert [e.time_s for e in sched.events] == [1.0, 5.0]
 
-    def test_crash_time(self):
-        sched = single_fault("worker", 3.0)
-        assert sched.crash_time("worker") == 3.0
-        assert sched.crash_time("master") is None
-
     def test_no_failures(self):
         sched = FaultPlan()
         assert sched.is_alive("anything", 1e9)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master
-from repro.distributed import ExecutionMode, solo_plan
+from repro.device import jetson_nx_master, jetson_nx_worker
+from repro.device.cost import block_partitioned_costs, subnet_num_layers
+from repro.distributed import ExecutionMode, SystemThroughputModel, solo_plan
 from repro.distributed.multidevice import (
     BlockPartition,
     MultiDeviceModel,
@@ -106,6 +107,31 @@ class TestMultiDeviceModel:
         solo = model.survivor_throughput([0])
         assert ht == pytest.approx(2 * solo, rel=1e-9)
         assert ha < solo < ht
+
+    def test_ha_charges_block_partitioned_costs(self, quad_net, quad_model):
+        """N-block HA: lock-step compute of each device's clipped block, plus
+        the all-gathers and N-1 partial-logit vectors at the classifier."""
+        spec = quad_model.partition.combined_spec(len(quad_net.convs))
+        per_device, exchanges = block_partitioned_costs(
+            quad_net, spec, quad_model.partition.boundaries
+        )
+        layers = subnet_num_layers(quad_net)
+        compute = max(
+            profile.compute_time(sum(c.flops for c in costs), layers)
+            for profile, costs in zip(quad_model.profiles, per_device)
+        )
+        expected = 1.0 / (compute + quad_model.comm.total_time(exchanges))
+        assert quad_model.ha_throughput(range(4)) == expected
+
+    def test_two_block_ha_is_the_two_device_model(self, paper_net):
+        """At N=2 the N-device model and SystemThroughputModel are one formula."""
+        master, worker, comm = jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
+        ws = paper_net.width_spec
+        model = MultiDeviceModel(
+            paper_net, [master, worker], comm, BlockPartition.two_way(ws.split, ws.max_width)
+        )
+        two_device = SystemThroughputModel(paper_net, master, worker, comm)
+        assert model.ha_throughput([0, 1]) == two_device.ha_throughput(ws.full()).throughput_ips
 
     def test_alive_index_validation(self, quad_model):
         with pytest.raises(ValueError):

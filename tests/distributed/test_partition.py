@@ -40,12 +40,6 @@ class TestResidency:
         names = [s.name for s in partition.resident_specs(WORKER)]
         assert names == ["upper25", "upper50"]
 
-    def test_residency_table(self, partition):
-        table = partition.residency_table()
-        assert table[MASTER] == ["lower25", "lower50"]
-        assert table[WORKER] == ["upper25", "upper50"]
-
-
 class TestSurvivorOptions:
     """The reliability story of Fig. 1b/1c, expressed as residency x certification."""
 

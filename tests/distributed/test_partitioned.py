@@ -32,12 +32,12 @@ class TestPartitionedEquivalence:
             np.testing.assert_allclose(partitioned, reference, atol=1e-10)
 
     def test_exchange_accounting_matches_cost_model(self, paper_net, rng):
-        from repro.device import partitioned_device_costs
+        from repro.device import block_partitioned_costs
 
         spec = paper_net.width_spec.full()
         x = rng.standard_normal((1, 1, 28, 28))
         _, exchanged = partitioned_forward_reference(paper_net, spec, 8, x)
-        _, _, expected = partitioned_device_costs(paper_net, spec, 8)
+        _, expected = block_partitioned_costs(paper_net, spec, (0, 8, 16))
         assert exchanged == expected
 
     def test_upper_spec_rejected(self, paper_net, rng):

@@ -43,8 +43,6 @@ class TestDeploymentPlan:
 
     def test_assignment_lookup(self):
         plan = ht_plan("lower50", "upper50")
-        assert plan.assignment_for("worker").subnet == "upper50"
-        assert plan.assignment_for("bystander") is None
         assert plan.devices() == ["master", "worker"]
 
 

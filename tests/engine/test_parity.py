@@ -21,7 +21,7 @@ import pytest
 from repro.comm import CommLatencyModel, InProcChannel, Message, MessageKind
 from repro.comm.transport import TransportError
 from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.device.cost import partitioned_device_costs
+from repro.device.cost import block_partitioned_costs
 from repro.distributed import MasterRuntime, WorkerServer
 from repro.distributed.modes import Scenario
 from repro.distributed.partitioned import (
@@ -103,7 +103,9 @@ class LegacyMasterReference:
     def run_ha(self, spec: SubNetSpec, x: np.ndarray) -> np.ndarray:
         net = self.device.net
         lower = ChannelSlice(0, self.split)
-        master_costs, _, _ = partitioned_device_costs(net, spec, self.split)
+        (master_costs, _), _ = block_partitioned_costs(
+            net, spec, (0, self.split, spec.last_slice.stop)
+        )
 
         current = x
         in_slice: Optional[ChannelSlice] = None

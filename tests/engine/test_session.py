@@ -14,7 +14,8 @@ import pytest
 
 from repro.engine.session import InferenceSession
 from repro.models import build_model
-from repro.nn import ForwardContext, Linear, ReLU, Sequential
+from repro.nn import ForwardContext
+from repro.slimmable import SlicedLinear
 from repro.utils import make_rng
 
 FAMILIES = ("static", "dynamic", "fluid")
@@ -126,25 +127,17 @@ class TestConcurrentMatchesSerial:
 
 
 class TestPlainModules:
-    def test_sequential_sessions_share_weights(self):
-        rng = make_rng(9)
-        net = Sequential(Linear(6, 16, rng=rng), ReLU(), Linear(16, 4, rng=rng))
-        sessions = [InferenceSession(net) for _ in range(4)]
-        batches = [make_rng(30 + i).standard_normal((5, 6)) for i in range(4)]
-        expected = [s.run(x) for s, x in zip(sessions, batches)]
-        results = serve_concurrent(sessions, batches)
-        for got, want in zip(results, expected):
-            np.testing.assert_array_equal(got, want)
-        base = [id(p.data) for p in sessions[0].parameters()]
-        assert all([id(p.data) for p in s.parameters()] == base for s in sessions)
-
     def test_session_requires_subnet_for_family(self, models):
         with pytest.raises(TypeError):
             InferenceSession(models["fluid"])
 
+    def test_unknown_subnet_rejected(self, models):
+        with pytest.raises(KeyError):
+            InferenceSession(models["fluid"].net, "lower33")
+
     def test_non_recording_context_rejects_backward(self):
         rng = make_rng(11)
-        net = Sequential(Linear(4, 4, rng=rng), ReLU())
+        net = SlicedLinear(4, 4, rng=rng)
         ctx = ForwardContext(recording=False)
         y = net.forward(make_rng(12).standard_normal((2, 4)), ctx)
         with pytest.raises(RuntimeError):

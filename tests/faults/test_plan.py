@@ -1,4 +1,4 @@
-"""Fault plans: validation, ordering, liveness, serialization, chaos seeds."""
+"""Fault plans: validation, ordering, liveness, serialization."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.faults.plan import (
     STALL,
     FaultEvent,
     FaultPlan,
-    chaos_plan,
     replica_target,
     single_fault,
     target_index,
@@ -91,16 +90,6 @@ class TestFaultPlan:
         plan = FaultPlan([FaultEvent(1.0, "replica:0", STALL, duration_s=1.0)])
         assert plan.is_alive("replica:0", 1.5)
 
-    def test_crash_time_and_of_kind_and_targets(self):
-        plan = FaultPlan([
-            FaultEvent(0.3, "replica:1", STALL, duration_s=0.1),
-            FaultEvent(0.5, "replica:0", CRASH),
-        ])
-        assert plan.crash_time("replica:0") == 0.5
-        assert plan.crash_time("replica:1") is None
-        assert [e.kind for e in plan.of_kind(CRASH)] == [CRASH]
-        assert plan.targets() == ("replica:1", "replica:0")
-
     def test_plan_json_round_trip(self):
         plan = FaultPlan([
             FaultEvent(0.35, "replica:1", CRASH),
@@ -112,39 +101,6 @@ class TestFaultPlan:
     def test_bool_and_len(self):
         assert not FaultPlan([]) and len(FaultPlan([])) == 0
         assert single_fault("replica:0") and len(single_fault("replica:0")) == 1
-
-
-class TestChaosPlan:
-    def test_same_seed_same_incident(self):
-        kwargs = dict(replicas=4, duration_s=2.0, crashes=2, stalls=1, drops=1)
-        a = chaos_plan(7, **kwargs)
-        b = chaos_plan(7, **kwargs)
-        assert a.to_json() == b.to_json()
-        assert chaos_plan(8, **kwargs).to_json() != a.to_json()
-
-    def test_crashes_capped_to_leave_a_survivor(self):
-        plan = chaos_plan(0, replicas=3, duration_s=1.0, crashes=10)
-        assert len(plan.of_kind(CRASH)) == 2
-
-    def test_never_crashes_the_same_replica_twice(self):
-        plan = chaos_plan(3, replicas=5, duration_s=1.0, crashes=4)
-        crashed = [e.target for e in plan.of_kind(CRASH)]
-        assert len(crashed) == len(set(crashed)) == 4
-
-    def test_times_land_inside_the_window(self):
-        plan = chaos_plan(
-            1, replicas=4, duration_s=10.0, crashes=2, stalls=2,
-            drops=2, heartbeat_delays=2, window=(0.25, 0.75),
-        )
-        assert all(2.5 <= e.time_s <= 7.5 for e in plan.events)
-        kinds = {e.kind for e in plan.events}
-        assert kinds == {CRASH, STALL, DROP, HEARTBEAT_DELAY}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chaos_plan(0, replicas=0, duration_s=1.0)
-        with pytest.raises(ValueError):
-            chaos_plan(0, replicas=2, duration_s=1.0, window=(0.9, 0.1))
 
 
 def test_fault_kinds_are_closed_vocabulary():

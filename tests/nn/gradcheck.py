@@ -24,20 +24,30 @@ def numerical_grad_wrt_array(f, array: np.ndarray, eps: float = 1e-6) -> np.ndar
     return grad
 
 
-def check_layer_gradients(layer, x: np.ndarray, rng, atol: float = 1e-6) -> None:
+def check_layer_gradients(layer, x: np.ndarray, rng, atol: float = 1e-6, bind=None) -> None:
     """Validate a layer's input and parameter gradients numerically.
 
     Uses the scalar objective ``sum(forward(x) * g)`` for a fixed random
-    ``g``, whose gradient through ``backward`` is exactly ``g``.
+    ``g``, whose gradient through ``backward`` is exactly ``g``.  ``bind``,
+    if given, writes the call's bindings (e.g. a sub-network's slices) into
+    each fresh context; every parameter is checked whole, so gradient that
+    leaks outside the bound region fails too.
     """
-    out = layer(x)
+
+    def context(recording: bool) -> ForwardContext:
+        ctx = ForwardContext(recording=recording)
+        if bind is not None:
+            bind(ctx)
+        return ctx
+
+    out = layer(x, context(False))
     g = rng.standard_normal(out.shape)
 
     def objective() -> float:
-        return float((layer(x) * g).sum())
+        return float((layer(x, context(False)) * g).sum())
 
     layer.zero_grad()
-    ctx = ForwardContext()
+    ctx = context(True)
     layer(x, ctx)
     grad_x = layer.backward(g, ctx)
 

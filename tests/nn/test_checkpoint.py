@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, ReLU, Sequential, load_model, load_state, save_model, save_state
+from repro.nn import load_state, save_state
 from repro.utils import make_rng
 
 
@@ -29,30 +29,9 @@ class TestStateIO:
         assert loaded["x"][0] == 5
 
 
-class TestModelIO:
-    def test_model_roundtrip(self, tmp_path):
-        rng = make_rng(0)
-        model = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
-        path = str(tmp_path / "model.npz")
-        save_model(path, model)
-
-        fresh = Sequential(Linear(4, 8, rng=make_rng(1)), ReLU(), Linear(8, 2, rng=make_rng(2)))
-        load_model(path, fresh)
-        x = rng.standard_normal((3, 4))
-        np.testing.assert_array_equal(model(x), fresh(x))
-
-    def test_strict_load_rejects_wrong_architecture(self, tmp_path):
-        rng = make_rng(0)
-        model = Sequential(Linear(4, 8, rng=rng))
-        path = str(tmp_path / "m.npz")
-        save_model(path, model)
-        other = Sequential(Linear(4, 8, rng=rng), Linear(8, 2, rng=rng))
-        with pytest.raises(KeyError):
-            load_model(path, other)
-
-
 class TestPartialSlimmableLoad:
-    """load_model(strict=False) into slimmable nets (the replica-spawn path)."""
+    """``load_state_dict(load_state(path), strict=False)`` into slimmable nets
+    (the replica-spawn path)."""
 
     def _net(self, seed):
         from repro.slimmable import SlimmableConvNet, paper_width_spec
@@ -73,7 +52,7 @@ class TestPartialSlimmableLoad:
 
         target = self._net(1)
         before = {k: v.copy() for k, v in target.state_dict().items()}
-        load_model(path, target, strict=False)
+        target.load_state_dict(load_state(path), strict=False)
         after = target.state_dict()
         for key in full_state:
             if key in partial:
@@ -99,7 +78,7 @@ class TestPartialSlimmableLoad:
             path, {k: v for k, v in donor.state_dict().items() if k.startswith("conv0")}
         )
         target = self._net(4)
-        load_model(path, target, strict=False)
+        target.load_state_dict(load_state(path), strict=False)
         donor_w = donor.state_dict()["conv0.weight"]
         for width in target.width_spec.lower_widths:
             spec = target.width_spec.lower(width)
@@ -122,7 +101,7 @@ class TestPartialSlimmableLoad:
         )
         target = self._net(7)
         with pytest.raises(KeyError, match="missing"):
-            load_model(path, target, strict=True)
+            target.load_state_dict(load_state(path), strict=True)
 
     def test_strict_false_ignores_unexpected_keys(self, tmp_path):
         donor = self._net(8)
@@ -131,7 +110,7 @@ class TestPartialSlimmableLoad:
         path = str(tmp_path / "extra.npz")
         save_state(path, state)
         target = self._net(9)
-        load_model(path, target, strict=False)
+        target.load_state_dict(load_state(path), strict=False)
         np.testing.assert_array_equal(
             target.state_dict()["classifier.weight"], state["classifier.weight"]
         )

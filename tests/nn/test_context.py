@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import ForwardContext, Linear, ReLU, Sequential
+from repro.nn import ForwardContext
+from repro.slimmable import SlicedLinear
 from repro.utils import make_rng
 
 
@@ -60,14 +61,14 @@ class TestImplicitShim:
     """A call without a context leaves nothing behind for a backward to find."""
 
     def test_backward_without_any_forward_raises(self, rng):
-        net = Sequential(Linear(4, 3, rng=rng))
+        net = SlicedLinear(4, 3, rng=rng)
         net(rng.standard_normal((2, 4)))  # records nothing anywhere
         with pytest.raises(RuntimeError, match="backward called before forward"):
             net.backward(np.ones((2, 3)), ForwardContext())
 
     def test_explicit_contexts_are_independent(self, rng):
         """Two interleaved explicit contexts keep separate tapes over one net."""
-        net = Sequential(Linear(4, 4, rng=rng), ReLU())
+        net = SlicedLinear(4, 4, rng=rng)
         x_a = rng.standard_normal((2, 4))
         x_b = rng.standard_normal((3, 4))
         ctx_a, ctx_b = ForwardContext(), ForwardContext()

@@ -85,6 +85,27 @@ class TestConv2d:
                         naive[n, co, i, j] = (patch * w[co]).sum() + b[co]
         np.testing.assert_allclose(y, naive, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "kernel,stride,padding,size",
+        [(3, 2, 0, 7), (1, 1, 0, 4), (5, 1, 2, 5), (3, 2, 1, 6), (2, 2, 0, 6), (3, 1, 0, 5)],
+        ids=["k3s2p0", "k1s1p0", "k5s1p2", "k3s2p1", "k2s2p0", "k3s1p0"],
+    )
+    def test_matches_naive_convolution_per_geometry(self, kernel, stride, padding, size):
+        rng = make_rng(kernel * 100 + stride * 10 + padding)
+        x = rng.standard_normal((2, 2, size, size))
+        w = rng.standard_normal((3, 2, kernel, kernel))
+        b = rng.standard_normal(3)
+        y, _ = F.conv2d_forward(x, w, b, stride=stride, padding=padding)
+        side = F.conv_out_size(size, kernel, stride, padding)
+        assert y.shape == (2, 3, side, side)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        naive = np.zeros_like(y)
+        for i in range(side):
+            for j in range(side):
+                patch = xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+                naive[:, :, i, j] = np.einsum("ncij,ocij->no", patch, w) + b
+        np.testing.assert_allclose(y, naive, atol=1e-12)
+
     def test_channel_mismatch_raises(self):
         rng = make_rng(0)
         x = rng.standard_normal((1, 3, 5, 5))
@@ -159,29 +180,6 @@ class TestMaxPool:
         np.add.at(ref, (n_idx, c_idx, rows, cols), g)
 
         np.testing.assert_allclose(gx, ref, rtol=0, atol=1e-12)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        rng = make_rng(6)
-        probs = F.softmax(rng.standard_normal((5, 10)))
-        np.testing.assert_allclose(probs.sum(axis=1), np.ones(5))
-
-    def test_shift_invariance(self):
-        logits = make_rng(7).standard_normal((3, 4))
-        np.testing.assert_allclose(F.softmax(logits), F.softmax(logits + 100.0))
-
-    def test_extreme_values_stable(self):
-        logits = np.array([[1e4, 0.0, -1e4]])
-        probs = F.softmax(logits)
-        assert np.isfinite(probs).all()
-        assert probs[0, 0] == pytest.approx(1.0)
-
-    def test_log_softmax_consistency(self):
-        logits = make_rng(8).standard_normal((4, 6))
-        np.testing.assert_allclose(
-            np.exp(F.log_softmax(logits)), F.softmax(logits), atol=1e-12
-        )
 
 
 class TestRelu:

@@ -1,87 +1,42 @@
-"""Gradient and behaviour tests for the layer catalogue."""
+"""Gradient and behaviour tests for the unsliced layers."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Conv2d,
-    Dropout,
-    Flatten,
-    ForwardContext,
-    GlobalAvgPool2d,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Tanh,
-)
+from repro.nn import Flatten, ForwardContext, MaxPool2d, ReLU
 from repro.utils import make_rng
 from tests.nn.gradcheck import check_layer_gradients
 
-
-class TestConv2dLayer:
-    def test_output_shape(self, rng):
-        conv = Conv2d(3, 5, 3, padding=1, rng=rng)
-        assert conv(rng.standard_normal((2, 3, 8, 8))).shape == (2, 5, 8, 8)
-
-    def test_stride_shape(self, rng):
-        conv = Conv2d(1, 2, 3, stride=2, rng=rng)
-        assert conv(rng.standard_normal((1, 1, 9, 9))).shape == (1, 2, 4, 4)
-
-    def test_gradients(self, rng):
-        conv = Conv2d(2, 3, 3, padding=1, rng=rng)
-        x = rng.standard_normal((2, 2, 5, 5))
-        check_layer_gradients(conv, x, rng)
-
-    def test_backward_before_forward_raises(self, rng):
-        conv = Conv2d(1, 1, 3, rng=rng)
-        with pytest.raises(RuntimeError):
-            conv.backward(np.zeros((1, 1, 3, 3)), ForwardContext())
-
-    def test_invalid_args_rejected(self, rng):
-        with pytest.raises(ValueError):
-            Conv2d(0, 1, 3, rng=rng)
-        with pytest.raises(ValueError):
-            Conv2d(1, 1, 3, padding=-1, rng=rng)
-        with pytest.raises(TypeError):
-            Conv2d(1, 1, 3, rng=42)
-
-    def test_flops_per_image(self, rng):
-        conv = Conv2d(1, 16, 3, padding=1, rng=rng)
-        # 28x28 output, 16 kernels over 1 channel: 2 * 28*28*16*9 MACs.
-        assert conv.flops_per_image(28, 28) == 2 * 28 * 28 * 16 * 9
+# (kernel, stride, input side): the paper's 2x2/2 pool, a wider window,
+# overlapping windows and a side the windows do not tile.
+POOLS = [(2, 2, 6), (3, 3, 9), (2, 1, 5), (3, 2, 7)]
+POOL_IDS = [f"k{k}s{s}n{n}" for k, s, n in POOLS]
 
 
-class TestLinearLayer:
-    def test_forward_matches_matmul(self, rng):
-        lin = Linear(4, 3, rng=rng)
-        x = rng.standard_normal((5, 4))
-        np.testing.assert_allclose(lin(x), x @ lin.weight.data.T + lin.bias.data)
-
-    def test_gradients(self, rng):
-        lin = Linear(4, 3, rng=rng)
-        check_layer_gradients(lin, rng.standard_normal((3, 4)), rng)
-
-    def test_wrong_feature_count_raises(self, rng):
-        lin = Linear(4, 3, rng=rng)
-        with pytest.raises(ValueError):
-            lin(rng.standard_normal((2, 5)))
-
-    def test_non_2d_input_raises(self, rng):
-        lin = Linear(4, 3, rng=rng)
-        with pytest.raises(ValueError):
-            lin(rng.standard_normal((2, 4, 1)))
+def tie_free(rng, shape):
+    """Random input with distinct values, so every window has one argmax."""
+    x = rng.permutation(int(np.prod(shape))).reshape(shape).astype(float)
+    return x + 0.1 * rng.random(shape)
 
 
 class TestActivations:
     def test_relu_gradients(self, rng):
         check_layer_gradients(ReLU(), rng.standard_normal((3, 4)) + 0.1, rng)
 
-    def test_tanh_gradients(self, rng):
-        check_layer_gradients(Tanh(), rng.standard_normal((3, 4)), rng)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_forward_is_maximum_and_keeps_dtype(self, rng, dtype):
+        x = rng.standard_normal((4, 5)).astype(dtype)
+        y = ReLU()(x)
+        assert y.dtype == dtype
+        np.testing.assert_array_equal(y, np.maximum(x, 0))
 
-    def test_tanh_range(self, rng):
-        y = Tanh()(rng.standard_normal((10, 10)) * 5)
-        assert np.all(np.abs(y) <= 1.0)
+    def test_relu_gradient_is_zero_where_input_was_negative(self, rng):
+        relu = ReLU()
+        x = rng.standard_normal((6, 6))
+        ctx = ForwardContext()
+        relu(x, ctx)
+        grad = relu.backward(np.ones_like(x), ctx)
+        np.testing.assert_array_equal(grad, (x > 0).astype(float))
 
 
 class TestPoolingLayers:
@@ -90,13 +45,30 @@ class TestPoolingLayers:
         x = rng.standard_normal((2, 2, 6, 6)) + np.arange(36).reshape(6, 6) * 0.01
         check_layer_gradients(MaxPool2d(2), x, rng)
 
-    def test_global_avg_pool(self, rng):
-        gap = GlobalAvgPool2d()
-        x = rng.standard_normal((2, 3, 4, 4))
-        np.testing.assert_allclose(gap(x), x.mean(axis=(2, 3)))
+    @pytest.mark.parametrize("kernel,stride,size", POOLS, ids=POOL_IDS)
+    def test_maxpool_gradients_per_geometry(self, kernel, stride, size):
+        rng = make_rng(kernel * 10 + stride)
+        x = tie_free(rng, (2, 2, size, size))
+        check_layer_gradients(MaxPool2d(kernel, stride), x, rng)
 
-    def test_global_avg_pool_gradients(self, rng):
-        check_layer_gradients(GlobalAvgPool2d(), rng.standard_normal((2, 3, 4, 4)), rng)
+    @pytest.mark.parametrize("kernel,stride,size", POOLS, ids=POOL_IDS)
+    def test_maxpool_output_matches_window_max(self, kernel, stride, size):
+        rng = make_rng(size)
+        x = rng.standard_normal((2, 3, size, size))
+        y = MaxPool2d(kernel, stride)(x)
+        side = (size - kernel) // stride + 1
+        assert y.shape == (2, 3, side, side)
+        for i in range(side):
+            for j in range(side):
+                window = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+                np.testing.assert_array_equal(y[:, :, i, j], window.max(axis=(2, 3)))
+
+    def test_maxpool_stride_defaults_to_kernel(self):
+        assert MaxPool2d(3).stride == 3
+
+    def test_maxpool_invalid_kernel_rejected(self):
+        with pytest.raises(ValueError):
+            MaxPool2d(0)
 
 
 class TestFlatten:
@@ -108,40 +80,27 @@ class TestFlatten:
         assert y.shape == (2, 48)
         np.testing.assert_array_equal(flat.backward(y, ctx), x)
 
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        drop = Dropout(0.5, rng=rng)
-        drop.train(False)
-        x = rng.standard_normal((4, 8))
-        np.testing.assert_array_equal(drop(x), x)
-
-    def test_train_mode_zeroes_and_scales(self):
-        drop = Dropout(0.5, rng=make_rng(0))
-        drop.train(True)
-        x = np.ones((200, 200))
-        y = drop(x)
-        kept = y != 0
-        # Survivors scaled by 1/(1-p) = 2.
-        np.testing.assert_allclose(y[kept], 2.0)
-        assert 0.4 < kept.mean() < 0.6
-
-    def test_backward_uses_same_mask(self):
-        drop = Dropout(0.5, rng=make_rng(1))
-        drop.train(True)
-        x = np.ones((10, 10))
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 2, 5, 1), (2, 4, 3, 7)])
+    def test_flattens_all_but_the_batch_axis(self, rng, shape):
+        flat = Flatten()
+        x = rng.standard_normal(shape)
         ctx = ForwardContext()
-        y = drop(x, ctx)
-        g = drop.backward(np.ones_like(x), ctx)
-        np.testing.assert_array_equal(g != 0, y != 0)
+        y = flat(x, ctx)
+        np.testing.assert_array_equal(y, x.reshape(shape[0], -1))
+        np.testing.assert_array_equal(flat.backward(y, ctx), x)
 
-    def test_p_zero_is_identity_in_train(self, rng):
-        drop = Dropout(0.0, rng=rng)
-        x = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(drop(x), x)
 
-    def test_invalid_p_rejected(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng=rng)
-        with pytest.raises(ValueError):
-            Dropout(-0.1, rng=rng)
+class TestBackwardBeforeForward:
+    @pytest.mark.parametrize(
+        "layer", [ReLU(), MaxPool2d(2), Flatten()], ids=["relu", "maxpool", "flatten"]
+    )
+    def test_raises(self, layer):
+        with pytest.raises(RuntimeError):
+            layer.backward(np.zeros((1, 1, 2, 2)), ForwardContext())
+
+    def test_non_recording_context_keeps_no_state(self, rng):
+        relu = ReLU()
+        ctx = ForwardContext(recording=False)
+        relu(rng.standard_normal((2, 3)), ctx)
+        with pytest.raises(RuntimeError):
+            relu.backward(np.ones((2, 3)), ctx)

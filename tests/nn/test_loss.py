@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import MSELoss, SoftmaxCrossEntropy
-from repro.nn import functional as F
+from repro.nn import SoftmaxCrossEntropy
 from repro.utils import make_rng
 from tests.nn.gradcheck import numerical_grad_wrt_array
 
@@ -38,9 +37,37 @@ class TestSoftmaxCrossEntropy:
         _, grad = SoftmaxCrossEntropy()(logits, np.array([0, 1, 2, 3, 0, 1]))
         np.testing.assert_allclose(grad.sum(axis=1), np.zeros(6), atol=1e-12)
 
+    def test_extreme_logits_stay_finite(self):
+        logits = np.array([[1e4, 0.0, -1e4], [-1e4, 1e4, 1e4]])
+        loss, grad = SoftmaxCrossEntropy()(logits, np.array([2, 0]))
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        # Each row puts (almost) all mass 1e4 or 2e4 away from its label.
+        assert loss == pytest.approx((2e4 + (2e4 + np.log(2))) / 2)
+
+    def test_shift_invariance(self):
+        rng = make_rng(2)
+        logits = rng.standard_normal((4, 6))
+        labels = np.array([5, 0, 3, 3])
+        shifts = rng.standard_normal((4, 1)) * 50
+        loss, grad = SoftmaxCrossEntropy()(logits, labels)
+        shifted_loss, shifted_grad = SoftmaxCrossEntropy()(logits + shifts, labels)
+        assert shifted_loss == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(shifted_grad, grad, atol=1e-15)
+
+    def test_gradient_is_softmax_minus_onehot_over_n(self):
+        rng = make_rng(3)
+        logits = rng.standard_normal((5, 4))
+        labels = np.array([1, 1, 0, 3, 2])
+        _, grad = SoftmaxCrossEntropy()(logits, labels)
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        assert probs.sum(axis=1) == pytest.approx(np.ones(5))
+        np.testing.assert_allclose(grad, (probs - np.eye(4)[labels]) / 5, atol=1e-15)
+
     def test_label_out_of_range_raises(self):
         with pytest.raises(ValueError):
             SoftmaxCrossEntropy()(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(ValueError):
+            SoftmaxCrossEntropy()(np.zeros((2, 3)), np.array([-1, 0]))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -55,28 +82,7 @@ class TestSoftmaxCrossEntropy:
         logits = rng.standard_normal((n, k)) * 3
         labels = rng.integers(0, k, n)
         loss, _ = SoftmaxCrossEntropy()(logits, labels)
-        probs = F.softmax(logits, axis=1)
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         expected = -np.log(probs[np.arange(n), labels]).mean()
         assert loss == pytest.approx(expected, rel=1e-9)
         assert loss >= 0.0
-
-
-class TestMSELoss:
-    def test_zero_for_identical(self):
-        x = make_rng(2).standard_normal((3, 3))
-        loss, grad = MSELoss()(x, x.copy())
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros_like(x))
-
-    def test_gradient_matches_numerical(self):
-        rng = make_rng(3)
-        pred = rng.standard_normal((2, 4))
-        target = rng.standard_normal((2, 4))
-        loss_fn = MSELoss()
-        _, grad = loss_fn(pred, target)
-        num = numerical_grad_wrt_array(lambda: loss_fn(pred, target)[0], pred)
-        np.testing.assert_allclose(grad, num, atol=1e-7)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros((2, 2)), np.zeros((2, 3)))

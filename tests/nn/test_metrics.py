@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import accuracy, confusion_matrix, per_class_accuracy, top_k_accuracy
+from repro.nn import accuracy
 
 
 class TestAccuracy:
@@ -15,6 +15,18 @@ class TestAccuracy:
         logits = np.array([[1.0, 0.0], [1.0, 0.0]])
         assert accuracy(logits, np.array([0, 1])) == 0.5
 
+    def test_ties_go_to_the_lowest_class(self):
+        logits = np.array([[2.0, 2.0, 1.0], [0.0, 3.0, 3.0]])
+        assert accuracy(logits, np.array([0, 1])) == 1.0
+        assert accuracy(logits, np.array([1, 2])) == 0.0
+
+    def test_matches_argmax_reference(self):
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((50, 10))
+        labels = rng.integers(0, 10, 50)
+        expected = np.mean(logits.argmax(axis=1) == labels)
+        assert accuracy(logits, labels) == pytest.approx(expected)
+
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
             accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -24,54 +36,3 @@ class TestAccuracy:
             accuracy(np.zeros((2, 2)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
             accuracy(np.zeros(4), np.zeros(4, dtype=int))
-
-
-class TestTopK:
-    def test_top2_counts_second_best(self):
-        logits = np.array([[0.5, 1.0, 0.0]])
-        assert top_k_accuracy(logits, np.array([0]), k=2) == 1.0
-        assert top_k_accuracy(logits, np.array([2]), k=2) == 0.0
-
-    def test_k_equals_classes_is_one(self):
-        logits = np.random.default_rng(0).standard_normal((5, 4))
-        labels = np.array([0, 1, 2, 3, 0])
-        assert top_k_accuracy(logits, labels, k=4) == 1.0
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((1, 3)), np.array([0]), k=0)
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((1, 3)), np.array([0]), k=4)
-
-
-class TestConfusionMatrix:
-    def test_entries(self):
-        logits = np.array([[1, 0], [1, 0], [0, 1]], dtype=float)
-        labels = np.array([0, 1, 1])
-        cm = confusion_matrix(logits, labels, 2)
-        np.testing.assert_array_equal(cm, [[1, 0], [1, 1]])
-
-    def test_total_count(self):
-        rng = np.random.default_rng(1)
-        logits = rng.standard_normal((50, 10))
-        labels = rng.integers(0, 10, 50)
-        assert confusion_matrix(logits, labels, 10).sum() == 50
-
-    def test_diagonal_equals_accuracy(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((40, 5))
-        labels = rng.integers(0, 5, 40)
-        cm = confusion_matrix(logits, labels, 5)
-        assert cm.trace() / 40 == pytest.approx(accuracy(logits, labels))
-
-
-class TestPerClass:
-    def test_values(self):
-        cm = np.array([[3, 1], [0, 4]])
-        per = per_class_accuracy(cm)
-        assert per[0] == pytest.approx(0.75)
-        assert per[1] == pytest.approx(1.0)
-
-    def test_empty_class_is_nan(self):
-        cm = np.array([[2, 0], [0, 0]])
-        assert np.isnan(per_class_accuracy(cm)[1])

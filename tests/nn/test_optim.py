@@ -1,9 +1,9 @@
-"""Tests for optimizers and LR schedules."""
+"""Tests for the SGD optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, ConstantLR, CosineLR, StepLR
+from repro.nn import SGD
 from repro.nn.parameter import Parameter
 
 
@@ -66,6 +66,46 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([p], lr=0.1, momentum=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"lr": -0.1}, {"lr": 0.1, "momentum": -0.1}, {"lr": 0.1, "weight_decay": -1e-4}],
+        ids=["negative-lr", "negative-momentum", "negative-decay"],
+    )
+    def test_negative_hyperparameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SGD([make_param([1.0])], **kwargs)
+
+    @pytest.mark.parametrize(
+        "momentum,weight_decay",
+        [(0.0, 0.0), (0.9, 0.0), (0.0, 0.01), (0.9, 0.01), (0.5, 0.1)],
+    )
+    def test_matches_the_documented_update_rule(self, momentum, weight_decay):
+        # Five steps under a partial freeze mask against the docstring's
+        # rule, g = grad + wd*w, v = m*v + g, w -= lr*v, masked per entry.
+        rng = np.random.default_rng(7)
+        mask = np.array([1.0, 0.0, 1.0, 1.0])
+        p = make_param(rng.standard_normal(4))
+        p.set_freeze_mask(mask)
+        opt = SGD([p], lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        w = p.data.copy()
+        v = np.zeros(4)
+        for _ in range(5):
+            grad = rng.standard_normal(4)
+            opt.zero_grad()
+            p.grad[:] = grad
+            opt.step()
+            v = momentum * v + (grad + weight_decay * w) * mask
+            w = w - 0.05 * v
+            np.testing.assert_allclose(p.data, w, rtol=1e-12, atol=1e-15)
+        assert p.data[1] == w[1]
+
+    def test_zero_grad_clears_every_parameter(self):
+        params = [make_param([1.0, 2.0]), make_param([3.0])]
+        for p in params:
+            p.grad[:] = 5.0
+        SGD(params, lr=0.1).zero_grad()
+        assert all(not p.grad.any() for p in params)
+
     def test_converges_on_quadratic(self):
         # Minimise f(w) = ||w - target||^2 by explicit gradient steps.
         target = np.array([3.0, -2.0])
@@ -76,71 +116,3 @@ class TestSGD:
             p.grad[:] = 2 * (p.data - target)
             opt.step()
         np.testing.assert_allclose(p.data, target, atol=1e-4)
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        target = np.array([1.0, -1.0, 0.5])
-        p = make_param([0.0, 0.0, 0.0])
-        opt = Adam([p], lr=0.05)
-        for _ in range(300):
-            opt.zero_grad()
-            p.grad[:] = 2 * (p.data - target)
-            opt.step()
-        np.testing.assert_allclose(p.data, target, atol=1e-3)
-
-    def test_first_step_magnitude_is_lr(self):
-        # With bias correction, |first update| ~= lr regardless of grad scale.
-        p = make_param([0.0])
-        opt = Adam([p], lr=0.01)
-        p.grad[:] = [1e-3]
-        opt.step()
-        assert abs(p.data[0]) == pytest.approx(0.01, rel=1e-3)
-
-    def test_freeze_mask_blocks_update(self):
-        p = make_param([1.0, 1.0])
-        p.set_freeze_mask(np.array([0.0, 1.0]))
-        opt = Adam([p], lr=0.1)
-        for _ in range(5):
-            p.zero_grad()
-            p.grad[:] = [1.0, 1.0]
-            opt.step()
-        assert p.data[0] == 1.0
-        assert p.data[1] < 1.0
-
-    def test_validation(self):
-        p = make_param([1.0])
-        with pytest.raises(ValueError):
-            Adam([p], lr=0.1, betas=(1.0, 0.9))
-        with pytest.raises(ValueError):
-            Adam([p], lr=0.1, eps=0.0)
-
-
-class TestSchedulers:
-    def _opt(self):
-        return SGD([make_param([0.0])], lr=1.0)
-
-    def test_step_lr(self):
-        opt = self._opt()
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_endpoints(self):
-        opt = self._opt()
-        sched = CosineLR(opt, t_max=10, min_lr=0.01)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[0] < 1.0
-        assert lrs[-1] == pytest.approx(0.01)
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_constant(self):
-        opt = self._opt()
-        sched = ConstantLR(opt)
-        assert [sched.step() for _ in range(3)] == [1.0, 1.0, 1.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(self._opt(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineLR(self._opt(), t_max=0)

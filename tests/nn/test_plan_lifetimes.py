@@ -124,7 +124,7 @@ class TestDeclaredLifetimesAreTrue:
                 for workspace, transients, seen in [] if nested else watched:
                     step = 1 + max((last for _, last in seen.values()), default=-1)
                     for name in transients:
-                        if any(np.may_share_memory(a, workspace.buffer(name)) for a in operands):
+                        if any(np.may_share_memory(a, workspace[name]) for a in operands):
                             seen[name] = (seen.get(name, (step, step))[0], step)
                 nested.append(kernel)  # a kernel's own calls are not program steps
                 try:

@@ -9,8 +9,14 @@ import pytest
 from repro.runtime.batching import BatchingConfig, BatchingStats, MicroBatchQueue
 
 
+def concat(run):
+    """The queue hands its batch callable the per-request arrays; run the
+    whole-batch callable ``run`` on them stacked."""
+    return lambda parts: run(np.concatenate(parts, axis=0))
+
+
 def rows_runner(calls=None):
-    """A run_batch that tags each row with 10*row_value and records batches."""
+    """A whole-batch runner that tags each row with 10*row_value and records batches."""
 
     def _run(batch):
         if calls is not None:
@@ -44,12 +50,6 @@ class TestRunBatchParts:
         np.testing.assert_array_equal(seen[0][1], np.full((2, 3), 1.0))
         assert queue.stats.batches == 1 and queue.stats.rows == 4
 
-    def test_exactly_one_backend_required(self):
-        with pytest.raises(ValueError):
-            MicroBatchQueue()
-        with pytest.raises(ValueError):
-            MicroBatchQueue(rows_runner(), run_batch_parts=lambda parts: parts[0])
-
 
 class TestRowBudgetCarryOver:
     def test_batches_never_exceed_max_batch_rows(self):
@@ -58,7 +58,7 @@ class TestRowBudgetCarryOver:
         so an overflowing batch would silently fall back to the eager path."""
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls),
+            concat(rows_runner(calls)),
             BatchingConfig(max_batch=4, max_delay_s=0.05),
             autostart=False,
         )
@@ -71,7 +71,7 @@ class TestRowBudgetCarryOver:
 
     def test_lone_oversized_request_still_served(self):
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=4, max_delay_s=0.01)
+            concat(rows_runner()), BatchingConfig(max_batch=4, max_delay_s=0.01)
         )
         out = queue.submit(np.full((9, 2), 1.0)).result(timeout=10.0)
         np.testing.assert_array_equal(out, np.full((9, 2), 10.0))
@@ -83,7 +83,7 @@ class TestFlushTriggers:
         """Submitting exactly the row budget yields one full flush."""
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls),
+            concat(rows_runner(calls)),
             BatchingConfig(max_batch=4, max_delay_s=5.0),
             autostart=False,
         )
@@ -102,7 +102,7 @@ class TestFlushTriggers:
     def test_deadline_flush(self):
         """With a huge row budget, the deadline alone flushes the batch."""
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=1000, max_delay_s=0.05)
+            concat(rows_runner()), BatchingConfig(max_batch=1000, max_delay_s=0.05)
         )
         futures = [queue.submit(np.full((1,), float(i))) for i in range(3)]
         results = [f.result(timeout=10.0) for f in futures]
@@ -115,7 +115,7 @@ class TestFlushTriggers:
     def test_multi_row_requests_count_toward_row_budget(self):
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls),
+            concat(rows_runner(calls)),
             BatchingConfig(max_batch=6, max_delay_s=5.0),
             autostart=False,
         )
@@ -141,7 +141,7 @@ class TestLoneFlush:
     def test_alone_into_an_empty_queue_is_flushed_at_once(self):
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls), BatchingConfig(max_batch=4, max_delay_s=5.0)
+            concat(rows_runner(calls)), BatchingConfig(max_batch=4, max_delay_s=5.0)
         )
         out = queue.submit(np.full((1, 2), 3.0), alone=True).result(timeout=2.0)
         np.testing.assert_array_equal(out, np.full((1, 2), 30.0))
@@ -154,7 +154,7 @@ class TestLoneFlush:
     def test_alone_with_company_already_queued_gathers_normally(self):
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls),
+            concat(rows_runner(calls)),
             BatchingConfig(max_batch=4, max_delay_s=5.0),
             autostart=False,
         )
@@ -172,7 +172,7 @@ class TestLoneFlush:
         even on an idle running collector: all four ride one batch."""
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls), BatchingConfig(max_batch=4, max_delay_s=5.0)
+            concat(rows_runner(calls)), BatchingConfig(max_batch=4, max_delay_s=5.0)
         )
         futures = [queue.submit(np.full((1, 2), float(i))) for i in range(4)]
         for i, f in enumerate(futures):
@@ -184,7 +184,7 @@ class TestLoneFlush:
     def test_cancelled_lone_request_is_dropped(self):
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls),
+            concat(rows_runner(calls)),
             BatchingConfig(max_batch=4, max_delay_s=5.0),
             autostart=False,
         )
@@ -200,7 +200,7 @@ class TestLoneFlush:
 
     def test_flush_kinds_sum_to_batches(self):
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=2, max_delay_s=5.0)
+            concat(rows_runner()), BatchingConfig(max_batch=2, max_delay_s=5.0)
         )
         queue.submit(np.ones((1,)), alone=True).result(timeout=2.0)   # lone
         for f in [queue.submit(np.ones((1,))) for _ in range(2)]:     # row budget
@@ -216,7 +216,7 @@ class TestScatterOrder:
     def test_each_future_gets_its_own_rows(self):
         """Results scatter back per request, in submission order, any sizes."""
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=100, max_delay_s=0.2), autostart=False
+            concat(rows_runner()), BatchingConfig(max_batch=100, max_delay_s=0.2), autostart=False
         )
         sizes = [1, 3, 2, 5, 1]
         futures = []
@@ -230,7 +230,7 @@ class TestScatterOrder:
         queue.close()
 
     def test_concurrent_submitters_all_get_correct_rows(self):
-        queue = MicroBatchQueue(rows_runner(), BatchingConfig(max_batch=8, max_delay_s=0.01))
+        queue = MicroBatchQueue(concat(rows_runner()), BatchingConfig(max_batch=8, max_delay_s=0.01))
         results = {}
 
         def _submit(i):
@@ -249,14 +249,14 @@ class TestScatterOrder:
 
 class TestShutdown:
     def test_empty_queue_shutdown(self):
-        queue = MicroBatchQueue(rows_runner(), BatchingConfig(max_batch=4, max_delay_s=0.5))
+        queue = MicroBatchQueue(concat(rows_runner()), BatchingConfig(max_batch=4, max_delay_s=0.5))
         queue.close(timeout=5.0)
         assert not queue._thread.is_alive()
         assert queue.stats.batches == 0
 
     def test_close_flushes_pending_requests(self):
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=100, max_delay_s=10.0), autostart=False
+            concat(rows_runner()), BatchingConfig(max_batch=100, max_delay_s=10.0), autostart=False
         )
         futures = [queue.submit(np.full((1,), float(i))) for i in range(3)]
         queue.close(timeout=5.0)
@@ -264,13 +264,13 @@ class TestShutdown:
             np.testing.assert_array_equal(f.result(timeout=1.0), np.full((1,), 10.0 * i))
 
     def test_submit_after_close_raises(self):
-        queue = MicroBatchQueue(rows_runner())
+        queue = MicroBatchQueue(concat(rows_runner()))
         queue.close()
         with pytest.raises(RuntimeError):
             queue.submit(np.ones((1,)))
 
     def test_close_is_idempotent(self):
-        queue = MicroBatchQueue(rows_runner())
+        queue = MicroBatchQueue(concat(rows_runner()))
         queue.close()
         queue.close()
 
@@ -281,7 +281,7 @@ class TestCancellation:
         cancelled request is dropped, its batch-mates still get results,
         and later submissions keep being served."""
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=3, max_delay_s=0.05), autostart=False
+            concat(rows_runner()), BatchingConfig(max_batch=3, max_delay_s=0.05), autostart=False
         )
         doomed = queue.submit(np.full((1,), 0.0))
         survivor_a = queue.submit(np.full((1,), 1.0))
@@ -297,7 +297,7 @@ class TestCancellation:
 
     def test_all_cancelled_batch_is_skipped(self):
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=2, max_delay_s=0.05), autostart=False
+            concat(rows_runner()), BatchingConfig(max_batch=2, max_delay_s=0.05), autostart=False
         )
         futures = [queue.submit(np.full((1,), float(i))) for i in range(2)]
         for f in futures:
@@ -314,7 +314,7 @@ class TestSubmitCloseRace:
         """Every submit must either raise (queue closed) or resolve."""
         for _ in range(20):
             queue = MicroBatchQueue(
-                rows_runner(), BatchingConfig(max_batch=4, max_delay_s=0.001)
+                concat(rows_runner()), BatchingConfig(max_batch=4, max_delay_s=0.001)
             )
             outcomes = []
 
@@ -347,7 +347,7 @@ class TestErrors:
         def _boom(batch):
             raise ValueError("kaput")
 
-        queue = MicroBatchQueue(_boom, BatchingConfig(max_batch=2, max_delay_s=0.01))
+        queue = MicroBatchQueue(concat(_boom), BatchingConfig(max_batch=2, max_delay_s=0.01))
         future = queue.submit(np.ones((1,)))
         with pytest.raises(ValueError, match="kaput"):
             future.result(timeout=10.0)
@@ -355,7 +355,7 @@ class TestErrors:
 
     def test_row_count_mismatch_is_reported(self):
         queue = MicroBatchQueue(
-            lambda batch: batch[:-1], BatchingConfig(max_batch=2, max_delay_s=0.01)
+            concat(lambda batch: batch[:-1]), BatchingConfig(max_batch=2, max_delay_s=0.01)
         )
         future = queue.submit(np.ones((2, 2)))
         with pytest.raises(RuntimeError, match="rows"):
@@ -363,7 +363,7 @@ class TestErrors:
         queue.close()
 
     def test_empty_request_rejected(self):
-        queue = MicroBatchQueue(rows_runner())
+        queue = MicroBatchQueue(concat(rows_runner()))
         with pytest.raises(ValueError):
             queue.submit(np.ones((0, 2)))
         queue.close()
@@ -432,7 +432,7 @@ class TestStats:
 
     def test_live_queue_snapshot_matches_attributes(self):
         queue = MicroBatchQueue(
-            rows_runner(), BatchingConfig(max_batch=2, max_delay_s=5.0)
+            concat(rows_runner()), BatchingConfig(max_batch=2, max_delay_s=5.0)
         )
         futures = [queue.submit(np.full((1,), float(i))) for i in range(4)]
         for f in futures:
@@ -456,7 +456,7 @@ class TestBatchCallbackAndTags:
             return batch * 10.0
 
         queue = MicroBatchQueue(
-            _run,
+            concat(_run),
             BatchingConfig(max_batch=2, max_delay_s=5.0),
             on_batch=lambda tags, rows: (seen.append((tags, rows)), order.append("on_batch")),
             autostart=False,
@@ -474,7 +474,7 @@ class TestBatchCallbackAndTags:
     def test_tags_default_to_none(self):
         seen = []
         queue = MicroBatchQueue(
-            rows_runner(),
+            concat(rows_runner()),
             BatchingConfig(max_batch=2, max_delay_s=5.0),
             on_batch=lambda tags, rows: seen.append((tags, rows)),
             autostart=False,
@@ -493,7 +493,7 @@ class TestBatchCallbackAndTags:
             raise RuntimeError("hook broke")
 
         queue = MicroBatchQueue(
-            rows_runner(),
+            concat(rows_runner()),
             BatchingConfig(max_batch=1, max_delay_s=0.01),
             on_batch=_boom,
         )
@@ -512,7 +512,7 @@ class TestDeadlineFailFast:
 
         calls = []
         queue = MicroBatchQueue(
-            rows_runner(calls),
+            concat(rows_runner(calls)),
             BatchingConfig(max_batch=2, max_delay_s=5.0),
             autostart=False,
         )
@@ -541,14 +541,14 @@ class TestDeadlineFailFast:
         queue.close()
 
     def test_no_deadline_keeps_legacy_behaviour(self):
-        queue = MicroBatchQueue(rows_runner(), BatchingConfig(max_batch=1))
+        queue = MicroBatchQueue(concat(rows_runner()), BatchingConfig(max_batch=1))
         future = queue.submit(np.ones((1,)))
         np.testing.assert_array_equal(future.result(timeout=10.0), np.full((1,), 10.0))
         assert queue.stats.expired_rejects == 0
         queue.close()
 
     def test_future_deadline_is_accepted(self):
-        queue = MicroBatchQueue(rows_runner(), BatchingConfig(max_batch=1))
+        queue = MicroBatchQueue(concat(rows_runner()), BatchingConfig(max_batch=1))
         future = queue.submit(np.ones((1,)), deadline=time.monotonic() + 60.0)
         np.testing.assert_array_equal(future.result(timeout=10.0), np.full((1,), 10.0))
         queue.close()

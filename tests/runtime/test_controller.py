@@ -70,12 +70,6 @@ class TestSimulation:
             ExecutionMode.HIGH_ACCURACY,
         ]
 
-    def test_plan_at(self):
-        controller = make_controller("fluid")
-        timeline = controller.simulate(single_fault("worker", at_s=10.0), horizon_s=20.0)
-        assert timeline.plan_at(5.0).mode is ExecutionMode.HIGH_ACCURACY
-        assert timeline.plan_at(15.0).mode is ExecutionMode.SOLO
-
     def test_validation(self):
         controller = make_controller("fluid")
         with pytest.raises(ValueError):

@@ -127,35 +127,6 @@ class TestMidStreamFailover:
         thread.join(timeout=5.0)
 
 
-class TestRequestQueue:
-    def test_micro_batched_requests_served_and_scattered(self, rng):
-        """Single-image requests through the micro-batching front door come
-        back per-request, equal to serving the whole group as one batch."""
-        from repro.runtime import BatchingConfig
-        from repro.runtime.live import LiveLog
-
-        live, thread = make_live("fluid", "accuracy")
-        log = LiveLog()
-        queue = live.request_queue(
-            BatchingConfig(max_batch=8, max_delay_s=0.05), log=log
-        )
-        requests = [rng.standard_normal((1, 1, 28, 28)) for _ in range(8)]
-        futures = [queue.submit(x) for x in requests]
-        results = [f.result(timeout=30.0) for f in futures]
-        queue.close()
-
-        assert log.served_count() >= 1
-        assert all(m is ExecutionMode.HIGH_ACCURACY for m in log.modes())
-        reference = live.serve_batch(99, np.concatenate(requests, axis=0)).logits
-        offset = 0
-        for out in results:
-            assert out.shape == (1, 10)
-            np.testing.assert_allclose(out, reference[offset : offset + 1], atol=1e-9)
-            offset += 1
-        live.master.shutdown_worker()
-        thread.join(timeout=5.0)
-
-
 class TestHeartbeatPath:
     def test_heartbeat_triggers_replan(self, batches):
         live, thread = make_live("fluid", "accuracy")
@@ -195,26 +166,3 @@ class TestHeartbeatPath:
         assert not live.heartbeat()   # second miss: declared dead, re-planned
         assert live.plan.mode is ExecutionMode.SOLO
         thread.join(timeout=5.0)
-
-
-class TestScheduledQueue:
-    def test_scheduled_queue_serves_with_sla(self, rng):
-        from repro.scheduler import SLA, SchedulerConfig
-
-        live, thread = make_live("fluid", "accuracy")
-        frontend = live.scheduled_queue(SchedulerConfig(replicas=2, warmup=False))
-        try:
-            futures = [
-                frontend.submit(
-                    rng.standard_normal((1, 1, 28, 28)), SLA(deadline_s=10.0)
-                )
-                for _ in range(6)
-            ]
-            for future in futures:
-                assert future.result(timeout=30.0).shape == (1, 10)
-            counters = frontend.metrics.snapshot()["counters"]
-            assert counters["frontend.completed"] == 6
-        finally:
-            frontend.close()
-            live.master.shutdown_worker()
-            thread.join(timeout=5.0)

@@ -59,11 +59,6 @@ class TestScheduleMonitor:
         assert monitor.alive_at(7.0) == frozenset({"worker"})
         assert monitor.alive_at(20.0) == frozenset({"master", "worker"})
 
-    def test_next_event(self):
-        monitor = ScheduleMonitor(single_fault("worker", at_s=10.0))
-        assert monitor.next_event_after(0.0) == 10.0
-        assert monitor.next_event_after(10.0) is None
-
 
 class TestHeartbeatConfig:
     def test_defaults_without_config(self):

@@ -32,7 +32,6 @@ class TestAdmissionDecisions:
             SLA(deadline_s=0.05), queue_wait_s=0.01, service_floor_s=0.01
         )
         assert decision.admitted
-        decision.raise_if_rejected()  # no-op when admitted
 
     def test_infeasible_request_is_rejected_with_reason(self):
         ctl = AdmissionController()
@@ -41,8 +40,6 @@ class TestAdmissionDecisions:
         )
         assert not decision.admitted
         assert "infeasible" in decision.reason
-        with pytest.raises(AdmissionRejected):
-            decision.raise_if_rejected()
 
     def test_rejection_is_a_deadline_exceeded(self):
         """Callers catching DeadlineExceeded see both fail-fast paths."""

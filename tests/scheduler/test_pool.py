@@ -138,13 +138,6 @@ class TestHealth:
         pool.report_failure(pool.replicas[0])
         assert pool.metrics.counter("pool.ejections").value == 1
 
-    def test_total_pending_counts_only_healthy(self, pool):
-        pool.replicas[0].begin()
-        pool.replicas[1].begin()
-        pool.replicas[1].kill()
-        pool.report_failure(pool.replicas[1])
-        assert pool.total_pending() == 1
-
 
 class TestRespawn:
     """The pool half of self-healing: spawn_replica + adopt re-entry."""

@@ -7,7 +7,6 @@ from repro.nn.parameter import Parameter
 from repro.slimmable import (
     ChannelSlice,
     RegionTracker,
-    clear_freeze_masks,
     conv_region,
     linear_region,
     vector_region,
@@ -69,12 +68,3 @@ class TestRegionTracker:
         p = Parameter(np.zeros(2))
         with pytest.raises(ValueError):
             RegionTracker().mark(p, np.ones(3))
-
-
-class TestClearFreezeMasks:
-    def test_clears_all(self):
-        params = [Parameter(np.zeros(2)), Parameter(np.zeros(3))]
-        for p in params:
-            p.set_freeze_mask(np.zeros_like(p.data))
-        clear_freeze_masks(params)
-        assert all(p.grad_mask is None for p in params)

@@ -8,7 +8,7 @@ from repro.nn import ForwardContext
 from repro.nn import functional as F
 from repro.slimmable import ChannelSlice, SlicedConv2d, SlicedLinear
 from repro.utils import make_rng
-from tests.nn.gradcheck import numerical_grad_wrt_array
+from tests.nn.gradcheck import check_layer_gradients, numerical_grad_wrt_array
 
 
 def conv_ctx(conv, in_slice, out_slice):
@@ -98,6 +98,12 @@ class TestSlicedConvBackward:
         num_x = numerical_grad_wrt_array(objective, x)
         np.testing.assert_allclose(grad_x, num_x, atol=1e-6)
 
+    def test_full_slice_gradients(self, rng):
+        # Input, weight and bias against central differences: the one full
+        # numerical check of F.conv2d_backward.
+        conv = SlicedConv2d(2, 3, 3, padding=1, rng=rng)
+        check_layer_gradients(conv, rng.standard_normal((2, 2, 5, 5)), rng)
+
     def test_flops_scale_with_slice(self, rng):
         conv = SlicedConv2d(8, 8, 3, padding=1, rng=rng)
         full = conv.flops_per_image(10, 10, ChannelSlice(0, 8), ChannelSlice(0, 8))
@@ -117,6 +123,10 @@ class TestSlicedLinear:
         x = rng.standard_normal((4, 4))
         expected = x @ lin.weight.data[:, 2:6].T + lin.bias.data
         np.testing.assert_allclose(lin(x, ctx), expected)
+
+    def test_full_slice_gradients(self, rng):
+        lin = SlicedLinear(4, 3, rng=rng)
+        check_layer_gradients(lin, rng.standard_normal((3, 4)), rng)
 
     def test_gradients_only_in_active_columns(self, rng):
         lin = SlicedLinear(8, 3, rng=rng)
@@ -147,3 +157,114 @@ class TestSlicedLinear:
         ctx = linear_ctx(lin, ChannelSlice(0, 4))
         with pytest.raises(ValueError):
             lin(rng.standard_normal((2, 8)), ctx)
+
+
+# (kernel, stride, padding, input side): every lowering the paper net uses
+# (3x3, pad 1) plus the strided, unpadded and wide-kernel corners.
+GEOMETRIES = [
+    (3, 1, 1, 6),
+    (3, 2, 0, 7),
+    (1, 1, 0, 4),
+    (5, 1, 2, 5),
+    (3, 2, 1, 6),
+    (2, 2, 0, 6),
+]
+GEOMETRY_IDS = [f"k{k}s{s}p{p}n{n}" for k, s, p, n in GEOMETRIES]
+
+# (in_slice, out_slice) of a 4 -> 5 channel layer: full, lower, inner, upper.
+CONV_SLICES = [
+    ((0, 4), (0, 5)),
+    ((0, 2), (0, 3)),
+    ((1, 3), (1, 4)),
+    ((2, 4), (3, 5)),
+]
+CONV_SLICE_IDS = ["full", "lower", "inner", "upper"]
+
+
+class TestSlicedConvGeometry:
+    @pytest.mark.parametrize("kernel,stride,padding,size", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_output_shape(self, rng, kernel, stride, padding, size):
+        conv = SlicedConv2d(3, 5, kernel, stride=stride, padding=padding, rng=rng)
+        side = F.conv_out_size(size, kernel, stride, padding)
+        assert side == (size + 2 * padding - kernel) // stride + 1
+        assert conv(rng.standard_normal((2, 3, size, size))).shape == (2, 5, side, side)
+
+    def test_flops_per_image_counts_every_mac(self, rng):
+        conv = SlicedConv2d(1, 16, 3, padding=1, slice_input=False, rng=rng)
+        # 28x28 output, 16 kernels over 1 channel: 2 * 28*28*16*9 MACs.
+        flops = conv.flops_per_image(28, 28, ChannelSlice(0, 1), ChannelSlice(0, 16))
+        assert flops == 2 * 28 * 28 * 16 * 9
+
+    def test_invalid_args_rejected(self, rng):
+        with pytest.raises(ValueError):
+            SlicedConv2d(0, 1, 3, rng=rng)
+        with pytest.raises(ValueError):
+            SlicedConv2d(1, 0, 3, rng=rng)
+        with pytest.raises(TypeError):
+            SlicedConv2d(1, 1, 3, rng=42)
+
+    def test_num_parameters_is_the_full_store(self, rng):
+        conv = SlicedConv2d(4, 6, 3, rng=rng)
+        assert conv.num_parameters() == 6 * 4 * 3 * 3 + 6
+
+    def test_backward_before_forward_raises(self, rng):
+        conv = SlicedConv2d(1, 1, 3, rng=rng)
+        with pytest.raises(RuntimeError):
+            conv.backward(np.zeros((1, 1, 3, 3)), ForwardContext())
+
+
+class TestSlicedConvGradcheck:
+    @pytest.mark.parametrize("slices", CONV_SLICES, ids=CONV_SLICE_IDS)
+    @pytest.mark.parametrize("kernel,stride,padding,size", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_gradients(self, kernel, stride, padding, size, slices):
+        # Input, weight and bias of one sub-block against central
+        # differences, on every geometry F.conv2d_backward must invert.
+        rng = make_rng(kernel * 100 + stride * 10 + padding)
+        conv = SlicedConv2d(4, 5, kernel, stride=stride, padding=padding, rng=rng)
+        in_slice, out_slice = (ChannelSlice(*s) for s in slices)
+        x = rng.standard_normal((2, in_slice.width, size, size))
+        check_layer_gradients(
+            conv,
+            x,
+            rng,
+            bind=lambda ctx: ctx.bind(conv, in_slice=in_slice, out_slice=out_slice),
+        )
+
+
+class TestSlicedLinearChecks:
+    @pytest.mark.parametrize("start,stop", [(0, 6), (0, 3), (2, 5), (4, 6)])
+    def test_sub_slice_gradients(self, start, stop):
+        rng = make_rng(start * 10 + stop)
+        lin = SlicedLinear(6, 3, rng=rng)
+        feature_slice = ChannelSlice(start, stop)
+        check_layer_gradients(
+            lin,
+            rng.standard_normal((3, feature_slice.width)),
+            rng,
+            bind=lambda ctx: ctx.bind(lin, feature_slice=feature_slice),
+        )
+
+    def test_non_2d_input_raises(self, rng):
+        lin = SlicedLinear(4, 3, rng=rng)
+        with pytest.raises(ValueError):
+            lin(rng.standard_normal((2, 4, 1)))
+
+    def test_invalid_args_rejected(self, rng):
+        with pytest.raises(ValueError):
+            SlicedLinear(0, 3, rng=rng)
+        with pytest.raises(ValueError):
+            SlicedLinear(4, 0, rng=rng)
+        with pytest.raises(TypeError):
+            SlicedLinear(4, 3, rng=7)
+
+    def test_flops_per_image(self, rng):
+        lin = SlicedLinear(8, 3, rng=rng)
+        assert lin.flops_per_image(ChannelSlice(2, 6)) == 2 * 4 * 3
+
+    def test_num_parameters_is_the_full_store(self, rng):
+        assert SlicedLinear(8, 3, rng=rng).num_parameters() == 8 * 3 + 3
+
+    def test_backward_before_forward_raises(self, rng):
+        lin = SlicedLinear(4, 3, rng=rng)
+        with pytest.raises(RuntimeError):
+            lin.backward(np.zeros((2, 3)), ForwardContext())

@@ -6,9 +6,15 @@ import pytest
 from repro.device.cost import subnet_flops
 from repro.engine.session import InferenceSession
 from repro.nn import ForwardContext, SoftmaxCrossEntropy
+from repro.nn import functional as F
 from repro.slimmable import ChannelSlice, SlimmableConvNet, paper_width_spec
 from repro.training.revival import find_dead_channels
 from repro.utils import make_rng
+from tests.nn.gradcheck import check_layer_gradients
+
+# Every sub-network of the conftest ``small_spec`` family (widths 2/4/6/8 of
+# 8, split at 4).
+SMALL_SUBNETS = ["lower25", "lower50", "lower75", "lower100", "upper25", "upper50"]
 
 
 class TestArchitecture:
@@ -105,10 +111,6 @@ class TestViews:
         view = paper_net.view(paper_net.width_spec.find("lower25"))
         assert view.parameters() == paper_net.parameters()
 
-    def test_views_dict_covers_family(self, paper_net):
-        views = paper_net.views()
-        assert set(views) == {s.name for s in paper_net.width_spec.all_specs()}
-
     def test_flops_monotone_in_width(self, paper_net):
         ws = paper_net.width_spec
         flops = [subnet_flops(paper_net, ws.lower(w)) for w in ws.lower_widths]
@@ -181,3 +183,47 @@ class TestNoCallState:
             assert state.keys() == snapshot.keys(), name
             for key, value in snapshot.items():
                 assert state[key] is value, f"{name}.{key} changed"
+
+
+def tiny_net(small_spec):
+    """``small_spec`` on 8x8 inputs, so a whole-network gradcheck is cheap."""
+    return SlimmableConvNet(small_spec, image_size=8, rng=make_rng(3))
+
+
+class TestEverySubNetwork:
+    def test_family_is_the_listed_one(self, small_spec):
+        assert [spec.name for spec in small_spec.all_specs()] == SMALL_SUBNETS
+
+    @pytest.mark.parametrize("name", SMALL_SUBNETS)
+    def test_logits_match_manual_slicing(self, small_spec, name):
+        # The sub-network computed by hand from weight slices: the oracle
+        # for the bindings bind_spec writes.
+        net = tiny_net(small_spec)
+        spec = small_spec.find(name)
+        x = make_rng(4).standard_normal((3, 1, 8, 8))
+        h, prev = x, None
+        for i, (conv, out_slice) in enumerate(zip(net.convs, spec.conv_slices)):
+            rows = out_slice.as_slice()
+            cols = slice(0, 1) if prev is None else prev.as_slice()
+            w = np.ascontiguousarray(conv.weight.data[rows, cols])
+            h, _ = F.conv2d_forward(h, w, conv.bias.data[rows], 1, 1)
+            h = np.maximum(h, 0)
+            if i in net.pools:
+                h, _ = F.maxpool2d_forward(h, 2, 2)
+            prev = out_slice
+        features = net.feature_slice_for(spec.last_slice).as_slice()
+        expected = h.reshape(3, -1) @ net.classifier.weight.data[:, features].T
+        expected += net.classifier.bias.data
+        np.testing.assert_allclose(net.view(spec)(x), expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", SMALL_SUBNETS)
+    def test_whole_network_gradients(self, small_spec, name):
+        # Input and every parameter of the container against central
+        # differences through conv, ReLU, pool, flatten and classifier; the
+        # parameters are checked whole, so gradient outside the sub-network
+        # fails as surely as a wrong value inside it.
+        net = tiny_net(small_spec)
+        spec = small_spec.find(name)
+        rng = make_rng(5)
+        x = rng.standard_normal((2, 1, 8, 8))
+        check_layer_gradients(net, x, rng, bind=lambda ctx: net.bind_spec(spec, ctx))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.training import EarlyStopping, TrainConfig, Trainer, evaluate_view
+from repro.training import TrainConfig, Trainer, evaluate_view
 from repro.utils import make_rng
 
 
@@ -84,17 +84,3 @@ class TestFit:
         view = model.full_view()
         Trainer().fit(view, train, TrainConfig(epochs=1, lr=0.05), rng=make_rng(1))
         assert not model.net.training
-
-
-@pytest.mark.slow
-class TestEarlyStoppingIntegration:
-    def test_stops_before_budget(self, tiny_data):
-        train, test = tiny_data
-        model = build_model("static", rng=make_rng(0))
-        # min_delta so large that no improvement ever counts.
-        trainer = Trainer(callbacks=[EarlyStopping(patience=1, min_delta=1.0)])
-        history = trainer.fit(
-            model.full_view(), train, TrainConfig(epochs=10, lr=0.05),
-            rng=make_rng(1), val_set=test,
-        )
-        assert len(history.records) < 10

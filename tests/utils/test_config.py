@@ -30,12 +30,6 @@ class TestConfigBasics:
 
 
 class TestConfigUpdates:
-    def test_updated_returns_new_object(self):
-        base = Config({"a": 1})
-        new = base.updated(a=2, b=3)
-        assert base["a"] == 1
-        assert new["a"] == 2 and new["b"] == 3
-
     def test_require_passes(self):
         Config({"a": 1}).require("a")
 
@@ -48,7 +42,7 @@ class TestConfigSerialisation:
     def test_json_roundtrip(self):
         cfg = Config({"x": [1, 2], "y": "z"})
         again = Config.from_json(cfg.to_json())
-        assert again.to_dict() == cfg.to_dict()
+        assert again.values == cfg.values
 
     def test_from_mapping_copies(self):
         source = {"k": 1}

@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils.dtypes import (
     DtypePolicy,
-    as_compute,
     compute_dtype,
     dtype_policy,
     get_dtype_policy,
@@ -68,13 +67,6 @@ class TestGlobalState:
         with pytest.raises(TypeError):
             with dtype_policy(DtypePolicy(), inference="float32"):
                 pass
-
-    def test_as_compute_casts_for_inference_only(self):
-        x = np.zeros(3, dtype=np.float64)
-        with dtype_policy(inference="float32"):
-            assert as_compute(x, training=False).dtype == np.float32
-            assert as_compute(x, training=True) is not None
-            assert as_compute(x, training=True).dtype == np.float64
 
 
 class TestThreadSemantics:

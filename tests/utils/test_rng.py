@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import check_rng, derive_seed, make_rng, spawn_rngs
+from repro.utils.rng import check_rng, derive_seed, make_rng
 
 
 class TestMakeRng:
@@ -25,36 +25,6 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_children_are_independent_of_consumption(self):
-        parent1 = make_rng(9)
-        kids1 = spawn_rngs(parent1, 3)
-        first_child_draws = kids1[0].random(4)
-
-        parent2 = make_rng(9)
-        kids2 = spawn_rngs(parent2, 3)
-        # Consuming kids2[1] heavily must not affect kids2[0]'s stream.
-        kids2[1].random(1000)
-        np.testing.assert_array_equal(first_child_draws, kids2[0].random(4))
-
-    def test_children_differ_from_each_other(self):
-        kids = spawn_rngs(make_rng(3), 2)
-        assert not np.array_equal(kids[0].random(8), kids[1].random(8))
-
-    def test_count_zero(self):
-        assert spawn_rngs(make_rng(0), 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(make_rng(0), -1)
-
-    def test_parent_advances_consistently(self):
-        p1, p2 = make_rng(5), make_rng(5)
-        spawn_rngs(p1, 4)
-        spawn_rngs(p2, 4)
-        np.testing.assert_array_equal(p1.random(4), p2.random(4))
 
 
 class TestDeriveSeed:
