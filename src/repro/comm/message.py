@@ -65,5 +65,17 @@ def error_message(reason: str) -> Message:
     return Message(MessageKind.ERROR, fields={"reason": reason})
 
 
+def exception_message(exc: Exception) -> Message:
+    """The ERROR reply to a request that raised ``exc``: ``reason`` reads
+    ``"Type: message"``, and ``error`` and ``detail`` carry the type's name
+    and the message apart, for a peer that raises the same exception."""
+    name = type(exc).__name__
+    detail = exc.args[0] if len(exc.args) == 1 else exc
+    return Message(
+        MessageKind.ERROR,
+        fields={"reason": f"{name}: {exc}", "error": name, "detail": str(detail)},
+    )
+
+
 def result_message(arrays: Dict[str, np.ndarray], **fields: Any) -> Message:
     return Message(MessageKind.RESULT, fields=fields, arrays=arrays)

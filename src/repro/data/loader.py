@@ -19,7 +19,6 @@ class DataLoader:
         batch_size: int,
         *,
         shuffle: bool = False,
-        drop_last: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if batch_size <= 0:
@@ -29,21 +28,13 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self.rng = rng
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
-            idx = order[start : start + self.batch_size]
-            if len(idx) == 0:
-                break
-            yield self.dataset[idx]
+        for start in range(0, n, self.batch_size):
+            yield self.dataset[order[start : start + self.batch_size]]

@@ -31,8 +31,8 @@ class CrashCounter:
     deterministically, without wall-clock dependence.
     """
 
-    def __init__(self, crash_after_requests: Optional[int] = None) -> None:
-        if crash_after_requests is not None and crash_after_requests < 0:
+    def __init__(self, crash_after_requests: int) -> None:
+        if crash_after_requests < 0:
             raise ValueError("crash_after_requests must be non-negative")
         self.crash_after_requests = crash_after_requests
         self.requests_seen = 0
@@ -40,8 +40,6 @@ class CrashCounter:
     def record_request(self) -> bool:
         """Count a request; returns True if the device should now crash."""
         self.requests_seen += 1
-        if self.crash_after_requests is None:
-            return False
         return self.requests_seen > self.crash_after_requests
 
 
@@ -57,7 +55,7 @@ class EmulatedDevice:
     ) -> None:
         self.profile = profile
         self.net = net
-        self.crash_counter = crash_counter or CrashCounter()
+        self.crash_counter = crash_counter
         self.alive = True
         self.busy_time_s = 0.0
         self.requests_served = 0
@@ -75,7 +73,7 @@ class EmulatedDevice:
     def _check_alive(self) -> None:
         if not self.alive:
             raise DeviceFailed(f"device {self.name!r} is down")
-        if self.crash_counter.record_request():
+        if self.crash_counter is not None and self.crash_counter.record_request():
             self.alive = False
             raise DeviceFailed(f"device {self.name!r} crashed mid-stream")
 

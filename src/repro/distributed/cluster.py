@@ -17,7 +17,6 @@ import tempfile
 import time
 from typing import Optional
 
-from repro.comm.latency_model import CommLatencyModel
 from repro.comm.tcp import connect
 from repro.comm.transport import TransportError
 from repro.device.emulated import EmulatedDevice
@@ -41,7 +40,6 @@ class WorkerProcess:
         lower_widths,
         max_width: int,
         num_convs: int,
-        crash_after: Optional[int] = None,
     ) -> None:
         cmd = [
             sys.executable,
@@ -60,8 +58,6 @@ class WorkerProcess:
             "--lower-widths",
             *[str(w) for w in lower_widths],
         ]
-        if crash_after is not None:
-            cmd += ["--crash-after", str(crash_after)]
         # The child must import the same `repro` the parent is running, even
         # from a plain checkout where the package is not installed.
         import repro
@@ -113,8 +109,6 @@ class LocalCluster:
         self,
         net: SlimmableConvNet,
         *,
-        comm_model: Optional[CommLatencyModel] = None,
-        crash_after: Optional[int] = None,
         compiled: bool = False,
     ) -> None:
         self.net = net
@@ -129,7 +123,6 @@ class LocalCluster:
             lower_widths=spec.lower_widths,
             max_width=spec.max_width,
             num_convs=spec.num_convs,
-            crash_after=crash_after,
         )
         transport = self._connect_with_retry(self.worker_process.port)
         master_device = EmulatedDevice(jetson_nx_master(), net)
@@ -137,7 +130,6 @@ class LocalCluster:
             master_device,
             transport,
             partition_split=spec.split,
-            comm_model=comm_model,
             compiled=compiled,
         )
 

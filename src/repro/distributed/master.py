@@ -37,18 +37,13 @@ class MasterRuntime:
         transport: Optional[Transport],
         *,
         partition_split: int,
-        comm_model: Optional[CommLatencyModel] = None,
-        request_timeout: float = 10.0,
         compiled: bool = False,
     ) -> None:
         self.device = device
         self.split = partition_split
-        self.comm_model = comm_model or CommLatencyModel()
-        self.request_timeout = request_timeout
+        self.comm_model = CommLatencyModel()
         self.logger = get_logger("master")
-        self._worker = TransportEndpoint(
-            WORKER, transport, request_timeout=request_timeout
-        )
+        self._worker = TransportEndpoint(WORKER, transport)
         self.engine = ExecutionEngine(
             {MASTER: LocalEndpoint(MASTER, device), WORKER: self._worker},
             device.net.width_spec,
@@ -68,9 +63,9 @@ class MasterRuntime:
     def worker_attached(self) -> bool:
         return self._worker.available
 
-    def ping_worker(self, timeout: float = 1.0) -> bool:
-        """Heartbeat; False means the worker is to be treated as dead."""
-        return self._worker.ping(timeout=timeout)
+    def ping_worker(self) -> bool:
+        """Heartbeat (one second); False means the worker is to be treated as dead."""
+        return self._worker.ping(timeout=1.0)
 
     # -- plan execution --------------------------------------------------------
 

@@ -21,7 +21,7 @@ two-device master runtime).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -148,7 +148,6 @@ class MultiDeviceRuntime:
         profiles: Sequence[DeviceProfile],
         partition: BlockPartition,
         *,
-        comm_model: Optional[CommLatencyModel] = None,
         compiled: bool = False,
     ) -> None:
         if len(profiles) != partition.num_blocks:
@@ -181,7 +180,6 @@ class MultiDeviceRuntime:
             },
             net.width_spec,
             partition=partition,
-            comm_model=comm_model,
             extra_specs=specs,
             compiled=compiled,
         )
@@ -218,13 +216,12 @@ class MultiDeviceRuntime:
         self,
         x: np.ndarray,
         *,
-        streams: Optional[Mapping[str, np.ndarray]] = None,
         alive: Optional[Sequence[int]] = None,
     ) -> EngineResult:
         """Independent per-block streams over the alive devices."""
         alive = sorted(set(self.alive_indices() if alive is None else alive))
         plan = streams_plan([(self.device_names[i], f"block{i}") for i in alive])
-        return self.engine.execute(plan, x, streams=streams)
+        return self.engine.execute(plan, x)
 
     def serve(self, x: np.ndarray) -> EngineResult:
         """Serve one batch under the current best plan."""

@@ -26,7 +26,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.comm.message import Message, MessageKind, error_message, result_message
+from repro.comm.message import (
+    Message,
+    MessageKind,
+    error_message,
+    exception_message,
+    result_message,
+)
 from repro.comm.transport import Transport, TransportError
 from repro.comm.wire import WireError, cast_for_wire
 from repro.device.emulated import EmulatedDevice
@@ -59,13 +65,14 @@ class WorkerLoop:
         self.transport = transport
         self.logger = get_logger("worker")
 
-    def serve_forever(self, poll_timeout: float = 0.5) -> None:
-        """Handle requests until SHUTDOWN, a handler's close, or transport loss."""
+    def serve_forever(self) -> None:
+        """Handle requests until SHUTDOWN, a handler's close, or transport loss
+        (polled every half second)."""
         while not self.transport.closed:
             try:
-                message = self.transport.recv(timeout=poll_timeout)
+                message = self.transport.recv(timeout=0.5)
             except WireError as exc:  # the frame was consumed whole: still in sync
-                reply = error_message(f"{type(exc).__name__}: {exc}")
+                reply = exception_message(exc)
             except TransportError:
                 continue  # a poll timeout; a lost transport has closed itself
             else:
@@ -85,7 +92,7 @@ class WorkerLoop:
             return getattr(self, name)(message)
         except Exception as exc:  # noqa: BLE001 - reported to the peer; keep serving
             self._failed(message, exc)
-            return error_message(f"{type(exc).__name__}: {exc}")
+            return exception_message(exc)
 
     def _failed(self, message: Message, exc: Exception) -> None:
         """A handler raised ``exc``; its ERROR reply follows."""

@@ -13,7 +13,6 @@ import sys
 
 from repro.comm.tcp import TcpListener
 from repro.device.emulated import EmulatedDevice
-from repro.device import CrashCounter
 from repro.device.profiles import jetson_nx_worker
 from repro.distributed.worker import WorkerServer
 from repro.nn.checkpoint import load_state
@@ -30,12 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lower-widths", type=int, nargs="+", default=[4, 8, 12, 16])
     parser.add_argument("--split", type=int, default=8)
     parser.add_argument("--num-convs", type=int, default=3)
-    parser.add_argument(
-        "--crash-after",
-        type=int,
-        default=None,
-        help="simulate a power failure after N requests",
-    )
     return parser
 
 
@@ -51,11 +44,7 @@ def main(argv=None) -> int:
     net.load_state_dict(load_state(args.weights))
     net.train(False)
 
-    device = EmulatedDevice(
-        jetson_nx_worker(),
-        net,
-        crash_counter=CrashCounter(args.crash_after),
-    )
+    device = EmulatedDevice(jetson_nx_worker(), net)
     listener = TcpListener(args.port)
     # Signal readiness (the bound port) on stdout for the cluster launcher.
     print(f"READY {listener.address[1]}", flush=True)

@@ -234,9 +234,9 @@ class PartitionPlanCompiler:
         boundaries: Sequence[int],
         index: int,
         rows: int,
-        dtype: Optional[np.dtype] = None,
     ) -> DevicePartitionPlan:
-        dtype = np.dtype(dtype) if dtype is not None else compute_dtype(training=False)
+        """The cached plan for this block, in the policy's inference dtype."""
+        dtype = compute_dtype(training=False)
         key = (spec.name, tuple(boundaries), index, rows, dtype.str)
         plan = self._plans.get(key)
         if plan is None:

@@ -58,6 +58,17 @@ class EndpointUnavailable(RuntimeError):
     """Raised when an endpoint's device cannot be reached (the failure signal)."""
 
 
+class EndpointError(EndpointUnavailable):
+    """The peer answered ERROR: it is up and the transport still in sync,
+    only this request failed.  ``error`` names the exception type the peer
+    raised (None when the reply names none) and ``detail`` its message."""
+
+    def __init__(self, message: str, error: Optional[str], detail: Optional[str]) -> None:
+        super().__init__(message)
+        self.error = error
+        self.detail = detail
+
+
 @dataclass
 class EndpointReply:
     """One endpoint response plus its accounting facts."""
@@ -432,8 +443,10 @@ class TransportEndpoint(Endpoint):
                 if not (self.alive_probe is not None and self.available and self.alive_probe()):
                     raise EndpointUnavailable(str(exc)) from exc
         if reply.kind == MessageKind.ERROR:
-            raise EndpointUnavailable(
-                f"{self.name} error: {reply.fields.get('reason')}"
+            raise EndpointError(
+                f"{self.name} error: {reply.fields.get('reason')}",
+                reply.fields.get("error"),
+                reply.fields.get("detail"),
             )
         payload = max(
             self._pending_sent_bytes,

@@ -127,7 +127,6 @@ class ExecutionEngine:
         comm_model: Optional[CommLatencyModel] = None,
         extra_specs: Optional[Mapping[str, SubNetSpec]] = None,
         compiled: bool = False,
-        metrics=None,  # MetricsRegistry; imported lazily (scheduler pkg cycle)
     ) -> None:
         self.endpoints: Dict[str, Endpoint] = dict(endpoints)
         self.width_spec = width_spec
@@ -136,13 +135,11 @@ class ExecutionEngine:
         self.ledger = EmulatedTimeLedger()
         self.extra_specs: Dict[str, SubNetSpec] = dict(extra_specs or {})
         self.compiled = compiled
-        if metrics is None:
-            # Deferred: repro.scheduler's package init imports the runtime
-            # facades, which import this module.
-            from repro.scheduler.telemetry import MetricsRegistry
+        # Deferred: repro.scheduler's package init imports the runtime
+        # facades, which import this module.
+        from repro.scheduler.telemetry import MetricsRegistry
 
-            metrics = MetricsRegistry()
-        self.metrics = metrics
+        self.metrics = MetricsRegistry()
         #: Per-round exchanged activation bytes of the most recent
         #: partitioned execute (engine↔endpoint boundary, wire itemsize).
         self.last_exchange_bytes: List[int] = []

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.comm.latency_model import CommLatencyModel
-from repro.device.profiles import DeviceProfile, jetson_nx_master, jetson_nx_worker
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
 from repro.distributed.partition import MASTER, WORKER
 from repro.distributed.throughput import SystemThroughputModel
 from repro.slimmable.slim_net import SlimmableConvNet
@@ -71,17 +71,11 @@ class OperatingPoint:
         return abs(self.predicted_ips - self.paper_ips) / self.paper_ips
 
 
-def calibration_points(
-    net: SlimmableConvNet,
-    master: DeviceProfile = None,
-    worker: DeviceProfile = None,
-    comm: CommLatencyModel = None,
-) -> Dict[str, OperatingPoint]:
+def calibration_points(net: SlimmableConvNet) -> Dict[str, OperatingPoint]:
     """Predicted vs paper throughput for the four calibration targets."""
-    master = master or jetson_nx_master()
-    worker = worker or jetson_nx_worker()
-    comm = comm or CommLatencyModel()
-    tm = SystemThroughputModel(net, master, worker, comm)
+    tm = SystemThroughputModel(
+        net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
+    )
     ws = net.width_spec
     half = ws.split
     lower50 = ws.lower(half)

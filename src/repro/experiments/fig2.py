@@ -11,11 +11,11 @@ the test set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.comm.latency_model import CommLatencyModel
 from repro.data.dataset import ArrayDataset
-from repro.device.profiles import DeviceProfile, jetson_nx_master, jetson_nx_worker
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
 from repro.distributed.modes import ALL_SCENARIOS, ExecutionMode, Scenario
 from repro.distributed.plan import DeploymentPlan
 from repro.distributed.throughput import SystemThroughputModel
@@ -115,10 +115,6 @@ def fig2_plans(
 def run_fig2(
     models: Dict[str, ModelFamily],
     test_set: ArrayDataset,
-    *,
-    master: Optional[DeviceProfile] = None,
-    worker: Optional[DeviceProfile] = None,
-    comm: Optional[CommLatencyModel] = None,
 ) -> Fig2Result:
     """Regenerate Fig. 2 from trained models.
 
@@ -126,9 +122,7 @@ def run_fig2(
         models: mapping with keys ``static``, ``dynamic``, ``fluid``.
         test_set: held-out evaluation data.
     """
-    master = master or jetson_nx_master()
-    worker = worker or jetson_nx_worker()
-    comm = comm or CommLatencyModel()
+    master, worker, comm = jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
     result = Fig2Result()
 
     for family in ("static", "dynamic", "fluid"):

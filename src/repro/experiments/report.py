@@ -13,26 +13,24 @@ from repro.experiments.calibration import (
 from repro.experiments.fig2 import Fig2Result
 
 
-def format_fig2_table(result: Fig2Result, include_paper: bool = True) -> str:
-    """Render the Fig. 2 bars as an aligned text table."""
+def format_fig2_table(result: Fig2Result) -> str:
+    """Render the Fig. 2 bars, beside the paper's, as an aligned text table."""
     header = (
         f"{'family':8s} {'scenario':18s} {'mode':7s} "
         f"{'thr(img/s)':>10s} {'acc(%)':>7s}"
+        f" {'paper thr':>10s} {'paper acc':>10s}"
     )
-    if include_paper:
-        header += f" {'paper thr':>10s} {'paper acc':>10s}"
     lines = [header, "-" * len(header)]
     for cell in result.cells:
         line = (
             f"{cell.family:8s} {cell.scenario:18s} {cell.mode:7s} "
             f"{cell.throughput_ips:10.1f} {cell.accuracy_pct:7.1f}"
         )
-        if include_paper:
-            ref = PAPER_FIG2.get((cell.family, cell.scenario, cell.mode))
-            if ref:
-                line += f" {ref[0]:10.1f} {ref[1]:10.1f}"
-            else:
-                line += f" {'-':>10s} {'-':>10s}"
+        ref = PAPER_FIG2.get((cell.family, cell.scenario, cell.mode))
+        if ref:
+            line += f" {ref[0]:10.1f} {ref[1]:10.1f}"
+        else:
+            line += f" {'-':>10s} {'-':>10s}"
         lines.append(line)
     lines.append("")
     lines.append(
@@ -53,9 +51,7 @@ class ShapeCheck:
     detail: str
 
 
-def shape_checks(
-    result: Fig2Result, accuracy_tolerance_pct: float = 1.0
-) -> List[ShapeCheck]:
+def shape_checks(result: Fig2Result) -> List[ShapeCheck]:
     """Verify the paper's qualitative claims on a result.
 
     These are the repro contract: who wins, by roughly what factor, and
@@ -144,8 +140,8 @@ def shape_checks(
     )
     checks.append(
         ShapeCheck(
-            f"fluid HA within {accuracy_tolerance_pct}pt of static (paper: above it)",
-            acc_fluid_ha >= acc_full_static - accuracy_tolerance_pct,
+            "fluid HA within 1.0pt of static (paper: above it)",
+            acc_fluid_ha >= acc_full_static - 1.0,
             f"fluid HA={acc_fluid_ha:.1f} vs static={acc_full_static:.1f}",
         )
     )

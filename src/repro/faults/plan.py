@@ -164,6 +164,6 @@ class FaultPlan:
         return len(self.events)
 
 
-def single_fault(target: str, at_s: float = 0.0, kind: str = CRASH) -> FaultPlan:
-    """A one-event plan: ``target`` suffers ``kind`` at ``at_s`` and nothing else happens."""
-    return FaultPlan([FaultEvent(at_s, target, kind)])
+def single_fault(target: str, at_s: float = 0.0) -> FaultPlan:
+    """A one-event plan: ``target`` crashes at ``at_s`` and nothing else happens."""
+    return FaultPlan([FaultEvent(at_s, target, CRASH)])

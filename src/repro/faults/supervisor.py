@@ -10,8 +10,8 @@ the pool's health view and, per ejected slot,
    for threads), retrying with exponential backoff + deterministic
    jitter when the spawn itself fails;
 2. enforces a **restart budget** (circuit breaker): a replica that dies
-   more than ``restart_budget`` times within ``budget_window_s`` stays
-   down, is counted in ``supervisor.gave_up`` and reported via
+   more than :data:`RESTART_BUDGET` times within :data:`BUDGET_WINDOW_S`
+   stays down, is counted in ``supervisor.gave_up`` and reported via
    :meth:`status` — flapping hardware must not eat the control plane;
 3. gets the replacement back **warm**: ``spawn_replica`` returns a
    process worker — forked over the pool's already compiled plans — only
@@ -40,6 +40,18 @@ from repro.trace.tracer import EVENT_RESPAWN, NULL_TRACER
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed, make_rng
 
+#: A failed respawn is retried after ``BACKOFF_BASE_S * BACKOFF_FACTOR**k``
+#: seconds (k = failed attempts so far), capped at ``BACKOFF_MAX_S``...
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 1.0
+#: ...and spread by ±``JITTER`` of itself, from a fixed-seed generator so
+#: chaos runs stay reproducible.
+JITTER = 0.1
+#: A slot that dies more than this many times within the window stays down.
+RESTART_BUDGET = 3
+BUDGET_WINDOW_S = 30.0
+
 
 @dataclass
 class _SlotState:
@@ -60,38 +72,16 @@ class ReplicaSupervisor:
         self,
         frontend,
         *,
-        backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max_s: float = 1.0,
-        jitter: float = 0.1,
-        restart_budget: int = 3,
-        budget_window_s: float = 30.0,
-        seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if backoff_base_s < 0 or backoff_max_s < 0:
-            raise ValueError("backoff bounds must be non-negative")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if restart_budget < 1:
-            raise ValueError("restart_budget must be at least 1")
         self.frontend = frontend
         self.pool = frontend.pool
         self.metrics = frontend.metrics
         self.tracer = getattr(frontend, "tracer", NULL_TRACER)
         self.logger = get_logger("faults.supervisor")
-        self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
-        self.backoff_max_s = backoff_max_s
-        self.jitter = jitter
-        self.restart_budget = restart_budget
-        self.budget_window_s = budget_window_s
         self._clock = clock
-        # Deterministic jitter: two supervisors with the same seed retry
-        # on the same schedule (chaos runs stay reproducible).
-        self._rng = make_rng(derive_seed(seed, "supervisor", "jitter"))
+        # Deterministic jitter: every supervisor retries on the same schedule.
+        self._rng = make_rng(derive_seed(0, "supervisor", "jitter"))
         self._slots: Dict[int, _SlotState] = {
             i: _SlotState() for i in range(len(self.pool.replicas))
         }
@@ -150,9 +140,9 @@ class ReplicaSupervisor:
                 state.attempts = 0
                 state.next_attempt_at = now
                 state.deaths.append(now)
-                while state.deaths and now - state.deaths[0] > self.budget_window_s:
+                while state.deaths and now - state.deaths[0] > BUDGET_WINDOW_S:
                     state.deaths.popleft()
-                if len(state.deaths) > self.restart_budget:
+                if len(state.deaths) > RESTART_BUDGET:
                     state.gave_up = True
                     self.metrics.counter("supervisor.gave_up").inc()
                     self.tracer.emit(
@@ -162,7 +152,7 @@ class ReplicaSupervisor:
                     self.logger.error(
                         "replica %d died %d times within %.1fs; restart budget "
                         "exhausted, leaving it down",
-                        index, len(state.deaths), self.budget_window_s,
+                        index, len(state.deaths), BUDGET_WINDOW_S,
                     )
                     continue
             if now < state.next_attempt_at:
@@ -172,10 +162,9 @@ class ReplicaSupervisor:
             except Exception as exc:  # noqa: BLE001 - retried with backoff
                 state.attempts += 1
                 backoff = min(
-                    self.backoff_base_s * self.backoff_factor ** (state.attempts - 1),
-                    self.backoff_max_s,
+                    BACKOFF_BASE_S * BACKOFF_FACTOR ** (state.attempts - 1), BACKOFF_MAX_S
                 )
-                backoff *= 1.0 + self.jitter * (2.0 * float(self._rng.random()) - 1.0)
+                backoff *= 1.0 + JITTER * (2.0 * float(self._rng.random()) - 1.0)
                 state.next_attempt_at = self._clock() + backoff
                 self.metrics.counter("supervisor.respawn_failures").inc()
                 self.logger.warning(

@@ -63,30 +63,24 @@ class ModelFamily:
 
     # -- evaluation --------------------------------------------------------------
 
-    def evaluate(
-        self,
-        name: str,
-        dataset: ArrayDataset,
-        batch_size: int = 256,
-    ) -> float:
-        """Top-1 accuracy of sub-network ``name`` on ``dataset`` (in [0, 1])."""
+    def evaluate(self, name: str, dataset: ArrayDataset) -> float:
+        """Top-1 accuracy of sub-network ``name`` on ``dataset`` (in [0, 1]),
+        256 images a forward."""
         view = self.view(name)
         view.train(False)
         correct = 0
-        for start in range(0, len(dataset), batch_size):
-            x, y = dataset[np.arange(start, min(start + batch_size, len(dataset)))]
+        for start in range(0, len(dataset), 256):
+            x, y = dataset[np.arange(start, min(start + 256, len(dataset)))]
             # Inference never runs backward: a non-recording context skips
             # the activation tape entirely.
             logits = view.forward(x, ForwardContext(recording=False))
             correct += int((logits.argmax(axis=1) == y).sum())
         return correct / len(dataset)
 
-    def evaluate_all(
-        self, dataset: ArrayDataset, batch_size: int = 256
-    ) -> Dict[str, float]:
+    def evaluate_all(self, dataset: ArrayDataset) -> Dict[str, float]:
         """Accuracy of every sub-network in the family's width spec."""
         return {
-            spec.name: self.evaluate(spec.name, dataset, batch_size)
+            spec.name: self.evaluate(spec.name, dataset)
             for spec in self.width_spec.all_specs()
         }
 

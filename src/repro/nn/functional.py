@@ -235,18 +235,15 @@ def shifted_gemm_conv(
     return wide
 
 
-def bias_act_into(
-    src: np.ndarray, bias: np.ndarray, out: np.ndarray, relu: bool = True
-) -> np.ndarray:
-    """Broadcast-add a leading-axis bias into ``out``, optionally ReLU'd.
+def bias_act_into(src: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Broadcast-add a leading-axis bias into ``out``, then ReLU it.
 
     ``src``/``out`` are channel-major ``(C_out, ...)`` views (either may be
     strided); used by the shifted-GEMM epilogue to land the valid window of
     the wide GEMM result straight in the next layer's arena.
     """
     np.add(src, bias.reshape((-1,) + (1,) * (src.ndim - 1)), out=out)
-    if relu:
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     return out
 
 

@@ -19,10 +19,10 @@ def _fan_in(shape: Tuple[int, ...]) -> int:
     raise ValueError(f"unsupported weight shape {shape}")
 
 
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = np.sqrt(2.0)) -> np.ndarray:
-    """He/Kaiming uniform init (appropriate for ReLU networks)."""
+def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """He/Kaiming uniform init with the ReLU gain sqrt(2)."""
     fan_in = _fan_in(shape)
-    bound = gain * np.sqrt(3.0 / fan_in)
+    bound = np.sqrt(2.0) * np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -103,21 +103,21 @@ class Module:
         """Copy of all parameter arrays keyed by dotted path."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Copy every parameter from ``state``, which must name exactly them."""
         own = dict(self.named_parameters())
         missing = [k for k in own if k not in state]
         unexpected = [k for k in state if k not in own]
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(f"state mismatch: missing={missing}, unexpected={unexpected}")
         for name, param in own.items():
-            if name in state:
-                if state[name].shape != param.data.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: "
-                        f"checkpoint {state[name].shape} vs model {param.data.shape}"
-                    )
-                np.copyto(param.data, state[name])
-                param.bump_version()
+            if state[name].shape != param.data.shape:
+                raise ValueError(
+                    f"shape mismatch for {name}: "
+                    f"checkpoint {state[name].shape} vs model {param.data.shape}"
+                )
+            np.copyto(param.data, state[name])
+            param.bump_version()
 
     # -- compute -------------------------------------------------------------
 

@@ -792,26 +792,22 @@ def compile_width_plans(
     widths: Sequence[Union[str, SubNetSpec]],
     *,
     batch_rows: int,
-    dtype: Optional[np.dtype] = None,
-    cache: Optional[PackedWeightCache] = None,
     workspaces: int = 1,
     conv_backend: str = "im2col",
 ) -> Dict[str, InferencePlan]:
-    """One plan per width.
+    """One plan per width, in the policy's inference dtype.
 
     The serving frontend's bulk entry point: all plans alias one weight
-    store and one :class:`PackedWeightCache`, so N widths cost N arena
-    sets but zero duplicate weight packs.
+    store and one fresh :class:`PackedWeightCache`, so N widths cost N
+    arena sets but zero duplicate weight packs.
     """
-    if cache is None:  # an empty cache is falsy (len 0) — test identity
-        cache = PackedWeightCache()
+    cache = PackedWeightCache()
     plans: Dict[str, InferencePlan] = {}
     for width in widths:
         plan = InferencePlan.compile(
             model,
             width,
             batch_rows=batch_rows,
-            dtype=dtype,
             cache=cache,
             workspaces=workspaces,
             conv_backend=conv_backend,

@@ -93,12 +93,11 @@ class SystemController:
             throughput=self.tm.evaluate_plan(self.current_plan),
         )
 
-    def simulate(
-        self, schedule: FaultPlan, horizon_s: float, step_s: float = 1.0
-    ) -> Timeline:
-        """Replay a failure script; record transitions only when plans change."""
-        if horizon_s <= 0 or step_s <= 0:
-            raise ValueError("horizon and step must be positive")
+    def simulate(self, schedule: FaultPlan, horizon_s: float) -> Timeline:
+        """Replay a failure script in one-second steps; record transitions
+        only when plans change."""
+        if horizon_s <= 0:
+            raise ValueError("horizon must be positive")
         monitor = ScheduleMonitor(schedule)
         timeline = Timeline(horizon_s=horizon_s)
         last_plan: Optional[DeploymentPlan] = None
@@ -108,5 +107,5 @@ class SystemController:
             if transition.plan is not last_plan:
                 timeline.add(transition)
                 last_plan = transition.plan
-            t += step_s
+            t += 1.0
         return timeline

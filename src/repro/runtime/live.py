@@ -21,7 +21,6 @@ from repro.distributed.plan import DeploymentPlan
 from repro.engine.endpoints import EndpointUnavailable
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.runtime.policy import AdaptationPolicy
-from repro.utils.config import Config
 from repro.utils.logging import get_logger
 
 
@@ -58,20 +57,14 @@ class LiveSystem:
         self,
         master: MasterRuntime,
         policy: AdaptationPolicy,
-        *,
-        config: Optional[Config] = None,
     ) -> None:
         self.master = master
         self.policy = policy
         self.logger = get_logger("runtime.live")
         self._worker_alive = master.worker_attached()
-        # The same configurable detector the scheduler's replica pool uses
-        # (``heartbeat_threshold`` / ``heartbeat_interval_s`` config keys);
-        # the live master/worker path historically declared death after a
-        # single failed ping, so that stays the default here.
-        self.monitor = HeartbeatMonitor.from_config(
-            master.ping_worker, config, default_threshold=1
-        )
+        # The same detector the scheduler's replica pool uses; the live
+        # master/worker path declares death after a single failed ping.
+        self.monitor = HeartbeatMonitor(master.ping_worker, threshold=1)
         self.plan: DeploymentPlan = self._replan()
 
     def _alive_set(self) -> frozenset:
@@ -93,8 +86,7 @@ class LiveSystem:
     def heartbeat(self) -> bool:
         """Run one heartbeat; re-plan once the monitor declares death.
 
-        Returns worker liveness.  The declaration threshold and expected
-        cadence come from the shared heartbeat config keys.
+        Returns worker liveness.
         """
         if self._worker_alive and not self.monitor.check():
             self.declare_worker_dead()

@@ -11,65 +11,29 @@ Two flavours:
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Optional
+from typing import Callable, FrozenSet
 
 from repro.faults.plan import FaultPlan
 from repro.distributed.partition import MASTER, WORKER
-from repro.utils.config import Config
 from repro.utils.logging import get_logger
-
-#: Config keys (see :class:`~repro.utils.config.Config`) recognised by
-#: :meth:`HeartbeatMonitor.from_config`.
-HEARTBEAT_THRESHOLD_KEY = "heartbeat_threshold"
-HEARTBEAT_INTERVAL_KEY = "heartbeat_interval_s"
-
-DEFAULT_HEARTBEAT_THRESHOLD = 2
-DEFAULT_HEARTBEAT_INTERVAL_S = 0.05
 
 
 class HeartbeatMonitor:
     """Declares a peer dead after ``threshold`` consecutive failed pings.
 
-    ``interval_s`` is the cadence at which the owner is expected to call
-    :meth:`check`; the monitor itself never sleeps, it just records the
-    configured cadence so every heartbeat caller (the frontend's timer,
-    live-serving heartbeats) reads one source of truth.
+    The monitor never sleeps: its owner calls :meth:`check` at its own
+    cadence (the replica pool's heartbeat rounds, live serving's
+    per-batch heartbeat).
     """
 
-    def __init__(
-        self,
-        ping: Callable[[], bool],
-        threshold: int = DEFAULT_HEARTBEAT_THRESHOLD,
-        interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-    ) -> None:
+    def __init__(self, ping: Callable[[], bool], threshold: int = 2) -> None:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        if interval_s < 0:
-            raise ValueError("interval_s must be non-negative")
         self._ping = ping
         self.threshold = threshold
-        self.interval_s = interval_s
         self.consecutive_failures = 0
         self.declared_dead = False
         self.logger = get_logger("monitor")
-
-    @classmethod
-    def from_config(
-        cls,
-        ping: Callable[[], bool],
-        config: Optional[Config] = None,
-        *,
-        default_threshold: int = DEFAULT_HEARTBEAT_THRESHOLD,
-        default_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-    ) -> "HeartbeatMonitor":
-        """Build a monitor from ``heartbeat_threshold`` / ``heartbeat_interval_s``
-        config keys, falling back to the caller's defaults when absent."""
-        cfg = config or Config()
-        return cls(
-            ping,
-            threshold=int(cfg.get(HEARTBEAT_THRESHOLD_KEY, default_threshold)),
-            interval_s=float(cfg.get(HEARTBEAT_INTERVAL_KEY, default_interval_s)),
-        )
 
     def check(self) -> bool:
         """Run one heartbeat; returns current liveness verdict."""
@@ -114,11 +78,10 @@ class HeartbeatMonitor:
 class ScheduleMonitor:
     """Liveness view over a scripted failure schedule at simulated time."""
 
-    def __init__(self, schedule: FaultPlan, devices=(MASTER, WORKER)) -> None:
+    def __init__(self, schedule: FaultPlan) -> None:
         self.schedule = schedule
-        self.devices = tuple(devices)
 
     def alive_at(self, now_s: float) -> FrozenSet[str]:
         return frozenset(
-            d for d in self.devices if self.schedule.is_alive(d, now_s)
+            d for d in (MASTER, WORKER) if self.schedule.is_alive(d, now_s)
         )

@@ -39,14 +39,13 @@ class AdaptationPolicy:
         model: ModelFamily,
         throughput_model: SystemThroughputModel,
         *,
-        partition: Optional[WidthPartition] = None,
         target: str = TARGET_ACCURACY,
     ) -> None:
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
         self.model = model
         self.tm = throughput_model
-        self.partition = partition or WidthPartition.at_spec_split(model.width_spec)
+        self.partition = WidthPartition.at_spec_split(model.width_spec)
         self.target = target
         self.profiles: Dict[str, DeviceProfile] = throughput_model.profiles
 

@@ -58,7 +58,7 @@ from repro.scheduler.pool import Replica, ReplicaPool, ReplicaUnavailable
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.scheduler.width_policy import WidthPolicy
 from repro.slimmable.spec import SubNetSpec
-from repro.trace.recorder import LOST, OK, RequestRecord, RequestSpec, TraceRecorder
+from repro.trace.recorder import LOST, OK, REJECTED, RequestRecord, RequestSpec, TraceRecorder
 from repro.trace.tracer import (
     EVENT_ADMISSION,
     EVENT_BATCH,
@@ -75,7 +75,6 @@ from repro.trace.tracer import (
     NULL_TRACER,
     Tracer,
 )
-from repro.utils.config import Config
 from repro.utils.logging import get_logger
 
 #: A request is hedged no earlier than this many predicted service times...
@@ -233,14 +232,11 @@ class ServingFrontend:
         model,
         config: Optional[SchedulerConfig] = None,
         *,
-        candidates: Optional[Sequence[SubNetSpec]] = None,
-        heartbeat_config: Optional[Config] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
         self.config = config or SchedulerConfig()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         # Tracing is opt-in: without a tracer every emit call lands on the
         # shared NULL_TRACER no-op, and sampled-out requests bind it too.
         self.tracer = tracer or NULL_TRACER
@@ -249,8 +245,9 @@ class ServingFrontend:
         self._rids = itertools.count()
         self._batch_ids = itertools.count()
         net = getattr(model, "net", model)
-        if candidates is None:
-            candidates = self._default_candidates(model, net)
+        # What one row of a served payload must be: (C, H, W).
+        self._row_shape = (net.in_channels, net.image_size, net.image_size)
+        candidates = self._default_candidates(model, net)
         # One compiled plan per allowed width, all over a single shared
         # packed-weight cache: the per-request resolve/cast/allocate work
         # vanishes from the hot path, and the replicas share the plans
@@ -263,7 +260,7 @@ class ServingFrontend:
         process_backend = self.config.replica_backend == "process"
         self.plans: Dict[str, InferencePlan] = compile_width_plans(
             model,
-            list(candidates),
+            candidates,
             batch_rows=self.config.max_batch,
             workspaces=0 if process_backend else 1,
             conv_backend=self.config.conv_backend,
@@ -284,7 +281,6 @@ class ServingFrontend:
         self.pool = ReplicaPool(
             model,
             self.config.replicas,
-            config=heartbeat_config,
             metrics=self.metrics,
             plans=self.plans,
             backend=self.config.replica_backend,
@@ -376,8 +372,11 @@ class ServingFrontend:
     ) -> "Future[np.ndarray]":
         """Schedule one request; the future resolves with its output rows.
 
-        The future fails with :class:`AdmissionRejected` (fail-fast, no
-        compute spent) when the SLA is infeasible, or with
+        The future fails with ``ValueError`` when ``x`` is not a real
+        numeric array of shape ``(rows >= 1, C, H, W)`` for the served net
+        (before admission or routing: a malformed payload fails alone,
+        never its batch-mates), with :class:`AdmissionRejected` (fail-fast,
+        no compute spent) when the SLA is infeasible, or with
         :class:`ReplicaUnavailable` when the whole pool is dead.
 
         ``spec`` is the replayed :class:`RequestSpec` when a
@@ -393,13 +392,20 @@ class ServingFrontend:
         trace = self.tracer if self.tracer.sample(rid) else NULL_TRACER
         entry = _Entry(x, sla, time.monotonic(), rid=rid, trace=trace, spec=spec)
         self.metrics.counter("frontend.requests").inc()
+        malformed = self._payload_error(x)
         trace.emit(
             rid,
             EVENT_SUBMIT,
             deadline_s=sla.deadline_s,
             priority=sla.priority,
-            rows=int(x.shape[0]) if x.ndim >= 1 else 1,
+            rows=1 if malformed else int(x.shape[0]),
         )
+        if malformed:
+            self.metrics.counter("frontend.failures.malformed").inc()
+            entry.future.set_exception(ValueError(malformed))
+            trace.emit(rid, EVENT_FAIL, error="ValueError")
+            self._finalize(entry, REJECTED, None)
+            return entry.future
 
         decision = core.decide(sla, entry.deadline - time.monotonic(), self._view)
         if decision.admission is not None:
@@ -448,6 +454,19 @@ class ServingFrontend:
             )
             self._timer.arm(hedge_at, entry)
         return entry.future
+
+    def _payload_error(self, x) -> Optional[str]:
+        """Why ``x`` is not a batch the served net takes, or None."""
+        if not isinstance(x, np.ndarray) or x.ndim != 4 or x.shape[1:] != self._row_shape:
+            return (
+                f"payload must be an array of shape (rows, {', '.join(map(str, self._row_shape))}), "
+                f"got {getattr(x, 'shape', type(x).__name__)}"
+            )
+        if x.shape[0] < 1:
+            return "payload has no rows"
+        if x.dtype.kind not in "fiu":
+            return f"payload dtype must be real numeric, got {x.dtype}"
+        return None
 
     # -- dispatch / completion -------------------------------------------------
 

@@ -6,9 +6,9 @@ sub-network width, created lazily) over the *shared* weight store — so N
 replicas still hold zero parameter copies, exactly like the engine's
 in-process endpoints.  The :class:`ReplicaPool` routes each request to
 the least-loaded healthy replica and ejects replicas via the same
-:class:`~repro.runtime.monitor.HeartbeatMonitor` the live system uses
-(threshold / interval from config keys).  Retrying a request whose
-endpoint died mid-flight is the caller's cycle —
+:class:`~repro.runtime.monitor.HeartbeatMonitor` the live system uses,
+one heartbeat round every :data:`HEARTBEAT_INTERVAL_S`.  Retrying a
+request whose endpoint died mid-flight is the caller's cycle —
 :class:`~repro.scheduler.frontend.ServingFrontend` does
 ``route`` → ``report_failure`` → ``route(exclude=...)`` over its queues —
 the HA story at request granularity.
@@ -24,7 +24,9 @@ import numpy as np
 from repro.engine.session import InferenceSession
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.scheduler.telemetry import MetricsRegistry, Timer
-from repro.utils.config import Config
+
+#: Seconds between heartbeat rounds (the frontend's timer fires them).
+HEARTBEAT_INTERVAL_S = 0.05
 
 
 class ReplicaUnavailable(RuntimeError):
@@ -163,7 +165,6 @@ class ReplicaPool:
         model,
         num_replicas: int,
         *,
-        config: Optional[Config] = None,
         metrics: Optional[MetricsRegistry] = None,
         plans: Optional[Dict[str, object]] = None,
         backend: str = "thread",
@@ -188,13 +189,12 @@ class ReplicaPool:
             )
         else:
             self.replicas = [Replica(i, model, plans) for i in range(num_replicas)]
-        # One monitor per replica, all reading the shared heartbeat config
-        # keys — the same detector the live master/worker path uses.
+        # One monitor per replica — the same detector the live
+        # master/worker path uses.
         self.monitors: List[HeartbeatMonitor] = [
-            HeartbeatMonitor.from_config(replica.ping, config)
-            for replica in self.replicas
+            HeartbeatMonitor(replica.ping) for replica in self.replicas
         ]
-        self.heartbeat_interval_s = self.monitors[0].interval_s
+        self.heartbeat_interval_s = HEARTBEAT_INTERVAL_S
         self._lock = threading.Lock()         # routing decisions
         self._health_lock = threading.Lock()  # monitor state transitions
 

@@ -28,7 +28,7 @@ before the machine does.  :class:`ProcessReplica` is the escape hatch:
   a placement descriptor, never pickled arrays.  One exchange is in
   flight per worker (``_transport_lock``) and the reply is copied out of
   the out-ring *before* that lock is released, so every batch reuses the
-  same few pages.  ``ring_bytes`` is the size above which a batch
+  same few pages.  :data:`RING_BYTES` is the size above which a batch
   travels as inline arrays on the same message instead.
 * **Compute budget**: each worker pins ``OMP_NUM_THREADS`` (and the
   loaded OpenBLAS) to its slice of the machine, so K workers × B threads
@@ -49,6 +49,7 @@ pool's ordinary eject/reroute machinery.
 
 from __future__ import annotations
 
+import builtins
 import ctypes
 import functools
 import os
@@ -65,17 +66,25 @@ from repro.comm.message import Message, MessageKind, result_message
 from repro.comm.tcp import TcpTransport
 from repro.comm.transport import TransportError
 from repro.distributed.worker import WorkerLoop
-from repro.engine.endpoints import EndpointReply, EndpointUnavailable, TransportEndpoint
+from repro.engine.endpoints import (
+    EndpointError,
+    EndpointReply,
+    EndpointUnavailable,
+    TransportEndpoint,
+)
 from repro.nn.shm import RING_SEGMENT_TAG, ShmRing, _unlink_quietly, create_segment
 from repro.scheduler.pool import Replica, ReplicaUnavailable, probe_input
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.utils.dtypes import compute_dtype
 
-#: Default per-direction ring size (rows in, logits out): the threshold
-#: above which a batch travels inline on the wire instead.  Only the pages
-#: a batch actually covers are ever touched (a 16-row float64 MNIST batch
+#: Per-direction ring size (rows in, logits out): the threshold above
+#: which a batch travels inline on the wire instead.  Only the pages a
+#: batch actually covers are ever touched (a 16-row float64 MNIST batch
 #: is ~100 KB), so the size costs address space, not memory.
-DEFAULT_RING_BYTES = 16 << 20
+RING_BYTES = 16 << 20
+#: How long a reply may take before the endpoint asks whether the worker
+#: process is still alive (a live one is waited for).
+REQUEST_TIMEOUT_S = 2.0
 #: How long a forked worker may take to run its boot probes and answer the
 #: readiness ping.  A worker that *dies* while booting fails the wait at
 #: once (its socket closes); this only bounds one that hangs.
@@ -158,13 +167,25 @@ def pin_blas_threads(n: int) -> bool:
     return bool(setters)
 
 
-def partition_thread_budget(workers: int, total: Optional[int] = None) -> int:
-    """Per-worker BLAS thread budget: an even split of the visible cores."""
-    if total is None:
+def _worker_error(exc: EndpointError) -> Exception:
+    """The exception a live worker's ERROR reply names: a builtin exception
+    type comes back as itself, any other type (or one its message alone
+    cannot build) as a ``RuntimeError`` carrying the whole reply."""
+    kind = getattr(builtins, exc.error or "", None)
+    if isinstance(kind, type) and issubclass(kind, Exception):
         try:
-            total = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            total = os.cpu_count() or 1
+            return kind(exc.detail)
+        except (TypeError, ValueError):
+            pass
+    return RuntimeError(str(exc))
+
+
+def partition_thread_budget(workers: int) -> int:
+    """Per-worker BLAS thread budget: an even split of the visible cores."""
+    try:
+        total = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        total = os.cpu_count() or 1
     return max(1, total // max(1, workers))
 
 
@@ -327,13 +348,11 @@ class ProcessReplica(Replica):
         plans: Optional[Dict[str, object]] = None,
         widths: Sequence[str] = (),
         omp_threads: int = 1,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        request_timeout: float = 2.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(index, model, plans=plans)
         self.metrics = metrics or MetricsRegistry()
-        ring_bytes = int(ring_bytes)
+        ring_bytes = RING_BYTES
         self._segment = create_segment(RING_SEGMENT_TAG, 2 * ring_bytes)
         self._in_ring = ShmRing(self._segment, 0, ring_bytes)
         self._out_ring = ShmRing(self._segment, ring_bytes, ring_bytes)
@@ -358,7 +377,7 @@ class ProcessReplica(Replica):
         self._endpoint = TransportEndpoint(
             f"worker-{index}",
             TcpTransport(parent_sock),
-            request_timeout=request_timeout,
+            request_timeout=REQUEST_TIMEOUT_S,
             alive_probe=self._proc.is_alive,
         )
 
@@ -427,8 +446,11 @@ class ProcessReplica(Replica):
             try:
                 reply = self._endpoint.run_parts(width, fields, arrays)
             except EndpointUnavailable as exc:
-                # An ERROR reply from a live worker leaves the transport in
-                # sync — the replica survives (the request reroutes anyway).
+                if isinstance(exc, EndpointError) and self._proc.is_alive():
+                    # An ERROR reply from a live worker: the transport is in
+                    # sync and only this batch failed, as a thread replica's
+                    # exception fails it.  No reroute, no ejection.
+                    raise _worker_error(exc) from exc
                 # A dead process / closed transport is permanent.
                 if not (self._proc.is_alive() and self._endpoint.available):
                     self._alive = False
@@ -524,8 +546,6 @@ def make_process_replicas(
     *,
     plans: Optional[Dict[str, object]] = None,
     widths: Sequence[str] = (),
-    ring_bytes: int = DEFAULT_RING_BYTES,
-    request_timeout: float = 2.0,
     metrics: Optional[MetricsRegistry] = None,
 ) -> List[ProcessReplica]:
     """Share the weights, partition the thread budget, fork ``count`` workers.
@@ -545,8 +565,6 @@ def make_process_replicas(
             plans=plans,
             widths=widths,
             omp_threads=budget,
-            ring_bytes=ring_bytes,
-            request_timeout=request_timeout,
             metrics=metrics,
         )
         for i in range(count)

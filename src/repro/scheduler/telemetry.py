@@ -22,6 +22,9 @@ from typing import Callable, Deque, Dict, Optional
 #: queries (totals stay exact; only the sample window is bounded).
 HISTOGRAM_WINDOW = 4096
 
+#: Weight of the newest observation in every :class:`EWMA`.
+EWMA_ALPHA = 0.3
+
 
 def nearest_rank(ordered, p: float) -> float:
     """Nearest-rank percentile of an ascending-sorted sample (0 < p <= 100).
@@ -68,10 +71,7 @@ class EWMA:
     falls back to its analytical cost model in the former case.
     """
 
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._value: Optional[float] = None
         self._count = 0
         self._lock = threading.Lock()
@@ -81,7 +81,7 @@ class EWMA:
             if self._value is None:
                 self._value = float(x)
             else:
-                self._value += self.alpha * (float(x) - self._value)
+                self._value += EWMA_ALPHA * (float(x) - self._value)
             self._count += 1
 
     @property
@@ -107,10 +107,8 @@ class LatencyHistogram:
     plenty for serving dashboards and benchmark reports.
     """
 
-    def __init__(self, window: int = HISTOGRAM_WINDOW) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self._samples: Deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._samples: Deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
         self._count = 0
         self._total = 0.0
         self._max = 0.0
@@ -207,10 +205,10 @@ class MetricsRegistry:
         with self._lock:
             return self._histograms.setdefault(name, LatencyHistogram())
 
-    def ewma(self, name: str, alpha: float = 0.3) -> EWMA:
+    def ewma(self, name: str) -> EWMA:
         with self._lock:
             if name not in self._ewmas:
-                self._ewmas[name] = EWMA(alpha)
+                self._ewmas[name] = EWMA()
             return self._ewmas[name]
 
     def timer(self, name: str) -> Timer:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.device.cost import subnet_flops, subnet_num_layers
-from repro.device.profiles import DeviceProfile, jetson_nx_master
+from repro.device.profiles import jetson_nx_master
 from repro.scheduler.telemetry import EWMA
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import SubNetSpec
@@ -42,13 +42,11 @@ class WidthPolicy:
         net: SlimmableConvNet,
         candidates: Sequence[SubNetSpec],
         *,
-        profile: Optional[DeviceProfile] = None,
-        alpha: float = 0.3,
         plan_flops: Optional[Mapping[str, int]] = None,
     ) -> None:
         if not candidates:
             raise ValueError("WidthPolicy needs at least one candidate spec")
-        profile = profile or jetson_nx_master()
+        profile = jetson_nx_master()
         layers = subnet_num_layers(net)
         # Widths with a compiled plan seed their base cost from the plan's
         # own FLOP count (derived from the compiled geometry) — the same
@@ -67,9 +65,9 @@ class WidthPolicy:
         )
         self._by_name = {spec.name: spec for spec in self.candidates}
         self._observed: Dict[str, EWMA] = {
-            spec.name: EWMA(alpha) for spec in self.candidates
+            spec.name: EWMA() for spec in self.candidates
         }
-        self._scale = EWMA(alpha)  # pooled observed/model wall-clock ratio
+        self._scale = EWMA()  # pooled observed/model wall-clock ratio
 
     # -- calibration ---------------------------------------------------------
 

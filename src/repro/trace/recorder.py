@@ -240,7 +240,6 @@ def write_trace(
     path: Union[str, Path],
     specs: Sequence[RequestSpec],
     *,
-    kind: str = "generated",
     meta: Optional[Mapping[str, object]] = None,
 ) -> Path:
     """Serialise a request stream (no outcomes) as a ``generated`` artifact."""
@@ -249,7 +248,7 @@ def write_trace(
     header = {
         "format": TRACE_FORMAT,
         "version": TRACE_VERSION,
-        "kind": kind,
+        "kind": "generated",
         "meta": dict(meta or {}),
     }
     lines = [json.dumps(header, sort_keys=True)]

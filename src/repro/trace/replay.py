@@ -178,7 +178,6 @@ class TraceReplayer:
         *,
         tracer: Optional[Tracer] = None,
         recorder: Optional[TraceRecorder] = None,
-        timeout_s: float = 120.0,
     ) -> Dict[str, object]:
         """Drive a real :class:`ServingFrontend` open-loop (wall clock).
 
@@ -204,7 +203,7 @@ class TraceReplayer:
             if recorder is not None:
                 recorder.meta.setdefault(FAULTS_META_KEY, self.faults.to_json())
         try:
-            records = self.drive(frontend, net, timeout_s, injector=injector)
+            records = self.drive(frontend, net, injector=injector)
             # Snapshot before close(): draining clears the per-queue state
             # the report's "batching" section reads.
             report = frontend.report()
@@ -222,11 +221,10 @@ class TraceReplayer:
             "frontend": report,
         }
 
-    def drive(
-        self, frontend, net, timeout_s: float = 120.0, *, injector=None
-    ) -> List[Dict[str, object]]:
+    def drive(self, frontend, net, *, injector=None) -> List[Dict[str, object]]:
         """Submit every spec to ``frontend`` at its arrival offset and wait
-        for all of them to resolve; returns one outcome row per request.
+        (at most two minutes) for all of them to resolve; returns one
+        outcome row per request.
 
         :meth:`replay` is this plus building and closing the frontend; a
         caller that must look at the frontend *after* the drain (e.g. to
@@ -267,7 +265,7 @@ class TraceReplayer:
             future.add_done_callback(
                 lambda f, i=index, t=submit_t: _finish(i, t, f)
             )
-        if not done.wait(timeout=timeout_s):
+        if not done.wait(timeout=120.0):
             raise RuntimeError(
                 f"replay did not drain: {remaining[0]} requests unresolved"
             )

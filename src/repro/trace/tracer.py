@@ -104,7 +104,7 @@ class NullTracer:
     def take(self, request_id: int) -> List[TraceEvent]:
         return []
 
-    def events(self, request_id: Optional[int] = None) -> List[TraceEvent]:
+    def events(self) -> List[TraceEvent]:
         return []
 
     def stats(self) -> Dict[str, object]:
@@ -134,20 +134,15 @@ class Tracer:
     def __init__(
         self,
         *,
-        capacity: int = RING_CAPACITY,
         sampling: float = 1.0,
         seed: int = 0,
-        clock=time.monotonic,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         if not 0.0 <= sampling <= 1.0:
             raise ValueError(f"sampling must be in [0, 1], got {sampling}")
         self.sampling = sampling
         self.seed = seed
-        self._clock = clock
-        self.epoch = clock()
-        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
+        self.epoch = time.monotonic()
+        self._ring: Deque[TraceEvent] = deque(maxlen=RING_CAPACITY)
         self._by_request: Dict[int, List[TraceEvent]] = {}
         # Recently taken request ids: a hedge/reroute leg straggling past
         # its request's terminal state may still emit — those events stay
@@ -173,7 +168,7 @@ class Tracer:
     # -- emission --------------------------------------------------------------
 
     def emit(self, request_id: Optional[int], kind: str, **data) -> None:
-        event = TraceEvent(request_id, self._clock() - self.epoch, kind, data)
+        event = TraceEvent(request_id, time.monotonic() - self.epoch, kind, data)
         with self._lock:
             if len(self._ring) == self._ring.maxlen:
                 self._dropped += 1
@@ -198,12 +193,10 @@ class Tracer:
                 self._closed.add(request_id)
             return self._by_request.pop(request_id, [])
 
-    def events(self, request_id: Optional[int] = None) -> List[TraceEvent]:
-        """Recent events from the ring (optionally one request's)."""
+    def events(self) -> List[TraceEvent]:
+        """Recent events from the ring."""
         with self._lock:
-            if request_id is None:
-                return list(self._ring)
-            return [e for e in self._ring if e.request_id == request_id]
+            return list(self._ring)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events())

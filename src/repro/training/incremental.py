@@ -45,13 +45,12 @@ class IncrementalTrainer:
         *,
         rng: np.random.Generator,
         val_set: Optional[ArrayDataset] = None,
-        tracker: Optional[RegionTracker] = None,
         stage_prefix: str = "",
     ) -> History:
         """Run one incremental pass over the lower family (25→50→75→100)."""
         check_rng(rng, "IncrementalTrainer.fit")
         net = model.net
-        tracker = tracker if tracker is not None else RegionTracker()
+        tracker = RegionTracker()
         history = History()
         for spec in self._stage_specs(model):
             view = net.view(spec)

@@ -17,7 +17,7 @@ from repro.models.dynamic_dnn import DynamicDNN
 from repro.models.fluid_dydnn import FluidDyDNN
 from repro.models.static_dnn import StaticDNN
 from repro.models.zoo import build_model
-from repro.slimmable.spec import WidthSpec, paper_width_spec
+from repro.slimmable.spec import paper_width_spec
 from repro.training.history import History
 from repro.training.incremental import IncrementalTrainer
 from repro.training.nested_incremental import NestedIncrementalTrainer, NestedTrainConfig
@@ -43,7 +43,6 @@ def train_static(
     train_set: ArrayDataset,
     *,
     rng: np.random.Generator,
-    width_spec: Optional[WidthSpec] = None,
     config: Optional[RecipeConfig] = None,
     val_set: Optional[ArrayDataset] = None,
 ) -> Tuple[StaticDNN, History]:
@@ -54,7 +53,7 @@ def train_static(
     """
     check_rng(rng, "train_static")
     cfg = config or RecipeConfig()
-    model = build_model("static", width_spec or paper_width_spec(), rng=rng)
+    model = build_model("static", paper_width_spec(), rng=rng)
     # Match the dynamic recipe's total stage count (4 lower stages x niters).
     total_epochs = cfg.stage.epochs * 4 * cfg.niters
     stage_cfg = TrainConfig(
@@ -74,7 +73,6 @@ def train_dynamic(
     train_set: ArrayDataset,
     *,
     rng: np.random.Generator,
-    width_spec: Optional[WidthSpec] = None,
     config: Optional[RecipeConfig] = None,
     val_set: Optional[ArrayDataset] = None,
 ) -> Tuple[DynamicDNN, History]:
@@ -85,7 +83,7 @@ def train_dynamic(
     """
     check_rng(rng, "train_dynamic")
     cfg = config or RecipeConfig()
-    model = build_model("dynamic", width_spec or paper_width_spec(), rng=rng)
+    model = build_model("dynamic", paper_width_spec(), rng=rng)
     trainer = IncrementalTrainer()
     history = History()
     for iteration in range(cfg.niters):
@@ -107,14 +105,13 @@ def train_fluid(
     train_set: ArrayDataset,
     *,
     rng: np.random.Generator,
-    width_spec: Optional[WidthSpec] = None,
     config: Optional[RecipeConfig] = None,
     val_set: Optional[ArrayDataset] = None,
 ) -> Tuple[FluidDyDNN, History]:
     """Train a Fluid DyDNN with nested incremental training (Algorithm 1)."""
     check_rng(rng, "train_fluid")
     cfg = config or RecipeConfig()
-    model = build_model("fluid", width_spec or paper_width_spec(), rng=rng)
+    model = build_model("fluid", paper_width_spec(), rng=rng)
     trainer = NestedIncrementalTrainer()
     history = trainer.fit(model, train_set, cfg.nested(), rng=rng, val_set=val_set)
     return model, history
@@ -125,7 +122,6 @@ def train_family(
     train_set: ArrayDataset,
     *,
     rng: np.random.Generator,
-    width_spec: Optional[WidthSpec] = None,
     config: Optional[RecipeConfig] = None,
     val_set: Optional[ArrayDataset] = None,
 ) -> Tuple[ModelFamily, History]:
@@ -134,5 +130,5 @@ def train_family(
     if family not in recipes:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(recipes)}")
     return recipes[family](
-        train_set, rng=rng, width_spec=width_spec, config=config, val_set=val_set
+        train_set, rng=rng, config=config, val_set=val_set
     )

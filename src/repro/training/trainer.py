@@ -125,12 +125,13 @@ class Trainer:
         return history
 
 
-def evaluate_view(model, dataset: ArrayDataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy of a model/view over a dataset (in [0, 1])."""
+def evaluate_view(model, dataset: ArrayDataset) -> float:
+    """Top-1 accuracy of a model/view over a dataset (in [0, 1]), 256 images
+    a forward."""
     model.train(False)
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(dataset)))
+    for start in range(0, len(dataset), 256):
+        idx = np.arange(start, min(start + 256, len(dataset)))
         x, y = dataset[idx]
         logits = model.forward(x, ForwardContext(recording=False))
         correct += int((logits.argmax(axis=1) == y).sum())

@@ -10,10 +10,11 @@ applied, so "best config under chaos" is the same cheap offline question.
 The search is classic successive halving over the sim:
 
 1. **Coarse**: every searched-dimension combination (seeded subsample if
-   the grid exceeds ``max_candidates``) is scored on a *prefix* of the
-   trace — arrivals in the first ``coarse_frac`` of the duration.
-2. **Refine**: the best survivors are re-scored on the **full** trace.
-2b. **Validate**: finalists within ``miss_tolerance`` of the best
+   the grid exceeds :data:`MAX_CANDIDATES`) is scored on a *prefix* of the
+   trace — arrivals in the first :data:`COARSE_FRAC` of the duration.
+2. **Refine**: the best sixth (at least four) are re-scored on the
+   **full** trace.
+2b. **Validate**: finalists within :data:`MISS_TOLERANCE` of the best
    target-trace miss rate are re-ranked by mean miss across the pinned
    scenario zoo.  A hairline win on the target trace (a handful of
    requests) is statistical noise, and picking by it alone overfits —
@@ -48,14 +49,14 @@ from repro.tuning.space import SearchSpace
 from repro.utils.rng import derive_seed, make_rng
 
 #: Fraction of the trace (by arrival time) the coarse stage scores.
-DEFAULT_COARSE_FRAC = 0.4
+COARSE_FRAC = 0.4
 
 #: Coarse-grid cap; larger grids are subsampled deterministically.
-DEFAULT_MAX_CANDIDATES = 128
+MAX_CANDIDATES = 128
 
 #: Finalists within this miss rate of the target-trace best enter the
 #: zoo-validation re-rank (see the module docstring's stage 2b).
-DEFAULT_MISS_TOLERANCE = 0.01
+MISS_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -178,11 +179,7 @@ def tune(
     space: Optional[SearchSpace] = None,
     workers: Optional[int] = None,
     use_faults: bool = False,
-    coarse_frac: float = DEFAULT_COARSE_FRAC,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    survivors: Optional[int] = None,
     validate: bool = True,
-    miss_tolerance: float = DEFAULT_MISS_TOLERANCE,
 ) -> TuningResult:
     """Search ``space`` for the best config on ``replayer``'s trace.
 
@@ -201,8 +198,6 @@ def tune(
         workers = default_workers()
     if workers < 1:
         raise ValueError("workers must be positive")
-    if not 0.0 < coarse_frac <= 1.0:
-        raise ValueError("coarse_frac must be in (0, 1]")
     if not replayer.specs:
         raise ValueError("cannot tune an empty trace")
     faults = None
@@ -216,9 +211,9 @@ def tune(
 
     coarse = space.coarse_candidates()
     grid_size = len(coarse)
-    if grid_size > max_candidates:
+    if grid_size > MAX_CANDIDATES:
         rng = make_rng(derive_seed(seed, "tuning", "subsample"))
-        keep = sorted(rng.permutation(grid_size)[:max_candidates].tolist())
+        keep = sorted(rng.permutation(grid_size)[:MAX_CANDIDATES].tolist())
         coarse = [coarse[i] for i in keep]
 
     _EVAL_CONTEXT = (replayer.specs, replayer.duration_s, faults, model)
@@ -226,11 +221,10 @@ def tune(
         baseline = _evaluate_many([(0, {}, 1.0)], workers=1)[0]
 
         coarse_evals = _evaluate_many(
-            [(i, mapping, coarse_frac) for i, mapping in enumerate(coarse)],
+            [(i, mapping, COARSE_FRAC) for i, mapping in enumerate(coarse)],
             workers,
         )
-        keep_n = survivors if survivors is not None else max(4, len(coarse) // 6)
-        keep_n = min(keep_n, len(coarse_evals))
+        keep_n = min(max(4, len(coarse) // 6), len(coarse_evals))
         ranked = sorted(coarse_evals, key=lambda e: e.score)[:keep_n]
 
         refine = [evaluation.mapping for evaluation in ranked]
@@ -243,7 +237,7 @@ def tune(
         validation = None
         finalists = [
             e for e in leaderboard
-            if e.miss_rate <= winner.miss_rate + miss_tolerance
+            if e.miss_rate <= winner.miss_rate + MISS_TOLERANCE
         ]
         if validate and len(finalists) > 1:
             from repro.trace.scenarios import SCENARIOS
@@ -261,7 +255,7 @@ def tune(
             )
             validation = {
                 "scenarios": sorted(zoo),
-                "miss_tolerance": miss_tolerance,
+                "miss_tolerance": MISS_TOLERANCE,
                 "finalists": len(finalists),
                 "zoo_mean_miss": {
                     str(e.index): mean_miss[e.index] for e in finalists
@@ -294,7 +288,7 @@ def tune(
             stages={
                 "grid": grid_size,
                 "coarse": len(coarse),
-                "coarse_frac": coarse_frac,
+                "coarse_frac": COARSE_FRAC,
                 "survivors": keep_n,
                 "refine": len(refine),
                 "validated": 0 if validation is None else validation["finalists"],

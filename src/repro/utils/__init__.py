@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG plumbing, configuration, logging.
+"""Shared utilities: deterministic RNG plumbing, dtype policy, logging.
 
 Everything stochastic in :mod:`repro` takes an explicit
 :class:`numpy.random.Generator`; :func:`repro.utils.rng.make_rng` is the one
@@ -6,7 +6,6 @@ place generators are created so experiments are reproducible per seed.
 """
 
 from repro.utils.rng import make_rng
-from repro.utils.config import Config
 from repro.utils.dtypes import (
     DtypePolicy,
     dtype_policy,
@@ -18,7 +17,6 @@ from repro.utils.logging import get_logger
 
 __all__ = [
     "make_rng",
-    "Config",
     "get_logger",
     "DtypePolicy",
     "dtype_policy",

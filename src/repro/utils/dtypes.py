@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -70,20 +70,6 @@ class DtypePolicy:
     def fast_inference(cls) -> "DtypePolicy":
         """The float32 inference fast path (training stays float64)."""
         return cls(inference="float32")
-
-    @classmethod
-    def from_config(cls, config: Mapping[str, Any]) -> "DtypePolicy":
-        """Build a policy from config keys ``{inference,training,wire}_dtype``.
-
-        Missing keys fall back to the defaults, so an empty mapping yields
-        the historical float64 behaviour.
-        """
-        get = config.get
-        return cls(
-            inference=get("inference_dtype", cls.inference),
-            training=get("training_dtype", cls.training),
-            wire=get("wire_dtype", cls.wire),
-        )
 
 
 _DEFAULT_POLICY = DtypePolicy()

@@ -58,12 +58,6 @@ class TestDataLoader:
         assert sizes == [4, 4, 2]
         assert len(loader) == 3
 
-    def test_drop_last(self):
-        loader = DataLoader(toy_dataset(10), batch_size=4, drop_last=True)
-        sizes = [len(y) for _, y in loader]
-        assert sizes == [4, 4]
-        assert len(loader) == 2
-
     def test_no_shuffle_preserves_order(self):
         loader = DataLoader(toy_dataset(6), batch_size=3)
         first_batch = next(iter(loader))[0]

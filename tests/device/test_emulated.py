@@ -54,6 +54,13 @@ class TestFailures:
         spec = device.net.width_spec.find("lower50")
         device.execute_subnet(spec, rng.standard_normal((1, 1, 28, 28)))
 
+    def test_never_crashes_without_a_crash_counter(self, device, rng):
+        spec = device.net.width_spec.find("lower25")
+        x = rng.standard_normal((1, 1, 28, 28))
+        for _ in range(20):
+            device.execute_subnet(spec, x)
+        assert device.alive
+
     def test_crash_counter_mid_stream(self, paper_net, rng):
         device = EmulatedDevice(
             jetson_nx_master(), paper_net, crash_counter=CrashCounter(1)

@@ -49,10 +49,6 @@ class TestFailureSchedule:
 
 
 class TestCrashCounter:
-    def test_never_crashes_by_default(self):
-        counter = CrashCounter()
-        assert not any(counter.record_request() for _ in range(100))
-
     def test_crashes_after_n(self):
         counter = CrashCounter(crash_after_requests=2)
         assert not counter.record_request()

@@ -59,11 +59,3 @@ class TestLocalCluster:
             )
             assert logits.shape == (1, 10)
 
-    def test_scripted_crash_after_n_requests(self, cluster_net):
-        rng = make_rng(3)
-        with LocalCluster(cluster_net, crash_after=1) as cluster:
-            spec = cluster_net.width_spec.find("upper25")
-            x = rng.standard_normal((1, 1, 28, 28))
-            cluster.master.run_remote(spec, x)
-            with pytest.raises(EndpointUnavailable):
-                cluster.master.run_remote(spec, x)

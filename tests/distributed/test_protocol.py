@@ -119,7 +119,6 @@ class TestFailureHandling:
             EmulatedDevice(jetson_nx_master(), paper_net),
             chan.a,
             partition_split=8,
-            request_timeout=2.0,
         )
         spec = paper_net.width_spec.find("upper50")
         x = rng.standard_normal((1, 1, 28, 28))

@@ -135,6 +135,8 @@ class TestUnservableRequestGetsAnErrorReply:
         reply = ask({"op": "layer", "layer": None})
         assert reply.kind == MessageKind.ERROR
         assert "TypeError" in reply.fields["reason"]
+        assert reply.fields["error"] == "TypeError"
+        assert reply.fields["detail"] in reply.fields["reason"]
 
         # A valid layer-0 round, then a round the program does not have.
         probe = TransportEndpoint(WORKER, chan.a)

@@ -16,7 +16,6 @@ class TestParser:
         assert args.lower_widths == [4, 8, 12, 16]
         assert args.split == 8
         assert args.num_convs == 3
-        assert args.crash_after is None
 
     def test_custom_widths(self):
         args = build_parser().parse_args(

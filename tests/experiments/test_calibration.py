@@ -26,9 +26,11 @@ class TestCalibration:
         for point in calibration_points(paper_net).values():
             assert point.relative_error < 0.005, point
 
-    def test_detects_drift(self, paper_net):
+    def test_detects_drift(self, paper_net, monkeypatch):
         from repro.device import DeviceProfile
+        from repro.experiments import calibration
 
         slow = DeviceProfile("master", 1e6, 0.01, 7600)
-        points = calibration_points(paper_net, master=slow)
+        monkeypatch.setattr(calibration, "jetson_nx_master", lambda: slow)
+        points = calibration_points(paper_net)
         assert points["solo_master_50"].relative_error > 0.05

@@ -51,9 +51,9 @@ class TestFormatting:
             assert family in table
         assert "28.3" in table and "2.55x" in table
 
-    def test_table_without_paper_columns(self):
-        table = format_fig2_table(paper_perfect_result(), include_paper=False)
-        assert "paper thr" not in table
+    def test_table_sets_each_bar_beside_the_papers(self):
+        table = format_fig2_table(paper_perfect_result())
+        assert "paper thr" in table.splitlines()[0] and "paper acc" in table.splitlines()[0]
 
     def test_shape_check_formatting(self):
         text = format_shape_checks(shape_checks(paper_perfect_result()))

@@ -6,6 +6,7 @@ from repro.faults.policy import BrownoutPolicy, BrownoutShed, RetryExhausted, Re
 from repro.models import build_model
 from repro.scheduler import SLA, SchedulerConfig, ServingFrontend
 from repro.scheduler.admission import CRITICAL_PRIORITY
+from repro.scheduler import pool as pool_module
 from repro.utils import make_rng
 
 
@@ -136,11 +137,10 @@ class TestRetryPolicyIntegration:
             frontend.pool.replicas[1].finish()
             assert future.result(timeout=30.0).shape == (1, 10)
 
-    def test_deadline_expiry_during_reroute_is_a_miss_not_a_loss(self, model):
+    def test_deadline_expiry_during_reroute_is_a_miss_not_a_loss(self, model, monkeypatch):
         """When the retry clock runs out *because the deadline passed*,
         the request is a deadline miss (REJECTED), never RetryExhausted."""
         from repro.runtime.batching import DeadlineExceeded
-        from repro.utils.config import Config
 
         config = SchedulerConfig(
             replicas=2,
@@ -153,9 +153,8 @@ class TestRetryPolicyIntegration:
         )
         # Slow heartbeats: ejection must come from report_failure so the
         # reroute leg reaches the dead replica instead of route() raising.
-        with ServingFrontend(
-            model, config, heartbeat_config=Config({"heartbeat_interval_s": 60.0})
-        ) as frontend:
+        monkeypatch.setattr(pool_module, "HEARTBEAT_INTERVAL_S", 60.0)
+        with ServingFrontend(model, config) as frontend:
             for replica in frontend.pool.replicas:
                 replica.kill()
             # The first reroute backs off min(0.3, remaining) — i.e. until

@@ -9,11 +9,19 @@ import threading
 
 import pytest
 
-from repro.faults.supervisor import ReplicaSupervisor
+from repro.faults.supervisor import (
+    BACKOFF_BASE_S,
+    BACKOFF_FACTOR,
+    BACKOFF_MAX_S,
+    BUDGET_WINDOW_S,
+    JITTER,
+    RESTART_BUDGET,
+    ReplicaSupervisor,
+)
 from repro.models import build_model
 from repro.scheduler import SLA, SchedulerConfig, ServingFrontend
+from repro.scheduler import pool as pool_module
 from repro.utils import make_rng
-from repro.utils.config import Config
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +113,7 @@ class TestRespawn:
 class TestBackoff:
     def test_failed_respawn_backs_off_before_retrying(self, frontend):
         clock = FakeClock()
-        sup = ReplicaSupervisor(
-            frontend, clock=clock, backoff_base_s=0.5, backoff_max_s=2.0, jitter=0.0
-        )
+        sup = ReplicaSupervisor(frontend, clock=clock)
         eject(frontend, 0)
         boom = lambda index: (_ for _ in ()).throw(RuntimeError("attach failed"))  # noqa: E731
         frontend.pool.spawn_replica = boom
@@ -115,7 +121,7 @@ class TestBackoff:
         assert frontend.metrics.counter("supervisor.respawn_failures").value == 1
         sup.poll()  # clock unchanged: still inside the backoff window
         assert frontend.metrics.counter("supervisor.respawn_failures").value == 1
-        clock.now = 0.6  # past base backoff: second attempt fires
+        clock.now = BACKOFF_BASE_S * (1 + JITTER) + 0.001  # past base backoff: second attempt fires
         sup.poll()
         assert frontend.metrics.counter("supervisor.respawn_failures").value == 2
         del frontend.pool.spawn_replica  # restore the bound method
@@ -124,57 +130,64 @@ class TestBackoff:
         assert frontend.metrics.counter("supervisor.respawns").value == 1
         assert frontend.pool.replicas[0].alive
 
+    def test_backoff_grows_by_its_factor_up_to_its_cap(self, frontend):
+        clock = FakeClock()
+        sup = ReplicaSupervisor(frontend, clock=clock)
+        eject(frontend, 0)
+        boom = lambda index: (_ for _ in ()).throw(RuntimeError("attach failed"))  # noqa: E731
+        frontend.pool.spawn_replica = boom
+        waits = []
+        for _ in range(8):
+            sup.poll()
+            waits.append(sup._slots[0].next_attempt_at - clock.now)
+            clock.now = sup._slots[0].next_attempt_at
+        del frontend.pool.spawn_replica
+        for attempt, wait in enumerate(waits):
+            nominal = min(BACKOFF_BASE_S * BACKOFF_FACTOR**attempt, BACKOFF_MAX_S)
+            assert nominal * (1 - JITTER) <= wait <= nominal * (1 + JITTER)
+        assert waits[-1] <= BACKOFF_MAX_S * (1 + JITTER)
+
     def test_jitter_is_seed_deterministic(self, frontend):
-        a = ReplicaSupervisor(frontend, seed=3)
-        b = ReplicaSupervisor(frontend, seed=3)
+        a = ReplicaSupervisor(frontend)
+        b = ReplicaSupervisor(frontend)
         assert [float(a._rng.random()) for _ in range(4)] == [
             float(b._rng.random()) for _ in range(4)
         ]
-
-    def test_knob_validation(self, frontend):
-        with pytest.raises(ValueError):
-            ReplicaSupervisor(frontend, backoff_base_s=-1.0)
-        with pytest.raises(ValueError):
-            ReplicaSupervisor(frontend, backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            ReplicaSupervisor(frontend, jitter=1.0)
-        with pytest.raises(ValueError):
-            ReplicaSupervisor(frontend, restart_budget=0)
 
 
 class TestRestartBudget:
     def test_flapping_replica_trips_the_circuit_breaker(self, frontend):
         clock = FakeClock()
-        sup = ReplicaSupervisor(
-            frontend, clock=clock, restart_budget=1, budget_window_s=100.0
-        )
+        sup = ReplicaSupervisor(frontend, clock=clock)
+        for death in range(RESTART_BUDGET):  # within budget: respawned
+            clock.now = float(death)
+            eject(frontend, 0)
+            sup.poll()
+            assert frontend.pool.replicas[0].alive
+        clock.now = float(RESTART_BUDGET)
         eject(frontend, 0)
-        sup.poll()  # first death: respawned
-        assert frontend.pool.replicas[0].alive
-        clock.now = 1.0
-        eject(frontend, 0)
-        sup.poll()  # second death inside the window: budget exhausted
+        sup.poll()  # one death more inside the window: budget exhausted
         assert not frontend.pool.replicas[0].alive
         assert sup.status()["gave_up"] == [0]
         assert frontend.metrics.counter("supervisor.gave_up").value == 1
-        clock.now = 2.0
+        clock.now += 1.0
         sup.poll()  # gave-up slots are never retried
         assert not frontend.pool.replicas[0].alive
-        assert frontend.metrics.counter("supervisor.respawns").value == 1
+        assert frontend.metrics.counter("supervisor.respawns").value == RESTART_BUDGET
 
     def test_deaths_outside_the_window_are_forgiven(self, frontend):
         clock = FakeClock()
-        sup = ReplicaSupervisor(
-            frontend, clock=clock, restart_budget=1, budget_window_s=10.0
-        )
-        eject(frontend, 0)
-        sup.poll()
-        clock.now = 50.0  # first death ages out of the sliding window
+        sup = ReplicaSupervisor(frontend, clock=clock)
+        for death in range(RESTART_BUDGET):
+            clock.now = float(death)
+            eject(frontend, 0)
+            sup.poll()
+        clock.now = BUDGET_WINDOW_S + 1.0  # the first death ages out of the sliding window
         eject(frontend, 0)
         sup.poll()
         assert frontend.pool.replicas[0].alive
         assert sup.status()["gave_up"] == []
-        assert frontend.metrics.counter("supervisor.respawns").value == 2
+        assert frontend.metrics.counter("supervisor.respawns").value == RESTART_BUDGET + 1
 
 
 class TestLifecycle:
@@ -192,11 +205,10 @@ class TestLifecycle:
 
 
 class TestSupervisedFrontend:
-    def test_supervised_frontend_heals_and_keeps_serving(self, model):
+    def test_supervised_frontend_heals_and_keeps_serving(self, model, monkeypatch):
+        monkeypatch.setattr(pool_module, "HEARTBEAT_INTERVAL_S", 0.005)
         frontend = ServingFrontend(
-            model,
-            SchedulerConfig(replicas=2, warmup=False, supervise=True),
-            heartbeat_config=Config({"heartbeat_interval_s": 0.005}),
+            model, SchedulerConfig(replicas=2, warmup=False, supervise=True)
         )
         try:
             supervisor = frontend.supervisor

@@ -73,13 +73,6 @@ class TestEvaluation:
         }
         assert all(0.0 <= v <= 1.0 for v in accs.values())
 
-    def test_batching_invariance(self, trained_models, tiny_data):
-        _, test = tiny_data
-        model = trained_models["static"]
-        assert model.evaluate("lower100", test, batch_size=32) == pytest.approx(
-            model.evaluate("lower100", test, batch_size=1000)
-        )
-
     def test_state_dict_roundtrip(self, trained_models, tiny_data):
         _, test = tiny_data
         source = trained_models["fluid"]

@@ -85,20 +85,26 @@ class TestStateDict:
         with pytest.raises(KeyError):
             net.load_state_dict({"bogus": np.zeros(2)})
 
+    def test_unexpected_key_beside_a_full_state_raises(self, rng):
+        net = MLP(rng)
+        state = net.state_dict()
+        state["extra.weight"] = np.zeros(2)
+        with pytest.raises(KeyError, match="unexpected=\\['extra.weight'\\]"):
+            net.load_state_dict(state)
+
+    def test_partial_state_raises_and_writes_nothing(self, rng):
+        net = MLP(rng)
+        before = net.fc2.weight.data.copy()
+        with pytest.raises(KeyError, match="missing"):
+            net.load_state_dict({"fc2.weight": np.zeros_like(before)})
+        np.testing.assert_array_equal(net.fc2.weight.data, before)
+
     def test_shape_mismatch_raises(self, rng):
         net = MLP(rng)
         state = net.state_dict()
         state["fc1.weight"] = np.zeros((1, 1))
         with pytest.raises(ValueError):
             net.load_state_dict(state)
-
-    def test_non_strict_partial_load(self, rng):
-        net = MLP(rng)
-        original = net.fc2.weight.data.copy()
-        net.load_state_dict({"fc1.weight": np.zeros((8, 4))}, strict=False)
-        np.testing.assert_array_equal(net.fc1.weight.data, 0.0)
-        np.testing.assert_array_equal(net.fc2.weight.data, original)
-
 
 class TestGradState:
     def test_zero_grad_clears_all(self, rng):

@@ -118,6 +118,12 @@ class TestCompile:
             plan = InferencePlan.compile(model, spec.name, batch_rows=1)
             assert plan.flops_per_image() == subnet_flops(model.net, spec)
 
+    @pytest.mark.parametrize("inference", ["float64", "float32"])
+    def test_compile_width_plans_compiles_in_the_policy_dtype(self, models, inference):
+        with dtype_policy(DtypePolicy(inference=inference)):
+            plans = compile_width_plans(models["fluid"], ["lower25", "lower100"], batch_rows=2)
+        assert {plan.dtype for plan in plans.values()} == {np.dtype(inference)}
+
     def test_compile_width_plans_shares_one_cache(self, models):
         model = models["fluid"]
         plans = compile_width_plans(model, ["lower25", "lower100"], batch_rows=2)
@@ -127,7 +133,8 @@ class TestCompile:
         # Same (layer, slices, dtype) keys: plans of another row ceiling
         # over the same cache cost zero extra packs.
         packs = cache.packs
-        compile_width_plans(model, ["lower25", "lower100"], batch_rows=16, cache=cache)
+        for width in ("lower25", "lower100"):
+            InferencePlan.compile(model, width, batch_rows=16, cache=cache)
         assert cache.packs == packs
 
     def test_oversized_request_rejected(self, models):
@@ -145,8 +152,7 @@ class TestConcurrency:
         width — no cross-thread interference through shared scratch."""
         model = models["fluid"]
         widths = ["lower25", "lower50", "lower75", "lower100"]
-        cache = PackedWeightCache()
-        plans = compile_width_plans(model, widths, batch_rows=4, cache=cache)
+        plans = compile_width_plans(model, widths, batch_rows=4)
         rng = make_rng(12)
         inputs = {w: rng.standard_normal((4, 1, 28, 28)) for w in widths}
         expected = {w: InferenceSession(model, w).run(inputs[w]) for w in widths}

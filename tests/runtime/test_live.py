@@ -24,9 +24,8 @@ def make_live(family: str, target: str, crash_after=None):
     model = build_model(family, rng=make_rng(0))
     net = model.net
     chan = InProcChannel()
-    worker_device = EmulatedDevice(
-        jetson_nx_worker(), net, crash_counter=CrashCounter(crash_after)
-    )
+    counter = None if crash_after is None else CrashCounter(crash_after)
+    worker_device = EmulatedDevice(jetson_nx_worker(), net, crash_counter=counter)
     server = WorkerServer(worker_device, chan.b, partition_split=net.width_spec.split)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -34,7 +33,6 @@ def make_live(family: str, target: str, crash_after=None):
         EmulatedDevice(jetson_nx_master(), net),
         chan.a,
         partition_split=net.width_spec.split,
-        request_timeout=2.0,
     )
     tm = SystemThroughputModel(
         net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
@@ -138,31 +136,3 @@ class TestHeartbeatPath:
         assert log.served_count() == 2
         thread.join(timeout=5.0)
 
-    def test_heartbeat_threshold_from_config(self, batches):
-        """Config keys make death declaration require N consecutive misses."""
-        from repro.utils.config import Config
-
-        model = build_model("fluid", rng=make_rng(0))
-        net = model.net
-        chan = InProcChannel()
-        worker_device = EmulatedDevice(jetson_nx_worker(), net)
-        server = WorkerServer(worker_device, chan.b, partition_split=net.width_spec.split)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        master = MasterRuntime(
-            EmulatedDevice(jetson_nx_master(), net),
-            chan.a,
-            partition_split=net.width_spec.split,
-            request_timeout=2.0,
-        )
-        tm = SystemThroughputModel(
-            net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
-        )
-        policy = AdaptationPolicy(model, tm, target="accuracy")
-        live = LiveSystem(master, policy, config=Config({"heartbeat_threshold": 2}))
-        assert live.monitor.threshold == 2
-        live.master.crash_worker()
-        assert live.heartbeat()       # first miss: still considered alive
-        assert not live.heartbeat()   # second miss: declared dead, re-planned
-        assert live.plan.mode is ExecutionMode.SOLO
-        thread.join(timeout=5.0)

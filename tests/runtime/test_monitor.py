@@ -60,36 +60,3 @@ class TestScheduleMonitor:
         assert monitor.alive_at(20.0) == frozenset({"master", "worker"})
 
 
-class TestHeartbeatConfig:
-    def test_defaults_without_config(self):
-        from repro.runtime.monitor import (
-            DEFAULT_HEARTBEAT_INTERVAL_S,
-            DEFAULT_HEARTBEAT_THRESHOLD,
-        )
-
-        monitor = HeartbeatMonitor.from_config(lambda: True)
-        assert monitor.threshold == DEFAULT_HEARTBEAT_THRESHOLD
-        assert monitor.interval_s == DEFAULT_HEARTBEAT_INTERVAL_S
-
-    def test_config_keys_override_defaults(self):
-        from repro.utils.config import Config
-
-        monitor = HeartbeatMonitor.from_config(
-            lambda: True,
-            Config({"heartbeat_threshold": 7, "heartbeat_interval_s": 0.5}),
-        )
-        assert monitor.threshold == 7
-        assert monitor.interval_s == 0.5
-
-    def test_caller_defaults_used_when_keys_absent(self):
-        from repro.utils.config import Config
-
-        monitor = HeartbeatMonitor.from_config(
-            lambda: True, Config({}), default_threshold=1, default_interval_s=0.01
-        )
-        assert monitor.threshold == 1
-        assert monitor.interval_s == 0.01
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            HeartbeatMonitor(lambda: True, interval_s=-0.1)

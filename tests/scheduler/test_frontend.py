@@ -21,6 +21,7 @@ from repro.scheduler import (
     ServingFrontend,
 )
 from repro.scheduler.frontend import _Timer
+from repro.scheduler import pool as pool_module
 from repro.utils import make_rng
 
 
@@ -177,6 +178,57 @@ class TestWidthSelection:
             assert counters["frontend.width.lower50"] == 1
 
 
+class TestMalformedPayload:
+    """A payload the served net cannot take fails alone, before admission
+    or routing: its batch-mates are answered and nothing reroutes."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((1, 28, 28)),                     # no channel axis
+            np.zeros((0, 1, 28, 28)),                  # no rows
+            np.zeros((1, 3, 28, 28)),                  # wrong channel count
+            np.zeros((1, 1, 28, 28), dtype=complex),   # not real
+            np.zeros((1, 1, 28, 28), dtype=object),    # not numeric
+            np.zeros((1, 1, 28, 28), dtype=bool),      # not a number
+            np.zeros((1, 1, 27, 28)),                  # wrong height
+            np.zeros((1, 1, 1, 28, 28)),               # one axis too many
+            [[0.0] * 28] * 28,                         # not an array
+        ],
+        ids=["no-channel-axis", "no-rows", "channels", "complex", "object", "bool",
+             "height", "five-axes", "list"],
+    )
+    def test_each_malformed_payload_is_a_value_error(self, model, bad):
+        with make_frontend(model, replicas=1) as frontend:
+            with pytest.raises(ValueError, match="payload"):
+                frontend.submit(bad, SLA(deadline_s=5.0)).result(timeout=10.0)
+            assert frontend.metrics.counter("frontend.failures.malformed").value == 1
+            assert frontend.pool.replicas[0].pending == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+    def test_any_real_numeric_dtype_is_served(self, model, dtype):
+        with make_frontend(model, replicas=1) as frontend:
+            x = np.ones((2, 1, 28, 28), dtype=dtype)
+            assert frontend.submit(x, SLA(deadline_s=5.0)).result(timeout=10.0).shape == (2, 10)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_bad_payload_fails_alone_and_its_batch_mates_are_answered(self, model, backend):
+        with make_frontend(
+            model, replicas=1, max_delay_s=0.05, replica_backend=backend
+        ) as frontend:
+            sla = SLA(deadline_s=30.0)
+            good = [frontend.submit(one_image(i), sla) for i in range(4)]
+            bad = frontend.submit(np.zeros((1, 28, 28)), sla)
+            good += [frontend.submit(one_image(i), sla) for i in range(4, 8)]
+            with pytest.raises(ValueError, match="payload"):
+                bad.result(timeout=30.0)
+            assert all(f.result(timeout=30.0).shape == (1, 10) for f in good)
+            alone = frontend.submit(np.zeros((1, 28, 28)), sla)
+            with pytest.raises(ValueError, match="payload"):
+                alone.result(timeout=30.0)
+            assert frontend.metrics.counter("frontend.reroutes").value == 0
+
+
 class TestFailureAbsorption:
     def test_replica_kill_mid_stream_loses_zero_requests(self, model):
         """The acceptance property: mid-run kill => rerouted, zero lost."""
@@ -205,14 +257,16 @@ class TestFailureAbsorption:
             with pytest.raises(Exception):
                 future.result(timeout=10.0)
 
-    def test_heartbeat_ejects_without_traffic(self, model):
-        from repro.utils.config import Config
+    def test_heartbeat_rounds_run_at_the_pool_interval(self, model):
+        with make_frontend(model) as frontend:
+            assert frontend.pool.heartbeat_interval_s == pool_module.HEARTBEAT_INTERVAL_S
+            assert frontend._timer._every_s == pool_module.HEARTBEAT_INTERVAL_S
+            # The pool's monitors declare after two misses (live serving: one).
+            assert all(m.threshold == 2 for m in frontend.pool.monitors)
 
-        frontend = ServingFrontend(
-            model,
-            SchedulerConfig(replicas=2, warmup=False),
-            heartbeat_config=Config({"heartbeat_interval_s": 0.005}),
-        )
+    def test_heartbeat_ejects_without_traffic(self, model, monkeypatch):
+        monkeypatch.setattr(pool_module, "HEARTBEAT_INTERVAL_S", 0.005)
+        frontend = ServingFrontend(model, SchedulerConfig(replicas=2, warmup=False))
         try:
             # The timer runs check_health every heartbeat: signal the
             # round that leaves replica 1 ejected.
@@ -552,10 +606,11 @@ class TestOneTimer:
             frontend.close()
         assert not any(t.is_alive() for t in started)
 
-    def test_close_serves_a_request_waiting_out_its_retry_backoff(self, model):
+    def test_close_serves_a_request_waiting_out_its_retry_backoff(self, model, monkeypatch):
         from repro.faults.policy import RetryPolicy
-        from repro.utils.config import Config
 
+        # No heartbeat round ejects replica 0 before the request routes to it.
+        monkeypatch.setattr(pool_module, "HEARTBEAT_INTERVAL_S", 60.0)
         frontend = ServingFrontend(
             model,
             SchedulerConfig(
@@ -563,8 +618,6 @@ class TestOneTimer:
                 warmup=False,
                 retry_policy=RetryPolicy(backoff_base_s=60.0, backoff_max_s=60.0),
             ),
-            # No heartbeat round ejects replica 0 before the request routes to it.
-            heartbeat_config=Config({"heartbeat_interval_s": 60.0}),
         )
         # A retry is counted just before its backoff is armed, so close()
         # starts on either side of the arming: both must serve the request.

@@ -7,7 +7,6 @@ from repro.models import build_model
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable
 from repro.utils import make_rng
-from repro.utils.config import Config
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +16,7 @@ def model():
 
 @pytest.fixture
 def pool(model):
-    return ReplicaPool(model, 3, config=Config({"heartbeat_interval_s": 0.001}))
+    return ReplicaPool(model, 3)
 
 
 def one_image(seed=1):
@@ -111,23 +110,12 @@ class TestServing:
 
 class TestHealth:
     def test_check_health_ejects_after_threshold(self, model):
-        pool = ReplicaPool(
-            model, 2, config=Config({"heartbeat_threshold": 2})
-        )
+        pool = ReplicaPool(model, 2)
         pool.replicas[1].kill()
         assert pool.check_health() == []  # one miss: not declared yet
         assert pool.check_health() == [pool.replicas[1]]  # threshold reached
         assert [r.index for r in pool.healthy()] == [0]
         assert pool.metrics.counter("pool.ejections").value == 1
-
-    def test_heartbeat_config_keys_are_honoured(self, model):
-        pool = ReplicaPool(
-            model,
-            1,
-            config=Config({"heartbeat_threshold": 5, "heartbeat_interval_s": 0.25}),
-        )
-        assert all(m.threshold == 5 for m in pool.monitors)
-        assert pool.heartbeat_interval_s == 0.25
 
     def test_monitors_are_the_shared_heartbeat_monitor(self, pool):
         assert all(isinstance(m, HeartbeatMonitor) for m in pool.monitors)

@@ -10,15 +10,15 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
-from repro.engine.endpoints import EndpointUnavailable, TransportEndpoint
+from repro.engine.endpoints import EndpointError, EndpointUnavailable, TransportEndpoint
 from repro.engine.session import InferenceSession
 from repro.models import build_model
 from repro.nn.plan import InferencePlan, compile_width_plans
 from repro.nn.shm import list_segments, unlink_created_segments
 from repro.scheduler.admission import SLA
 from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
-from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable
-from repro.scheduler import procpool
+from repro.scheduler.pool import Replica, ReplicaPool, ReplicaUnavailable
+from repro.scheduler import pool as pool_module, procpool
 from repro.scheduler.procpool import (
     ProcessReplica,
     make_process_replicas,
@@ -27,7 +27,6 @@ from repro.scheduler.procpool import (
 )
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.utils import make_rng
-from repro.utils.config import Config
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +65,10 @@ class TestProcessReplica:
             out, InferenceSession(model, "lower100").run_parts(parts)
         )
 
-    def test_oversized_batch_falls_back_to_inline_arrays(self, model, plans):
+    def test_oversized_batch_falls_back_to_inline_arrays(self, model, plans, monkeypatch):
         # A ring too small for the batch forces the inline-arrays path.
-        replicas = make_process_replicas(model, 1, plans=plans, ring_bytes=1024)
+        monkeypatch.setattr(procpool, "RING_BYTES", 1024)
+        replicas = make_process_replicas(model, 1, plans=plans)
         try:
             x = one_batch(4, seed=4)
             out = replicas[0].run(x, "lower25")
@@ -80,7 +80,7 @@ class TestProcessReplica:
         "bad",
         [
             # The reply ring next door: the last batch's logits as input.
-            {"ring_offset": procpool.DEFAULT_RING_BYTES},
+            {"ring_offset": procpool.RING_BYTES},
             {"ring_offset": -8},
             {"rows": 10**6},  # past the ring, into the rest of the segment
             {"rows": -1},
@@ -100,6 +100,39 @@ class TestProcessReplica:
             replica._endpoint.run_parts("lower50", fields)
         assert replica.ping()
         assert np.array_equal(replica.run(x, "lower50"), want)
+
+    def test_error_reply_fails_the_batch_as_a_thread_replica_does(self, model, replica):
+        """A live worker's ERROR reply is the batch's error, not a lost
+        replica: the same exception a thread replica raises, and the worker
+        stays routable."""
+        x = one_batch()
+        with pytest.raises(KeyError, match="no sub-network named 'nope'"):
+            Replica(0, model).run_parts([x], "nope")
+        with pytest.raises(KeyError, match="no sub-network named 'nope'"):
+            replica.run_parts([x], "nope")
+        assert replica.alive and replica.ping()
+        assert np.array_equal(replica.run(x, "lower50"), InferenceSession(model, "lower50").run(x))
+
+    @pytest.mark.parametrize(
+        "name,detail,kind,text",
+        [
+            ("ValueError", "bad rows", ValueError, "bad rows"),
+            ("KeyError", "no sub-network named 'x'", KeyError, "no sub-network named 'x'"),
+            ("ShmError", "placement outside the ring", RuntimeError,
+             "ShmError: placement outside the ring"),
+            ("UnicodeDecodeError", "'utf-8' codec can't decode byte 0xff", RuntimeError,
+             "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+            (None, None, RuntimeError, "unsupported message kind"),
+        ],
+        ids=["builtin", "key-error", "not-builtin", "needs-more-args", "unnamed"],
+    )
+    def test_error_reply_names_the_exception_it_raises(self, name, detail, kind, text):
+        reason = f"{name}: {detail}" if name else "unsupported message kind 'X'"
+        error = procpool._worker_error(
+            EndpointError(f"process-0 error: {reason}", name, detail)
+        )
+        assert type(error) is kind
+        assert text in error.args[0]
 
     def test_parent_version_bump_triggers_worker_repack(self, model, plans):
         metrics = MetricsRegistry()
@@ -445,7 +478,6 @@ class TestPoolIntegration:
             model,
             2,
             backend="process",
-            config=Config({"heartbeat_interval_s": 0.001, "heartbeat_threshold": 2}),
         )
         try:
             os.kill(pool.replicas[1]._proc.pid, signal.SIGKILL)
@@ -476,7 +508,11 @@ class TestPoolIntegration:
 
 
 class TestFrontendFaults:
-    """The process-backend twin of the PR-3 replica-kill trace."""
+    """The process-backend twin of the thread backend's replica-kill trace."""
+
+    @pytest.fixture(autouse=True)
+    def _fast_heartbeat(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "HEARTBEAT_INTERVAL_S", 0.005)
 
     def _frontend(self, model, **overrides):
         config = SchedulerConfig(
@@ -487,11 +523,7 @@ class TestFrontendFaults:
             replica_backend="process",
             **overrides,
         )
-        return ServingFrontend(
-            model,
-            config,
-            heartbeat_config=Config({"heartbeat_interval_s": 0.005}),
-        )
+        return ServingFrontend(model, config)
 
     def test_sigkill_mid_burst_loses_zero_requests(self, model):
         frontend = self._frontend(model)
@@ -584,9 +616,10 @@ class TestCloseEscalation:
 
 class TestThreadBudget:
     def test_partition_splits_evenly_with_floor_one(self):
-        assert partition_thread_budget(2, total=8) == 4
-        assert partition_thread_budget(3, total=8) == 2
-        assert partition_thread_budget(16, total=8) == 1
+        total = len(os.sched_getaffinity(0))
+        assert partition_thread_budget(1) == total
+        assert partition_thread_budget(2) == max(1, total // 2)
+        assert partition_thread_budget(4 * total) == 1
 
     def test_pin_blas_threads_sets_environment(self, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

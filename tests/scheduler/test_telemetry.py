@@ -5,6 +5,8 @@ import threading
 import pytest
 
 from repro.scheduler.telemetry import (
+    EWMA_ALPHA,
+    HISTOGRAM_WINDOW,
     Counter,
     EWMA,
     LatencyHistogram,
@@ -44,27 +46,27 @@ class TestEWMA:
         assert EWMA().value is None
 
     def test_first_observation_sets_value(self):
-        e = EWMA(alpha=0.5)
+        e = EWMA()
         e.observe(10.0)
         assert e.value == 10.0
         assert e.count == 1
 
+    def test_registry_ewmas_are_one_per_name_at_the_module_alpha(self):
+        reg = MetricsRegistry()
+        first = reg.ewma("rate")
+        for x in (4.0, 8.0, 2.0):
+            reg.ewma("rate").observe(x)
+        assert reg.ewma("rate") is first and first.count == 3
+        expected = 4.0
+        for x in (8.0, 2.0):
+            expected += EWMA_ALPHA * (x - expected)
+        assert first.value == pytest.approx(expected)
+
     def test_exponential_update(self):
-        e = EWMA(alpha=0.5)
+        e = EWMA()
         e.observe(10.0)
         e.observe(20.0)
-        assert e.value == pytest.approx(15.0)
-
-    def test_alpha_one_tracks_last(self):
-        e = EWMA(alpha=1.0)
-        for x in (1.0, 2.0, 9.0):
-            e.observe(x)
-        assert e.value == 9.0
-
-    def test_invalid_alpha(self):
-        for alpha in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                EWMA(alpha=alpha)
+        assert e.value == pytest.approx(10.0 + EWMA_ALPHA * 10.0)
 
 
 class TestLatencyHistogram:
@@ -88,13 +90,14 @@ class TestLatencyHistogram:
         assert LatencyHistogram().summary() == {"count": 0}
 
     def test_window_bounds_memory_but_totals_exact(self):
-        h = LatencyHistogram(window=4)
-        for x in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-            h.observe(x)
-        assert h.count == 6
-        assert h.mean() == pytest.approx(21.0 / 6)
-        # Window holds only the last 4 samples: the median moved up.
-        assert h.percentile(50) >= 4.0
+        h = LatencyHistogram()
+        n = 2 * HISTOGRAM_WINDOW
+        for x in range(n):
+            h.observe(float(x))
+        assert h.count == n
+        assert h.mean() == pytest.approx((n - 1) / 2)
+        # Window holds only the last HISTOGRAM_WINDOW samples: the median moved up.
+        assert h.percentile(50) >= HISTOGRAM_WINDOW
 
     def test_summary_keys(self):
         h = LatencyHistogram()
@@ -109,8 +112,6 @@ class TestLatencyHistogram:
             h.observe(-0.1)
         with pytest.raises(ValueError):
             h.percentile(0)
-        with pytest.raises(ValueError):
-            LatencyHistogram(window=0)
 
     def test_empty_percentile_still_validates_range(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from repro.tuning import (
     tune,
     write_tuned_config,
 )
+from repro.tuning.tuner import COARSE_FRAC, MAX_CANDIDATES
 from repro.utils import make_rng
 
 
@@ -59,6 +60,13 @@ class TestTune:
             winner_key = str(result.validation["winner_index"])
             assert zoo_miss[winner_key] == min(zoo_miss.values())
             assert result.evaluations > result.stages["refine"]
+
+    def test_stages_report_the_search_constants(self, model):
+        result = small_tune(model)
+        stages = result.stages
+        assert stages["coarse_frac"] == COARSE_FRAC
+        assert stages["coarse"] == min(stages["grid"], MAX_CANDIDATES)
+        assert stages["survivors"] == stages["refine"] == min(max(4, stages["coarse"] // 6), stages["coarse"])
 
     def test_faults_require_a_fault_plan(self, model):
         with pytest.raises(ValueError, match="use_faults"):

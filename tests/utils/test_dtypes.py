@@ -35,18 +35,6 @@ class TestPolicyObject:
         with pytest.raises(ValueError):
             DtypePolicy(**{field: "float16"})
 
-    def test_from_config_defaults_when_keys_absent(self):
-        assert DtypePolicy.from_config({}) == DtypePolicy()
-
-    def test_from_config_reads_keys(self):
-        policy = DtypePolicy.from_config(
-            {"inference_dtype": "float32", "wire_dtype": "float64"}
-        )
-        assert policy.inference == "float32"
-        assert policy.training == "float64"
-        assert policy.wire == "float64"
-
-
 class TestGlobalState:
     def test_context_manager_restores_previous_policy(self):
         before = get_dtype_policy()
