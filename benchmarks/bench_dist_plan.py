@@ -37,9 +37,19 @@ import numpy as np
 from common import write_out
 from repro.comm import InProcChannel
 from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import LocalCluster, MasterRuntime, WorkerServer
-from repro.distributed.multidevice import MultiDeviceRuntime
-from repro.engine import BlockPartition
+from repro.distributed import (
+    MASTER,
+    WORKER,
+    LocalCluster,
+    MasterRuntime,
+    WorkerServer,
+    ha_plan,
+    ht_plan,
+    partitioned_plan,
+    solo_plan,
+    streams_plan,
+)
+from repro.engine import BlockPartition, ExecutionEngine, LocalEndpoint
 from repro.slimmable import SlimmableConvNet, paper_width_spec
 from repro.utils import make_rng
 
@@ -89,11 +99,21 @@ def _paired(a: Callable[[], object], b: Callable[[], object], trials: int) -> Di
 # -- runtimes over the three endpoint transports ------------------------------
 
 
-def _multidevice(net: SlimmableConvNet, *, compiled: bool) -> MultiDeviceRuntime:
-    return MultiDeviceRuntime(
-        net,
-        [jetson_nx_master(), jetson_nx_worker()],
-        BlockPartition.two_way(SPLIT, net.width_spec.max_width),
+#: The in-process engine's devices and the plans over its two blocks.
+DEVICES = ("dev0", "dev1")
+HA_BLOCKS = partitioned_plan(DEVICES, "combined")
+
+
+def _local_engine(net: SlimmableConvNet, *, compiled: bool) -> ExecutionEngine:
+    """The paper's two devices as in-process endpoints of one engine."""
+    profiles = (jetson_nx_master(), jetson_nx_worker())
+    return ExecutionEngine(
+        {
+            name: LocalEndpoint(name, EmulatedDevice(profile, net))
+            for name, profile in zip(DEVICES, profiles)
+        },
+        net.width_spec,
+        partition=BlockPartition.two_way(SPLIT, net.width_spec.max_width),
         compiled=compiled,
     )
 
@@ -119,7 +139,7 @@ class _InProcMaster:
         return self.runtime
 
     def __exit__(self, *exc) -> None:
-        self.runtime.shutdown_worker()
+        self.runtime.engine.shutdown()
         self._thread.join(timeout=5.0)
 
 
@@ -130,30 +150,34 @@ def measure_inprocess(batch_sizes=(1, 4, 16), trials: int = 300) -> Dict:
     """Fig. 2 over pure in-process endpoints: solo, HT, and eager-vs-compiled HA."""
     net = _net()
     out: Dict[str, object] = {}
-    rt = _multidevice(net, compiled=False)
+    engine = _local_engine(net, compiled=False)
+    solo = streams_plan([(DEVICES[0], "block0")])
+    ht = streams_plan([(DEVICES[0], "block0"), (DEVICES[1], "block1")])
     try:
         x = _batch(8)
-        out["solo_ms"] = _median_ms(lambda: rt.run_ht(x, alive=[0]), trials // 2)
-        out["ht_ms"] = _median_ms(lambda: rt.run_ht(x), trials // 2)
+        out["solo_ms"] = _median_ms(lambda: engine.execute(solo, x), trials // 2)
+        out["ht_ms"] = _median_ms(lambda: engine.execute(ht, x), trials // 2)
     finally:
-        rt.engine.shutdown()
+        engine.shutdown()
 
     ha: Dict[str, Dict[str, float]] = {}
     for rows in batch_sizes:
         x = _batch(rows)
-        eager = _multidevice(net, compiled=False)
-        compiled = _multidevice(net, compiled=True)
+        eager = _local_engine(net, compiled=False)
+        compiled = _local_engine(net, compiled=True)
         try:
             ha[str(rows)] = _paired(
-                lambda: eager.run_ha(x), lambda: compiled.run_ha(x), trials
+                lambda: eager.execute(HA_BLOCKS, x),
+                lambda: compiled.execute(HA_BLOCKS, x),
+                trials,
             )
             if rows == batch_sizes[0]:
                 out["overlap_ewma"] = float(
-                    compiled.engine.metrics.ewma("round.overlap").value
+                    compiled.metrics.ewma("round.overlap").value
                 )
         finally:
-            eager.engine.shutdown()
-            compiled.engine.shutdown()
+            eager.shutdown()
+            compiled.shutdown()
     out["ha"] = ha
     return out
 
@@ -161,14 +185,15 @@ def measure_inprocess(batch_sizes=(1, 4, 16), trials: int = 300) -> Dict:
 def measure_wire(batch_sizes=(1, 8), trials: int = 200) -> Dict:
     """Fig. 2 over the master/worker wire protocol on an in-process channel."""
     net = _net()
-    spec_full = net.width_spec.full()
-    lower, upper = net.width_spec.find("lower50"), net.width_spec.find("upper50")
+    ha_full = ha_plan(net.width_spec.full().name)
+    solo, ht = solo_plan(MASTER, "lower50"), ht_plan("lower50", "upper50")
     out: Dict[str, object] = {}
     with _InProcMaster(net, compiled=False) as master:
         x = _batch(8)
-        out["solo_ms"] = _median_ms(lambda: master.run_local(lower, x), trials // 2)
+        engine = master.engine
+        out["solo_ms"] = _median_ms(lambda: engine.execute(solo, x), trials // 2)
         out["ht_ms"] = _median_ms(
-            lambda: master.run_ht(lower, upper, x, x), trials // 2
+            lambda: engine.execute(ht, streams={MASTER: x, WORKER: x}), trials // 2
         )
     ha: Dict[str, Dict[str, float]] = {}
     for rows in batch_sizes:
@@ -176,8 +201,8 @@ def measure_wire(batch_sizes=(1, 8), trials: int = 200) -> Dict:
         with _InProcMaster(net, compiled=False) as eager, \
                 _InProcMaster(net, compiled=True) as compiled:
             ha[str(rows)] = _paired(
-                lambda: eager.run_ha(spec_full, x),
-                lambda: compiled.run_ha(spec_full, x),
+                lambda: eager.engine.execute(ha_full, x),
+                lambda: compiled.engine.execute(ha_full, x),
                 trials,
             )
     out["ha"] = ha
@@ -187,13 +212,13 @@ def measure_wire(batch_sizes=(1, 8), trials: int = 200) -> Dict:
 def measure_tcp(trials: int = 60) -> Dict:
     """HA at batch 1 over a real subprocess worker on localhost TCP."""
     net = _net()
-    spec_full = net.width_spec.full()
+    ha_full = ha_plan(net.width_spec.full().name)
     x = _batch(1)
     with LocalCluster(net, compiled=False) as eager, \
             LocalCluster(net, compiled=True) as compiled:
         timing = _paired(
-            lambda: eager.master.run_ha(spec_full, x),
-            lambda: compiled.master.run_ha(spec_full, x),
+            lambda: eager.master.engine.execute(ha_full, x),
+            lambda: compiled.master.engine.execute(ha_full, x),
             trials,
         )
     return {"ha": {"1": timing}}

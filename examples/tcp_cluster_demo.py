@@ -11,7 +11,7 @@ Run:  python examples/tcp_cluster_demo.py   (about a minute)
 import numpy as np
 
 from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.distributed import LocalCluster
+from repro.distributed import MASTER, WORKER, LocalCluster, ha_plan, ht_plan, solo_plan
 from repro.engine.endpoints import EndpointUnavailable
 from repro.training import RecipeConfig, TrainConfig, train_fluid
 from repro.utils import make_rng
@@ -31,36 +31,38 @@ def main() -> None:
     print("Spawning the worker device as a separate OS process (TCP on localhost)...")
     with LocalCluster(model.net) as cluster:
         master = cluster.master
+        engine = master.engine  # every deployment below is one engine.execute
         print(f"  worker alive: {master.ping_worker()}")
 
         x, y = test_set[np.arange(128)]
 
         print("\n[HA mode] joint 100% model, per-layer activation exchange over TCP:")
-        logits = master.run_ha(ws.full(), x)
+        logits = engine.execute(ha_plan(ws.full().name), x).logits
         print(f"  accuracy on 128 images: {accuracy(logits, y):.3f}")
 
         print("[HT mode] independent halves on parallel streams:")
         half = len(x) // 2
-        logits_m, logits_w = master.run_ht(
-            ws.find("lower50"), ws.find("upper50"), x[:half], x[half:]
-        )
+        streams = engine.execute(
+            ht_plan("lower50", "upper50"), streams={MASTER: x[:half], WORKER: x[half:]}
+        ).streams
+        logits_m, logits_w = streams[MASTER], streams[WORKER]
         mixed = (accuracy(logits_m, y[:half]) + accuracy(logits_w, y[half:])) / 2
         print(f"  mixed-stream accuracy: {mixed:.3f}")
         print(
-            f"  emulated throughput so far: {master.ledger.throughput_ips():.1f} img/s "
-            f"(compute {master.ledger.compute_s:.2f}s + comm {master.ledger.comm_s:.2f}s)"
+            f"  emulated throughput so far: {engine.ledger.throughput_ips():.1f} img/s "
+            f"(compute {engine.ledger.compute_s:.2f}s + comm {engine.ledger.comm_s:.2f}s)"
         )
 
         print("\n*** Killing the worker process (simulated power outage) ***")
         cluster.kill_worker()
         try:
-            master.run_remote(ws.find("upper50"), x[:4])
+            engine.execute(solo_plan(WORKER, "upper50"), x[:4])
         except EndpointUnavailable as exc:
             print(f"  master detected the failure: {type(exc).__name__}: {exc}")
         print(f"  heartbeat: {master.ping_worker()}")
 
         print("[failover] master continues standalone on its certified lower 50% model:")
-        logits = master.run_local(ws.find("lower50"), x)
+        logits = engine.execute(solo_plan(MASTER, "lower50"), x).logits
         print(f"  accuracy on 128 images: {accuracy(logits, y):.3f}")
         print("\nA Static DNN in the same situation reports zero throughput —")
         print("its resident half-weights are not certified to run alone.")

@@ -27,7 +27,7 @@ from typing import List, Optional
 from repro.comm import CommLatencyModel
 from repro.data import SynthMNISTConfig, load_synth_mnist
 from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import SystemThroughputModel
+from repro.distributed import MASTER, WORKER, SystemThroughputModel, ha_plan, ht_plan, solo_plan
 from repro.experiments import (
     calibration_points,
     format_fig2_table,
@@ -522,7 +522,7 @@ def cmd_dist(args) -> int:
             from repro.distributed.cluster import LocalCluster
 
             with LocalCluster(net, compiled=compiled) as cluster:
-                return _dist_run(cluster.master, cluster.engine, args, spec, x)
+                return _dist_run(cluster.master.engine, args, spec, x)
         import threading
 
         from repro.comm import InProcChannel
@@ -542,9 +542,9 @@ def cmd_dist(args) -> int:
             compiled=compiled,
         )
         try:
-            return _dist_run(master, master.engine, args, spec, x)
+            return _dist_run(master.engine, args, spec, x)
         finally:
-            master.shutdown_worker()
+            master.engine.shutdown()
             thread.join(timeout=5.0)
 
     variants = [False, True] if args.compiled is None else [bool(args.compiled)]
@@ -573,16 +573,16 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _dist_run(master, engine, args, spec, x):
+def _dist_run(engine, args, spec, x):
     """Run one warmup + ``--batches`` timed batches; return facts for cmd_dist."""
     def once():
         if args.mode == "ha":
-            return master.run_ha(spec, x)
+            return engine.execute(ha_plan(spec.name), x).logits
         if args.mode == "ht":
-            lower = master.device.net.width_spec.find("lower50")
-            upper = master.device.net.width_spec.find("upper50")
-            return master.run_ht(lower, upper, x, x)[0]
-        return master.run_local(spec, x)
+            # Each device runs the whole batch on its own stream.
+            plan = ht_plan("lower50", "upper50")
+            return engine.execute(plan, streams={MASTER: x, WORKER: x}).streams[MASTER]
+        return engine.execute(solo_plan(MASTER, spec.name), x).logits
 
     once()  # warmup: compile plans, warm packed caches
     engine.ledger.reset()

@@ -3,11 +3,7 @@
 from repro.distributed.cluster import LocalCluster, WorkerProcess
 from repro.distributed.layer_partition import LayerCut, LayerPartitionModel
 from repro.distributed.master import MasterRuntime
-from repro.distributed.multidevice import (
-    BlockPartition,
-    MultiDeviceModel,
-    MultiDeviceRuntime,
-)
+from repro.distributed.multidevice import BlockPartition, MultiDeviceModel
 from repro.distributed.modes import ALL_SCENARIOS, ExecutionMode, Scenario
 from repro.distributed.partition import MASTER, ROLES, WORKER, WidthPartition
 from repro.distributed.partitioned import (
@@ -53,7 +49,6 @@ __all__ = [
     "LayerPartitionModel",
     "BlockPartition",
     "MultiDeviceModel",
-    "MultiDeviceRuntime",
     "ThroughputBreakdown",
     "MasterRuntime",
     "WorkerServer",

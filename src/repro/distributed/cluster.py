@@ -3,14 +3,18 @@
 Spawns worker devices as separate OS processes (the closest laptop-scale
 stand-in for separate boards: independent address spaces, real TCP between
 them, killable with a signal) and wires a Master runtime to them.  The
-master is the engine facade, so the cluster exercises the exact same
+cluster runs deployments as every other caller does, through
+``cluster.master.engine.execute(plan, x)``, the same
 :class:`~repro.engine.engine.ExecutionEngine` code path as the in-process
-tests — just with a TCP :class:`~repro.engine.endpoints.TransportEndpoint`.
+tests with a TCP :class:`~repro.engine.endpoints.TransportEndpoint`.
+:meth:`LocalCluster.close` shuts that engine down, then stops the worker
+process and removes its weights directory.
 """
 
 from __future__ import annotations
 
 import os
+import selectors
 import subprocess
 import sys
 import tempfile
@@ -24,9 +28,9 @@ from repro.device.profiles import jetson_nx_master
 from repro.distributed.master import MasterRuntime
 from repro.nn.checkpoint import save_state
 from repro.slimmable.slim_net import SlimmableConvNet
-from repro.utils.logging import get_logger
 
-_LOGGER = get_logger("cluster")
+#: How long a spawned worker may take to announce its port.
+READY_TIMEOUT_S = 20.0
 
 
 class WorkerProcess:
@@ -68,20 +72,33 @@ class WorkerProcess:
             p for p in (pkg_root, env.get("PYTHONPATH")) if p
         )
         self.process = subprocess.Popen(
-            cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env
         )
         self.port = self._await_ready()
 
-    def _await_ready(self, timeout: float = 20.0) -> int:
-        deadline = time.time() + timeout
-        line = ""
-        while time.time() < deadline:
-            line = self.process.stdout.readline()
-            if line.startswith("READY"):
-                return int(line.split()[1])
-            if self.process.poll() is not None:
-                break
-        raise RuntimeError(f"worker process failed to start (last output: {line!r})")
+    def _await_ready(self) -> int:
+        """The port on the child's ``READY`` line, waited for at most
+        ``READY_TIMEOUT_S`` on the monotonic clock; a child that misses the
+        deadline, or exits first, is killed and reaped."""
+        fd = self.process.stdout.fileno()
+        deadline = time.monotonic() + READY_TIMEOUT_S
+        output = b""
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    break
+                chunk = os.read(fd, 4096)
+                if not chunk:  # end of file: the child exited
+                    break
+                output += chunk
+                for line in output.split(b"\n")[:-1]:
+                    if line.startswith(b"READY"):
+                        return int(line.split()[1])
+        self.kill()
+        self.process.stdout.close()
+        raise RuntimeError(f"worker process failed to start (output: {output[-200:]!r})")
 
     def kill(self) -> None:
         """Hard-kill the process — the 'power outage' failure mode."""
@@ -96,6 +113,7 @@ class WorkerProcess:
                 self.process.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 self.process.kill()
+        self.process.stdout.close()
 
     @property
     def alive(self) -> bool:
@@ -113,30 +131,28 @@ class LocalCluster:
     ) -> None:
         self.net = net
         self._tmpdir = tempfile.TemporaryDirectory(prefix="fluid-cluster-")
-        weights_path = os.path.join(self._tmpdir.name, "weights.npz")
-        save_state(weights_path, net.state_dict())
-
-        spec = net.width_spec
-        self.worker_process = WorkerProcess(
-            weights_path,
-            split=spec.split,
-            lower_widths=spec.lower_widths,
-            max_width=spec.max_width,
-            num_convs=spec.num_convs,
-        )
-        transport = self._connect_with_retry(self.worker_process.port)
-        master_device = EmulatedDevice(jetson_nx_master(), net)
-        self.master = MasterRuntime(
-            master_device,
-            transport,
-            partition_split=spec.split,
-            compiled=compiled,
-        )
-
-    @property
-    def engine(self):
-        """The unified execution engine driving this cluster over TCP."""
-        return self.master.engine
+        self.worker_process: Optional[WorkerProcess] = None
+        try:
+            weights_path = os.path.join(self._tmpdir.name, "weights.npz")
+            save_state(weights_path, net.state_dict())
+            spec = net.width_spec
+            self.worker_process = WorkerProcess(
+                weights_path,
+                split=spec.split,
+                lower_widths=spec.lower_widths,
+                max_width=spec.max_width,
+                num_convs=spec.num_convs,
+            )
+            transport = self._connect_with_retry(self.worker_process.port)
+            self.master = MasterRuntime(
+                EmulatedDevice(jetson_nx_master(), net),
+                transport,
+                partition_split=spec.split,
+                compiled=compiled,
+            )
+        except BaseException:
+            self._release()
+            raise
 
     @staticmethod
     def _connect_with_retry(port: int, attempts: int = 20, delay: float = 0.1):
@@ -154,10 +170,15 @@ class LocalCluster:
 
     def close(self) -> None:
         try:
-            self.master.shutdown_worker()
+            self.master.engine.shutdown()
         finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Stop the worker process and remove the weights directory."""
+        if self.worker_process is not None:
             self.worker_process.terminate()
-            self._tmpdir.cleanup()
+        self._tmpdir.cleanup()
 
     def __enter__(self) -> "LocalCluster":
         return self

@@ -12,31 +12,27 @@ width partition to ``N`` channel *blocks*, one per device:
   an all-gather per layer (the exchange grows with the block count).
 
 :class:`MultiDeviceModel` is the analytical throughput mirror of
-:class:`~repro.distributed.throughput.SystemThroughputModel`;
-:class:`MultiDeviceRuntime` actually *executes* the N-device deployment on
-the unified :class:`~repro.engine.engine.ExecutionEngine` (the block
-partition itself lives in :mod:`repro.engine.graph`, shared with the
-two-device master runtime).
+:class:`~repro.distributed.throughput.SystemThroughputModel`.  The N-device
+deployment itself runs on the one
+:class:`~repro.engine.engine.ExecutionEngine`: one
+:class:`~repro.engine.endpoints.LocalEndpoint` per block, a
+:class:`~repro.engine.graph.BlockPartition` (which names its specs
+``block{i}`` and ``combined``), and ``partitioned_plan`` /
+``streams_plan`` for HA over every block or HT over the survivors.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.comm.latency_model import CommLatencyModel
 from repro.device.cost import subnet_layer_costs, subnet_num_layers
-from repro.device.emulated import EmulatedDevice
 from repro.device.profiles import DeviceProfile
-from repro.distributed.plan import DeploymentPlan, failed_plan, partitioned_plan, streams_plan
 from repro.distributed.throughput import ha_step_times
-from repro.engine.endpoints import LocalEndpoint
-from repro.engine.engine import EngineResult, ExecutionEngine
 from repro.engine.graph import BlockPartition
 from repro.slimmable.slim_net import SlimmableConvNet
 
-__all__ = ["BlockPartition", "MultiDeviceModel", "MultiDeviceRuntime"]
+__all__ = ["BlockPartition", "MultiDeviceModel"]
 
 
 class MultiDeviceModel:
@@ -131,102 +127,3 @@ class MultiDeviceModel:
             if not 0 <= i < self.partition.num_blocks:
                 raise ValueError(f"device index {i} out of range")
         return alive
-
-
-class MultiDeviceRuntime:
-    """Executes the N-device Fluid deployment on the unified engine.
-
-    One in-process :class:`LocalEndpoint` per block, all aliasing the same
-    weight container (the paper's weight sharing).  Plans mirror the
-    survivor logic of :class:`MultiDeviceModel`: HA when everyone is alive,
-    HT over the survivors otherwise.
-    """
-
-    def __init__(
-        self,
-        net: SlimmableConvNet,
-        profiles: Sequence[DeviceProfile],
-        partition: BlockPartition,
-        *,
-        compiled: bool = False,
-    ) -> None:
-        if len(profiles) != partition.num_blocks:
-            raise ValueError(
-                f"{len(profiles)} devices for {partition.num_blocks} blocks"
-            )
-        if partition.max_width != net.width_spec.max_width:
-            raise ValueError("partition width does not match the network")
-        self.net = net
-        self.partition = partition
-        self.devices: List[EmulatedDevice] = [
-            EmulatedDevice(profile, net) for profile in profiles
-        ]
-        self.device_names = [f"dev{i}" for i in range(partition.num_blocks)]
-        num_convs = len(net.convs)
-        specs = {
-            spec.name: spec
-            for spec in (
-                partition.block_spec(i, num_convs)
-                for i in range(partition.num_blocks)
-            )
-        }
-        combined = partition.combined_spec(num_convs)
-        specs[combined.name] = combined
-        self._combined = combined
-        self.engine = ExecutionEngine(
-            {
-                name: LocalEndpoint(name, device)
-                for name, device in zip(self.device_names, self.devices)
-            },
-            net.width_spec,
-            partition=partition,
-            extra_specs=specs,
-            compiled=compiled,
-        )
-
-    # -- planning --------------------------------------------------------------
-
-    def alive_indices(self) -> List[int]:
-        return [i for i, d in enumerate(self.devices) if d.alive]
-
-    def plan(self, alive: Optional[Sequence[int]] = None) -> DeploymentPlan:
-        """HA when every block is up, HT over the survivors otherwise."""
-        alive = sorted(set(self.alive_indices() if alive is None else alive))
-        for i in alive:
-            if not 0 <= i < self.partition.num_blocks:
-                raise ValueError(f"device index {i} out of range")
-        if not alive:
-            return failed_plan("no devices alive")
-        if len(alive) == self.partition.num_blocks:
-            return partitioned_plan(self.device_names, self._combined.name)
-        return streams_plan(
-            [(self.device_names[i], f"block{i}") for i in alive]
-        )
-
-    # -- execution -------------------------------------------------------------
-
-    def run_ha(self, x: np.ndarray) -> np.ndarray:
-        """Jointly compute the combined model over all blocks."""
-        result = self.engine.execute(
-            partitioned_plan(self.device_names, self._combined.name), x
-        )
-        return result.logits
-
-    def run_ht(
-        self,
-        x: np.ndarray,
-        *,
-        alive: Optional[Sequence[int]] = None,
-    ) -> EngineResult:
-        """Independent per-block streams over the alive devices."""
-        alive = sorted(set(self.alive_indices() if alive is None else alive))
-        plan = streams_plan([(self.device_names[i], f"block{i}") for i in alive])
-        return self.engine.execute(plan, x)
-
-    def serve(self, x: np.ndarray) -> EngineResult:
-        """Serve one batch under the current best plan."""
-        return self.engine.execute(self.plan(), x)
-
-    @property
-    def ledger(self):
-        return self.engine.ledger

@@ -2,14 +2,20 @@
 
 One engine runs every deployment plan — High-Accuracy, High-Throughput, or
 solo — over any number of devices, with pluggable endpoints (in-process
-emulated devices or remote workers behind a transport).  The two-device
-master runtime (:mod:`repro.distributed.master`), the multi-process cluster
-(:mod:`repro.distributed.cluster`), and the N-device runtime
-(:mod:`repro.distributed.multidevice`) are all thin facades over this
-package.
+emulated devices or remote workers behind a transport).
+``ExecutionEngine.execute(plan, x)`` is the one way to run a deployment,
+in the :class:`~repro.distributed.plan.DeploymentPlan` vocabulary the
+adaptation policy emits, and ``ExecutionEngine.shutdown()`` the one way to
+end it (it stops the dispatch lanes and tells remote workers to stop).
+The two-device master runtime (:mod:`repro.distributed.master`) and the
+multi-process cluster (:mod:`repro.distributed.cluster`) only build an
+engine: they name its devices and hold the worker's liveness probes.  An
+N-device deployment is an engine over one
+:class:`~repro.engine.endpoints.LocalEndpoint` per
+:class:`~repro.engine.graph.BlockPartition` block.
 """
 
-# The distributed facades (master/multidevice/cluster) import this package;
+# The distributed modules (master/cluster) import this package;
 # loading them first keeps the import order well-defined no matter which
 # package a caller touches first.
 import repro.distributed  # noqa: F401  (import-cycle anchor)

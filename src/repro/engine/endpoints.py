@@ -33,6 +33,7 @@ own, so a device's clock reads the same on either side of the wire.
 
 from __future__ import annotations
 
+import builtins
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -67,6 +68,18 @@ class EndpointError(EndpointUnavailable):
         super().__init__(message)
         self.error = error
         self.detail = detail
+
+    def peer_exception(self) -> Exception:
+        """The exception the peer raised: a builtin exception type comes back
+        as itself, any other type (or one its message alone cannot build) as
+        a ``RuntimeError`` carrying the whole reply."""
+        kind = getattr(builtins, self.error or "", None)
+        if isinstance(kind, type) and issubclass(kind, Exception):
+            try:
+                return kind(self.detail)
+            except (TypeError, ValueError):
+                pass
+        return RuntimeError(str(self))
 
 
 @dataclass
@@ -174,7 +187,7 @@ class LocalEndpoint(Endpoint):
     """Runs directly on an in-process emulated device.
 
     The one copy of a device's side of a round: the master's own endpoint,
-    every ``MultiDeviceRuntime`` block and (behind the wire codec) the
+    every block of an in-process N-device engine and (behind the wire codec) the
     :class:`~repro.distributed.worker.WorkerServer` all serve through it.
     Every call ticks the device's liveness once — a crash-after-N counter
     counts calls, i.e. protocol messages — and a
@@ -238,8 +251,7 @@ class LocalEndpoint(Endpoint):
         self, spec: SubNetSpec, boundaries: Sequence[int], index: int
     ) -> None:
         # Keyed by the spec's value (a frozen dataclass), so a spec looked
-        # up again under the same name hits, and one re-registered with
-        # other slices does not.
+        # up again under the same name hits.
         key = (spec, tuple(boundaries), index)
         costs = self._partition_cost_cache.get(key)
         if costs is None:

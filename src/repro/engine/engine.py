@@ -124,17 +124,25 @@ class ExecutionEngine:
         width_spec: WidthSpec,
         *,
         partition: Optional[BlockPartition] = None,
-        comm_model: Optional[CommLatencyModel] = None,
-        extra_specs: Optional[Mapping[str, SubNetSpec]] = None,
         compiled: bool = False,
     ) -> None:
         self.endpoints: Dict[str, Endpoint] = dict(endpoints)
-        self.width_spec = width_spec
         self.partition = partition
-        self.comm_model = comm_model or CommLatencyModel()
+        self.comm_model = CommLatencyModel()
         self.ledger = EmulatedTimeLedger()
-        self.extra_specs: Dict[str, SubNetSpec] = dict(extra_specs or {})
         self.compiled = compiled
+        # Every name a plan may use, resolved once: the width family's specs,
+        # else the partition's own (``block{i}``, ``combined``).  Later
+        # entries win, and the family goes in reversed, so that within it
+        # the first spec of a name wins, as in ``WidthSpec.find``.
+        n = width_spec.num_convs
+        own = [] if partition is None else [
+            *(partition.block_spec(i, n) for i in range(partition.num_blocks)),
+            partition.combined_spec(n),
+        ]
+        self._specs: Dict[str, SubNetSpec] = {
+            spec.name: spec for spec in (*own, *reversed(width_spec.all_specs()))
+        }
         # Deferred: repro.scheduler's package init imports the runtime
         # facades, which import this module.
         from repro.scheduler.telemetry import MetricsRegistry
@@ -145,7 +153,7 @@ class ExecutionEngine:
         self.last_exchange_bytes: List[int] = []
         self._lanes: List[_DispatchLane] = []
         self._wall_rounds_s = 0.0
-        self._graph_cache: Dict[tuple, ExecutionGraph] = {}
+        self._graph_cache: Dict[DeploymentPlan, ExecutionGraph] = {}
 
     # -- lookup ----------------------------------------------------------------
 
@@ -156,24 +164,23 @@ class ExecutionEngine:
             raise EndpointUnavailable(f"no endpoint for device {device!r}") from None
 
     def resolve_spec(self, name: str) -> SubNetSpec:
-        if name in self.extra_specs:
-            return self.extra_specs[name]
-        return self.width_spec.find(name)
+        try:
+            return self._specs[name]
+        except KeyError:
+            raise KeyError(f"no sub-network named {name!r}") from None
 
     def compile(self, plan: DeploymentPlan) -> ExecutionGraph:
-        spec = None
-        if plan.mode is ExecutionMode.HIGH_ACCURACY:
-            spec = self.resolve_spec(plan.combined_subnet)
-        # Plans and specs are frozen dataclasses, so identical deployments
-        # hit the cache by value and a re-registered spec under the same
-        # name, with other slices, does not.
-        key = (plan, spec)
-        graph = self._graph_cache.get(key)
+        # Plans are frozen dataclasses and a name always resolves to the
+        # same spec, so identical deployments hit the cache by value.
+        graph = self._graph_cache.get(plan)
         if graph is None:
+            spec = None
+            if plan.mode is ExecutionMode.HIGH_ACCURACY:
+                spec = self.resolve_spec(plan.combined_subnet)
             if len(self._graph_cache) >= 256:
                 self._graph_cache.clear()
             graph = compile_plan(plan, spec, self.partition)
-            self._graph_cache[key] = graph
+            self._graph_cache[plan] = graph
         return graph
 
     # -- overlapped dispatch ---------------------------------------------------

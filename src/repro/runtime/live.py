@@ -18,7 +18,7 @@ import numpy as np
 from repro.distributed.master import MasterRuntime
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.plan import DeploymentPlan
-from repro.engine.endpoints import EndpointUnavailable
+from repro.engine.endpoints import EndpointError, EndpointUnavailable
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.runtime.policy import AdaptationPolicy
 from repro.utils.logging import get_logger
@@ -97,7 +97,9 @@ class LiveSystem:
 
         On a worker failure mid-batch the batch is retried once under the
         new (solo or failed) plan, so the caller never sees the exception —
-        only the mode change.
+        only the mode change.  A live worker's ERROR reply is no failure of
+        the worker: the batch raises the worker's own exception, and the
+        plan stays.
         """
         for attempt in range(2):
             plan = self.plan
@@ -109,6 +111,8 @@ class LiveSystem:
                     logits=logits,
                     failed_over=(attempt > 0),
                 )
+            except EndpointError as exc:
+                raise exc.peer_exception() from exc
             except EndpointUnavailable:
                 self.logger.warning("worker lost while serving batch %d", index)
                 self.declare_worker_dead()
@@ -124,7 +128,7 @@ class LiveSystem:
                 # The master process cannot execute on a dead worker's behalf.
                 return None
         # The engine handles the mode dispatch (and splits HT streams).
-        return self.master.execute_plan(plan, x).logits
+        return self.master.engine.execute(plan, x).logits
 
     def serve_stream(self, batches) -> LiveLog:
         """Serve an iterable of input batches end to end."""

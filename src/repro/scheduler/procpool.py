@@ -49,7 +49,6 @@ pool's ordinary eject/reroute machinery.
 
 from __future__ import annotations
 
-import builtins
 import ctypes
 import functools
 import os
@@ -165,19 +164,6 @@ def pin_blas_threads(n: int) -> bool:
     for setter in setters:
         setter(n)
     return bool(setters)
-
-
-def _worker_error(exc: EndpointError) -> Exception:
-    """The exception a live worker's ERROR reply names: a builtin exception
-    type comes back as itself, any other type (or one its message alone
-    cannot build) as a ``RuntimeError`` carrying the whole reply."""
-    kind = getattr(builtins, exc.error or "", None)
-    if isinstance(kind, type) and issubclass(kind, Exception):
-        try:
-            return kind(exc.detail)
-        except (TypeError, ValueError):
-            pass
-    return RuntimeError(str(exc))
 
 
 def partition_thread_budget(workers: int) -> int:
@@ -450,7 +436,7 @@ class ProcessReplica(Replica):
                     # An ERROR reply from a live worker: the transport is in
                     # sync and only this batch failed, as a thread replica's
                     # exception fails it.  No reroute, no ejection.
-                    raise _worker_error(exc) from exc
+                    raise exc.peer_exception() from exc
                 # A dead process / closed transport is permanent.
                 if not (self._proc.is_alive() and self._endpoint.available):
                     self._alive = False

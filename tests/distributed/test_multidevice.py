@@ -6,15 +6,12 @@ import pytest
 from repro.comm import CommLatencyModel
 from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.device.cost import block_partitioned_costs, subnet_num_layers
-from repro.distributed import ExecutionMode, SystemThroughputModel, solo_plan
-from repro.distributed.multidevice import (
-    BlockPartition,
-    MultiDeviceModel,
-    MultiDeviceRuntime,
-)
+from repro.distributed import ExecutionMode, SystemThroughputModel, solo_plan, streams_plan
+from repro.distributed.multidevice import BlockPartition, MultiDeviceModel
 from repro.engine import EndpointUnavailable
 from repro.slimmable import SlimmableConvNet, WidthSpec
 from repro.utils import make_rng
+from tests.engine.blocks import block_engine, ha_over_all_blocks
 
 
 @pytest.fixture(scope="module")
@@ -138,40 +135,43 @@ class TestMultiDeviceModel:
             quad_model.ht_throughput([5])
 
 
-class TestRuntimeDeviceFailure:
+class TestEngineDeviceFailure:
     """A crashed in-process device is the engine's failure signal, exactly
     as a crashed worker behind a transport is."""
 
     @pytest.fixture(params=[False, True], ids=["eager", "compiled"])
-    def runtime(self, request, quad_net):
-        rt = MultiDeviceRuntime(
+    def blocks(self, request, quad_net):
+        engine, devices = block_engine(
             quad_net,
             [jetson_nx_master()] * 2,
             BlockPartition.even(2, 16),
             compiled=request.param,
         )
-        yield rt
-        rt.engine.shutdown()
+        yield engine, devices
+        engine.shutdown()
 
-    def test_run_ha_raises_once_a_block_is_down(self, runtime):
+    def test_ha_raises_once_a_block_is_down(self, blocks):
+        engine, devices = blocks
+        ha = ha_over_all_blocks(engine)
         x = make_rng(5).standard_normal((3, 1, 28, 28))
-        before = runtime.run_ha(x)
-        runtime.devices[1].crash()
+        before = engine.execute(ha, x).logits
+        devices[1].crash()
         with pytest.raises(EndpointUnavailable):
-            runtime.run_ha(x)
+            engine.execute(ha, x)
         # A solo plan on the dead device reports the same signal.
         with pytest.raises(EndpointUnavailable):
-            runtime.engine.execute(solo_plan("dev1", "block1"), x)
-        runtime.devices[1].recover()
-        np.testing.assert_array_equal(runtime.run_ha(x), before)
+            engine.execute(solo_plan("dev1", "block1"), x)
+        devices[1].recover()
+        np.testing.assert_array_equal(engine.execute(ha, x).logits, before)
 
-    def test_serve_answers_in_ht_over_the_survivor(self, runtime, quad_net):
+    def test_ht_over_the_survivor_answers_with_its_block(self, blocks, quad_net):
+        engine, devices = blocks
         x = make_rng(5).standard_normal((3, 1, 28, 28))
-        assert runtime.serve(x).mode is ExecutionMode.HIGH_ACCURACY
-        runtime.devices[1].crash()
-        served = runtime.serve(x)
+        assert engine.execute(ha_over_all_blocks(engine), x).mode is ExecutionMode.HIGH_ACCURACY
+        devices[1].crash()
+        served = engine.execute(streams_plan([("dev0", "block0")]), x)
         assert served.mode is ExecutionMode.HIGH_THROUGHPUT
         assert list(served.streams) == ["dev0"]
-        view = quad_net.view(runtime.partition.block_spec(0, len(quad_net.convs)))
+        view = quad_net.view(engine.partition.block_spec(0, len(quad_net.convs)))
         view.train(False)
         np.testing.assert_array_equal(served.logits, view(x))

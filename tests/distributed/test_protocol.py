@@ -7,8 +7,17 @@ import pytest
 
 from repro.comm import InProcChannel, Message, MessageKind
 from repro.device import CrashCounter, EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import MasterRuntime, WorkerServer
+from repro.distributed import MASTER, WORKER, MasterRuntime, WorkerServer
+from repro.distributed.plan import ha_plan, ht_plan, solo_plan
 from repro.engine.endpoints import EndpointUnavailable
+
+
+def _solo(master, device, spec, x):
+    return master.engine.execute(solo_plan(device, spec.name), x).logits
+
+
+def _ha(master, spec, x):
+    return master.engine.execute(ha_plan(spec.name), x).logits
 
 
 @pytest.fixture
@@ -22,7 +31,7 @@ def protocol_pair(paper_net):
     master_device = EmulatedDevice(jetson_nx_master(), paper_net)
     master = MasterRuntime(master_device, chan.a, partition_split=8)
     yield master, worker_device
-    master.shutdown_worker()
+    master.engine.shutdown()
     thread.join(timeout=5.0)
 
 
@@ -33,7 +42,7 @@ class TestHeartbeat:
 
     def test_ping_after_shutdown_fails(self, protocol_pair):
         master, _ = protocol_pair
-        master.shutdown_worker()
+        master.engine.shutdown()
         assert not master.ping_worker()
 
 
@@ -42,7 +51,7 @@ class TestRemoteExecution:
         master, worker_device = protocol_pair
         spec = worker_device.net.width_spec.find("upper50")
         x = rng.standard_normal((3, 1, 28, 28))
-        remote = master.run_remote(spec, x)
+        remote = _solo(master, WORKER, spec, x)
         view = worker_device.net.view(spec)
         view.train(False)
         local = view(x.astype(np.float32).astype(np.float64))
@@ -51,10 +60,10 @@ class TestRemoteExecution:
     def test_worker_accounts_compute_time(self, protocol_pair, rng):
         master, worker_device = protocol_pair
         spec = worker_device.net.width_spec.find("upper50")
-        master.run_remote(spec, rng.standard_normal((2, 1, 28, 28)))
+        _solo(master, WORKER, spec, rng.standard_normal((2, 1, 28, 28)))
         assert worker_device.busy_time_s > 0
-        assert master.ledger.compute_s > 0
-        assert master.ledger.comm_s > 0
+        assert master.engine.ledger.compute_s > 0
+        assert master.engine.ledger.comm_s > 0
 
 
 class TestHaProtocol:
@@ -62,7 +71,7 @@ class TestHaProtocol:
         master, worker_device = protocol_pair
         spec = worker_device.net.width_spec.full()
         x = rng.standard_normal((4, 1, 28, 28))
-        out = master.run_ha(spec, x)
+        out = _ha(master, spec, x)
         view = worker_device.net.view(spec)
         view.train(False)
         reference = view(x)
@@ -73,7 +82,7 @@ class TestHaProtocol:
         master, worker_device = protocol_pair
         spec = worker_device.net.width_spec.find("lower75")
         x = rng.standard_normal((2, 1, 28, 28))
-        out = master.run_ha(spec, x)
+        out = _ha(master, spec, x)
         view = worker_device.net.view(spec)
         view.train(False)
         np.testing.assert_allclose(out, view(x), atol=1e-4)
@@ -82,7 +91,7 @@ class TestHaProtocol:
         master, worker_device = protocol_pair
         spec = worker_device.net.width_spec.find("upper50")
         with pytest.raises(ValueError):
-            master.run_ha(spec, rng.standard_normal((1, 1, 28, 28)))
+            _ha(master, spec, rng.standard_normal((1, 1, 28, 28)))
 
     def test_consecutive_ha_batches(self, protocol_pair, rng):
         master, worker_device = protocol_pair
@@ -91,7 +100,7 @@ class TestHaProtocol:
         view.train(False)
         for _ in range(3):
             x = rng.standard_normal((2, 1, 28, 28))
-            np.testing.assert_allclose(master.run_ha(spec, x), view(x), atol=1e-4)
+            np.testing.assert_allclose(_ha(master, spec, x), view(x), atol=1e-4)
 
 
 class TestHtProtocol:
@@ -100,10 +109,13 @@ class TestHtProtocol:
         ws = worker_device.net.width_spec
         x_m = rng.standard_normal((3, 1, 28, 28))
         x_w = rng.standard_normal((3, 1, 28, 28))
-        logits_m, logits_w = master.run_ht(ws.find("lower50"), ws.find("upper50"), x_m, x_w)
+        streams = master.engine.execute(
+            ht_plan("lower50", "upper50"), streams={MASTER: x_m, WORKER: x_w}
+        ).streams
+        logits_m, logits_w = streams[MASTER], streams[WORKER]
         assert logits_m.shape == (3, 10)
         assert logits_w.shape == (3, 10)
-        assert master.ledger.images == 6  # both parallel streams' images count
+        assert master.engine.ledger.images == 6  # both parallel streams' images count
 
 
 class TestFailureHandling:
@@ -122,10 +134,10 @@ class TestFailureHandling:
         )
         spec = paper_net.width_spec.find("upper50")
         x = rng.standard_normal((1, 1, 28, 28))
-        master.run_remote(spec, x)
-        master.run_remote(spec, x)
+        _solo(master, WORKER, spec, x)
+        _solo(master, WORKER, spec, x)
         with pytest.raises(EndpointUnavailable):
-            master.run_remote(spec, x)
+            _solo(master, WORKER, spec, x)
         thread.join(timeout=5.0)
 
     def test_crash_command_kills_worker(self, protocol_pair, rng):
@@ -133,12 +145,12 @@ class TestFailureHandling:
         master.crash_worker()
         spec = worker_device.net.width_spec.find("upper50")
         with pytest.raises(EndpointUnavailable):
-            master.run_remote(spec, rng.standard_normal((1, 1, 28, 28)))
+            _solo(master, WORKER, spec, rng.standard_normal((1, 1, 28, 28)))
 
     def test_local_execution_survives_worker_crash(self, protocol_pair, rng):
         """The Fluid failover: worker dies, master keeps serving lower50."""
         master, worker_device = protocol_pair
         master.crash_worker()
         spec = worker_device.net.width_spec.find("lower50")
-        logits = master.run_local(spec, rng.standard_normal((2, 1, 28, 28)))
+        logits = _solo(master, MASTER, spec, rng.standard_normal((2, 1, 28, 28)))
         assert logits.shape == (2, 10)

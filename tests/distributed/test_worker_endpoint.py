@@ -60,7 +60,7 @@ class TestDeviceClockIsTheSameBehindTheWire:
             compiled=compiled,
         )
         try:
-            out_wire = master.run_ha(spec, x)
+            out_wire = master.engine.execute(ha_plan(SPEC), x).logits
         finally:
             master.engine.shutdown()
             thread.join(timeout=5.0)
@@ -160,7 +160,7 @@ class TestUnservableRequestGetsAnErrorReply:
             compiled=True,
         )
         try:
-            out = master.run_ha(spec, x)
+            out = master.engine.execute(ha_plan(SPEC), x).logits
         finally:
             master.engine.shutdown()
             thread.join(timeout=5.0)
@@ -175,7 +175,7 @@ class TestUnservableRequestGetsAnErrorReply:
             compiled=True,
         )
         try:
-            np.testing.assert_array_equal(out, reference.run_ha(spec, x))
+            np.testing.assert_array_equal(out, reference.engine.execute(ha_plan(SPEC), x).logits)
         finally:
             reference.engine.shutdown()
             fresh_thread.join(timeout=5.0)

@@ -18,9 +18,8 @@ from repro.comm import InProcChannel
 from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
 from repro.distributed import LocalCluster, MasterRuntime, WorkerServer
 from repro.distributed.modes import ExecutionMode
-from repro.distributed.multidevice import MultiDeviceRuntime
 from repro.distributed.partitioned import partitioned_forward_reference
-from repro.distributed.plan import streams_plan
+from repro.distributed.plan import ha_plan, streams_plan
 from repro.engine import (
     BlockPartition,
     Endpoint,
@@ -34,6 +33,7 @@ from repro.nn.context import ForwardContext
 from repro.slimmable import SlimmableConvNet, paper_width_spec
 from repro.utils import make_rng
 from repro.utils.dtypes import DtypePolicy, dtype_policy, set_dtype_policy
+from tests.engine.blocks import block_engine, ha_over_all_blocks
 
 SPLIT = 8
 SEED = 0
@@ -70,17 +70,28 @@ class _InProcMaster:
         return self.runtime
 
     def __exit__(self, *exc) -> None:
-        self.runtime.shutdown_worker()
+        self.runtime.engine.shutdown()
         self._thread.join(timeout=5.0)
 
 
-def _multidevice(net: SlimmableConvNet, *, compiled: bool) -> MultiDeviceRuntime:
-    return MultiDeviceRuntime(
+def _local_engine(net: SlimmableConvNet, *, compiled: bool) -> ExecutionEngine:
+    """The two devices as in-process endpoints ``dev0`` / ``dev1``."""
+    engine, _ = block_engine(
         net,
         [jetson_nx_master(), jetson_nx_worker()],
         BlockPartition.two_way(SPLIT, net.width_spec.max_width),
         compiled=compiled,
     )
+    return engine
+
+
+def _run_ha(engine: ExecutionEngine, x: np.ndarray) -> np.ndarray:
+    """The combined model over every block of an in-process engine."""
+    return engine.execute(ha_over_all_blocks(engine), x).logits
+
+
+def _master_ha(master: MasterRuntime, spec, x: np.ndarray) -> np.ndarray:
+    return master.engine.execute(ha_plan(spec.name), x).logits
 
 
 class TestCompiledBitwiseParity:
@@ -98,15 +109,15 @@ class TestCompiledBitwiseParity:
             spec = net.width_spec.find(spec_name)
             x = _batch()
             with _InProcMaster(net, compiled=False) as eager:
-                out_eager = eager.run_ha(spec, x)
+                out_eager = _master_ha(eager, spec, x)
                 eager_ledger = (
-                    eager.ledger.compute_s,
-                    eager.ledger.comm_s,
-                    eager.ledger.images,
+                    eager.engine.ledger.compute_s,
+                    eager.engine.ledger.comm_s,
+                    eager.engine.ledger.images,
                 )
                 eager_bytes = list(eager.engine.last_exchange_bytes)
             with _InProcMaster(net, compiled=True) as compiled:
-                out_compiled = compiled.run_ha(spec, x)
+                out_compiled = _master_ha(compiled, spec, x)
                 np.testing.assert_array_equal(out_compiled, out_eager)
                 # The single-process reference never round-trips the wire
                 # dtype, so it is bitwise only when compute == wire dtype.
@@ -117,28 +128,28 @@ class TestCompiledBitwiseParity:
                     np.testing.assert_allclose(out_eager, reference, atol=1e-5)
                 # Same emulated world: compute charges match to float noise,
                 # wire-level comm charges are identical.
-                assert compiled.ledger.compute_s == pytest.approx(
+                assert compiled.engine.ledger.compute_s == pytest.approx(
                     eager_ledger[0], rel=1e-12
                 )
-                assert compiled.ledger.comm_s == pytest.approx(
+                assert compiled.engine.ledger.comm_s == pytest.approx(
                     eager_ledger[1], rel=1e-12
                 )
-                assert compiled.ledger.images == eager_ledger[2]
+                assert compiled.engine.ledger.images == eager_ledger[2]
                 assert len(compiled.engine.last_exchange_bytes) == len(eager_bytes)
         finally:
             set_dtype_policy(old)
 
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_local_endpoints_parity(self, policy_name):
-        """Pure LocalEndpoint fan-out (MultiDeviceRuntime), both policies."""
+        """Pure LocalEndpoint fan-out (an in-process engine), both policies."""
         with dtype_policy(POLICIES[policy_name]):
             net = _net()
             x = _batch()
-            eager = _multidevice(net, compiled=False)
-            compiled = _multidevice(net, compiled=True)
+            eager = _local_engine(net, compiled=False)
+            compiled = _local_engine(net, compiled=True)
             try:
-                out_eager = eager.run_ha(x)
-                out_compiled = compiled.run_ha(x)
+                out_eager = _run_ha(eager, x)
+                out_compiled = _run_ha(compiled, x)
                 np.testing.assert_array_equal(out_compiled, out_eager)
                 # No wire cast on local endpoints: the single-process
                 # reference must agree bit for bit.
@@ -151,23 +162,23 @@ class TestCompiledBitwiseParity:
                 )
                 assert compiled.ledger.images == eager.ledger.images
             finally:
-                eager.engine.shutdown()
-                compiled.engine.shutdown()
+                eager.shutdown()
+                compiled.shutdown()
 
     def test_repeat_executes_stay_bitwise_stable(self):
         """Arena reuse must not leak state between batches."""
         net = _net()
-        rt = _multidevice(net, compiled=True)
+        engine = _local_engine(net, compiled=True)
         try:
             x = _batch()
-            first = rt.run_ha(x)
+            first = _run_ha(engine, x)
             for _ in range(3):
-                np.testing.assert_array_equal(rt.run_ha(x), first)
+                np.testing.assert_array_equal(_run_ha(engine, x), first)
             # A different batch through the same arenas, then the first again.
-            rt.run_ha(make_rng(7).standard_normal((5, 1, 28, 28)))
-            np.testing.assert_array_equal(rt.run_ha(x), first)
+            _run_ha(engine, make_rng(7).standard_normal((5, 1, 28, 28)))
+            np.testing.assert_array_equal(_run_ha(engine, x), first)
         finally:
-            rt.engine.shutdown()
+            engine.shutdown()
 
     @pytest.mark.slow
     def test_tcp_cluster_parity(self):
@@ -176,9 +187,9 @@ class TestCompiledBitwiseParity:
         x = _batch(3)
         spec = net.width_spec.full()
         with LocalCluster(net, compiled=False) as eager:
-            out_eager = eager.master.run_ha(spec, x)
+            out_eager = _master_ha(eager.master, spec, x)
         with LocalCluster(net, compiled=True) as compiled:
-            out_compiled = compiled.master.run_ha(spec, x)
+            out_compiled = _master_ha(compiled.master, spec, x)
         np.testing.assert_array_equal(out_compiled, out_eager)
 
 
@@ -190,10 +201,10 @@ class TestDeltaHaloExchange:
         spec = net.width_spec.find("lower100")
         x = _batch()
         with _InProcMaster(net, compiled=False) as eager:
-            eager.run_ha(spec, x)
+            _master_ha(eager, spec, x)
             eager_bytes = list(eager.engine.last_exchange_bytes)
         with _InProcMaster(net, compiled=True) as compiled:
-            compiled.run_ha(spec, x)
+            _master_ha(compiled, spec, x)
             compiled_bytes = list(compiled.engine.last_exchange_bytes)
         assert len(compiled_bytes) == len(eager_bytes)
         # Round 0 ships the input either way; every later round drops the
@@ -211,17 +222,17 @@ class TestDeltaHaloExchange:
         The sum is what ``benchmarks/e2e`` reports as
         ``engine.exchange_bytes_per_img``."""
         net = _net()
-        eager = _multidevice(net, compiled=False)
-        compiled = _multidevice(net, compiled=True)
+        eager = _local_engine(net, compiled=False)
+        compiled = _local_engine(net, compiled=True)
         try:
-            eager.run_ha(_batch(1))
-            compiled.run_ha(_batch(1))
-            assert list(eager.engine.last_exchange_bytes) == [18816, 28224, 9408, 6352]
-            assert list(compiled.engine.last_exchange_bytes) == [18816, 15680, 3136, 80]
-            assert sum(compiled.engine.last_exchange_bytes) == 37712
+            _run_ha(eager, _batch(1))
+            _run_ha(compiled, _batch(1))
+            assert list(eager.last_exchange_bytes) == [18816, 28224, 9408, 6352]
+            assert list(compiled.last_exchange_bytes) == [18816, 15680, 3136, 80]
+            assert sum(compiled.last_exchange_bytes) == 37712
         finally:
-            eager.engine.shutdown()
-            compiled.engine.shutdown()
+            eager.shutdown()
+            compiled.shutdown()
 
     def test_accounting_uses_wire_itemsize(self):
         """Exchange bytes follow the policy wire dtype, not hardcoded f32."""
@@ -230,12 +241,12 @@ class TestDeltaHaloExchange:
 
         def total(wire: str) -> int:
             with dtype_policy(wire=wire):
-                rt = _multidevice(net, compiled=True)
+                engine = _local_engine(net, compiled=True)
                 try:
-                    rt.run_ha(x)
-                    return sum(rt.engine.last_exchange_bytes)
+                    _run_ha(engine, x)
+                    return sum(engine.last_exchange_bytes)
                 finally:
-                    rt.engine.shutdown()
+                    engine.shutdown()
 
         assert total("float64") == 2 * total("float32")
 
@@ -245,25 +256,25 @@ class TestZeroSteadyStateAllocation:
 
     def test_plans_and_arenas_are_reused(self):
         net = _net()
-        rt = _multidevice(net, compiled=True)
+        engine = _local_engine(net, compiled=True)
         try:
             x = _batch()
             for _ in range(2):
-                rt.run_ha(x)
-            endpoints = list(rt.engine.endpoints.values())
+                _run_ha(engine, x)
+            endpoints = list(engine.endpoints.values())
             plans = [ep._plan for ep in endpoints]
             compiled_counts = [len(ep._compiler) for ep in endpoints]
             created = [plan.workspaces.created for plan in plans]
             checkouts = [plan.workspaces.checkouts for plan in plans]
             for _ in range(10):
-                rt.run_ha(x)
+                _run_ha(engine, x)
             for ep, n in zip(endpoints, compiled_counts):
                 assert len(ep._compiler) == n  # no recompilation
             for plan, c, k in zip(plans, created, checkouts):
                 assert plan.workspaces.created == c  # no new arenas
                 assert plan.workspaces.checkouts == k + 10
         finally:
-            rt.engine.shutdown()
+            engine.shutdown()
 
 
 class TestCompiledStreams:
@@ -363,18 +374,33 @@ class TestOverlappedDispatch:
             engine.shutdown()
 
 
+class TestSpecNames:
+    """A plan names its sub-networks; the engine resolves each name from its
+    width family, else from its own partition."""
+
+    def test_family_and_partition_names_resolve_and_others_do_not(self):
+        net = _net()
+        engine = _local_engine(net, compiled=False)
+        try:
+            for spec in net.width_spec.all_specs():
+                assert engine.resolve_spec(spec.name) == net.width_spec.find(spec.name)
+            for i in range(2):
+                assert engine.resolve_spec(f"block{i}") == engine.partition.block_spec(i, 3)
+            assert engine.resolve_spec("combined") == engine.partition.combined_spec(3)
+            with pytest.raises(KeyError, match="no sub-network named 'lower60'"):
+                engine.execute(ha_plan("lower60"), _batch(1))
+        finally:
+            engine.shutdown()
+
+
 class TestGraphGuards:
     """Regression tests for the malformed-graph error paths."""
 
-    def _engine(self, net: SlimmableConvNet) -> ExecutionEngine:
-        rt = _multidevice(net, compiled=False)
-        return rt.engine
-
     def test_partitioned_graph_without_fc_round(self):
         net = _net()
-        rt = _multidevice(net, compiled=False)
+        engine = _local_engine(net, compiled=False)
         try:
-            graph = rt.engine.compile(rt.plan())
+            graph = engine.compile(ha_over_all_blocks(engine))
             stripped = ExecutionGraph(
                 mode=graph.mode,
                 subnet=graph.subnet,
@@ -383,16 +409,16 @@ class TestGraphGuards:
                 ),
             )
             with pytest.raises(ValueError, match="PartitionFcOp"):
-                rt.engine._execute_partitioned(stripped, _batch(2))
+                engine._execute_partitioned(stripped, _batch(2))
         finally:
-            rt.engine.shutdown()
+            engine.shutdown()
 
     def test_stream_graph_without_streams(self):
         net = _net()
-        rt = _multidevice(net, compiled=False)
+        engine = _local_engine(net, compiled=False)
         try:
             empty = ExecutionGraph(mode=ExecutionMode.HIGH_THROUGHPUT, subnet=None)
             with pytest.raises(ValueError, match="no stream ops"):
-                rt.engine._execute_streams(empty, _batch(2), None)
+                engine._execute_streams(empty, _batch(2), None)
         finally:
-            rt.engine.shutdown()
+            engine.shutdown()

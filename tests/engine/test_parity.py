@@ -22,7 +22,7 @@ from repro.comm import CommLatencyModel, InProcChannel, Message, MessageKind
 from repro.comm.transport import TransportError
 from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
 from repro.device.cost import block_partitioned_costs
-from repro.distributed import MasterRuntime, WorkerServer
+from repro.distributed import MASTER, WORKER, MasterRuntime, WorkerServer
 from repro.distributed.modes import Scenario
 from repro.distributed.partitioned import (
     conv_block_half,
@@ -30,6 +30,7 @@ from repro.distributed.partitioned import (
     feature_slice_for_block,
     flatten_channel_block,
 )
+from repro.distributed.plan import ha_plan, ht_plan, solo_plan
 from repro.slimmable import SlimmableConvNet, paper_width_spec
 from repro.slimmable.spec import ChannelSlice, SubNetSpec
 from repro.utils import make_rng
@@ -171,13 +172,13 @@ def _make_pair():
 
 @pytest.fixture
 def parity_pair():
-    """(engine runtime, legacy reference) over identically-seeded worlds."""
+    """(engine, legacy reference) over identically-seeded worlds."""
     e_master, e_worker, e_chan, e_thread = _make_pair()
     l_master, l_worker, l_chan, l_thread = _make_pair()
-    engine = MasterRuntime(e_master, e_chan, partition_split=SPLIT)
+    engine = MasterRuntime(e_master, e_chan, partition_split=SPLIT).engine
     legacy = LegacyMasterReference(l_master, l_chan, partition_split=SPLIT)
     yield engine, legacy, (e_master, e_worker), (l_master, l_worker)
-    engine.shutdown_worker()
+    engine.shutdown()
     legacy.shutdown()
     e_thread.join(timeout=5.0)
     l_thread.join(timeout=5.0)
@@ -201,7 +202,7 @@ class TestFig2ScenarioParity:
         assert Scenario.ONLY_MASTER.alive == frozenset({"master"})
         spec = e_master.net.width_spec.find("lower50")
         x = _batch()
-        out_engine = engine.run_local(spec, x)
+        out_engine = engine.execute(solo_plan(MASTER, spec.name), x).logits
         out_legacy = legacy.run_local(spec, x)
         np.testing.assert_array_equal(out_engine, out_legacy)
         _assert_ledgers_match(engine, legacy)
@@ -213,7 +214,7 @@ class TestFig2ScenarioParity:
         assert Scenario.ONLY_WORKER.alive == frozenset({"worker"})
         spec = e_worker.net.width_spec.find("upper50")
         x = _batch()
-        out_engine = engine.run_remote(spec, x)
+        out_engine = engine.execute(solo_plan(WORKER, spec.name), x).logits
         out_legacy = legacy.run_remote(spec, x)
         np.testing.assert_array_equal(out_engine, out_legacy)
         _assert_ledgers_match(engine, legacy)
@@ -225,7 +226,7 @@ class TestFig2ScenarioParity:
         assert Scenario.BOTH.alive == frozenset({"master", "worker"})
         spec = e_master.net.width_spec.find("lower100")
         x = _batch()
-        out_engine = engine.run_ha(spec, x)
+        out_engine = engine.execute(ha_plan(spec.name), x).logits
         out_legacy = legacy.run_ha(spec, x)
         np.testing.assert_array_equal(out_engine, out_legacy)
         _assert_ledgers_match(engine, legacy)
@@ -239,7 +240,10 @@ class TestFig2ScenarioParity:
         spec_w = e_master.net.width_spec.find("upper50")
         x_m = _batch()
         x_w = make_rng(43).standard_normal((6, 1, 28, 28))
-        em, ew = engine.run_ht(spec_m, spec_w, x_m, x_w)
+        streams = engine.execute(
+            ht_plan(spec_m.name, spec_w.name), streams={MASTER: x_m, WORKER: x_w}
+        ).streams
+        em, ew = streams[MASTER], streams[WORKER]
         lm, lw = legacy.run_ht(spec_m, spec_w, x_m, x_w)
         np.testing.assert_array_equal(em, lm)
         np.testing.assert_array_equal(ew, lw)

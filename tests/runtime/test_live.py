@@ -21,6 +21,12 @@ from repro.utils import make_rng
 
 def make_live(family: str, target: str, crash_after=None):
     """A live system over an in-proc channel, worker optionally scripted to die."""
+    live, thread, _ = make_live_server(family, target, crash_after)
+    return live, thread
+
+
+def make_live_server(family: str, target: str, crash_after=None, *, compiled=False):
+    """``make_live``, plus the ``WorkerServer`` the master talks to."""
     model = build_model(family, rng=make_rng(0))
     net = model.net
     chan = InProcChannel()
@@ -33,12 +39,13 @@ def make_live(family: str, target: str, crash_after=None):
         EmulatedDevice(jetson_nx_master(), net),
         chan.a,
         partition_split=net.width_spec.split,
+        compiled=compiled,
     )
     tm = SystemThroughputModel(
         net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
     )
     policy = AdaptationPolicy(model, tm, target=target)
-    return LiveSystem(master, policy), thread
+    return LiveSystem(master, policy), thread, server
 
 
 @pytest.fixture
@@ -52,7 +59,7 @@ class TestHealthyStream:
         log = live.serve_stream(batches)
         assert log.served_count() == len(batches)
         assert all(m is ExecutionMode.HIGH_THROUGHPUT for m in log.modes())
-        live.master.shutdown_worker()
+        live.master.engine.shutdown()
         thread.join(timeout=5.0)
 
     def test_fluid_ha_serves_everything(self, batches):
@@ -60,7 +67,7 @@ class TestHealthyStream:
         log = live.serve_stream(batches)
         assert log.served_count() == len(batches)
         assert all(m is ExecutionMode.HIGH_ACCURACY for m in log.modes())
-        live.master.shutdown_worker()
+        live.master.engine.shutdown()
         thread.join(timeout=5.0)
 
 
@@ -85,7 +92,7 @@ class TestHtFewerRowsThanDevices:
                 expected.append(view(part))
         assert served.logits.shape == (rows, 10)
         np.testing.assert_allclose(served.logits, np.concatenate(expected), atol=1e-5)
-        live.master.shutdown_worker()
+        live.master.engine.shutdown()
         thread.join(timeout=5.0)
 
 
@@ -136,3 +143,52 @@ class TestHeartbeatPath:
         assert log.served_count() == 2
         thread.join(timeout=5.0)
 
+
+
+class TestWorkerErrorIsNotDeath:
+    """A live worker that answers ERROR has failed one batch, not died: the
+    batch raises the worker's own exception, and the plan stays."""
+
+    @pytest.mark.parametrize(
+        "target,method",
+        [("throughput", "run_subnet"), ("accuracy", "partition_round")],
+        ids=["ht", "compiled-ha"],
+    )
+    def test_the_batch_raises_and_the_next_is_served_in_the_same_mode(
+        self, batches, target, method
+    ):
+        live, thread, server = make_live_server("fluid", target, compiled=True)
+        mode = live.plan.mode
+        serve = getattr(server.endpoint, method)
+        raised = []
+
+        def raise_once(*args, **kwargs):
+            if not raised:
+                raised.append(method)
+                raise ValueError("worker-side bug")
+            return serve(*args, **kwargs)
+
+        setattr(server.endpoint, method, raise_once)
+        try:
+            with pytest.raises(ValueError, match="worker-side bug"):
+                live.serve_batch(0, batches[0])
+            assert raised == [method]
+            assert live.plan.mode is mode
+            assert live.heartbeat()
+            served = live.serve_batch(1, batches[1])
+        finally:
+            live.master.engine.shutdown()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert served.mode is mode
+        assert not served.failed_over
+
+        # Bitwise what a system whose worker never failed answers.
+        healthy, healthy_thread, _ = make_live_server("fluid", target, compiled=True)
+        try:
+            expected = healthy.serve_batch(1, batches[1])
+        finally:
+            healthy.master.engine.shutdown()
+            healthy_thread.join(timeout=5.0)
+        assert not healthy_thread.is_alive()
+        np.testing.assert_array_equal(served.logits, expected.logits)

@@ -128,9 +128,7 @@ class TestProcessReplica:
     )
     def test_error_reply_names_the_exception_it_raises(self, name, detail, kind, text):
         reason = f"{name}: {detail}" if name else "unsupported message kind 'X'"
-        error = procpool._worker_error(
-            EndpointError(f"process-0 error: {reason}", name, detail)
-        )
+        error = EndpointError(f"process-0 error: {reason}", name, detail).peer_exception()
         assert type(error) is kind
         assert text in error.args[0]
 

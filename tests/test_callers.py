@@ -38,8 +38,8 @@ CALLER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "examples")
 
 #: (qualified names, reason) — each reason is one of: oracle (a test of other
 #: code checks against it), harness (a test of other code drives or reads
-#: through it), reader (reads a committed artifact), item 6 / item 7 (a
-#: ROADMAP item that names it).
+#: through it), reader (reads a committed artifact), item 6 (a ROADMAP item
+#: that names it).
 EXEMPT: Tuple[Tuple[Tuple[str, ...], str], ...] = (
     (("repro.distributed.partitioned.partitioned_forward_reference",),
      "oracle: the engine's HA path and the cost model's exchange bytes are checked against it"),
@@ -77,8 +77,6 @@ EXEMPT: Tuple[Tuple[Tuple[str, ...], str], ...] = (
       "repro.training.history.History.best_val_accuracy",
       "repro.training.history.History.to_dicts"),
      "item 6: the paper record's per-stage training series reads them"),
-    (("repro.distributed.multidevice.MultiDeviceRuntime.serve",),
-     "item 7: the distributed facades go together, after item 11"),
 )
 
 
@@ -174,7 +172,7 @@ def test_exemptions_are_live_and_still_needed():
     defined = {qual for qual, _ in public_definitions()}
     orphans = callerless()
     for names, reason in EXEMPT:
-        assert reason.split(":")[0] in {"oracle", "harness", "reader", "item 6", "item 7"}, reason
+        assert reason.split(":")[0] in {"oracle", "harness", "reader", "item 6"}, reason
         for name in names:
             assert name in defined, f"exempted {name} is not defined"
             assert name in orphans, f"exempted {name} has a caller now; drop its exemption"

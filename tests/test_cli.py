@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -32,6 +34,18 @@ class TestParser:
         monkeypatch.setattr(cluster.LocalCluster, "__init__", no_spawn)
         with pytest.raises(SystemExit, match="--split 4 conflicts with --tcp"):
             main(["dist", "--tcp", "--split", "4", "--batches", "1"])
+
+    def test_dist_tears_its_engines_down(self, capsys):
+        """Each ``repro dist`` variant ends with ``engine.shutdown()``: no
+        dispatch lane outlives the command."""
+
+        def lanes():
+            return {t for t in threading.enumerate() if t.name.startswith("engine-dispatch-")}
+
+        before = lanes()
+        assert main(["dist", "--mode", "ha", "--batch", "2", "--batches", "1"]) == 0
+        assert "bitwise parity: True" in capsys.readouterr().out
+        assert not lanes() - before
 
     def test_bad_failure_spec_rejected(self, capsys):
         with pytest.raises(SystemExit):
