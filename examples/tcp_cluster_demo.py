@@ -3,15 +3,27 @@
 Stands up a Worker device as a separate OS process (the paper's second
 Jetson board), runs both inference modes over real sockets, then kills the
 worker process mid-session and shows the Fluid failover: the Master detects
-the death and keeps serving on its own certified sub-network.
+the death and keeps serving on its own certified sub-network.  Each mode
+also prints its analytic throughput on the emulated Jetson pair, the number
+Fig. 2 and the adaptation policy use.
 
 Run:  python examples/tcp_cluster_demo.py   (about a minute)
 """
 
 import numpy as np
 
+from repro.comm import CommLatencyModel
 from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.distributed import MASTER, WORKER, LocalCluster, ha_plan, ht_plan, solo_plan
+from repro.device import jetson_nx_master, jetson_nx_worker
+from repro.distributed import (
+    MASTER,
+    WORKER,
+    LocalCluster,
+    SystemThroughputModel,
+    ha_plan,
+    ht_plan,
+    solo_plan,
+)
 from repro.engine.endpoints import EndpointUnavailable
 from repro.training import RecipeConfig, TrainConfig, train_fluid
 from repro.utils import make_rng
@@ -27,6 +39,14 @@ def main() -> None:
     config = RecipeConfig(stage=TrainConfig(epochs=1, lr=0.05), niters=2)
     model, _ = train_fluid(train_set, rng=make_rng(3), config=config)
     ws = model.width_spec
+    # The profiles LocalCluster's master and worker processes run.
+    throughput = SystemThroughputModel(
+        model.net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
+    )
+
+    def show_throughput(plan) -> None:
+        ips = throughput.evaluate_plan(plan).throughput_ips
+        print(f"  analytic {plan.mode.value} throughput: {ips:.1f} img/s")
 
     print("Spawning the worker device as a separate OS process (TCP on localhost)...")
     with LocalCluster(model.net) as cluster:
@@ -37,21 +57,19 @@ def main() -> None:
         x, y = test_set[np.arange(128)]
 
         print("\n[HA mode] joint 100% model, per-layer activation exchange over TCP:")
-        logits = engine.execute(ha_plan(ws.full().name), x).logits
+        plan = ha_plan(ws.full().name)
+        logits = engine.execute(plan, x).logits
         print(f"  accuracy on 128 images: {accuracy(logits, y):.3f}")
+        show_throughput(plan)
 
         print("[HT mode] independent halves on parallel streams:")
         half = len(x) // 2
-        streams = engine.execute(
-            ht_plan("lower50", "upper50"), streams={MASTER: x[:half], WORKER: x[half:]}
-        ).streams
+        plan = ht_plan("lower50", "upper50")
+        streams = engine.execute(plan, streams={MASTER: x[:half], WORKER: x[half:]}).streams
         logits_m, logits_w = streams[MASTER], streams[WORKER]
         mixed = (accuracy(logits_m, y[:half]) + accuracy(logits_w, y[half:])) / 2
         print(f"  mixed-stream accuracy: {mixed:.3f}")
-        print(
-            f"  emulated throughput so far: {engine.ledger.throughput_ips():.1f} img/s "
-            f"(compute {engine.ledger.compute_s:.2f}s + comm {engine.ledger.comm_s:.2f}s)"
-        )
+        show_throughput(plan)
 
         print("\n*** Killing the worker process (simulated power outage) ***")
         cluster.kill_worker()
@@ -62,8 +80,10 @@ def main() -> None:
         print(f"  heartbeat: {master.ping_worker()}")
 
         print("[failover] master continues standalone on its certified lower 50% model:")
-        logits = engine.execute(solo_plan(MASTER, "lower50"), x).logits
+        plan = solo_plan(MASTER, "lower50")
+        logits = engine.execute(plan, x).logits
         print(f"  accuracy on 128 images: {accuracy(logits, y):.3f}")
+        show_throughput(plan)
         print("\nA Static DNN in the same situation reports zero throughput —")
         print("its resident half-weights are not certified to run alone.")
 

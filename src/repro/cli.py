@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist = sub.add_parser(
         "dist",
         help="drive the distributed engine (solo/HT/HA) eager vs compiled and "
-        "report wall-clock, ledger, and per-round exchange bytes",
+        "report wall-clock and per-round exchange bytes",
     )
     dist.add_argument("--mode", choices=("ha", "ht", "solo"), default="ha")
     dist.add_argument("--subnet", default=None, help="combined sub-network for HA (default lower100)")
@@ -556,8 +556,7 @@ def cmd_dist(args) -> int:
         images = args.batch * args.batches
         print(
             f"{label:9s} {args.mode.upper()} {spec_name}: "
-            f"{images / r['wall_s']:8.1f} img/s wall  "
-            f"(emulated compute {r['compute_s']:.4f}s, comm {r['comm_s']:.4f}s)"
+            f"{images / r['wall_s']:8.1f} img/s wall"
         )
         if r["exchange_bytes"]:
             total = sum(r["exchange_bytes"])
@@ -585,7 +584,6 @@ def _dist_run(engine, args, spec, x):
         return engine.execute(solo_plan(MASTER, spec.name), x).logits
 
     once()  # warmup: compile plans, warm packed caches
-    engine.ledger.reset()
     started = time.perf_counter()
     logits = None
     for _ in range(args.batches):
@@ -596,8 +594,6 @@ def _dist_run(engine, args, spec, x):
         overlap = engine.metrics.ewma("stream.overlap").value
     return {
         "wall_s": wall,
-        "compute_s": engine.ledger.compute_s,
-        "comm_s": engine.ledger.comm_s,
         "exchange_bytes": list(engine.last_exchange_bytes),
         "overlap": overlap,
         "logits": logits,

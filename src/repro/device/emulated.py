@@ -1,10 +1,14 @@
 """A live emulated edge device.
 
-Wraps a model residency (which weight rows the device holds), a
-:class:`~repro.device.profiles.DeviceProfile` for latency accounting, and
-failure triggers.  The distributed runtime talks to devices only through
-:meth:`execute` — from the outside an :class:`EmulatedDevice` behaves like
-a board that computes, takes time, and sometimes dies.
+Wraps a model residency (which weight rows the device holds), the
+:class:`~repro.device.profiles.DeviceProfile` of the board it stands for
+(which names it), and failure triggers.  The distributed runtime talks to
+devices only through :meth:`~EmulatedDevice.execute_subnet` and the
+partitioned rounds of its endpoint — from the outside an
+:class:`EmulatedDevice` behaves like a board that computes and sometimes
+dies.  It keeps no emulated time: the analytic
+:class:`~repro.distributed.throughput.SystemThroughputModel` prices a
+deployment on these profiles.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.device.cost import subnet_flops, subnet_num_layers
 from repro.device.profiles import DeviceProfile
 from repro.nn.context import ForwardContext
 from repro.slimmable.slim_net import SlimmableConvNet
@@ -57,8 +60,6 @@ class EmulatedDevice:
         self.net = net
         self.crash_counter = crash_counter
         self.alive = True
-        self.busy_time_s = 0.0
-        self.requests_served = 0
 
     @property
     def name(self) -> str:
@@ -78,7 +79,7 @@ class EmulatedDevice:
             raise DeviceFailed(f"device {self.name!r} crashed mid-stream")
 
     def execute_subnet(self, spec: SubNetSpec, x: np.ndarray, plan=None) -> np.ndarray:
-        """Run a standalone sub-network on a batch; accounts emulated time.
+        """Run a standalone sub-network on a batch.
 
         ``plan`` is a compiled :class:`~repro.nn.plan.InferencePlan` of
         ``spec`` over this device's net; a batch it accepts runs through it
@@ -86,25 +87,13 @@ class EmulatedDevice:
         """
         self._check_alive()
         if plan is not None and plan.accepts(x):
-            logits = plan.run(x)
-        else:
-            view = self.net.view(spec)
-            view.train(False)
-            # Stateless inference: slice bindings and (skipped) activation
-            # tape live on the per-call context, not on the shared net.
-            logits = view.forward(x, ForwardContext(recording=False))
-        flops = subnet_flops(self.net, spec) * x.shape[0]
-        layers = subnet_num_layers(self.net) * x.shape[0]
-        self.busy_time_s += self.profile.compute_time(flops, layers)
-        self.requests_served += 1
-        return logits
-
-    def estimated_latency(self, spec: SubNetSpec) -> float:
-        """Per-image latency of a standalone sub-network on this device."""
-        return self.profile.compute_time(
-            subnet_flops(self.net, spec), subnet_num_layers(self.net)
-        )
+            return plan.run(x)
+        view = self.net.view(spec)
+        view.train(False)
+        # Stateless inference: slice bindings and (skipped) activation
+        # tape live on the per-call context, not on the shared net.
+        return view.forward(x, ForwardContext(recording=False))
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "DOWN"
-        return f"EmulatedDevice({self.name}, {state}, served={self.requests_served})"
+        return f"EmulatedDevice({self.name}, {state})"

@@ -21,7 +21,6 @@ from repro.distributed.plan import (
     solo_plan,
     streams_plan,
 )
-from repro.engine.ledger import EmulatedTimeLedger
 from repro.distributed.throughput import SystemThroughputModel, ThroughputBreakdown
 from repro.distributed.worker import WorkerServer
 
@@ -52,7 +51,6 @@ __all__ = [
     "ThroughputBreakdown",
     "MasterRuntime",
     "WorkerServer",
-    "EmulatedTimeLedger",
     "LocalCluster",
     "WorkerProcess",
 ]

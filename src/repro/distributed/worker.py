@@ -11,9 +11,9 @@ reliability argument is which *certified* slices it may run, not artificial
 weight withholding).  Each handler decodes a request, calls the
 :class:`~repro.engine.endpoints.LocalEndpoint` method the master would have
 called had the device been in its own process, and encodes the reply.  The
-kernels, the compiled plans, the liveness tick, the busy clock and
-``requests_served`` all live in that endpoint; the server keeps only what
-the eager wire protocol itself needs (its previous half).
+kernels, the compiled plans and the liveness tick all live in that
+endpoint; the server keeps only what the eager wire protocol itself needs
+(its previous half).
 
 Failure injection: a :class:`~repro.device.emulated.CrashCounter` makes the
 worker die after N requests — it stops responding and closes its transport,
@@ -169,7 +169,7 @@ class WorkerServer(WorkerLoop):
     def _run_subnet(self, message: Message) -> Message:
         spec = self.device.net.width_spec.find(message.fields["spec"])
         reply = self.endpoint.run_subnet(spec, message.arrays["x"])
-        return self._encode(reply, spec=spec.name, compute_s=reply.compute_s)
+        return self._encode(reply, spec=spec.name)
 
     def _round(self, message: Message) -> Message:
         """One HA round, eager (PARTIAL_FORWARD) or compiled (PARTITION_ROUND)."""

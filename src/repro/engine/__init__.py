@@ -27,7 +27,7 @@ from repro.engine.endpoints import (
     LocalEndpoint,
     TransportEndpoint,
 )
-from repro.engine.dist_plan import DevicePartitionPlan, PartitionPlanCompiler
+from repro.engine.dist_plan import DevicePartitionPlan
 from repro.engine.engine import EngineResult, ExecutionEngine
 from repro.engine.session import InferenceSession
 from repro.engine.graph import (
@@ -38,7 +38,6 @@ from repro.engine.graph import (
     StreamOp,
     compile_plan,
 )
-from repro.engine.ledger import EmulatedTimeLedger
 
 __all__ = [
     "ExecutionEngine",
@@ -55,7 +54,5 @@ __all__ = [
     "PartitionLayerOp",
     "PartitionFcOp",
     "compile_plan",
-    "EmulatedTimeLedger",
     "DevicePartitionPlan",
-    "PartitionPlanCompiler",
 ]

@@ -5,7 +5,8 @@ The eager HA round loop re-derives everything per round on every device:
 GEMM / activation temporaries, slices and casts its weight block — and the
 engine re-broadcasts the *full* reassembled activation each round.  A
 :class:`DevicePartitionPlan` compiles all of that once per
-``(spec, partition, device index, batch rows, dtype)``:
+``(spec, partition, device index, dtype)``, for batches of up to
+``batch_rows`` rows:
 
 * **packed weights** for exactly this device's channel block of every conv
   (and its feature columns of the classifier), via the shared
@@ -35,12 +36,14 @@ and the last conv round ships nothing at all — the classifier reads only
 the device's own feature block.
 
 One plan is private to one device loop (its run state is a checked-out
-workspace), but many plans share one :class:`PackedWeightCache`.
+workspace), but many plans share one :class:`PackedWeightCache`.  Its
+arena is sized for ``batch_rows``; a run of fewer rows uses the leading
+rows of every buffer, so one plan serves every batch up to that size.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,41 +214,3 @@ class DevicePartitionPlan:
             f"DevicePartitionPlan({self.spec.name}, blocks={self.boundaries}, "
             f"index={self.index}, rows={self.batch_rows}, dtype={self.dtype.name})"
         )
-
-
-class PartitionPlanCompiler:
-    """Compiles and memoises :class:`DevicePartitionPlan`\\ s for one net.
-
-    One compiler lives behind each endpoint that serves partitioned rounds;
-    plans are keyed by ``(spec, boundaries, index, rows, dtype)`` so a
-    steady benchmark loop compiles exactly once.  All plans share one
-    :class:`PackedWeightCache` (pass one in to share further, e.g. with the
-    single-device plans over the same weight store).
-    """
-
-    def __init__(self, net, cache: Optional[PackedWeightCache] = None) -> None:
-        self.net = net
-        self.cache = cache if cache is not None else PackedWeightCache()
-        self._plans: Dict[tuple, DevicePartitionPlan] = {}
-
-    def plan_for(
-        self,
-        spec: SubNetSpec,
-        boundaries: Sequence[int],
-        index: int,
-        rows: int,
-    ) -> DevicePartitionPlan:
-        """The cached plan for this block, in the policy's inference dtype."""
-        dtype = compute_dtype(training=False)
-        key = (spec.name, tuple(boundaries), index, rows, dtype.str)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = DevicePartitionPlan.compile(
-                self.net, spec, boundaries, index,
-                batch_rows=rows, dtype=dtype, cache=self.cache,
-            )
-            self._plans[key] = plan
-        return plan
-
-    def __len__(self) -> int:
-        return len(self._plans)

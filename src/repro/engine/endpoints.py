@@ -23,12 +23,13 @@ endpoint ever caches activations on the shared net, and no call mutates it,
 so any number of :class:`~repro.engine.session.InferenceSession`\\ s may
 share the endpoints' weight store.
 
-Emulated-time accounting mirrors the historical master runtime exactly:
-local endpoints report their per-layer compute seconds (and charge the
-device's busy clock); transport endpoints report the wire payload of each
-request/reply pair so the engine can charge the communication model.  The
-worker behind a transport serves through a :class:`LocalEndpoint` of its
-own, so a device's clock reads the same on either side of the wire.
+Endpoints keep no emulated time: the analytic
+:class:`~repro.distributed.throughput.SystemThroughputModel` is the one
+source of emulated throughput.  A reply carries its arrays, and a
+transport endpoint's reply also the wire payload of its request/reply
+pair.  The worker behind a transport serves through a
+:class:`LocalEndpoint` of its own, so a device computes the same on
+either side of the wire.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 from repro.comm.message import Message, MessageKind
 from repro.comm.transport import Transport, TransportError
 from repro.comm.wire import cast_for_wire
-from repro.device.cost import LayerCost, block_partitioned_costs
 from repro.device.emulated import DeviceFailed, EmulatedDevice
 from repro.distributed.partitioned import (
     conv_block_half,
@@ -84,11 +84,11 @@ class EndpointError(EndpointUnavailable):
 
 @dataclass
 class EndpointReply:
-    """One endpoint response plus its accounting facts."""
+    """One endpoint response plus its wire facts."""
 
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     fields: Dict[str, Any] = field(default_factory=dict)
-    compute_s: float = 0.0   # emulated seconds to charge the engine ledger
+    compute_s: float = 0.0   # a process worker's measured forward seconds (0 elsewhere)
     payload_bytes: int = 0   # max(sent, received) wire bytes (0 for local)
 
 
@@ -195,20 +195,23 @@ class LocalEndpoint(Endpoint):
     failure signal, :class:`EndpointUnavailable`.
 
     Standalone sub-networks (solo and High-Throughput streams) run through
-    one compiled :class:`~repro.nn.plan.InferencePlan` per spec, whose
-    arena grows to the largest batch seen; partitioned rounds through the
-    compiler's per-device plans.  Both pack from one
-    :class:`~repro.nn.plan.PackedWeightCache` per endpoint.
+    one compiled :class:`~repro.nn.plan.InferencePlan` per spec, and
+    compiled partitioned rounds through one
+    :class:`~repro.engine.dist_plan.DevicePartitionPlan` per (spec,
+    boundaries, device index).  A plan's arena grows to the largest batch
+    seen: it is recompiled only when a batch outgrows it (or, for a
+    partition plan, when the inference dtype changes).  All of them pack
+    from one :class:`~repro.nn.plan.PackedWeightCache` per endpoint.
     """
 
     def __init__(self, name: str, device: EmulatedDevice) -> None:
         self.name = name
         self.device = device
-        self._partition_costs: Optional[Tuple[str, list]] = None
-        self._partition_cost_cache: Dict[tuple, list] = {}
+        self._partition_spec: Optional[SubNetSpec] = None  # of the open program
         self._cache = PackedWeightCache()
         self._subnet_plans: Dict[SubNetSpec, InferencePlan] = {}
-        self._compiler: Optional[Any] = None  # PartitionPlanCompiler, lazy
+        # (spec name, boundaries, index) -> DevicePartitionPlan
+        self._partition_plans: Dict[tuple, Any] = {}
         self._plan: Optional[Any] = None      # DevicePartitionPlan of the open run
         self._run: Optional[Any] = None       # its checked-out _PartitionRun
 
@@ -242,59 +245,31 @@ class LocalEndpoint(Endpoint):
             logits = self.device.execute_subnet(spec, x, plan)  # ticks liveness itself
         except DeviceFailed as exc:
             raise EndpointUnavailable(str(exc)) from exc
-        compute_s = self.device.estimated_latency(spec) * x.shape[0]
-        return EndpointReply(arrays={"logits": logits}, compute_s=compute_s)
+        return EndpointReply(arrays={"logits": logits})
 
     # -- partitioned program ---------------------------------------------------
 
     def begin_partition(
         self, spec: SubNetSpec, boundaries: Sequence[int], index: int
     ) -> None:
-        # Keyed by the spec's value (a frozen dataclass), so a spec looked
-        # up again under the same name hits.
-        key = (spec, tuple(boundaries), index)
-        costs = self._partition_cost_cache.get(key)
-        if costs is None:
-            per_device, _ = block_partitioned_costs(
-                self.device.net, spec, tuple(boundaries)
-            )
-            costs = self._partition_cost_cache[key] = per_device[index]
-        self._partition_costs = (spec.name, costs)
+        self._partition_spec = spec
 
     def abandon_partition(self) -> None:
         """Drop the open partitioned program (a peer or a request failed mid-batch)."""
         if self._run is not None:
             self._plan.finish(self._run)
             self._run = None
-        self._partition_costs = None
+        self._partition_spec = None
 
-    def _open_round(self, spec: SubNetSpec, layer: int) -> LayerCost:
-        """Liveness tick, then this device's cost entry for round ``layer``."""
+    def _open_round(self, spec: SubNetSpec, layer: int) -> None:
+        """Liveness tick, then check ``layer`` is a round of the open program
+        (its conv rounds, then the classifier round)."""
         self._tick()
-        if self._partition_costs is None or self._partition_costs[0] != spec.name:
+        open_spec = self._partition_spec
+        if open_spec is None or open_spec.name != spec.name:
             raise RuntimeError("partition round before begin_partition")
-        costs = self._partition_costs[1]
-        if not 0 <= layer < len(costs):
+        if not 0 <= layer <= len(open_spec.conv_slices):
             raise IndexError(f"{spec.name} has no round {layer}")
-        return costs[layer]
-
-    def _close_round(
-        self, arrays: Dict[str, np.ndarray], cost: LayerCost, rows: int
-    ) -> EndpointReply:
-        """Charge a finished round to the device; reply with the ledger's seconds.
-
-        The historical master runtime's formulas (``tests/engine/test_parity.py``):
-        conv rounds charge the busy clock for the whole batch; the classifier
-        round does not, and counts the batch as one request served.
-        """
-        profile = self.device.profile
-        if cost.name == "fc":
-            self.device.requests_served += 1
-        else:
-            self.device.busy_time_s += profile.compute_time(cost.flops * rows, rows)
-        return EndpointReply(
-            arrays=arrays, compute_s=profile.compute_time(cost.flops, 1) * rows
-        )
 
     def partition_layer(
         self,
@@ -305,9 +280,9 @@ class LocalEndpoint(Endpoint):
         full: np.ndarray,
         prev_block: Optional[ChannelSlice],
     ) -> EndpointReply:
-        cost = self._open_round(spec, layer)
+        self._open_round(spec, layer)
         half = conv_block_half(self.device.net, layer, full, block, in_slice)
-        return self._close_round({"half": half}, cost, full.shape[0])
+        return EndpointReply(arrays={"half": half})
 
     def partition_fc(
         self,
@@ -316,7 +291,7 @@ class LocalEndpoint(Endpoint):
         features: np.ndarray,
         include_bias: bool,
     ) -> EndpointReply:
-        cost = self._open_round(spec, len(spec.conv_slices))
+        self._open_round(spec, len(spec.conv_slices))
         net = self.device.net
         logits = fc_partial(
             net,
@@ -324,21 +299,30 @@ class LocalEndpoint(Endpoint):
             feature_slice_for_block(net, block),
             include_bias=include_bias,
         )
-        return self._close_round({"partial_logits": logits}, cost, features.shape[0])
+        return EndpointReply(arrays={"partial_logits": logits})
 
     # -- compiled partitioned program ------------------------------------------
 
     def begin_partition_plan(
         self, spec: SubNetSpec, boundaries: Sequence[int], index: int, rows: int
     ) -> None:
-        from repro.engine.dist_plan import PartitionPlanCompiler
+        from repro.engine.dist_plan import DevicePartitionPlan
 
         self.abandon_partition()  # a batch left open by a peer crashing mid-round
         self.begin_partition(spec, boundaries, index)
-        if self._compiler is None or self._compiler.net is not self.device.net:
-            self._compiler = PartitionPlanCompiler(self.device.net, cache=self._cache)
-        self._plan = self._compiler.plan_for(spec, tuple(boundaries), index, rows)
-        self._run = self._plan.begin(rows)
+        boundaries = tuple(boundaries)
+        key = (spec.name, boundaries, index)
+        plan = self._partition_plans.get(key)
+        dtype = compute_dtype(training=False)
+        if plan is None or plan.batch_rows < rows or plan.dtype != dtype:
+            plan = DevicePartitionPlan.compile(
+                self.device.net, spec, boundaries, index,
+                batch_rows=max(rows, plan.batch_rows if plan else 1),
+                dtype=dtype, cache=self._cache,
+            )
+            self._partition_plans[key] = plan
+        self._plan = plan
+        self._run = plan.begin(rows)
 
     def _require_run(self):
         if self._run is None:
@@ -353,7 +337,7 @@ class LocalEndpoint(Endpoint):
         peers: Sequence[Tuple[ChannelSlice, np.ndarray]] = (),
         need_half: bool = True,
     ) -> EndpointReply:
-        cost = self._open_round(spec, layer)
+        self._open_round(spec, layer)
         plan, run = self._require_run()
         if layer == 0:
             if x is None:
@@ -364,17 +348,17 @@ class LocalEndpoint(Endpoint):
                 plan.absorb(run, layer, block, half)
         half = plan.run_layer(run, layer)
         arrays = {"half": half} if (need_half and half is not None) else {}
-        return self._close_round(arrays, cost, run.rows)
+        return EndpointReply(arrays=arrays)
 
     def partition_fc_round(self, spec: SubNetSpec, include_bias: bool) -> EndpointReply:
-        cost = self._open_round(spec, len(spec.conv_slices))
+        self._open_round(spec, len(spec.conv_slices))
         plan, run = self._require_run()
         logits = plan.run_fc(run, include_bias)
         # The logits view stays valid until the next begin_partition_plan
         # re-acquires the workspace; the engine consumes it within the round.
         plan.finish(run)
         self._run = None
-        return self._close_round({"partial_logits": logits}, cost, run.rows)
+        return EndpointReply(arrays={"partial_logits": logits})
 
 
 class TransportEndpoint(Endpoint):
@@ -434,7 +418,7 @@ class TransportEndpoint(Endpoint):
         return self.await_reply()
 
     def await_reply(self) -> EndpointReply:
-        """The reply to the request in flight, with its accounting facts.
+        """The reply to the request in flight, with its wire facts.
 
         Slow is not dead.  Without an ``alive_probe`` one ``request_timeout``
         bounds the wait.  With one, the wait goes on a timeout at a time,

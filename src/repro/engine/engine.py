@@ -9,10 +9,8 @@ or remote workers behind a transport.
 
 Dispatch is *overlapped*: every stream op and every partitioned round fans
 out to all endpoints concurrently (one thread per endpoint) and gathers the
-replies before accounting, so a slow remote worker no longer serialises the
-whole round behind it.  Ledger updates happen after the gather, in graph
-op order — emulated-time totals are bit-for-bit what the historical serial
-loop produced.
+replies in graph op order, so a slow remote worker no longer serialises the
+whole round behind it.
 
 Solo and High-Throughput streams always run each local endpoint's compiled
 :class:`~repro.nn.plan.InferencePlan` (bitwise the eager forward).  With
@@ -23,17 +21,13 @@ ships only the peers' halves (every device already holds its own half in
 its arena), and the final conv round ships nothing at all.  Results are
 bitwise identical to the eager path at every width and dtype policy.
 
-Emulated-time accounting reproduces the historical master runtime:
-
-* parallel streams charge the ledger ``max`` of their compute times (they
-  run concurrently) and every image served;
-* partitioned rounds charge the ``max`` of the local per-layer compute
-  plus the communication model's transfer time for every remote exchange.
-
-Wall-clock facts land in a :class:`~repro.scheduler.telemetry.MetricsRegistry`
-(``round.wall_s`` / ``round.compute_s`` histograms, ``round.comm_bytes``
-counter, ``round.overlap`` EWMA); :meth:`ExecutionEngine.report` returns
-the emulated and measured views side by side.
+The engine keeps no emulated time: emulated throughput has one source,
+the analytic :class:`~repro.distributed.throughput.SystemThroughputModel`.
+What the engine measures lands in a
+:class:`~repro.scheduler.telemetry.MetricsRegistry` (``round.count``
+counter, ``round.wall_s`` histogram, ``round.comm_bytes`` counter,
+``round.overlap`` EWMA, and the same under ``stream.``), which
+:meth:`ExecutionEngine.report` returns.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.latency_model import CommLatencyModel
 from repro.comm.wire import wire_dtype
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.plan import DeploymentPlan
@@ -57,7 +50,6 @@ from repro.engine.graph import (
     PartitionLayerOp,
     compile_plan,
 )
-from repro.engine.ledger import EmulatedTimeLedger
 from repro.slimmable.spec import ChannelSlice, SubNetSpec, WidthSpec
 from repro.utils.dtypes import dtype_policy, get_dtype_policy
 
@@ -128,8 +120,6 @@ class ExecutionEngine:
     ) -> None:
         self.endpoints: Dict[str, Endpoint] = dict(endpoints)
         self.partition = partition
-        self.comm_model = CommLatencyModel()
-        self.ledger = EmulatedTimeLedger()
         self.compiled = compiled
         # Every name a plan may use, resolved once: the width family's specs,
         # else the partition's own (``block{i}``, ``combined``).  Later
@@ -195,9 +185,8 @@ class ExecutionEngine:
     ) -> Tuple[List[EndpointReply], List[float], float]:
         """Run one round's endpoint calls concurrently; gather in call order.
 
-        Returns ``(replies, per_call_seconds, round_wall_seconds)``.  The
-        caller accounts the replies in graph op order afterwards, so the
-        emulated ledger is independent of completion order.  The calling
+        Returns ``(replies, per_call_seconds, round_wall_seconds)``, the
+        replies in call order whatever the completion order.  The calling
         thread's dtype policy is reinstalled in every dispatch thread
         (thread-scoped overrides would otherwise be invisible there).
         """
@@ -242,13 +231,12 @@ class ExecutionEngine:
         return replies, spans, wall
 
     def _observe_round(
-        self, kind: str, compute_s: float, comm_bytes: int, spans: List[float], wall: float
+        self, kind: str, comm_bytes: int, spans: List[float], wall: float
     ) -> None:
         m = self.metrics
         m.counter(f"{kind}.count").inc()
         if comm_bytes:
             m.counter(f"{kind}.comm_bytes").inc(int(comm_bytes))
-        m.histogram(f"{kind}.compute_s").observe(max(compute_s, 0.0))
         m.histogram(f"{kind}.wall_s").observe(wall)
         if spans and wall > 0:
             # 1/k when the k calls ran back-to-back, →1 under perfect overlap.
@@ -327,17 +315,8 @@ class ExecutionEngine:
         ]
         replies, spans, wall = self._dispatch(calls)
 
-        outputs: Dict[str, np.ndarray] = {}
-        elapsed: List[float] = []
-        for op, reply in zip(ops, replies):
-            outputs[op.device] = reply.arrays["logits"]
-            elapsed.append(reply.compute_s)
-            if reply.payload_bytes:
-                self.ledger.comm_s += self.comm_model.transfer_time(reply.payload_bytes)
-            self.ledger.images += inputs[op.device].shape[0]
-        # Streams run concurrently: elapsed emulated time is the slowest one.
-        self.ledger.compute_s += max(elapsed)
-        self._observe_round("stream", max(elapsed), 0, spans, wall)
+        outputs = {op.device: reply.arrays["logits"] for op, reply in zip(ops, replies)}
+        self._observe_round("stream", 0, spans, wall)
         parts = [outputs[op.device] for op in ops if outputs[op.device].size]
         logits = np.concatenate(parts, axis=0) if parts else None
         return EngineResult(mode=graph.mode, streams=outputs, logits=logits)
@@ -355,33 +334,25 @@ class ExecutionEngine:
         spec = self.resolve_spec(graph.subnet)
         self.last_exchange_bytes = []
         interpret = self._compiled_rounds if self.compiled else self._eager_rounds
-        logits = interpret(graph, spec, x)
-        self.ledger.images += x.shape[0]
-        return EngineResult(mode=graph.mode, logits=logits)
+        return EngineResult(mode=graph.mode, logits=interpret(graph, spec, x))
 
     def _partitioned_round(
         self, calls: Sequence[Callable[[], EndpointReply]], sent_values: int
     ) -> List[EndpointReply]:
         """Dispatch one lock-step round and account its gathered replies.
 
-        The one place a partitioned round touches the ledger,
-        ``last_exchange_bytes`` and the ``round.*`` metrics — the eager and
+        The one place a partitioned round touches ``last_exchange_bytes``
+        and the ``round.*`` metrics — the eager and
         the compiled interpreter differ only in which calls they hand in and
         how many activation values those calls ship (``sent_values``).  The
         values that came back are every array in the replies (halves, or
         partial logits); both directions are counted at the wire itemsize.
         """
         replies, spans, wall = self._dispatch(calls)
-        for reply in replies:
-            if reply.payload_bytes:
-                self.ledger.comm_s += self.comm_model.transfer_time(reply.payload_bytes)
-        # Devices compute concurrently: the round lasts as long as the slowest.
-        compute_s = max(reply.compute_s for reply in replies)
-        self.ledger.compute_s += compute_s
         returned = sum(a.size for reply in replies for a in reply.arrays.values())
         round_bytes = (sent_values + returned) * wire_dtype().itemsize
         self.last_exchange_bytes.append(round_bytes)
-        self._observe_round("round", compute_s, round_bytes, spans, wall)
+        self._observe_round("round", round_bytes, spans, wall)
         return replies
 
     def _eager_rounds(
@@ -471,22 +442,15 @@ class ExecutionEngine:
     # -- reporting -------------------------------------------------------------
 
     def report(self) -> Dict[str, object]:
-        """Emulated-time ledger and measured wall-clock telemetry, side by side.
+        """Measured wall-clock telemetry and the round/stream counters.
 
-        The emulated view is the device cost model's opinion of the run; the
-        wall view is what this process actually measured per dispatched
-        round.  ``overlap`` EWMAs read 1/k for serialised rounds over k
-        endpoints and approach 1.0 under perfect overlap.
+        The wall view is what this process measured per dispatched round.
+        ``overlap`` EWMAs read 1/k for serialised rounds over k endpoints
+        and approach 1.0 under perfect overlap.
         """
         snapshot = self.metrics.snapshot()
         return {
             "compiled": self.compiled,
-            "emulated": {
-                "compute_s": self.ledger.compute_s,
-                "comm_s": self.ledger.comm_s,
-                "total_s": self.ledger.total_s,
-                "images": self.ledger.images,
-            },
             "wall": {
                 "rounds_s": self._wall_rounds_s,
                 "histograms": snapshot["histograms"],

@@ -86,15 +86,6 @@ class AdmissionController:
         self.headroom = headroom
         self.metrics = metrics or MetricsRegistry()
 
-    def decide(
-        self, sla: SLA, *, queue_wait_s: float, service_floor_s: float
-    ) -> AdmissionDecision:
-        """Assess one request at arrival time (budget = full ``sla.deadline_s``)."""
-        return self.decide_remaining(
-            sla, remaining_s=sla.deadline_s,
-            queue_wait_s=queue_wait_s, service_floor_s=service_floor_s,
-        )
-
     def decide_remaining(
         self,
         sla: SLA,

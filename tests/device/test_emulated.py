@@ -18,20 +18,6 @@ class TestExecution:
         x = rng.standard_normal((3, 1, 28, 28))
         logits = device.execute_subnet(spec, x)
         assert logits.shape == (3, 10)
-        assert device.requests_served == 1
-
-    def test_busy_time_accumulates(self, device, rng):
-        spec = device.net.width_spec.find("lower50")
-        x = rng.standard_normal((2, 1, 28, 28))
-        device.execute_subnet(spec, x)
-        first = device.busy_time_s
-        assert first > 0
-        device.execute_subnet(spec, x)
-        assert device.busy_time_s == pytest.approx(2 * first)
-
-    def test_estimated_latency_matches_profile(self, device):
-        spec = device.net.width_spec.find("lower50")
-        assert 1.0 / device.estimated_latency(spec) == pytest.approx(14.4, rel=0.005)
 
     def test_execution_matches_direct_view(self, device, rng):
         spec = device.net.width_spec.find("upper50")

@@ -57,14 +57,6 @@ class TestRemoteExecution:
         local = view(x.astype(np.float32).astype(np.float64))
         np.testing.assert_allclose(remote, local, atol=1e-5)
 
-    def test_worker_accounts_compute_time(self, protocol_pair, rng):
-        master, worker_device = protocol_pair
-        spec = worker_device.net.width_spec.find("upper50")
-        _solo(master, WORKER, spec, rng.standard_normal((2, 1, 28, 28)))
-        assert worker_device.busy_time_s > 0
-        assert master.engine.ledger.compute_s > 0
-        assert master.engine.ledger.comm_s > 0
-
 
 class TestHaProtocol:
     def test_ha_matches_monolithic(self, protocol_pair, rng):
@@ -115,7 +107,6 @@ class TestHtProtocol:
         logits_m, logits_w = streams[MASTER], streams[WORKER]
         assert logits_m.shape == (3, 10)
         assert logits_w.shape == (3, 10)
-        assert master.engine.ledger.images == 6  # both parallel streams' images count
 
 
 class TestFailureHandling:

@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from repro.comm import InProcChannel
-from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import LocalCluster, MasterRuntime, WorkerServer
+from repro.device import CrashCounter, EmulatedDevice, jetson_nx_master, jetson_nx_worker
+from repro.distributed import MASTER, WORKER, LocalCluster, MasterRuntime, WorkerServer
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.partitioned import partitioned_forward_reference
-from repro.distributed.plan import ha_plan, streams_plan
+from repro.distributed.plan import ha_plan, ht_plan, streams_plan
 from repro.engine import (
     BlockPartition,
     Endpoint,
     EndpointReply,
+    EndpointUnavailable,
     ExecutionEngine,
     ExecutionGraph,
     LocalEndpoint,
@@ -110,11 +111,6 @@ class TestCompiledBitwiseParity:
             x = _batch()
             with _InProcMaster(net, compiled=False) as eager:
                 out_eager = _master_ha(eager, spec, x)
-                eager_ledger = (
-                    eager.engine.ledger.compute_s,
-                    eager.engine.ledger.comm_s,
-                    eager.engine.ledger.images,
-                )
                 eager_bytes = list(eager.engine.last_exchange_bytes)
             with _InProcMaster(net, compiled=True) as compiled:
                 out_compiled = _master_ha(compiled, spec, x)
@@ -126,15 +122,6 @@ class TestCompiledBitwiseParity:
                     np.testing.assert_array_equal(out_eager, reference)
                 else:
                     np.testing.assert_allclose(out_eager, reference, atol=1e-5)
-                # Same emulated world: compute charges match to float noise,
-                # wire-level comm charges are identical.
-                assert compiled.engine.ledger.compute_s == pytest.approx(
-                    eager_ledger[0], rel=1e-12
-                )
-                assert compiled.engine.ledger.comm_s == pytest.approx(
-                    eager_ledger[1], rel=1e-12
-                )
-                assert compiled.engine.ledger.images == eager_ledger[2]
                 assert len(compiled.engine.last_exchange_bytes) == len(eager_bytes)
         finally:
             set_dtype_policy(old)
@@ -157,10 +144,6 @@ class TestCompiledBitwiseParity:
                     net, net.width_spec.full(), SPLIT, x
                 )
                 np.testing.assert_array_equal(out_eager, reference)
-                assert compiled.ledger.compute_s == pytest.approx(
-                    eager.ledger.compute_s, rel=1e-12
-                )
-                assert compiled.ledger.images == eager.ledger.images
             finally:
                 eager.shutdown()
                 compiled.shutdown()
@@ -263,18 +246,133 @@ class TestZeroSteadyStateAllocation:
                 _run_ha(engine, x)
             endpoints = list(engine.endpoints.values())
             plans = [ep._plan for ep in endpoints]
-            compiled_counts = [len(ep._compiler) for ep in endpoints]
+            compiled_counts = [len(ep._partition_plans) for ep in endpoints]
             created = [plan.workspaces.created for plan in plans]
             checkouts = [plan.workspaces.checkouts for plan in plans]
             for _ in range(10):
                 _run_ha(engine, x)
             for ep, n in zip(endpoints, compiled_counts):
-                assert len(ep._compiler) == n  # no recompilation
+                assert len(ep._partition_plans) == n  # no recompilation
             for plan, c, k in zip(plans, created, checkouts):
                 assert plan.workspaces.created == c  # no new arenas
                 assert plan.workspaces.checkouts == k + 10
         finally:
             engine.shutdown()
+
+    def test_one_plan_per_device_serves_every_batch_size(self):
+        """A device keeps one partition plan per (spec, blocks, index): a
+        smaller batch runs on it, a larger one or another inference dtype
+        recompiles it in place, and every batch stays bitwise the
+        single-process reference."""
+        net = _net()
+        spec = net.width_spec.full()
+        engine = _local_engine(net, compiled=True)
+        try:
+            endpoints = list(engine.endpoints.values())
+            for policy_name in ("default", "fast_inference"):
+                with dtype_policy(POLICIES[policy_name]):
+                    seen = [set() for _ in endpoints]
+                    for rows in (4, 2, 3, 16, 4):
+                        x = make_rng(rows).standard_normal((rows, 1, 28, 28))
+                        want, _ = partitioned_forward_reference(net, spec, SPLIT, x)
+                        np.testing.assert_array_equal(_run_ha(engine, x), want)
+                        for ep, plans in zip(endpoints, seen):
+                            plans.add(id(ep._plan))
+                    dtype = POLICIES[policy_name].inference
+                    # Default: the 4-row plan, then the one 16 rows outgrew it
+                    # for.  Then the dtype change recompiles once, at 16 rows.
+                    compiled = 2 if policy_name == "default" else 1
+                    for ep, plans in zip(endpoints, seen):
+                        assert len(plans) == compiled
+                        (plan,) = ep._partition_plans.values()
+                        assert plan is ep._plan
+                        assert plan.batch_rows == 16
+                        assert plan.dtype == np.dtype(dtype)
+        finally:
+            engine.shutdown()
+
+
+class TestLocalEndpointRoundGuards:
+    """A device's side of a partitioned round, on either interpreter: one
+    liveness tick per round, and only the rounds of the open program."""
+
+    @staticmethod
+    def _endpoint(net, crash_after=None):
+        counter = None if crash_after is None else CrashCounter(crash_after)
+        device = EmulatedDevice(jetson_nx_master(), net, crash_counter=counter)
+        return LocalEndpoint("dev0", device)
+
+    @staticmethod
+    def _open(endpoint, compiled, spec, rows):
+        boundaries = BlockPartition.two_way(SPLIT, spec.last_slice.stop).boundaries
+        if compiled:
+            endpoint.begin_partition_plan(spec, boundaries, 0, rows)
+        else:
+            endpoint.begin_partition(spec, boundaries, 0)
+
+    @staticmethod
+    def _round(endpoint, compiled, spec, layer, x):
+        """Round ``layer`` of device 0; layer 0 carries the input."""
+        if compiled:
+            return endpoint.partition_round(spec, layer, x=x if layer == 0 else None)
+        block = BlockPartition.two_way(SPLIT, spec.last_slice.stop).clipped_block(
+            0, spec.conv_slices[0].stop
+        )
+        return endpoint.partition_layer(spec, layer, block, None, x, None)
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+    def test_a_round_before_begin_partition_is_refused(self, compiled):
+        net = _net()
+        endpoint = self._endpoint(net)
+        with pytest.raises(RuntimeError, match="before begin_partition"):
+            self._round(endpoint, compiled, net.width_spec.full(), 0, _batch(2))
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+    def test_a_round_of_another_spec_is_refused(self, compiled):
+        net = _net()
+        endpoint = self._endpoint(net)
+        self._open(endpoint, compiled, net.width_spec.full(), 2)
+        with pytest.raises(RuntimeError, match="before begin_partition"):
+            self._round(endpoint, compiled, net.width_spec.find("lower75"), 0, _batch(2))
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+    def test_a_round_the_program_does_not_have_is_refused(self, compiled):
+        net = _net()
+        spec = net.width_spec.full()
+        endpoint = self._endpoint(net)
+        self._open(endpoint, compiled, spec, 2)
+        # One round per conv, then the classifier round at len(conv_slices).
+        for layer in (-1, len(spec.conv_slices) + 1):
+            with pytest.raises(IndexError, match=f"has no round {layer}"):
+                self._round(endpoint, compiled, spec, layer, _batch(2))
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+    def test_abandon_closes_the_program(self, compiled):
+        net = _net()
+        spec = net.width_spec.full()
+        endpoint = self._endpoint(net)
+        self._open(endpoint, compiled, spec, 2)
+        assert "half" in self._round(endpoint, compiled, spec, 0, _batch(2)).arrays
+        endpoint.abandon_partition()
+        with pytest.raises(RuntimeError, match="before begin_partition"):
+            self._round(endpoint, compiled, spec, 1, _batch(2))
+        if compiled:
+            # The abandoned batch gave its workspace back: reopening reuses it.
+            self._open(endpoint, compiled, spec, 2)
+            assert endpoint._plan.workspaces.created == 1
+            assert endpoint._plan.workspaces.checkouts == 2
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+    def test_every_round_ticks_liveness_once(self, compiled):
+        net = _net()
+        spec = net.width_spec.full()
+        endpoint = self._endpoint(net, crash_after=2)
+        self._open(endpoint, compiled, spec, 2)  # opening is not a round: no tick
+        for _ in range(2):
+            self._round(endpoint, compiled, spec, 0, _batch(2))
+        with pytest.raises(EndpointUnavailable, match="crashed mid-stream"):
+            self._round(endpoint, compiled, spec, 0, _batch(2))
+        assert not endpoint.available
 
 
 class TestCompiledStreams:
@@ -302,20 +400,6 @@ class TestCompiledStreams:
                 assert plan.workspaces.checkouts == 2  # the 16 rows, then 8 again
             # One weight cache per endpoint: every block packed exactly once.
             assert endpoint._cache.packs == len(endpoint._cache)
-
-    def test_accounting_is_the_eager_devices(self):
-        net = _net()
-        compiled = EmulatedDevice(jetson_nx_master(), net)
-        eager = EmulatedDevice(jetson_nx_master(), net)
-        endpoint = LocalEndpoint("master", compiled)
-        spec = net.width_spec.find("lower50")
-        for rows in (1, 16):
-            x = _batch(rows)
-            reply = endpoint.run_subnet(spec, x)
-            eager.execute_subnet(spec, x)
-            assert reply.compute_s == eager.estimated_latency(spec) * rows
-        assert compiled.busy_time_s == eager.busy_time_s
-        assert compiled.requests_served == eager.requests_served == 2
 
     def test_a_batch_the_plan_refuses_runs_eager(self):
         net = _net()
@@ -349,9 +433,7 @@ class _BarrierEndpoint(Endpoint):
         # Raises BrokenBarrierError (failing the test) if the engine were
         # to serialise the two stream calls instead of overlapping them.
         self.barrier.wait(timeout=5.0)
-        return EndpointReply(
-            arrays={"logits": np.zeros((x.shape[0], 10))}, compute_s=0.001
-        )
+        return EndpointReply(arrays={"logits": np.zeros((x.shape[0], 10))})
 
     def shutdown(self) -> None:  # pragma: no cover - nothing to release
         pass
@@ -372,6 +454,30 @@ class TestOverlappedDispatch:
             assert engine.metrics.ewma("stream.overlap").value > 0.5
         finally:
             engine.shutdown()
+
+
+class TestReportContract:
+    """The keys of ``engine.report()`` that ``benchmarks/e2e`` reads."""
+
+    def test_counters_overlap_and_exchange_bytes_after_ha_and_ht(self):
+        net = _net()
+        with _InProcMaster(net, compiled=True) as master:
+            engine = master.engine
+            engine.execute(ha_plan("lower100"), _batch(1))
+            engine.execute(
+                ht_plan("lower50", "upper50"),
+                streams={MASTER: _batch(2), WORKER: _batch(3)},
+            )
+            report = engine.report()
+            counters = report["counters"]
+            assert counters["round.count"] == 4  # three conv rounds, one classifier round
+            assert counters["stream.count"] == 1
+            overlap = report["wall"]["overlap"]
+            for name in ("round.overlap", "stream.overlap"):
+                assert 0.0 < overlap[name]["value"] <= 1.0
+            assert engine.last_exchange_bytes == [18816, 15680, 3136, 80]
+            assert sum(engine.last_exchange_bytes) == 37712
+            assert "emulated" not in report
 
 
 class TestSpecNames:

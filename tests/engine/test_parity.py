@@ -2,12 +2,14 @@
 
 For every Fig. 2 availability scenario (BOTH, ONLY_MASTER, ONLY_WORKER)
 the unified :class:`~repro.engine.engine.ExecutionEngine` must produce the
-same logits AND the same emulated-time ledger as the pre-engine two-device
-``MasterRuntime`` did.  The legacy runtime no longer exists in the tree, so
-:class:`LegacyMasterReference` below re-implements its exact semantics
-(taken verbatim from the seed revision) on top of the still-unchanged wire
+same logits, bit for bit, as the pre-engine two-device ``MasterRuntime``
+did.  The legacy runtime no longer exists in the tree, so
+:class:`LegacyMasterReference` below re-implements its inference (every
+float cast as the seed revision had it) on top of the still-unchanged wire
 protocol; both sides drive identically-seeded nets over identically-seeded
-inputs.
+inputs.  Emulated time is not compared: the engine keeps none, and
+:class:`~repro.distributed.throughput.SystemThroughputModel` is its one
+source.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.comm import CommLatencyModel, InProcChannel, Message, MessageKind
+from repro.comm import InProcChannel, Message, MessageKind
 from repro.comm.transport import TransportError
 from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.device.cost import block_partitioned_costs
 from repro.distributed import MASTER, WORKER, MasterRuntime, WorkerServer
 from repro.distributed.modes import Scenario
 from repro.distributed.partitioned import (
@@ -39,45 +40,28 @@ SPLIT = 8
 SEED = 0
 
 
-class LegacyLedger:
-    def __init__(self) -> None:
-        self.compute_s = 0.0
-        self.comm_s = 0.0
-        self.images = 0
-
-
 class LegacyMasterReference:
-    """The seed revision's MasterRuntime semantics, preserved for parity.
+    """The seed revision's MasterRuntime inference, preserved for parity.
 
-    Every ledger formula and every float cast below reproduces the deleted
-    legacy implementation line-for-line; if the engine and this reference
-    ever disagree, the engine regressed.
+    Every float cast below reproduces the deleted legacy implementation
+    line-for-line; if the engine and this reference ever disagree, the
+    engine regressed.
     """
 
-    def __init__(self, device, transport, *, partition_split, comm_model=None):
+    def __init__(self, device, transport, *, partition_split):
         self.device = device
         self.transport = transport
         self.split = partition_split
-        self.comm_model = comm_model or CommLatencyModel()
-        self.ledger = LegacyLedger()
 
     def _request(self, message: Message) -> Message:
         self.transport.send(message)
         reply = self.transport.recv(timeout=10.0)
         if reply.kind == MessageKind.ERROR:
             raise AssertionError(f"worker error: {reply.fields.get('reason')}")
-        nbytes = max(
-            sum(a.nbytes for a in message.arrays.values()),
-            sum(a.nbytes for a in reply.arrays.values()),
-        )
-        self.ledger.comm_s += self.comm_model.transfer_time(int(nbytes))
         return reply
 
     def run_local(self, spec: SubNetSpec, x: np.ndarray) -> np.ndarray:
-        logits = self.device.execute_subnet(spec, x)
-        self.ledger.compute_s += self.device.estimated_latency(spec) * x.shape[0]
-        self.ledger.images += x.shape[0]
-        return logits
+        return self.device.execute_subnet(spec, x)
 
     def run_remote(self, spec: SubNetSpec, x: np.ndarray) -> np.ndarray:
         reply = self._request(
@@ -87,26 +71,16 @@ class LegacyMasterReference:
                 arrays={"x": x.astype(np.float32)},
             )
         )
-        self.ledger.compute_s += float(reply.fields.get("compute_s", 0.0))
-        self.ledger.images += x.shape[0]
         return reply.arrays["logits"].astype(np.float64)
 
     def run_ht(self, master_spec, worker_spec, x_master, x_worker) -> Tuple:
-        before_compute = self.ledger.compute_s
         logits_w = self.run_remote(worker_spec, x_worker)
-        worker_s = self.ledger.compute_s - before_compute
         logits_m = self.device.execute_subnet(master_spec, x_master)
-        master_s = self.device.estimated_latency(master_spec) * x_master.shape[0]
-        self.ledger.compute_s = before_compute + max(worker_s, master_s)
-        self.ledger.images += x_master.shape[0]
         return logits_m, logits_w
 
     def run_ha(self, spec: SubNetSpec, x: np.ndarray) -> np.ndarray:
         net = self.device.net
         lower = ChannelSlice(0, self.split)
-        (master_costs, _), _ = block_partitioned_costs(
-            net, spec, (0, self.split, spec.last_slice.stop)
-        )
 
         current = x
         in_slice: Optional[ChannelSlice] = None
@@ -125,12 +99,6 @@ class LegacyMasterReference:
                     arrays={"master_half": master_half.astype(np.float32)},
                 )
             master_half = conv_block_half(net, layer, current, lower, in_slice)
-            self.device.busy_time_s += self.device.profile.compute_time(
-                master_costs[layer].flops * x.shape[0], x.shape[0]
-            )
-            self.ledger.compute_s += self.device.profile.compute_time(
-                master_costs[layer].flops, 1
-            ) * x.shape[0]
             reply = self._request(request)
             worker_half = reply.arrays["half"].astype(np.float64)
             current = np.concatenate([master_half, worker_half], axis=1)
@@ -140,15 +108,10 @@ class LegacyMasterReference:
         logits_m = fc_partial(
             net, feats_m, feature_slice_for_block(net, lower), include_bias=True
         )
-        self.ledger.compute_s += self.device.profile.compute_time(
-            master_costs[-1].flops, 1
-        ) * x.shape[0]
         reply = self._request(
             Message(MessageKind.PARTIAL_FORWARD, fields={"op": "fc", "spec": spec.name})
         )
-        logits = logits_m + reply.arrays["partial_logits"].astype(np.float64)
-        self.ledger.images += x.shape[0]
-        return logits
+        return logits_m + reply.arrays["partial_logits"].astype(np.float64)
 
     def shutdown(self) -> None:
         try:
@@ -167,27 +130,21 @@ def _make_pair():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     master_device = EmulatedDevice(jetson_nx_master(), net)
-    return master_device, worker_device, chan.a, thread
+    return master_device, chan.a, thread
 
 
 @pytest.fixture
 def parity_pair():
-    """(engine, legacy reference) over identically-seeded worlds."""
-    e_master, e_worker, e_chan, e_thread = _make_pair()
-    l_master, l_worker, l_chan, l_thread = _make_pair()
+    """(engine, legacy reference, width spec) over identically-seeded worlds."""
+    e_master, e_chan, e_thread = _make_pair()
+    l_master, l_chan, l_thread = _make_pair()
     engine = MasterRuntime(e_master, e_chan, partition_split=SPLIT).engine
     legacy = LegacyMasterReference(l_master, l_chan, partition_split=SPLIT)
-    yield engine, legacy, (e_master, e_worker), (l_master, l_worker)
+    yield engine, legacy, e_master.net.width_spec
     engine.shutdown()
     legacy.shutdown()
     e_thread.join(timeout=5.0)
     l_thread.join(timeout=5.0)
-
-
-def _assert_ledgers_match(engine, legacy) -> None:
-    assert engine.ledger.compute_s == pytest.approx(legacy.ledger.compute_s, rel=1e-12)
-    assert engine.ledger.comm_s == pytest.approx(legacy.ledger.comm_s, rel=1e-12)
-    assert engine.ledger.images == legacy.ledger.images
 
 
 def _batch(n: int = 6) -> np.ndarray:
@@ -198,46 +155,36 @@ class TestFig2ScenarioParity:
     """One parity case per Fig. 2 availability scenario (plus HT for BOTH)."""
 
     def test_only_master_solo(self, parity_pair):
-        engine, legacy, (e_master, _), (l_master, _) = parity_pair
+        engine, legacy, width = parity_pair
         assert Scenario.ONLY_MASTER.alive == frozenset({"master"})
-        spec = e_master.net.width_spec.find("lower50")
+        spec = width.find("lower50")
         x = _batch()
         out_engine = engine.execute(solo_plan(MASTER, spec.name), x).logits
         out_legacy = legacy.run_local(spec, x)
         np.testing.assert_array_equal(out_engine, out_legacy)
-        _assert_ledgers_match(engine, legacy)
-        assert engine.ledger.comm_s == 0.0
-        assert e_master.busy_time_s == pytest.approx(l_master.busy_time_s, rel=1e-12)
 
     def test_only_worker_solo(self, parity_pair):
-        engine, legacy, (_, e_worker), (_, l_worker) = parity_pair
+        engine, legacy, width = parity_pair
         assert Scenario.ONLY_WORKER.alive == frozenset({"worker"})
-        spec = e_worker.net.width_spec.find("upper50")
+        spec = width.find("upper50")
         x = _batch()
         out_engine = engine.execute(solo_plan(WORKER, spec.name), x).logits
         out_legacy = legacy.run_remote(spec, x)
         np.testing.assert_array_equal(out_engine, out_legacy)
-        _assert_ledgers_match(engine, legacy)
-        assert engine.ledger.comm_s > 0.0
-        assert e_worker.busy_time_s == pytest.approx(l_worker.busy_time_s, rel=1e-12)
 
     def test_both_high_accuracy(self, parity_pair):
-        engine, legacy, (e_master, e_worker), (l_master, l_worker) = parity_pair
+        engine, legacy, width = parity_pair
         assert Scenario.BOTH.alive == frozenset({"master", "worker"})
-        spec = e_master.net.width_spec.find("lower100")
+        spec = width.find("lower100")
         x = _batch()
         out_engine = engine.execute(ha_plan(spec.name), x).logits
         out_legacy = legacy.run_ha(spec, x)
         np.testing.assert_array_equal(out_engine, out_legacy)
-        _assert_ledgers_match(engine, legacy)
-        assert engine.ledger.comm_s > 0.0
-        assert e_master.busy_time_s == pytest.approx(l_master.busy_time_s, rel=1e-12)
-        assert e_worker.busy_time_s == pytest.approx(l_worker.busy_time_s, rel=1e-12)
 
     def test_both_high_throughput(self, parity_pair):
-        engine, legacy, (e_master, _), _ = parity_pair
-        spec_m = e_master.net.width_spec.find("lower50")
-        spec_w = e_master.net.width_spec.find("upper50")
+        engine, legacy, width = parity_pair
+        spec_m = width.find("lower50")
+        spec_w = width.find("upper50")
         x_m = _batch()
         x_w = make_rng(43).standard_normal((6, 1, 28, 28))
         streams = engine.execute(
@@ -247,4 +194,3 @@ class TestFig2ScenarioParity:
         lm, lw = legacy.run_ht(spec_m, spec_w, x_m, x_w)
         np.testing.assert_array_equal(em, lm)
         np.testing.assert_array_equal(ew, lw)
-        _assert_ledgers_match(engine, legacy)

@@ -28,15 +28,17 @@ class TestSLA:
 class TestAdmissionDecisions:
     def test_feasible_request_is_admitted(self):
         ctl = AdmissionController()
-        decision = ctl.decide(
-            SLA(deadline_s=0.05), queue_wait_s=0.01, service_floor_s=0.01
+        sla = SLA(deadline_s=0.05)
+        decision = ctl.decide_remaining(
+            sla, remaining_s=sla.deadline_s, queue_wait_s=0.01, service_floor_s=0.01
         )
         assert decision.admitted
 
     def test_infeasible_request_is_rejected_with_reason(self):
         ctl = AdmissionController()
-        decision = ctl.decide(
-            SLA(deadline_s=0.02), queue_wait_s=0.05, service_floor_s=0.01
+        sla = SLA(deadline_s=0.02)
+        decision = ctl.decide_remaining(
+            sla, remaining_s=sla.deadline_s, queue_wait_s=0.05, service_floor_s=0.01
         )
         assert not decision.admitted
         assert "infeasible" in decision.reason
@@ -58,8 +60,10 @@ class TestAdmissionDecisions:
 
     def test_critical_priority_bypasses_feasibility(self):
         ctl = AdmissionController()
-        decision = ctl.decide(
-            SLA(deadline_s=0.02, priority=CRITICAL_PRIORITY),
+        sla = SLA(deadline_s=0.02, priority=CRITICAL_PRIORITY)
+        decision = ctl.decide_remaining(
+            sla,
+            remaining_s=sla.deadline_s,
             queue_wait_s=1.0,
             service_floor_s=1.0,
         )
@@ -70,12 +74,14 @@ class TestAdmissionDecisions:
         sla = SLA(deadline_s=0.02)
         strict = AdmissionController(headroom=1.0)
         lax = AdmissionController(headroom=2.0)
-        assert not strict.decide(sla, queue_wait_s=0.02, service_floor_s=0.01).admitted
-        assert lax.decide(sla, queue_wait_s=0.02, service_floor_s=0.01).admitted
+        kwargs = dict(remaining_s=sla.deadline_s, queue_wait_s=0.02, service_floor_s=0.01)
+        assert not strict.decide_remaining(sla, **kwargs).admitted
+        assert lax.decide_remaining(sla, **kwargs).admitted
 
     def test_estimate_is_reported(self):
-        decision = AdmissionController().decide(
-            SLA(deadline_s=1.0), queue_wait_s=0.2, service_floor_s=0.1
+        sla = SLA(deadline_s=1.0)
+        decision = AdmissionController().decide_remaining(
+            sla, remaining_s=sla.deadline_s, queue_wait_s=0.2, service_floor_s=0.1
         )
         assert decision.estimated_s == pytest.approx(0.3)
 
@@ -88,8 +94,12 @@ class TestAdmissionMetrics:
     def test_counters_track_outcomes(self):
         metrics = MetricsRegistry()
         ctl = AdmissionController(metrics=metrics)
-        ctl.decide(SLA(deadline_s=1.0), queue_wait_s=0.0, service_floor_s=0.0)
-        ctl.decide(SLA(deadline_s=0.01), queue_wait_s=5.0, service_floor_s=5.0)
+        ctl.decide_remaining(
+            SLA(deadline_s=1.0), remaining_s=1.0, queue_wait_s=0.0, service_floor_s=0.0
+        )
+        ctl.decide_remaining(
+            SLA(deadline_s=0.01), remaining_s=0.01, queue_wait_s=5.0, service_floor_s=5.0
+        )
         ctl.decide_remaining(
             SLA(deadline_s=1.0), remaining_s=0.0, queue_wait_s=0.0, service_floor_s=0.0
         )
