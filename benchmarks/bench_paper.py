@@ -37,12 +37,8 @@ from common import ROOT, env_record
 from repro.comm import CommLatencyModel
 from repro.data import SynthMNISTConfig, load_synth_mnist
 from repro.device import jetson_nx_master, jetson_nx_worker, subnet_param_count
-from repro.distributed import (
-    MASTER,
-    LayerPartitionModel,
-    SystemThroughputModel,
-    WidthPartition,
-)
+from repro.distributed import MASTER, LayerPartitionModel, SystemThroughputModel, solo_plan
+from repro.engine import BlockPartition
 from repro.experiments import (
     PAPER_FIG2,
     PAPER_HT_VS_DYNAMIC,
@@ -123,7 +119,7 @@ def analytic_facts() -> dict:
                 "scale": scale,
                 "ha": tm.ha_throughput(full).throughput_ips,
                 "ht": tm.ht_throughput(lower50, upper50).throughput_ips,
-                "solo": tm.standalone_throughput(MASTER, lower50).throughput_ips,
+                "solo": tm.evaluate_plan(solo_plan(MASTER, lower50.name)).throughput_ips,
             }
         )
     tm = throughput_model(comm)
@@ -147,7 +143,7 @@ def analytic_facts() -> dict:
             # The paper's 50/50 split: HA throughput by split point.
             "partition_split_ha_ips": {
                 str(split): throughput_model(
-                    comm, partition=WidthPartition(ws, split)
+                    comm, partition=BlockPartition.two_way(split, ws.max_width)
                 ).ha_throughput(full).throughput_ips
                 for split in SPLITS
             },

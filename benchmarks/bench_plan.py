@@ -13,7 +13,7 @@ over eager, the shifted-vs-default ratio at the widest width, and
 tracemalloc steady-state allocations.
 
 This is the one measurement ``benchmarks/e2e`` does not make (it times the
-default backend only), and the one ROADMAP item 3 still needs — where
+default backend only), and the one ROADMAP item 5 still needs — where
 shifted-GEMM crosses over im2col.  Nothing here is gated or committed:
 the equality contracts, the allocation budget, the live-row extent and the
 eager fallback are tier-1's (``tests/nn/test_plan.py``,

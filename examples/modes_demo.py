@@ -26,12 +26,12 @@ def main() -> None:
     ht = tm.ht_throughput(ws.find("lower50"), ws.find("upper50"))
     print(
         f"  HA (joint 100% model):   {ha.throughput_ips:5.1f} img/s   "
-        f"compute m/w = {1e3*ha.compute_master_s:.1f}/{1e3*ha.compute_worker_s:.1f} ms, "
+        f"compute m/w = {1e3*ha.compute_s[0]:.1f}/{1e3*ha.compute_s[1]:.1f} ms, "
         f"comm = {1e3*ha.comm_s:.1f} ms"
     )
     print(
         f"  HT (independent halves): {ht.throughput_ips:5.1f} img/s   "
-        f"per-stream latency m/w = {1e3*ht.compute_master_s:.1f}/{1e3*ht.compute_worker_s:.1f} ms"
+        f"per-stream latency m/w = {1e3*ht.compute_s[0]:.1f}/{1e3*ht.compute_s[1]:.1f} ms"
     )
     print(f"  -> HT/HA throughput ratio: {ht.throughput_ips / ha.throughput_ips:.2f}x\n")
 

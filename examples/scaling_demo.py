@@ -1,6 +1,7 @@
 """Extension demo: Fluid beyond two devices.
 
-Runs the analytical N-device generalisation: High-Throughput scaling and
+Runs the analytical throughput model on N even channel blocks, one per
+device (the paper's two devices are N = 2): High-Throughput scaling and
 worst-case throughput after k failures for 2/4/8-device clusters.
 
 Run:  python examples/scaling_demo.py   (finishes in seconds)
@@ -8,7 +9,8 @@ Run:  python examples/scaling_demo.py   (finishes in seconds)
 
 from repro.comm import CommLatencyModel
 from repro.device import jetson_nx_master
-from repro.distributed.multidevice import BlockPartition, MultiDeviceModel
+from repro.distributed import SystemThroughputModel
+from repro.engine import BlockPartition
 from repro.slimmable import SlimmableConvNet, WidthSpec
 from repro.utils import make_rng
 
@@ -24,15 +26,15 @@ def main() -> None:
             num_convs=3,
         )
         net = SlimmableConvNet(spec, rng=make_rng(0))
-        model = MultiDeviceModel(
-            net, [jetson_nx_master()] * n, CommLatencyModel(), BlockPartition.even(n, 16)
-        )
+        device = jetson_nx_master()
+        partition = BlockPartition.even(n, 16)
+        model = SystemThroughputModel(net, device, device, CommLatencyModel(), partition)
+        num_convs = len(net.convs)
+        ht = model.ht_throughput(*(partition.block_spec(k, num_convs) for k in range(n)))
+        ha = model.ha_throughput(partition.combined_spec(num_convs))
         profile = model.reliability_profile()
         decay = " ".join(f"k={k}:{profile[k]:5.1f}" for k in range(n + 1))
-        print(
-            f"  {n:3d} {model.ht_throughput(range(n)):9.1f} "
-            f"{model.ha_throughput(range(n)):9.1f}  {decay}"
-        )
+        print(f"  {n:3d} {ht.throughput_ips:9.1f} {ha.throughput_ips:9.1f}  {decay}")
     print("\nAny k < N failures leave the system serving: each block is its")
     print("own standalone model, which is the paper's property at N = 2.")
 

@@ -193,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--subnet", default=None, help="combined sub-network for HA (default lower100)")
     dist.add_argument("--batch", type=int, default=16)
     dist.add_argument("--batches", type=int, default=8, help="timed batches after one warmup")
-    dist.add_argument(
-        "--split", type=int, default=None,
-        help="partition split (default: family split; --tcp runs only that one)",
-    )
     dist.add_argument("--seed", type=int, default=0)
     dist.add_argument(
         "--tcp", action="store_true",
@@ -501,12 +497,6 @@ def cmd_dist(args) -> int:
         raise SystemExit("--batch/--batches must be positive")
     net = SlimmableConvNet(paper_width_spec(), rng=make_rng(args.seed))
     width = net.width_spec
-    split = args.split if args.split is not None else width.split
-    if args.tcp and split != width.split:
-        # LocalCluster's worker process splits at the width spec's split.
-        raise SystemExit(
-            f"--split {split} conflicts with --tcp: the TCP cluster splits at {width.split}"
-        )
     spec_name = args.subnet or "lower100"
     if spec_name not in {s.name for s in width.all_specs()}:
         raise SystemExit(f"unknown subnet {spec_name!r}")
@@ -531,14 +521,14 @@ def cmd_dist(args) -> int:
 
         chan = InProcChannel()
         server = WorkerServer(
-            EmulatedDevice(jetson_nx_worker(), net), chan.b, partition_split=split
+            EmulatedDevice(jetson_nx_worker(), net), chan.b, partition_split=width.split
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         master = MasterRuntime(
             EmulatedDevice(jetson_nx_master(), net),
             chan.a,
-            partition_split=split,
+            partition_split=width.split,
             compiled=compiled,
         )
         try:

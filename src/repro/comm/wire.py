@@ -71,10 +71,12 @@ def decode_frame(frame: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         raise WireError("frame truncated inside header")
     try:
         header = json.loads(frame[header_start:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WireError(f"bad header: {exc}") from exc
     if not isinstance(header, dict) or "arrays" not in header or "meta" not in header:
         raise WireError("header missing required keys")
+    if not isinstance(header["arrays"], list):
+        raise WireError(f"header arrays is a {type(header['arrays']).__name__}, not a list")
 
     arrays: Dict[str, np.ndarray] = {}
     offset = header_end
@@ -83,7 +85,9 @@ def decode_frame(frame: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
             name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
         except (KeyError, TypeError) as exc:
             raise WireError(f"bad array entry: {entry!r}") from exc
-        if dtype not in _ALLOWED_DTYPES:
+        if not isinstance(name, str):
+            raise WireError(f"bad array name {name!r}")
+        if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
             raise WireError(f"dtype {dtype!r} not allowed on the wire")
         if any((not isinstance(d, int)) or d < 0 for d in shape):
             raise WireError(f"bad shape {shape!r}")

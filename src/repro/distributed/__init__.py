@@ -3,9 +3,7 @@
 from repro.distributed.cluster import LocalCluster, WorkerProcess
 from repro.distributed.layer_partition import LayerCut, LayerPartitionModel
 from repro.distributed.master import MasterRuntime
-from repro.distributed.multidevice import BlockPartition, MultiDeviceModel
-from repro.distributed.modes import ALL_SCENARIOS, ExecutionMode, Scenario
-from repro.distributed.partition import MASTER, ROLES, WORKER, WidthPartition
+from repro.distributed.modes import ALL_SCENARIOS, MASTER, WORKER, ExecutionMode, Scenario
 from repro.distributed.partitioned import (
     conv_block_half,
     fc_partial,
@@ -28,10 +26,8 @@ __all__ = [
     "ExecutionMode",
     "Scenario",
     "ALL_SCENARIOS",
-    "WidthPartition",
     "MASTER",
     "WORKER",
-    "ROLES",
     "conv_block_half",
     "fc_partial",
     "partitioned_forward_reference",
@@ -46,8 +42,6 @@ __all__ = [
     "SystemThroughputModel",
     "LayerCut",
     "LayerPartitionModel",
-    "BlockPartition",
-    "MultiDeviceModel",
     "ThroughputBreakdown",
     "MasterRuntime",
     "WorkerServer",

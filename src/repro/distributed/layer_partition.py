@@ -84,8 +84,7 @@ class LayerPartitionModel:
         total = t_m + t_w + t_comm
         return ThroughputBreakdown(
             mode="layer-split",
-            compute_master_s=t_m,
-            compute_worker_s=t_w,
+            compute_s=(t_m, t_w),
             comm_s=t_comm,
             throughput_ips=1.0 / total,
         )
@@ -122,6 +121,7 @@ class LayerPartitionModel:
     def survives_single_failure() -> bool:
         """Depth splitting never survives a device failure: a weight prefix
         has no classifier head and a suffix has no input stem, regardless of
-        how the model was trained.  (Compare WidthPartition.survivor_options,
-        which depends on certification.)"""
+        how the model was trained.  (Compare a width partition, where a lone
+        device keeps the certified sub-networks
+        ``BlockPartition.resident_specs`` finds on it.)"""
         return False

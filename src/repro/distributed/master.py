@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.comm.transport import Transport
 from repro.device.emulated import EmulatedDevice
-from repro.distributed.partition import MASTER, WORKER
+from repro.distributed.modes import MASTER, WORKER
 from repro.engine.endpoints import LocalEndpoint, TransportEndpoint
 from repro.engine.engine import ExecutionEngine
 from repro.engine.graph import BlockPartition

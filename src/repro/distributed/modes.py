@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from enum import Enum
 
+#: The paper's two devices, named for the blocks they hold: the master holds
+#: block 0 of the width partition (the lower channels), the worker block 1.
+MASTER = "master"
+WORKER = "worker"
+
 
 class ExecutionMode(Enum):
     """How the system is currently running inference."""
@@ -27,9 +32,9 @@ class Scenario(Enum):
     @property
     def alive(self) -> frozenset:
         return {
-            Scenario.BOTH: frozenset({"master", "worker"}),
-            Scenario.ONLY_MASTER: frozenset({"master"}),
-            Scenario.ONLY_WORKER: frozenset({"worker"}),
+            Scenario.BOTH: frozenset({MASTER, WORKER}),
+            Scenario.ONLY_MASTER: frozenset({MASTER}),
+            Scenario.ONLY_WORKER: frozenset({WORKER}),
         }[self]
 
     def __str__(self) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.distributed.modes import ExecutionMode
+from repro.distributed.modes import MASTER, WORKER, ExecutionMode
 
 
 @dataclass(frozen=True)
@@ -14,13 +14,6 @@ class Assignment:
 
     device: str
     subnet: str
-    role: str  # "standalone" | "partition_lower" | "partition_upper"
-
-    VALID_ROLES = ("standalone", "partition_lower", "partition_upper")
-
-    def __post_init__(self) -> None:
-        if self.role not in self.VALID_ROLES:
-            raise ValueError(f"unknown assignment role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -45,9 +38,19 @@ class DeploymentPlan:
         return [a.device for a in self.assignments]
 
     def describe(self) -> str:
+        """One line: each device's sub-network and its share.
+
+        In HA the first device holds the lowest channel block
+        (``partition_lower``) and the rest the upper ones; in every other
+        mode each device runs its sub-network ``standalone``.
+        """
         if self.mode == ExecutionMode.FAILED:
             return f"FAILED ({self.reason})" if self.reason else "FAILED"
-        parts = [f"{a.device}:{a.subnet}[{a.role}]" for a in self.assignments]
+        if self.mode == ExecutionMode.HIGH_ACCURACY:
+            roles = ["partition_lower"] + ["partition_upper"] * (len(self.assignments) - 1)
+        else:
+            roles = ["standalone"] * len(self.assignments)
+        parts = [f"{a.device}:{a.subnet}[{role}]" for a, role in zip(self.assignments, roles)]
         combined = f" -> {self.combined_subnet}" if self.combined_subnet else ""
         return f"{self.mode.value} {' + '.join(parts)}{combined}"
 
@@ -59,7 +62,7 @@ def failed_plan(reason: str) -> DeploymentPlan:
 def solo_plan(device: str, subnet: str) -> DeploymentPlan:
     return DeploymentPlan(
         mode=ExecutionMode.SOLO,
-        assignments=(Assignment(device, subnet, "standalone"),),
+        assignments=(Assignment(device, subnet),),
         reason=f"only {device} alive",
     )
 
@@ -70,9 +73,7 @@ def streams_plan(streams: Sequence[Tuple[str, str]]) -> DeploymentPlan:
         raise ValueError("streams_plan needs at least one (device, subnet) pair")
     return DeploymentPlan(
         mode=ExecutionMode.HIGH_THROUGHPUT,
-        assignments=tuple(
-            Assignment(device, subnet, "standalone") for device, subnet in streams
-        ),
+        assignments=tuple(Assignment(device, subnet) for device, subnet in streams),
         reason="independent sub-networks on parallel input streams",
     )
 
@@ -85,21 +86,17 @@ def partitioned_plan(devices: Sequence[str], combined_subnet: str) -> Deployment
     """
     if len(devices) < 2:
         raise ValueError("partitioned execution needs at least two devices")
-    roles = ["partition_lower"] + ["partition_upper"] * (len(devices) - 1)
     return DeploymentPlan(
         mode=ExecutionMode.HIGH_ACCURACY,
-        assignments=tuple(
-            Assignment(device, combined_subnet, role)
-            for device, role in zip(devices, roles)
-        ),
+        assignments=tuple(Assignment(device, combined_subnet) for device in devices),
         combined_subnet=combined_subnet,
         reason="width-partitioned joint inference",
     )
 
 
 def ht_plan(master_subnet: str, worker_subnet: str) -> DeploymentPlan:
-    return streams_plan((("master", master_subnet), ("worker", worker_subnet)))
+    return streams_plan(((MASTER, master_subnet), (WORKER, worker_subnet)))
 
 
 def ha_plan(combined_subnet: str) -> DeploymentPlan:
-    return partitioned_plan(("master", "worker"), combined_subnet)
+    return partitioned_plan((MASTER, WORKER), combined_subnet)

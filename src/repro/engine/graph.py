@@ -16,16 +16,24 @@ one place, instead of being duplicated across per-mode runtimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.distributed.modes import ExecutionMode
 from repro.distributed.plan import DeploymentPlan
-from repro.slimmable.spec import ChannelSlice, SubNetSpec, uniform_spec
+from repro.slimmable.spec import ChannelSlice, SubNetSpec, WidthSpec, uniform_spec
 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Channel blocks ``[boundaries[k], boundaries[k+1])`` per device."""
+    """Channel blocks ``[boundaries[k], boundaries[k+1])`` per device.
+
+    Device ``k`` holds output-channel rows ``boundaries[k]`` to
+    ``boundaries[k+1]`` of every layer, over all input columns.  The
+    paper's two devices are the two-block case (:meth:`two_way`): the
+    master holds block 0, the worker block 1.  The residency decides which
+    sub-networks a device can still run alone once its peers die
+    (:meth:`resident_specs`).
+    """
 
     boundaries: Tuple[int, ...]  # strictly increasing, starts at 0
 
@@ -57,6 +65,21 @@ class BlockPartition:
 
     def combined_spec(self, num_convs: int) -> SubNetSpec:
         return uniform_spec("combined", 0, self.max_width, num_convs)
+
+    def resident_specs(self, index: int, width_spec: WidthSpec) -> List[SubNetSpec]:
+        """Sub-networks of ``width_spec`` whose weights block ``index`` holds.
+
+        A standalone sub-network with uniform slice ``[a, b)`` needs weight
+        rows ``[a, b)`` of every layer over input columns ``[a, b)``; the
+        device holds its rows over *all* input columns, so containment of
+        the row range is sufficient.
+        """
+        block = self.block_slice(index)
+        return [
+            spec
+            for spec in width_spec.all_specs()
+            if all(block.contains(s) for s in spec.conv_slices)
+        ]
 
     def clipped_block(self, index: int, width: int) -> ChannelSlice:
         """Block ``index`` restricted to a layer of ``width`` output channels."""

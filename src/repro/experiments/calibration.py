@@ -33,7 +33,8 @@ from typing import Dict, Tuple
 
 from repro.comm.latency_model import CommLatencyModel
 from repro.device.profiles import jetson_nx_master, jetson_nx_worker
-from repro.distributed.partition import MASTER, WORKER
+from repro.distributed.modes import MASTER, WORKER
+from repro.distributed.plan import solo_plan
 from repro.distributed.throughput import SystemThroughputModel
 from repro.slimmable.slim_net import SlimmableConvNet
 
@@ -82,8 +83,8 @@ def calibration_points(net: SlimmableConvNet) -> Dict[str, OperatingPoint]:
     upper50 = ws.upper(ws.max_width - half)
     full = ws.full()
 
-    solo_master = tm.standalone_throughput(MASTER, lower50).throughput_ips
-    solo_worker = tm.standalone_throughput(WORKER, upper50).throughput_ips
+    solo_master = tm.evaluate_plan(solo_plan(MASTER, lower50.name)).throughput_ips
+    solo_worker = tm.evaluate_plan(solo_plan(WORKER, upper50.name)).throughput_ips
     ht = tm.ht_throughput(lower50, upper50).throughput_ips
     ha = tm.ha_throughput(full).throughput_ips
     points = {

@@ -80,9 +80,6 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def children(self) -> Iterator["Module"]:
-        return iter(self._modules.values())
-
     # -- train/eval and gradient state --------------------------------------
 
     def train(self, mode: bool = True) -> "Module":

@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.distributed.master import MasterRuntime
-from repro.distributed.modes import ExecutionMode
+from repro.distributed.modes import MASTER, WORKER, ExecutionMode
 from repro.distributed.plan import DeploymentPlan
 from repro.engine.endpoints import EndpointError, EndpointUnavailable
 from repro.runtime.monitor import HeartbeatMonitor
@@ -68,9 +68,9 @@ class LiveSystem:
         self.plan: DeploymentPlan = self._replan()
 
     def _alive_set(self) -> frozenset:
-        devices = {"master"}
+        devices = {MASTER}
         if self._worker_alive:
-            devices.add("worker")
+            devices.add(WORKER)
         return frozenset(devices)
 
     def _replan(self) -> DeploymentPlan:
@@ -124,7 +124,7 @@ class LiveSystem:
             return None
         if plan.mode is ExecutionMode.SOLO:
             (assignment,) = plan.assignments
-            if assignment.device != "master":
+            if assignment.device != MASTER:
                 # The master process cannot execute on a dead worker's behalf.
                 return None
         # The engine handles the mode dispatch (and splits HT streams).

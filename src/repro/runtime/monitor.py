@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, FrozenSet
 
 from repro.faults.plan import FaultPlan
-from repro.distributed.partition import MASTER, WORKER
+from repro.distributed.modes import MASTER, WORKER
 from repro.utils.logging import get_logger
 
 

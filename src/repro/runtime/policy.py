@@ -9,12 +9,10 @@ DyDNNs survive either (paper Fig. 1b/1c).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional
 
 from repro.device.cost import subnet_param_count
-from repro.device.profiles import DeviceProfile
-from repro.distributed.modes import ExecutionMode, Scenario
-from repro.distributed.partition import MASTER, WORKER, WidthPartition
+from repro.distributed.modes import MASTER, WORKER, ExecutionMode, Scenario
 from repro.distributed.plan import (
     DeploymentPlan,
     failed_plan,
@@ -45,27 +43,25 @@ class AdaptationPolicy:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
         self.model = model
         self.tm = throughput_model
-        self.partition = WidthPartition.at_spec_split(model.width_spec)
         self.target = target
-        self.profiles: Dict[str, DeviceProfile] = throughput_model.profiles
 
     # -- capability queries ------------------------------------------------------
 
-    def deployable_standalone(self, role: str) -> List[SubNetSpec]:
+    def deployable_standalone(self, device: str) -> List[SubNetSpec]:
         """Certified, resident, memory-feasible standalone specs for a device."""
-        options = self.partition.survivor_options(
-            role, self.model.certified_standalone
-        )
-        capacity = self.profiles[role].memory_capacity_params
+        block = (MASTER, WORKER).index(device)
+        certified = self.model.certified_standalone
+        capacity = self.tm.profiles[block].memory_capacity_params
         return [
             spec
-            for spec in options
-            if subnet_param_count(self.tm.net, spec) <= capacity
+            for spec in self.tm.partition.resident_specs(block, self.model.width_spec)
+            if spec.name in certified
+            and subnet_param_count(self.tm.net, spec) <= capacity
         ]
 
-    def best_standalone(self, role: str) -> Optional[SubNetSpec]:
+    def best_standalone(self, device: str) -> Optional[SubNetSpec]:
         """Widest feasible standalone spec (accuracy grows with width)."""
-        options = self.deployable_standalone(role)
+        options = self.deployable_standalone(device)
         if not options:
             return None
         return max(options, key=lambda s: s.last_slice.width)
@@ -102,13 +98,13 @@ class AdaptationPolicy:
     def plan_for_scenario(self, scenario: Scenario) -> DeploymentPlan:
         return self.plan(scenario.alive)
 
-    def _plan_solo(self, role: str) -> DeploymentPlan:
-        spec = self.best_standalone(role)
+    def _plan_solo(self, device: str) -> DeploymentPlan:
+        spec = self.best_standalone(device)
         if spec is None:
             return failed_plan(
-                f"{role}'s resident weights include no certified standalone sub-network"
+                f"{device}'s resident weights include no certified standalone sub-network"
             )
-        return solo_plan(role, spec.name)
+        return solo_plan(device, spec.name)
 
     def _plan_both(self) -> DeploymentPlan:
         candidates: List[DeploymentPlan] = []

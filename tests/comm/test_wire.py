@@ -185,9 +185,53 @@ class TestRejections:
             with pytest.raises(WireError, match="bad shape"):
                 decode_frame(self._declared(shape))
 
+    def test_deeply_nested_header_rejected(self):
+        """A header nested past the JSON parser's recursion limit."""
+        import struct
+
+        header = b"[" * 100_000
+        with pytest.raises(WireError, match="bad header"):
+            decode_frame(b"FDN1" + struct.pack(">I", len(header)) + header)
+
     def test_oversized_declared_header(self):
         import struct
 
         frame = b"FDN1" + struct.pack(">I", 1 << 24) + b"x"
         with pytest.raises(WireError):
             decode_frame(frame)
+
+
+# Any JSON value; headers are built from these so the fuzz reaches the
+# per-array checks as well as the top-level ones.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_ARRAY_ENTRY = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=4) | _JSON,
+        "dtype": st.sampled_from(sorted(_ALLOWED_DTYPES)) | _JSON,
+        "shape": st.lists(st.integers(-1, 2**64), max_size=3) | _JSON,
+    }
+)
+_HEADER = _JSON | st.fixed_dictionaries(
+    {"meta": _JSON, "arrays": st.lists(_ARRAY_ENTRY, max_size=3) | _JSON}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=_HEADER, payload=st.binary(max_size=64))
+def test_any_json_header_decodes_or_raises_wire_error(header, payload):
+    """A frame whose header is any JSON value either decodes or raises
+    WireError: never another exception, which would end a worker's loop."""
+    import json
+    import struct
+
+    encoded = json.dumps(header).encode()
+    frame = b"FDN1" + struct.pack(">I", len(encoded)) + encoded + payload
+    try:
+        decode_frame(frame)
+    except WireError:
+        pass

@@ -43,9 +43,7 @@ class TestLatency:
     def test_sequential_sums_stages(self, lp, paper_net):
         spec = paper_net.width_spec.full()
         out = lp.latency(spec, LayerCut(2, 4))
-        assert out.latency_s == pytest.approx(
-            out.compute_master_s + out.compute_worker_s + out.comm_s
-        )
+        assert out.latency_s == pytest.approx(sum(out.compute_s) + out.comm_s)
 
     def test_pipelined_beats_sequential(self, lp, paper_net):
         spec = paper_net.width_spec.full()

@@ -1,4 +1,5 @@
-"""Tests for the N-device generalisation."""
+"""Tests for the N-device generalisation: the one throughput model and the
+one engine over more than the paper's two channel blocks."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from repro.comm import CommLatencyModel
 from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.device.cost import block_partitioned_costs, subnet_num_layers
 from repro.distributed import ExecutionMode, SystemThroughputModel, solo_plan, streams_plan
-from repro.distributed.multidevice import BlockPartition, MultiDeviceModel
-from repro.engine import EndpointUnavailable
+from repro.engine import BlockPartition, EndpointUnavailable
 from repro.slimmable import SlimmableConvNet, WidthSpec
 from repro.utils import make_rng
 from tests.engine.blocks import block_engine, ha_over_all_blocks
@@ -22,9 +22,21 @@ def quad_net():
 
 @pytest.fixture(scope="module")
 def quad_model(quad_net):
-    partition = BlockPartition.even(4, 16)
-    profiles = [jetson_nx_master()] * 4
-    return MultiDeviceModel(quad_net, profiles, CommLatencyModel(), partition)
+    device = jetson_nx_master()
+    return SystemThroughputModel(
+        quad_net, device, device, CommLatencyModel(), BlockPartition.even(4, 16)
+    )
+
+
+@pytest.fixture(scope="module")
+def quad_blocks(quad_model, quad_net):
+    """Each block's own sub-network, in block order."""
+    return [quad_model.partition.block_spec(k, len(quad_net.convs)) for k in range(4)]
+
+
+@pytest.fixture(scope="module")
+def quad_combined(quad_model, quad_net):
+    return quad_model.partition.combined_spec(len(quad_net.convs))
 
 
 class TestBlockPartition:
@@ -52,32 +64,13 @@ class TestBlockPartition:
             BlockPartition.even(4, 16).block_slice(4)
 
 
-class TestMultiDeviceModel:
-    def test_device_count_must_match_blocks(self, quad_net):
-        with pytest.raises(ValueError):
-            MultiDeviceModel(
-                quad_net, [jetson_nx_master()] * 3, CommLatencyModel(),
-                BlockPartition.even(4, 16),
-            )
-
-    def test_ht_rates_add(self, quad_model):
-        one = quad_model.ht_throughput([0])
-        assert quad_model.ht_throughput([0, 1]) == pytest.approx(
-            one + quad_model.ht_throughput([1])
-        )
-        assert quad_model.ht_throughput(range(4)) > 3 * one
-
-    def test_ha_requires_all_devices(self, quad_model):
-        assert quad_model.ha_throughput([0, 1, 2]) == 0.0
-        assert quad_model.ha_throughput(range(4)) > 0.0
-
-    def test_graceful_degradation(self, quad_model):
-        """Each lost device removes exactly its stream, never the system."""
-        throughputs = [
-            quad_model.survivor_throughput(range(k)) for k in range(5)
-        ]
-        assert throughputs[0] == 0.0
-        assert all(a < b for a, b in zip(throughputs, throughputs[1:]))
+class TestFourBlockThroughput:
+    def test_ht_rates_add(self, quad_model, quad_blocks):
+        # Identical devices: each block's spec streams at the same rate on any of them.
+        alone = [quad_model.ht_throughput(spec).throughput_ips for spec in quad_blocks]
+        ht = quad_model.ht_throughput(*quad_blocks).throughput_ips
+        assert ht == pytest.approx(sum(alone))
+        assert ht > 3 * alone[0]
 
     def test_reliability_profile_monotone(self, quad_model):
         profile = quad_model.reliability_profile()
@@ -86,31 +79,19 @@ class TestMultiDeviceModel:
         # No single failure kills the system.
         assert profile[1] > 0.0
 
-    def test_ht_beats_ha_in_paper_regime(self, quad_model):
+    def test_ht_beats_ha_in_paper_regime(self, quad_model, quad_blocks, quad_combined):
         """The paper's comm-dominated regime persists at N=4: independent
         streams outrun the all-gather pipeline."""
-        assert quad_model.ht_throughput(range(4)) > quad_model.ha_throughput(range(4))
-
-    def test_two_block_case_matches_width_partition_shape(self, quad_net):
-        """N=2 with even blocks reproduces the paper's two-device structure."""
-        model = MultiDeviceModel(
-            quad_net,
-            [jetson_nx_master()] * 2,
-            CommLatencyModel(),
-            BlockPartition.even(2, 16),
+        assert (
+            quad_model.ht_throughput(*quad_blocks).throughput_ips
+            > quad_model.ha_throughput(quad_combined).throughput_ips
         )
-        ht = model.ht_throughput([0, 1])
-        ha = model.ha_throughput([0, 1])
-        solo = model.survivor_throughput([0])
-        assert ht == pytest.approx(2 * solo, rel=1e-9)
-        assert ha < solo < ht
 
-    def test_ha_charges_block_partitioned_costs(self, quad_net, quad_model):
+    def test_ha_charges_block_partitioned_costs(self, quad_net, quad_model, quad_combined):
         """N-block HA: lock-step compute of each device's clipped block, plus
         the all-gathers and N-1 partial-logit vectors at the classifier."""
-        spec = quad_model.partition.combined_spec(len(quad_net.convs))
         per_device, exchanges = block_partitioned_costs(
-            quad_net, spec, quad_model.partition.boundaries
+            quad_net, quad_combined, quad_model.partition.boundaries
         )
         layers = subnet_num_layers(quad_net)
         compute = max(
@@ -118,21 +99,56 @@ class TestMultiDeviceModel:
             for profile, costs in zip(quad_model.profiles, per_device)
         )
         expected = 1.0 / (compute + quad_model.comm.total_time(exchanges))
-        assert quad_model.ha_throughput(range(4)) == expected
+        assert quad_model.ha_throughput(quad_combined).throughput_ips == expected
 
-    def test_two_block_ha_is_the_two_device_model(self, paper_net):
-        """At N=2 the N-device model and SystemThroughputModel are one formula."""
+    def test_graceful_degradation(self, quad_model, quad_blocks):
+        """Each lost device removes exactly its stream, never the system."""
+        throughputs = [
+            quad_model.ht_throughput(*quad_blocks[:k]).throughput_ips for k in range(5)
+        ]
+        assert throughputs[0] == 0.0
+        assert all(a < b for a, b in zip(throughputs, throughputs[1:]))
+
+
+class TestTwoBlocks:
+    """The paper's two devices are the N = 2 case of the one model."""
+
+    def test_two_block_case_matches_width_partition_shape(self, quad_net):
+        """N=2 with even blocks reproduces the paper's two-device structure."""
+        device = jetson_nx_master()
+        model = SystemThroughputModel(
+            quad_net, device, device, CommLatencyModel(), BlockPartition.even(2, 16)
+        )
+        num_convs = len(quad_net.convs)
+        blocks = [model.partition.block_spec(k, num_convs) for k in range(2)]
+        ht = model.ht_throughput(*blocks).throughput_ips
+        ha = model.ha_throughput(model.partition.combined_spec(num_convs)).throughput_ips
+        solo = model.ht_throughput(blocks[0]).throughput_ips
+        assert ht == pytest.approx(2 * solo, rel=1e-9)
+        assert ha < solo < ht
+
+    def test_default_partition_is_the_two_way_split(self, paper_net):
+        """Without a partition the model splits at the width spec's split."""
         master, worker, comm = jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
         ws = paper_net.width_spec
-        model = MultiDeviceModel(
-            paper_net, [master, worker], comm, BlockPartition.two_way(ws.split, ws.max_width)
+        explicit = SystemThroughputModel(
+            paper_net, master, worker, comm, BlockPartition.two_way(ws.split, ws.max_width)
         )
-        two_device = SystemThroughputModel(paper_net, master, worker, comm)
-        assert model.ha_throughput([0, 1]) == two_device.ha_throughput(ws.full()).throughput_ips
+        default = SystemThroughputModel(paper_net, master, worker, comm)
+        assert default.partition.boundaries == explicit.partition.boundaries
+        assert default.profiles == (master, worker)
+        assert default.ha_throughput(ws.full()) == explicit.ha_throughput(ws.full())
 
-    def test_alive_index_validation(self, quad_model):
-        with pytest.raises(ValueError):
-            quad_model.ht_throughput([5])
+    def test_one_failure_leaves_the_slower_device(self, paper_net):
+        """The worst single failure takes the faster of master and worker."""
+        model = SystemThroughputModel(
+            paper_net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
+        )
+        num_convs = len(paper_net.convs)
+        ht = model.ht_throughput(*(model.partition.block_spec(k, num_convs) for k in range(2)))
+        profile = model.reliability_profile()
+        assert profile[1] == min(1.0 / t for t in ht.compute_s)
+        assert profile[2] == 0.0
 
 
 class TestEngineDeviceFailure:

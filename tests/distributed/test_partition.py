@@ -2,74 +2,58 @@
 
 import pytest
 
-from repro.distributed import MASTER, WORKER, WidthPartition
+from repro.engine import BlockPartition
 from repro.slimmable import paper_width_spec
 
 
 @pytest.fixture
 def partition():
-    return WidthPartition.at_spec_split(paper_width_spec())
+    ws = paper_width_spec()
+    return BlockPartition.two_way(ws.split, ws.max_width)
+
+
+def _names(specs):
+    return [s.name for s in specs]
 
 
 class TestDeviceSlices:
     def test_master_gets_lower_rows(self, partition):
-        s = partition.device_slice(MASTER)
+        s = partition.block_slice(0)
         assert (s.start, s.stop) == (0, 8)
 
     def test_worker_gets_upper_rows(self, partition):
-        s = partition.device_slice(WORKER)
+        s = partition.block_slice(1)
         assert (s.start, s.stop) == (8, 16)
 
-    def test_unknown_role(self, partition):
+    def test_unknown_block(self, partition):
         with pytest.raises(ValueError):
-            partition.device_slice("bystander")
+            partition.resident_specs(2, paper_width_spec())
 
     def test_split_bounds(self):
         with pytest.raises(ValueError):
-            WidthPartition(paper_width_spec(), 0)
+            BlockPartition.two_way(0, 16)
         with pytest.raises(ValueError):
-            WidthPartition(paper_width_spec(), 16)
+            BlockPartition.two_way(16, 16)
 
 
 class TestResidency:
     def test_master_residency(self, partition):
-        names = [s.name for s in partition.resident_specs(MASTER)]
-        assert names == ["lower25", "lower50"]
+        assert _names(partition.resident_specs(0, paper_width_spec())) == ["lower25", "lower50"]
 
     def test_worker_residency(self, partition):
-        names = [s.name for s in partition.resident_specs(WORKER)]
-        assert names == ["upper25", "upper50"]
-
-class TestSurvivorOptions:
-    """The reliability story of Fig. 1b/1c, expressed as residency x certification."""
-
-    def test_static_has_no_survivors(self, partition):
-        # Static DNN certifies nothing standalone.
-        assert partition.survivor_options(MASTER, ()) == []
-        assert partition.survivor_options(WORKER, ()) == []
-
-    def test_dynamic_master_survives_worker_does_not(self, partition):
-        dynamic_certified = ("lower25", "lower50", "lower75", "lower100")
-        master_names = [s.name for s in partition.survivor_options(MASTER, dynamic_certified)]
-        assert master_names == ["lower25", "lower50"]
-        assert partition.survivor_options(WORKER, dynamic_certified) == []
-
-    def test_fluid_both_survive(self, partition):
-        fluid_certified = (
-            "lower25", "lower50", "lower75", "lower100", "upper25", "upper50",
-        )
-        assert [s.name for s in partition.survivor_options(MASTER, fluid_certified)] == [
-            "lower25",
-            "lower50",
-        ]
-        assert [s.name for s in partition.survivor_options(WORKER, fluid_certified)] == [
-            "upper25",
-            "upper50",
-        ]
+        assert _names(partition.resident_specs(1, paper_width_spec())) == ["upper25", "upper50"]
 
     def test_uneven_split_changes_residency(self):
-        partition = WidthPartition(paper_width_spec(), 12)
-        master_names = [s.name for s in partition.resident_specs(MASTER)]
-        assert "lower75" in master_names
+        ws = paper_width_spec()
+        partition = BlockPartition.two_way(12, ws.max_width)
+        assert "lower75" in _names(partition.resident_specs(0, ws))
         # Worker rows [12,16) hold no named sub-network (upper specs start at 8).
-        assert partition.resident_specs(WORKER) == []
+        assert partition.resident_specs(1, ws) == []
+
+    def test_four_blocks_residency(self):
+        """Over four blocks of four rows, a quarter-width sub-network lives
+        only where its rows start at a block boundary."""
+        ws = paper_width_spec()
+        partition = BlockPartition.even(4, ws.max_width)
+        residency = [_names(partition.resident_specs(k, ws)) for k in range(4)]
+        assert residency == [["lower25"], [], ["upper25"], []]

@@ -9,14 +9,10 @@ from repro.distributed import (
     failed_plan,
     ha_plan,
     ht_plan,
+    partitioned_plan,
     solo_plan,
+    streams_plan,
 )
-
-
-class TestAssignment:
-    def test_invalid_role_rejected(self):
-        with pytest.raises(ValueError):
-            Assignment("master", "lower50", "juggler")
 
 
 class TestDeploymentPlan:
@@ -25,8 +21,8 @@ class TestDeploymentPlan:
             DeploymentPlan(
                 mode=ExecutionMode.HIGH_THROUGHPUT,
                 assignments=(
-                    Assignment("master", "lower50", "standalone"),
-                    Assignment("master", "lower25", "standalone"),
+                    Assignment("master", "lower50"),
+                    Assignment("master", "lower25"),
                 ),
             )
 
@@ -38,7 +34,7 @@ class TestDeploymentPlan:
         with pytest.raises(ValueError):
             DeploymentPlan(
                 mode=ExecutionMode.FAILED,
-                assignments=(Assignment("master", "lower50", "standalone"),),
+                assignments=(Assignment("master", "lower50"),),
             )
 
     def test_assignment_lookup(self):
@@ -50,14 +46,34 @@ class TestFactories:
     def test_solo(self):
         plan = solo_plan("worker", "upper50")
         assert plan.mode is ExecutionMode.SOLO
-        assert plan.assignments[0].role == "standalone"
+        assert plan.describe() == "solo worker:upper50[standalone]"
 
     def test_ha(self):
         plan = ha_plan("lower100")
         assert plan.mode is ExecutionMode.HIGH_ACCURACY
         assert plan.combined_subnet == "lower100"
-        roles = {a.device: a.role for a in plan.assignments}
-        assert roles == {"master": "partition_lower", "worker": "partition_upper"}
+        assert plan.describe() == (
+            "HA master:lower100[partition_lower] + worker:lower100[partition_upper] -> lower100"
+        )
+
+    def test_partitioned_over_more_devices(self):
+        """The first device holds the lowest block; every other an upper one."""
+        plan = partitioned_plan(["dev0", "dev1", "dev2"], "combined")
+        assert plan.describe() == (
+            "HA dev0:combined[partition_lower] + dev1:combined[partition_upper]"
+            " + dev2:combined[partition_upper] -> combined"
+        )
+
+    def test_streams_over_more_devices(self):
+        plan = streams_plan([("dev0", "block0"), ("dev1", "block1"), ("dev2", "block2")])
+        assert plan.mode is ExecutionMode.HIGH_THROUGHPUT
+        assert plan.describe() == (
+            "HT dev0:block0[standalone] + dev1:block1[standalone] + dev2:block2[standalone]"
+        )
+
+    def test_partitioned_needs_two_devices(self):
+        with pytest.raises(ValueError):
+            partitioned_plan(["dev0"], "combined")
 
     def test_failed(self):
         plan = failed_plan("because")
@@ -66,4 +82,4 @@ class TestFactories:
 
     def test_describe_readable(self):
         text = ht_plan("lower50", "upper50").describe()
-        assert "HT" in text and "lower50" in text and "upper50" in text
+        assert text == "HT master:lower50[standalone] + worker:upper50[standalone]"

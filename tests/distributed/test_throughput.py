@@ -25,15 +25,13 @@ def tm(paper_net):
 class TestCalibratedOperatingPoints:
     """The four paper numbers, reproduced to within 0.5%."""
 
-    def test_lone_master_50(self, tm, paper_net):
-        spec = paper_net.width_spec.find("lower50")
-        assert tm.standalone_throughput(MASTER, spec).throughput_ips == pytest.approx(
+    def test_lone_master_50(self, tm):
+        assert tm.evaluate_plan(solo_plan(MASTER, "lower50")).throughput_ips == pytest.approx(
             14.4, rel=0.005
         )
 
-    def test_lone_worker_upper50(self, tm, paper_net):
-        spec = paper_net.width_spec.find("upper50")
-        assert tm.standalone_throughput(WORKER, spec).throughput_ips == pytest.approx(
+    def test_lone_worker_upper50(self, tm):
+        assert tm.evaluate_plan(solo_plan(WORKER, "upper50")).throughput_ips == pytest.approx(
             13.9, rel=0.005
         )
 
@@ -53,8 +51,8 @@ class TestStructuralProperties:
         lower, upper = ws.find("lower50"), ws.find("upper50")
         ht = tm.ht_throughput(lower, upper).throughput_ips
         solo_sum = (
-            tm.standalone_throughput(MASTER, lower).throughput_ips
-            + tm.standalone_throughput(WORKER, upper).throughput_ips
+            tm.evaluate_plan(solo_plan(MASTER, lower.name)).throughput_ips
+            + tm.evaluate_plan(solo_plan(WORKER, upper.name)).throughput_ips
         )
         assert ht == pytest.approx(solo_sum)
 
@@ -63,17 +61,15 @@ class TestStructuralProperties:
         50% model — the crossover the paper's HT mode exploits."""
         ws = paper_net.width_spec
         ha = tm.ha_throughput(ws.full()).throughput_ips
-        solo = tm.standalone_throughput(MASTER, ws.find("lower50")).throughput_ips
+        solo = tm.evaluate_plan(solo_plan(MASTER, "lower50")).throughput_ips
         assert ha < solo
 
     def test_ha_breakdown_components(self, tm, paper_net):
         out = tm.ha_throughput(paper_net.width_spec.full())
-        assert out.compute_master_s > 0
-        assert out.compute_worker_s > 0
+        assert len(out.compute_s) == 2
+        assert all(t > 0 for t in out.compute_s)
         assert out.comm_s > 0
-        assert out.latency_s == pytest.approx(
-            max(out.compute_master_s, out.compute_worker_s) + out.comm_s
-        )
+        assert out.latency_s == pytest.approx(max(out.compute_s) + out.comm_s)
 
     def test_partitioning_beats_lone_full_model(self, tm, paper_net):
         """Width partitioning is worth doing at all: the distributed 100%
@@ -81,7 +77,7 @@ class TestStructuralProperties:
         which is why the paper distributes in the first place."""
         ws = paper_net.width_spec
         ha = tm.ha_throughput(ws.full()).throughput_ips
-        lone_full = tm.standalone_throughput(MASTER, ws.full()).throughput_ips
+        lone_full = tm.evaluate_plan(solo_plan(MASTER, ws.full().name)).throughput_ips
         assert ha > lone_full
 
     def test_free_comm_strictly_improves_ha(self, tm, paper_net):
@@ -97,6 +93,15 @@ class TestStructuralProperties:
 
 
 class TestPlanEvaluation:
+    def test_compute_is_listed_in_block_order(self, tm, paper_net):
+        """The master's stream is block 0, the worker's block 1; a lone
+        device leaves the other's entry at zero."""
+        ws = paper_net.width_spec
+        t_m = tm.standalone_latency(MASTER, ws.find("lower50"))
+        t_w = tm.standalone_latency(WORKER, ws.find("upper50"))
+        assert tm.evaluate_plan(ht_plan("lower50", "upper50")).compute_s == (t_m, t_w)
+        assert tm.evaluate_plan(solo_plan(WORKER, "upper50")).compute_s == (0.0, t_w)
+
     def test_failed_plan_zero(self, tm):
         assert tm.evaluate_plan(failed_plan("x")).throughput_ips == 0.0
 

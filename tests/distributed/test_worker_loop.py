@@ -10,6 +10,7 @@ right; the peer closing its end ends it.
 
 from __future__ import annotations
 
+import json
 import struct
 import threading
 
@@ -30,9 +31,22 @@ from repro.scheduler.procpool import make_process_replicas
 from repro.utils import make_rng
 from repro.utils.dtypes import compute_dtype
 
+
+def _raw_frame(header) -> bytes:
+    """A frame carrying ``header`` as its JSON, whatever its shape."""
+    encoded = json.dumps(header).encode()
+    return b"FDN1" + struct.pack(">I", len(encoded)) + encoded
+
+
+_PING_META = {"kind": "ping", "fields": {}}
 UNDECODABLE = [
     b"not a frame at all",
     encode_frame({}, {"kind": "teleport", "fields": {}}),  # no such message kind
+    _raw_frame({"meta": _PING_META, "arrays": 5}),  # arrays is no list
+    _raw_frame({"meta": _PING_META, "arrays": None}),
+    _raw_frame(  # an unhashable dtype
+        {"meta": _PING_META, "arrays": [{"name": "x", "dtype": ["float32"], "shape": [1]}]}
+    ),
 ]
 
 
@@ -122,3 +136,4 @@ def test_unservable_requests_get_error_and_the_loop_serves_on_until_the_peer_lea
     assert served.serve_good()
     peer.close()
     assert served.ended()
+

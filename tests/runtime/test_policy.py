@@ -5,6 +5,7 @@ import pytest
 from repro.comm import CommLatencyModel
 from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.distributed import MASTER, WORKER, ExecutionMode, Scenario, SystemThroughputModel
+from repro.engine import BlockPartition
 from repro.models import build_model
 from repro.runtime import TARGET_ACCURACY, TARGET_THROUGHPUT, AdaptationPolicy
 from repro.utils import make_rng
@@ -38,6 +39,24 @@ class TestStandaloneDeployability:
     def test_fluid_worker_gets_upper(self):
         policy = make_policy("fluid")
         assert policy.best_standalone(WORKER).name == "upper50"
+        names = [s.name for s in policy.deployable_standalone(WORKER)]
+        assert names == ["upper25", "upper50"]
+        assert [s.name for s in policy.deployable_standalone(MASTER)] == ["lower25", "lower50"]
+
+    def test_residency_follows_the_throughput_models_partition(self):
+        """One partition per deployment: split at 12, the Fluid worker's rows
+        [12, 16) hold no named sub-network, so the worker alone fails."""
+        model = build_model("fluid", rng=make_rng(0))
+        tm = SystemThroughputModel(
+            model.net,
+            jetson_nx_master(),
+            jetson_nx_worker(),
+            CommLatencyModel(),
+            BlockPartition.two_way(12, model.width_spec.max_width),
+        )
+        policy = AdaptationPolicy(model, tm)
+        assert policy.deployable_standalone(WORKER) == []
+        assert policy.plan_for_scenario(Scenario.ONLY_WORKER).mode is ExecutionMode.FAILED
 
 
 class TestScenarioPlans:

@@ -23,18 +23,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--family", "quantum", "--out", "x"])
 
-    def test_dist_tcp_rejects_a_split_it_cannot_run(self, monkeypatch):
-        """The TCP cluster always splits at the width spec's split, so an other
-        --split is refused before any worker process is spawned."""
-        from repro.distributed import cluster
-
-        def no_spawn(*args, **kwargs):
-            raise AssertionError("a cluster was started")
-
-        monkeypatch.setattr(cluster.LocalCluster, "__init__", no_spawn)
-        with pytest.raises(SystemExit, match="--split 4 conflicts with --tcp"):
-            main(["dist", "--tcp", "--split", "4", "--batches", "1"])
-
     def test_dist_tears_its_engines_down(self, capsys):
         """Each ``repro dist`` variant ends with ``engine.shutdown()``: no
         dispatch lane outlives the command."""

@@ -48,7 +48,15 @@ class TestFastExamples:
     def test_scaling_demo(self):
         out = run_example("scaling_demo.py")
         assert "HT img/s" in out
-        assert "k=1:" in out  # reliability decay table rendered
+        # The N = 2, 4 and 8 rows, digit for digit.
+        rows = [
+            "2      28.8      11.1  k=0: 28.8 k=1: 14.4 k=2:  0.0",
+            "4      71.6      13.6  k=0: 71.6 k=1: 53.7 k=2: 35.8 k=3: 17.9 k=4:  0.0",
+            "8     154.8      15.4  k=0:154.8 k=1:135.4 k=2:116.1 k=3: 96.7 k=4: 77.4"
+            " k=5: 58.0 k=6: 38.7 k=7: 19.3 k=8:  0.0",
+        ]
+        for row in rows:
+            assert f"    {row}\n" in out, row
 
 
 class TestExampleHygiene:

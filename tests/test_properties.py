@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from repro.comm import CommLatencyModel
 from repro.device import jetson_nx_master, jetson_nx_worker
 from repro.distributed import (
+    MASTER,
+    WORKER,
     ExecutionMode,
     SystemThroughputModel,
     partitioned_forward_reference,
+    solo_plan,
 )
 from repro.models import build_model
 from repro.nn import SGD, ForwardContext, SoftmaxCrossEntropy
@@ -73,11 +76,12 @@ class TestPolicyInvariants:
         for assignment in plan.assignments:
             assert assignment.device in alive
         # 2. Standalone assignments are certified and resident.
-        for assignment in plan.assignments:
-            if assignment.role == "standalone":
+        if plan.mode is not ExecutionMode.HIGH_ACCURACY:
+            for assignment in plan.assignments:
                 assert model.is_standalone_certified(assignment.subnet)
+                block = (MASTER, WORKER).index(assignment.device)
                 resident = [
-                    s.name for s in policy.partition.resident_specs(assignment.device)
+                    s.name for s in policy.tm.partition.resident_specs(block, model.width_spec)
                 ]
                 assert assignment.subnet in resident
         # 3. HA plans require both devices and a certified combined model.
@@ -105,8 +109,8 @@ class TestThroughputIdentities:
             shared_net, jetson_nx_master(), jetson_nx_worker(), comm
         )
         ht = tm.ht_throughput(master_spec, worker_spec).throughput_ips
-        solo_m = tm.standalone_throughput("master", master_spec).throughput_ips
-        solo_w = tm.standalone_throughput("worker", worker_spec).throughput_ips
+        solo_m = tm.evaluate_plan(solo_plan(MASTER, master_spec.name)).throughput_ips
+        solo_w = tm.evaluate_plan(solo_plan(WORKER, worker_spec.name)).throughput_ips
         assert ht == pytest.approx(solo_m + solo_w)
 
     @settings(max_examples=20, deadline=None)

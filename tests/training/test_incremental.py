@@ -45,34 +45,42 @@ class TestFreezingSemantics:
             net.classifier.weight.data[:, : 4 * 49], snapshot["fc_cols"]
         )
 
-    def test_freeze_masks_cleared_after_fit(self, tiny_data):
-        train, _ = tiny_data
-        model = build_model("dynamic", rng=make_rng(0))
-        IncrementalTrainer().fit(model, train, TrainConfig(epochs=1, lr=0.05), rng=make_rng(1))
-        assert all(p.grad_mask is None for p in model.net.parameters())
-
-    def test_history_has_all_stages(self, tiny_data):
+    @pytest.fixture(scope="class")
+    def fitted(self, tiny_data):
+        """One one-epoch fit, shared by the assertions below: ``(model, history)``."""
         train, _ = tiny_data
         model = build_model("dynamic", rng=make_rng(0))
         history = IncrementalTrainer().fit(
             model, train, TrainConfig(epochs=1, lr=0.05), rng=make_rng(1)
         )
+        return model, history
+
+    def test_freeze_masks_cleared_after_fit(self, fitted):
+        model, _ = fitted
+        assert all(p.grad_mask is None for p in model.net.parameters())
+
+    def test_history_has_all_stages(self, fitted):
+        _, history = fitted
         assert history.stages() == ["lower25", "lower50", "lower75", "lower100"]
 
 
 @pytest.mark.slow
 class TestLearnedBehaviour:
-    def test_all_lower_subnets_beat_chance(self, tiny_data):
-        train, test = tiny_data
+    @pytest.fixture(scope="class")
+    def model(self, tiny_data):
+        """One two-epoch fit, shared by the assertions below."""
+        train, _ = tiny_data
         model = build_model("dynamic", rng=make_rng(0))
         IncrementalTrainer().fit(model, train, TrainConfig(epochs=2, lr=0.05), rng=make_rng(1))
+        return model
+
+    def test_all_lower_subnets_beat_chance(self, model, tiny_data):
+        _, test = tiny_data
         for name in ("lower25", "lower50", "lower75", "lower100"):
             assert model.evaluate(name, test) > 0.4, name
 
-    def test_upper_subnets_remain_untrained(self, tiny_data):
+    def test_upper_subnets_remain_untrained(self, model, tiny_data):
         """The Dynamic DNN's defining failure: its upper slices are useless
         standalone (paper Fig. 1c)."""
-        train, test = tiny_data
-        model = build_model("dynamic", rng=make_rng(0))
-        IncrementalTrainer().fit(model, train, TrainConfig(epochs=2, lr=0.05), rng=make_rng(1))
+        _, test = tiny_data
         assert model.evaluate("upper50", test) < 0.4

@@ -28,7 +28,9 @@ class TestTrainConfig:
 
 @pytest.mark.slow
 class TestFit:
-    def test_loss_decreases(self, tiny_data):
+    @pytest.fixture(scope="class")
+    def fitted(self, tiny_data):
+        """One three-epoch fit, shared by the assertions below: ``(model, history)``."""
         train, _ = tiny_data
         model = build_model("static", rng=make_rng(0))
         history = Trainer().fit(
@@ -37,14 +39,17 @@ class TestFit:
             TrainConfig(epochs=3, lr=0.05),
             rng=make_rng(1),
         )
+        return model, history
+
+    def test_loss_decreases(self, fitted):
+        _, history = fitted
         losses = [r.train_loss for r in history.records]
         assert len(losses) == 3
         assert losses[-1] < losses[0]
 
-    def test_beats_chance(self, tiny_data):
-        train, test = tiny_data
-        model = build_model("static", rng=make_rng(0))
-        Trainer().fit(model.full_view(), train, TrainConfig(epochs=3, lr=0.05), rng=make_rng(1))
+    def test_beats_chance(self, fitted, tiny_data):
+        model, _ = fitted
+        _, test = tiny_data
         assert evaluate_view(model.full_view(), test) > 0.5
 
     def test_validation_accuracy_recorded(self, tiny_data):
