@@ -8,7 +8,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_smokes.py            # everything
     PYTHONPATH=src python benchmarks/run_smokes.py --list
-    PYTHONPATH=src python benchmarks/run_smokes.py --only plan
+    PYTHONPATH=src python benchmarks/run_smokes.py --only chaos
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: script stem -> what its smoke exercises.
 SMOKES = {
     "scheduler": "live SLA scheduler vs fixed-widest under overload + a replica kill",
-    "plan": "compiled plans vs eager: both conv backends, both dtype policies",
     "multiproc": "thread vs process replicas over shm weights",
     "dist_plan": "compiled vs eager HA over in-process endpoints and the wire",
     "trace_replay": "live replay of the zoo's bursts, traced and untraced",

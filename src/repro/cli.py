@@ -38,7 +38,6 @@ from repro.experiments import (
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.models import build_model
 from repro.nn.checkpoint import load_state, save_state
-from repro.nn.functional import CONV_BACKENDS
 from repro.runtime import AdaptationPolicy, SystemController
 from repro.slimmable import SlimmableConvNet, paper_width_spec
 from repro.training import RecipeConfig, TrainConfig, train_family
@@ -71,11 +70,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--max-delay-ms", type=float, default=None,
         help="longest a request with company waits for batch-mates, in "
         "milliseconds (a lone request is flushed at once)",
-    )
-    parser.add_argument(
-        "--conv-backend", choices=CONV_BACKENDS, default=None,
-        help="convolution lowering for compiled plans: im2col (bitwise-exact "
-        "default) or shifted-gemm (fastest at wide widths; allclose, not bitwise)",
     )
     parser.add_argument(
         "--replica-backend", choices=("thread", "process"), default=None,
@@ -326,8 +320,6 @@ def config_from_args(args, defaults=None):
         mapping["max_batch"] = args.max_batch
     if args.max_delay_ms is not None:
         mapping["max_delay_s"] = args.max_delay_ms / 1000.0
-    if args.conv_backend is not None:
-        mapping["conv_backend"] = args.conv_backend
     if args.replica_backend is not None:
         mapping["replica_backend"] = args.replica_backend
     try:

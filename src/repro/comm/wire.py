@@ -19,14 +19,12 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro.utils.dtypes import get_dtype_policy
+from repro.utils.dtypes import TRANSPORT_DTYPES, get_dtype_policy
 
 MAGIC = b"FDN1"
 _HEADER_STRUCT = struct.Struct(">I")
 MAX_HEADER_BYTES = 1 << 20
 MAX_PAYLOAD_BYTES = 1 << 30
-
-_ALLOWED_DTYPES = {"float32", "float64", "int64", "int32", "uint8", "bool"}
 
 
 class WireError(ValueError):
@@ -41,7 +39,7 @@ def encode_frame(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> bytes:
         arr = np.asarray(arr)
         shape = arr.shape  # before ascontiguousarray, which promotes 0-d to (1,)
         dtype = arr.dtype.name
-        if dtype not in _ALLOWED_DTYPES:
+        if dtype not in TRANSPORT_DTYPES:
             raise WireError(f"dtype {dtype!r} not allowed on the wire (array {name!r})")
         arr = np.ascontiguousarray(arr)
         blob = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
@@ -87,7 +85,7 @@ def decode_frame(frame: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
             raise WireError(f"bad array entry: {entry!r}") from exc
         if not isinstance(name, str):
             raise WireError(f"bad array name {name!r}")
-        if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
+        if not isinstance(dtype, str) or dtype not in TRANSPORT_DTYPES:
             raise WireError(f"dtype {dtype!r} not allowed on the wire")
         if any((not isinstance(d, int)) or d < 0 for d in shape):
             raise WireError(f"bad shape {shape!r}")
@@ -110,7 +108,7 @@ def decode_frame(frame: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
 def wire_dtype() -> np.dtype:
     """Dtype float activations take on the wire, per the global policy."""
     dtype = get_dtype_policy().wire_dtype
-    if dtype.name not in _ALLOWED_DTYPES:
+    if dtype.name not in TRANSPORT_DTYPES:
         raise WireError(f"policy wire dtype {dtype.name!r} not in the allowlist")
     return dtype
 

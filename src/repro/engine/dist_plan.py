@@ -19,8 +19,9 @@ engine re-broadcasts the *full* reassembled activation each round.  A
   These arenas and the logits are whole-run buffers (no ``live`` on their
   :class:`~repro.nn.workspace.BufferSpec`), so an absorbed half and a reply
   that is an arena view survive from round to round; only the transients
-  (columns, GEMM result, pool input, and the feature block from the last
-  conv round to the classifier round) share bytes;
+  (columns and their one-image staging, GEMM result, pool input, and the
+  feature block from the last conv round to the classifier round) share
+  bytes;
 * **the fused conv block** of :mod:`repro.nn.plan`
   (:func:`~repro.nn.plan.conv_block_into` over the steps
   :class:`~repro.nn.plan.InferencePlan`'s own im2col lowering produces)

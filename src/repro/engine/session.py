@@ -22,9 +22,8 @@ A session may carry a compiled :class:`~repro.nn.plan.InferencePlan`:
 requests the plan accepts (matching shape, batch fits the arena, active
 dtype policy matches the compiled dtype) run allocation-free through the
 plan's workspace pool, computing over the batch's rows only; everything
-else falls back to the eager path.  Plan and eager outputs are bitwise identical for the exact
-conv backends (``plan.exact``); the opt-in ``shifted-gemm`` backend is
-allclose within :data:`~repro.nn.functional.SHIFTED_GEMM_TOLERANCE`.
+else falls back to the eager path.  Plan and eager outputs are bitwise
+identical.
 """
 
 from __future__ import annotations

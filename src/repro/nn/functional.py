@@ -20,42 +20,6 @@ import numpy as np
 
 from repro.utils.dtypes import compute_dtype
 
-#: Convolution backends a compiled plan (and the CLI/config layer) may
-#: select.  ``im2col`` is the default and bitwise-identical to the eager
-#: path; ``shifted-gemm`` accumulates kernel-column offset GEMMs over a
-#: rolling row panel — no ``(rows, C*k*k)`` column matrix and no strided
-#: per-window gather, but a *relaxed* equality contract (allclose, not
-#: bitwise: the GEMM reduction is re-associated across kernel columns).
-CONV_BACKENDS = ("im2col", "shifted-gemm")
-
-#: The shifted-GEMM relaxed-equality contract, per compute dtype: outputs
-#: must be allclose to the im2col path within these tolerances (the only
-#: divergence is reduction re-association across kernel columns, so the
-#: bound is a few ulps of accumulated rounding — measured maxima sit well
-#: inside these).  Tests and benches assert through this one table.
-SHIFTED_GEMM_TOLERANCE = {
-    "float32": {"rtol": 1e-4, "atol": 1e-5},
-    "float64": {"rtol": 1e-9, "atol": 1e-12},
-}
-
-
-def shifted_gemm_tolerance(dtype) -> dict:
-    """``{rtol, atol}`` of the shifted-GEMM contract for ``dtype``."""
-    name = np.dtype(dtype).name
-    try:
-        return SHIFTED_GEMM_TOLERANCE[name]
-    except KeyError:
-        raise ValueError(f"no shifted-GEMM tolerance defined for dtype {name!r}")
-
-
-def check_conv_backend(name: str) -> str:
-    """Validate a conv-backend name (the one place the list is enforced)."""
-    if name not in CONV_BACKENDS:
-        raise ValueError(
-            f"unknown conv backend {name!r}; expected one of {CONV_BACKENDS}"
-        )
-    return name
-
 
 def cast_compute(training: bool, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Cast arrays to the policy's compute dtype for the given mode.
@@ -142,13 +106,18 @@ def im2col_into(
     kernel: Tuple[int, int],
     stride: int,
     out: np.ndarray,
+    stage: np.ndarray,
 ) -> Tuple[int, int]:
     """Allocation-free :func:`im2col` for pre-padded inputs.
 
     ``x`` must already include any zero padding (compiled plans keep a
-    persistent padded arena buffer whose border never changes).  The unfold
-    is written straight into ``out`` — a contiguous ``(N*oh*ow, C*kh*kw)``
-    workspace buffer — via a strided-view copy, so the call allocates
+    persistent padded arena buffer whose border never changes).  ``out`` is
+    a contiguous ``(N*oh*ow, C*kh*kw)`` workspace buffer and ``stage`` a
+    contiguous one-image ``(C*kh*kw, oh*ow)`` one.  Each image is gathered
+    K-major into ``stage`` — the copy's inner axis runs along output
+    columns, not along a ``kw``-element kernel row — and ``stage``'s
+    transpose is then copied into the image's rows of ``out``.  Only copies,
+    so ``out`` holds exactly :func:`im2col`'s bytes; the call allocates
     nothing.  Returns ``(out_h, out_w)``.
     """
     n, c, h, w = x.shape
@@ -156,134 +125,13 @@ def im2col_into(
     out_h = conv_out_size(h, kh, stride, 0)
     out_w = conv_out_size(w, kw, stride, 0)
     windows = sliding_windows(x, kh, kw, stride, out_h, out_w)
-    # out is contiguous, so the 6-d reshape is a view; copyto then performs
-    # the same (N, oh, ow, C, kh, kw) gather im2col's transpose-reshape does.
-    src = windows.transpose(0, 2, 3, 1, 4, 5)
-    dst = out.reshape(n, out_h, out_w, c, kh, kw)
-    np.copyto(dst, src)
+    # stage is contiguous, so the 5-d reshape is a view.
+    kmajor = stage.reshape(c, kh, kw, out_h, out_w)
+    rows = out_h * out_w
+    for i in range(n):
+        np.copyto(kmajor, windows[i].transpose(0, 3, 4, 1, 2))
+        np.copyto(out[i * rows : (i + 1) * rows], stage.T)
     return out_h, out_w
-
-
-# -- shifted-GEMM convolution -------------------------------------------------
-#
-# A stride-1 convolution over a zero-padded input is a sum of kernel-offset
-# products.  Flatten each channel's padded image to one long row (plus a
-# shared inter-image tail so offset reads never leave the buffer) and the
-# windows at kernel offset (i, j) become the *contiguous* slice starting at
-# ``i*padded_w + j`` — so the convolution is k (kernel-column) GEMMs over a
-# rolling row panel, accumulated in place, with the valid output pixels
-# sitting in a strided view of the wide result.  No ``(rows, C*k*k)`` column
-# matrix is ever built and nothing is gathered per window; the only copies
-# are whole-row memcpys into the panel.  The price is a relaxed equality
-# contract: the reduction over kernel columns is re-associated, so outputs
-# are allclose — not bitwise-equal — to the im2col path.
-
-
-def shifted_tail(kernel: int, padded_w: int) -> int:
-    """Extra zero elements a flattened arena needs past its last image."""
-    return (kernel - 1) * padded_w + (kernel - 1)
-
-
-def shifted_panel_fill(
-    xflat: np.ndarray, panel: np.ndarray, kernel: int, padded_w: int, shift: int
-) -> None:
-    """Fill the ``(C*kh, L)`` row panel for kernel-column ``shift``.
-
-    Row ``ci*kh + i`` is the contiguous slice
-    ``xflat[ci, i*padded_w + shift :][:L]`` — one memcpy per (channel, kernel
-    row): the strided per-window gather the im2col backends pay is gone.
-    """
-    c_kh, length = panel.shape
-    kh = kernel
-    view = panel.reshape(c_kh // kh, kh, length)
-    for i in range(kh):
-        start = i * padded_w + shift
-        np.copyto(view[:, i, :], xflat[:, start : start + length])
-
-
-def shifted_gemm_conv(
-    xflat: np.ndarray,
-    w_panels: np.ndarray,
-    panel: np.ndarray,
-    wide: np.ndarray,
-    scratch: np.ndarray,
-    kernel: int,
-    padded_w: int,
-) -> np.ndarray:
-    """Sum of ``kernel`` column-offset GEMMs accumulated in place into ``wide``.
-
-    Args:
-        xflat: ``(C, N*Hp*Wp + tail)`` flattened padded input arena.
-        w_panels: ``(kw, C_out, C*kh)`` packed weights — ``w_panels[j]`` is
-            the GEMM operand for kernel column ``j``.
-        panel: ``(C*kh, L)`` rolling row-panel buffer, refilled per column.
-        wide: ``(C_out, L)`` wide output arena (valid pixels are a strided
-            subset; garbage columns fall in padding/tail positions).
-        scratch: ``(C_out, L)`` accumulation scratch.
-        kernel / padded_w: offset geometry.
-
-    All operands are C-contiguous, so every GEMM runs copy-free in BLAS and
-    the call allocates nothing.
-    """
-    for j in range(kernel):
-        shifted_panel_fill(xflat, panel, kernel, padded_w, j)
-        if j == 0:
-            np.dot(w_panels[0], panel, out=wide)
-        else:
-            np.dot(w_panels[j], panel, out=scratch)
-            wide += scratch
-    return wide
-
-
-def bias_act_into(src: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Broadcast-add a leading-axis bias into ``out``, then ReLU it.
-
-    ``src``/``out`` are channel-major ``(C_out, ...)`` views (either may be
-    strided); used by the shifted-GEMM epilogue to land the valid window of
-    the wide GEMM result straight in the next layer's arena.
-    """
-    np.add(src, bias.reshape((-1,) + (1,) * (src.ndim - 1)), out=out)
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
-def conv2d_shifted(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int
-) -> np.ndarray:
-    """Reference stride-1 convolution via shifted GEMMs (allocating).
-
-    The self-contained form of the kernel trio above, for tests and eager
-    comparisons: allocates its own arena/panel/wide buffers per call.  Use
-    a compiled plan with ``conv_backend="shifted-gemm"`` for the
-    allocation-free serving path.
-    """
-    n, c, h, w = x.shape
-    c_out, c_in, kh, kw = weight.shape
-    if c != c_in:
-        raise ValueError(f"input has {c} channels, weight expects {c_in}")
-    if kh != kw:
-        raise ValueError("shifted-GEMM expects square kernels")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out_h = conv_out_size(h, kh, 1, padding)
-    out_w = conv_out_size(w, kw, 1, padding)
-    block = hp * wp
-    tail = shifted_tail(kh, wp)
-    xflat = np.zeros((c, n * block + tail), dtype=x.dtype)
-    interior = xflat[:, : n * block].reshape(c, n, hp, wp)[
-        :, :, padding : padding + h, padding : padding + w
-    ]
-    np.copyto(interior, x.transpose(1, 0, 2, 3))
-    w_panels = np.ascontiguousarray(
-        weight.transpose(3, 0, 1, 2).reshape(kw, c_out, c_in * kh)
-    )
-    length = n * block
-    panel = np.empty((c * kh, length), dtype=x.dtype)
-    wide = np.empty((c_out, length), dtype=x.dtype)
-    scratch = np.empty((c_out, length), dtype=x.dtype)
-    shifted_gemm_conv(xflat, w_panels, panel, wide, scratch, kh, wp)
-    valid = wide.reshape(c_out, n, hp, wp)[:, :, :out_h, :out_w]
-    y = valid.transpose(1, 0, 2, 3) + bias[None, :, None, None]
-    return np.ascontiguousarray(y)
 
 
 def gemm_bias(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:

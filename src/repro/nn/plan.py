@@ -26,23 +26,14 @@ all of that exactly once:
   buffers (``gemm += bias``, ``maxpool2d_into``) are transient, ~76 KB at
   1 row and ~194 KB at 16 rows of ``lower100`` under ``tracemalloc``.
 
-Convolution lowering is **pluggable** (``conv_backend``):
-
-* ``"im2col"`` (default): strided window gather into a column matrix, one
-  GEMM per conv.  **Bitwise identical** to the eager path at every width
-  and under both dtype policies — same reduction orders, same layouts.
-* ``"shifted-gemm"``: no column matrix at all — each conv is a sum of
-  kernel-column offset GEMMs over a rolling row panel (whole-row memcpys,
-  no per-window gather), accumulated in place into a wide output arena
-  whose valid pixels are a strided view.  **Relaxed equality**: the GEMM
-  reduction is re-associated across kernel columns, so outputs are
-  allclose, not bitwise-equal, to the eager path (``plan.exact`` is
-  False).  Stride-1 convolutions only.
-
-Either way a plan's work follows the batch: a run of ``n`` rows computes
-over the leading ``n`` rows of arenas sized for ``batch_rows``, so one
-plan per width serves every batch size up to its ceiling, and the
-lowering is a plan-wide choice between bitwise-exact and fastest.
+Every convolution is lowered the one way the eager layers lower it: an
+im2col gather into a column matrix, then one GEMM.  The gather runs per
+image through a one-image K-major staging buffer, and only copies, so a
+plan is **bitwise identical** to the eager path at every width and under
+both dtype policies — same column bytes, same reduction orders.  A plan's
+work follows the batch: a run of ``n`` rows computes over the leading
+``n`` rows of arenas sized for ``batch_rows``, so one plan per width
+serves every batch size up to its ceiling.
 
 Plans are immutable after compile and safe for concurrent use: all
 per-request state lives in the checked-out workspace, and the packed
@@ -72,8 +63,8 @@ class PackedWeightCache:
     weight / bias version counters they were packed at; a lookup that
     observes a newer parameter version re-packs in place.  The cache is
     shared by all plans over one weight store (slices at different widths
-    — and different backend layouts — are distinct entries), so concurrent
-    serving threads only ever *read* packed arrays.
+    are distinct entries), so concurrent serving threads only ever *read*
+    packed arrays.
 
     The steady-state lookup is lock-free: a dict get plus two int compares
     (each atomic under the GIL; entries are immutable tuples swapped in by
@@ -132,34 +123,6 @@ class PackedWeightCache:
         key = (layer, in_slice, out_slice, "mat", dtype.str)
         return self._lookup(key, layer, pack)
 
-    def conv_panels(
-        self,
-        layer: SlicedConv2d,
-        in_slice: ChannelSlice,
-        out_slice: ChannelSlice,
-        dtype: np.dtype,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(w_panels, bias)`` for the shifted-GEMM backend.
-
-        ``w_panels`` has shape ``(kw, C_out, C_in*kh)``: ``w_panels[j]`` is
-        the contiguous GEMM operand for kernel column ``j`` (see
-        :func:`~repro.nn.functional.shifted_gemm_conv`).
-        """
-
-        def pack() -> Tuple[np.ndarray, np.ndarray]:
-            w = np.ascontiguousarray(
-                layer.active_weight(in_slice, out_slice), dtype=dtype
-            )
-            kw = w.shape[-1]
-            panels = np.ascontiguousarray(
-                w.transpose(3, 0, 1, 2).reshape(kw, out_slice.width, -1)
-            )
-            bias = np.ascontiguousarray(layer.active_bias(out_slice), dtype=dtype)
-            return panels, bias
-
-        key = (layer, in_slice, out_slice, "panels", dtype.str)
-        return self._lookup(key, layer, pack)
-
     def linear_block(
         self, layer: SlicedLinear, feature_slice: ChannelSlice, dtype: np.dtype
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -198,41 +161,12 @@ class _ConvStep:
     pool: Optional[Tuple[int, int, Tuple[int, int]]]  # (kernel, stride, pooled_hw)
     src: str                  # padded full-width input arena
     cols: str                 # im2col columns buffer
+    stage: str                # one image's K-major columns, (C_in*kh*kw, oh*ow)
     gemm: str                 # GEMM/epilogue buffer, (rows, C_out) NHWC-flat
     act: Optional[str]        # unpadded NCHW pool input (only when pooled)
     dst: str                  # next step's padded input arena, or "feat"
     dst_padding: int          # that destination's padding
     dst_rows: ChannelSlice    # channel rows of ``dst`` the output lands in
-
-
-@dataclass(frozen=True)
-class _ShiftedStep:
-    """One conv block lowered to kernel-column offset GEMMs (stride 1).
-
-    Activations flow channel-major: every ``src``/``dst`` arena is a
-    flattened ``(C, rows*Hp*Wp + tail)`` padded buffer whose per-image
-    blocks are contiguous, so each offset operand is a whole-row slice.
-    Arenas are sized for ``rows = batch_rows``; a run of ``n`` rows uses
-    C-contiguous leading ``n*Hp*Wp``-column views of ``panel``, ``wide``
-    and ``scratch``.
-    """
-
-    layer: SlicedConv2d
-    in_slice: ChannelSlice
-    out_slice: ChannelSlice
-    kernel: int
-    padding: int
-    in_hw: Tuple[int, int]
-    out_hw: Tuple[int, int]
-    padded_hw: Tuple[int, int]
-    pool: Optional[Tuple[int, int, Tuple[int, int]]]
-    src: str                  # (C_in, rows*Hp*Wp + tail) flattened arena
-    panel: str                # (C_in*kh, rows*Hp*Wp) rolling row panel
-    wide: str                 # (C_out, rows*Hp*Wp) wide GEMM accumulator
-    scratch: str              # (C_out, rows*Hp*Wp) accumulation scratch
-    act: Optional[str]        # (C_out, rows, oh, ow) channel-major activation
-    dst: Optional[str]        # next step's flattened arena (None on last conv)
-    dst_padding: int
 
 
 def _interior(buf: np.ndarray, n: int, padding: int, hw: Tuple[int, int]) -> np.ndarray:
@@ -241,24 +175,6 @@ def _interior(buf: np.ndarray, n: int, padding: int, hw: Tuple[int, int]) -> np.
         return buf[:n]
     h, w = hw
     return buf[:n, :, padding : padding + h, padding : padding + w]
-
-
-def _flat_interior(
-    buf: np.ndarray, rows: int, padding: int, hw: Tuple[int, int]
-) -> np.ndarray:
-    """Channel-major ``(C, rows, h, w)`` interior view of a flattened arena."""
-    h, w = hw
-    hp, wp = h + 2 * padding, w + 2 * padding
-    view = buf[:, : rows * hp * wp].reshape(buf.shape[0], rows, hp, wp)
-    if padding == 0:
-        return view
-    return view[:, :, padding : padding + h, padding : padding + w]
-
-
-def _leading(buf: np.ndarray, cols: int) -> np.ndarray:
-    """C-contiguous ``(C, cols)`` view of a ``(C, L)`` buffer's first bytes."""
-    c = buf.shape[0]
-    return buf.reshape(-1)[: c * cols].reshape(c, cols)
 
 
 def conv_block_into(
@@ -274,7 +190,7 @@ def conv_block_into(
     out_h, out_w = step.out_hw
     rows = n * out_h * out_w
     cols = ws[step.cols][:rows]
-    F.im2col_into(ws[step.src][:n], step.kernel, step.stride, cols)
+    F.im2col_into(ws[step.src][:n], step.kernel, step.stride, cols, ws[step.stage])
     w_mat, bias = cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
     gemm = ws[step.gemm][:rows]
     F.gemm_bias_relu(cols, w_mat, bias, gemm)
@@ -293,7 +209,7 @@ def conv_block_into(
 
 
 class InferencePlan:
-    """One compiled ``(sub-network, batch-rows, dtype, backend)`` forward pass."""
+    """One compiled ``(sub-network, batch-rows, dtype)`` forward pass."""
 
     def __init__(
         self,
@@ -306,7 +222,6 @@ class InferencePlan:
         buffers: List[BufferSpec],
         cache: PackedWeightCache,
         workspaces: int,
-        conv_backend: str,
     ) -> None:
         self.net = net
         self.spec = spec
@@ -314,16 +229,10 @@ class InferencePlan:
         self.batch_rows = batch_rows
         self.dtype = dtype
         self.cache = cache
-        self.conv_backend = conv_backend
         self._steps = steps
         self._feature_slice = feature_slice
         self._in_shape = (net.in_channels, net.image_size, net.image_size)
         self.workspaces = WorkspacePool(buffers, prealloc=workspaces)
-
-    @property
-    def exact(self) -> bool:
-        """True when outputs are bitwise-identical to the eager path."""
-        return self.conv_backend != "shifted-gemm"
 
     # -- compilation ----------------------------------------------------------
 
@@ -337,7 +246,6 @@ class InferencePlan:
         dtype: Optional[np.dtype] = None,
         cache: Optional[PackedWeightCache] = None,
         workspaces: int = 1,
-        conv_backend: str = "im2col",
     ) -> "InferencePlan":
         """Walk ``model`` once and compile its serving pass.
 
@@ -347,9 +255,8 @@ class InferencePlan:
         ``dtype`` defaults to the active policy's inference dtype;
         ``batch_rows`` is the widest batch the plan's arenas can hold —
         smaller requests compute over leading-row views of the same
-        buffers.  ``conv_backend`` picks the convolution lowering.
+        buffers.
         """
-        F.check_conv_backend(conv_backend)
         if batch_rows <= 0:
             raise ValueError("batch_rows must be positive")
         net, spec = cls._resolve(model, width)
@@ -357,11 +264,7 @@ class InferencePlan:
         if cache is None:  # note: an empty cache is falsy (len 0) — test identity
             cache = PackedWeightCache()
 
-        walk = cls._walk(net, spec)
-        if conv_backend == "shifted-gemm":
-            steps, buffers = cls._compile_shifted(net, walk, batch_rows, dtype)
-        else:
-            steps, buffers = cls._compile_im2col(net, walk, batch_rows, dtype)
+        steps, buffers = cls._compile_im2col(net, cls._walk(net, spec), batch_rows, dtype)
 
         classifier = net.classifier
         if not isinstance(classifier, SlicedLinear):
@@ -373,14 +276,10 @@ class InferencePlan:
         # Warm the packed cache at compile so the first request is already
         # on the steady-state path.
         for step in steps:
-            if conv_backend == "shifted-gemm":
-                cache.conv_panels(step.layer, step.in_slice, step.out_slice, dtype)
-            else:
-                cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
+            cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
         cache.linear_block(classifier, feature_slice, dtype)
         return cls(
-            net, spec, batch_rows, dtype, steps, feature_slice, buffers, cache,
-            workspaces, conv_backend,
+            net, spec, batch_rows, dtype, steps, feature_slice, buffers, cache, workspaces
         )
 
     @staticmethod
@@ -473,6 +372,9 @@ class InferencePlan:
                 BufferSpec(f"cols{i}", (rows, in_c * k * k), dt, live=(gather, gemm))
             )
             buffers.append(
+                BufferSpec(f"stage{i}", (in_c * k * k, out_h * out_w), dt, live=(gather, gather))
+            )
+            buffers.append(
                 BufferSpec(f"gemm{i}", (rows, block.width), dt, live=(gemm, copy))
             )
             # The NHWC-flat GEMM result must land in NCHW somewhere: in a
@@ -510,6 +412,7 @@ class InferencePlan:
                     pool=pool,
                     src=src,
                     cols=f"cols{i}",
+                    stage=f"stage{i}",
                     gemm=f"gemm{i}",
                     act=act,
                     dst=dst,
@@ -517,105 +420,6 @@ class InferencePlan:
                     dst_rows=dst_rows,
                 )
             )
-        return steps, buffers
-
-    @classmethod
-    def _compile_shifted(
-        cls, net, walk: List[dict], batch_rows: int, dtype: np.dtype
-    ) -> Tuple[List[_ShiftedStep], List[BufferSpec]]:
-        steps: List[_ShiftedStep] = []
-        buffers: List[BufferSpec] = []
-        dt = dtype.name
-        at = 0  # program order: the next kernel step's index (BufferSpec.live)
-        for info in walk:
-            if info["stride"] != 1:
-                raise ValueError(
-                    "conv_backend='shifted-gemm' supports stride-1 convolutions "
-                    f"only (conv{info['index']} has stride {info['stride']}); "
-                    "use an im2col backend"
-                )
-            i, conv = info["index"], info["conv"]
-            k, pad = info["kernel"], info["padding"]
-            size = info["in_hw"][0]
-            hp = wp = size + 2 * pad
-            block = hp * wp
-            length = batch_rows * block
-            tail = F.shifted_tail(k, wp)
-            in_c = info["in_slice"].width
-            out_c = info["out_slice"].width
-            out_h, out_w = info["out_hw"]
-            pool, last = info["pool"], info["last"]
-            # One conv block is offset GEMMs -> bias+ReLU (-> pool); after the
-            # last block come the feature transpose and the classifier.
-            conv_at, epilogue = at, at + 1
-            write = epilogue + 1 if pool is not None else epilogue
-            at = write + 1
-            src = f"in{i}"
-            # Padding borders and the inter-image tail are never written, so
-            # they stay zero forever.  Interior rows beyond a smaller batch
-            # are NOT re-zeroed: they hold an earlier batch's activations,
-            # which no valid pixel of the live rows reads.
-            buffers.append(BufferSpec(src, (in_c, length + tail), dt, zeroed=True))
-            buffers.append(
-                BufferSpec(f"panel{i}", (in_c * k, length), dt, live=(conv_at, conv_at))
-            )
-            buffers.append(
-                BufferSpec(f"wide{i}", (out_c, length), dt, live=(conv_at, epilogue))
-            )
-            buffers.append(
-                BufferSpec(f"scratch{i}", (out_c, length), dt, live=(conv_at, conv_at))
-            )
-            act = f"act{i}" if (pool is not None or last) else None
-            if act is not None:
-                # Read by the pool, or (last block, no pool) by the transpose.
-                reader = write if pool is not None else at
-                buffers.append(
-                    BufferSpec(
-                        act, (out_c, batch_rows, out_h, out_w), dt, live=(epilogue, reader)
-                    )
-                )
-            if last and pool is not None:
-                after = pool[2]
-                dst, dst_pad = f"pool{i}", 0
-                buffers.append(
-                    BufferSpec(
-                        dst, (out_c, batch_rows * after[0] * after[1]), dt, live=(write, at)
-                    )
-                )
-            elif last:
-                dst, dst_pad = None, 0
-            else:
-                dst, dst_pad = f"in{i + 1}", info["next_padding"]
-            steps.append(
-                _ShiftedStep(
-                    layer=info["conv"],
-                    in_slice=info["in_slice"],
-                    out_slice=info["out_slice"],
-                    kernel=k,
-                    padding=pad,
-                    in_hw=info["in_hw"],
-                    out_hw=(out_h, out_w),
-                    padded_hw=(hp, wp),
-                    pool=pool,
-                    src=src,
-                    panel=f"panel{i}",
-                    wide=f"wide{i}",
-                    scratch=f"scratch{i}",
-                    act=act,
-                    dst=dst,
-                    dst_padding=dst_pad,
-                )
-            )
-        # The classifier reads image-major features: one transposed copy of
-        # the final channel-major activation.
-        last_info = walk[-1]
-        feat_c = last_info["out_slice"].width
-        feat_hw = last_info["pool"][2] if last_info["pool"] else last_info["out_hw"]
-        buffers.append(
-            BufferSpec(
-                "feat", (batch_rows, feat_c * feat_hw[0] * feat_hw[1]), dt, live=(at, at + 1)
-            )
-        )
         return steps, buffers
 
     @staticmethod
@@ -681,8 +485,6 @@ class InferencePlan:
         if n > self.batch_rows:
             raise ValueError(f"{n} rows exceed the plan's {self.batch_rows}-row arena")
         with self.workspaces.checkout() as ws:
-            if self.conv_backend == "shifted-gemm":
-                return self._execute_shifted(ws, parts, n)
             return self._execute(ws, parts, n)
 
     def _execute(self, ws: Workspace, parts: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -701,69 +503,9 @@ class InferencePlan:
 
         for step in self._steps:
             conv_block_into(ws, step, n, self.cache, self.dtype)
-        return self._classify(ws, ws["feat"][:n].reshape(n, -1), n)
-
-    def _execute_shifted(
-        self, ws: Workspace, parts: Sequence[np.ndarray], n: int
-    ) -> np.ndarray:
-        first = self._steps[0]
-        src = ws[first.src]
-        interior = _flat_interior(src, n, first.padding, first.in_hw)
-        offset = 0
-        for part in parts:
-            k = part.shape[0]
-            np.copyto(interior[:, offset : offset + k], part.transpose(1, 0, 2, 3))
-            offset += k
-
-        # Every GEMM spans the n live images' n*Hp*Wp columns.  A valid pixel
-        # of image i < n reads only flattened positions below (i+1)*Hp*Wp, so
-        # rows an earlier, larger batch left behind feed discarded pixels only.
-        x = src
-        final = None
-        for step in self._steps:
-            hp, wp = step.padded_hw
-            out_h, out_w = step.out_hw
-            length = n * hp * wp
-            w_panels, bias = self.cache.conv_panels(
-                step.layer, step.in_slice, step.out_slice, self.dtype
-            )
-            wide = F.shifted_gemm_conv(
-                x, w_panels, _leading(ws[step.panel], length),
-                _leading(ws[step.wide], length), _leading(ws[step.scratch], length),
-                step.kernel, wp,
-            )
-            valid = wide.reshape(step.out_slice.width, n, hp, wp)[:, :, :out_h, :out_w]
-            if step.pool is not None:
-                act = ws[step.act][:, :n]
-                F.bias_act_into(valid, bias, act)
-                pk, ps, pooled_hw = step.pool
-                dst = _flat_interior(ws[step.dst], n, step.dst_padding, pooled_hw)
-                F.maxpool2d_into(act, pk, ps, dst)
-                x = ws[step.dst]
-                final = dst if step.dst.startswith("pool") else None
-            elif step.act is not None:
-                act = ws[step.act][:, :n]
-                F.bias_act_into(valid, bias, act)
-                x = act
-                final = act
-            else:
-                dst = _flat_interior(ws[step.dst], n, step.dst_padding, step.out_hw)
-                F.bias_act_into(valid, bias, dst)
-                x = ws[step.dst]
-
-        # Channel-major (C, n, h, w) -> image-major (n, C*h*w) features.
-        feat = ws["feat"][:n]
-        c = final.shape[0]
-        np.copyto(
-            feat.reshape(n, c, final.shape[2], final.shape[3]),
-            final.transpose(1, 0, 2, 3),
-        )
-        return self._classify(ws, feat, n)
-
-    def _classify(self, ws: Workspace, features: np.ndarray, n: int) -> np.ndarray:
         w, b = self.cache.linear_block(self.net.classifier, self._feature_slice, self.dtype)
         logits = ws["logits"][:n]
-        F.gemm_bias(features, w, b, logits)
+        F.gemm_bias(ws["feat"][:n].reshape(n, -1), w, b, logits)
         # The workspace buffer goes back into the pool; the caller gets an owned
         # copy: the run's one array allocation (iterator buffers are transient).
         return logits.copy()
@@ -782,8 +524,7 @@ class InferencePlan:
     def __repr__(self) -> str:
         return (
             f"InferencePlan({self.width}, rows={self.batch_rows}, "
-            f"dtype={self.dtype.name}, convs={len(self._steps)}, "
-            f"backend={self.conv_backend})"
+            f"dtype={self.dtype.name}, convs={len(self._steps)})"
         )
 
 
@@ -793,7 +534,6 @@ def compile_width_plans(
     *,
     batch_rows: int,
     workspaces: int = 1,
-    conv_backend: str = "im2col",
 ) -> Dict[str, InferencePlan]:
     """One plan per width, in the policy's inference dtype.
 
@@ -810,7 +550,6 @@ def compile_width_plans(
             batch_rows=batch_rows,
             cache=cache,
             workspaces=workspaces,
-            conv_backend=conv_backend,
         )
         plans[plan.width] = plan
     return plans

@@ -55,6 +55,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.dtypes import TRANSPORT_DTYPES
+
 #: Prefix of every segment this module creates (``/dev/shm/<prefix>...``).
 SEGMENT_PREFIX = "repro-shm-"
 #: Sub-prefixes distinguishing weight arenas from per-worker I/O rings in
@@ -360,7 +362,7 @@ class ShmRing:
             raise MemoryError(
                 f"{array.nbytes} bytes exceed the ring capacity {self.capacity}"
             )
-        np.copyto(self.view(self.base, array.shape, array.dtype), array)
+        np.copyto(self.view(self.base, array.shape, array.dtype.name), array)
         return self.base
 
     def place_parts(self, parts: Sequence[np.ndarray], dtype) -> Tuple[int, int]:
@@ -377,7 +379,7 @@ class ShmRing:
         total = rows * math.prod(tail) * dtype.itemsize
         if total > self.capacity:
             raise MemoryError(f"{total} bytes exceed the ring capacity {self.capacity}")
-        batch = self.view(self.base, (rows,) + tail, dtype)
+        batch = self.view(self.base, (rows,) + tail, dtype.name)
         at = 0
         for part in parts:
             k = part.shape[0]
@@ -385,15 +387,22 @@ class ShmRing:
             at += k
         return self.base, rows
 
-    def view(self, offset: int, shape: Sequence[int], dtype) -> np.ndarray:
+    def view(self, offset: int, shape: Sequence[int], dtype: str) -> np.ndarray:
         """Map the placement at absolute ``offset`` (reader side).
 
-        The descriptor arrives in a control message, so it is checked: a
-        placement that does not lie inside this ring's own region — the
-        neighbouring ring and the rest of the segment are one ``offset``
-        away — is refused with ``ValueError``.
+        The descriptor arrives in a control message, so it is checked, and
+        refused with ``ValueError``: a ``dtype`` string outside
+        :data:`~repro.utils.dtypes.TRANSPORT_DTYPES` (an object dtype would
+        turn ring bytes into pointers), a shape entry that is not an
+        ``int``, and a placement that does not lie inside this ring's own
+        region — the neighbouring ring and the rest of the segment are one
+        ``offset`` away.
         """
-        shape = tuple(map(int, shape))
+        if not isinstance(dtype, str) or dtype not in TRANSPORT_DTYPES:
+            raise ValueError(f"dtype {dtype!r} not allowed in a ring placement")
+        if not isinstance(shape, (tuple, list)) or any(type(d) is not int for d in shape):
+            raise ValueError(f"bad placement shape {shape!r}")
+        shape = tuple(shape)
         dtype = np.dtype(dtype)
         stop = offset + math.prod(shape) * dtype.itemsize
         end = self.base + self.capacity

@@ -13,8 +13,7 @@ where it is used: the hedge instant's factor and floor
 (``frontend.HEDGE_FACTOR`` / ``HEDGE_MIN_S``), plan compilation and its
 workspaces, and the supervisor's backoff and restart budget
 (``ReplicaSupervisor``'s defaults).  Each width compiles one plan of
-``max_batch`` rows whose work follows the flush's live rows, lowered by
-``conv_backend``.
+``max_batch`` rows whose work follows the flush's live rows.
 """
 
 from __future__ import annotations
@@ -27,16 +26,15 @@ from typing import Dict, Optional, Tuple
 # access is deferred to call time (annotations stay strings under
 # ``from __future__ import annotations``).
 import repro.faults.policy as fault_policy
-from repro.nn import functional as F
 from repro.scheduler.admission import SLA
 
 #: Version of the flat :meth:`SchedulerConfig.to_mapping` wire format.
 #: Bump when a knob is renamed or its meaning changes; ``from_mapping``
 #: refuses mappings stamped with a *newer* version than it understands.
 #: Version 2 dropped nine knobs no caller set, version 3 the batch-rows
-#: ladder; a full dump of an older version names them and fails as unknown
-#: keys.
-CONFIG_MAPPING_VERSION = 3
+#: ladder, version 4 the conv-lowering choice; a full dump of an older
+#: version names them and fails as unknown keys.
+CONFIG_MAPPING_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,6 @@ class SchedulerConfig:
     warmup: bool = True         # prime the latency EWMAs with one run per width
     max_batch: int = 16
     max_delay_s: float = 0.001  # longest a request with company waits for batch-mates
-    conv_backend: str = "im2col"  # plan convolution lowering (see nn.functional.CONV_BACKENDS)
     replica_backend: str = "thread"  # "thread" shares one interpreter;
     # "process" forks GIL-free workers over shared-memory weights
     # (see repro.scheduler.procpool).
@@ -68,7 +65,6 @@ class SchedulerConfig:
             raise ValueError("replicas must be positive")
         if self.replica_backend not in ("thread", "process"):
             raise ValueError(f"unknown replica backend {self.replica_backend!r}")
-        F.check_conv_backend(self.conv_backend)
         if not 0.0 <= self.hedge_ratio <= 1.0:
             raise ValueError("hedge_ratio must be in [0, 1]")
         if self.max_delay_s < 0:

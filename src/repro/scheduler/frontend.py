@@ -253,8 +253,7 @@ class ServingFrontend:
         # vanishes from the hot path, and the replicas share the plans
         # (workspace checkout isolates concurrent requests).  A plan sized
         # for ``max_batch`` rows computes a smaller flush over its leading
-        # rows only.  ``conv_backend`` selects the convolution lowering for
-        # every compiled width.
+        # rows only, bitwise equal to the eager path.
         # Process workers inherit these plans through ``fork``; the parent
         # never runs them, so there they are compiled without an arena.
         process_backend = self.config.replica_backend == "process"
@@ -263,7 +262,6 @@ class ServingFrontend:
             candidates,
             batch_rows=self.config.max_batch,
             workspaces=0 if process_backend else 1,
-            conv_backend=self.config.conv_backend,
         )
         self.policy = WidthPolicy(
             net,
@@ -545,7 +543,7 @@ class ServingFrontend:
             return self._queues[key]
 
     def _execution_info(self, width: str, parts: Sequence[np.ndarray]) -> Dict[str, object]:
-        """How this flush actually executed: plan or eager fallback, backend."""
+        """How this flush actually executed: plan or eager fallback."""
         rows = sum(int(p.shape[0]) for p in parts)
         plan = self.plans[width]  # every candidate width has one
         if not plan.accepts_parts(parts):
@@ -554,7 +552,6 @@ class ServingFrontend:
             "mode": "plan",
             "rows": rows,
             "plan_rows": plan.batch_rows,
-            "conv_backend": plan.conv_backend,
         }
 
     def _dispatch(

@@ -8,8 +8,7 @@ as a grid and scored.
 
 Knobs the sim cannot see are not searched: hedging, retries and the
 supervisor's backoff shape only *live* behaviour (hedges and retries do not
-exist in virtual time, and a respawn is an analytic constant), and the
-plan's conv lowering leaves sim outcomes unchanged.  Every
+exist in virtual time, and a respawn is an analytic constant).  Every
 variant of such a knob would tie, so the tuner keeps each at the value the
 default config gives it; they enter the space once the sim models them.
 """

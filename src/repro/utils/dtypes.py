@@ -30,6 +30,13 @@ import numpy as np
 _COMPUTE_DTYPES = ("float32", "float64")
 _WIRE_DTYPES = ("float32", "float64")
 
+#: Dtype names an array may take across a process boundary: in a wire frame
+#: (:mod:`repro.comm.wire`) and in a shared-memory ring placement
+#: (:class:`repro.nn.shm.ShmRing`).  A received descriptor is checked as the
+#: string itself, before ``np.dtype`` parses it: ``">f8"`` parses to a dtype
+#: named ``"float64"``, and ``"O"`` to an array of object pointers.
+TRANSPORT_DTYPES = frozenset({"float32", "float64", "int64", "int32", "uint8", "bool"})
+
 
 @dataclass(frozen=True)
 class DtypePolicy:

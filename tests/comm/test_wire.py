@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import WireError, decode_frame, encode_frame
-from repro.comm.wire import _ALLOWED_DTYPES, cast_for_wire, wire_dtype
+from repro.comm.wire import cast_for_wire, wire_dtype
 from repro.utils import dtype_policy, make_rng
+from repro.utils.dtypes import TRANSPORT_DTYPES
 
 
 class TestRoundTrip:
@@ -62,7 +63,7 @@ class TestRoundTrip:
 class TestDtypeAllowlist:
     """Every allowlisted dtype round-trips; everything else is rejected."""
 
-    @pytest.mark.parametrize("dtype", sorted(_ALLOWED_DTYPES))
+    @pytest.mark.parametrize("dtype", sorted(TRANSPORT_DTYPES))
     def test_roundtrip_every_allowed_dtype(self, dtype):
         if dtype == "bool":
             src = np.array([[True, False], [False, True]])
@@ -80,7 +81,7 @@ class TestDtypeAllowlist:
         "dtype", ["float16", "int16", "uint64", "complex64", "complex128"]
     )
     def test_disallowed_dtype_rejected_on_encode(self, dtype):
-        assert dtype not in _ALLOWED_DTYPES
+        assert dtype not in TRANSPORT_DTYPES
         with pytest.raises(WireError, match="not allowed"):
             encode_frame({"bad": np.ones(3, dtype=dtype)}, {})
 
@@ -212,7 +213,7 @@ _JSON = st.recursive(
 _ARRAY_ENTRY = st.fixed_dictionaries(
     {
         "name": st.text(max_size=4) | _JSON,
-        "dtype": st.sampled_from(sorted(_ALLOWED_DTYPES)) | _JSON,
+        "dtype": st.sampled_from(sorted(TRANSPORT_DTYPES)) | _JSON,
         "shape": st.lists(st.integers(-1, 2**64), max_size=3) | _JSON,
     }
 )

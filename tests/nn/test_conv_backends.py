@@ -1,21 +1,26 @@
-"""Property-based equivalence suite for the conv backends.
+"""Property-based equivalence suite for the one conv lowering.
 
 The contracts under test (see ``nn/functional.py`` / README):
 
-* ``shifted-gemm`` is **allclose** (within the per-dtype
-  :data:`~repro.nn.functional.SHIFTED_GEMM_TOLERANCE`) to the im2col
-  convolution for every stride-1 geometry, in both float64 and float32 —
-  the only divergence is reduction re-association across kernel columns;
-* at the plan level, the exact backend stays bitwise equal to the eager
-  serving path at every width under both dtype policies, and
-  shifted-GEMM stays inside its tolerance.
+* the compiled plans' K-major gather :func:`~repro.nn.functional.im2col_into`
+  writes exactly the eager :func:`~repro.nn.functional.im2col` bytes for
+  every geometry — kernels, strides and paddings the paper's net never
+  uses included — in both float64 and float32, and allocates no array;
+* every compiled conv declares one one-image staging buffer, sized by the
+  layer's full input width and never by the batch, live only at its gather;
+* at the plan level, a compiled plan stays bitwise equal to the eager
+  serving path at every width under both dtype policies.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.dist_plan import DevicePartitionPlan
+from repro.engine.graph import BlockPartition
 from repro.engine.session import InferenceSession
 from repro.models import build_model
 from repro.nn import functional as F
@@ -34,9 +39,8 @@ def fluid_model():
 conv_geometry = st.fixed_dictionaries(
     {
         "seed": st.integers(0, 2**31 - 1),
-        "n": st.integers(1, 3),
+        "n": st.integers(1, 17),
         "c_in": st.integers(1, 4),
-        "c_out": st.integers(1, 4),
         "kernel": st.integers(1, 4),
         "stride": st.integers(1, 3),
         "padding": st.integers(0, 2),
@@ -46,119 +50,131 @@ conv_geometry = st.fixed_dictionaries(
 )
 
 
-def _random_case(geo, dtype=np.float64):
-    rng = make_rng(geo["seed"])
-    k = geo["kernel"]
-    h, w = k + geo["extra_h"], k + geo["extra_w"]
-    x = rng.standard_normal((geo["n"], geo["c_in"], h, w)).astype(dtype)
-    weight = rng.standard_normal((geo["c_out"], geo["c_in"], k, k)).astype(dtype)
-    bias = rng.standard_normal(geo["c_out"]).astype(dtype)
-    return x, weight, bias
-
-
-class TestShiftedGemm:
-    @given(geo=conv_geometry)
+class TestGather:
+    @given(geo=conv_geometry, dtype=st.sampled_from([np.float64, np.float32]))
     @settings(max_examples=60, deadline=None)
-    def test_float64_within_tolerance(self, geo):
-        x, weight, bias = _random_case(geo)
-        ref, _ = F.conv2d_forward(x, weight, bias, 1, geo["padding"])
-        got = F.conv2d_shifted(x, weight, bias, geo["padding"])
-        tol = F.shifted_gemm_tolerance(np.float64)
-        np.testing.assert_allclose(got, ref, **tol)
-
-    @given(geo=conv_geometry)
-    @settings(max_examples=40, deadline=None)
-    def test_float32_within_tolerance(self, geo):
-        x, weight, bias = _random_case(geo, dtype=np.float32)
-        ref, _ = F.conv2d_forward(x, weight, bias, 1, geo["padding"])
-        got = F.conv2d_shifted(x, weight, bias, geo["padding"])
-        assert got.dtype == np.float32
-        tol = F.shifted_gemm_tolerance(np.float32)
-        np.testing.assert_allclose(got, ref, **tol)
-
-    def test_channel_mismatch_and_rectangular_kernel_rejected(self):
-        rng = make_rng(3)
-        x = rng.standard_normal((1, 2, 6, 6))
-        with pytest.raises(ValueError, match="channels"):
-            F.conv2d_shifted(x, rng.standard_normal((3, 4, 3, 3)), np.zeros(3), 1)
-        with pytest.raises(ValueError, match="square"):
-            F.conv2d_shifted(x, rng.standard_normal((3, 2, 3, 2)), np.zeros(3), 1)
-
-    def test_stride_2_plan_compile_rejected(self):
-        walk = [{"stride": 2, "index": 0}]
-        with pytest.raises(ValueError, match="stride-1"):
-            InferencePlan._compile_shifted(None, walk, 4, np.dtype("float64"))
-
-    def test_unknown_backend_rejected(self, fluid_model):
-        with pytest.raises(ValueError, match="unknown conv backend"):
-            InferencePlan.compile(fluid_model, "lower50", batch_rows=2, conv_backend="winograd")
-        with pytest.raises(ValueError, match="unknown conv backend"):
-            F.check_conv_backend("winograd")
-
-    def test_tolerance_table_covers_compute_dtypes(self):
-        assert F.shifted_gemm_tolerance("float32")["rtol"] > F.shifted_gemm_tolerance(
-            "float64"
-        )["rtol"]
-        with pytest.raises(ValueError, match="tolerance"):
-            F.shifted_gemm_tolerance("float16")
+    def test_im2col_into_is_im2col_bitwise(self, geo, dtype):
+        rng = make_rng(geo["seed"])
+        k, stride, pad = geo["kernel"], geo["stride"], geo["padding"]
+        h, w = k + geo["extra_h"], k + geo["extra_w"]
+        x = rng.standard_normal((geo["n"], geo["c_in"], h, w)).astype(dtype)
+        ref, (oh, ow) = F.im2col(x, (k, k), stride, pad)
+        # Garbage-filled buffers: every byte of the result must be written.
+        out = np.full_like(ref, np.nan)
+        stage = np.full((geo["c_in"] * k * k, oh * ow), np.nan, dtype=dtype)
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        assert F.im2col_into(padded, (k, k), stride, out, stage) == (oh, ow)
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
 
 
-class TestPlanBackendEquivalence:
-    """Plan-level contracts across widths, batches, and dtype policies."""
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32), ids=["float64", "float32"])
+    @pytest.mark.parametrize("conv", (0, 1, 2))
+    def test_served_geometries_gather_bitwise(self, fluid_model, conv, dtype):
+        """The three convs the plans run, in their own arena buffers."""
+        plan = InferencePlan.compile(fluid_model, "lower100", batch_rows=16, dtype=dtype)
+        step = plan._steps[conv]
+        h, w = step.in_hw
+        pad = step.padding
+        rng = make_rng(conv)
+        with plan.workspaces.checkout() as ws:
+            for rows in (16, 1, 5):
+                x = rng.standard_normal((rows, step.in_slice.width, h, w)).astype(dtype)
+                ref, out_hw = F.im2col(x, step.kernel, step.stride, pad)
+                src = ws[step.src][:rows]
+                src[:, :, pad : pad + h, pad : pad + w] = x
+                cols = ws[step.cols][: ref.shape[0]]
+                cols.fill(np.nan)
+                ws[step.stage].fill(np.nan)
+                assert F.im2col_into(src, step.kernel, step.stride, cols, ws[step.stage]) == out_hw
+                assert cols.tobytes() == ref.tobytes()
+
+    def test_gather_allocates_no_array(self, fluid_model):
+        plan = InferencePlan.compile(fluid_model, "lower100", batch_rows=16)
+        step = plan._steps[1]
+        with plan.workspaces.checkout() as ws:
+            args = (ws[step.src], step.kernel, step.stride, ws[step.cols], ws[step.stage])
+            F.im2col_into(*args)
+            calls = 20
+            tracemalloc.start()
+            for _ in range(calls):
+                F.im2col_into(*args)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        # Views and small Python objects only: the staging buffer alone is
+        # 144 x 196 doubles (225 KiB), the columns 3.4 MiB.
+        assert peak < 16 * 1024, peak
+
+    def test_a_stage_of_another_geometry_is_refused(self):
+        x = np.zeros((2, 3, 6, 6))
+        cols = np.empty((2 * 4 * 4, 3 * 3 * 3))
+        with pytest.raises(ValueError):
+            F.im2col_into(x, (3, 3), 1, cols, np.empty((3 * 3 * 3, 4 * 4 + 1)))
+
+
+def _stage_specs(plan):
+    return {s.name: s for s in plan.workspaces.specs if s.name.startswith("stage")}
+
+
+def _expected_stage(step):
+    kh, kw = step.kernel
+    out_h, out_w = step.out_hw
+    return (step.in_slice.width * kh * kw, out_h * out_w)
+
+
+class TestStageBuffers:
+    """Each conv stages one image K-major; the batch never sizes the stage."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_every_conv_stages_one_image(self, fluid_model, width):
+        shapes = []
+        for rows in (1, 16):
+            plan = InferencePlan.compile(fluid_model, width, batch_rows=rows)
+            specs = {s.name: s for s in plan.workspaces.specs}
+            stages = _stage_specs(plan)
+            assert sorted(stages) == sorted(step.stage for step in plan._steps)
+            for step in plan._steps:
+                stage = stages[step.stage]
+                assert stage.shape == _expected_stage(step)
+                assert stage.dtype == plan.dtype.name
+                # Written and read within the gather step alone, which is
+                # the first step of the columns buffer it fills.
+                gather = specs[step.cols].live[0]
+                assert stage.live == (gather, gather)
+            shapes.append([stages[step.stage].shape for step in plan._steps])
+        assert shapes[0] == shapes[1]
+
+    def test_partition_plans_stage_the_full_input_width(self, fluid_model):
+        net = fluid_model.net
+        spec = net.width_spec.full()
+        partition = BlockPartition.two_way(net.width_spec.split, net.width_spec.max_width)
+        single = InferencePlan.compile(net, spec, batch_rows=4)
+        want = [_expected_stage(step) for step in single._steps]
+        for index in range(partition.num_blocks):
+            plan = DevicePartitionPlan.compile(
+                net, spec, partition.boundaries, index, batch_rows=4
+            )
+            stages = _stage_specs(plan)
+            # Each device gathers its peers' halo channels too, so its stage
+            # matches the single-device plan's though its GEMM is half as wide.
+            assert [stages[step.stage].shape for step in plan._steps] == want
+
+
+class TestPlanEquivalence:
+    """Plan-level contract across widths, batches, and dtype policies."""
 
     @pytest.mark.parametrize("policy", (DtypePolicy(), DtypePolicy.fast_inference()),
                              ids=["float64", "float32"])
-    @pytest.mark.parametrize("backend", F.CONV_BACKENDS)
-    def test_backend_contract_all_widths(self, fluid_model, policy, backend):
+    def test_plan_is_eager_bitwise_at_all_widths(self, fluid_model, policy):
         rng = make_rng(7)
         with dtype_policy(policy):
             cache = PackedWeightCache()
             for width in WIDTHS:
                 session = InferenceSession(fluid_model, width)
-                plan = InferencePlan.compile(
-                    fluid_model, width, batch_rows=5, cache=cache, conv_backend=backend
-                )
+                plan = InferencePlan.compile(fluid_model, width, batch_rows=5, cache=cache)
                 for n in (1, 3, 5):
                     x = rng.standard_normal((n, 1, 28, 28))
                     eager = session.run(x)
                     got = plan.run(x)
                     assert got.dtype == eager.dtype
-                    if plan.exact:
-                        np.testing.assert_array_equal(got, eager)
-                    else:
-                        np.testing.assert_allclose(
-                            got, eager, **F.shifted_gemm_tolerance(plan.dtype)
-                        )
-
-    def test_exact_flag_tracks_backend(self, fluid_model):
-        for backend in F.CONV_BACKENDS:
-            plan = InferencePlan.compile(
-                fluid_model, "lower25", batch_rows=2, conv_backend=backend
-            )
-            assert plan.exact == (backend != "shifted-gemm")
-
-    def test_shifted_run_parts_scatters_like_concatenate(self, fluid_model):
-        rng = make_rng(9)
-        plan = InferencePlan.compile(
-            fluid_model, "lower50", batch_rows=6, conv_backend="shifted-gemm"
-        )
-        parts = [rng.standard_normal((n, 1, 28, 28)) for n in (1, 2, 3)]
-        whole = plan.run(np.concatenate(parts, axis=0))
-        split = plan.run_parts(parts)
-        np.testing.assert_array_equal(split, whole)
-
-    def test_shifted_smaller_batch_unpolluted_by_previous_rows(self, fluid_model):
-        """Arena rows beyond n keep an earlier, larger request's rows (the
-        offset GEMMs' tail reads into them); they must never leak into a
-        later, smaller request."""
-        rng = make_rng(10)
-        plan = InferencePlan.compile(
-            fluid_model, "lower25", batch_rows=4, conv_backend="shifted-gemm"
-        )
-        plan.run(rng.standard_normal((4, 1, 28, 28)))  # fill all rows
-        x = rng.standard_normal((2, 1, 28, 28))
-        np.testing.assert_array_equal(plan.run(x), plan.run(x))
-        session = InferenceSession(fluid_model, "lower25")
-        np.testing.assert_allclose(
-            plan.run(x), session.run(x), **F.shifted_gemm_tolerance(plan.dtype)
-        )
+                    np.testing.assert_array_equal(got, eager)

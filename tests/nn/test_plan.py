@@ -23,7 +23,6 @@ import pytest
 from repro.engine.session import InferenceSession
 from repro.models import build_model
 from repro.nn import SGD, ForwardContext
-from repro.nn import functional as F
 from repro.nn.plan import InferencePlan, PackedWeightCache, compile_width_plans
 from repro.utils import make_rng
 from repro.utils.dtypes import DtypePolicy, dtype_policy
@@ -250,24 +249,6 @@ class TestAllocationBudget:
             f"{self.PER_REQUEST_BUDGET} B"
         )
 
-    def test_shifted_gemm_stays_in_the_same_budget(self):
-        """The allclose backend's rolling row panel lives in the arena too
-        (measured where it serves: the float32 policy, a full 16-row batch)."""
-        model = build_model("fluid", rng=make_rng(31))
-        x = make_rng(32).standard_normal((16, 1, 28, 28))
-        with dtype_policy(DtypePolicy.fast_inference()):
-            plan = InferencePlan.compile(
-                model, "lower100", batch_rows=16, conv_backend="shifted-gemm"
-            )
-            plan.run(x)
-            runs = 20
-            tracemalloc.start()
-            for _ in range(runs):
-                plan.run(x)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        assert peak / runs < self.PER_REQUEST_BUDGET
-
     def test_plan_allocates_far_less_than_eager(self):
         model = build_model("fluid", rng=make_rng(33))
         plan = InferencePlan.compile(model, "lower100", batch_rows=8)
@@ -298,36 +279,18 @@ class TestLiveRows:
     def model(self):
         return build_model("fluid", rng=make_rng(41))
 
-    def test_shifted_gemm_runs_only_the_live_columns(self, model, monkeypatch):
-        plan = InferencePlan.compile(
-            model, "lower50", batch_rows=16, conv_backend="shifted-gemm"
-        )
-        columns = []
-        real = F.shifted_gemm_conv
-
-        def recording(xflat, w_panels, panel, *rest):
-            columns.append(panel.shape[1])
-            return real(xflat, w_panels, panel, *rest)
-
-        monkeypatch.setattr(F, "shifted_gemm_conv", recording)
-        plan.run(make_rng(42).standard_normal((1, 1, 28, 28)))
-        assert columns == [hp * wp for hp, wp in (s.padded_hw for s in plan._steps)]
-
     @pytest.mark.parametrize("policy", POLICIES, ids=["float64", "float32"])
-    def test_one_shifted_plan_per_width_tracks_eager(self, model, policy):
+    def test_one_plan_per_width_is_eager_bitwise_at_every_row_count(self, model, policy):
         rng = make_rng(43)
         with dtype_policy(policy):
             plans = compile_width_plans(
-                model, [s.name for s in model.width_spec.all_specs()],
-                batch_rows=16, conv_backend="shifted-gemm",
+                model, [s.name for s in model.width_spec.all_specs()], batch_rows=16
             )
             for width, plan in plans.items():
                 session = InferenceSession(model, width)
                 for rows in self.ROWS:
                     x = rng.standard_normal((rows, 1, 28, 28))
-                    np.testing.assert_allclose(
-                        plan.run(x), session.run(x), **F.shifted_gemm_tolerance(plan.dtype)
-                    )
+                    np.testing.assert_array_equal(plan.run(x), session.run(x))
 
     def test_session_falls_back_to_eager_above_batch_rows(self, model):
         plan = InferencePlan.compile(model, "lower50", batch_rows=16)
@@ -343,18 +306,15 @@ class TestLiveRows:
     def test_zero_steady_state_allocations_at_1_and_16_rows(self, model):
         rng = make_rng(47)
         inputs = [rng.standard_normal((rows, 1, 28, 28)) for rows in (1, 16)]
-        for backend in F.CONV_BACKENDS:
-            plan = InferencePlan.compile(
-                model, "lower50", batch_rows=16, conv_backend=backend
-            )
+        plan = InferencePlan.compile(model, "lower50", batch_rows=16)
+        for x in inputs:
+            plan.run(x)  # warm the arena
+        runs = 10
+        tracemalloc.start()
+        for _ in range(runs):
             for x in inputs:
-                plan.run(x)  # warm the arena
-            runs = 10
-            tracemalloc.start()
-            for _ in range(runs):
-                for x in inputs:
-                    plan.run(x)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            per_request = peak / (runs * len(inputs))
-            assert per_request < TestAllocationBudget.PER_REQUEST_BUDGET, (backend, per_request)
+                plan.run(x)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        per_request = peak / (runs * len(inputs))
+        assert per_request < TestAllocationBudget.PER_REQUEST_BUDGET, per_request

@@ -3,7 +3,7 @@
 A workspace lays two buffers over the same bytes whenever their declared
 lifetimes are disjoint, so a lifetime that is too short corrupts an answer
 silently.  The load-bearing properties, for every compiled program (the
-im2col and shifted-GEMM :class:`InferencePlan`, and the per-device
+single-device :class:`InferencePlan`, and the per-device
 :class:`DevicePartitionPlan` driven round by round):
 
 * the interval a buffer declares is exactly the first and last kernel step
@@ -91,8 +91,6 @@ KERNELS = [
     (F, "gemm_bias_relu"),
     (F, "maxpool2d_into"),
     (F, "gemm_bias"),
-    (F, "shifted_gemm_conv"),
-    (F, "bias_act_into"),
     (np, "copyto"),
     (np, "dot"),
 ]
@@ -153,16 +151,15 @@ class TestDeclaredLifetimesAreTrue:
     def declared(plan_specs):
         return {s.name: s.live for s in plan_specs if not s.persistent}
 
-    @pytest.mark.parametrize("backend", ["im2col", "shifted-gemm"])
     @pytest.mark.parametrize("width", ["lower25", "lower100", "upper50"])
-    def test_inference_plan(self, net, observe, backend, width):
-        plan = InferencePlan.compile(net, width, batch_rows=4, conv_backend=backend)
+    def test_inference_plan(self, net, observe, width):
+        plan = InferencePlan.compile(net, width, batch_rows=4)
         declared = self.declared(plan.workspaces.specs)
         seen = observe(plan)
         x = batch(3)
         got = plan.run(x)
         assert seen == declared and len(declared) >= 9
-        np.testing.assert_allclose(got, InferenceSession(net, width).run(x), rtol=1e-9)
+        np.testing.assert_array_equal(got, InferenceSession(net, width).run(x))
 
     def test_partition_plan_round_by_round(self, net, observe):
         spec, partition, plans = partition_plans(net, rows=4)
@@ -240,10 +237,14 @@ class TestFootprint:
             occupied += pool.workspace_nbytes
             dedicated += sum(s.nbytes for s in pool.specs)
         assert occupied < dedicated / 2
-        if rows == 16 and plan.dtype == np.float64:
-            # benchmarks/e2e's nn.plan.arena_mb, and what it read while
-            # every buffer had bytes of its own.
-            assert (occupied, dedicated) == (12_527_616, 27_630_592)
+        if plan.dtype == np.float64:
+            # At 16 rows ``occupied`` is benchmarks/e2e's nn.plan.arena_mb,
+            # and ``dedicated`` what it would be if every buffer had bytes
+            # of its own.  A conv's one-image staging buffer fits in dead
+            # scratch bytes at 16 rows; at 1 row it is as large as the
+            # columns it stages.
+            pinned = {1: (1_266_304, 2_658_304), 16: (12_527_616, 28_561_984)}
+            assert (occupied, dedicated) == pinned[rows]
 
     def test_an_identical_plan_built_again_computes_no_placement(self, net):
         widths = [s.name for s in net.width_spec.lower_family()]

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import build_model
 from repro.nn.shm import (
@@ -17,6 +19,7 @@ from repro.nn.shm import (
     unlink_created_segments,
 )
 from repro.utils import make_rng
+from repro.utils.dtypes import TRANSPORT_DTYPES
 
 
 @pytest.fixture(autouse=True)
@@ -106,7 +109,7 @@ class TestShmRing:
         ring = self._ring()
         x = make_rng(0).standard_normal((4, 7))
         offset = ring.place(x)
-        assert np.array_equal(ring.view(offset, (4, 7), x.dtype), x)
+        assert np.array_equal(ring.view(offset, (4, 7), "float64"), x)
 
     def test_consecutive_placements_reuse_the_base_slot(self):
         segment = create_segment(RING_SEGMENT_TAG, 8192)
@@ -116,7 +119,7 @@ class TestShmRing:
         assert ring.place(first) == 4096
         assert ring.place(second) == 4096
         # One batch in flight per ring: the second placement overwrote the first.
-        assert np.array_equal(ring.view(4096, (256,), np.float64), second)
+        assert np.array_equal(ring.view(4096, (256,), "float64"), second)
         assert ring.place_parts([first[:8].reshape(2, 4)], np.float64) == (4096, 2)
 
     def test_place_parts_matches_concatenate(self):
@@ -127,7 +130,7 @@ class TestShmRing:
         ]
         offset, rows = ring.place_parts(parts, np.float64)
         assert rows == 3
-        stacked = ring.view(offset, (3, 3), np.float64)
+        stacked = ring.view(offset, (3, 3), "float64")
         assert np.array_equal(stacked, np.concatenate(parts, axis=0))
 
     def test_oversized_placement_raises(self):
@@ -153,10 +156,45 @@ class TestShmRing:
         segment = create_segment(RING_SEGMENT_TAG, 3 * 4096)
         ring = ShmRing(segment, 4096, 4096)
         with pytest.raises(ValueError, match="outside the ring"):
-            ring.view(offset, shape, np.float64)
+            ring.view(offset, shape, "float64")
         # The whole region, and nothing of it, are both inside.
-        assert ring.view(4096, (512,), np.float64).nbytes == ring.capacity
-        assert ring.view(8192, (0, 4), np.float64).size == 0
+        assert ring.view(4096, (512,), "float64").nbytes == ring.capacity
+        assert ring.view(8192, (0, 4), "float64").size == 0
+
+    def test_view_maps_only_allowlisted_dtype_strings(self):
+        """The reply's dtype string is the one read: ``"O"`` would map ring
+        bytes as object pointers, and ``">f8"`` is named ``"float64"``."""
+        ring = self._ring()
+        ring.place_parts([np.ones((1, 4))], np.float64)
+        names = sorted(k for k in np.sctypeDict if isinstance(k, str))
+        descriptors = st.one_of(
+            st.sampled_from(sorted(TRANSPORT_DTYPES)),
+            st.sampled_from(names),
+            st.tuples(st.sampled_from("<>=|"), st.sampled_from(names)).map("".join),
+            st.text(max_size=8),
+        )
+
+        @given(descriptor=descriptors)
+        @settings(max_examples=200, deadline=None)
+        def check(descriptor):
+            if descriptor in TRANSPORT_DTYPES:
+                got = ring.view(0, (4,), descriptor).copy()
+                assert got.dtype == np.dtype(descriptor) and got.shape == (4,)
+            else:
+                with pytest.raises(ValueError, match="not allowed"):
+                    ring.view(0, (4,), descriptor)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [("4",), (1.9,), (True,), (np.float64(4),), 4, "4"],
+        ids=["str-entry", "float-entry", "bool-entry", "numpy-float-entry", "int", "str"],
+    )
+    def test_view_refuses_a_shape_of_non_ints(self, shape):
+        ring = self._ring()
+        with pytest.raises(ValueError, match="shape"):
+            ring.view(0, shape, "float64")
 
 
 class TestLifecycle:

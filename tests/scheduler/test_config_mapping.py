@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import BrownoutPolicy, RetryPolicy
-from repro.nn.functional import CONV_BACKENDS
 from repro.scheduler import CONFIG_MAPPING_VERSION, SLA, SchedulerConfig
 
 # Floats drawn from JSON-exact values (repr round-trips losslessly, and
@@ -57,7 +56,6 @@ def configs(draw):
         warmup=draw(st.booleans()),
         max_batch=draw(st.integers(1, 64)),
         max_delay_s=draw(small_float),
-        conv_backend=draw(st.sampled_from(CONV_BACKENDS)),
         replica_backend=draw(st.sampled_from(["thread", "process"])),
         supervise=draw(st.booleans()),
         retry_policy=draw(
@@ -102,10 +100,10 @@ class TestRoundTrip:
         assert SchedulerConfig.from_mapping(config.to_mapping()) == config
 
     def test_schema_size(self):
-        """Fourteen fields, eighteen keys: a knob added or dropped shows here."""
-        assert len(fields(SchedulerConfig)) == 14
-        assert len(SchedulerConfig().to_mapping()) == 18
-        assert CONFIG_MAPPING_VERSION == 3
+        """Thirteen fields, seventeen keys: a knob added or dropped shows here."""
+        assert len(fields(SchedulerConfig)) == 13
+        assert len(SchedulerConfig().to_mapping()) == 17
+        assert CONFIG_MAPPING_VERSION == 4
 
     def test_empty_mapping_is_the_default_config(self):
         assert SchedulerConfig.from_mapping({}) == SchedulerConfig()
@@ -143,9 +141,9 @@ class TestPartialMappings:
 
     def test_version_2_override_set_without_removed_key_still_loads(self):
         config = SchedulerConfig.from_mapping(
-            {"version": 2, "max_batch": 8, "conv_backend": "shifted-gemm"}
+            {"version": 2, "max_batch": 8, "replica_backend": "process"}
         )
-        assert config == SchedulerConfig(max_batch=8, conv_backend="shifted-gemm")
+        assert config == SchedulerConfig(max_batch=8, replica_backend="process")
 
 
 class TestRejection:
@@ -183,13 +181,14 @@ class TestRejection:
 
     def test_full_version_1_dump_names_the_removed_keys(self):
         """The tuned config ``BENCH_tuning.json`` carried under mapping
-        version 1.  The ten knobs versions 2 and 3 dropped are spelled in
-        pieces, so that a search of the tree for any of them finds no live
-        use."""
+        version 1.  The eleven knobs versions 2, 3 and 4 dropped are spelled
+        in pieces, so that a search of the tree for any of them finds no
+        live use."""
         removed = {
             "_".join(parts): value
             for parts, value in [
                 (("compile", "plans"), True),
+                (("conv", "backend"), "im2col"),
                 (("conv", "backend", "per", "rung"), [[1, "im2col"], [8, "shifted-gemm"]]),
                 (("hedge", "factor"), 4.0),
                 (("hedge", "min", "s"), 0.004),
@@ -202,7 +201,7 @@ class TestRejection:
             ]
         }
         v1 = {
-            "admission_headroom": 1.0, "brownout": False, "conv_backend": "im2col",
+            "admission_headroom": 1.0, "brownout": False,
             "enable_admission": True, "enable_hedging": True, "hedge_ratio": 0.1,
             "max_batch": 8, "max_delay_s": 0.0005, "replica_backend": "thread",
             "replicas": 4, "retry": True, "retry.backoff_base_s": 0.002,
@@ -215,17 +214,25 @@ class TestRejection:
         with pytest.raises(ValueError, match=re.escape(message)):
             SchedulerConfig.from_mapping(v1)
 
-    def test_full_version_2_dump_names_the_removed_key(self):
+    def test_full_version_2_dump_names_the_removed_keys(self):
         """A default config as mapping version 2 wrote it: today's keys plus
-        the batch-rows ladder key, spelled in pieces as above."""
-        removed = "_".join(("rows", "ladder"))
-        v2 = dict(SchedulerConfig().to_mapping(), version=2, **{removed: None})
+        the batch-rows ladder and conv-backend keys, spelled in pieces as
+        above."""
+        removed = {"_".join(("rows", "ladder")): None, "_".join(("conv", "backend")): "im2col"}
+        v2 = dict(SchedulerConfig().to_mapping(), version=2, **removed)
         assert len(v2) == 19
-        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{removed}']")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: {sorted(removed)}")):
             SchedulerConfig.from_mapping(v2)
+
+    def test_full_version_3_dump_names_the_removed_key(self):
+        """A default config as mapping version 3 wrote it: today's keys plus
+        the conv-backend key, spelled in pieces as above."""
+        removed = "_".join(("conv", "backend"))
+        v3 = dict(SchedulerConfig().to_mapping(), version=3, **{removed: "im2col"})
+        assert len(v3) == 18
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{removed}']")):
+            SchedulerConfig.from_mapping(v3)
 
     def test_invalid_values_still_validated(self):
         with pytest.raises(ValueError):
             SchedulerConfig.from_mapping({"replicas": 0})
-        with pytest.raises(ValueError):
-            SchedulerConfig.from_mapping({"conv_backend": "winograd"})

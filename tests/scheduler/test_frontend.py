@@ -781,7 +781,7 @@ class TestReport:
                 ] is not None
 
 
-class TestConvBackendAndLadderConfig:
+class TestPlanConfig:
     def test_one_plan_per_width(self, model):
         from repro.nn.plan import InferencePlan
 
@@ -794,25 +794,9 @@ class TestConvBackendAndLadderConfig:
             out = frontend.submit(one_image(21), SLA(deadline_s=5.0)).result(timeout=10.0)
             assert out.shape == (1, 10)
 
-    def test_shifted_backend_serves_within_tolerance(self, model):
-        from repro.engine.session import InferenceSession
-        from repro.nn import functional as F
-
-        x = one_image(23)
-        sla = SLA(deadline_s=5.0, min_width="lower100", max_width="lower100")
-        with make_frontend(model, conv_backend="shifted-gemm") as frontend:
-            assert all(not plan.exact for plan in frontend.plans.values())
-            served = frontend.submit(x, sla).result(timeout=10.0)
-        direct = InferenceSession(model, "lower100").run(x)
-        np.testing.assert_allclose(
-            served, direct, **F.shifted_gemm_tolerance(served.dtype)
-        )
-
-    def test_invalid_backend_and_ladder_rejected(self):
+    def test_removed_ladder_rejected(self):
         """The batch-rows ladder is gone: a config that still names it is
         refused, never silently served on one plan per width."""
-        with pytest.raises(ValueError, match="unknown conv backend"):
-            SchedulerConfig(conv_backend="winograd")
         removed = "_".join(("rows", "ladder"))
         with pytest.raises(ValueError, match=f"unknown config keys: \\['{removed}'\\]"):
             SchedulerConfig.from_mapping({removed: [1, 4]})

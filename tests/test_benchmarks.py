@@ -21,6 +21,7 @@ import bench_paper  # noqa: E402
 import bench_scheduler  # noqa: E402
 import bench_trace_replay  # noqa: E402
 import bench_tuning  # noqa: E402
+import run_smokes  # noqa: E402
 from common import fluid_model  # noqa: E402
 
 from repro.scheduler import SchedulerConfig  # noqa: E402
@@ -91,6 +92,23 @@ class TestCommittedRecords:
         # Tuned under chaos: beats the default with the live fault plane on.
         assert chaos["tuned_miss_rate"] < chaos["default_miss_rate"]
         assert chaos["supervise"] and chaos["retry"]
+
+
+class TestSmokeRegistry:
+    """run_smokes.SMOKES and the scripts on disk name the same smokes."""
+
+    def test_every_smoke_names_a_script(self):
+        for name in run_smokes.SMOKES:
+            assert (ROOT / "benchmarks" / f"bench_{name}.py").is_file(), name
+
+    def test_every_script_with_a_smoke_is_registered(self):
+        with_smoke = {
+            path.stem[len("bench_"):]
+            for path in (ROOT / "benchmarks").glob("bench_*.py")
+            if '"--smoke"' in path.read_text()
+        }
+        assert with_smoke == set(run_smokes.SMOKES)
+        assert "paper" not in with_smoke  # its full run is its own CI step
 
 
 class TestSchedulerBeatsFixedWidest:

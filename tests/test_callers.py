@@ -45,12 +45,8 @@ EXEMPT: Tuple[Tuple[Tuple[str, ...], str], ...] = (
      "oracle: the engine's HA path and the cost model's exchange bytes are checked against it"),
     (("repro.trace.recorder.canonical_dumps",),
      "oracle: replay determinism tests compare runs through it"),
-    (("repro.nn.functional.shifted_gemm_tolerance",),
-     "oracle: the plan's shifted-gemm outputs are checked within it"),
     (("repro.nn.module.Module.num_parameters",),
      "oracle: subnet_param_count is checked against it"),
-    (("repro.nn.functional.conv2d_shifted",),
-     "harness: test_conv_backends checks the plan's shifted-GEMM kernel against conv2d_forward through it"),
     (("repro.faults.plan.single_fault",),
      "harness: the device, monitor, controller and integration tests script their failure with it"),
     (("repro.tuning.space.SearchSpace.small",),

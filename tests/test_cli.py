@@ -193,20 +193,6 @@ class TestReplayCommand:
         assert "replay bursts (sim)" in again
 
 
-class TestConvBackendFlags:
-    def test_defaults(self):
-        args = build_parser().parse_args(["replay"])
-        # None = "not given": config_from_args falls back to the
-        # SchedulerConfig default (im2col) unless --config overrides it.
-        assert args.conv_backend is None
-
-    def test_backend_choices(self):
-        args = build_parser().parse_args(["replay", "--conv-backend", "shifted-gemm"])
-        assert args.conv_backend == "shifted-gemm"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["replay", "--conv-backend", "winograd"])
-
-
 class TestConfigFromArgs:
     """The single flag->SchedulerConfig path."""
 
