@@ -35,23 +35,20 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from common import write_out
-from repro.comm import InProcChannel
-from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import (
-    MASTER,
-    WORKER,
-    LocalCluster,
-    MasterRuntime,
-    WorkerServer,
-    ha_plan,
-    ht_plan,
-    partitioned_plan,
-    solo_plan,
-    streams_plan,
-)
-from repro.engine import BlockPartition, ExecutionEngine, LocalEndpoint
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.utils import make_rng
+from repro.comm.transport import InProcChannel
+from repro.device.emulated import EmulatedDevice
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.cluster import LocalCluster
+from repro.distributed.master import MasterRuntime
+from repro.distributed.worker import WorkerServer
+from repro.engine.endpoints import LocalEndpoint
+from repro.engine.engine import ExecutionEngine
+from repro.engine.graph import BlockPartition
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import ha_plan, ht_plan, partitioned_plan, solo_plan, streams_plan
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
+from repro.utils.rng import make_rng
 
 SPLIT = 8
 

@@ -36,7 +36,7 @@ from repro.nn.shm import list_segments
 from repro.scheduler.pool import Replica
 from repro.scheduler.procpool import make_process_replicas
 from repro.scheduler.telemetry import MetricsRegistry
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 WIDTH = "lower100"          # the widest (heaviest) sub-network: worst GIL case
 WORKER_COUNTS = (1, 2, 4, 8)

@@ -34,30 +34,27 @@ import json
 from typing import Dict, List, Tuple
 
 from common import ROOT, env_record
-from repro.comm import CommLatencyModel
-from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.device import jetson_nx_master, jetson_nx_worker, subnet_param_count
-from repro.distributed import MASTER, LayerPartitionModel, SystemThroughputModel, solo_plan
-from repro.engine import BlockPartition
-from repro.experiments import (
-    PAPER_FIG2,
-    PAPER_HT_VS_DYNAMIC,
-    PAPER_HT_VS_STATIC,
-    fig2_plans,
-    run_fig2,
-    shape_checks,
-)
-from repro.models import FluidDyDNN, build_model
-from repro.slimmable import SlimmableConvNet, WidthSpec
-from repro.training import (
-    IncrementalTrainer,
-    NestedIncrementalTrainer,
-    NestedTrainConfig,
-    RecipeConfig,
-    TrainConfig,
-    train_family,
-)
-from repro.utils import make_rng
+from repro.comm.latency_model import CommLatencyModel
+from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.device.cost import subnet_param_count
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.layer_partition import LayerPartitionModel
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.graph import BlockPartition
+from repro.engine.modes import MASTER
+from repro.engine.plan import solo_plan
+from repro.experiments.calibration import PAPER_FIG2, PAPER_HT_VS_DYNAMIC, PAPER_HT_VS_STATIC
+from repro.experiments.fig2 import fig2_plans, run_fig2
+from repro.experiments.report import shape_checks
+from repro.models.fluid_dydnn import FluidDyDNN
+from repro.models.zoo import build_model
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import WidthSpec
+from repro.training.incremental import IncrementalTrainer
+from repro.training.nested_incremental import NestedIncrementalTrainer, NestedTrainConfig
+from repro.training.recipes import RecipeConfig, train_family
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 RECORD_PATH = ROOT / "REPRO.json"
 FAMILIES = ("static", "dynamic", "fluid")

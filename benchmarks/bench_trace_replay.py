@@ -44,7 +44,10 @@ from pathlib import Path
 
 from common import ROOT, fluid_model, write_out
 from repro.scheduler.frontend import SchedulerConfig
-from repro.trace import SCENARIOS, Tracer, TraceReplayer, write_trace
+from repro.trace.recorder import write_trace
+from repro.trace.replay import TraceReplayer
+from repro.trace.scenarios import SCENARIOS
+from repro.trace.tracer import Tracer
 
 RECORD_PATH = ROOT / "BENCH_trace_replay.json"
 CORPUS_DIR = ROOT / "benchmarks" / "traces"

@@ -44,7 +44,8 @@ from repro.faults.scenarios import faulty_replayer
 from repro.scheduler.frontend import SchedulerConfig
 from repro.trace.replay import TraceReplayer
 from repro.trace.scenarios import SCENARIOS
-from repro.tuning import dumps, tune
+from repro.tuning.artifact import dumps
+from repro.tuning.tuner import tune
 
 RECORD_PATH = ROOT / "BENCH_tuning.json"
 

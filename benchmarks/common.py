@@ -16,8 +16,8 @@ from pathlib import Path
 
 from e2e.env import describe  # the one environment record: imported, not copied
 
-from repro.models import build_model
-from repro.utils import make_rng
+from repro.models.zoo import build_model
+from repro.utils.rng import make_rng
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / "benchmarks" / "out"

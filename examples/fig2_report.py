@@ -11,10 +11,12 @@ Run:  python examples/fig2_report.py [--fast]
 import argparse
 import time
 
-from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.experiments import format_fig2_table, format_shape_checks, run_fig2, shape_checks
-from repro.training import RecipeConfig, TrainConfig, train_family
-from repro.utils import make_rng
+from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.experiments.fig2 import run_fig2
+from repro.experiments.report import format_fig2_table, format_shape_checks, shape_checks
+from repro.training.recipes import RecipeConfig, train_family
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 
 def main() -> None:

@@ -8,11 +8,12 @@ the paper's claim that comm overhead caps distributed Static DNNs.
 Run:  python examples/modes_demo.py   (finishes in seconds)
 """
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import SystemThroughputModel
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.utils import make_rng
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
+from repro.utils.rng import make_rng
 
 
 def main() -> None:

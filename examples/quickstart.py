@@ -8,10 +8,11 @@ Run:  python examples/quickstart.py
 Takes about a minute on a laptop.
 """
 
-from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.device import subnet_flops, subnet_param_count
-from repro.training import RecipeConfig, TrainConfig, train_fluid
-from repro.utils import make_rng
+from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.device.cost import subnet_flops, subnet_param_count
+from repro.training.recipes import RecipeConfig, train_fluid
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 
 def main() -> None:

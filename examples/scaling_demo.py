@@ -7,12 +7,13 @@ worst-case throughput after k failures for 2/4/8-device clusters.
 Run:  python examples/scaling_demo.py   (finishes in seconds)
 """
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master
-from repro.distributed import SystemThroughputModel
-from repro.engine import BlockPartition
-from repro.slimmable import SlimmableConvNet, WidthSpec
-from repro.utils import make_rng
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.graph import BlockPartition
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import WidthSpec
+from repro.utils.rng import make_rng
 
 
 def main() -> None:

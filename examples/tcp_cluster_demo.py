@@ -12,21 +12,17 @@ Run:  python examples/tcp_cluster_demo.py   (about a minute)
 
 import numpy as np
 
-from repro.comm import CommLatencyModel
-from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import (
-    MASTER,
-    WORKER,
-    LocalCluster,
-    SystemThroughputModel,
-    ha_plan,
-    ht_plan,
-    solo_plan,
-)
+from repro.comm.latency_model import CommLatencyModel
+from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.cluster import LocalCluster
+from repro.distributed.throughput import SystemThroughputModel
 from repro.engine.endpoints import EndpointUnavailable
-from repro.training import RecipeConfig, TrainConfig, train_fluid
-from repro.utils import make_rng
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import ha_plan, ht_plan, solo_plan
+from repro.training.recipes import RecipeConfig, train_fluid
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -20,5 +20,3 @@ Subpackages
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

@@ -24,24 +24,26 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.comm import CommLatencyModel
-from repro.data import SynthMNISTConfig, load_synth_mnist
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import MASTER, WORKER, SystemThroughputModel, ha_plan, ht_plan, solo_plan
-from repro.experiments import (
-    calibration_points,
-    format_fig2_table,
-    format_shape_checks,
-    run_fig2,
-    shape_checks,
-)
+from repro.comm.latency_model import CommLatencyModel
+from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import ha_plan, ht_plan, solo_plan
+from repro.experiments.calibration import calibration_points
+from repro.experiments.fig2 import run_fig2
+from repro.experiments.report import format_fig2_table, format_shape_checks, shape_checks
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.nn.checkpoint import load_state, save_state
-from repro.runtime import AdaptationPolicy, SystemController
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.training import RecipeConfig, TrainConfig, train_family
-from repro.utils import make_rng, resolve_dtype_policy, set_dtype_policy
+from repro.runtime.controller import SystemController
+from repro.runtime.policy import AdaptationPolicy
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
+from repro.training.recipes import RecipeConfig, train_family
+from repro.training.trainer import TrainConfig
+from repro.utils.dtypes import resolve_dtype_policy, set_dtype_policy
+from repro.utils.rng import make_rng
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -307,7 +309,7 @@ def config_from_args(args, defaults=None):
 
     mapping = dict(defaults or {})
     if args.config:
-        from repro.tuning import load_config_mapping
+        from repro.tuning.artifact import load_config_mapping
 
         try:
             file_mapping = load_config_mapping(args.config)
@@ -330,9 +332,11 @@ def config_from_args(args, defaults=None):
 
 def cmd_replay(args) -> int:
     """``replay``: re-inject a scenario or trace artifact against the scheduler."""
-    from repro.faults import FAULTY_SCENARIOS, faulty_replayer
-    from repro.trace import SCENARIOS, TraceRecorder, Tracer, TraceReplayer
-    from repro.trace.scenarios import EXTRA_SCENARIOS
+    from repro.faults.scenarios import FAULTY_SCENARIOS, faulty_replayer
+    from repro.trace.recorder import TraceRecorder
+    from repro.trace.replay import TraceReplayer
+    from repro.trace.scenarios import EXTRA_SCENARIOS, SCENARIOS
+    from repro.trace.tracer import Tracer
 
     if args.list:
         print(f"{'scenario':20s} {'seed':>5s} {'duration':>9s} {'requests':>9s}  generator")
@@ -452,7 +456,8 @@ def cmd_replay(args) -> int:
 
 def _replay_tune(replayer, model, args) -> int:
     """``replay --tune``: offline config search on the loaded trace."""
-    from repro.tuning import default_workers, tune, write_tuned_config
+    from repro.tuning.artifact import write_tuned_config
+    from repro.tuning.tuner import default_workers, tune
 
     use_faults = replayer.faults is not None
     workers = args.tune_workers if args.tune_workers is not None else default_workers()
@@ -507,9 +512,10 @@ def cmd_dist(args) -> int:
                 return _dist_run(cluster.master.engine, args, spec, x)
         import threading
 
-        from repro.comm import InProcChannel
-        from repro.device import EmulatedDevice
-        from repro.distributed import MasterRuntime, WorkerServer
+        from repro.comm.transport import InProcChannel
+        from repro.device.emulated import EmulatedDevice
+        from repro.distributed.master import MasterRuntime
+        from repro.distributed.worker import WorkerServer
 
         chan = InProcChannel()
         server = WorkerServer(

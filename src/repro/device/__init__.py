@@ -3,32 +3,6 @@
 Scripted failure timelines are :class:`repro.faults.plan.FaultPlan`.
 """
 
-from repro.device.cost import (
-    LayerCost,
-    WIRE_BYTES_PER_VALUE,
-    block_partitioned_costs,
-    subnet_flops,
-    subnet_layer_costs,
-    subnet_num_layers,
-    subnet_param_count,
-    wire_bytes_per_value,
-)
-from repro.device.emulated import CrashCounter, DeviceFailed, EmulatedDevice
-from repro.device.profiles import DeviceProfile, jetson_nx_master, jetson_nx_worker
-
-__all__ = [
-    "DeviceProfile",
-    "jetson_nx_master",
-    "jetson_nx_worker",
-    "LayerCost",
-    "WIRE_BYTES_PER_VALUE",
-    "wire_bytes_per_value",
-    "subnet_layer_costs",
-    "subnet_flops",
-    "subnet_num_layers",
-    "subnet_param_count",
-    "block_partitioned_costs",
-    "EmulatedDevice",
-    "DeviceFailed",
-    "CrashCounter",
-]
+# benchmarks/e2e/workloads.py imports these names from the package root.
+from repro.device.emulated import EmulatedDevice
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker

@@ -1,50 +1,12 @@
-"""Distributed inference: partitioning, protocol, modes, throughput model."""
+"""Distributed inference: the master runtime, the worker, the TCP cluster, the throughput model.
 
-from repro.distributed.cluster import LocalCluster, WorkerProcess
-from repro.distributed.layer_partition import LayerCut, LayerPartitionModel
+The deployment vocabulary they run in (modes, plans, the partitioned
+kernels) is the engine's: :mod:`repro.engine.modes`, :mod:`repro.engine.plan`
+and :mod:`repro.engine.partitioned`.
+"""
+
+# benchmarks/e2e/workloads.py imports these names from the package root.
 from repro.distributed.master import MasterRuntime
-from repro.distributed.modes import ALL_SCENARIOS, MASTER, WORKER, ExecutionMode, Scenario
-from repro.distributed.partitioned import (
-    conv_block_half,
-    fc_partial,
-    partitioned_forward_reference,
-)
-from repro.distributed.plan import (
-    Assignment,
-    DeploymentPlan,
-    failed_plan,
-    ha_plan,
-    ht_plan,
-    partitioned_plan,
-    solo_plan,
-    streams_plan,
-)
-from repro.distributed.throughput import SystemThroughputModel, ThroughputBreakdown
+from repro.distributed.throughput import SystemThroughputModel
 from repro.distributed.worker import WorkerServer
-
-__all__ = [
-    "ExecutionMode",
-    "Scenario",
-    "ALL_SCENARIOS",
-    "MASTER",
-    "WORKER",
-    "conv_block_half",
-    "fc_partial",
-    "partitioned_forward_reference",
-    "Assignment",
-    "DeploymentPlan",
-    "failed_plan",
-    "solo_plan",
-    "ht_plan",
-    "ha_plan",
-    "streams_plan",
-    "partitioned_plan",
-    "SystemThroughputModel",
-    "LayerCut",
-    "LayerPartitionModel",
-    "ThroughputBreakdown",
-    "MasterRuntime",
-    "WorkerServer",
-    "LocalCluster",
-    "WorkerProcess",
-]
+from repro.engine.modes import MASTER, WORKER, ExecutionMode

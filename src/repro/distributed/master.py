@@ -4,7 +4,7 @@ The Master is the paper's decision-maker: it holds the local (master)
 device plus one worker transport and builds the corresponding two-endpoint
 :class:`~repro.engine.engine.ExecutionEngine`.  Every deployment runs
 through that engine, ``master.engine.execute(plan, x)`` with a
-:class:`~repro.distributed.plan.DeploymentPlan` (``solo_plan``,
+:class:`~repro.engine.plan.DeploymentPlan` (``solo_plan``,
 ``ht_plan``, ``ha_plan``), and ends with ``master.engine.shutdown()``,
 which also tells the worker to stop.  This module only names the two
 devices and keeps the worker's liveness probes.
@@ -16,10 +16,10 @@ from typing import Optional
 
 from repro.comm.transport import Transport
 from repro.device.emulated import EmulatedDevice
-from repro.distributed.modes import MASTER, WORKER
 from repro.engine.endpoints import LocalEndpoint, TransportEndpoint
 from repro.engine.engine import ExecutionEngine
 from repro.engine.graph import BlockPartition
+from repro.engine.modes import MASTER, WORKER
 
 
 class MasterRuntime:

@@ -27,9 +27,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.comm.latency_model import CommLatencyModel
 from repro.device.cost import block_partitioned_costs, subnet_flops, subnet_num_layers
 from repro.device.profiles import DeviceProfile
-from repro.distributed.modes import MASTER, WORKER, ExecutionMode
-from repro.distributed.plan import DeploymentPlan
 from repro.engine.graph import BlockPartition
+from repro.engine.modes import MASTER, WORKER, ExecutionMode
+from repro.engine.plan import DeploymentPlan
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import SubNetSpec
 

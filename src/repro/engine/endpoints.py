@@ -18,7 +18,7 @@ All endpoint compute is stateless with respect to activations: standalone
 sub-network runs execute under per-call non-recording
 :class:`~repro.nn.context.ForwardContext`\\ s (see
 :meth:`EmulatedDevice.execute_subnet`), and the partitioned rounds call the
-stateless kernels in :mod:`repro.distributed.partitioned` directly — no
+stateless kernels in :mod:`repro.engine.partitioned` directly — no
 endpoint ever caches activations on the shared net, and no call mutates it,
 so any number of :class:`~repro.engine.session.InferenceSession`\\ s may
 share the endpoints' weight store.
@@ -44,7 +44,7 @@ from repro.comm.message import Message, MessageKind
 from repro.comm.transport import Transport, TransportError
 from repro.comm.wire import cast_for_wire
 from repro.device.emulated import DeviceFailed, EmulatedDevice
-from repro.distributed.partitioned import (
+from repro.engine.partitioned import (
     conv_block_half,
     fc_partial,
     feature_slice_for_block,

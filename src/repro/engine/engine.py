@@ -1,7 +1,7 @@
 """The N-device execution engine.
 
 :class:`ExecutionEngine` owns a set of named :class:`Endpoint`\\ s, compiles
-every :class:`~repro.distributed.plan.DeploymentPlan` to the stream/round
+every :class:`~repro.engine.plan.DeploymentPlan` to the stream/round
 graph (:mod:`repro.engine.graph`), and interprets that graph uniformly —
 the same loop serves solo, High-Throughput, and High-Accuracy deployments
 over any number of devices, with endpoints that may be in-process devices
@@ -41,8 +41,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.wire import wire_dtype
-from repro.distributed.modes import ExecutionMode
-from repro.distributed.plan import DeploymentPlan
 from repro.engine.endpoints import Endpoint, EndpointReply, EndpointUnavailable
 from repro.engine.graph import (
     BlockPartition,
@@ -50,6 +48,9 @@ from repro.engine.graph import (
     PartitionLayerOp,
     compile_plan,
 )
+from repro.engine.modes import ExecutionMode
+from repro.engine.plan import DeploymentPlan
+from repro.scheduler.telemetry import MetricsRegistry, Timer
 from repro.slimmable.spec import ChannelSlice, SubNetSpec, WidthSpec
 from repro.utils.dtypes import dtype_policy, get_dtype_policy
 
@@ -80,8 +81,6 @@ class _DispatchLane:
         self._thread.start()
 
     def _loop(self) -> None:
-        from repro.scheduler.telemetry import Timer  # deferred: package cycle
-
         while True:
             task = self._inbox.get()
             if task is None:
@@ -133,10 +132,6 @@ class ExecutionEngine:
         self._specs: Dict[str, SubNetSpec] = {
             spec.name: spec for spec in (*own, *reversed(width_spec.all_specs()))
         }
-        # Deferred: repro.scheduler's package init imports the runtime
-        # facades, which import this module.
-        from repro.scheduler.telemetry import MetricsRegistry
-
         self.metrics = MetricsRegistry()
         #: Per-round exchanged activation bytes of the most recent
         #: partitioned execute (engine↔endpoint boundary, wire itemsize).
@@ -190,8 +185,6 @@ class ExecutionEngine:
         thread's dtype policy is reinstalled in every dispatch thread
         (thread-scoped overrides would otherwise be invisible there).
         """
-        from repro.scheduler.telemetry import Timer  # deferred: package cycle
-
         if len(calls) == 1:
             with Timer() as timer:
                 reply = calls[0]()

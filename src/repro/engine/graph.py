@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.distributed.modes import ExecutionMode
-from repro.distributed.plan import DeploymentPlan
+from repro.engine.modes import ExecutionMode
+from repro.engine.plan import DeploymentPlan
 from repro.slimmable.spec import ChannelSlice, SubNetSpec, WidthSpec, uniform_spec
 
 

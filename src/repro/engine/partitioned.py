@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.wire import wire_dtype
 from repro.nn import functional as F
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import ChannelSlice, SubNetSpec
@@ -108,8 +109,6 @@ def partitioned_forward_reference(
     :func:`~repro.comm.wire.cast_for_wire`) — not a hardcoded float32 — so
     the accounting stays honest under a full-precision wire policy.
     """
-    from repro.comm.wire import wire_dtype
-
     if not spec.is_lower():
         raise ValueError("HA partitioning applies to combined (lower-anchored) specs")
     lower = ChannelSlice(0, split)

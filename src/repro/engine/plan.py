@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.distributed.modes import MASTER, WORKER, ExecutionMode
+from repro.engine.modes import MASTER, WORKER, ExecutionMode
 
 
 @dataclass(frozen=True)

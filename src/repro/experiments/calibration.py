@@ -33,9 +33,9 @@ from typing import Dict, Tuple
 
 from repro.comm.latency_model import CommLatencyModel
 from repro.device.profiles import jetson_nx_master, jetson_nx_worker
-from repro.distributed.modes import MASTER, WORKER
-from repro.distributed.plan import solo_plan
 from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import solo_plan
 from repro.slimmable.slim_net import SlimmableConvNet
 
 # (family, scenario, mode) -> (throughput image/s, accuracy %)

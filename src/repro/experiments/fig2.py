@@ -16,9 +16,9 @@ from typing import Dict, List, Tuple
 from repro.comm.latency_model import CommLatencyModel
 from repro.data.dataset import ArrayDataset
 from repro.device.profiles import jetson_nx_master, jetson_nx_worker
-from repro.distributed.modes import ALL_SCENARIOS, ExecutionMode, Scenario
-from repro.distributed.plan import DeploymentPlan
 from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import ALL_SCENARIOS, ExecutionMode, Scenario
+from repro.engine.plan import DeploymentPlan
 from repro.models.base import ModelFamily
 from repro.runtime.policy import TARGET_ACCURACY, TARGET_THROUGHPUT, AdaptationPolicy
 

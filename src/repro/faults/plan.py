@@ -31,6 +31,7 @@ Plans serialize to JSON (they ride in ``repro-trace`` artifact meta, see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -77,12 +78,13 @@ class FaultEvent:
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"fault time must be non-negative, got {self.time_s}")
+        # Written so NaN fails too: a plan read from an artifact is outside input.
+        if not 0 <= self.time_s < math.inf:
+            raise ValueError(f"fault time must be finite and non-negative, got {self.time_s}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} (not in {FAULT_KINDS})")
-        if self.duration_s < 0 or self.delay_s < 0:
-            raise ValueError("fault durations must be non-negative")
+        if not (0 <= self.duration_s < math.inf and 0 <= self.delay_s < math.inf):
+            raise ValueError("fault durations must be finite and non-negative")
         if self.count < 1:
             raise ValueError("count must be at least 1")
 

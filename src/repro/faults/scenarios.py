@@ -38,6 +38,7 @@ from repro.faults.plan import (
     FaultPlan,
     replica_target,
 )
+from repro.trace.replay import TraceReplayer
 from repro.trace.scenarios import TraceSpec, register_scenario
 
 #: Replica count the reference fault plans are scripted against.
@@ -114,8 +115,6 @@ def get_faulty(name: str) -> FaultyScenario:
 
 def faulty_replayer(name: str):
     """A :class:`~repro.trace.replay.TraceReplayer` with the incident attached."""
-    from repro.trace.replay import TraceReplayer
-
     scenario = get_faulty(name)
     return TraceReplayer(
         scenario.trace.generate(),

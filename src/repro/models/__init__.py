@@ -1,16 +1,4 @@
 """Model families: Static DNN, Dynamic DNN and Fluid DyDNN (paper Fig. 1a)."""
 
-from repro.models.base import ModelFamily
-from repro.models.dynamic_dnn import DynamicDNN
+# benchmarks/e2e/workloads.py imports these names from the package root.
 from repro.models.fluid_dydnn import FluidDyDNN
-from repro.models.static_dnn import StaticDNN
-from repro.models.zoo import FAMILIES, build_model
-
-__all__ = [
-    "ModelFamily",
-    "StaticDNN",
-    "DynamicDNN",
-    "FluidDyDNN",
-    "FAMILIES",
-    "build_model",
-]

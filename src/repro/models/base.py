@@ -1,6 +1,6 @@
 """Common interface for the three model families.
 
-A model family wraps one :class:`~repro.slimmable.SlimmableConvNet` and a
+A model family wraps one :class:`~repro.slimmable.slim_net.SlimmableConvNet` and a
 *certification* record: which sub-networks its training procedure makes
 usable standalone, and which combined modes are valid.  The distributed
 runtime consults certifications when re-planning after a failure — a Static

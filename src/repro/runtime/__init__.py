@@ -1,36 +1,5 @@
 """Runtime adaptation: failure monitoring, policy, micro-batched serving."""
 
-from repro.runtime.batching import (
-    BatchingConfig,
-    BatchingStats,
-    DeadlineExceeded,
-    MicroBatchQueue,
-)
-from repro.runtime.controller import SystemController, Timeline, Transition
-from repro.runtime.live import LiveLog, LiveSystem, ServedBatch
-from repro.runtime.monitor import HeartbeatMonitor, ScheduleMonitor
-from repro.runtime.policy import (
-    TARGET_ACCURACY,
-    TARGET_THROUGHPUT,
-    TARGETS,
-    AdaptationPolicy,
-)
-
-__all__ = [
-    "AdaptationPolicy",
-    "TARGET_ACCURACY",
-    "TARGET_THROUGHPUT",
-    "TARGETS",
-    "BatchingConfig",
-    "BatchingStats",
-    "DeadlineExceeded",
-    "HeartbeatMonitor",
-    "LiveSystem",
-    "LiveLog",
-    "MicroBatchQueue",
-    "ServedBatch",
-    "ScheduleMonitor",
-    "SystemController",
-    "Timeline",
-    "Transition",
-]
+# benchmarks/e2e/workloads.py imports these names from the package root.
+from repro.runtime.live import LiveSystem
+from repro.runtime.policy import AdaptationPolicy

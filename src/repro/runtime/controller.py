@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional
 
-from repro.faults.plan import FaultPlan
-from repro.distributed.modes import ExecutionMode
-from repro.distributed.plan import DeploymentPlan
 from repro.distributed.throughput import SystemThroughputModel, ThroughputBreakdown
+from repro.engine.modes import ExecutionMode
+from repro.engine.plan import DeploymentPlan
+from repro.faults.plan import FaultPlan
 from repro.runtime.monitor import ScheduleMonitor
 from repro.runtime.policy import AdaptationPolicy
 from repro.utils.logging import get_logger

@@ -16,9 +16,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.distributed.master import MasterRuntime
-from repro.distributed.modes import MASTER, WORKER, ExecutionMode
-from repro.distributed.plan import DeploymentPlan
 from repro.engine.endpoints import EndpointError, EndpointUnavailable
+from repro.engine.modes import MASTER, WORKER, ExecutionMode
+from repro.engine.plan import DeploymentPlan
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.runtime.policy import AdaptationPolicy
 from repro.utils.logging import get_logger

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet
 
+from repro.engine.modes import MASTER, WORKER
 from repro.faults.plan import FaultPlan
-from repro.distributed.modes import MASTER, WORKER
 from repro.utils.logging import get_logger
 
 

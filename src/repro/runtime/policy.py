@@ -12,15 +12,15 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional
 
 from repro.device.cost import subnet_param_count
-from repro.distributed.modes import MASTER, WORKER, ExecutionMode, Scenario
-from repro.distributed.plan import (
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import MASTER, WORKER, ExecutionMode, Scenario
+from repro.engine.plan import (
     DeploymentPlan,
     failed_plan,
     ha_plan,
     ht_plan,
     solo_plan,
 )
-from repro.distributed.throughput import SystemThroughputModel
 from repro.models.base import ModelFamily
 from repro.slimmable.spec import SubNetSpec
 

@@ -5,43 +5,3 @@ control (fail-fast on infeasible deadlines), deadline-driven slimmable
 width selection calibrated online, and failure-aware routing over a pool
 of shared-weight replicas with hedged retries.
 """
-
-from repro.scheduler.admission import (
-    CRITICAL_PRIORITY,
-    SLA,
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionRejected,
-)
-from repro.scheduler.frontend import (
-    CONFIG_MAPPING_VERSION,
-    SchedulerConfig,
-    ServingFrontend,
-)
-from repro.scheduler.pool import Replica, ReplicaPool, ReplicaUnavailable
-from repro.scheduler.telemetry import (
-    Counter,
-    EWMA,
-    LatencyHistogram,
-    MetricsRegistry,
-)
-from repro.scheduler.width_policy import WidthPolicy
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionRejected",
-    "CONFIG_MAPPING_VERSION",
-    "CRITICAL_PRIORITY",
-    "Counter",
-    "EWMA",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "Replica",
-    "ReplicaPool",
-    "ReplicaUnavailable",
-    "SchedulerConfig",
-    "ServingFrontend",
-    "SLA",
-    "WidthPolicy",
-]

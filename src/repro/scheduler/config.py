@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-# Module binding, not a name import: repro.faults.policy imports the
-# admission types right back, so the cycle only resolves if attribute
-# access is deferred to call time (annotations stay strings under
-# ``from __future__ import annotations``).
-import repro.faults.policy as fault_policy
+from repro.faults.policy import BrownoutPolicy, RetryPolicy
 from repro.scheduler.admission import SLA
 
 #: Version of the flat :meth:`SchedulerConfig.to_mapping` wire format.
@@ -88,7 +84,7 @@ class SchedulerConfig:
         ``json.dumps(..., sort_keys=True)`` of the result is byte-stable —
         the property the tuner's artifact determinism rests on.
         """
-        nested = _nested_knobs()
+        nested = _NESTED_KNOBS
         attrs = {attr for attr, _ in nested.values()}
         mapping: Dict[str, object] = {
             f.name: getattr(self, f.name) for f in fields(self) if f.name not in attrs
@@ -121,7 +117,7 @@ class SchedulerConfig:
                 f"config mapping version {version} is newer than this "
                 f"build understands ({CONFIG_MAPPING_VERSION})"
             )
-        nested = _nested_knobs()
+        nested = _NESTED_KNOBS
         flat = {f.name for f in fields(cls)} - {attr for attr, _ in nested.values()}
         nested_knobs = {
             prefix: {f.name for f in fields(policy_cls)}
@@ -158,15 +154,11 @@ class SchedulerConfig:
         return cls(**kwargs)
 
 
-def _nested_knobs() -> Dict[str, Tuple[str, type]]:
-    """Mapping-key prefix → (config attribute, dataclass) of each nested object.
-
-    Their knobs flatten to ``"<prefix>.<field>"`` keys straight from the
-    dataclass fields.  Resolved at call time: ``faults.policy`` may still be
-    mid-import when this module loads.
-    """
-    return {
-        "sla": ("default_sla", SLA),
-        "retry": ("retry_policy", fault_policy.RetryPolicy),
-        "brownout": ("brownout", fault_policy.BrownoutPolicy),
-    }
+#: Mapping-key prefix → (config attribute, dataclass) of each nested object.
+#: Their knobs flatten to ``"<prefix>.<field>"`` keys straight from the
+#: dataclass fields.
+_NESTED_KNOBS: Dict[str, Tuple[str, type]] = {
+    "sla": ("default_sla", SLA),
+    "retry": ("retry_policy", RetryPolicy),
+    "brownout": ("brownout", BrownoutPolicy),
+}

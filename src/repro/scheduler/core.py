@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence
 
-# Module binding: repro.faults.policy imports the admission types back
-# (see the same note in scheduler/config.py).
-import repro.faults.policy as fault_policy
+from repro.faults.policy import BrownoutController, BrownoutShed
 from repro.runtime.batching import DeadlineExceeded
 from repro.scheduler.admission import (
     SLA,
@@ -50,7 +48,7 @@ class PlaneView(NamedTuple):
 
     policy: WidthPolicy
     admission: Optional[AdmissionController]      # None: admission disabled
-    brownout: Optional["fault_policy.BrownoutController"]
+    brownout: Optional["BrownoutController"]
     depth: Callable[[], int]                      # requests queued or executing
     miss_rate: Callable[[], Optional[float]]      # deadline-miss signal, if any
     queue_wait: Callable[[float], float]          # floor_s -> wait behind admitted work
@@ -69,7 +67,7 @@ class Decision(NamedTuple):
 
     @property
     def shed(self) -> bool:
-        return isinstance(self.error, fault_policy.BrownoutShed)
+        return isinstance(self.error, BrownoutShed)
 
 
 def decide(sla: SLA, remaining_s: float, plane: PlaneView) -> Decision:
@@ -83,7 +81,7 @@ def decide(sla: SLA, remaining_s: float, plane: PlaneView) -> Decision:
         engaged = brownout.update(plane.depth(), plane.miss_rate())
         if engaged and brownout.should_shed(sla.priority):
             return Decision(
-                fault_policy.BrownoutShed("brown-out: low-priority admission shed")
+                BrownoutShed("brown-out: low-priority admission shed")
             )
     narrowest = policy.narrowest(sla.min_width, sla.max_width)
     floor = policy.predict(narrowest.name)

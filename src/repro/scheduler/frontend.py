@@ -38,12 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Module bindings, not name imports: repro.faults.policy imports the
-# admission types right back, so the cycle only resolves if both sides
-# defer attribute access to call time (annotations stay strings under
-# ``from __future__ import annotations``).
-import repro.faults.policy as fault_policy
-import repro.faults.supervisor as fault_supervisor
+from repro.faults.policy import BrownoutController, BrownoutShed, RetryExhausted
+from repro.faults.supervisor import ReplicaSupervisor
 from repro.nn.plan import InferencePlan, compile_width_plans
 from repro.runtime.batching import BatchingConfig, DeadlineExceeded, MicroBatchQueue
 from repro.scheduler import core
@@ -273,7 +269,7 @@ class ServingFrontend:
         )
         self.brownout: Optional[BrownoutController] = None
         if self.config.brownout is not None:
-            self.brownout = fault_policy.BrownoutController(
+            self.brownout = BrownoutController(
                 self.config.brownout, metrics=self.metrics, tracer=self.tracer
             )
         self.pool = ReplicaPool(
@@ -298,7 +294,7 @@ class ServingFrontend:
         if self.config.supervise:
             # Started after warmup so the supervisor never races the
             # initial priming runs on replica 0.
-            self.supervisor = fault_supervisor.ReplicaSupervisor(self).start()
+            self.supervisor = ReplicaSupervisor(self).start()
 
     @staticmethod
     def _default_candidates(model, net) -> List[SubNetSpec]:
@@ -651,7 +647,7 @@ class ServingFrontend:
                     # A deadline that expired while rerouting is a miss, not
                     # an infrastructure loss: classified with the other expiries.
                     why = f"retry budget exhausted after {attempt} attempts"
-                    self._fail(entry, fault_policy.RetryExhausted(why) if remaining > 0
+                    self._fail(entry, RetryExhausted(why) if remaining > 0
                                else DeadlineExceeded("deadline expired while rerouting"))
                     return
                 self.metrics.counter("frontend.retries").inc()
@@ -739,13 +735,13 @@ class ServingFrontend:
         a ReplicaUnavailable), and each cause must land in exactly one
         ``frontend.failures.<cause>`` counter.
         """
-        if isinstance(exc, fault_policy.BrownoutShed):
+        if isinstance(exc, BrownoutShed):
             cause = "brownout_shed"
         elif isinstance(exc, AdmissionRejected):
             cause = "admission_rejected"
         elif isinstance(exc, DeadlineExceeded):
             cause = "deadline_expired"
-        elif isinstance(exc, fault_policy.RetryExhausted):
+        elif isinstance(exc, RetryExhausted):
             cause = "retry_exhausted"
         elif isinstance(exc, ReplicaUnavailable):
             cause = "replica_unavailable"

@@ -71,7 +71,13 @@ from repro.engine.endpoints import (
     EndpointUnavailable,
     TransportEndpoint,
 )
-from repro.nn.shm import RING_SEGMENT_TAG, ShmRing, _unlink_quietly, create_segment
+from repro.nn.shm import (
+    RING_SEGMENT_TAG,
+    ShmRing,
+    _unlink_quietly,
+    create_segment,
+    ensure_shared_parameters,
+)
 from repro.scheduler.pool import Replica, ReplicaUnavailable, probe_input
 from repro.scheduler.telemetry import MetricsRegistry
 from repro.utils.dtypes import compute_dtype
@@ -540,8 +546,6 @@ def make_process_replicas(
     ``widths`` side by side; the replicas returned have all answered
     their readiness ping.  If one does not come up, all are closed.
     """
-    from repro.nn.shm import ensure_shared_parameters
-
     ensure_shared_parameters(model)
     budget = partition_thread_budget(count)
     replicas = [

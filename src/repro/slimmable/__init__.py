@@ -6,35 +6,6 @@ weights stored once, sub-networks expressed as channel slices
 (:class:`RegionTracker`).
 """
 
-from repro.slimmable.masks import (
-    RegionTracker,
-    conv_region,
-    linear_region,
-    vector_region,
-)
-from repro.slimmable.slim_net import SlimmableConvNet, SubNetworkView
-from repro.slimmable.sliced_conv import SlicedConv2d
-from repro.slimmable.sliced_linear import SlicedLinear
-from repro.slimmable.spec import (
-    ChannelSlice,
-    SubNetSpec,
-    WidthSpec,
-    paper_width_spec,
-    uniform_spec,
-)
-
-__all__ = [
-    "ChannelSlice",
-    "SubNetSpec",
-    "WidthSpec",
-    "uniform_spec",
-    "paper_width_spec",
-    "SlicedConv2d",
-    "SlicedLinear",
-    "SlimmableConvNet",
-    "SubNetworkView",
-    "RegionTracker",
-    "conv_region",
-    "vector_region",
-    "linear_region",
-]
+# benchmarks/e2e/workloads.py imports these names from the package root.
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec

@@ -1,55 +1,1 @@
-"""Request-lifecycle tracing, record/replay, and the scenario zoo.
-
-Import order matters: ``replay`` imports the scheduler frontend lazily
-(inside methods) because the frontend itself imports ``trace.tracer`` /
-``trace.recorder`` — keeping the cycle one-directional at import time.
-"""
-
-from repro.trace.tracer import (
-    EVENT_VOCABULARY,
-    NULL_TRACER,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-)
-from repro.trace.recorder import (
-    OUTCOMES,
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    RequestRecord,
-    RequestSpec,
-    TraceRecorder,
-    canonical_dumps,
-    canonical_record,
-    read_specs,
-    read_trace,
-    write_trace,
-)
-from repro.trace.scenarios import GENERATORS, SCENARIOS, TraceSpec, get_scenario
-from repro.trace.replay import TraceReplayer, payload_for, summarize_outcomes
-
-__all__ = [
-    "EVENT_VOCABULARY",
-    "NULL_TRACER",
-    "NullTracer",
-    "TraceEvent",
-    "Tracer",
-    "OUTCOMES",
-    "TRACE_FORMAT",
-    "TRACE_VERSION",
-    "RequestRecord",
-    "RequestSpec",
-    "TraceRecorder",
-    "canonical_dumps",
-    "canonical_record",
-    "read_specs",
-    "read_trace",
-    "write_trace",
-    "GENERATORS",
-    "SCENARIOS",
-    "TraceSpec",
-    "get_scenario",
-    "TraceReplayer",
-    "payload_for",
-    "summarize_outcomes",
-]
+"""Request-lifecycle tracing, record/replay, and the scenario zoo."""

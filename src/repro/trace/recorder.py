@@ -26,10 +26,11 @@ wall-clock".
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
@@ -99,20 +100,37 @@ class RequestSpec:
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "RequestSpec":
-        shape = data.get("shape")
-        return cls(
-            request_id=int(data["request_id"]),
-            arrival_s=float(data["arrival_s"]),
-            deadline_s=float(data["deadline_s"]),
-            priority=int(data.get("priority", 0)),
-            min_width=data.get("min_width"),
-            max_width=data.get("max_width"),
-            payload_seed=(
-                int(data["payload_seed"]) if data.get("payload_seed") is not None else None
-            ),
-            shape=tuple(int(s) for s in shape) if shape is not None else None,
-            tenant=data.get("tenant"),
-        )
+        """Parse one trace row; a row that is not a replayable spec is a ``ValueError``.
+
+        The arrival must be finite and non-negative, the deadline finite
+        and positive.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"request row is not a JSON object ({data!r})")
+        try:
+            shape = data.get("shape")
+            spec = cls(
+                request_id=int(data["request_id"]),
+                arrival_s=finite_float(data["arrival_s"], "arrival_s"),
+                deadline_s=finite_float(data["deadline_s"], "deadline_s"),
+                priority=int(data.get("priority", 0)),
+                min_width=data.get("min_width"),
+                max_width=data.get("max_width"),
+                payload_seed=(
+                    int(data["payload_seed"]) if data.get("payload_seed") is not None else None
+                ),
+                shape=tuple(int(s) for s in shape) if shape is not None else None,
+                tenant=data.get("tenant"),
+            )
+        except KeyError as exc:
+            raise ValueError(f"request row has no {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed request row ({exc})") from None
+        if spec.arrival_s < 0:
+            raise ValueError(f"arrival_s must be non-negative, got {spec.arrival_s}")
+        if spec.deadline_s <= 0:
+            raise ValueError(f"deadline_s must be positive, got {spec.deadline_s}")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -260,6 +278,17 @@ def write_trace(
     return target
 
 
+def finite_float(value: object, name: str) -> float:
+    """``value`` as a finite float; anything else is a ``ValueError`` naming ``name``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a number ({value!r})") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
+
+
 def parse_json(text: str, source: object) -> object:
     """``json.loads`` whose error is a ``ValueError`` naming ``source``."""
     try:
@@ -286,22 +315,35 @@ def check_header(header: object, source: object, fmt: str, supported: int) -> No
         )
 
 
-def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
-    """Parse a trace artifact; returns ``(header, record_dicts)``.
+def read_trace(
+    path: Union[str, Path], parse_row: Callable[[object], object] = lambda row: row
+) -> Tuple[Dict[str, object], List]:
+    """Parse a trace artifact; returns ``(header, rows)``.
 
     Rejects unknown formats, malformed and future versions, and lines that
     are not JSON, each with a ``ValueError`` naming the file — a reader
     must never silently misinterpret an artifact written by a newer layout.
+    Each row is ``parse_row`` of its JSON value; a ``ValueError`` from it
+    names the file and the row's 1-based line too.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty trace artifact")
     header = parse_json(lines[0], path)
     check_header(header, path, TRACE_FORMAT, TRACE_VERSION)
-    return header, [parse_json(line, path) for line in lines[1:] if line.strip()]
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        where = f"{path}:{number}"
+        data = parse_json(line, where)
+        try:
+            rows.append(parse_row(data))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return header, rows
 
 
 def read_specs(path: Union[str, Path]) -> Tuple[Dict[str, object], List[RequestSpec]]:
     """Read any trace artifact down to its replayable request specs."""
-    header, rows = read_trace(path)
-    return header, [RequestSpec.from_json(row) for row in rows]
+    return read_trace(path, RequestSpec.from_json)

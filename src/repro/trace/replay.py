@@ -38,9 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# Module binding: faults.policy is mid-import when the scheduler package
-# pulls this module in through repro.trace (see scheduler/config.py).
-import repro.faults.policy as fault_policy
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     CRASH,
     DROP,
@@ -50,9 +48,12 @@ from repro.faults.plan import (
     FaultPlan,
     target_index,
 )
+from repro.faults.policy import BrownoutController
 from repro.scheduler import core
 from repro.scheduler.admission import SLA, AdmissionController
+from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.core import summarize_outcomes
+from repro.scheduler.frontend import ServingFrontend
 from repro.scheduler.width_policy import WidthPolicy
 from repro.trace.recorder import (
     FAULTS_META_KEY,
@@ -60,6 +61,7 @@ from repro.trace.recorder import (
     RequestRecord,
     RequestSpec,
     TraceRecorder,
+    finite_float,
     read_specs,
 )
 from repro.trace.scenarios import TraceSpec, get_scenario
@@ -147,17 +149,33 @@ class TraceReplayer:
 
     @classmethod
     def from_file(cls, path) -> "TraceReplayer":
-        """Load any trace artifact (``generated`` or ``recorded``)."""
+        """Load any trace artifact (``generated`` or ``recorded``).
+
+        A header ``meta`` that is not an object, a ``meta.faults`` that is
+        not a fault plan object, or a ``meta.duration_s`` that is not a
+        finite positive number, is a ``ValueError`` naming the file's
+        header line.
+        """
         header, specs = read_specs(path)
-        meta = header.get("meta", {}) or {}
-        return cls(
-            specs,
-            name=str(meta.get("name", "trace")),
-            duration_s=(
-                float(meta["duration_s"]) if meta.get("duration_s") else None
-            ),
-            meta=meta,
-        )
+        meta = header.get("meta") or {}
+        where = f"{path}:1"
+        if not isinstance(meta, dict):
+            raise ValueError(f"{where}: trace meta is not a JSON object ({meta!r})")
+        faults = meta.get(FAULTS_META_KEY)
+        if faults is not None and not isinstance(faults, dict):
+            raise ValueError(f"{where}: meta.{FAULTS_META_KEY} is not a JSON object ({faults!r})")
+        duration_s = meta.get("duration_s")
+        if duration_s is not None:
+            try:
+                duration_s = finite_float(duration_s, "meta.duration_s")
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if duration_s <= 0:
+                raise ValueError(f"{where}: meta.duration_s must be positive, got {duration_s}")
+        try:  # the constructor reads the fault plan out of the meta
+            return cls(specs, name=str(meta.get("name", "trace")), duration_s=duration_s, meta=meta)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: meta.{FAULTS_META_KEY} is not a fault plan ({exc!r})") from None
 
     @classmethod
     def from_scenario(cls, scenario: Union[str, TraceSpec]) -> "TraceReplayer":
@@ -190,15 +208,11 @@ class TraceReplayer:
         frontend for the duration of the drive, and serialised into the
         recorder's artifact meta so the incident replays with the trace.
         """
-        from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
-
         config = config or SchedulerConfig()
         net = getattr(model, "net", model)
         frontend = ServingFrontend(model, config, tracer=tracer, recorder=recorder)
         injector = None
         if self.faults:
-            from repro.faults.injector import FaultInjector
-
             injector = FaultInjector(frontend, self.faults)
             if recorder is not None:
                 recorder.meta.setdefault(FAULTS_META_KEY, self.faults.to_json())
@@ -311,8 +325,6 @@ class TraceReplayer:
         ``config.brownout`` engages in sim too, driven by virtual queue
         depth, so degradation comparisons are CI-deterministic.
         """
-        from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
-
         config = config or SchedulerConfig()
         net = getattr(model, "net", model)
         candidates = ServingFrontend._default_candidates(model, net)
@@ -364,7 +376,7 @@ class TraceReplayer:
                 else None
             ),
             brownout=(
-                fault_policy.BrownoutController(config.brownout, clock=lambda: t)
+                BrownoutController(config.brownout, clock=lambda: t)
                 if config.brownout is not None
                 else None
             ),

@@ -1,7 +1,7 @@
 """Plain supervised trainer.
 
 Trains any Module-like object (including
-:class:`~repro.slimmable.SubNetworkView`) with SGD+momentum and softmax
+:class:`~repro.slimmable.slim_net.SubNetworkView`) with SGD+momentum and softmax
 cross-entropy.  The incremental and nested-incremental trainers are built
 on top of this primitive — they differ only in which view they train and
 which freeze masks are installed.

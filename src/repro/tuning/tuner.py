@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.scheduler.frontend import SchedulerConfig
 from repro.trace.replay import TraceReplayer
+from repro.trace.scenarios import SCENARIOS
 from repro.tuning.space import SearchSpace
 from repro.utils.rng import derive_seed, make_rng
 
@@ -240,8 +241,6 @@ def tune(
             if e.miss_rate <= winner.miss_rate + MISS_TOLERANCE
         ]
         if validate and len(finalists) > 1:
-            from repro.trace.scenarios import SCENARIOS
-
             zoo = {
                 name: TraceReplayer.from_scenario(name) for name in SCENARIOS
             }

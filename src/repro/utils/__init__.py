@@ -5,22 +5,5 @@ Everything stochastic in :mod:`repro` takes an explicit
 place generators are created so experiments are reproducible per seed.
 """
 
+# benchmarks/e2e/workloads.py imports these names from the package root.
 from repro.utils.rng import make_rng
-from repro.utils.dtypes import (
-    DtypePolicy,
-    dtype_policy,
-    get_dtype_policy,
-    resolve_dtype_policy,
-    set_dtype_policy,
-)
-from repro.utils.logging import get_logger
-
-__all__ = [
-    "make_rng",
-    "get_logger",
-    "DtypePolicy",
-    "dtype_policy",
-    "get_dtype_policy",
-    "set_dtype_policy",
-    "resolve_dtype_policy",
-]

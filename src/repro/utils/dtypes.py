@@ -13,7 +13,7 @@ A :class:`DtypePolicy` names three dtypes:
 
 One process-global policy is consulted by the layers
 (:mod:`repro.nn.layers`, :mod:`repro.slimmable`), the stateless partitioned
-kernels (:mod:`repro.distributed.partitioned`), and the wire codec helpers
+kernels (:mod:`repro.engine.partitioned`), and the wire codec helpers
 (:mod:`repro.comm.wire`).  The default policy reproduces the historical
 behaviour exactly: float64 everywhere, float32 on the wire.
 """

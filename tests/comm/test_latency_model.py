@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.comm import CommLatencyModel
+from repro.comm.latency_model import CommLatencyModel
 
 
 class TestCommLatencyModel:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm import Message, MessageKind, error_message, result_message
+from repro.comm.message import Message, MessageKind, error_message, result_message
 
 
 class TestMessage:
@@ -38,7 +38,7 @@ class TestMessage:
         assert msg.fields["compute_s"] == 0.5
 
     def test_decode_requires_kind(self, rng):
-        from repro.comm import encode_frame
+        from repro.comm.wire import encode_frame
 
         frame = encode_frame({}, {"fields": {}})
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import Message, MessageKind, TcpListener, TransportError, connect
-from repro.comm.tcp import TcpTransport
+from repro.comm.message import Message, MessageKind
+from repro.comm.tcp import TcpListener, TcpTransport, connect
+from repro.comm.transport import TransportError
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.comm import InProcChannel, Message, MessageKind, TransportClosed, TransportError
+from repro.comm.message import Message, MessageKind
+from repro.comm.transport import InProcChannel, TransportClosed, TransportError
 
 
 class TestInProcChannel:

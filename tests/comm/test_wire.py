@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import WireError, decode_frame, encode_frame
-from repro.comm.wire import cast_for_wire, wire_dtype
-from repro.utils import dtype_policy, make_rng
-from repro.utils.dtypes import TRANSPORT_DTYPES
+from repro.comm.wire import WireError, cast_for_wire, decode_frame, encode_frame, wire_dtype
+from repro.utils.dtypes import TRANSPORT_DTYPES, dtype_policy
+from repro.utils.rng import make_rng
 
 
 class TestRoundTrip:

@@ -10,11 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, SynthMNISTConfig, load_synth_mnist
+from repro.data.dataset import ArrayDataset
+from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
 from repro.nn.shm import reap_orphaned_segments
-from repro.slimmable import SlimmableConvNet, WidthSpec, paper_width_spec
-from repro.training import RecipeConfig, TrainConfig, train_family
-from repro.utils import make_rng
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import WidthSpec, paper_width_spec
+from repro.training.recipes import RecipeConfig, train_family
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="session", autouse=True)

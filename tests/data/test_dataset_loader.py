@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, DataLoader
-from repro.utils import make_rng
+from repro.data.dataset import ArrayDataset
+from repro.data.loader import DataLoader
+from repro.utils.rng import make_rng
 
 
 def toy_dataset(n=20) -> ArrayDataset:

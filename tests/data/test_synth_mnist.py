@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.data import SynthMNISTConfig, generate_images, load_synth_mnist, render_digit
-from repro.utils import make_rng
+from repro.data.synth_mnist import (
+    SynthMNISTConfig,
+    generate_images,
+    load_synth_mnist,
+    render_digit,
+)
+from repro.utils.rng import make_rng
 
 
 class TestRenderDigit:

@@ -12,7 +12,7 @@ from repro.data.transforms import (
     RandomAffine,
     default_augmentation,
 )
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 def sample_image(rng) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import (
+from repro.device.cost import (
     block_partitioned_costs,
     subnet_flops,
     subnet_layer_costs,

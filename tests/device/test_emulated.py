@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.device import CrashCounter, DeviceFailed, EmulatedDevice, jetson_nx_master
-from repro.utils import make_rng
+from repro.device.emulated import CrashCounter, DeviceFailed, EmulatedDevice
+from repro.device.profiles import jetson_nx_master
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ emulated device's crash-on-Nth-request counter."""
 
 import pytest
 
-from repro.device import CrashCounter
+from repro.device.emulated import CrashCounter
 from repro.faults.plan import FaultEvent, FaultPlan, single_fault
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import DeviceProfile, jetson_nx_master, jetson_nx_worker
+from repro.device.profiles import DeviceProfile, jetson_nx_master, jetson_nx_worker
 
 
 class TestDeviceProfile:

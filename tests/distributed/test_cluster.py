@@ -9,11 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.distributed import MASTER, WORKER, LocalCluster, WorkerProcess, ha_plan, solo_plan
 from repro.distributed import cluster as cluster_module
+from repro.distributed.cluster import LocalCluster, WorkerProcess
 from repro.engine.endpoints import EndpointUnavailable
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.utils import make_rng
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import ha_plan, solo_plan
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import LayerCut, LayerPartitionModel, SystemThroughputModel
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.layer_partition import LayerCut, LayerPartitionModel
+from repro.distributed.throughput import SystemThroughputModel
 
 
 @pytest.fixture
@@ -27,7 +28,7 @@ class TestStageCosts:
         spec = paper_net.width_spec.full()
         master, worker, _ = lp.stage_costs(spec, LayerCut(2, 4))
         assert len(master) == 2 and len(worker) == 2
-        from repro.device import subnet_flops
+        from repro.device.cost import subnet_flops
 
         total = subnet_flops(paper_net, spec)
         assert sum(c.flops for c in master) + sum(c.flops for c in worker) == total

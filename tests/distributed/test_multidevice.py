@@ -4,13 +4,17 @@ one engine over more than the paper's two channel blocks."""
 import numpy as np
 import pytest
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
+from repro.comm.latency_model import CommLatencyModel
 from repro.device.cost import block_partitioned_costs, subnet_num_layers
-from repro.distributed import ExecutionMode, SystemThroughputModel, solo_plan, streams_plan
-from repro.engine import BlockPartition, EndpointUnavailable
-from repro.slimmable import SlimmableConvNet, WidthSpec
-from repro.utils import make_rng
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.endpoints import EndpointUnavailable
+from repro.engine.graph import BlockPartition
+from repro.engine.modes import ExecutionMode
+from repro.engine.plan import solo_plan, streams_plan
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import WidthSpec
+from repro.utils.rng import make_rng
 from tests.engine.blocks import block_engine, ha_over_all_blocks
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.engine import BlockPartition
-from repro.slimmable import paper_width_spec
+from repro.engine.graph import BlockPartition
+from repro.slimmable.spec import paper_width_spec
 
 
 @pytest.fixture

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.distributed import conv_block_half, fc_partial, partitioned_forward_reference
-from repro.distributed.partitioned import feature_slice_for_block, flatten_channel_block
-from repro.nn import ForwardContext
-from repro.slimmable import ChannelSlice
-from repro.utils import make_rng
+from repro.engine.partitioned import (
+    conv_block_half,
+    fc_partial,
+    feature_slice_for_block,
+    flatten_channel_block,
+    partitioned_forward_reference,
+)
+from repro.nn.context import ForwardContext
+from repro.slimmable.spec import ChannelSlice
+from repro.utils.rng import make_rng
 
 
 class TestPartitionedEquivalence:
@@ -32,7 +37,7 @@ class TestPartitionedEquivalence:
             np.testing.assert_allclose(partitioned, reference, atol=1e-10)
 
     def test_exchange_accounting_matches_cost_model(self, paper_net, rng):
-        from repro.device import block_partitioned_costs
+        from repro.device.cost import block_partitioned_costs
 
         spec = paper_net.width_spec.full()
         x = rng.standard_normal((1, 1, 28, 28))

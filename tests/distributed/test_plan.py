@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.distributed import (
+from repro.engine.modes import ExecutionMode
+from repro.engine.plan import (
     Assignment,
     DeploymentPlan,
-    ExecutionMode,
     failed_plan,
     ha_plan,
     ht_plan,

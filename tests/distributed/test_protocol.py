@@ -5,11 +5,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import InProcChannel, Message, MessageKind
-from repro.device import CrashCounter, EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import MASTER, WORKER, MasterRuntime, WorkerServer
-from repro.distributed.plan import ha_plan, ht_plan, solo_plan
+from repro.comm.message import Message, MessageKind
+from repro.comm.transport import InProcChannel
+from repro.device.emulated import CrashCounter, EmulatedDevice
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.master import MasterRuntime
+from repro.distributed.worker import WorkerServer
 from repro.engine.endpoints import EndpointUnavailable
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import ha_plan, ht_plan, solo_plan
 
 
 def _solo(master, device, spec, x):

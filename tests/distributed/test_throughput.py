@@ -2,17 +2,11 @@
 
 import pytest
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import (
-    MASTER,
-    WORKER,
-    SystemThroughputModel,
-    failed_plan,
-    ha_plan,
-    ht_plan,
-    solo_plan,
-)
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import failed_plan, ha_plan, ht_plan, solo_plan
 
 
 @pytest.fixture

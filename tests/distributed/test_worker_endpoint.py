@@ -16,12 +16,18 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import InProcChannel, Message, MessageKind
-from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import MASTER, WORKER, MasterRuntime, WorkerServer, ha_plan
-from repro.engine import BlockPartition, ExecutionEngine
+from repro.comm.message import Message, MessageKind
+from repro.comm.transport import InProcChannel
+from repro.device.emulated import EmulatedDevice
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.master import MasterRuntime
+from repro.distributed.worker import WorkerServer
 from repro.engine.endpoints import LocalEndpoint, TransportEndpoint
-from repro.utils import make_rng
+from repro.engine.engine import ExecutionEngine
+from repro.engine.graph import BlockPartition
+from repro.engine.modes import MASTER, WORKER
+from repro.engine.plan import ha_plan
+from repro.utils.rng import make_rng
 
 SPLIT = 8
 SPEC = "lower100"

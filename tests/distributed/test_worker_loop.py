@@ -17,19 +17,21 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import InProcChannel, Message, MessageKind
+from repro.comm.message import Message, MessageKind
 from repro.comm.tcp import TcpTransport
+from repro.comm.transport import InProcChannel
 from repro.comm.wire import cast_for_wire, encode_frame
-from repro.device import EmulatedDevice, jetson_nx_worker
-from repro.distributed import WorkerServer
+from repro.device.emulated import EmulatedDevice
+from repro.device.profiles import jetson_nx_worker
+from repro.distributed.worker import WorkerServer
 from repro.engine.endpoints import LocalEndpoint, TransportEndpoint
 from repro.engine.session import InferenceSession
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.nn.plan import compile_width_plans
 from repro.nn.shm import ensure_shared_parameters
 from repro.scheduler.procpool import make_process_replicas
-from repro.utils import make_rng
 from repro.utils.dtypes import compute_dtype
+from repro.utils.rng import make_rng
 
 
 def _raw_frame(header) -> bytes:

@@ -5,8 +5,9 @@ import pytest
 
 from repro.distributed.worker_main import build_parser
 from repro.nn.checkpoint import save_state
-from repro.slimmable import SlimmableConvNet, WidthSpec, paper_width_spec
-from repro.utils import make_rng
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import WidthSpec, paper_width_spec
+from repro.utils.rng import make_rng
 
 
 class TestParser:

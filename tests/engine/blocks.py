@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.device import DeviceProfile, EmulatedDevice
-from repro.distributed.plan import DeploymentPlan, partitioned_plan
-from repro.engine import BlockPartition, ExecutionEngine, LocalEndpoint
-from repro.slimmable import SlimmableConvNet
+from repro.device.emulated import EmulatedDevice
+from repro.device.profiles import DeviceProfile
+from repro.engine.endpoints import LocalEndpoint
+from repro.engine.engine import ExecutionEngine
+from repro.engine.graph import BlockPartition
+from repro.engine.plan import DeploymentPlan, partitioned_plan
+from repro.slimmable.slim_net import SlimmableConvNet
 
 
 def block_engine(

@@ -14,26 +14,23 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import InProcChannel
-from repro.device import CrashCounter, EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import MASTER, WORKER, LocalCluster, MasterRuntime, WorkerServer
-from repro.distributed.modes import ExecutionMode
-from repro.distributed.partitioned import partitioned_forward_reference
-from repro.distributed.plan import ha_plan, ht_plan, streams_plan
-from repro.engine import (
-    BlockPartition,
-    Endpoint,
-    EndpointReply,
-    EndpointUnavailable,
-    ExecutionEngine,
-    ExecutionGraph,
-    LocalEndpoint,
-    PartitionLayerOp,
-)
+from repro.comm.transport import InProcChannel
+from repro.device.emulated import CrashCounter, EmulatedDevice
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.cluster import LocalCluster
+from repro.distributed.master import MasterRuntime
+from repro.distributed.worker import WorkerServer
+from repro.engine.endpoints import Endpoint, EndpointReply, EndpointUnavailable, LocalEndpoint
+from repro.engine.engine import ExecutionEngine
+from repro.engine.graph import BlockPartition, ExecutionGraph, PartitionLayerOp
+from repro.engine.modes import MASTER, WORKER, ExecutionMode
+from repro.engine.partitioned import partitioned_forward_reference
+from repro.engine.plan import ha_plan, ht_plan, streams_plan
 from repro.nn.context import ForwardContext
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.utils import make_rng
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
 from repro.utils.dtypes import DtypePolicy, dtype_policy, set_dtype_policy
+from repro.utils.rng import make_rng
 from tests.engine.blocks import block_engine, ha_over_all_blocks
 
 SPLIT = 8

@@ -20,21 +20,23 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.comm import InProcChannel, Message, MessageKind
-from repro.comm.transport import TransportError
-from repro.device import EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import MASTER, WORKER, MasterRuntime, WorkerServer
-from repro.distributed.modes import Scenario
-from repro.distributed.partitioned import (
+from repro.comm.message import Message, MessageKind
+from repro.comm.transport import InProcChannel, TransportError
+from repro.device.emulated import EmulatedDevice
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.master import MasterRuntime
+from repro.distributed.worker import WorkerServer
+from repro.engine.modes import MASTER, WORKER, Scenario
+from repro.engine.partitioned import (
     conv_block_half,
     fc_partial,
     feature_slice_for_block,
     flatten_channel_block,
 )
-from repro.distributed.plan import ha_plan, ht_plan, solo_plan
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.slimmable.spec import ChannelSlice, SubNetSpec
-from repro.utils import make_rng
+from repro.engine.plan import ha_plan, ht_plan, solo_plan
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import ChannelSlice, SubNetSpec, paper_width_spec
+from repro.utils.rng import make_rng
 
 SPLIT = 8
 SEED = 0

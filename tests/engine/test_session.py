@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.engine.session import InferenceSession
-from repro.models import build_model
-from repro.nn import ForwardContext
-from repro.slimmable import SlicedLinear
-from repro.utils import make_rng
+from repro.models.zoo import build_model
+from repro.nn.context import ForwardContext
+from repro.slimmable.sliced_linear import SlicedLinear
+from repro.utils.rng import make_rng
 
 FAMILIES = ("static", "dynamic", "fluid")
 

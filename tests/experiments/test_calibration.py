@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import PAPER_FIG2, calibration_points
+from repro.experiments.calibration import PAPER_FIG2, calibration_points
 
 
 class TestPaperReference:
@@ -27,7 +27,7 @@ class TestCalibration:
             assert point.relative_error < 0.005, point
 
     def test_detects_drift(self, paper_net, monkeypatch):
-        from repro.device import DeviceProfile
+        from repro.device.profiles import DeviceProfile
         from repro.experiments import calibration
 
         slow = DeviceProfile("master", 1e6, 0.01, 7600)

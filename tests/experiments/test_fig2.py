@@ -4,16 +4,12 @@ the full-fidelity run lives in benchmarks/bench_fig2_accuracy.py)."""
 
 import pytest
 
-from repro.experiments import (
-    format_fig2_table,
-    format_shape_checks,
-    plan_accuracy,
-    run_fig2,
-    shape_checks,
-)
-from repro.distributed import SystemThroughputModel, failed_plan, ht_plan
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.plan import failed_plan, ht_plan
+from repro.experiments.fig2 import plan_accuracy, run_fig2
+from repro.experiments.report import format_fig2_table, format_shape_checks, shape_checks
 
 
 @pytest.fixture(scope="module")

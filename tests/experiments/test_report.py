@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments import format_fig2_table, format_shape_checks, shape_checks
 from repro.experiments.fig2 import Fig2Cell, Fig2Result
+from repro.experiments.report import format_fig2_table, format_shape_checks, shape_checks
 
 
 def paper_perfect_result() -> Fig2Result:
     """A result whose cells are exactly the paper's numbers."""
-    from repro.experiments import PAPER_FIG2
+    from repro.experiments.calibration import PAPER_FIG2
 
     result = Fig2Result()
     for (family, scenario, mode), (thr, acc) in PAPER_FIG2.items():

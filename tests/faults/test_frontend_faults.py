@@ -3,11 +3,12 @@
 import pytest
 
 from repro.faults.policy import BrownoutPolicy, BrownoutShed, RetryExhausted, RetryPolicy
-from repro.models import build_model
-from repro.scheduler import SLA, SchedulerConfig, ServingFrontend
-from repro.scheduler.admission import CRITICAL_PRIORITY
+from repro.models.zoo import build_model
 from repro.scheduler import pool as pool_module
-from repro.utils import make_rng
+from repro.scheduler.admission import CRITICAL_PRIORITY, SLA
+from repro.scheduler.config import SchedulerConfig
+from repro.scheduler.frontend import ServingFrontend
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

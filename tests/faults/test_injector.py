@@ -23,10 +23,11 @@ from repro.faults.plan import (
     FaultPlan,
     replica_target,
 )
-from repro.models import build_model
-from repro.scheduler import SchedulerConfig, ServingFrontend
+from repro.models.zoo import build_model
+from repro.scheduler.config import SchedulerConfig
+from repro.scheduler.frontend import ServingFrontend
 from repro.scheduler.pool import ReplicaUnavailable
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

@@ -3,15 +3,11 @@
 import pytest
 
 from repro.faults.plan import CRASH, FaultEvent, FaultPlan, single_fault
-from repro.faults.scenarios import (
-    FAULTY_REPLICAS,
-    FAULTY_SCENARIOS,
-    faulty_replayer,
-    get_faulty,
-)
-from repro.models import build_model
+from repro.faults.scenarios import FAULTY_REPLICAS, FAULTY_SCENARIOS, faulty_replayer, get_faulty
+from repro.models.zoo import build_model
 from repro.scheduler.frontend import SchedulerConfig
 from repro.trace.recorder import FAULTS_META_KEY, LOST, TraceRecorder
+from repro.trace.replay import TraceReplayer
 from repro.trace.scenarios import (
     EXTRA_SCENARIOS,
     SCENARIOS,
@@ -19,8 +15,7 @@ from repro.trace.scenarios import (
     get_scenario,
     register_scenario,
 )
-from repro.trace.replay import TraceReplayer
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

@@ -18,10 +18,12 @@ from repro.faults.supervisor import (
     RESTART_BUDGET,
     ReplicaSupervisor,
 )
-from repro.models import build_model
-from repro.scheduler import SLA, SchedulerConfig, ServingFrontend
+from repro.models.zoo import build_model
 from repro.scheduler import pool as pool_module
-from repro.utils import make_rng
+from repro.scheduler.admission import SLA
+from repro.scheduler.config import SchedulerConfig
+from repro.scheduler.frontend import ServingFrontend
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +98,7 @@ class TestRespawn:
         assert after == before
 
     def test_trace_event_emitted_per_respawn(self, model):
-        from repro.trace import Tracer
-        from repro.trace.tracer import EVENT_RESPAWN
+        from repro.trace.tracer import EVENT_RESPAWN, Tracer
 
         tracer = Tracer(sampling=1.0)
         with ServingFrontend(

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.models import DynamicDNN, FluidDyDNN, ModelFamily, StaticDNN, build_model
-from repro.slimmable import paper_width_spec
-from repro.utils import make_rng
+from repro.models.base import ModelFamily
+from repro.models.dynamic_dnn import DynamicDNN
+from repro.models.fluid_dydnn import FluidDyDNN
+from repro.models.static_dnn import StaticDNN
+from repro.models.zoo import build_model
+from repro.slimmable.spec import paper_width_spec
+from repro.utils.rng import make_rng
 
 
 class TestCertifications:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import ForwardContext
+from repro.nn.context import ForwardContext
 
 
 def numerical_grad_wrt_array(f, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:

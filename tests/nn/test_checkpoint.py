@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import load_state, save_state
-from repro.utils import make_rng
+from repro.nn.checkpoint import load_state, save_state
+from repro.utils.rng import make_rng
 
 
 class TestStateIO:
@@ -33,7 +33,8 @@ class TestPartialSlimmableLoad:
     """``load_state_dict`` of a checkpoint that names only some parameters."""
 
     def _net(self, seed):
-        from repro.slimmable import SlimmableConvNet, paper_width_spec
+        from repro.slimmable.slim_net import SlimmableConvNet
+        from repro.slimmable.spec import paper_width_spec
 
         return SlimmableConvNet(paper_width_spec(), rng=make_rng(seed))
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import ForwardContext
-from repro.slimmable import SlicedLinear
-from repro.utils import make_rng
+from repro.nn.context import ForwardContext
+from repro.slimmable.sliced_linear import SlicedLinear
+from repro.utils.rng import make_rng
 
 
 class TestTape:

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 from repro.engine.dist_plan import DevicePartitionPlan
 from repro.engine.graph import BlockPartition
 from repro.engine.session import InferenceSession
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.nn import functional as F
 from repro.nn.plan import InferencePlan, PackedWeightCache
-from repro.utils import make_rng
 from repro.utils.dtypes import DtypePolicy, dtype_policy
+from repro.utils.rng import make_rng
 
 WIDTHS = ("lower25", "lower50", "lower75", "lower100")
 

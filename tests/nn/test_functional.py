@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 class TestConvOutSize:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import init
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 class TestKaimingUniform:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn import Flatten, ForwardContext, MaxPool2d, ReLU
-from repro.utils import make_rng
+from repro.nn.context import ForwardContext
+from repro.nn.layers.activation import ReLU
+from repro.nn.layers.pooling import MaxPool2d
+from repro.nn.layers.reshape import Flatten
+from repro.utils.rng import make_rng
 from tests.nn.gradcheck import check_layer_gradients
 
 # (kernel, stride, input side): the paper's 2x2/2 pool, a wider window,

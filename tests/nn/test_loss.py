@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import SoftmaxCrossEntropy
-from repro.utils import make_rng
+from repro.nn.loss import SoftmaxCrossEntropy
+from repro.utils.rng import make_rng
 from tests.nn.gradcheck import numerical_grad_wrt_array
 
 

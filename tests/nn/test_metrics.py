@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import accuracy
+from repro.nn.metrics import accuracy
 
 
 class TestAccuracy:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.nn import ForwardContext, Module, ReLU
+from repro.nn.context import ForwardContext
+from repro.nn.layers.activation import ReLU
+from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.slimmable import SlicedLinear
-from repro.utils import make_rng
+from repro.slimmable.sliced_linear import SlicedLinear
+from repro.utils.rng import make_rng
 
 
 class MLP(Module):

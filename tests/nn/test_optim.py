@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD
+from repro.nn.optim.sgd import SGD
 from repro.nn.parameter import Parameter
 
 

@@ -21,12 +21,13 @@ import numpy as np
 import pytest
 
 from repro.engine.session import InferenceSession
-from repro.models import build_model
-from repro.nn import SGD, ForwardContext
+from repro.models.zoo import build_model
+from repro.nn.context import ForwardContext
+from repro.nn.optim.sgd import SGD
 from repro.nn.plan import InferencePlan, PackedWeightCache, compile_width_plans
-from repro.utils import make_rng
+from repro.slimmable.spec import paper_width_spec
 from repro.utils.dtypes import DtypePolicy, dtype_policy
-from repro.slimmable import paper_width_spec
+from repro.utils.rng import make_rng
 
 FAMILIES = ("static", "dynamic", "fluid")
 POLICIES = (DtypePolicy(), DtypePolicy.fast_inference())
@@ -215,7 +216,7 @@ class TestStaleness:
         )
 
     def test_parameter_version_counter(self):
-        from repro.nn import Parameter
+        from repro.nn.parameter import Parameter
 
         p = Parameter(np.zeros((2, 2)))
         v0 = p.version

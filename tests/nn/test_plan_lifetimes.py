@@ -19,16 +19,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.distributed.partitioned import partitioned_forward_reference
 from repro.engine.dist_plan import DevicePartitionPlan
 from repro.engine.graph import BlockPartition
+from repro.engine.partitioned import partitioned_forward_reference
 from repro.engine.session import InferenceSession
 from repro.nn import functional as F
 from repro.nn.plan import InferencePlan, PackedWeightCache, compile_width_plans
 from repro.nn.workspace import Workspace, WorkspacePool, buffer_layout
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.utils import make_rng
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
 from repro.utils.dtypes import DtypePolicy, dtype_policy
+from repro.utils.rng import make_rng
 
 POLICIES = pytest.mark.parametrize(
     "policy", (DtypePolicy(), DtypePolicy.fast_inference()), ids=["float64", "float32"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.nn.shm import (
     RING_SEGMENT_TAG,
     ShmArena,
@@ -18,8 +18,8 @@ from repro.nn.shm import (
     reap_orphaned_segments,
     unlink_created_segments,
 )
-from repro.utils import make_rng
 from repro.utils.dtypes import TRANSPORT_DTYPES
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(autouse=True)

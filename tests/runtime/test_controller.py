@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import ExecutionMode, SystemThroughputModel
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import ExecutionMode
 from repro.faults.plan import FaultEvent, FaultPlan, single_fault
-from repro.models import build_model
-from repro.runtime import AdaptationPolicy, SystemController
-from repro.utils import make_rng
+from repro.models.zoo import build_model
+from repro.runtime.controller import SystemController
+from repro.runtime.policy import AdaptationPolicy
+from repro.utils.rng import make_rng
 
 
 def make_controller(family: str):

@@ -10,13 +10,18 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import CommLatencyModel, InProcChannel
-from repro.device import CrashCounter, EmulatedDevice, jetson_nx_master, jetson_nx_worker
-from repro.distributed import ExecutionMode, MasterRuntime, SystemThroughputModel, WorkerServer
-from repro.models import build_model
-from repro.runtime import AdaptationPolicy
+from repro.comm.latency_model import CommLatencyModel
+from repro.comm.transport import InProcChannel
+from repro.device.emulated import CrashCounter, EmulatedDevice
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.master import MasterRuntime
+from repro.distributed.throughput import SystemThroughputModel
+from repro.distributed.worker import WorkerServer
+from repro.engine.modes import ExecutionMode
+from repro.models.zoo import build_model
 from repro.runtime.live import LiveSystem
-from repro.utils import make_rng
+from repro.runtime.policy import AdaptationPolicy
+from repro.utils.rng import make_rng
 
 
 def make_live(family: str, target: str, crash_after=None):

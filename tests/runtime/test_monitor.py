@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults.plan import FaultEvent, FaultPlan, single_fault
-from repro.runtime import HeartbeatMonitor, ScheduleMonitor
+from repro.runtime.monitor import HeartbeatMonitor, ScheduleMonitor
 
 
 class TestHeartbeatMonitor:

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import MASTER, WORKER, ExecutionMode, Scenario, SystemThroughputModel
-from repro.engine import BlockPartition
-from repro.models import build_model
-from repro.runtime import TARGET_ACCURACY, TARGET_THROUGHPUT, AdaptationPolicy
-from repro.utils import make_rng
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.graph import BlockPartition
+from repro.engine.modes import MASTER, WORKER, ExecutionMode, Scenario
+from repro.models.zoo import build_model
+from repro.runtime.policy import TARGET_ACCURACY, TARGET_THROUGHPUT, AdaptationPolicy
+from repro.utils.rng import make_rng
 
 
 def make_policy(family: str, target: str = TARGET_ACCURACY):

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import BrownoutPolicy, RetryPolicy
-from repro.scheduler import CONFIG_MAPPING_VERSION, SLA, SchedulerConfig
+from repro.faults.policy import BrownoutPolicy, RetryPolicy
+from repro.scheduler.admission import SLA
+from repro.scheduler.config import CONFIG_MAPPING_VERSION, SchedulerConfig
 
 # Floats drawn from JSON-exact values (repr round-trips losslessly, and
 # hypothesis never produces NaN/inf here), so dataclass equality after a

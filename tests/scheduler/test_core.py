@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.faults.policy import BrownoutController, BrownoutPolicy, BrownoutShed
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.runtime.batching import DeadlineExceeded
 from repro.scheduler import core
 from repro.scheduler.admission import SLA, AdmissionController, AdmissionRejected
@@ -15,7 +15,7 @@ from repro.scheduler.pool import ReplicaUnavailable
 from repro.scheduler.width_policy import WidthPolicy
 from repro.trace.recorder import LATE, LOST, OK, REJECTED, RequestSpec
 from repro.trace.replay import TraceReplayer
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 #: Service times the policy is primed with: 1 ms per quarter of width.
 SERVICE_S = {"lower25": 0.001, "lower50": 0.002, "lower75": 0.003, "lower100": 0.004}

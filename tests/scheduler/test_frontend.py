@@ -12,17 +12,13 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.runtime.batching import DeadlineExceeded
-from repro.scheduler import (
-    SLA,
-    AdmissionRejected,
-    SchedulerConfig,
-    ServingFrontend,
-)
-from repro.scheduler.frontend import _Timer
 from repro.scheduler import pool as pool_module
-from repro.utils import make_rng
+from repro.scheduler.admission import SLA, AdmissionRejected
+from repro.scheduler.config import SchedulerConfig
+from repro.scheduler.frontend import ServingFrontend, _Timer
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -761,7 +757,7 @@ class TestReport:
             assert any(key.startswith("1:") for key in report["batching"])
 
     def test_report_includes_trace_stats_when_tracing(self, model):
-        from repro.trace import Tracer
+        from repro.trace.tracer import Tracer
 
         tracer = Tracer(sampling=1.0)
         with ServingFrontend(

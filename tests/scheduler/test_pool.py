@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.runtime.monitor import HeartbeatMonitor
 from repro.scheduler.pool import ReplicaPool, ReplicaUnavailable
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

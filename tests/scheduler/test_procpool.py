@@ -12,13 +12,13 @@ import pytest
 
 from repro.engine.endpoints import EndpointError, EndpointUnavailable, TransportEndpoint
 from repro.engine.session import InferenceSession
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.nn.plan import InferencePlan, compile_width_plans
 from repro.nn.shm import list_segments, unlink_created_segments
+from repro.scheduler import pool as pool_module, procpool
 from repro.scheduler.admission import SLA
 from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
 from repro.scheduler.pool import Replica, ReplicaPool, ReplicaUnavailable
-from repro.scheduler import pool as pool_module, procpool
 from repro.scheduler.procpool import (
     ProcessReplica,
     make_process_replicas,
@@ -26,7 +26,7 @@ from repro.scheduler.procpool import (
     pin_blas_threads,
 )
 from repro.scheduler.telemetry import MetricsRegistry
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.scheduler.width_policy import WidthPolicy
-from repro.slimmable import SlimmableConvNet, paper_width_spec
-from repro.utils import make_rng
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.parameter import Parameter
-from repro.slimmable import (
-    ChannelSlice,
-    RegionTracker,
-    conv_region,
-    linear_region,
-    vector_region,
-)
+from repro.slimmable.masks import RegionTracker, conv_region, linear_region, vector_region
+from repro.slimmable.spec import ChannelSlice
 
 
 class TestRegionBuilders:

@@ -4,10 +4,12 @@ gradient routing into the full-width store, and slice validation."""
 import numpy as np
 import pytest
 
-from repro.nn import ForwardContext
 from repro.nn import functional as F
-from repro.slimmable import ChannelSlice, SlicedConv2d, SlicedLinear
-from repro.utils import make_rng
+from repro.nn.context import ForwardContext
+from repro.slimmable.sliced_conv import SlicedConv2d
+from repro.slimmable.sliced_linear import SlicedLinear
+from repro.slimmable.spec import ChannelSlice
+from repro.utils.rng import make_rng
 from tests.nn.gradcheck import check_layer_gradients, numerical_grad_wrt_array
 
 

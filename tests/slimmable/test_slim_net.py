@@ -5,11 +5,13 @@ import pytest
 
 from repro.device.cost import subnet_flops
 from repro.engine.session import InferenceSession
-from repro.nn import ForwardContext, SoftmaxCrossEntropy
 from repro.nn import functional as F
-from repro.slimmable import ChannelSlice, SlimmableConvNet, paper_width_spec
+from repro.nn.context import ForwardContext
+from repro.nn.loss import SoftmaxCrossEntropy
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import ChannelSlice, paper_width_spec
 from repro.training.revival import find_dead_channels
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 from tests.nn.gradcheck import check_layer_gradients
 
 # Every sub-network of the conftest ``small_spec`` family (widths 2/4/6/8 of
@@ -35,7 +37,7 @@ class TestArchitecture:
         assert fs.start == 8 * 49 and fs.stop == 16 * 49
 
     def test_spec_length_mismatch_rejected(self, paper_net):
-        from repro.slimmable import uniform_spec
+        from repro.slimmable.spec import uniform_spec
 
         with pytest.raises(ValueError):
             paper_net.bind_spec(uniform_spec("bad", 0, 4, 5), ForwardContext())

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.slimmable import ChannelSlice, SubNetSpec, WidthSpec, paper_width_spec, uniform_spec
+from repro.slimmable.spec import (
+    ChannelSlice,
+    SubNetSpec,
+    WidthSpec,
+    paper_width_spec,
+    uniform_spec,
+)
 
 
 class TestChannelSlice:

@@ -24,7 +24,7 @@ import bench_tuning  # noqa: E402
 import run_smokes  # noqa: E402
 from common import fluid_model  # noqa: E402
 
-from repro.scheduler import SchedulerConfig  # noqa: E402
+from repro.scheduler.config import SchedulerConfig  # noqa: E402
 from repro.trace.replay import TraceReplayer  # noqa: E402
 from repro.trace.scenarios import SCENARIOS  # noqa: E402
 

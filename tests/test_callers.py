@@ -41,7 +41,7 @@ CALLER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "examples")
 #: through it), reader (reads a committed artifact), item 6 (a ROADMAP item
 #: that names it).
 EXEMPT: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("repro.distributed.partitioned.partitioned_forward_reference",),
+    (("repro.engine.partitioned.partitioned_forward_reference",),
      "oracle: the engine's HA path and the cost model's exchange bytes are checked against it"),
     (("repro.trace.recorder.canonical_dumps",),
      "oracle: replay determinism tests compare runs through it"),

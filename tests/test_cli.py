@@ -52,7 +52,7 @@ class TestParser:
 
     def test_dtype_policy_installed_during_command(self, capsys, monkeypatch):
         from repro import cli
-        from repro.utils import get_dtype_policy
+        from repro.utils.dtypes import get_dtype_policy
 
         seen = {}
 

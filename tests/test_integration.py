@@ -8,12 +8,15 @@ test module.
 import numpy as np
 import pytest
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import ExecutionMode, SystemThroughputModel
-from repro.experiments import run_fig2, shape_checks
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import ExecutionMode
+from repro.experiments.fig2 import run_fig2
+from repro.experiments.report import shape_checks
 from repro.faults.plan import single_fault
-from repro.runtime import AdaptationPolicy, SystemController
+from repro.runtime.controller import SystemController
+from repro.runtime.policy import AdaptationPolicy
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +56,9 @@ class TestFullPipeline:
 
     def test_checkpoint_roundtrip_preserves_fig2_accuracy(self, pipeline, tmp_path):
         """Save + reload the fluid model; its Fig. 2 accuracies are identical."""
-        from repro.models import build_model
+        from repro.models.zoo import build_model
         from repro.nn.checkpoint import load_state, save_state
-        from repro.utils import make_rng
+        from repro.utils.rng import make_rng
 
         models, test_set, result = pipeline
         path = str(tmp_path / "fluid.npz")

@@ -14,20 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import CommLatencyModel
-from repro.device import jetson_nx_master, jetson_nx_worker
-from repro.distributed import (
-    MASTER,
-    WORKER,
-    ExecutionMode,
-    SystemThroughputModel,
-    partitioned_forward_reference,
-    solo_plan,
-)
-from repro.models import build_model
-from repro.nn import SGD, ForwardContext, SoftmaxCrossEntropy
-from repro.slimmable import RegionTracker, SlimmableConvNet, paper_width_spec
-from repro.utils import make_rng
+from repro.comm.latency_model import CommLatencyModel
+from repro.device.profiles import jetson_nx_master, jetson_nx_worker
+from repro.distributed.throughput import SystemThroughputModel
+from repro.engine.modes import MASTER, WORKER, ExecutionMode
+from repro.engine.partitioned import partitioned_forward_reference
+from repro.engine.plan import solo_plan
+from repro.models.zoo import build_model
+from repro.nn.context import ForwardContext
+from repro.nn.loss import SoftmaxCrossEntropy
+from repro.nn.optim.sgd import SGD
+from repro.slimmable.masks import RegionTracker
+from repro.slimmable.slim_net import SlimmableConvNet
+from repro.slimmable.spec import paper_width_spec
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ class TestPolicyInvariants:
         target=st.sampled_from(["accuracy", "throughput"]),
     )
     def test_plans_are_always_legal(self, family, alive_mask, target):
-        from repro.runtime import AdaptationPolicy
+        from repro.runtime.policy import AdaptationPolicy
 
         model = build_model(family, rng=make_rng(0))
         tm = SystemThroughputModel(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.models import build_model
+from repro.models.zoo import build_model
 from repro.scheduler.frontend import SchedulerConfig
 from repro.trace.recorder import (
     LATE,
@@ -16,15 +16,10 @@ from repro.trace.recorder import (
     canonical_dumps,
     write_trace,
 )
-from repro.trace.replay import (
-    TraceReplayer,
-    payload_for,
-    sla_for,
-    summarize_outcomes,
-)
+from repro.trace.replay import TraceReplayer, payload_for, sla_for, summarize_outcomes
 from repro.trace.scenarios import SCENARIOS
 from repro.trace.tracer import Tracer
-from repro.utils import make_rng
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.training import EpochRecord, History
+from repro.training.history import EpochRecord, History
 
 
 def rec(stage="s", epoch=0, loss=1.0, acc=0.5, val=None):

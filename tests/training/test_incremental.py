@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.models import build_model
-from repro.training import IncrementalTrainer, TrainConfig
-from repro.utils import make_rng
+from repro.models.zoo import build_model
+from repro.training.incremental import IncrementalTrainer
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 
 @pytest.mark.slow
@@ -20,7 +21,7 @@ class TestFreezingSemantics:
 
         # Run the first stage manually, snapshot its region, then let the
         # full pass run the remaining stages and compare.
-        from repro.slimmable import RegionTracker
+        from repro.slimmable.masks import RegionTracker
 
         tracker = RegionTracker()
         spec25 = model.width_spec.find("lower25")

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.models import build_model
-from repro.training import NestedIncrementalTrainer, NestedTrainConfig, TrainConfig
-from repro.utils import make_rng
+from repro.models.zoo import build_model
+from repro.training.nested_incremental import NestedIncrementalTrainer, NestedTrainConfig
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 
 class TestNestedConfig:

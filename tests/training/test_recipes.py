@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.training import RecipeConfig, TrainConfig, train_family
-from repro.utils import make_rng
+from repro.training.recipes import RecipeConfig, train_family
+from repro.training.trainer import TrainConfig
+from repro.utils.rng import make_rng
 
 
 class TestRecipeBehaviour:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.slimmable import RegionTracker
-from repro.training import find_dead_channels, revive_dead_channels
-from repro.utils import make_rng
+from repro.slimmable.masks import RegionTracker
+from repro.training.revival import find_dead_channels, revive_dead_channels
+from repro.utils.rng import make_rng
 
 
 def kill_channels(net, layer, channels):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.models import build_model
-from repro.training import TrainConfig, Trainer, evaluate_view
-from repro.utils import make_rng
+from repro.models.zoo import build_model
+from repro.training.trainer import TrainConfig, Trainer, evaluate_view
+from repro.utils.rng import make_rng
 
 
 class TestTrainConfig:

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.tuning import SearchSpace
+from repro.tuning.space import SearchSpace
 
 
 class TestSearchSpace:

@@ -4,21 +4,20 @@ import json
 
 import pytest
 
-from repro.faults import faulty_replayer
-from repro.models import build_model
-from repro.scheduler import SchedulerConfig
-from repro.trace import TraceReplayer
-from repro.tuning import (
-    SearchSpace,
+from repro.faults.scenarios import faulty_replayer
+from repro.models.zoo import build_model
+from repro.scheduler.config import SchedulerConfig
+from repro.trace.replay import TraceReplayer
+from repro.tuning.artifact import (
     dumps,
     load_config_mapping,
     load_scheduler_config,
     read_tuned_config,
-    tune,
     write_tuned_config,
 )
-from repro.tuning.tuner import COARSE_FRAC, MAX_CANDIDATES
-from repro.utils import make_rng
+from repro.tuning.space import SearchSpace
+from repro.tuning.tuner import COARSE_FRAC, MAX_CANDIDATES, tune
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")
