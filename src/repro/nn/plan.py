@@ -21,7 +21,9 @@ all of that exactly once:
   slicing and casting vanish from the steady-state hot path;
 * :meth:`InferencePlan.run` executes the pass through fused in-place
   kernels into a workspace checked out from the plan's
-  :class:`~repro.nn.workspace.WorkspacePool`.  A warm run allocates no
+  :class:`~repro.nn.workspace.WorkspacePool` — one pool for all the widths
+  :func:`compile_width_plans` compiles, each arena set sized to the widest
+  and read by every width through its own named views.  A warm run allocates no
   array beyond the returned logits and retains nothing; NumPy's iterator
   buffers (``gemm += bias``, ``maxpool2d_into``) are transient, ~76 KB at
   1 row and ~194 KB at 16 rows of ``lower100`` under ``tracemalloc``.
@@ -38,7 +40,9 @@ serves every batch size up to its ceiling.
 Plans are immutable after compile and safe for concurrent use: all
 per-request state lives in the checked-out workspace, and the packed
 cache is lock-protected (many plans may share one cache — the serving
-frontend compiles one plan per width over a single shared cache).
+frontend compiles one plan per width over a single shared cache and a
+single shared workspace pool, so it holds one arena set per concurrent
+run, not one per width).
 """
 
 from __future__ import annotations
@@ -219,9 +223,8 @@ class InferencePlan:
         dtype: np.dtype,
         steps: List,
         feature_slice: ChannelSlice,
-        buffers: List[BufferSpec],
         cache: PackedWeightCache,
-        workspaces: int,
+        workspaces: WorkspacePool,
     ) -> None:
         self.net = net
         self.spec = spec
@@ -232,7 +235,7 @@ class InferencePlan:
         self._steps = steps
         self._feature_slice = feature_slice
         self._in_shape = (net.in_channels, net.image_size, net.image_size)
-        self.workspaces = WorkspacePool(buffers, prealloc=workspaces)
+        self.workspaces = workspaces
 
     # -- compilation ----------------------------------------------------------
 
@@ -245,7 +248,6 @@ class InferencePlan:
         batch_rows: int,
         dtype: Optional[np.dtype] = None,
         cache: Optional[PackedWeightCache] = None,
-        workspaces: int = 1,
     ) -> "InferencePlan":
         """Walk ``model`` once and compile its serving pass.
 
@@ -255,15 +257,23 @@ class InferencePlan:
         ``dtype`` defaults to the active policy's inference dtype;
         ``batch_rows`` is the widest batch the plan's arenas can hold —
         smaller requests compute over leading-row views of the same
-        buffers.
+        buffers.  The plan checks out from a pool of its own, which holds
+        one arena set to start with.
         """
-        if batch_rows <= 0:
-            raise ValueError("batch_rows must be positive")
-        net, spec = cls._resolve(model, width)
         dtype = np.dtype(dtype) if dtype is not None else compute_dtype(training=False)
         if cache is None:  # note: an empty cache is falsy (len 0) — test identity
             cache = PackedWeightCache()
+        args, buffers = cls._lower(model, width, batch_rows, dtype, cache)
+        return cls(*args, WorkspacePool(buffers))
 
+    @classmethod
+    def _lower(
+        cls, model, width, batch_rows: int, dtype: np.dtype, cache: PackedWeightCache
+    ) -> Tuple[tuple, List[BufferSpec]]:
+        """One plan's constructor arguments bar its pool, and the buffers it runs in."""
+        if batch_rows <= 0:
+            raise ValueError("batch_rows must be positive")
+        net, spec = cls._resolve(model, width)
         steps, buffers = cls._compile_im2col(net, cls._walk(net, spec), batch_rows, dtype)
 
         classifier = net.classifier
@@ -278,9 +288,7 @@ class InferencePlan:
         for step in steps:
             cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
         cache.linear_block(classifier, feature_slice, dtype)
-        return cls(
-            net, spec, batch_rows, dtype, steps, feature_slice, buffers, cache, workspaces
-        )
+        return (net, spec, batch_rows, dtype, steps, feature_slice, cache), buffers
 
     @staticmethod
     def _walk(net, spec: SubNetSpec) -> List[dict]:
@@ -538,18 +546,17 @@ def compile_width_plans(
     """One plan per width, in the policy's inference dtype.
 
     The serving frontend's bulk entry point: all plans alias one weight
-    store and one fresh :class:`PackedWeightCache`, so N widths cost N
-    arena sets but zero duplicate weight packs.
+    store and one fresh :class:`PackedWeightCache`, and check out from one
+    :class:`WorkspacePool` (``workspaces`` arena sets to start with) whose
+    sets are sized to the widest width.  So N widths cost zero duplicate
+    weight packs and one arena set per concurrent run, whatever its width.
     """
+    dtype = compute_dtype(training=False)
     cache = PackedWeightCache()
+    lowered = [InferencePlan._lower(model, width, batch_rows, dtype, cache) for width in widths]
+    pool = WorkspacePool(*(buffers for _, buffers in lowered), prealloc=workspaces)
     plans: Dict[str, InferencePlan] = {}
-    for width in widths:
-        plan = InferencePlan.compile(
-            model,
-            width,
-            batch_rows=batch_rows,
-            cache=cache,
-            workspaces=workspaces,
-        )
+    for index, (args, _) in enumerate(lowered):
+        plan = InferencePlan(*args, pool.for_layout(index))
         plans[plan.width] = plan
     return plans

@@ -3,16 +3,16 @@
 A compiled :class:`~repro.nn.plan.InferencePlan` knows every intermediate
 shape its forward pass will produce, so the per-request im2col columns,
 GEMM outputs, activations and logits can live in memory allocated once
-and reused forever.  A :class:`Workspace` is one such buffer set; a
-:class:`WorkspacePool` hands workspaces out to concurrent serving threads
-so K in-flight requests never share scratch memory *and* never allocate:
-each thread checks a workspace out, runs the plan into it, and checks it
-back in.
+and reused forever.  A :class:`Workspace` is one plan's named views of
+such memory; a :class:`WorkspacePool` hands workspaces out to concurrent
+serving threads so K in-flight requests never share scratch memory *and*
+never allocate: each thread checks a workspace out, runs the plan into
+it, and checks it back in.
 
 A pass is a chain — columns feed a GEMM, the GEMM feeds a copy, the copy
 feeds a pool — so most of its buffers are dead most of the time.  Each
 :class:`BufferSpec` therefore declares how long it ``live``\\ s, in the
-kernel steps of its program, and a workspace is **two allocations**:
+kernel steps of its program, and an *arena set* is **two allocations**:
 
 * a *persistent* region, cleared once, holding every buffer that lives for
   the whole run (no ``live``, or ``zeroed``: padded input arenas whose
@@ -22,12 +22,20 @@ kernel steps of its program, and a workspace is **two allocations**:
   the transients so that two buffers share bytes only if their lifetimes
   are disjoint.  Its size is the pass's peak co-live bytes, not the sum.
 
-The layout is a pure function of the buffer list and is memoised, so
-rebuilding an identical plan computes nothing; the named views a workspace
-hands out (``ws[name]``) are what they always were.
+One arena set serves one run at a time, of any layout in its pool: the
+plans of the nested widths of one network share one pool whose sets are
+sized to the widest (:func:`buffer_layouts`), and each width reads a set
+through its own named views, built the first time it runs there and kept.
+Every padded input arena keeps one base offset in every width's layout,
+and a cell of an NCHW buffer is border or interior by its offset modulo
+the plane alone, so no width ever writes another width's zero border.
+
+Layouts are pure functions of the buffer lists and are memoised, so
+rebuilding an identical plan or set computes no placement; the
+named views a workspace hands out (``ws[name]``) are what they always were.
 
 The pool grows on demand — a new concurrency high-water mark allocates
-one more workspace — and then reaches a steady state where
+one more arena set — and then reaches a steady state where
 :meth:`WorkspacePool.checkout` is a lock-protected list pop.
 ``created``/``checkouts`` counters make the "no steady-state allocations"
 property assertable in tests.
@@ -143,15 +151,91 @@ def buffer_layout(specs: Tuple[BufferSpec, ...]) -> BufferLayout:
     )
 
 
-class Workspace:
-    """One thread's scratch buffer set, allocated once from buffer specs."""
+def _same_border(a: BufferSpec, b: BufferSpec) -> bool:
+    """True when ``a`` and ``b`` are zeroed and their borders sit at the same
+    offsets: same dtype, and the same dims apart from the channel dim 1.
 
-    def __init__(self, specs: Sequence[BufferSpec]) -> None:
-        layout = buffer_layout(tuple(specs))
-        self.persistent = np.zeros(layout.persistent_nbytes, dtype=np.uint8)
-        # Never cleared: glibc would memset the whole region on every build
-        # once it recycles the chunk, and no transient is read before written.
-        self.scratch = np.empty(layout.scratch_nbytes, dtype=np.uint8)
+    An NCHW buffer's cell is border or interior by its offset modulo the
+    ``H x W`` plane alone, so two such buffers over the same base bytes
+    never write each other's border, whatever their channel counts.
+    """
+    return (
+        a.zeroed
+        and b.zeroed
+        and np.dtype(a.dtype) == np.dtype(b.dtype)
+        and len(a.shape) == len(b.shape)
+        and all(x == y for i, (x, y) in enumerate(zip(a.shape, b.shape)) if i != 1)
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def buffer_layouts(layouts: Tuple[Tuple[BufferSpec, ...], ...]) -> Tuple[BufferLayout, ...]:
+    """Place several spec lists over one persistent and one scratch region.
+
+    Every layout keeps its own transient placement (:func:`buffer_layout`);
+    the scratch region is the largest of them.  Each persistent buffer name
+    gets one slot, sized to its largest layout and at the same offset in
+    every layout, so a padded input arena keeps one base whatever the width
+    that runs.  A zeroed buffer must be zeroed with the same dtype and dims
+    (the channel dim 1 aside) wherever another layout keeps that name
+    persistent: otherwise one layout would write the other's zero border.
+    One layout comes back exactly as :func:`buffer_layout` places it.
+    Memoised per set, as :func:`buffer_layout` is per list: each serving
+    frontend places the same set again.
+    """
+    own = [buffer_layout(specs) for specs in layouts]
+    first: Dict[str, BufferSpec] = {}
+    slot: Dict[str, int] = {}  # persistent name -> the largest aligned bytes
+    for specs in layouts:
+        for spec in specs:
+            if not spec.persistent:
+                continue
+            seen = first.setdefault(spec.name, spec)
+            if (seen.zeroed or spec.zeroed) and not _same_border(seen, spec):
+                raise ValueError(
+                    f"zeroed buffer {spec.name!r} is {seen.shape} {seen.dtype} "
+                    f"(zeroed={seen.zeroed}) in one layout and {spec.shape} "
+                    f"{spec.dtype} (zeroed={spec.zeroed}) in another"
+                )
+            slot[spec.name] = max(slot.get(spec.name, 0), _aligned(spec.nbytes))
+    offsets: Dict[str, int] = {}
+    persistent = 0
+    for name, nbytes in slot.items():
+        offsets[name] = persistent
+        persistent += nbytes
+    scratch = max(layout.scratch_nbytes for layout in own)
+    return tuple(
+        BufferLayout(
+            persistent,
+            scratch,
+            tuple(
+                (name, in_scratch, offset if in_scratch else offsets[name], shape, dtype)
+                for name, in_scratch, offset, shape, dtype in layout.slots
+            ),
+        )
+        for layout in own
+    )
+
+
+class _ArenaSet(NamedTuple):
+    """One concurrent run's two regions, and each layout's views over them."""
+
+    persistent: np.ndarray
+    scratch: np.ndarray
+    #: layout index (in the pool's ``layouts``) -> that layout's workspace
+    views: Dict[int, "Workspace"]
+
+
+class Workspace:
+    """One layout's named views over an arena set's two regions.
+
+    A :class:`WorkspacePool` builds one per (arena set, layout) the first
+    time that layout runs in that set, and keeps it.
+    """
+
+    def __init__(self, layout: BufferLayout, arenas: _ArenaSet) -> None:
+        self._arenas = arenas
+        self.persistent, self.scratch = arenas.persistent, arenas.scratch
         self._buffers: Dict[str, np.ndarray] = {
             name: np.ndarray(
                 shape, dtype, self.scratch if in_scratch else self.persistent, offset
@@ -174,34 +258,86 @@ class Workspace:
 
 
 class WorkspacePool:
-    """Thread-safe checkout pool of identical workspaces for one plan."""
+    """Thread-safe checkout pool of arena sets shared by one or more layouts.
 
-    def __init__(self, specs: Sequence[BufferSpec], *, prealloc: int = 1) -> None:
+    ``WorkspacePool(*layouts)`` owns the arena sets, each sized by
+    :func:`buffer_layouts` to the largest layout, and checks them out
+    through ``layouts[0]``'s views.  :meth:`for_layout` hands another
+    layout a pool of its own over the same arena sets: concurrent runs of
+    different layouts take different sets, and a run of any layout takes
+    a free one, so the set count follows the concurrency peak alone.
+
+    ``created`` counts, on the owning pool (``shared``), the arena sets
+    ever allocated; on a :meth:`for_layout` pool, the workspaces it built,
+    one per arena set that layout has run in.
+    """
+
+    def __init__(self, *layouts: Sequence[BufferSpec], prealloc: int = 1) -> None:
+        if not layouts:
+            raise ValueError("a pool needs at least one buffer layout")
         if prealloc < 0:
             raise ValueError("prealloc must be non-negative")
-        self.specs: Tuple[BufferSpec, ...] = tuple(specs)
+        self.layouts: Tuple[Tuple[BufferSpec, ...], ...] = tuple(map(tuple, layouts))
+        self.specs = self.layouts[0]  # the layout this pool's checkouts read
+        self.shared = self            # the pool that owns the arena sets
+        self._index = 0
         self._lock = threading.Lock()
-        self._free = [Workspace(self.specs) for _ in range(prealloc)]
-        self.created = len(self._free)   # workspaces ever allocated
-        self.checkouts = 0               # successful acquires (steady-state: no allocs)
+        self._placed: Optional[Tuple[BufferLayout, ...]] = None  # at the first set
+        self._free = [self._allocate() for _ in range(prealloc)]
+        self.created = len(self._free)
+        self.checkouts = 0  # successful acquires (steady-state: no allocs)
+
+    def for_layout(self, index: int) -> "WorkspacePool":
+        """A pool checking this one's arena sets out through ``layouts[index]``."""
+        pool = WorkspacePool.__new__(WorkspacePool)
+        pool.layouts, pool.specs = self.layouts, self.layouts[index]
+        pool.shared, pool._index = self.shared, index
+        pool.created = pool.checkouts = 0
+        return pool
+
+    def _placements(self) -> Tuple[BufferLayout, ...]:
+        if self._placed is None:
+            self._placed = buffer_layouts(self.layouts)
+        return self._placed
+
+    def _allocate(self) -> _ArenaSet:
+        """A fresh arena set: a cleared persistent and an uninitialised scratch region."""
+        size = self._placements()[0]
+        # Scratch is never cleared: glibc would memset the whole region on every
+        # build once it recycles the chunk, and no transient is read before written.
+        return _ArenaSet(
+            np.zeros(size.persistent_nbytes, dtype=np.uint8),
+            np.empty(size.scratch_nbytes, dtype=np.uint8),
+            {},
+        )
 
     def acquire(self) -> Workspace:
-        """Pop a free workspace, allocating one only at a new concurrency peak."""
-        with self._lock:
+        """Pop a free arena set, allocating one only at a new concurrency peak."""
+        shared = self.shared
+        with shared._lock:
             self.checkouts += 1
-            if self._free:
-                return self._free.pop()
-            self.created += 1
-        return Workspace(self.specs)
+            arenas = shared._free.pop() if shared._free else None
+            if arenas is None:
+                shared.created += 1
+        if arenas is None:
+            arenas = shared._allocate()
+        workspace = arenas.views.get(self._index)
+        if workspace is None:  # this layout's first run in this set
+            layout = shared._placements()[self._index]
+            workspace = arenas.views[self._index] = Workspace(layout, arenas)
+            if self is not shared:
+                with shared._lock:
+                    self.created += 1
+        return workspace
 
     def release(self, workspace: Workspace) -> None:
-        with self._lock:
-            self._free.append(workspace)
+        with self.shared._lock:
+            self.shared._free.append(workspace._arenas)
 
     @property
     def workspace_nbytes(self) -> int:
-        """Bytes one workspace occupies (each checkout costs this much)."""
-        return buffer_layout(self.specs).nbytes
+        """Bytes one arena set occupies (each concurrent checkout costs this much)."""
+        return self.shared._placements()[0].nbytes
 
     @contextmanager
     def checkout(self) -> Iterator[Workspace]:
@@ -212,8 +348,9 @@ class WorkspacePool:
             self.release(ws)
 
     def __repr__(self) -> str:
-        with self._lock:
+        shared = self.shared
+        with shared._lock:
             return (
-                f"WorkspacePool(created={self.created}, free={len(self._free)}, "
-                f"checkouts={self.checkouts})"
+                f"WorkspacePool(layouts={len(self.layouts)}, arena_sets={shared.created}, "
+                f"free={len(shared._free)}, checkouts={self.checkouts})"
             )

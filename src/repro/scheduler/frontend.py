@@ -246,12 +246,15 @@ class ServingFrontend:
         candidates = self._default_candidates(model, net)
         # One compiled plan per allowed width, all over a single shared
         # packed-weight cache: the per-request resolve/cast/allocate work
-        # vanishes from the hot path, and the replicas share the plans
-        # (workspace checkout isolates concurrent requests).  A plan sized
+        # vanishes from the hot path, and the replicas share the plans.
+        # The plans share one workspace pool sized to the widest width: a
+        # concurrent run checks out an arena set of its own, whatever its
+        # width, so the arena bytes follow the concurrency peak, not the
+        # width count.  A plan sized
         # for ``max_batch`` rows computes a smaller flush over its leading
         # rows only, bitwise equal to the eager path.
         # Process workers inherit these plans through ``fork``; the parent
-        # never runs them, so there they are compiled without an arena.
+        # never runs them, so there they are compiled without an arena set.
         process_backend = self.config.replica_backend == "process"
         self.plans: Dict[str, InferencePlan] = compile_width_plans(
             model,

@@ -45,8 +45,9 @@ class Replica:
     ``plans`` maps width names to compiled
     :class:`~repro.nn.plan.InferencePlan` objects; a width with a plan
     serves through the allocation-free compiled path (plans are immutable
-    and thread-safe, so all replicas share one plan per width — workspace
-    isolation happens inside the plan's pool, and a flush computes over
+    and thread-safe, so all replicas share one plan per width — and all
+    widths share one workspace pool, in which each concurrent run checks
+    out an arena set of its own whatever its width; a flush computes over
     its own rows only, whatever the plan's ceiling).
     """
 

@@ -16,8 +16,9 @@ before the machine does.  :class:`ProcessReplica` is the escape hatch:
   invalidation message exists in the protocol.
 * **Plans** are the frontend's own ``plans`` dict, handed to every
   worker compiled and packed by ``fork``: a worker compiles nothing and
-  grows its workspaces in its own memory (the parent never runs them, so
-  no lock inside a plan is held at ``fork``).  **Before it reads its
+  grows the plans' one shared workspace pool in its own memory, one arena
+  set per concurrent batch whatever the widths it serves (the parent never
+  runs them, so no lock inside a plan is held at ``fork``).  **Before it reads its
   first message** a worker probes each of its widths once through its
   own ``RUN_PARTS`` handler and rings; worker 0 then times one more probe
   per width for the PONG answering the readiness PING

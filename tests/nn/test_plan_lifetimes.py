@@ -15,9 +15,13 @@ single-device :class:`InferencePlan`, and the per-device
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.dist_plan import DevicePartitionPlan
 from repro.engine.graph import BlockPartition
@@ -25,7 +29,7 @@ from repro.engine.partitioned import partitioned_forward_reference
 from repro.engine.session import InferenceSession
 from repro.nn import functional as F
 from repro.nn.plan import InferencePlan, PackedWeightCache, compile_width_plans
-from repro.nn.workspace import Workspace, WorkspacePool, buffer_layout
+from repro.nn.workspace import WorkspacePool, buffer_layout, buffer_layouts
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import paper_width_spec
 from repro.utils.dtypes import DtypePolicy, dtype_policy
@@ -139,9 +143,9 @@ class TestDeclaredLifetimesAreTrue:
         def observe(plan):
             specs = plan.workspaces.specs
             dedicated = [dataclasses.replace(s, live=None) for s in specs]
-            plan.workspaces = WorkspacePool(dedicated, prealloc=0)
-            workspace = Workspace(dedicated)
-            plan.workspaces.release(workspace)
+            plan.workspaces = WorkspacePool(dedicated)
+            with plan.workspaces.checkout() as workspace:
+                pass
             seen = {}
             watched.append((workspace, [s.name for s in specs if not s.persistent], seen))
             return seen
@@ -208,6 +212,128 @@ class TestPoisonedScratch:
             assert [plan.workspaces.created for plan in plans] == [1, 1]
 
 
+WIDTHS = ("lower25", "lower50", "lower75", "lower100")
+
+
+@pytest.fixture(scope="module")
+def width_plans(net):
+    """One serving set per dtype policy, kept across examples as a server keeps it."""
+    sets = {}
+
+    def plans(policy):
+        if policy not in sets:
+            with dtype_policy(policy):
+                sets[policy] = compile_width_plans(net, WIDTHS, batch_rows=16)
+        return sets[policy]
+
+    return plans
+
+
+def border_cells(buf, padding):
+    """The cells of a padded NCHW arena no run ever writes."""
+    mask = np.ones(buf.shape, dtype=bool)
+    mask[:, :, padding:-padding, padding:-padding] = False
+    return buf[mask]
+
+
+class TestOneArenaSetForEveryWidth:
+    """The widths of one set share arena sets sized to the widest."""
+
+    @POLICIES
+    @settings(max_examples=20, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from(WIDTHS), st.integers(1, 16)), min_size=1, max_size=8))
+    def test_any_width_sequence_equals_eager_and_keeps_every_border_zero(
+        self, net, width_plans, policy, runs
+    ):
+        plans = width_plans(policy)
+        with dtype_policy(policy):
+            for seed, (width, rows) in enumerate(runs):
+                plan = plans[width]
+                with plan.workspaces.checkout() as workspace:
+                    poison(workspace)
+                x = batch(rows, seed)
+                np.testing.assert_array_equal(plan.run(x), InferenceSession(net, width).run(x))
+        for plan in plans.values():
+            with plan.workspaces.checkout() as workspace:
+                padded = [step for step in plan._steps if step.padding]
+                assert {step.src for step in padded} == {"in0", "in1", "in2"}
+                for step in padded:
+                    assert not border_cells(workspace[step.src], step.padding).any()
+        assert plan.workspaces.shared.created == 1
+
+    def test_concurrent_widths_take_distinct_arena_sets(self, net):
+        plans = compile_width_plans(net, WIDTHS, batch_rows=16)
+        barrier = threading.Barrier(2)
+        held, errors = {}, []
+
+        def run(width, seed):
+            try:
+                plan = plans[width]
+                x = batch(16, seed)
+                with plan.workspaces.checkout() as workspace:
+                    held[width] = workspace
+                    barrier.wait(timeout=10)  # both sets are checked out here
+                    got = plan._execute(workspace, (x,), 16)
+                    barrier.wait(timeout=10)
+                np.testing.assert_array_equal(got, InferenceSession(net, width).run(x))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=a) for a in (("lower25", 1), ("lower100", 2))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors[0]
+        narrow, wide = held["lower25"], held["lower100"]
+        assert not np.shares_memory(narrow.scratch, wide.scratch)
+        assert not np.shares_memory(narrow.persistent, wide.persistent)
+        # The concurrency peak, not widths x peak.
+        assert plans["lower25"].workspaces.shared.created == 2
+
+    def test_threads_over_every_width_lose_no_arena_set(self, net):
+        """More threads than cores, switching every microsecond, each running
+        random widths: every answer is eager's, and every arena set the pool
+        ever allocated is back on its free list afterwards."""
+        plans = compile_width_plans(net, WIDTHS, batch_rows=4)
+        x = batch(4, 7)
+        want = {width: InferenceSession(net, width).run(x) for width in WIDTHS}
+        errors, threads = [], 6
+
+        def run(seed):
+            try:
+                for width in make_rng(seed).choice(WIDTHS, size=25):
+                    np.testing.assert_array_equal(plans[width].run(x), want[width])
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(seed,)) for seed in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors, errors[0]
+        shared = plans["lower25"].workspaces.shared
+        assert 1 <= shared.created <= threads
+        assert len(shared._free) == shared.created
+        assert sum(plan.workspaces.checkouts for plan in plans.values()) == threads * 25
+
+    def test_serial_widths_share_one_arena_set(self, net):
+        plans = compile_width_plans(net, WIDTHS, batch_rows=16)
+        for seed, width in enumerate(WIDTHS * 3):
+            plans[width].run(batch(seed % 16 + 1, seed))
+        assert plans["lower25"].workspaces.shared.created == 1
+        # Each width built its views of that one set once, and kept them.
+        assert [plan.workspaces.created for plan in plans.values()] == [1, 1, 1, 1]
+        assert [plan.workspaces.checkouts for plan in plans.values()] == [3, 3, 3, 3]
+
+
 def _aligned(nbytes):
     return -(-nbytes // 64) * 64
 
@@ -231,35 +357,47 @@ class TestFootprint:
             plans = compile_width_plans(net, widths, batch_rows=rows)
         occupied = dedicated = 0
         for plan in plans.values():
-            pool = plan.workspaces
-            assert pool.workspace_nbytes == footprint_lower_bound(pool.specs)
-            with pool.checkout() as workspace:
-                assert workspace.nbytes == pool.workspace_nbytes
-            occupied += pool.workspace_nbytes
-            dedicated += sum(s.nbytes for s in pool.specs)
+            specs = plan.workspaces.specs
+            own = buffer_layout(specs).nbytes
+            assert own == footprint_lower_bound(specs)
+            occupied += own
+            dedicated += sum(s.nbytes for s in specs)
         assert occupied < dedicated / 2
+        # The set checks out one arena set per concurrent run, sized to the
+        # widest width, whatever width runs in it.
+        widest = buffer_layout(plans[widths[-1]].workspaces.specs).nbytes
+        for plan in plans.values():
+            pool = plan.workspaces
+            assert pool.workspace_nbytes == widest
+            with pool.checkout() as workspace:
+                assert workspace.nbytes == widest
+        assert plan.workspaces.shared.created == 1
+        # ``occupied`` is what four per-width arena sets would hold, and at
+        # 16 rows benchmarks/e2e's nn.plan.arena_mb (the sum of the four
+        # plans' workspace_nbytes) was that figure before the plans shared
+        # one pool; ``dedicated`` is what it would be if every buffer had
+        # bytes of its own.  A conv's one-image staging buffer fits in dead
+        # scratch bytes at 16 rows; at 1 row it is as large as the columns
+        # it stages.
         if plan.dtype == np.float64:
-            # At 16 rows ``occupied`` is benchmarks/e2e's nn.plan.arena_mb,
-            # and ``dedicated`` what it would be if every buffer had bytes
-            # of its own.  A conv's one-image staging buffer fits in dead
-            # scratch bytes at 16 rows; at 1 row it is as large as the
-            # columns it stages.
-            pinned = {1: (1_266_304, 2_658_304), 16: (12_527_616, 28_561_984)}
-            assert (occupied, dedicated) == pinned[rows]
+            pinned = {1: (1_266_304, 2_658_304, 502_080), 16: (12_527_616, 28_561_984, 4_820_736)}
+        else:
+            pinned = {1: (633_344, 1_329_152, 251_072), 16: (6_263_808, 14_280_992, 2_410_368)}
+        assert (occupied, dedicated, widest) == pinned[rows]
 
     def test_an_identical_plan_built_again_computes_no_placement(self, net):
         widths = [s.name for s in net.width_spec.lower_family()]
         compile_width_plans(net, widths, batch_rows=16)
-        before = buffer_layout.cache_info()
+        before = buffer_layouts.cache_info(), buffer_layout.cache_info()
         compile_width_plans(net, widths, batch_rows=16)
-        after = buffer_layout.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits + len(widths)
+        after = buffer_layouts.cache_info(), buffer_layout.cache_info()
+        assert [a.misses for a in after] == [b.misses for b in before]
+        assert after[0].hits == before[0].hits + 1  # the set, placed once for all widths
 
     def test_a_pool_without_workspaces_computes_no_placement(self, net):
-        before = buffer_layout.cache_info()
-        plan = InferencePlan.compile(net, "lower50", batch_rows=7, workspaces=0)
-        assert buffer_layout.cache_info() == before
+        before = buffer_layouts.cache_info(), buffer_layout.cache_info()
+        (plan,) = compile_width_plans(net, ["lower50"], batch_rows=7, workspaces=0).values()
+        assert (buffer_layouts.cache_info(), buffer_layout.cache_info()) == before
         plan.run(batch(7))  # the first checkout is the first to ask
-        after = buffer_layout.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses + 1
+        after = buffer_layouts.cache_info()
+        assert after.hits + after.misses == before[0].hits + before[0].misses + 1

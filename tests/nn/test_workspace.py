@@ -8,12 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nn.workspace import BufferSpec, Workspace, WorkspacePool
+from repro.nn.workspace import BufferSpec, WorkspacePool, buffer_layout, buffer_layouts
 
 SPECS = [
     BufferSpec("a", (4, 3), "float32"),
     BufferSpec("pad", (2, 2, 6, 6), "float32", zeroed=True),
 ]
+
+
+def workspace(specs):
+    """A workspace over an arena set of its own."""
+    return WorkspacePool(specs, prealloc=0).acquire()
 
 
 class TestBufferSpec:
@@ -34,17 +39,17 @@ class TestBufferSpec:
 
 class TestWorkspace:
     def test_buffers_have_spec_shapes_and_dtypes(self):
-        ws = Workspace(SPECS)
+        ws = workspace(SPECS)
         assert ws["a"].shape == (4, 3) and ws["a"].dtype == np.float32
         assert "pad" in ws and "missing" not in ws
 
     def test_zeroed_buffers_start_zero(self):
-        ws = Workspace(SPECS)
+        ws = workspace(SPECS)
         np.testing.assert_array_equal(ws["pad"], np.zeros((2, 2, 6, 6)))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            Workspace([BufferSpec("a", (1,), "float64"), BufferSpec("a", (2,), "float64")])
+            workspace([BufferSpec("a", (1,), "float64"), BufferSpec("a", (2,), "float64")])
 
     def test_one_workspace_is_two_allocations_and_scratch_is_not_cleared(self, monkeypatch):
         specs = [
@@ -59,11 +64,12 @@ class TestWorkspace:
         monkeypatch.setattr(
             np, "zeros", lambda n, **kw: zeroed_bytes.append(n) or zeros(n, **kw)
         )
+        pool = WorkspacePool(specs, prealloc=0)
         arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
         tracemalloc.start()
         try:
             before = tracemalloc.take_snapshot().filter_traces(arrays)
-            ws = Workspace(specs)
+            ws = pool.acquire()
             after = tracemalloc.take_snapshot().filter_traces(arrays)
         finally:
             tracemalloc.stop()
@@ -81,7 +87,7 @@ class TestWorkspace:
 
     def test_buffers_without_a_lifetime_keep_bytes_of_their_own(self):
         specs = [BufferSpec(n, (5, 7), "float64") for n in "abc"]
-        ws = Workspace(specs)
+        ws = workspace(specs)
         assert ws.scratch.nbytes == 0
         for k, name in enumerate("abc"):
             ws[name][...] = k
@@ -114,7 +120,7 @@ class TestLifetimePlacement:
             BufferSpec(f"b{k}", shape, dtype, zeroed, live)
             for k, (shape, dtype, zeroed, live) in enumerate(buffers)
         ]
-        ws = Workspace(specs)
+        ws = workspace(specs)
         regions = {True: ws.persistent, False: ws.scratch}
         spans = {}
         for spec in specs:
@@ -148,7 +154,7 @@ class TestLifetimePlacement:
             BufferSpec("late", (60,), "float64", live=(2, 3)),
             BufferSpec("both", (10,), "float64", live=(1, 2)),
         ]
-        ws = Workspace(specs)
+        ws = workspace(specs)
         assert np.shares_memory(ws["early"], ws["late"])
         assert not np.shares_memory(ws["both"], ws["early"])
         assert not np.shares_memory(ws["both"], ws["late"])
@@ -210,3 +216,54 @@ class TestWorkspaceNbytes:
         assert pool.workspace_nbytes == expected
         with pool.checkout() as ws:
             assert ws.nbytes == expected
+
+
+def _width(channels, dtype="float64", rows=2, hw=6):
+    """A synthetic width's buffers: a padded input arena, a transient, logits."""
+    return [
+        BufferSpec("in0", (rows, channels, hw, hw), dtype, zeroed=True),
+        BufferSpec("cols", (rows * 16, channels * 9), dtype, live=(0, 1)),
+        BufferSpec("logits", (rows, 3), dtype),
+    ]
+
+
+class TestSharedPool:
+    """One pool over several layouts: arena sets sized to the largest."""
+
+    def test_zeroed_arenas_keep_one_base_and_transients_their_own_place(self):
+        narrow, wide = _width(2), _width(5)
+        pool = WorkspacePool(narrow, wide)
+        readers = [pool.for_layout(0), pool.for_layout(1)]
+        with readers[0].checkout() as a:
+            pass
+        with readers[1].checkout() as b:
+            pass
+        assert pool.created == 1 and a.persistent is b.persistent and a.scratch is b.scratch
+        assert a["in0"].ctypes.data == b["in0"].ctypes.data
+        assert a["in0"].shape[1] == 2 and b["in0"].shape[1] == 5
+        assert not np.shares_memory(b["in0"], b["logits"])
+        assert not np.shares_memory(b["in0"], a["logits"])
+        assert pool.workspace_nbytes == a.nbytes == buffer_layout(tuple(wide)).nbytes
+        assert [r.created for r in readers] == [1, 1]
+
+    def test_one_layout_is_placed_as_alone(self):
+        specs = tuple(_width(3))
+        assert buffer_layouts((specs,)) == (buffer_layout(specs),)
+
+    def test_a_zeroed_arena_may_differ_in_its_channel_dim_only(self):
+        WorkspacePool(_width(2), _width(7))
+        for other in (
+            _width(2, dtype="float32"),
+            _width(2, rows=3),
+            _width(2, hw=8),
+            [BufferSpec("in0", (2, 2, 36), "float64", zeroed=True)],
+            [BufferSpec("in0", (2, 2, 6, 6), "float64")],  # kept, but not zeroed
+        ):
+            with pytest.raises(ValueError, match="'in0'"):
+                WorkspacePool(_width(2), other)
+
+    def test_a_name_zeroed_in_one_layout_and_transient_in_another_is_fine(self):
+        transient = [BufferSpec("in0", (4, 4), "float32", live=(0, 0))]
+        pool = WorkspacePool(_width(2), transient)
+        with pool.for_layout(1).checkout() as ws:
+            assert np.shares_memory(ws["in0"], ws.scratch)

@@ -98,6 +98,14 @@ class TestCompiledPlans:
         assert eager.plan is None
         np.testing.assert_array_equal(with_plans, eager.run(x))
 
+    def test_the_width_plans_build_one_arena_set_at_construction(self, model):
+        """One pool for every width: the warm-up runs each width in turn in
+        the one arena set the frontend built up front."""
+        with make_frontend(model, warmup=True) as frontend:
+            pools = {id(plan.workspaces.shared) for plan in frontend.plans.values()}
+            assert len(pools) == 1
+            assert next(iter(frontend.plans.values())).workspaces.shared.created == 1
+
     def test_width_policy_seeded_from_plan_flops(self, model):
         with make_frontend(model) as frontend:
             snapshot = frontend.policy.calibration_snapshot()

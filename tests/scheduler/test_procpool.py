@@ -14,7 +14,14 @@ from repro.engine.endpoints import EndpointError, EndpointUnavailable, Transport
 from repro.engine.session import InferenceSession
 from repro.models.zoo import build_model
 from repro.nn.plan import InferencePlan, compile_width_plans
-from repro.nn.shm import list_segments, unlink_created_segments
+from repro.nn.shm import (
+    RING_SEGMENT_TAG,
+    ShmRing,
+    _unlink_quietly,
+    create_segment,
+    list_segments,
+    unlink_created_segments,
+)
 from repro.scheduler import pool as pool_module, procpool
 from repro.scheduler.admission import SLA
 from repro.scheduler.frontend import SchedulerConfig, ServingFrontend
@@ -330,6 +337,23 @@ class TestBoot:
             assert {w: p.cache.packs for w, p in plans.items()} == packs
         finally:
             frontend.close()
+
+    def test_a_worker_grows_one_arena_set_whatever_the_widths(self, model, plans):
+        """A forked worker serves one batch at a time, so the plans it
+        inherits with no arena set grow exactly one, shared by every width."""
+        segment = create_segment(RING_SEGMENT_TAG, 2 * procpool.RING_BYTES)
+        try:
+            rings = [ShmRing(segment, k * procpool.RING_BYTES, procpool.RING_BYTES) for k in (0, 1)]
+            worker = procpool.ProcessWorker(None, model, plans, *rings)
+            shared = next(iter(plans.values())).workspaces.shared
+            assert shared.created == 0
+            for width in list(plans) * 2:  # the boot probes, then served batches
+                worker.probe(one_batch(1), width, wire=True)
+                worker.probe(one_batch(8), width)
+            assert shared.created == 1
+            assert all(plan.workspaces.shared is shared for plan in plans.values())
+        finally:
+            _unlink_quietly(segment.name)  # as ProcessReplica.close does
 
     def test_every_width_is_primed_without_a_run_parts_exchange(self, model, monkeypatch):
         exchanges = []
