@@ -4,7 +4,7 @@ Subcommands::
 
     python -m repro train --family fluid --out model.npz
     python -m repro evaluate --family fluid --weights model.npz
-    python -m repro fig2 [--fast]
+    python -m repro fig2
     python -m repro simulate --family fluid --fail worker:10 --recover worker:25
     python -m repro replay --scenario bursts --mode sim
     python -m repro replay --scenario steady_burst_kill --faults --mode live --out out.jsonl
@@ -31,8 +31,7 @@ from repro.distributed.throughput import SystemThroughputModel
 from repro.engine.modes import MASTER, WORKER
 from repro.engine.plan import ha_plan, ht_plan, solo_plan
 from repro.experiments.calibration import calibration_points
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.report import format_fig2_table, format_shape_checks, shape_checks
+from repro.experiments.paper import format_report, reproduce
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.models.zoo import build_model
 from repro.nn.checkpoint import load_state, save_state
@@ -106,9 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--test-size", type=int, default=1000)
 
-    fig2 = sub.add_parser("fig2", help="regenerate the paper's Fig. 2")
-    fig2.add_argument("--fast", action="store_true")
-    fig2.add_argument("--seed", type=int, default=7)
+    sub.add_parser(
+        "fig2",
+        help="regenerate the paper record (Fig. 2 and the ablations, ~2 min) "
+        "and check every claim; exits 1 on any FAIL",
+    )
 
     simulate = sub.add_parser("simulate", help="replay a failure timeline")
     simulate.add_argument("--family", choices=("static", "dynamic", "fluid"), required=True)
@@ -250,27 +251,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_fig2(args) -> int:
-    if args.fast:
-        data = SynthMNISTConfig(num_train=2000, num_test=500, seed=0)
-        recipe = RecipeConfig(stage=TrainConfig(epochs=1, lr=0.05), niters=2)
-    else:
-        data = SynthMNISTConfig(num_train=6000, num_test=1500, seed=0)
-        recipe = RecipeConfig(stage=TrainConfig(epochs=2, lr=0.05), niters=3)
-    train_set, test_set = load_synth_mnist(data)
-    models = {}
-    for family in ("static", "dynamic", "fluid"):
-        started = time.time()
-        models[family], _ = train_family(
-            family, train_set, rng=make_rng(args.seed), config=recipe
-        )
-        print(f"trained {family} in {time.time() - started:.0f}s")
-    result = run_fig2(models, test_set)
+def cmd_fig2(_args) -> int:
+    """``fig2``: the paper record's recipe, report and claim list
+    (``REPRO.json`` is written only by ``benchmarks/bench_paper.py``)."""
+    record, verdicts = reproduce()
     print()
-    print(format_fig2_table(result))
-    print()
-    print(format_shape_checks(shape_checks(result)))
-    return 0
+    print(format_report(record, verdicts))
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def cmd_simulate(args) -> int:

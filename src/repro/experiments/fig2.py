@@ -1,66 +1,24 @@
 """The Fig. 2 experiment: throughput and accuracy across availability scenarios.
 
 For each model family (Static / Dynamic / Fluid) and each scenario
-(Master+Worker, Only Master, Only Worker) the harness asks the adaptation
-policy for its plan — High-Throughput and High-Accuracy variants where both
-devices are up — then scores the plan with the analytical throughput model
-(the paper's offline-measured methodology) and with measured accuracy on
-the test set.
+(Master+Worker, Only Master, Only Worker), :func:`fig2_plans` asks the
+adaptation policy for its plan — High-Throughput and High-Accuracy variants
+where both devices are up.  The paper record (:mod:`repro.experiments.paper`)
+scores each plan with the analytical throughput model (the paper's
+offline-measured methodology) and, through :func:`plan_accuracy`, with
+measured accuracy on the test set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.comm.latency_model import CommLatencyModel
 from repro.data.dataset import ArrayDataset
-from repro.device.profiles import jetson_nx_master, jetson_nx_worker
 from repro.distributed.throughput import SystemThroughputModel
 from repro.engine.modes import ALL_SCENARIOS, ExecutionMode, Scenario
 from repro.engine.plan import DeploymentPlan
 from repro.models.base import ModelFamily
 from repro.runtime.policy import TARGET_ACCURACY, TARGET_THROUGHPUT, AdaptationPolicy
-
-
-@dataclass(frozen=True)
-class Fig2Cell:
-    """One bar of Fig. 2."""
-
-    family: str
-    scenario: str
-    mode: str  # "HA" | "HT" | "solo" | "failed"
-    throughput_ips: float
-    accuracy_pct: float
-    plan: str  # human-readable plan description
-
-
-@dataclass
-class Fig2Result:
-    """All bars, with lookup and ratio helpers."""
-
-    cells: List[Fig2Cell] = field(default_factory=list)
-
-    def add(self, cell: Fig2Cell) -> None:
-        self.cells.append(cell)
-
-    def get(self, family: str, scenario: str, mode: str) -> Fig2Cell:
-        for cell in self.cells:
-            if (cell.family, cell.scenario, cell.mode) == (family, scenario, mode):
-                return cell
-        raise KeyError(f"no cell for {(family, scenario, mode)}")
-
-    def ht_speedup_vs_static(self) -> float:
-        """The abstract's 2.5x claim."""
-        fluid = self.get("fluid", Scenario.BOTH.value, "HT").throughput_ips
-        static = self.get("static", Scenario.BOTH.value, "HA").throughput_ips
-        return fluid / static
-
-    def ht_speedup_vs_dynamic(self) -> float:
-        """The abstract's 2x claim."""
-        fluid = self.get("fluid", Scenario.BOTH.value, "HT").throughput_ips
-        dynamic = self.get("dynamic", Scenario.BOTH.value, "HT").throughput_ips
-        return fluid / dynamic
 
 
 def plan_accuracy(
@@ -110,38 +68,6 @@ def fig2_plans(
             cells = [(mode, plan)]
         bars.extend((scenario.value, mode, plan) for mode, plan in cells)
     return bars
-
-
-def run_fig2(
-    models: Dict[str, ModelFamily],
-    test_set: ArrayDataset,
-) -> Fig2Result:
-    """Regenerate Fig. 2 from trained models.
-
-    Args:
-        models: mapping with keys ``static``, ``dynamic``, ``fluid``.
-        test_set: held-out evaluation data.
-    """
-    master, worker, comm = jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
-    result = Fig2Result()
-
-    for family in ("static", "dynamic", "fluid"):
-        if family not in models:
-            raise KeyError(f"models dict missing family {family!r}")
-        model = models[family]
-        tm = SystemThroughputModel(model.net, master, worker, comm)
-        for scenario, mode, plan in fig2_plans(model, tm):
-            result.add(
-                Fig2Cell(
-                    family=family,
-                    scenario=scenario,
-                    mode=mode,
-                    throughput_ips=tm.evaluate_plan(plan).throughput_ips,
-                    accuracy_pct=plan_accuracy(model, plan, test_set, tm),
-                    plan=plan.describe(),
-                )
-            )
-    return result
 
 
 def _both_devices_cells(

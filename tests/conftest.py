@@ -12,6 +12,7 @@ import pytest
 
 from repro.data.dataset import ArrayDataset
 from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.experiments.paper import analytic_facts, fig2_facts
 from repro.nn.shm import reap_orphaned_segments
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import WidthSpec, paper_width_spec
@@ -76,6 +77,14 @@ def trained_models(tiny_data, tiny_recipe):
         model, _ = train_family(family, train, rng=make_rng(5), config=tiny_recipe)
         models[family] = model
     return models
+
+
+@pytest.fixture(scope="session")
+def tiny_record(trained_models, tiny_data):
+    """A paper record of the tiny models: the analytic half, and the Fig. 2
+    block of the trained half (no ablations)."""
+    _, test = tiny_data
+    return {"analytic": analytic_facts(), "trained": {"fig2": fig2_facts(trained_models, test)}}
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Tests for the synthetic MNIST generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,11 @@ class TestRenderDigit:
 
     def test_has_ink(self, rng):
         assert render_digit(8, rng).sum() > 5.0
+
+    def test_digit_out_of_range_rejected(self, rng):
+        for digit in (-1, 10):
+            with pytest.raises(ValueError, match="0..9"):
+                render_digit(digit, rng)
 
     def test_variability(self):
         rng = make_rng(0)
@@ -58,6 +65,17 @@ class TestLoadSynthMnist:
         assert len(train1) == 50 and len(test1) == 20
         np.testing.assert_array_equal(train1.images, train2.images)
         np.testing.assert_array_equal(test1.labels, test2.labels)
+
+    def test_bytes_are_pinned(self):
+        """A generator change that moves a single byte moves every trained
+        record; this digest was taken before the glyph art was cached."""
+        digest = hashlib.sha256()
+        for dataset in load_synth_mnist(SynthMNISTConfig(num_train=120, num_test=40, seed=3)):
+            digest.update(dataset.images.tobytes())
+            digest.update(dataset.labels.tobytes())
+        assert digest.hexdigest() == (
+            "be5f4b0593e9f19e604e7eaf362ae981f2873bc0684fb3c43a1ca8551ae288bd"
+        )
 
     def test_train_test_disjoint_streams(self):
         cfg = SynthMNISTConfig(num_train=30, num_test=30, seed=3)

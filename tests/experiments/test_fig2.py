@@ -1,6 +1,7 @@
-"""Tests for the Fig. 2 harness (throughput cells are exact; accuracy cells
-use the tiny session-trained models, so only coarse bounds are asserted —
-the full-fidelity run lives in benchmarks/bench_fig2_accuracy.py)."""
+"""Tests for the Fig. 2 harness, on the tiny models' paper record
+(throughput bars are exact; accuracy bars use the tiny session-trained
+models, so only coarse bounds are asserted — the record's recipe and its
+claims are tested in test_paper.py)."""
 
 import pytest
 
@@ -8,14 +9,16 @@ from repro.comm.latency_model import CommLatencyModel
 from repro.device.profiles import jetson_nx_master, jetson_nx_worker
 from repro.distributed.throughput import SystemThroughputModel
 from repro.engine.plan import failed_plan, ht_plan
-from repro.experiments.fig2 import plan_accuracy, run_fig2
-from repro.experiments.report import format_fig2_table, format_shape_checks, shape_checks
+from repro.experiments.fig2 import plan_accuracy
+from repro.experiments.paper import fig2_facts
 
 
-@pytest.fixture(scope="module")
-def fig2_result(trained_models, tiny_data):
-    _, test = tiny_data
-    return run_fig2(trained_models, test)
+def thr(record: dict, key: str) -> float:
+    return record["analytic"]["fig2_throughput_ips"][key]["reproduced"]
+
+
+def acc(record: dict, key: str) -> float:
+    return record["trained"]["fig2"]["accuracy_pct"][key]["reproduced"]
 
 
 class TestThroughputCells:
@@ -37,36 +40,39 @@ class TestThroughputCells:
             ("fluid", "only_worker", "solo", 13.9),
         ],
     )
-    def test_cell(self, fig2_result, family, scenario, mode, expected):
-        cell = fig2_result.get(family, scenario, mode)
-        assert cell.throughput_ips == pytest.approx(expected, rel=0.005)
+    def test_cell(self, tiny_record, family, scenario, mode, expected):
+        key = f"{family}/{scenario}/{mode}"
+        assert thr(tiny_record, key) == pytest.approx(expected, rel=0.005)
 
-    def test_speedup_ratios(self, fig2_result):
-        assert fig2_result.ht_speedup_vs_static() == pytest.approx(2.5, rel=0.05)
-        assert fig2_result.ht_speedup_vs_dynamic() == pytest.approx(2.0, rel=0.05)
+    def test_speedup_ratios(self, tiny_record):
+        ht = thr(tiny_record, "fluid/master_and_worker/HT")
+        assert ht / thr(tiny_record, "static/master_and_worker/HA") == pytest.approx(2.5, rel=0.05)
+        assert ht / thr(tiny_record, "dynamic/master_and_worker/HT") == pytest.approx(
+            2.0, rel=0.05
+        )
 
 
 class TestAccuracyCells:
-    def test_failed_cells_zero_accuracy(self, fig2_result):
-        assert fig2_result.get("static", "only_master", "failed").accuracy_pct == 0.0
-        assert fig2_result.get("dynamic", "only_worker", "failed").accuracy_pct == 0.0
+    def test_failed_cells_zero_accuracy(self, tiny_record):
+        assert acc(tiny_record, "static/only_master/failed") == 0.0
+        assert acc(tiny_record, "dynamic/only_worker/failed") == 0.0
 
-    def test_surviving_cells_beat_chance(self, fig2_result):
-        for family, scenario, mode in [
-            ("static", "master_and_worker", "HA"),
-            ("dynamic", "only_master", "solo"),
-            ("fluid", "only_master", "solo"),
-            ("fluid", "only_worker", "solo"),
-            ("fluid", "master_and_worker", "HT"),
+    def test_surviving_cells_beat_chance(self, tiny_record):
+        for key in [
+            "static/master_and_worker/HA",
+            "dynamic/only_master/solo",
+            "fluid/only_master/solo",
+            "fluid/only_worker/solo",
+            "fluid/master_and_worker/HT",
         ]:
-            assert fig2_result.get(family, scenario, mode).accuracy_pct > 40.0
+            assert acc(tiny_record, key) > 40.0
 
-    def test_fluid_ht_is_mixture_of_halves(self, fig2_result, trained_models, tiny_data):
+    def test_fluid_ht_is_mixture_of_halves(self, tiny_record, trained_models, tiny_data):
         _, test = tiny_data
         model = trained_models["fluid"]
         lo = 100 * model.evaluate("lower50", test)
         hi = 100 * model.evaluate("upper50", test)
-        ht = fig2_result.get("fluid", "master_and_worker", "HT").accuracy_pct
+        ht = acc(tiny_record, "fluid/master_and_worker/HT")
         assert min(lo, hi) - 1e-9 <= ht <= max(lo, hi) + 1e-9
 
 
@@ -95,24 +101,13 @@ class TestPlanAccuracyFunction:
         assert acc == pytest.approx(expected)
 
 
-class TestReporting:
-    def test_table_renders(self, fig2_result):
-        table = format_fig2_table(fig2_result)
-        assert "fluid" in table and "28.3" in table and "paper" in table
-
-    def test_shape_checks_run(self, fig2_result):
-        checks = shape_checks(fig2_result)
-        names = [c.name for c in checks]
-        assert len(names) == len(set(names))
-        text = format_shape_checks(checks)
-        assert "static fails" in text
-        # Reliability + throughput-ratio checks must pass even with tiny
-        # training; accuracy-level checks are exercised in the benchmark.
-        for check in checks[:6]:
-            assert check.passed, check
-
+class TestLookup:
     def test_missing_family_rejected(self, trained_models, tiny_data):
         _, test = tiny_data
         partial = {"static": trained_models["static"]}
         with pytest.raises(KeyError):
-            run_fig2(partial, test)
+            fig2_facts(partial, test)
+
+    def test_missing_cell_lookup_raises(self, tiny_record):
+        with pytest.raises(KeyError):
+            acc(tiny_record, "fluid/nowhere/HT")

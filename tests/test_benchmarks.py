@@ -5,6 +5,8 @@ repo root only if a test here regenerates it — in-process, through the same
 function its script writes it with — and finds it *equal*; a fact about the
 code is asserted against the regenerated values, never read off a stored
 flag.  Wall-clock numbers are ``benchmarks/e2e``'s and are not committed.
+``REPRO.json``'s analytic half is re-derived, and its claims checked, in
+``tests/experiments/test_paper.py``.
 """
 
 import json
@@ -17,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))  # the scripts import `common` by bare name
 
 import bench_chaos  # noqa: E402
-import bench_paper  # noqa: E402
 import bench_scheduler  # noqa: E402
 import bench_trace_replay  # noqa: E402
 import bench_tuning  # noqa: E402
@@ -128,64 +129,3 @@ class TestSchedulerBeatsFixedWidest:
         )
         assert set(report["fixed_widest"]["widths"]) == {"lower100"}
         assert bench_scheduler.beats_fixed_widest(report)
-
-
-class TestPaperRecord:
-    """The analytic half of ``REPRO.json``: the calibrated model's Fig. 2."""
-
-    @pytest.fixture(scope="class")
-    def analytic(self):
-        return bench_paper.analytic_facts()
-
-    def test_analytic_block_regenerates(self, analytic):
-        assert analytic == committed("REPRO.json")["analytic"]
-
-    def test_eleven_bars_match_the_paper(self, analytic):
-        bars = analytic["fig2_throughput_ips"]
-        assert len(bars) == 11
-        for key, bar in bars.items():
-            if key.endswith("/failed"):
-                assert bar["reproduced"] == 0.0 == bar["paper"], key
-            else:
-                assert bar["reproduced"] == pytest.approx(bar["paper"], rel=0.005), key
-        # Static loses everything on any failure; Dynamic only the worker-only case.
-        assert sorted(k for k in bars if k.endswith("/failed")) == [
-            "dynamic/only_worker/failed",
-            "static/only_master/failed",
-            "static/only_worker/failed",
-        ]
-
-    def test_headline_speedups(self, analytic):
-        for ratio in analytic["ht_speedup"].values():
-            assert ratio["reproduced"] == pytest.approx(ratio["paper"], rel=0.02)
-
-    def test_link_cost_hurts_ha_and_never_ht(self, analytic):
-        rows = analytic["ablations"]["comm_latency"]
-        ha, ht = [r["ha"] for r in rows], [r["ht"] for r in rows]
-        assert all(a > b for a, b in zip(ha, ha[1:]))
-        assert ht == pytest.approx([ht[0]] * len(ht))
-        # Even a free link does not let HA catch a lone 50% model.
-        assert rows[0]["scale"] == 0.0 and rows[0]["ha"] < rows[0]["solo"]
-
-    def test_balanced_split_is_best_and_the_curve_is_unimodal(self, analytic):
-        by_split = analytic["ablations"]["partition_split_ha_ips"]
-        series = [by_split[str(s)] for s in bench_paper.SPLITS]
-        peak = series.index(max(series))
-        assert bench_paper.SPLITS[peak] == 8
-        assert series[: peak + 1] == sorted(series[: peak + 1])
-        assert series[peak:] == sorted(series[peak:], reverse=True)
-
-    def test_width_partitioning_beats_depth_and_fits_the_device(self, analytic):
-        rows = analytic["ablations"]["width_vs_depth_ips"]
-        assert rows["width_ha"] > rows["depth_sequential_best"]
-        assert rows["depth_sequential_best"] < rows["depth_pipelined_best"] < rows["width_ht"]
-        assert rows["depth_survives_single_failure"] is False
-        memory = analytic["ablations"]["worker_memory_params"]
-        assert memory["fluid_worker"] <= memory["capacity"] < memory["disjoint_worker"]
-
-    def test_record_carries_its_environment(self):
-        record = committed("REPRO.json")
-        assert {"cores", "blas", "numpy", "python", "commit"} <= set(record["env"])
-        assert set(record["trained"]["fig2"]["accuracy_pct"]) == set(
-            record["analytic"]["fig2_throughput_ips"]
-        )

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import ast
+import re
+import shlex
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.tuning.artifact import read_tuned_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParser:
@@ -255,3 +262,42 @@ class TestTuneFlags:
     def test_tune_workers_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):
             main(["replay", "--scenario", "bursts", "--tune", "--tune-workers", "0"])
+
+
+class TestReplayTune:
+    def test_tuned_artifact_replays_and_its_winner_is_printed(self, tmp_path, capsys):
+        out = tmp_path / "tuned.json"
+        argv = ["replay", "--tune", "--scenario", "steady_burst", "--tune-workers", "1"]
+        assert main([*argv, "--tune-out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        artifact = read_tuned_config(out)
+        winner = re.search(r"^  winner +(\{.*\})$", printed, re.M).group(1)
+        assert ast.literal_eval(winner) == artifact["winner"]["mapping"]
+        assert f"artifact  {out} (" in printed
+        assert main(["replay", "--scenario", "steady_burst", "--mode", "sim",
+                     "--config", str(out)]) == 0
+        replayed = capsys.readouterr().out
+        tuned = artifact["tuned"]
+        assert f"{artifact['config']['replicas']} replicas" in replayed
+        assert f"miss-rate {tuned['miss_rate']:.3f}  goodput {tuned['goodput_rps']:7.1f}" in replayed
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_parses(self):
+        """Each ``python -m repro ...`` line of the README's code blocks is a
+        command the parser accepts, so a removed flag cannot linger there."""
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+        commands = [
+            line.split("python -m repro", 1)[1]
+            for block in blocks
+            for line in block.splitlines()
+            if "python -m repro" in line
+        ]
+        assert len(commands) >= 15
+        parser = build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command, comments=True))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: python -m repro{command}")
+

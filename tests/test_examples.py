@@ -1,8 +1,8 @@
 """Smoke tests: the fast example scripts must run end to end.
 
-The training-heavy examples (quickstart, tcp_cluster_demo, fig2_report)
-are exercised manually / in benchmarks; here we run the second-scale ones
-as subprocesses exactly as a user would.
+The training-heavy examples (quickstart, tcp_cluster_demo) are exercised
+manually / in benchmarks; here we run the second-scale ones as
+subprocesses exactly as a user would.
 """
 
 import os
