@@ -3,9 +3,9 @@
 Every Fig. 2 serving scenario — solo, High-Throughput, High-Accuracy — is
 timed on the unified engine over in-process endpoints, the in-process wire
 protocol (InProcChannel), and a real TCP subprocess worker, eager vs
-compiled (``compiled=True`` routes the HA rounds through
-:class:`~repro.engine.dist_plan.DevicePartitionPlan` with delta halo
-exchange).  The paper's serving regime is single images, so the number of
+compiled (``compiled=True`` routes the HA rounds through each device's
+:class:`~repro.nn.plan.InferencePlan` compiled over its channel block, with
+delta halo exchange).  The paper's serving regime is single images, so the number of
 interest is compiled vs eager HA at batch 1; larger batches are GEMM-bound
 and converge.
 

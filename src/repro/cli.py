@@ -12,24 +12,28 @@ Subcommands::
     python -m repro dist --mode ha
     python -m repro calibration
 
-All commands are deterministic per ``--seed`` (``replay --mode live`` and
-``dist`` timings vary, their outputs do not).
+``train``, ``evaluate`` and ``fig2`` run the one recipe ``REPRO.json``
+records (:mod:`repro.experiments.paper`); the other commands are
+deterministic per ``--seed`` (``replay --mode live`` and ``dist`` timings
+vary, their outputs do not).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
 from repro.comm.latency_model import CommLatencyModel
-from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.data.synth_mnist import load_synth_mnist
 from repro.device.profiles import jetson_nx_master, jetson_nx_worker
 from repro.distributed.throughput import SystemThroughputModel
 from repro.engine.modes import MASTER, WORKER
 from repro.engine.plan import ha_plan, ht_plan, solo_plan
+from repro.experiments import paper
 from repro.experiments.calibration import calibration_points
 from repro.experiments.paper import format_report, reproduce
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -39,8 +43,7 @@ from repro.runtime.controller import SystemController
 from repro.runtime.policy import AdaptationPolicy
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import paper_width_spec
-from repro.training.recipes import RecipeConfig, train_family
-from repro.training.trainer import TrainConfig
+from repro.training.recipes import train_family
 from repro.utils.dtypes import resolve_dtype_policy, set_dtype_policy
 from repro.utils.rng import make_rng
 
@@ -90,20 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train one model family")
+    train = sub.add_parser(
+        "train", help="train one model family on the paper record's Fig. 2 recipe"
+    )
     train.add_argument("--family", choices=("static", "dynamic", "fluid"), required=True)
     train.add_argument("--out", required=True, help="npz checkpoint output path")
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--train-size", type=int, default=4000)
-    train.add_argument("--epochs", type=int, default=1)
-    train.add_argument("--niters", type=int, default=2)
-    train.add_argument("--lr", type=float, default=0.05)
 
-    evaluate = sub.add_parser("evaluate", help="evaluate a checkpoint's sub-networks")
+    evaluate = sub.add_parser(
+        "evaluate", help="evaluate a checkpoint's sub-networks on the Fig. 2 test split"
+    )
     evaluate.add_argument("--family", choices=("static", "dynamic", "fluid"), required=True)
     evaluate.add_argument("--weights", required=True)
-    evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument("--test-size", type=int, default=1000)
 
     sub.add_parser(
         "fig2",
@@ -222,14 +222,12 @@ def _parse_events(fails: List[str], recovers: List[str]) -> FaultPlan:
 
 
 def cmd_train(args) -> int:
-    data = SynthMNISTConfig(num_train=args.train_size, num_test=500, seed=args.seed)
-    train_set, test_set = load_synth_mnist(data)
-    recipe = RecipeConfig(
-        stage=TrainConfig(epochs=args.epochs, lr=args.lr), niters=args.niters
-    )
+    """``train``: one family exactly as the paper record trains it
+    (``FIG2_DATA``, ``FIG2_RECIPE``, ``FIG2_SEED``)."""
+    train_set, test_set = load_synth_mnist(paper.FIG2_DATA)
     started = time.time()
     model, history = train_family(
-        args.family, train_set, rng=make_rng(args.seed), config=recipe
+        args.family, train_set, rng=make_rng(paper.FIG2_SEED), config=paper.FIG2_RECIPE
     )
     save_state(args.out, model.state_dict())
     print(f"trained {args.family} in {time.time() - started:.0f}s "
@@ -240,9 +238,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    data = SynthMNISTConfig(num_train=10, num_test=args.test_size, seed=args.seed)
-    _, test_set = load_synth_mnist(data)
-    model = build_model(args.family, rng=make_rng(args.seed))
+    """``evaluate``: a checkpoint on ``FIG2_DATA``'s test split, which is
+    drawn from its own stream whatever the train split's size."""
+    _, test_set = load_synth_mnist(dataclasses.replace(paper.FIG2_DATA, num_train=1))
+    model = build_model(args.family, rng=make_rng(paper.FIG2_SEED))
     model.load_state_dict(load_state(args.weights))
     print(f"{args.family} checkpoint {args.weights}:")
     for name, acc in model.evaluate_all(test_set).items():

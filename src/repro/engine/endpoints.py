@@ -14,11 +14,13 @@ partial-logit gather — plus liveness and teardown.  Two implementations:
   ``alive_probe`` it waits out a slow peer inside
   :meth:`~TransportEndpoint.await_reply` and fails only a dead one.
 
-All endpoint compute is stateless with respect to activations: standalone
-sub-network runs execute under per-call non-recording
-:class:`~repro.nn.context.ForwardContext`\\ s (see
-:meth:`EmulatedDevice.execute_subnet`), and the partitioned rounds call the
-stateless kernels in :mod:`repro.engine.partitioned` directly — no
+All endpoint compute is stateless with respect to the shared net:
+standalone sub-networks and compiled partitioned rounds run in the
+checked-out workspace of a compiled :class:`~repro.nn.plan.InferencePlan`
+(a batch its plan refuses runs eager under a per-call non-recording
+:class:`~repro.nn.context.ForwardContext`, see
+:meth:`EmulatedDevice.execute_subnet`), and eager partitioned rounds call
+the stateless kernels in :mod:`repro.engine.partitioned` directly — no
 endpoint ever caches activations on the shared net, and no call mutates it,
 so any number of :class:`~repro.engine.session.InferenceSession`\\ s may
 share the endpoints' weight store.
@@ -35,6 +37,7 @@ either side of the wire.
 from __future__ import annotations
 
 import builtins
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -44,6 +47,7 @@ from repro.comm.message import Message, MessageKind
 from repro.comm.transport import Transport, TransportError
 from repro.comm.wire import cast_for_wire
 from repro.device.emulated import DeviceFailed, EmulatedDevice
+from repro.engine.graph import BlockPartition
 from repro.engine.partitioned import (
     conv_block_half,
     fc_partial,
@@ -194,14 +198,14 @@ class LocalEndpoint(Endpoint):
     :class:`~repro.device.emulated.DeviceFailed` surfaces as the engine's
     failure signal, :class:`EndpointUnavailable`.
 
-    Standalone sub-networks (solo and High-Throughput streams) run through
-    one compiled :class:`~repro.nn.plan.InferencePlan` per spec, and
-    compiled partitioned rounds through one
-    :class:`~repro.engine.dist_plan.DevicePartitionPlan` per (spec,
-    boundaries, device index).  A plan's arena grows to the largest batch
-    seen: it is recompiled only when a batch outgrows it (or, for a
-    partition plan, when the inference dtype changes).  All of them pack
-    from one :class:`~repro.nn.plan.PackedWeightCache` per endpoint.
+    Standalone sub-networks (solo and High-Throughput streams) and this
+    device's block of a compiled partitioned program both run through a
+    compiled :class:`~repro.nn.plan.InferencePlan`, one per key of one
+    table: ``(spec, None)`` for a standalone sub-network, ``(spec,
+    boundaries, index)`` for a block.  A plan's arena grows to the largest
+    batch seen: it is recompiled only when a batch outgrows it or the
+    inference dtype changes.  All of them pack from one
+    :class:`~repro.nn.plan.PackedWeightCache` per endpoint.
     """
 
     def __init__(self, name: str, device: EmulatedDevice) -> None:
@@ -209,11 +213,9 @@ class LocalEndpoint(Endpoint):
         self.device = device
         self._partition_spec: Optional[SubNetSpec] = None  # of the open program
         self._cache = PackedWeightCache()
-        self._subnet_plans: Dict[SubNetSpec, InferencePlan] = {}
-        # (spec name, boundaries, index) -> DevicePartitionPlan
-        self._partition_plans: Dict[tuple, Any] = {}
-        self._plan: Optional[Any] = None      # DevicePartitionPlan of the open run
-        self._run: Optional[Any] = None       # its checked-out _PartitionRun
+        self._plans: Dict[tuple, InferencePlan] = {}
+        self._plan: Optional[InferencePlan] = None  # the open partitioned run's plan
+        self._run: Optional[Any] = None             # its begun batch
 
     @property
     def available(self) -> bool:
@@ -232,15 +234,37 @@ class LocalEndpoint(Endpoint):
             return False
         return True
 
+    def _compiled(
+        self,
+        rows: int,
+        spec: SubNetSpec,
+        boundaries: Optional[Tuple[int, ...]] = None,
+        index: int = 0,
+    ) -> InferencePlan:
+        """The plan of ``spec``, or of device ``index``'s block of it under
+        ``boundaries``, compiled anew when ``rows`` outgrow it or the
+        inference dtype changed."""
+        key = (spec, None) if boundaries is None else (spec, boundaries, index)
+        plan = self._plans.get(key)
+        dtype = compute_dtype(training=False)
+        if plan is not None and plan.batch_rows >= rows and plan.dtype == dtype:
+            return plan
+        block_of = None
+        if boundaries is not None:
+            if not spec.is_lower():
+                raise ValueError("partition plans apply to combined (lower-anchored) specs")
+            partition = BlockPartition(boundaries)
+            partition.block_slice(index)  # refuses an index outside the partition
+            block_of = functools.partial(partition.clipped_block, index)
+        plan = self._plans[key] = InferencePlan.compile(
+            self.device.net, spec,
+            batch_rows=max(rows, plan.batch_rows if plan else 1),
+            dtype=dtype, cache=self._cache, block_of=block_of,
+        )
+        return plan
+
     def run_subnet(self, spec: SubNetSpec, x: np.ndarray) -> EndpointReply:
-        plan = self._subnet_plans.get(spec)
-        if plan is None or plan.batch_rows < len(x):
-            plan = InferencePlan.compile(
-                self.device.net, spec,
-                batch_rows=max(len(x), plan.batch_rows if plan else 1),
-                cache=self._cache,
-            )
-            self._subnet_plans[spec] = plan
+        plan = self._compiled(len(x), spec)
         try:
             logits = self.device.execute_subnet(spec, x, plan)  # ticks liveness itself
         except DeviceFailed as exc:
@@ -306,23 +330,10 @@ class LocalEndpoint(Endpoint):
     def begin_partition_plan(
         self, spec: SubNetSpec, boundaries: Sequence[int], index: int, rows: int
     ) -> None:
-        from repro.engine.dist_plan import DevicePartitionPlan
-
         self.abandon_partition()  # a batch left open by a peer crashing mid-round
         self.begin_partition(spec, boundaries, index)
-        boundaries = tuple(boundaries)
-        key = (spec.name, boundaries, index)
-        plan = self._partition_plans.get(key)
-        dtype = compute_dtype(training=False)
-        if plan is None or plan.batch_rows < rows or plan.dtype != dtype:
-            plan = DevicePartitionPlan.compile(
-                self.device.net, spec, boundaries, index,
-                batch_rows=max(rows, plan.batch_rows if plan else 1),
-                dtype=dtype, cache=self._cache,
-            )
-            self._partition_plans[key] = plan
-        self._plan = plan
-        self._run = plan.begin(rows)
+        self._plan = self._compiled(rows, spec, tuple(int(b) for b in boundaries), int(index))
+        self._run = self._plan.begin(rows)
 
     def _require_run(self):
         if self._run is None:

@@ -15,8 +15,8 @@ whole round behind it.
 Solo and High-Throughput streams always run each local endpoint's compiled
 :class:`~repro.nn.plan.InferencePlan` (bitwise the eager forward).  With
 ``compiled=True`` the partitioned (HA) path too runs each device's
-:class:`~repro.engine.dist_plan.DevicePartitionPlan` instead of the eager
-per-round kernels, and switches the exchange to *delta halos*: each round
+:class:`~repro.nn.plan.InferencePlan` compiled over its channel block
+instead of the eager per-round kernels, and switches the exchange to *delta halos*: each round
 ships only the peers' halves (every device already holds its own half in
 its arena), and the final conv round ships nothing at all.  Results are
 bitwise identical to the eager path at every width and dtype policy.

@@ -6,14 +6,13 @@ adaptation policy for its plan — High-Throughput and High-Accuracy variants
 where both devices are up.  The paper record (:mod:`repro.experiments.paper`)
 scores each plan with the analytical throughput model (the paper's
 offline-measured methodology) and, through :func:`plan_accuracy`, with
-measured accuracy on the test set.
+the sub-networks' measured accuracy on the test set.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
-from repro.data.dataset import ArrayDataset
 from repro.distributed.throughput import SystemThroughputModel
 from repro.engine.modes import ALL_SCENARIOS, ExecutionMode, Scenario
 from repro.engine.plan import DeploymentPlan
@@ -24,10 +23,11 @@ from repro.runtime.policy import TARGET_ACCURACY, TARGET_THROUGHPUT, AdaptationP
 def plan_accuracy(
     model: ModelFamily,
     plan: DeploymentPlan,
-    test_set: ArrayDataset,
+    accuracy: Mapping[str, float],
     tm: SystemThroughputModel,
 ) -> float:
-    """Accuracy (%) delivered by a deployment plan.
+    """Accuracy (%) delivered by a deployment plan, from ``accuracy``, the
+    family's per-sub-network accuracy table (:meth:`ModelFamily.evaluate_all`).
 
     * FAILED: 0 — no inference happens.
     * HA: accuracy of the jointly computed combined model.
@@ -38,17 +38,17 @@ def plan_accuracy(
     if plan.mode is ExecutionMode.FAILED:
         return 0.0
     if plan.mode is ExecutionMode.HIGH_ACCURACY:
-        return 100.0 * model.evaluate(plan.combined_subnet, test_set)
+        return 100.0 * accuracy[plan.combined_subnet]
     if plan.mode is ExecutionMode.SOLO:
         (assignment,) = plan.assignments
-        return 100.0 * model.evaluate(assignment.subnet, test_set)
+        return 100.0 * accuracy[assignment.subnet]
     # HIGH_THROUGHPUT: throughput-weighted mixture over the parallel streams.
     total_weighted = 0.0
     total_rate = 0.0
     for assignment in plan.assignments:
         spec = model.spec(assignment.subnet)
         rate = 1.0 / tm.standalone_latency(assignment.device, spec)
-        total_weighted += rate * model.evaluate(assignment.subnet, test_set)
+        total_weighted += rate * accuracy[assignment.subnet]
         total_rate += rate
     return 100.0 * total_weighted / total_rate
 

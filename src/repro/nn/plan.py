@@ -37,6 +37,19 @@ work follows the batch: a run of ``n`` rows computes over the leading
 ``n`` rows of arenas sized for ``batch_rows``, so one plan per width
 serves every batch size up to its ceiling.
 
+The same plan type compiles one device's side of a width-partitioned
+High-Accuracy deployment: ``block_of`` narrows every conv to the device's
+channel block, and its weights, GEMMs and feature columns with it.  Each
+layer's padded input arena still spans the *combined* channel width, so
+the arena is also the halo-exchange buffer: a peer's half is absorbed by
+one strided copy into its channel rows, the device's own output lands
+straight in its own rows of the next arena (a round ships only the
+peers' halves, never a device's own back), and the last conv round ships
+nothing — the classifier reads only the device's own feature block.  A
+single-device plan is the case "block = whole layer", and
+:meth:`InferencePlan.run_parts` runs the very round sequence an HA device
+runs, with no peers.
+
 Plans are immutable after compile and safe for concurrent use: all
 per-request state lives in the checked-out workspace, and the packed
 cache is lock-protected (many plans may share one cache — the serving
@@ -49,7 +62,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,9 +162,8 @@ class PackedWeightCache:
 class _ConvStep:
     """Precompiled geometry of one conv (+ReLU, +optional pool) block.
 
-    Shared by the single-device plan (``out_slice`` is the whole layer) and
-    by :class:`~repro.engine.dist_plan.DevicePartitionPlan` (``out_slice``
-    is one device's channel block of it).
+    ``out_slice`` is the whole layer in a single-device plan, and one
+    device's channel block of it in a partitioned one.
     """
 
     layer: SlicedConv2d
@@ -181,39 +193,24 @@ def _interior(buf: np.ndarray, n: int, padding: int, hw: Tuple[int, int]) -> np.
     return buf[:n, :, padding : padding + h, padding : padding + w]
 
 
-def conv_block_into(
-    ws: Workspace, step: _ConvStep, n: int, cache: PackedWeightCache, dtype: np.dtype
-) -> np.ndarray:
-    """One fused conv block over the first ``n`` arena rows.
+class _Run(NamedTuple):
+    """One in-flight batch: its checked-out workspace and row count."""
 
-    im2col -> GEMM+bias+ReLU -> NCHW -> optional pool, written into the
-    step's own channel rows of its destination; returns that view.  The
-    only im2col conv kernel sequence in the tree — both compiled plans run
-    it, with the same reduction orders as the eager layers.
-    """
-    out_h, out_w = step.out_hw
-    rows = n * out_h * out_w
-    cols = ws[step.cols][:rows]
-    F.im2col_into(ws[step.src][:n], step.kernel, step.stride, cols, ws[step.stage])
-    w_mat, bias = cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
-    gemm = ws[step.gemm][:rows]
-    F.gemm_bias_relu(cols, w_mat, bias, gemm)
-    nchw = gemm.reshape(n, out_h, out_w, step.out_slice.width).transpose(0, 3, 1, 2)
-    hw = step.pool[2] if step.pool is not None else step.out_hw
-    own = _interior(ws[step.dst], n, step.dst_padding, hw)[
-        :, step.dst_rows.start : step.dst_rows.stop
-    ]
-    if step.pool is not None:
-        act = ws[step.act][:n]
-        np.copyto(act, nchw)
-        F.maxpool2d_into(act, step.pool[0], step.pool[1], own)
-    else:
-        np.copyto(own, nchw)
-    return own
+    workspace: Workspace
+    rows: int
 
 
 class InferencePlan:
-    """One compiled ``(sub-network, batch-rows, dtype)`` forward pass."""
+    """One compiled ``(sub-network, channel block, batch-rows, dtype)`` program.
+
+    Over whole layers it is one device's forward pass; over one device's
+    channel block of a width-partitioned (HA) deployment it is that
+    device's side of every round.  Either way a batch runs the same
+    sequence — :meth:`begin`, :meth:`scatter_input`, then per conv round
+    (:meth:`absorb` of the peers' halves and) :meth:`run_layer`, then
+    :meth:`run_fc` and :meth:`finish` — and :meth:`run_parts` is that
+    sequence with no peers, the bias and one owned logits copy.
+    """
 
     def __init__(
         self,
@@ -221,7 +218,7 @@ class InferencePlan:
         spec: SubNetSpec,
         batch_rows: int,
         dtype: np.dtype,
-        steps: List,
+        steps: List[_ConvStep],
         feature_slice: ChannelSlice,
         cache: PackedWeightCache,
         workspaces: WorkspacePool,
@@ -248,6 +245,7 @@ class InferencePlan:
         batch_rows: int,
         dtype: Optional[np.dtype] = None,
         cache: Optional[PackedWeightCache] = None,
+        block_of: Optional[Callable[[int], ChannelSlice]] = None,
     ) -> "InferencePlan":
         """Walk ``model`` once and compile its serving pass.
 
@@ -257,30 +255,40 @@ class InferencePlan:
         ``dtype`` defaults to the active policy's inference dtype;
         ``batch_rows`` is the widest batch the plan's arenas can hold —
         smaller requests compute over leading-row views of the same
-        buffers.  The plan checks out from a pool of its own, which holds
-        one arena set to start with.
+        buffers.  ``block_of`` maps a layer's output width to the channel
+        block this plan computes of it (one device's block of an HA
+        partition); ``None`` computes whole layers.  The plan checks out
+        from a pool of its own, which holds one arena set to start with.
         """
         dtype = np.dtype(dtype) if dtype is not None else compute_dtype(training=False)
         if cache is None:  # note: an empty cache is falsy (len 0) — test identity
             cache = PackedWeightCache()
-        args, buffers = cls._lower(model, width, batch_rows, dtype, cache)
+        args, buffers = cls._lower(model, width, batch_rows, dtype, cache, block_of)
         return cls(*args, WorkspacePool(buffers))
 
     @classmethod
     def _lower(
-        cls, model, width, batch_rows: int, dtype: np.dtype, cache: PackedWeightCache
+        cls,
+        model,
+        width,
+        batch_rows: int,
+        dtype: np.dtype,
+        cache: PackedWeightCache,
+        block_of: Optional[Callable[[int], ChannelSlice]] = None,
     ) -> Tuple[tuple, List[BufferSpec]]:
         """One plan's constructor arguments bar its pool, and the buffers it runs in."""
         if batch_rows <= 0:
             raise ValueError("batch_rows must be positive")
         net, spec = cls._resolve(model, width)
-        steps, buffers = cls._compile_im2col(net, cls._walk(net, spec), batch_rows, dtype)
+        steps, buffers = cls._compile_steps(net, spec, batch_rows, dtype, block_of)
 
         classifier = net.classifier
         if not isinstance(classifier, SlicedLinear):
             raise TypeError(f"cannot compile classifier {type(classifier).__name__}")
+        # The classifier reads this plan's own feature block only, which is
+        # why a partitioned plan's last conv round ships no half.
         feature_slice = classifier.resolve_feature_slice(
-            net.feature_slice_for(spec.last_slice)
+            net.feature_slice_for(steps[-1].out_slice)
         )
         buffers.append(BufferSpec("logits", (batch_rows, classifier.out_features), dtype.name))
         # Warm the packed cache at compile so the first request is already
@@ -291,81 +299,52 @@ class InferencePlan:
         return (net, spec, batch_rows, dtype, steps, feature_slice, cache), buffers
 
     @staticmethod
-    def _walk(net, spec: SubNetSpec) -> List[dict]:
-        """Shared geometry walk: one dict per conv block, in order."""
-        size = net.image_size
+    def _compile_steps(
+        net,
+        spec: SubNetSpec,
+        batch_rows: int,
+        dtype: np.dtype,
+        block_of: Optional[Callable[[int], ChannelSlice]],
+    ) -> Tuple[List[_ConvStep], List[BufferSpec]]:
+        """Walk the conv blocks once: each one's im2col step and the arenas it runs in.
+
+        Every input arena spans the layer's *full* input width whatever
+        block the plan computes, so a partitioned plan's arena doubles as
+        its halo-exchange buffer: peers' halves are copied into the channel
+        rows this plan does not write.
+        """
         num = len(net.convs)
         if len(spec.conv_slices) != num:
             raise ValueError(
                 f"spec {spec.name!r} has {len(spec.conv_slices)} conv slices, "
                 f"net has {num}"
             )
-        prev: Optional[ChannelSlice] = None
-        walk: List[dict] = []
-        for i, (conv, out_sl) in enumerate(zip(net.convs, spec.conv_slices)):
-            if not isinstance(conv, SlicedConv2d):
-                raise TypeError(f"cannot compile layer {type(conv).__name__}")
-            in_sl, out_sl = conv.resolve_slices(prev, out_sl)
-            k = conv.kernel_size
-            out_h = F.conv_out_size(size, k, conv.stride, conv.padding)
-            pool_layer = net.pools.get(i)
-            pool = None
-            after = (out_h, out_h)
-            if pool_layer is not None:
-                ph = F.conv_out_size(out_h, pool_layer.kernel_size, pool_layer.stride, 0)
-                pool = (pool_layer.kernel_size, pool_layer.stride, (ph, ph))
-                after = (ph, ph)
-            walk.append(
-                dict(
-                    index=i,
-                    conv=conv,
-                    in_slice=in_sl,
-                    out_slice=out_sl,
-                    kernel=k,
-                    stride=conv.stride,
-                    padding=conv.padding,
-                    in_hw=(size, size),
-                    out_hw=(out_h, out_h),
-                    pool=pool,
-                    last=i == num - 1,
-                    next_padding=net.convs[i + 1].padding if i < num - 1 else 0,
-                )
-            )
-            size = after[0]
-            prev = out_sl
-        return walk
-
-    @classmethod
-    def _compile_im2col(
-        cls, net, walk: List[dict], batch_rows: int, dtype: np.dtype,
-        block_of: Optional[Callable[[ChannelSlice], ChannelSlice]] = None,
-    ) -> Tuple[List[_ConvStep], List[BufferSpec]]:
-        """Lower the geometry walk to im2col steps and the arenas they run in.
-
-        ``block_of`` maps a layer's output slice to the channel block this plan
-        computes; ``None`` is the single-device case, "block = whole layer".
-        Every input arena spans the layer's *full* input width either way, so a
-        partitioned plan's arena doubles as its halo-exchange buffer: peers'
-        halves are copied into the channel rows this plan does not write.
-        """
         steps: List[_ConvStep] = []
         buffers: List[BufferSpec] = []
         dt = dtype.name
+        size = net.image_size
+        prev: Optional[ChannelSlice] = None
         at = 0  # program order: the next kernel step's index (BufferSpec.live)
-        for info in walk:
-            i, conv = info["index"], info["conv"]
-            k, pad = info["kernel"], info["padding"]
-            size = info["in_hw"][0]
-            out_h, out_w = info["out_hw"]
-            in_c = info["in_slice"].width
-            full = info["out_slice"]
-            block = block_of(full) if block_of is not None else full
-            pool = info["pool"]
+        for i, (conv, out_sl) in enumerate(zip(net.convs, spec.conv_slices)):
+            if not isinstance(conv, SlicedConv2d):
+                raise TypeError(f"cannot compile layer {type(conv).__name__}")
+            in_sl, full = conv.resolve_slices(prev, out_sl)
+            prev = full
+            block = block_of(full.stop) if block_of is not None else full
+            k, pad = conv.kernel_size, conv.padding
+            out_h = F.conv_out_size(size, k, conv.stride, pad)
+            pool = None
+            after = out_h
+            pool_layer = net.pools.get(i)
+            if pool_layer is not None:
+                after = F.conv_out_size(out_h, pool_layer.kernel_size, pool_layer.stride, 0)
+                pool = (pool_layer.kernel_size, pool_layer.stride, (after, after))
             # One conv block is gather -> GEMM -> NCHW copy (-> pool); its
             # last step is the one that writes the block's destination.
             gather, gemm, copy = at, at + 1, at + 2
             write = copy + 1 if pool is not None else copy
             at = write + 1
+            in_c = in_sl.width
             src = f"in{i}"
             buffers.append(
                 BufferSpec(
@@ -375,12 +354,12 @@ class InferencePlan:
                     zeroed=pad > 0,
                 )
             )
-            rows = batch_rows * out_h * out_w
+            rows = batch_rows * out_h * out_h
             buffers.append(
                 BufferSpec(f"cols{i}", (rows, in_c * k * k), dt, live=(gather, gemm))
             )
             buffers.append(
-                BufferSpec(f"stage{i}", (in_c * k * k, out_h * out_w), dt, live=(gather, gather))
+                BufferSpec(f"stage{i}", (in_c * k * k, out_h * out_h), dt, live=(gather, gather))
             )
             buffers.append(
                 BufferSpec(f"gemm{i}", (rows, block.width), dt, live=(gemm, copy))
@@ -392,31 +371,30 @@ class InferencePlan:
             if act is not None:
                 buffers.append(
                     BufferSpec(
-                        act, (batch_rows, block.width, out_h, out_w), dt, live=(copy, write)
+                        act, (batch_rows, block.width, out_h, out_h), dt, live=(copy, write)
                     )
                 )
-            if info["last"]:
+            if i == num - 1:
                 # The classifier's input: this plan's own feature block only;
                 # the classifier is the step after the last block.
-                after = pool[2] if pool is not None else (out_h, out_w)
                 dst, dst_pad = "feat", 0
                 dst_rows = ChannelSlice(0, block.width)
                 buffers.append(
-                    BufferSpec(dst, (batch_rows, block.width) + after, dt, live=(write, at))
+                    BufferSpec(dst, (batch_rows, block.width, after, after), dt, live=(write, at))
                 )
             else:
-                dst, dst_pad = f"in{i + 1}", info["next_padding"]
+                dst, dst_pad = f"in{i + 1}", net.convs[i + 1].padding
                 dst_rows = ChannelSlice(block.start - full.start, block.stop - full.start)
             steps.append(
                 _ConvStep(
                     layer=conv,
-                    in_slice=info["in_slice"],
+                    in_slice=in_sl,
                     out_slice=block,
                     kernel=(k, k),
-                    stride=info["stride"],
+                    stride=conv.stride,
                     padding=pad,
-                    in_hw=info["in_hw"],
-                    out_hw=(out_h, out_w),
+                    in_hw=(size, size),
+                    out_hw=(out_h, out_h),
                     pool=pool,
                     src=src,
                     cols=f"cols{i}",
@@ -428,6 +406,7 @@ class InferencePlan:
                     dst_rows=dst_rows,
                 )
             )
+            size = after
         return steps, buffers
 
     @staticmethod
@@ -482,41 +461,98 @@ class InferencePlan:
         """
         if not parts:
             raise ValueError("run_parts needs at least one array")
-        n = 0
         for p in parts:
             if p.ndim != 4 or tuple(p.shape[1:]) != self._in_shape:
                 raise ValueError(
                     f"plan expects (*, {self._in_shape[0]}, {self._in_shape[1]}, "
                     f"{self._in_shape[2]}), got {p.shape}"
                 )
-            n += p.shape[0]
-        if n > self.batch_rows:
-            raise ValueError(f"{n} rows exceed the plan's {self.batch_rows}-row arena")
-        with self.workspaces.checkout() as ws:
-            return self._execute(ws, parts, n)
+        run = self.begin(sum(p.shape[0] for p in parts))
+        try:
+            self.scatter_input(run, *parts)
+            for layer in range(len(self._steps)):
+                self.run_layer(run, layer)
+            # The workspace buffer goes back into the pool; the caller gets an
+            # owned copy: the run's one array allocation (iterator buffers are
+            # transient).
+            return self.run_fc(run, include_bias=True).copy()
+        finally:
+            self.finish(run)
 
-    def _execute(self, ws: Workspace, parts: Sequence[np.ndarray], n: int) -> np.ndarray:
-        first = self._steps[0]
-        src = ws[first.src]
+    def begin(self, rows: int) -> _Run:
+        """Check a workspace out for one batch of ``rows`` images."""
+        if not 0 < rows <= self.batch_rows:
+            raise ValueError(
+                f"{rows} rows outside the plan's 1..{self.batch_rows}-row arena"
+            )
+        return _Run(self.workspaces.acquire(), rows)
+
+    def finish(self, run: _Run) -> None:
+        self.workspaces.release(run.workspace)
+
+    def _input(self, run: _Run, layer: int) -> np.ndarray:
+        """Writable interior of ``layer``'s full-width input arena."""
+        step = self._steps[layer]
+        return _interior(run.workspace[step.src], run.rows, step.padding, step.in_hw)
+
+    def scatter_input(self, run: _Run, *parts: np.ndarray) -> None:
+        """Place the batch's parts, in order, into layer 0's padded arena interior.
+
+        Assignment casts to the compute dtype; padded borders were zeroed at
+        allocation and are never written, replacing a per-call ``np.pad``.
+        """
+        interior = self._input(run, 0)
         offset = 0
         for part in parts:
             k = part.shape[0]
-            # Assignment casts to the compute dtype; padded borders were
-            # zeroed at allocation and are never written, replacing the
-            # per-call np.pad round-trip.
-            np.copyto(
-                _interior(src[offset : offset + k], k, first.padding, first.in_hw), part
-            )
+            np.copyto(interior[offset : offset + k], part)
             offset += k
 
-        for step in self._steps:
-            conv_block_into(ws, step, n, self.cache, self.dtype)
+    def absorb(self, run: _Run, layer: int, block: ChannelSlice, half: np.ndarray) -> None:
+        """Copy a peer's previous-round half into this layer's arena rows."""
+        np.copyto(self._input(run, layer)[:, block.start : block.stop], half)
+
+    def run_layer(self, run: _Run, layer: int) -> Optional[np.ndarray]:
+        """One conv round: the fused conv block of this plan's channels.
+
+        im2col -> GEMM+bias+ReLU -> NCHW -> optional pool over the first
+        ``run.rows`` arena rows, written into the plan's own channel rows
+        of the next layer's input arena (or of ``feat``), with the same
+        reduction orders as the eager layers.  Returns the half to ship to
+        peers — a zero-copy view of that arena interior — or ``None`` on
+        the last conv round (the classifier needs only the locally-kept
+        feature block).
+        """
+        ws, n, step = run.workspace, run.rows, self._steps[layer]
+        out_h, out_w = step.out_hw
+        rows = n * out_h * out_w
+        cols = ws[step.cols][:rows]
+        F.im2col_into(ws[step.src][:n], step.kernel, step.stride, cols, ws[step.stage])
+        w_mat, bias = self.cache.conv_block(step.layer, step.in_slice, step.out_slice, self.dtype)
+        gemm = ws[step.gemm][:rows]
+        F.gemm_bias_relu(cols, w_mat, bias, gemm)
+        nchw = gemm.reshape(n, out_h, out_w, step.out_slice.width).transpose(0, 3, 1, 2)
+        hw = step.pool[2] if step.pool is not None else step.out_hw
+        own = _interior(ws[step.dst], n, step.dst_padding, hw)[
+            :, step.dst_rows.start : step.dst_rows.stop
+        ]
+        if step.pool is not None:
+            act = ws[step.act][:n]
+            np.copyto(act, nchw)
+            F.maxpool2d_into(act, step.pool[0], step.pool[1], own)
+        else:
+            np.copyto(own, nchw)
+        return own if layer < len(self._steps) - 1 else None
+
+    def run_fc(self, run: _Run, include_bias: bool) -> np.ndarray:
+        """(Partial) logits over this plan's feature block, as an arena view."""
+        n = run.rows
+        features = run.workspace["feat"][:n].reshape(n, -1)
+        logits = run.workspace["logits"][:n]
         w, b = self.cache.linear_block(self.net.classifier, self._feature_slice, self.dtype)
-        logits = ws["logits"][:n]
-        F.gemm_bias(ws["feat"][:n].reshape(n, -1), w, b, logits)
-        # The workspace buffer goes back into the pool; the caller gets an owned
-        # copy: the run's one array allocation (iterator buffers are transient).
-        return logits.copy()
+        if include_bias:
+            return F.gemm_bias(features, w, b, logits)
+        return np.dot(features, w.T, out=logits)
 
     # -- cost hooks -----------------------------------------------------------
 

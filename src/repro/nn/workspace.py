@@ -33,10 +33,13 @@ the plane alone, so no width ever writes another width's zero border.
 Layouts are pure functions of the buffer lists and are memoised, so
 rebuilding an identical plan or set computes no placement; the
 named views a workspace hands out (``ws[name]``) are what they always were.
+A pool places its set when it is built, so a pool built with no arena set
+(a process-backend frontend's, before it forks its workers) hands every
+forked worker a placement it need not compute again.
 
 The pool grows on demand — a new concurrency high-water mark allocates
 one more arena set — and then reaches a steady state where
-:meth:`WorkspacePool.checkout` is a lock-protected list pop.
+:meth:`WorkspacePool.acquire` is a lock-protected list pop.
 ``created``/``checkouts`` counters make the "no steady-state allocations"
 property assertable in tests.
 """
@@ -46,9 +49,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -282,7 +284,9 @@ class WorkspacePool:
         self.shared = self            # the pool that owns the arena sets
         self._index = 0
         self._lock = threading.Lock()
-        self._placed: Optional[Tuple[BufferLayout, ...]] = None  # at the first set
+        # Placed here, not at the first checkout: a pool built with no arena
+        # set before a fork leaves every forked worker its placement.
+        self._placed = buffer_layouts(self.layouts)
         self._free = [self._allocate() for _ in range(prealloc)]
         self.created = len(self._free)
         self.checkouts = 0  # successful acquires (steady-state: no allocs)
@@ -295,14 +299,9 @@ class WorkspacePool:
         pool.created = pool.checkouts = 0
         return pool
 
-    def _placements(self) -> Tuple[BufferLayout, ...]:
-        if self._placed is None:
-            self._placed = buffer_layouts(self.layouts)
-        return self._placed
-
     def _allocate(self) -> _ArenaSet:
         """A fresh arena set: a cleared persistent and an uninitialised scratch region."""
-        size = self._placements()[0]
+        size = self._placed[0]
         # Scratch is never cleared: glibc would memset the whole region on every
         # build once it recycles the chunk, and no transient is read before written.
         return _ArenaSet(
@@ -323,7 +322,7 @@ class WorkspacePool:
             arenas = shared._allocate()
         workspace = arenas.views.get(self._index)
         if workspace is None:  # this layout's first run in this set
-            layout = shared._placements()[self._index]
+            layout = shared._placed[self._index]
             workspace = arenas.views[self._index] = Workspace(layout, arenas)
             if self is not shared:
                 with shared._lock:
@@ -337,15 +336,7 @@ class WorkspacePool:
     @property
     def workspace_nbytes(self) -> int:
         """Bytes one arena set occupies (each concurrent checkout costs this much)."""
-        return self.shared._placements()[0].nbytes
-
-    @contextmanager
-    def checkout(self) -> Iterator[Workspace]:
-        ws = self.acquire()
-        try:
-            yield ws
-        finally:
-            self.release(ws)
+        return self.shared._placed[0].nbytes
 
     def __repr__(self) -> str:
         shared = self.shared

@@ -113,7 +113,7 @@ class TestPlansResolvedByNameHitTheCaches:
             assert len(engine._graph_cache) == 1
             for endpoint in engine.endpoints.values():
                 # Only the compiled interpreter runs partition plans.
-                assert len(endpoint._partition_plans) == (1 if compiled else 0)
+                assert len(endpoint._plans) == (1 if compiled else 0)
         finally:
             engine.shutdown()
 

@@ -1,6 +1,7 @@
 """Compiled distributed path: bitwise parity, delta halos, and overlap.
 
-The compiled HA path (:mod:`repro.engine.dist_plan`) must be bitwise
+The compiled HA path (each device's :class:`~repro.nn.plan.InferencePlan`
+over its channel block) must be bitwise
 identical to the eager per-round kernels at every certified width, under
 both dtype policies, over in-process endpoints AND the real wire protocol —
 while exchanging strictly fewer bytes (delta halos) and allocating nothing
@@ -243,13 +244,13 @@ class TestZeroSteadyStateAllocation:
                 _run_ha(engine, x)
             endpoints = list(engine.endpoints.values())
             plans = [ep._plan for ep in endpoints]
-            compiled_counts = [len(ep._partition_plans) for ep in endpoints]
+            compiled_counts = [len(ep._plans) for ep in endpoints]
             created = [plan.workspaces.created for plan in plans]
             checkouts = [plan.workspaces.checkouts for plan in plans]
             for _ in range(10):
                 _run_ha(engine, x)
             for ep, n in zip(endpoints, compiled_counts):
-                assert len(ep._partition_plans) == n  # no recompilation
+                assert len(ep._plans) == n  # no recompilation
             for plan, c, k in zip(plans, created, checkouts):
                 assert plan.workspaces.created == c  # no new arenas
                 assert plan.workspaces.checkouts == k + 10
@@ -281,7 +282,7 @@ class TestZeroSteadyStateAllocation:
                     compiled = 2 if policy_name == "default" else 1
                     for ep, plans in zip(endpoints, seen):
                         assert len(plans) == compiled
-                        (plan,) = ep._partition_plans.values()
+                        (plan,) = ep._plans.values()
                         assert plan is ep._plan
                         assert plan.batch_rows == 16
                         assert plan.dtype == np.dtype(dtype)
@@ -343,6 +344,19 @@ class TestLocalEndpointRoundGuards:
             with pytest.raises(IndexError, match=f"has no round {layer}"):
                 self._round(endpoint, compiled, spec, layer, _batch(2))
 
+    def test_a_block_the_partition_does_not_have_is_refused(self):
+        """A compiled block needs a lower-anchored spec and a device index
+        inside the partition; neither leaves a plan or an open run behind."""
+        net = _net()
+        endpoint = self._endpoint(net)
+        boundaries = BlockPartition.two_way(SPLIT, net.width_spec.max_width).boundaries
+        with pytest.raises(ValueError, match="lower-anchored"):
+            endpoint.begin_partition_plan(net.width_spec.find("upper50"), boundaries, 0, 2)
+        for index in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                endpoint.begin_partition_plan(net.width_spec.full(), boundaries, index, 2)
+        assert endpoint._plans == {} and endpoint._run is None
+
     @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
     def test_abandon_closes_the_program(self, compiled):
         net = _net()
@@ -392,13 +406,14 @@ class TestCompiledStreams:
                     want = view.forward(x, ForwardContext(recording=False))
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)
-                plan = endpoint._subnet_plans[spec]
+                plan = endpoint._plans[(spec, None)]
                 assert plan.batch_rows == 16
                 assert plan.workspaces.checkouts == 2  # the 16 rows, then 8 again
             # One weight cache per endpoint: every block packed exactly once.
             assert endpoint._cache.packs == len(endpoint._cache)
 
-    def test_a_batch_the_plan_refuses_runs_eager(self):
+    def test_an_inference_dtype_change_recompiles_the_plan(self):
+        """The one recompile rule of every endpoint plan, standalone ones too."""
         net = _net()
         endpoint = LocalEndpoint("master", EmulatedDevice(jetson_nx_master(), net))
         spec = net.width_spec.find("lower50")
@@ -407,7 +422,9 @@ class TestCompiledStreams:
         with dtype_policy(DtypePolicy.fast_inference()):
             got = endpoint.run_subnet(spec, x).arrays["logits"]
         assert got.dtype == np.float32
-        assert endpoint._subnet_plans[spec].workspaces.checkouts == 1
+        (plan,) = endpoint._plans.values()
+        assert plan.dtype == np.float32 and plan.batch_rows == 2
+        assert plan.workspaces.checkouts == 1
 
 
 class _BarrierEndpoint(Endpoint):

@@ -83,7 +83,7 @@ class TestPlanAccuracyFunction:
         tm = SystemThroughputModel(
             model.net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
         )
-        assert plan_accuracy(model, failed_plan("x"), test, tm) == 0.0
+        assert plan_accuracy(model, failed_plan("x"), model.evaluate_all(test), tm) == 0.0
 
     def test_ht_weighting_uses_rates(self, trained_models, tiny_data):
         _, test = tiny_data
@@ -91,7 +91,7 @@ class TestPlanAccuracyFunction:
         tm = SystemThroughputModel(
             model.net, jetson_nx_master(), jetson_nx_worker(), CommLatencyModel()
         )
-        acc = plan_accuracy(model, ht_plan("lower50", "upper50"), test, tm)
+        acc = plan_accuracy(model, ht_plan("lower50", "upper50"), model.evaluate_all(test), tm)
         r_m = 1.0 / tm.standalone_latency("master", model.spec("lower50"))
         r_w = 1.0 / tm.standalone_latency("worker", model.spec("upper50"))
         expected = (

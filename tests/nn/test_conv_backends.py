@@ -12,6 +12,7 @@ The contracts under test (see ``nn/functional.py`` / README):
   serving path at every width under both dtype policies.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.dist_plan import DevicePartitionPlan
 from repro.engine.graph import BlockPartition
 from repro.engine.session import InferenceSession
 from repro.models.zoo import build_model
@@ -27,6 +27,7 @@ from repro.nn import functional as F
 from repro.nn.plan import InferencePlan, PackedWeightCache
 from repro.utils.dtypes import DtypePolicy, dtype_policy
 from repro.utils.rng import make_rng
+from tests.nn.arenas import checked_out
 
 WIDTHS = ("lower25", "lower50", "lower75", "lower100")
 
@@ -77,7 +78,7 @@ class TestGather:
         h, w = step.in_hw
         pad = step.padding
         rng = make_rng(conv)
-        with plan.workspaces.checkout() as ws:
+        with checked_out(plan.workspaces) as ws:
             for rows in (16, 1, 5):
                 x = rng.standard_normal((rows, step.in_slice.width, h, w)).astype(dtype)
                 ref, out_hw = F.im2col(x, step.kernel, step.stride, pad)
@@ -92,7 +93,7 @@ class TestGather:
     def test_gather_allocates_no_array(self, fluid_model):
         plan = InferencePlan.compile(fluid_model, "lower100", batch_rows=16)
         step = plan._steps[1]
-        with plan.workspaces.checkout() as ws:
+        with checked_out(plan.workspaces) as ws:
             args = (ws[step.src], step.kernel, step.stride, ws[step.cols], ws[step.stage])
             F.im2col_into(*args)
             calls = 20
@@ -151,8 +152,9 @@ class TestStageBuffers:
         single = InferencePlan.compile(net, spec, batch_rows=4)
         want = [_expected_stage(step) for step in single._steps]
         for index in range(partition.num_blocks):
-            plan = DevicePartitionPlan.compile(
-                net, spec, partition.boundaries, index, batch_rows=4
+            plan = InferencePlan.compile(
+                net, spec, batch_rows=4,
+                block_of=functools.partial(partition.clipped_block, index),
             )
             stages = _stage_specs(plan)
             # Each device gathers its peers' halo channels too, so its stage

@@ -3,8 +3,8 @@
 A workspace lays two buffers over the same bytes whenever their declared
 lifetimes are disjoint, so a lifetime that is too short corrupts an answer
 silently.  The load-bearing properties, for every compiled program (the
-single-device :class:`InferencePlan`, and the per-device
-:class:`DevicePartitionPlan` driven round by round):
+single-device :class:`InferencePlan`, and the per-device one compiled over
+its channel block and driven round by round):
 
 * the interval a buffer declares is exactly the first and last kernel step
   that touches its bytes;
@@ -15,6 +15,7 @@ single-device :class:`InferencePlan`, and the per-device
 """
 
 import dataclasses
+import functools
 import sys
 import threading
 
@@ -23,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.dist_plan import DevicePartitionPlan
 from repro.engine.graph import BlockPartition
 from repro.engine.partitioned import partitioned_forward_reference
 from repro.engine.session import InferenceSession
@@ -34,6 +34,7 @@ from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import paper_width_spec
 from repro.utils.dtypes import DtypePolicy, dtype_policy
 from repro.utils.rng import make_rng
+from tests.nn.arenas import checked_out
 
 POLICIES = pytest.mark.parametrize(
     "policy", (DtypePolicy(), DtypePolicy.fast_inference()), ids=["float64", "float32"]
@@ -56,8 +57,9 @@ def partition_plans(net, rows):
     partition = BlockPartition.two_way(net.width_spec.split, net.width_spec.max_width)
     cache = PackedWeightCache()
     plans = [
-        DevicePartitionPlan.compile(
-            net, spec, partition.boundaries, index, batch_rows=rows, cache=cache
+        InferencePlan.compile(
+            net, spec, batch_rows=rows, cache=cache,
+            block_of=functools.partial(partition.clipped_block, index),
         )
         for index in range(partition.num_blocks)
     ]
@@ -144,7 +146,7 @@ class TestDeclaredLifetimesAreTrue:
             specs = plan.workspaces.specs
             dedicated = [dataclasses.replace(s, live=None) for s in specs]
             plan.workspaces = WorkspacePool(dedicated)
-            with plan.workspaces.checkout() as workspace:
+            with checked_out(plan.workspaces) as workspace:
                 pass
             seen = {}
             watched.append((workspace, [s.name for s in specs if not s.persistent], seen))
@@ -193,7 +195,7 @@ class TestPoisonedScratch:
                 plan = InferencePlan.compile(net, spec, batch_rows=16)
                 session = InferenceSession(net, spec.name)
                 for seed, rows in enumerate(ROWS):
-                    with plan.workspaces.checkout() as workspace:
+                    with checked_out(plan.workspaces) as workspace:
                         poison(workspace)
                         assert np.isnan(workspace["cols1"]).all()
                     x = batch(rows, seed)
@@ -249,12 +251,12 @@ class TestOneArenaSetForEveryWidth:
         with dtype_policy(policy):
             for seed, (width, rows) in enumerate(runs):
                 plan = plans[width]
-                with plan.workspaces.checkout() as workspace:
+                with checked_out(plan.workspaces) as workspace:
                     poison(workspace)
                 x = batch(rows, seed)
                 np.testing.assert_array_equal(plan.run(x), InferenceSession(net, width).run(x))
         for plan in plans.values():
-            with plan.workspaces.checkout() as workspace:
+            with checked_out(plan.workspaces) as workspace:
                 padded = [step for step in plan._steps if step.padding]
                 assert {step.src for step in padded} == {"in0", "in1", "in2"}
                 for step in padded:
@@ -270,11 +272,17 @@ class TestOneArenaSetForEveryWidth:
             try:
                 plan = plans[width]
                 x = batch(16, seed)
-                with plan.workspaces.checkout() as workspace:
-                    held[width] = workspace
+                run = plan.begin(16)
+                try:
+                    held[width] = run.workspace
                     barrier.wait(timeout=10)  # both sets are checked out here
-                    got = plan._execute(workspace, (x,), 16)
+                    plan.scatter_input(run, x)
+                    for layer in range(len(plan._steps)):
+                        plan.run_layer(run, layer)
+                    got = plan.run_fc(run, include_bias=True).copy()
                     barrier.wait(timeout=10)
+                finally:
+                    plan.finish(run)
                 np.testing.assert_array_equal(got, InferenceSession(net, width).run(x))
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
@@ -369,7 +377,7 @@ class TestFootprint:
         for plan in plans.values():
             pool = plan.workspaces
             assert pool.workspace_nbytes == widest
-            with pool.checkout() as workspace:
+            with checked_out(pool) as workspace:
                 assert workspace.nbytes == widest
         assert plan.workspaces.shared.created == 1
         # ``occupied`` is what four per-width arena sets would hold, and at
@@ -394,10 +402,12 @@ class TestFootprint:
         assert [a.misses for a in after] == [b.misses for b in before]
         assert after[0].hits == before[0].hits + 1  # the set, placed once for all widths
 
-    def test_a_pool_without_workspaces_computes_no_placement(self, net):
-        before = buffer_layouts.cache_info(), buffer_layout.cache_info()
+    def test_a_pool_places_its_set_at_construction(self, net):
+        """So a pool built with no arena set before a fork (a process-backend
+        frontend's) leaves each forked worker no placement to compute."""
+        before = buffer_layouts.cache_info()
         (plan,) = compile_width_plans(net, ["lower50"], batch_rows=7, workspaces=0).values()
-        assert (buffer_layouts.cache_info(), buffer_layout.cache_info()) == before
-        plan.run(batch(7))  # the first checkout is the first to ask
-        after = buffer_layouts.cache_info()
-        assert after.hits + after.misses == before[0].hits + before[0].misses + 1
+        built = buffer_layouts.cache_info(), buffer_layout.cache_info()
+        assert built[0].hits + built[0].misses == before.hits + before.misses + 1
+        plan.run(batch(7))  # the first checkout computes no placement
+        assert (buffer_layouts.cache_info(), buffer_layout.cache_info()) == built

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.nn.workspace import BufferSpec, WorkspacePool, buffer_layout, buffer_layouts
+from tests.nn.arenas import checked_out
 
 SPECS = [
     BufferSpec("a", (4, 3), "float32"),
@@ -166,7 +167,7 @@ class TestWorkspacePool:
         pool = WorkspacePool(SPECS, prealloc=1)
         seen = set()
         for _ in range(10):
-            with pool.checkout() as ws:
+            with checked_out(pool) as ws:
                 seen.add(id(ws))
         assert len(seen) == 1
         assert pool.created == 1
@@ -180,7 +181,7 @@ class TestWorkspacePool:
         pool.release(a)
         pool.release(b)
         for _ in range(5):
-            with pool.checkout():
+            with checked_out(pool):
                 pass
         assert pool.created == 2  # steady state: no further allocations
 
@@ -192,7 +193,7 @@ class TestWorkspacePool:
 
         def worker():
             barrier.wait()
-            with pool.checkout() as ws:
+            with checked_out(pool) as ws:
                 with lock:
                     ids.append(id(ws))
                 barrier.wait()  # hold until everyone checked out
@@ -214,7 +215,7 @@ class TestWorkspaceNbytes:
         pool = WorkspacePool(specs, prealloc=1)
         expected = 4 * 8 * 8 + 16 * 4
         assert pool.workspace_nbytes == expected
-        with pool.checkout() as ws:
+        with checked_out(pool) as ws:
             assert ws.nbytes == expected
 
 
@@ -234,9 +235,9 @@ class TestSharedPool:
         narrow, wide = _width(2), _width(5)
         pool = WorkspacePool(narrow, wide)
         readers = [pool.for_layout(0), pool.for_layout(1)]
-        with readers[0].checkout() as a:
+        with checked_out(readers[0]) as a:
             pass
-        with readers[1].checkout() as b:
+        with checked_out(readers[1]) as b:
             pass
         assert pool.created == 1 and a.persistent is b.persistent and a.scratch is b.scratch
         assert a["in0"].ctypes.data == b["in0"].ctypes.data
@@ -265,5 +266,5 @@ class TestSharedPool:
     def test_a_name_zeroed_in_one_layout_and_transient_in_another_is_fine(self):
         transient = [BufferSpec("in0", (4, 4), "float32", live=(0, 0))]
         pool = WorkspacePool(_width(2), transient)
-        with pool.for_layout(1).checkout() as ws:
+        with checked_out(pool.for_layout(1)) as ws:
             assert np.shares_memory(ws["in0"], ws.scratch)

@@ -6,9 +6,15 @@ import shlex
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
+from repro.experiments import paper
+from repro.nn.checkpoint import load_state
+from repro.training.recipes import train_family
+from repro.utils.rng import make_rng
 from repro.tuning.artifact import read_tuned_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -19,12 +25,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_train_args(self):
-        args = build_parser().parse_args(
-            ["train", "--family", "fluid", "--out", "m.npz", "--epochs", "2"]
-        )
-        assert args.family == "fluid"
-        assert args.epochs == 2
+    @pytest.mark.parametrize(
+        "flag", ["--seed=1", "--train-size=600", "--epochs=2", "--niters=1", "--lr=0.1"]
+    )
+    def test_train_args(self, flag, capsys):
+        """``train`` runs the paper record's one recipe: no flag changes it."""
+        args = build_parser().parse_args(["train", "--family", "fluid", "--out", "m.npz"])
+        assert (args.family, args.out) == ("fluid", "m.npz")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--family", "fluid", "--out", "m.npz", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed=1", "--test-size=200"])
+    def test_evaluate_args(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["evaluate", "--family", "fluid", "--weights", "m", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_family_rejected(self):
         with pytest.raises(SystemExit):
@@ -104,23 +120,32 @@ class TestSimulateCommand:
         assert "downtime: 5.0s" in out
 
 
-@pytest.mark.slow
 class TestTrainEvaluateRoundtrip:
-    def test_train_then_evaluate(self, tmp_path, capsys):
+    """``train`` and ``evaluate`` run the recipe ``REPRO.json`` records."""
+
+    def test_train_writes_the_recorded_model_and_evaluate_reads_it_back(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The record's recipe on fewer images, as the ``fig2`` command test runs it.
+        monkeypatch.setattr(paper, "FIG2_DATA", SynthMNISTConfig(num_train=64, num_test=32, seed=0))
         path = str(tmp_path / "model.npz")
-        code = main(
-            [
-                "train", "--family", "fluid", "--out", path,
-                "--train-size", "600", "--epochs", "1", "--niters", "1",
-            ]
+        assert main(["train", "--family", "fluid", "--out", path]) == 0
+        trained = capsys.readouterr().out
+        train_set, _ = load_synth_mnist(paper.FIG2_DATA)
+        want, _ = train_family(
+            "fluid", train_set, rng=make_rng(paper.FIG2_SEED), config=paper.FIG2_RECIPE
         )
-        assert code == 0
-        code = main(
-            ["evaluate", "--family", "fluid", "--weights", path, "--test-size", "200"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "upper50" in out and "standalone" in out
+        got = load_state(path)
+        assert sorted(got) == sorted(want.state_dict())
+        for name, array in want.state_dict().items():
+            np.testing.assert_array_equal(got[name], array)
+
+        assert main(["evaluate", "--family", "fluid", "--weights", path]) == 0
+        evaluated = capsys.readouterr().out
+        accuracies = re.compile(r"^  (\w+) +([0-9.]+)", re.M)
+        assert accuracies.findall(evaluated) == accuracies.findall(trained)
+        assert len(accuracies.findall(trained)) == len(want.width_spec.all_specs())
+        assert "upper50" in evaluated and "standalone" in evaluated
 
 
 class TestReplayCommand:
