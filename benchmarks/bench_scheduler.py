@@ -113,8 +113,11 @@ def main(argv=None) -> int:
     model = fluid_model()
     # Live outcomes ride the wall clock: on a shared runner a transient
     # hiccup burns a retry, not the run.
-    for _ in range(3):
+    for attempt in range(3):
         report = run_scheduler_comparison(model)
+        print(f"  attempt {attempt}: " + "  ".join(
+            f"{label} {report[label]['outcomes']}" for label in ("fixed_widest", "scheduler")
+        ), flush=True)
         if beats_fixed_widest(report):
             break
     else:

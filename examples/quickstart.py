@@ -10,8 +10,7 @@ Takes about a minute on a laptop.
 
 from repro.data.synth_mnist import SynthMNISTConfig, load_synth_mnist
 from repro.device.cost import subnet_flops, subnet_param_count
-from repro.training.recipes import RecipeConfig, train_fluid
-from repro.training.trainer import TrainConfig
+from repro.training.recipes import RecipeConfig, train_family
 from repro.utils.rng import make_rng
 
 
@@ -20,11 +19,8 @@ def main() -> None:
     train_set, test_set = load_synth_mnist(SynthMNISTConfig(num_train=3000, num_test=800, seed=0))
 
     print("Training a Fluid DyDNN with nested incremental training (Algorithm 1)...")
-    config = RecipeConfig(
-        stage=TrainConfig(epochs=1, batch_size=64, lr=0.05, momentum=0.9),
-        niters=2,
-    )
-    model, history = train_fluid(train_set, rng=make_rng(42), config=config)
+    config = RecipeConfig(epochs=1, niters=2)
+    model, history = train_family("fluid", train_set, rng=make_rng(42), config=config)
     print(f"  trained through {len(history)} stage-epochs: {history.stages()}\n")
 
     print(f"{'sub-network':12s} {'accuracy':>9s} {'params':>8s} {'FLOPs':>9s}  standalone?")

@@ -20,8 +20,7 @@ from repro.distributed.throughput import SystemThroughputModel
 from repro.engine.endpoints import EndpointUnavailable
 from repro.engine.modes import MASTER, WORKER
 from repro.engine.plan import ha_plan, ht_plan, solo_plan
-from repro.training.recipes import RecipeConfig, train_fluid
-from repro.training.trainer import TrainConfig
+from repro.training.recipes import RecipeConfig, train_family
 from repro.utils.rng import make_rng
 
 
@@ -32,8 +31,8 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def main() -> None:
     print("Training a small Fluid DyDNN...")
     train_set, test_set = load_synth_mnist(SynthMNISTConfig(num_train=2000, num_test=400, seed=1))
-    config = RecipeConfig(stage=TrainConfig(epochs=1, lr=0.05), niters=2)
-    model, _ = train_fluid(train_set, rng=make_rng(3), config=config)
+    config = RecipeConfig(epochs=1, niters=2)
+    model, _ = train_family("fluid", train_set, rng=make_rng(3), config=config)
     ws = model.width_spec
     # The profiles LocalCluster's master and worker processes run.
     throughput = SystemThroughputModel(

@@ -32,13 +32,10 @@ class SynthMNISTConfig:
     num_train: int = 8000
     num_test: int = 2000
     seed: int = 0
-    image_size: int = IMAGE_SIZE
 
     def __post_init__(self) -> None:
         if self.num_train <= 0 or self.num_test <= 0:
             raise ValueError("dataset sizes must be positive")
-        if self.image_size < 24:
-            raise ValueError("image_size must be at least 24 to fit the glyphs")
 
 
 @lru_cache(maxsize=None)
@@ -53,16 +50,15 @@ def render_digit(
     digit: int,
     rng: np.random.Generator,
     transform: Optional[Compose] = None,
-    image_size: int = IMAGE_SIZE,
 ) -> np.ndarray:
-    """Render one distorted digit image in [0, 1] of shape (image_size, image_size)."""
+    """Render one distorted digit image in [0, 1] of shape ``(IMAGE_SIZE, IMAGE_SIZE)``."""
     check_rng(rng, "render_digit")
     if not 0 <= digit < NUM_CLASSES:
         raise ValueError(f"digit must be in 0..9, got {digit}")
     art = _glyph_art()[digit]
-    canvas = np.zeros((image_size, image_size))
-    top = (image_size - art.shape[0]) // 2
-    left = (image_size - art.shape[1]) // 2
+    canvas = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
+    top = (IMAGE_SIZE - art.shape[0]) // 2
+    left = (IMAGE_SIZE - art.shape[1]) // 2
     canvas[top : top + art.shape[0], left : left + art.shape[1]] = art
     if transform is None:
         transform = default_augmentation()
@@ -73,11 +69,10 @@ def generate_images(
     num: int,
     rng: np.random.Generator,
     transform: Optional[Compose] = None,
-    image_size: int = IMAGE_SIZE,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Generate ``num`` images with balanced class labels.
 
-    Returns ``(images, labels)`` with images ``(num, 1, S, S)``.
+    Returns ``(images, labels)`` with images ``(num, 1, IMAGE_SIZE, IMAGE_SIZE)``.
     """
     check_rng(rng, "generate_images")
     if num <= 0:
@@ -85,9 +80,9 @@ def generate_images(
     if transform is None:
         transform = default_augmentation()
     labels = rng.integers(0, NUM_CLASSES, size=num)
-    images = np.empty((num, 1, image_size, image_size))
+    images = np.empty((num, 1, IMAGE_SIZE, IMAGE_SIZE))
     for i, digit in enumerate(labels):
-        images[i, 0] = render_digit(int(digit), rng, transform, image_size)
+        images[i, 0] = render_digit(int(digit), rng, transform)
     return images, labels.astype(np.int64)
 
 
@@ -99,6 +94,6 @@ def load_synth_mnist(
     train_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     test_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     transform = default_augmentation()
-    train = ArrayDataset(*generate_images(cfg.num_train, train_rng, transform, cfg.image_size))
-    test = ArrayDataset(*generate_images(cfg.num_test, test_rng, transform, cfg.image_size))
+    train = ArrayDataset(*generate_images(cfg.num_train, train_rng, transform))
+    test = ArrayDataset(*generate_images(cfg.num_test, test_rng, transform))
     return train, test

@@ -43,28 +43,21 @@ from repro.engine.plan import solo_plan
 from repro.experiments.calibration import PAPER_FIG2, PAPER_HT_VS_DYNAMIC, PAPER_HT_VS_STATIC
 from repro.experiments.fig2 import fig2_plans, plan_accuracy
 from repro.models.base import ModelFamily
-from repro.models.fluid_dydnn import FluidDyDNN
 from repro.models.zoo import build_model
-from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import WidthSpec
-from repro.training.incremental import IncrementalTrainer
-from repro.training.nested_incremental import NestedIncrementalTrainer, NestedTrainConfig
-from repro.training.recipes import RecipeConfig, train_family
-from repro.training.trainer import TrainConfig
+from repro.training.recipes import RecipeConfig, incremental_pass, train_family, train_incremental
 from repro.utils.rng import make_rng
 
 FAMILIES = ("static", "dynamic", "fluid")
 
 #: The Fig. 2 recipe.
 FIG2_DATA = SynthMNISTConfig(num_train=4000, num_test=1000, seed=0)
-FIG2_RECIPE = RecipeConfig(
-    stage=TrainConfig(epochs=1, batch_size=64, lr=0.05, momentum=0.9), niters=2
-)
+FIG2_RECIPE = RecipeConfig(epochs=1, niters=2)
 FIG2_SEED = 7
 
-#: The training ablations share one (smaller) dataset and stage config.
+#: The training ablations share one (smaller) dataset and epochs per stage.
 ABLATION_DATA = SynthMNISTConfig(num_train=2500, num_test=600, seed=2)
-ABLATION_STAGE = TrainConfig(epochs=1, lr=0.05)
+ABLATION_EPOCHS = 1
 
 COMM_SCALES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 SPLITS = (2, 4, 6, 8, 10, 12, 14)
@@ -178,9 +171,8 @@ def analytic_facts() -> dict:
 
 
 def _nested(model, train_set, niters: int):
-    NestedIncrementalTrainer().fit(
-        model, train_set, NestedTrainConfig(base=ABLATION_STAGE, niters=niters),
-        rng=make_rng(1),
+    train_incremental(
+        model, train_set, RecipeConfig(epochs=ABLATION_EPOCHS, niters=niters), rng=make_rng(1)
     )
     return model
 
@@ -195,13 +187,12 @@ def training_ablations() -> dict:
     print("ablations: dynamic-only (same budget, no upper phase)")
     dynamic = build_model("dynamic", rng=make_rng(0))
     for i in range(2):
-        IncrementalTrainer().fit(
-            dynamic, train_set, ABLATION_STAGE.scaled_lr(0.5**i), rng=make_rng(1),
-            stage_prefix=f"iter{i}/",
-        )
+        # Each iteration starts its own stream, where train_incremental
+        # continues one: the record was taken this way.
+        incremental_pass(dynamic, train_set, ABLATION_EPOCHS, i, rng=make_rng(1))
     print("ablations: fluid with a two-member family")
     two = WidthSpec(max_width=16, lower_widths=(8, 16), split=8, num_convs=3)
-    coarse = _nested(FluidDyDNN(SlimmableConvNet(two, rng=make_rng(0))), train_set, 2)
+    coarse = _nested(build_model("fluid", two, rng=make_rng(0)), train_set, 2)
     return {
         "data": _data_fact(ABLATION_DATA),
         "subnet_accuracy": {

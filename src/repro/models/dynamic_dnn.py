@@ -9,12 +9,8 @@ system, as in the paper's Fig. 1c.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.models.base import ModelFamily
 from repro.slimmable.slim_net import SlimmableConvNet
-from repro.slimmable.spec import WidthSpec, paper_width_spec
-from repro.utils.rng import check_rng
 
 
 class DynamicDNN(ModelFamily):
@@ -25,15 +21,3 @@ class DynamicDNN(ModelFamily):
     def __init__(self, net: SlimmableConvNet) -> None:
         lower = [spec.name for spec in net.width_spec.lower_family()]
         super().__init__(net, certified_standalone=lower, certified_combined=lower)
-
-    @classmethod
-    def create(
-        cls,
-        width_spec: WidthSpec = None,
-        *,
-        rng: np.random.Generator,
-        **net_kwargs,
-    ) -> "DynamicDNN":
-        check_rng(rng, "DynamicDNN.create")
-        spec = width_spec or paper_width_spec()
-        return cls(SlimmableConvNet(spec, rng=rng, **net_kwargs))

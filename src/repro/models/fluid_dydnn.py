@@ -3,7 +3,7 @@
 On top of the Dynamic DNN's nested lower sub-networks, the *upper* slices
 (upper-25% = channels 50–75%, upper-50% = channels 50–100%) are fine-tuned
 by nested incremental training (Algorithm 1, implemented in
-:mod:`repro.training.nested_incremental`) to run standalone while remaining
+:mod:`repro.training.recipes`) to run standalone while remaining
 combinable with the lower 50% into the 75%/100% models.  Every sub-network
 is therefore standalone-certified: either device survives alone, and with
 both devices online the system can run High-Throughput mode (two
@@ -13,12 +13,8 @@ combined 100% model on the same input).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.models.base import ModelFamily
 from repro.slimmable.slim_net import SlimmableConvNet
-from repro.slimmable.spec import WidthSpec, paper_width_spec
-from repro.utils.rng import check_rng
 
 
 class FluidDyDNN(ModelFamily):
@@ -34,18 +30,6 @@ class FluidDyDNN(ModelFamily):
             certified_standalone=lower + upper,
             certified_combined=lower,
         )
-
-    @classmethod
-    def create(
-        cls,
-        width_spec: WidthSpec = None,
-        *,
-        rng: np.random.Generator,
-        **net_kwargs,
-    ) -> "FluidDyDNN":
-        check_rng(rng, "FluidDyDNN.create")
-        spec = width_spec or paper_width_spec()
-        return cls(SlimmableConvNet(spec, rng=rng, **net_kwargs))
 
     def independent_pair(self) -> tuple:
         """The (lower, upper) sub-network names used by High-Throughput mode.

@@ -7,12 +7,8 @@ certified to run standalone — the paper's Fig. 1b/1c failure cases.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.models.base import ModelFamily
 from repro.slimmable.slim_net import SlimmableConvNet
-from repro.slimmable.spec import WidthSpec, paper_width_spec
-from repro.utils.rng import check_rng
 
 
 class StaticDNN(ModelFamily):
@@ -23,15 +19,3 @@ class StaticDNN(ModelFamily):
     def __init__(self, net: SlimmableConvNet) -> None:
         full = net.width_spec.full().name
         super().__init__(net, certified_standalone=(), certified_combined=(full,))
-
-    @classmethod
-    def create(
-        cls,
-        width_spec: WidthSpec = None,
-        *,
-        rng: np.random.Generator,
-        **net_kwargs,
-    ) -> "StaticDNN":
-        check_rng(rng, "StaticDNN.create")
-        spec = width_spec or paper_width_spec()
-        return cls(SlimmableConvNet(spec, rng=rng, **net_kwargs))

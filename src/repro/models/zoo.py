@@ -10,6 +10,7 @@ from repro.models.base import ModelFamily
 from repro.models.dynamic_dnn import DynamicDNN
 from repro.models.fluid_dydnn import FluidDyDNN
 from repro.models.static_dnn import StaticDNN
+from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import WidthSpec, paper_width_spec
 
 FAMILIES: Dict[str, Type[ModelFamily]] = {
@@ -24,9 +25,8 @@ def build_model(
     width_spec: WidthSpec = None,
     *,
     rng: np.random.Generator,
-    **net_kwargs,
 ) -> ModelFamily:
     """Build an untrained model of the given family (``static|dynamic|fluid``)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
-    return FAMILIES[family].create(width_spec or paper_width_spec(), rng=rng, **net_kwargs)
+    return FAMILIES[family](SlimmableConvNet(width_spec or paper_width_spec(), rng=rng))

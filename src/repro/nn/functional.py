@@ -53,8 +53,8 @@ def sliding_windows(
 ) -> np.ndarray:
     """Read-only ``(N, C, out_h, out_w, kh, kw)`` window view of ``x``.
 
-    The one copy of the stride arithmetic behind im2col (both variants)
-    and window pooling — keep it that way: the compiled plans' bitwise
+    The one copy of the stride arithmetic behind the im2col gather and
+    window pooling — keep it that way: the compiled plans' bitwise
     equality with the eager path rests on both reading windows through
     identical views.
     """
@@ -80,24 +80,18 @@ def im2col(
 
     Returns:
         ``(cols, (out_h, out_w))`` where ``cols`` has shape
-        ``(N * out_h * out_w, C * kh * kw)``.
+        ``(N * out_h * out_w, C * kh * kw)``.  The gather is
+        :func:`im2col_into` over a zero-padded copy of ``x``, so training
+        and serving share one.
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    out_h = conv_out_size(h, kh, stride, padding)
-    out_w = conv_out_size(w, kw, stride, padding)
-
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    windows = sliding_windows(x, kh, kw, stride, out_h, out_w)
-    # -> (N, out_h, out_w, C, kh, kw) -> (N*out_h*out_w, C*kh*kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    # The reshape of the transposed strided view almost always had to copy
-    # (and that copy is C-contiguous); only the rare viewable cases (e.g.
-    # 1x1 kernels) still need an explicit contiguous conversion.
-    if not cols.flags.c_contiguous:
-        cols = np.ascontiguousarray(cols)
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    out_h = conv_out_size(h, kh, stride, 0)
+    out_w = conv_out_size(w, kw, stride, 0)
+    cols = np.empty((n * out_h * out_w, c * kh * kw), dtype=x.dtype)
+    im2col_into(x, kernel, stride, cols, np.empty((c * kh * kw, out_h * out_w), dtype=x.dtype))
     return cols, (out_h, out_w)
 
 
@@ -108,7 +102,7 @@ def im2col_into(
     out: np.ndarray,
     stage: np.ndarray,
 ) -> Tuple[int, int]:
-    """Allocation-free :func:`im2col` for pre-padded inputs.
+    """The one im2col gather, allocation-free, for pre-padded inputs.
 
     ``x`` must already include any zero padding (compiled plans keep a
     persistent padded arena buffer whose border never changes).  ``out`` is
@@ -117,8 +111,7 @@ def im2col_into(
     K-major into ``stage`` — the copy's inner axis runs along output
     columns, not along a ``kw``-element kernel row — and ``stage``'s
     transpose is then copied into the image's rows of ``out``.  Only copies,
-    so ``out`` holds exactly :func:`im2col`'s bytes; the call allocates
-    nothing.  Returns ``(out_h, out_w)``.
+    and the call allocates nothing.  Returns ``(out_h, out_w)``.
     """
     n, c, h, w = x.shape
     kh, kw = kernel

@@ -1,52 +1,48 @@
-"""Stochastic gradient descent with optional momentum and weight decay."""
+"""Stochastic gradient descent with optional momentum.
+
+Steps consume ``Parameter.effective_grad()`` (the gradient after the freeze
+mask), so incremental training's per-slice freezing needs nothing here.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, List
 
 import numpy as np
 
-from repro.nn.optim.base import Optimizer
 from repro.nn.parameter import Parameter
 
 
-class SGD(Optimizer):
+class SGD:
     """SGD with classical momentum.
 
     Update rule (per parameter)::
 
-        g = grad + weight_decay * w
-        v = momentum * v + g
+        v = momentum * v + grad
         w = w - lr * v
     """
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
+    def __init__(self, params: Iterable[Parameter], lr: float, momentum: float = 0.0) -> None:
+        self.params: List[Parameter] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received no parameters")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+        self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         for p, v in zip(self.params, self._velocity):
             if not p.requires_grad:
                 continue
             grad = p.effective_grad()
-            if self.weight_decay:
-                # Respect the freeze mask for the decay term too.
-                decay = self.weight_decay * p.data
-                if p.grad_mask is not None:
-                    decay = decay * p.grad_mask
-                grad = grad + decay
             if self.momentum:
                 v *= self.momentum
                 v += grad

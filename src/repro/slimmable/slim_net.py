@@ -15,7 +15,7 @@ a forward with no binding runs the full-width network.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,11 @@ from repro.slimmable.spec import ChannelSlice, SubNetSpec, WidthSpec
 from repro.slimmable.sliced_conv import SlicedConv2d
 from repro.slimmable.sliced_linear import SlicedLinear
 from repro.utils.rng import check_rng
+
+IN_CHANNELS = 1
+NUM_CLASSES = 10
+#: Conv layers followed by a 2x2 max pool.
+POOL_AFTER = (0, 1)
 
 
 class SlimmableConvNet(Module):
@@ -48,19 +53,14 @@ class SlimmableConvNet(Module):
         self,
         width_spec: WidthSpec,
         *,
-        in_channels: int = 1,
         image_size: int = 28,
-        num_classes: int = 10,
-        pool_after: Sequence[int] = (0, 1),
         rng: np.random.Generator,
     ) -> None:
         super().__init__()
         check_rng(rng, "SlimmableConvNet")
         self.width_spec = width_spec
-        self.in_channels = in_channels
+        self.in_channels = IN_CHANNELS
         self.image_size = image_size
-        self.num_classes = num_classes
-        self.pool_after = tuple(pool_after)
 
         w = width_spec.max_width
         self.convs: List[SlicedConv2d] = []
@@ -68,7 +68,7 @@ class SlimmableConvNet(Module):
         self.pools: Dict[int, MaxPool2d] = {}
         for i in range(width_spec.num_convs):
             conv = SlicedConv2d(
-                in_channels if i == 0 else w,
+                IN_CHANNELS if i == 0 else w,
                 w,
                 kernel_size=3,
                 padding=1,
@@ -80,7 +80,7 @@ class SlimmableConvNet(Module):
             relu = ReLU()
             self.register_module(f"relu{i}", relu)
             self.relus.append(relu)
-            if i in self.pool_after:
+            if i in POOL_AFTER:
                 pool = MaxPool2d(2)
                 self.register_module(f"pool{i}", pool)
                 self.pools[i] = pool
@@ -93,7 +93,7 @@ class SlimmableConvNet(Module):
             raise ValueError("too much pooling for the given image size")
         self.feature_spatial = spatial * spatial
         self.flatten = Flatten()
-        self.classifier = SlicedLinear(w * self.feature_spatial, num_classes, rng=rng)
+        self.classifier = SlicedLinear(w * self.feature_spatial, NUM_CLASSES, rng=rng)
 
     # -- sub-network selection -------------------------------------------------
 

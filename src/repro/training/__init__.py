@@ -1,1 +1,1 @@
-"""Training algorithms: plain, incremental [3] and nested incremental (Alg. 1)."""
+"""Training: one SGD stage, and the recipe (Algorithm 1 for the slimmable families)."""

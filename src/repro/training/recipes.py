@@ -1,7 +1,29 @@
-"""End-to-end training recipes for the three model families.
+"""The training recipe: the paper's Algorithm 1 for the slimmable families,
+full-width training for the Static DNN.
 
-These are the exact procedures the experiment harness uses: one call per
-family, equalised training budget, deterministic per seed.
+Per iteration ``i`` of Algorithm 1, at learning rate ``LR * LR_DECAY**i``:
+
+1. (lines 2–5, the Dynamic DNN's incremental training, paper ref [3])
+   Train the lower family ``25% → 50% → 75% → 100%`` smallest-first.  After
+   a stage completes every weight it touched is frozen (per-parameter
+   masks), so the next, wider stage only trains its newly added channel
+   group.  "Copy trained weights to the next model" is a no-op: sub-network
+   views alias one shared weight store.
+2. (lines 6–10) Train the upper family ``upper 25% → upper 50%`` the same
+   way at ``UPPER_LR_SCALE`` of the iteration's rate, so the upper slices
+   become usable standalone.  Only the upper sub-networks the family
+   certifies standalone are trained: all of them for the Fluid DyDNN, none
+   for the Dynamic DNN, so one schedule serves both.  "Copy corresponding
+   weights from / back to the 100% model" is again aliasing.  Dead units
+   are revived before each upper stage (:mod:`repro.training.revival`).
+
+Retraining the upper blocks perturbs the combined 75%/100% models, so the
+whole schedule repeats for ``niters`` iterations ("we fine-tune all the
+models for multiple iterations").  The classifier bias stays trainable
+across stages (the head is shared by all sub-networks).  The Static DNN
+trains its full width for the lower pass's epoch budget, so accuracy
+comparisons are fair.  Deterministic per seed: the rng is consumed by the
+model's init, then per stage by revival and the shuffle.
 """
 
 from __future__ import annotations
@@ -13,108 +35,90 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.models.base import ModelFamily
-from repro.models.dynamic_dnn import DynamicDNN
-from repro.models.fluid_dydnn import FluidDyDNN
-from repro.models.static_dnn import StaticDNN
 from repro.models.zoo import build_model
-from repro.slimmable.spec import paper_width_spec
+from repro.slimmable.masks import RegionTracker
 from repro.training.history import History
-from repro.training.incremental import IncrementalTrainer
-from repro.training.nested_incremental import NestedIncrementalTrainer, NestedTrainConfig
-from repro.training.trainer import TrainConfig, Trainer
-from repro.utils.rng import check_rng
+from repro.training.revival import revive_dead_channels
+from repro.training.trainer import fit_stage
+
+LR = 0.05
+#: Learning-rate multiplier per Algorithm 1 iteration.
+LR_DECAY = 0.5
+#: The upper pass fine-tunes weights that already work in combined mode.
+UPPER_LR_SCALE = 0.5
 
 
 @dataclass(frozen=True)
 class RecipeConfig:
-    """Shared knobs for all three family recipes."""
+    """Epochs per stage, and Algorithm 1's iteration count."""
 
-    stage: TrainConfig = TrainConfig(epochs=2, batch_size=64, lr=0.05, momentum=0.9)
-    niters: int = 2
-    lr_decay: float = 0.5
+    epochs: int
+    niters: int
 
-    def nested(self) -> NestedTrainConfig:
-        return NestedTrainConfig(
-            base=self.stage, niters=self.niters, lr_decay=self.lr_decay
-        )
+    def __post_init__(self) -> None:
+        if self.epochs <= 0:
+            raise ValueError("epochs must be positive")
+        if self.niters <= 0:
+            raise ValueError("niters must be positive")
 
 
-def train_static(
+def incremental_pass(
+    model: ModelFamily,
     train_set: ArrayDataset,
+    epochs: int,
+    iteration: int,
     *,
     rng: np.random.Generator,
-    config: Optional[RecipeConfig] = None,
     val_set: Optional[ArrayDataset] = None,
-) -> Tuple[StaticDNN, History]:
-    """Train a Static DNN: plain full-width training.
-
-    The epoch budget is matched to the slimmable recipes' total so accuracy
-    comparisons are fair (paper trains each family to convergence).
-    """
-    check_rng(rng, "train_static")
-    cfg = config or RecipeConfig()
-    model = build_model("static", paper_width_spec(), rng=rng)
-    # Match the dynamic recipe's total stage count (4 lower stages x niters).
-    total_epochs = cfg.stage.epochs * 4 * cfg.niters
-    stage_cfg = TrainConfig(
-        epochs=total_epochs,
-        batch_size=cfg.stage.batch_size,
-        lr=cfg.stage.lr,
-        momentum=cfg.stage.momentum,
-        weight_decay=cfg.stage.weight_decay,
-    )
-    history = Trainer().fit(
-        model.full_view(), train_set, stage_cfg, rng=rng, val_set=val_set, stage="static/full"
-    )
-    return model, history
-
-
-def train_dynamic(
-    train_set: ArrayDataset,
-    *,
-    rng: np.random.Generator,
-    config: Optional[RecipeConfig] = None,
-    val_set: Optional[ArrayDataset] = None,
-) -> Tuple[DynamicDNN, History]:
-    """Train a Dynamic DNN with incremental training (paper ref [3]).
-
-    Runs ``niters`` incremental passes with decayed learning rate so its
-    budget matches the Fluid recipe's base phase.
-    """
-    check_rng(rng, "train_dynamic")
-    cfg = config or RecipeConfig()
-    model = build_model("dynamic", paper_width_spec(), rng=rng)
-    trainer = IncrementalTrainer()
+) -> History:
+    """One iteration of Algorithm 1: the lower pass, then the upper pass over
+    the upper sub-networks ``model`` certifies standalone.  Leaves no freeze
+    mask behind."""
+    net = model.net
+    decay = LR_DECAY**iteration
+    uppers = [
+        spec for spec in model.width_spec.upper_family()
+        if model.is_standalone_certified(spec.name)
+    ]
     history = History()
-    for iteration in range(cfg.niters):
-        stage_cfg = cfg.stage.scaled_lr(cfg.lr_decay**iteration)
-        history.extend(
-            trainer.fit(
-                model,
-                train_set,
-                stage_cfg,
-                rng=rng,
-                val_set=val_set,
-                stage_prefix=f"iter{iteration}/",
-            )
-        )
-    return model, history
+    for family, lr, revive in (
+        (model.width_spec.lower_family(), LR * decay, False),
+        (uppers, (LR * UPPER_LR_SCALE) * decay, True),
+    ):
+        # Freezing orders the stages inside one pass; each pass (and each
+        # iteration) may re-touch every region.
+        tracker = RegionTracker()
+        for spec in family:
+            if revive:
+                probe, _ = train_set[np.arange(min(128, len(train_set)))]
+                revive_dead_channels(net, spec, probe, rng, tracker)
+            net.apply_freeze(spec, tracker)
+            history.extend(fit_stage(
+                net.view(spec), train_set, epochs, lr,
+                rng=rng, val_set=val_set, stage=f"iter{iteration}/{spec.name}",
+            ))
+            for param, region in net.region_masks(spec):
+                if param is not net.classifier.bias:
+                    tracker.mark(param, region)
+    net.clear_freeze()
+    return history
 
 
-def train_fluid(
+def train_incremental(
+    model: ModelFamily,
     train_set: ArrayDataset,
+    config: RecipeConfig,
     *,
     rng: np.random.Generator,
-    config: Optional[RecipeConfig] = None,
     val_set: Optional[ArrayDataset] = None,
-) -> Tuple[FluidDyDNN, History]:
-    """Train a Fluid DyDNN with nested incremental training (Algorithm 1)."""
-    check_rng(rng, "train_fluid")
-    cfg = config or RecipeConfig()
-    model = build_model("fluid", paper_width_spec(), rng=rng)
-    trainer = NestedIncrementalTrainer()
-    history = trainer.fit(model, train_set, cfg.nested(), rng=rng, val_set=val_set)
-    return model, history
+) -> History:
+    """Algorithm 1: ``config.niters`` incremental passes over one rng stream."""
+    history = History()
+    for iteration in range(config.niters):
+        history.extend(incremental_pass(
+            model, train_set, config.epochs, iteration, rng=rng, val_set=val_set
+        ))
+    return history
 
 
 def train_family(
@@ -122,13 +126,15 @@ def train_family(
     train_set: ArrayDataset,
     *,
     rng: np.random.Generator,
-    config: Optional[RecipeConfig] = None,
+    config: RecipeConfig,
     val_set: Optional[ArrayDataset] = None,
 ) -> Tuple[ModelFamily, History]:
-    """Dispatch to the family-specific recipe (``static|dynamic|fluid``)."""
-    recipes = {"static": train_static, "dynamic": train_dynamic, "fluid": train_fluid}
-    if family not in recipes:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(recipes)}")
-    return recipes[family](
-        train_set, rng=rng, config=config, val_set=val_set
+    """Build and train one family (``static|dynamic|fluid``)."""
+    model = build_model(family, rng=rng)
+    if family != "static":
+        return model, train_incremental(model, train_set, config, rng=rng, val_set=val_set)
+    epochs = config.epochs * len(model.width_spec.lower_family()) * config.niters
+    history = fit_stage(
+        model.full_view(), train_set, epochs, LR, rng=rng, val_set=val_set, stage="static/full"
     )
+    return model, history

@@ -17,7 +17,6 @@ from repro.nn.shm import reap_orphaned_segments
 from repro.slimmable.slim_net import SlimmableConvNet
 from repro.slimmable.spec import WidthSpec, paper_width_spec
 from repro.training.recipes import RecipeConfig, train_family
-from repro.training.trainer import TrainConfig
 from repro.utils.rng import make_rng
 
 
@@ -62,10 +61,7 @@ def tiny_data():
 
 @pytest.fixture(scope="session")
 def tiny_recipe() -> RecipeConfig:
-    return RecipeConfig(
-        stage=TrainConfig(epochs=1, batch_size=64, lr=0.05, momentum=0.9),
-        niters=1,
-    )
+    return RecipeConfig(epochs=1, niters=1)
 
 
 @pytest.fixture(scope="session")

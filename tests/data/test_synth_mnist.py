@@ -90,8 +90,6 @@ class TestLoadSynthMnist:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthMNISTConfig(num_train=0)
-        with pytest.raises(ValueError):
-            SynthMNISTConfig(image_size=10)
 
     def test_classes_are_separable_by_template_matching(self):
         """The dataset must be learnable: nearest-mean-template classification

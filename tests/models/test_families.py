@@ -14,28 +14,28 @@ from repro.utils.rng import make_rng
 
 class TestCertifications:
     def test_static(self):
-        model = StaticDNN.create(rng=make_rng(0))
+        model = build_model("static", rng=make_rng(0))
         assert model.certified_standalone == ()
         assert model.certified_combined == ("lower100",)
 
     def test_dynamic(self):
-        model = DynamicDNN.create(rng=make_rng(0))
+        model = build_model("dynamic", rng=make_rng(0))
         assert model.certified_standalone == ("lower25", "lower50", "lower75", "lower100")
         assert "upper50" not in model.certified_standalone
 
     def test_fluid(self):
-        model = FluidDyDNN.create(rng=make_rng(0))
+        model = build_model("fluid", rng=make_rng(0))
         assert "upper25" in model.certified_standalone
         assert "upper50" in model.certified_standalone
         assert set(model.certified_combined) == {"lower25", "lower50", "lower75", "lower100"}
 
     def test_is_certified_helpers(self):
-        model = FluidDyDNN.create(rng=make_rng(0))
+        model = build_model("fluid", rng=make_rng(0))
         assert model.is_standalone_certified("upper50")
-        assert not StaticDNN.create(rng=make_rng(0)).is_standalone_certified("lower50")
+        assert not build_model("static", rng=make_rng(0)).is_standalone_certified("lower50")
 
     def test_fluid_independent_pair(self):
-        model = FluidDyDNN.create(rng=make_rng(0))
+        model = build_model("fluid", rng=make_rng(0))
         assert model.independent_pair() == ("lower50", "upper50")
 
 
@@ -80,7 +80,7 @@ class TestEvaluation:
     def test_state_dict_roundtrip(self, trained_models, tiny_data):
         _, test = tiny_data
         source = trained_models["fluid"]
-        clone = FluidDyDNN.create(rng=make_rng(99))
+        clone = build_model("fluid", rng=make_rng(99))
         clone.load_state_dict(source.state_dict())
         assert clone.evaluate("upper50", test) == pytest.approx(
             source.evaluate("upper50", test)

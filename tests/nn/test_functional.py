@@ -249,14 +249,25 @@ class TestIm2ColNoCopy:
 
 
 class TestFusedKernels:
-    def test_im2col_into_matches_im2col(self):
-        rng = make_rng(18)
-        x = rng.standard_normal((2, 3, 8, 8))
-        ref, (oh, ow) = F.im2col(x, (3, 3), 1, 0)
-        out = np.empty_like(ref)
-        got = F.im2col_into(x, (3, 3), 1, out, np.empty((3 * 3 * 3, oh * ow)))
-        assert got == (oh, ow)
-        np.testing.assert_array_equal(out, ref)
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 0), (3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0)])
+    def test_gather_matches_a_per_window_loop(self, kernel, stride, padding):
+        # F.im2col is F.im2col_into over a padded copy, so both are checked
+        # against windows sliced out one at a time.
+        x = make_rng(18).standard_normal((2, 3, 8, 7))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        oh = (8 + 2 * padding - kernel) // stride + 1
+        ow = (7 + 2 * padding - kernel) // stride + 1
+        windows = np.array([
+            padded[i, :, r * stride : r * stride + kernel, q * stride : q * stride + kernel].ravel()
+            for i in range(2) for r in range(oh) for q in range(ow)
+        ])
+        cols, out_hw = F.im2col(x, (kernel, kernel), stride, padding)
+        assert out_hw == (oh, ow)
+        np.testing.assert_array_equal(cols, windows)
+        out = np.full_like(windows, np.nan)
+        stage = np.full((3 * kernel * kernel, oh * ow), np.nan)
+        assert F.im2col_into(padded, (kernel, kernel), stride, out, stage) == (oh, ow)
+        np.testing.assert_array_equal(out, windows)
 
     def test_gemm_bias_matches_eager(self):
         rng = make_rng(19)

@@ -20,10 +20,13 @@ function, method or constructor is used when a call in ``src/repro``,
 ``*`` or ``**`` argument passes everything it could).  Calls match by the
 callee's last name component; a constructor is reached through its class,
 through a subclass without its own ``__init__``, through ``cls(...)`` in a
-class's body and through ``super().__init__``; a function or method that is
-handed around as a value (a callback, a dispatch table) counts as passed
-everything.  A parameter only tests pass becomes a constant in its body, or
-is listed in :data:`PARAM_EXEMPT`.
+class's body and through ``super().__init__``; a function, method or class
+that is handed around as a value (a callback, a dispatch table) counts as
+passed everything, as if called with ``**`` (a type test such as
+``isinstance`` hands nothing over).  A *frozen* dataclass's defaulted
+fields are its constructor's parameters; a mutable dataclass is state, not
+knobs.  A parameter only tests pass becomes a constant in its body, or is
+listed in :data:`PARAM_EXEMPT`.
 """
 
 import ast
@@ -190,6 +193,10 @@ PARAM_EXEMPT: Tuple[Tuple[Tuple[str, ...], str], ...] = (
      "harness: test_live's failover tests and test_protocol crash a worker mid-stream with it"),
     (("repro.faults.plan.single_fault(at_s)",),
      "harness: the device, monitor, controller and scenario tests script their failure time with it"),
+    (("repro.slimmable.slim_net.SlimmableConvNet(image_size)",),
+     "harness: test_slim_net gradient-checks every sub-network end to end on 8x8 inputs through it"),
+    (("repro.trace.scenarios.TraceSpec(params)",),
+     "harness: test_scenarios checks a generator's phase rates are parameters through it"),
     (("repro.nn.layers.pooling.MaxPool2d(stride)",),
      "harness: test_layers checks F.maxpool2d_forward/backward on overlapping windows through it"),
     (("repro.slimmable.sliced_conv.SlicedConv2d(stride)",),
@@ -207,19 +214,58 @@ PARAM_EXEMPT: Tuple[Tuple[Tuple[str, ...], str], ...] = (
 class _Callable:
     """One public function, method or constructor and its defaulted parameters."""
 
-    def __init__(self, qual: str, bare: str, node: ast.FunctionDef, bound: bool) -> None:
+    def __init__(self, qual: str, bare: str, defaulted: Dict[str, Optional[int]]) -> None:
         self.qual, self.bare = qual, bare
+        #: name -> positional index a caller fills it at (None: keyword-only)
+        self.defaulted = defaulted
+
+    @classmethod
+    def of_def(cls, qual: str, bare: str, node: ast.FunctionDef, bound: bool) -> "_Callable":
         args = node.args
         positional = args.posonlyargs + args.args
         first_default = len(positional) - len(args.defaults)
         shift = 1 if bound else 0
-        #: name -> positional index a caller fills it at (None: keyword-only)
-        self.defaulted: Dict[str, Optional[int]] = {
+        defaulted: Dict[str, Optional[int]] = {
             arg.arg: i - shift for i, arg in enumerate(positional) if i >= first_default
         }
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                self.defaulted[arg.arg] = None
+                defaulted[arg.arg] = None
+        return cls(qual, bare, defaulted)
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        if isinstance(d, ast.Call) and (
+            getattr(d.func, "id", None) == "dataclass" or getattr(d.func, "attr", None) == "dataclass"
+        ):
+            return any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in d.keywords
+            )
+    return False
+
+
+def dataclass_fields(node: ast.ClassDef) -> Dict[str, Optional[int]]:
+    """A frozen dataclass's defaulted fields: ``__init__`` parameters by
+    position.  ``ClassVar``s and ``field(init=False)`` are not parameters."""
+    defaulted: Dict[str, Optional[int]] = {}
+    position = 0
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        is_field = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+        keywords = {k.arg: k.value for k in value.keywords} if is_field else {}
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        if value is not None and (not is_field or {"default", "default_factory"} & set(keywords)):
+            defaulted[item.target.id] = position
+        position += 1
+    return defaulted
 
 
 def _is_bound(node: ast.FunctionDef) -> bool:
@@ -251,21 +297,26 @@ def _classes() -> Dict[str, Tuple[Tuple[str, ...], bool]]:
 
 
 def public_callables() -> Iterator[_Callable]:
-    """Every public function, method and constructor with a defaulted parameter."""
+    """Every public function, method and constructor with a defaulted
+    parameter; a frozen dataclass's defaulted fields are its constructor's.
+    (A mutable dataclass is state, not a bundle of knobs.)"""
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
         for node in _parse(path).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield _Callable(f"{module}.{node.name}", node.name, node, bound=False)
+                yield _Callable.of_def(f"{module}.{node.name}", node.name, node, bound=False)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                qual = f"{module}.{node.name}"
+                if _is_frozen_dataclass(node) and not _classes()[node.name][1]:
+                    yield _Callable(qual, node.name, dataclass_fields(node))
                 for item in node.body:
                     if not isinstance(item, ast.FunctionDef):
                         continue
                     if item.name == "__init__":
-                        yield _Callable(f"{module}.{node.name}", node.name, item, bound=True)
+                        yield _Callable.of_def(qual, node.name, item, bound=True)
                     elif not item.name.startswith("_"):
-                        yield _Callable(
-                            f"{module}.{node.name}.{item.name}", item.name, item, _is_bound(item)
+                        yield _Callable.of_def(
+                            f"{qual}.{item.name}", item.name, item, _is_bound(item)
                         )
 
 
@@ -322,8 +373,13 @@ class _Calls(ast.NodeVisitor):
                 self.values.add(node.attr)
 
     def visit_Call(self, node: ast.Call) -> None:
-        for name in self._callees(node.func):
+        callees = self._callees(node.func)
+        for name in callees:
             self.calls.setdefault(name, []).append(node)
+        if callees == ["isinstance"] or callees == ["issubclass"]:
+            # A type test hands the class to nobody who could construct it.
+            self.visit(node.args[0])
+            return
         self._handed(node.args + [k.value for k in node.keywords])
         self.generic_visit(node)
 
@@ -375,7 +431,7 @@ def unpassed_parameters() -> Tuple[str, ...]:
     out = []
     for callable_ in public_callables():
         is_class = callable_.qual.rsplit(".", 1)[-1] == callable_.bare and callable_.bare in classes
-        if not is_class and callable_.bare in index.values:
+        if callable_.bare in index.values:
             continue  # handed around as a value: whoever calls it may pass anything
         callees = _constructor_names(callable_.bare, classes) if is_class else {callable_.bare}
         calls = [c for name in callees for c in index.calls.get(name, [])]
@@ -442,6 +498,28 @@ class TestParameterCensus:
         classes = {"Base": ((), True), "Plain": (("Base",), False), "Own": (("Base",), True),
                    "Deeper": (("Plain",), False)}
         assert _constructor_names("Base", classes) == {"Base", "Plain", "Deeper"}
+
+    def test_a_frozen_dataclass_field_is_a_parameter_and_a_class_value_passes_all(self):
+        (frozen, mutable) = ast.parse(
+            "@dataclass(frozen=True)\n"
+            "class Knobs:\n"
+            "    name: str\n"
+            "    rate: float = 1.0\n"
+            "    limit: ClassVar[int] = 3\n"
+            "    cache: dict = field(init=False, default_factory=dict)\n"
+            "    tags: tuple = field(default_factory=tuple)\n"
+            "@dataclass\n"
+            "class State:\n"
+            "    count: int = 0\n"
+        ).body
+        assert _is_frozen_dataclass(frozen) and not _is_frozen_dataclass(mutable)
+        assert dataclass_fields(frozen) == {"rate": 1, "tags": 2}
+        calls = self.calls(
+            "TABLE = {'knobs': Knobs}\n"
+            "if isinstance(x, State):\n"
+            "    pass\n"
+        )
+        assert "Knobs" in calls.values and "State" not in calls.values
 
     def test_a_callable_handed_over_is_a_value_but_an_annotation_is_not(self):
         calls = self.calls(

@@ -42,8 +42,10 @@ OFF_SERVING_PATH = (
     "repro.nn.loss",
     "repro.nn.checkpoint",
     "repro.nn.optim",
-    "repro.nn.optim.base",
     "repro.nn.optim.sgd",
+    "repro.training.recipes",
+    "repro.training.revival",
+    "repro.training.trainer",
     "repro.trace.replay",
     "repro.trace.scenarios",
     "repro.runtime.controller",

@@ -1,78 +1,106 @@
-"""Tests for incremental training (the Dynamic DNN recipe, paper ref [3])."""
+"""Tests for incremental training's lower pass (the Dynamic DNN recipe, paper ref [3])."""
 
 import numpy as np
 import pytest
 
+from repro.data.dataset import ArrayDataset
+from repro.data.synth_mnist import IMAGE_SIZE
 from repro.models.zoo import build_model
-from repro.training.incremental import IncrementalTrainer
-from repro.training.trainer import TrainConfig
+from repro.training import recipes
+from repro.training.history import History
+from repro.training.recipes import (
+    LR,
+    LR_DECAY,
+    UPPER_LR_SCALE,
+    RecipeConfig,
+    incremental_pass,
+    train_incremental,
+)
 from repro.utils.rng import make_rng
+
+
+class TestPassSchedule:
+    """Which stages one pass runs, in which order, at which rate; the stage
+    itself is stubbed out."""
+
+    @pytest.mark.parametrize(
+        "family,uppers",
+        [("dynamic", ()), ("fluid", ("upper25", "upper50"))],
+        ids=["dynamic", "fluid"],
+    )
+    def test_stages_and_rates_of_a_second_iteration(self, family, uppers, monkeypatch):
+        calls = []
+
+        def record_stage(view, train_set, epochs, lr, *, rng, val_set, stage):
+            calls.append((stage, epochs, lr))
+            return History()
+
+        monkeypatch.setattr(recipes, "fit_stage", record_stage)
+        model = build_model(family, rng=make_rng(0))
+        rng = np.random.default_rng(3)
+        train = ArrayDataset(rng.random((16, 1, IMAGE_SIZE, IMAGE_SIZE)), np.arange(16) % 10)
+        incremental_pass(model, train, 3, 1, rng=make_rng(1))
+
+        lower = [(f"iter1/{s}", 3, LR * LR_DECAY) for s in ("lower25", "lower50", "lower75", "lower100")]
+        upper = [(f"iter1/{s}", 3, (LR * UPPER_LR_SCALE) * LR_DECAY) for s in uppers]
+        assert calls == lower + upper
+        assert all(p.grad_mask is None for p in model.net.parameters())
 
 
 @pytest.mark.slow
 class TestFreezingSemantics:
-    def test_earlier_subnet_weights_frozen_in_later_stages(self, tiny_data):
+    def test_earlier_subnet_weights_frozen_in_later_stages(self, tiny_data, monkeypatch):
         """After the 25% stage completes, the 25% region must never move."""
         train, _ = tiny_data
         model = build_model("dynamic", rng=make_rng(0))
         net = model.net
-        trainer = IncrementalTrainer()
-        config = TrainConfig(epochs=1, lr=0.05)
+        snapshots = {}
+        fit_stage = recipes.fit_stage
 
-        # Run the first stage manually, snapshot its region, then let the
-        # full pass run the remaining stages and compare.
-        from repro.slimmable.masks import RegionTracker
+        def snapshot_after_lower25(view, *args, stage, **kwargs):
+            history = fit_stage(view, *args, stage=stage, **kwargs)
+            if stage == "iter0/lower25":
+                snapshots["conv0"] = net.convs[0].weight.data[:4, :1].copy()
+                snapshots["conv1"] = net.convs[1].weight.data[:4, :4].copy()
+                snapshots["fc_cols"] = net.classifier.weight.data[:, : 4 * 49].copy()
+            return history
 
-        tracker = RegionTracker()
-        spec25 = model.width_spec.find("lower25")
-        net.apply_freeze(spec25, tracker)
-        trainer.trainer.fit(net.view(spec25), train, config, rng=make_rng(1))
-        trainer._mark(net, spec25, tracker)
+        monkeypatch.setattr(recipes, "fit_stage", snapshot_after_lower25)
+        incremental_pass(model, train, 1, 0, rng=make_rng(1))
 
-        snapshot = {
-            "conv0": net.convs[0].weight.data[:4, :1].copy(),
-            "conv1": net.convs[1].weight.data[:4, :4].copy(),
-            "fc_cols": net.classifier.weight.data[:, : 4 * 49].copy(),
-        }
-        for spec_name in ("lower50", "lower75", "lower100"):
-            spec = model.width_spec.find(spec_name)
-            net.apply_freeze(spec, tracker)
-            trainer.trainer.fit(net.view(spec), train, config, rng=make_rng(2))
-            trainer._mark(net, spec, tracker)
-
-        np.testing.assert_array_equal(net.convs[0].weight.data[:4, :1], snapshot["conv0"])
-        np.testing.assert_array_equal(net.convs[1].weight.data[:4, :4], snapshot["conv1"])
+        np.testing.assert_array_equal(net.convs[0].weight.data[:4, :1], snapshots["conv0"])
+        np.testing.assert_array_equal(net.convs[1].weight.data[:4, :4], snapshots["conv1"])
         np.testing.assert_array_equal(
-            net.classifier.weight.data[:, : 4 * 49], snapshot["fc_cols"]
+            net.classifier.weight.data[:, : 4 * 49], snapshots["fc_cols"]
         )
 
     @pytest.fixture(scope="class")
     def fitted(self, tiny_data):
-        """One one-epoch fit, shared by the assertions below: ``(model, history)``."""
+        """One one-epoch pass, shared by the assertions below: ``(model, history)``."""
         train, _ = tiny_data
         model = build_model("dynamic", rng=make_rng(0))
-        history = IncrementalTrainer().fit(
-            model, train, TrainConfig(epochs=1, lr=0.05), rng=make_rng(1)
-        )
+        history = incremental_pass(model, train, 1, 0, rng=make_rng(1))
         return model, history
 
     def test_freeze_masks_cleared_after_fit(self, fitted):
         model, _ = fitted
         assert all(p.grad_mask is None for p in model.net.parameters())
 
-    def test_history_has_all_stages(self, fitted):
+    def test_history_has_only_the_lower_stages(self, fitted):
+        """The Dynamic DNN certifies no upper sub-network, so Algorithm 1
+        runs no upper stage for it."""
         _, history = fitted
-        assert history.stages() == ["lower25", "lower50", "lower75", "lower100"]
+        assert history.stages() == [f"iter0/{s}" for s in ("lower25", "lower50", "lower75", "lower100")]
 
 
 @pytest.mark.slow
 class TestLearnedBehaviour:
     @pytest.fixture(scope="class")
     def model(self, tiny_data):
-        """One two-epoch fit, shared by the assertions below."""
+        """One two-epoch pass, shared by the assertions below."""
         train, _ = tiny_data
         model = build_model("dynamic", rng=make_rng(0))
-        IncrementalTrainer().fit(model, train, TrainConfig(epochs=2, lr=0.05), rng=make_rng(1))
+        train_incremental(model, train, RecipeConfig(epochs=2, niters=1), rng=make_rng(1))
         return model
 
     def test_all_lower_subnets_beat_chance(self, model, tiny_data):

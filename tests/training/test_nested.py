@@ -1,27 +1,10 @@
-"""Tests for nested incremental training (Algorithm 1)."""
+"""Tests for nested incremental training (Algorithm 1) on the Fluid DyDNN."""
 
 import pytest
 
 from repro.models.zoo import build_model
-from repro.training.nested_incremental import NestedIncrementalTrainer, NestedTrainConfig
-from repro.training.trainer import TrainConfig
+from repro.training.recipes import LR, LR_DECAY, UPPER_LR_SCALE, RecipeConfig, train_incremental
 from repro.utils.rng import make_rng
-
-
-class TestNestedConfig:
-    def test_defaults(self):
-        cfg = NestedTrainConfig()
-        assert cfg.upper_config().lr == pytest.approx(cfg.base.lr * 0.5)
-
-    def test_explicit_upper(self):
-        cfg = NestedTrainConfig(upper=TrainConfig(lr=0.01))
-        assert cfg.upper_config().lr == 0.01
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NestedTrainConfig(niters=0)
-        with pytest.raises(ValueError):
-            NestedTrainConfig(lr_decay=0.0)
 
 
 @pytest.mark.slow
@@ -30,8 +13,9 @@ class TestAlgorithm1:
     def fluid_and_history(self, tiny_data):
         train, _ = tiny_data
         model = build_model("fluid", rng=make_rng(0))
-        config = NestedTrainConfig(base=TrainConfig(epochs=1, lr=0.05), niters=2)
-        history = NestedIncrementalTrainer().fit(model, train, config, rng=make_rng(1))
+        history = train_incremental(
+            model, train, RecipeConfig(epochs=1, niters=2), rng=make_rng(1)
+        )
         return model, history
 
     def test_stage_schedule_matches_algorithm(self, fluid_and_history):
@@ -41,11 +25,13 @@ class TestAlgorithm1:
         expected = [f"iter{i}/{s}" for i in range(2) for s in expected_per_iter]
         assert history.stages() == expected
 
-    def test_lr_decays_across_iterations(self, fluid_and_history):
+    def test_lr_decays_across_iterations_and_halves_for_the_upper_pass(self, fluid_and_history):
+        # The exact float expressions the recorded models were trained with.
         _, history = fluid_and_history
-        lr_iter0 = history.for_stage("iter0/lower25")[0].lr
-        lr_iter1 = history.for_stage("iter1/lower25")[0].lr
-        assert lr_iter1 == pytest.approx(lr_iter0 * 0.5)
+        for i in range(2):
+            assert history.for_stage(f"iter{i}/lower25")[0].lr == LR * LR_DECAY**i
+            assert history.for_stage(f"iter{i}/upper50")[0].lr == (LR * UPPER_LR_SCALE) * LR_DECAY**i
+        assert history.for_stage("iter1/lower25")[0].lr == pytest.approx(0.025)
 
     def test_upper_subnets_become_usable(self, fluid_and_history, tiny_data):
         """Algorithm 1's purpose: the upper slices work standalone."""
@@ -81,11 +67,10 @@ class TestWeightSharingDuringTraining:
         train, _ = tiny_data
         model = build_model("fluid", rng=make_rng(0))
         net = model.net
-        config = NestedTrainConfig(base=TrainConfig(epochs=1, lr=0.05), niters=1)
 
         # Train only the base phase by running the full algorithm with the
         # upper blocks snapshotted before.
         upper_block_before = net.convs[1].weight.data[8:, 8:].copy()
-        NestedIncrementalTrainer().fit(model, train, config, rng=make_rng(1))
+        train_incremental(model, train, RecipeConfig(epochs=1, niters=1), rng=make_rng(1))
         upper_block_after = net.convs[1].weight.data[8:, 8:]
         assert not (upper_block_before == upper_block_after).all()

@@ -2,9 +2,22 @@
 
 import pytest
 
-from repro.training.recipes import RecipeConfig, train_family
-from repro.training.trainer import TrainConfig
+from repro.training.recipes import LR, LR_DECAY, UPPER_LR_SCALE, RecipeConfig, train_family
 from repro.utils.rng import make_rng
+
+
+class TestRecipeConfig:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            RecipeConfig(epochs=0, niters=1)
+        with pytest.raises(ValueError):
+            RecipeConfig(epochs=1, niters=0)
+
+    def test_the_learning_rates_are_the_recorded_ones(self):
+        """The committed record's models were trained at these rates: the
+        lower pass at 0.05, halved per iteration, the upper pass at half the
+        lower pass's rate."""
+        assert (LR, LR_DECAY, UPPER_LR_SCALE) == (0.05, 0.5, 0.5)
 
 
 class TestRecipeBehaviour:
@@ -34,10 +47,10 @@ class TestRecipeBehaviour:
         for name in ("lower25", "lower50", "lower75", "lower100", "upper25", "upper50"):
             assert model.evaluate(name, test) > 0.4, name
 
-    def test_unknown_family_rejected(self, tiny_data):
+    def test_unknown_family_rejected(self, tiny_data, tiny_recipe):
         train, _ = tiny_data
         with pytest.raises(ValueError):
-            train_family("hybrid", train, rng=make_rng(0))
+            train_family("hybrid", train, rng=make_rng(0), config=tiny_recipe)
 
 
 @pytest.mark.slow
@@ -46,7 +59,7 @@ class TestBudgetFairness:
         """Static gets the same total epoch budget the slimmable recipes
         spend across stages, so accuracy comparisons are fair."""
         train, _ = tiny_data
-        cfg = RecipeConfig(stage=TrainConfig(epochs=1, lr=0.05), niters=2)
+        cfg = RecipeConfig(epochs=1, niters=2)
         _, static_history = train_family("static", train, rng=make_rng(0), config=cfg)
         _, dynamic_history = train_family("dynamic", train, rng=make_rng(0), config=cfg)
         static_epochs = len(static_history.records)
