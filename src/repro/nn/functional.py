@@ -14,7 +14,7 @@ pick that dtype from the global :class:`~repro.utils.dtypes.DtypePolicy`
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -91,92 +91,136 @@ def im2col(
     out_h = conv_out_size(h, kh, stride, 0)
     out_w = conv_out_size(w, kw, stride, 0)
     cols = np.empty((n * out_h * out_w, c * kh * kw), dtype=x.dtype)
-    im2col_into(x, kernel, stride, cols, np.empty((c * kh * kw, out_h * out_w), dtype=x.dtype))
+    stage = np.empty((c * kh * kw, out_h * out_w), dtype=x.dtype)
+    im2col_into(bind_im2col(x, kernel, stride, cols, stage))
     return cols, (out_h, out_w)
 
 
-def im2col_into(
+class Im2col(NamedTuple):
+    """One im2col gather bound to its buffers: every view :func:`im2col_into` reads."""
+
+    #: Per image: its ``(C, kh, kw, out_h, out_w)`` K-major window view of
+    #: the padded input, and its ``(out_h*out_w, C*kh*kw)`` rows of the columns.
+    images: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    #: The one-image stage as ``(C, kh, kw, out_h, out_w)``, and the same
+    #: bytes transposed to one image's ``(out_h*out_w, C*kh*kw)`` columns.
+    stage: np.ndarray
+    staged: np.ndarray
+
+
+def bind_im2col(
     x: np.ndarray,
     kernel: Tuple[int, int],
     stride: int,
     out: np.ndarray,
     stage: np.ndarray,
-) -> Tuple[int, int]:
-    """The one im2col gather, allocation-free, for pre-padded inputs.
+) -> Im2col:
+    """Bind the one im2col gather of a pre-padded ``x`` to ``out`` and ``stage``.
 
     ``x`` must already include any zero padding (compiled plans keep a
     persistent padded arena buffer whose border never changes).  ``out`` is
-    a contiguous ``(N*oh*ow, C*kh*kw)`` workspace buffer and ``stage`` a
-    contiguous one-image ``(C*kh*kw, oh*ow)`` one.  Each image is gathered
-    K-major into ``stage`` — the copy's inner axis runs along output
-    columns, not along a ``kw``-element kernel row — and ``stage``'s
-    transpose is then copied into the image's rows of ``out``.  Only copies,
-    and the call allocates nothing.  Returns ``(out_h, out_w)``.
+    a contiguous ``(N*oh*ow, C*kh*kw)`` buffer and ``stage`` a contiguous
+    one-image ``(C*kh*kw, oh*ow)`` one; both must be views of memory that
+    outlives the binding, since every view is built here, once.  A compiled
+    plan binds each conv of each workspace once and gathers through the
+    binding on every run, so a run builds no view.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     out_h = conv_out_size(h, kh, stride, 0)
     out_w = conv_out_size(w, kw, stride, 0)
-    windows = sliding_windows(x, kh, kw, stride, out_h, out_w)
-    # stage is contiguous, so the 5-d reshape is a view.
-    kmajor = stage.reshape(c, kh, kw, out_h, out_w)
     rows = out_h * out_w
-    for i in range(n):
-        np.copyto(kmajor, windows[i].transpose(0, 3, 4, 1, 2))
-        np.copyto(out[i * rows : (i + 1) * rows], stage.T)
-    return out_h, out_w
+    if out.shape != (n * rows, c * kh * kw) or stage.shape != (c * kh * kw, rows):
+        raise ValueError(
+            f"im2col of {x.shape} with kernel {kernel}, stride {stride} needs columns "
+            f"{(n * rows, c * kh * kw)} and a stage {(c * kh * kw, rows)}, "
+            f"got {out.shape} and {stage.shape}"
+        )
+    if not (out.flags.c_contiguous and stage.flags.c_contiguous):
+        raise ValueError("im2col columns and stage must be C-contiguous")
+    # K-major: the copy's inner axis runs along output columns, not along a
+    # kw-element kernel row.
+    windows = sliding_windows(x, kh, kw, stride, out_h, out_w).transpose(0, 1, 4, 5, 2, 3)
+    return Im2col(
+        tuple(zip(windows, out.reshape(n, rows, c * kh * kw))),
+        stage.reshape(c, kh, kw, out_h, out_w),
+        stage.T,
+    )
 
 
-def gemm_bias(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fused ``x @ weight.T + bias`` written in place into ``out``.
+def im2col_into(gather: Im2col) -> None:
+    """The one im2col gather, allocation-free, over a :func:`bind_im2col` binding.
+
+    Each image is gathered K-major into the one-image stage, and the
+    stage's transpose is then copied into the image's rows of the columns.
+    Only copies, and the call builds no view and allocates nothing.
+    """
+    stage, staged = gather.stage, gather.staged
+    for windows, rows in gather.images:
+        np.copyto(stage, windows)
+        np.copyto(rows, staged)
+
+
+def gemm_bias(
+    x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fused ``x @ weight_t + bias`` written in place into ``out``.
 
     The linear epilogue of a compiled plan: one BLAS GEMM into an arena
     buffer followed by an in-place broadcast bias add — bitwise identical
-    to the eager ``x @ w.T + b`` but with zero temporaries.
+    to the eager ``x @ w.T + b`` (``weight_t`` is that ``w.T`` view) but
+    with zero temporaries.
     """
-    np.dot(x, weight.T, out=out)
+    np.dot(x, weight_t, out=out)
     out += bias
     return out
 
 
 def gemm_bias_relu(
-    cols: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray
+    cols: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Fused conv epilogue: GEMM -> bias -> ReLU, all in place into ``out``.
 
-    Operates on the im2col/GEMM layout ``(rows, C_out)``; ReLU commutes
-    with the later NHWC->NCHW transpose, so applying it here is bitwise
-    identical to the eager conv -> ReLU sequence.
+    Operates on the im2col/GEMM layout ``(rows, C_out)``, ``weight_t``
+    being the ``(C_in*kh*kw, C_out)`` transposed view of the weight matrix;
+    ReLU commutes with the later NHWC->NCHW transpose, so applying it here
+    is bitwise identical to the eager conv -> ReLU sequence.
     """
-    np.dot(cols, weight.T, out=out)
+    np.dot(cols, weight_t, out=out)
     out += bias
     np.maximum(out, 0.0, out=out)
     return out
 
 
-def maxpool2d_into(x: np.ndarray, kernel: int, stride: int, out: np.ndarray) -> np.ndarray:
-    """Allocation-free inference max pooling: window max written into ``out``.
+def pool_windows(x: np.ndarray, kernel: int, stride: int) -> Tuple[np.ndarray, ...]:
+    """The ``kernel**2`` strided views of ``x``, one per window offset.
 
-    Folds the window as ``kernel**2`` pairwise in-place ``np.maximum``
-    passes over strided offset views — no flattened window copy, no index
-    bookkeeping, and each pass is a simple 4-d elementwise kernel (an
-    order of magnitude faster than a strided window reduction).  Max is
-    exact, so the result is bitwise identical to the eager
-    reshape-then-max path regardless of fold order.
+    Each is ``(N, C, out_h, out_w)``: offset ``(i, j)`` of every window.
+    Their elementwise max is the max pool of ``x`` (:func:`maxpool2d_into`).
     """
     n, c, h, w = x.shape
     out_h = conv_out_size(h, kernel, stride, 0)
     out_w = conv_out_size(w, kernel, stride, 0)
-    np.copyto(out, x[:, :, : 1 + stride * (out_h - 1) : stride, : 1 + stride * (out_w - 1) : stride])
-    for i in range(kernel):
-        for j in range(kernel):
-            if i == 0 and j == 0:
-                continue
-            shifted = x[
-                :, :, i : i + 1 + stride * (out_h - 1) : stride,
-                j : j + 1 + stride * (out_w - 1) : stride,
-            ]
-            np.maximum(out, shifted, out=out)
+    return tuple(
+        x[:, :, i : i + 1 + stride * (out_h - 1) : stride, j : j + 1 + stride * (out_w - 1) : stride]
+        for i in range(kernel)
+        for j in range(kernel)
+    )
+
+
+def maxpool2d_into(windows: Tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """Allocation-free inference max pooling: window max written into ``out``.
+
+    ``windows`` is :func:`pool_windows` of the input.  Folds them as
+    ``kernel**2 - 1`` pairwise in-place ``np.maximum`` passes — no
+    flattened window copy, no index bookkeeping, and each pass is a simple
+    4-d elementwise kernel (an order of magnitude faster than a strided
+    window reduction).  Max is exact, so the result is bitwise identical
+    to the eager reshape-then-max path regardless of fold order.
+    """
+    np.copyto(out, windows[0])
+    for shifted in windows[1:]:
+        np.maximum(out, shifted, out=out)
     return out
 
 
@@ -274,7 +318,7 @@ def maxpool2d_forward(
     out_w = conv_out_size(w, kernel, stride, 0)
     if not need_indices:
         out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-        return maxpool2d_into(x, kernel, stride, out), None
+        return maxpool2d_into(pool_windows(x, kernel, stride), out), None
     windows = sliding_windows(x, kernel, kernel, stride, out_h, out_w)
     flat = windows.reshape(n, c, out_h, out_w, kernel * kernel)
     argmax = flat.argmax(axis=-1)

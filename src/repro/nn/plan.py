@@ -23,16 +23,32 @@ all of that exactly once:
   kernels into a workspace checked out from the plan's
   :class:`~repro.nn.workspace.WorkspacePool` — one pool for all the widths
   :func:`compile_width_plans` compiles, each arena set sized to the widest
-  and read by every width through its own named views.  A warm run allocates no
-  array beyond the returned logits and retains nothing; NumPy's iterator
-  buffers (``gemm += bias``, ``maxpool2d_into``) are transient, ~76 KB at
-  1 row and ~194 KB at 16 rows of ``lower100`` under ``tracemalloc``.
+  and read by every width through its own named views;
+* each workspace keeps a *bound program* per (conv layer, row count): the
+  K-major window views of the padded input and the per-image rows of the
+  columns the gather copies between (:func:`~repro.nn.functional.bind_im2col`),
+  the leading-row slices of the columns and GEMM tile, the tile's NCHW
+  view and its pool-window views, the pooled tile and the destination's
+  interior rows.  It is built the first time that row count runs in the
+  workspace (at most layers x ``batch_rows`` of them, and a smaller batch
+  gathers through the full batch's per-image views), so a warm run builds
+  no view: no ``as_strided``, ``reshape`` or ``transpose``.  A warm run
+  allocates no array beyond the returned logits and retains nothing;
+  NumPy's iterator buffers (the bias adds, the pool's ``np.maximum``
+  passes) are transient, ~26 KB at 1 row and ~67 KB at 16 rows of
+  ``lower100`` under ``tracemalloc``.
 
 Every convolution is lowered the one way the eager layers lower it: an
 im2col gather into a column matrix, then one GEMM.  The gather runs per
 image through a one-image K-major staging buffer, and only copies, so a
 plan is **bitwise identical** to the eager path at every width and under
-both dtype policies — same column bytes, same reduction orders.  A plan's
+both dtype policies — same column bytes, same reduction orders.  A pooled
+block reorders only its epilogue: it pools the raw GEMM tile into a
+channel-last tile a quarter its size, then adds the bias and applies ReLU
+there, where eager adds bias, applies ReLU and pools.  The two agree bit
+for bit: rounding is monotone, so ``max(a + b, c + b) == max(a, c) + b``
+(a tie that rounding creates is a tie of equal values), ReLU commutes
+with max, and ReLU maps both signed zeros to ``+0.0``.  A plan's
 work follows the batch: a run of ``n`` rows computes over the leading
 ``n`` rows of arenas sized for ``batch_rows``, so one plan per width
 serves every batch size up to its ceiling.
@@ -97,61 +113,57 @@ class PackedWeightCache:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[tuple, Tuple[int, int, np.ndarray, np.ndarray]] = {}
+        self._entries: Dict[tuple, Tuple[int, int, Tuple[np.ndarray, np.ndarray]]] = {}
         self.packs = 0  # total (re-)pack events, for staleness tests
 
-    def _lookup(self, key: tuple, layer, pack) -> Tuple[np.ndarray, np.ndarray]:
+    def packed(self, key: tuple) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(weight_t, bias)`` pair of a :meth:`conv_key` / :meth:`linear_key`.
+
+        ``weight_t`` is GEMM-ready: the transposed view of the contiguous
+        active block, which ``np.dot(x, weight_t)`` reads exactly as the
+        eager ``x @ w.T`` does.  Keys hold only the layer and ints, so a
+        lookup hashes in C.
+        """
         entry = self._entries.get(key)
+        layer = key[1]
         wv, bv = layer.weight.version, layer.bias.version
         if entry is not None and entry[0] == wv and entry[1] == bv:
-            return entry[2], entry[3]  # lock-free hot path
+            return entry[2]  # lock-free hot path
         with self._lock:
             entry = self._entries.get(key)
             wv, bv = layer.weight.version, layer.bias.version
             if entry is None or entry[0] != wv or entry[1] != bv:
-                arrays = pack()
-                entry = (wv, bv) + arrays
+                entry = (wv, bv, self._pack(key))
                 self._entries[key] = entry
                 self.packs += 1
-            return entry[2], entry[3]
+            return entry[2]
 
-    def conv_block(
-        self,
-        layer: SlicedConv2d,
-        in_slice: ChannelSlice,
-        out_slice: ChannelSlice,
-        dtype: np.dtype,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(w_mat, bias)`` for a conv sub-block, GEMM-ready.
+    @staticmethod
+    def conv_key(
+        layer: SlicedConv2d, in_slice: ChannelSlice, out_slice: ChannelSlice, dtype: np.dtype
+    ) -> tuple:
+        """Key of a conv sub-block, packed as the active ``(C_out, C_in*kh*kw)``
+        block, contiguous in ``dtype`` — exactly what the eager path builds per
+        call via ``ascontiguousarray(active_weight).reshape``."""
+        return ("conv", layer, in_slice.start, in_slice.stop, out_slice.start, out_slice.stop, dtype.str)
 
-        ``w_mat`` is the active ``(C_out, C_in*kh*kw)`` block, contiguous
-        in ``dtype`` — exactly what the eager path builds per call via
-        ``ascontiguousarray(active_weight).reshape``.
-        """
+    @staticmethod
+    def linear_key(layer: SlicedLinear, feature_slice: ChannelSlice, dtype: np.dtype) -> tuple:
+        """Key of the classifier's active feature columns."""
+        return ("linear", layer, feature_slice.start, feature_slice.stop, dtype.str)
 
-        def pack() -> Tuple[np.ndarray, np.ndarray]:
-            w = np.ascontiguousarray(
-                layer.active_weight(in_slice, out_slice), dtype=dtype
-            )
+    @staticmethod
+    def _pack(key: tuple) -> Tuple[np.ndarray, np.ndarray]:
+        kind, layer, *bounds, dtype = key
+        if kind == "conv":
+            in_slice, out_slice = ChannelSlice(*bounds[:2]), ChannelSlice(*bounds[2:])
+            w = np.ascontiguousarray(layer.active_weight(in_slice, out_slice), dtype=dtype)
             w_mat = w.reshape(out_slice.width, -1)
-            bias = np.ascontiguousarray(layer.active_bias(out_slice), dtype=dtype)
-            return w_mat, bias
-
-        key = (layer, in_slice, out_slice, "mat", dtype.str)
-        return self._lookup(key, layer, pack)
-
-    def linear_block(
-        self, layer: SlicedLinear, feature_slice: ChannelSlice, dtype: np.dtype
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(weight, bias)`` for the classifier's active feature columns."""
-
-        def pack() -> Tuple[np.ndarray, np.ndarray]:
-            w = np.ascontiguousarray(layer.active_weight(feature_slice), dtype=dtype)
-            bias = np.ascontiguousarray(layer.bias.data, dtype=dtype)
-            return w, bias
-
-        key = (layer, feature_slice, "linear", dtype.str)
-        return self._lookup(key, layer, pack)
+            bias = layer.active_bias(out_slice)
+        else:
+            w_mat = np.ascontiguousarray(layer.active_weight(ChannelSlice(*bounds)), dtype=dtype)
+            bias = layer.bias.data
+        return w_mat.T, np.ascontiguousarray(bias, dtype=dtype)
 
     def __len__(self) -> int:
         with self._lock:
@@ -179,10 +191,11 @@ class _ConvStep:
     cols: str                 # im2col columns buffer
     stage: str                # one image's K-major columns, (C_in*kh*kw, oh*ow)
     gemm: str                 # GEMM/epilogue buffer, (rows, C_out) NHWC-flat
-    act: Optional[str]        # unpadded NCHW pool input (only when pooled)
+    pooled: Optional[str]     # channel-last pooled tile, (rows, ph, pw, C_out) (only when pooled)
     dst: str                  # next step's padded input arena, or "feat"
     dst_padding: int          # that destination's padding
     dst_rows: ChannelSlice    # channel rows of ``dst`` the output lands in
+    weights: tuple            # the packed cache's key of this block's weights
 
 
 def _interior(buf: np.ndarray, n: int, padding: int, hw: Tuple[int, int]) -> np.ndarray:
@@ -193,11 +206,39 @@ def _interior(buf: np.ndarray, n: int, padding: int, hw: Tuple[int, int]) -> np.
     return buf[:n, :, padding : padding + h, padding : padding + w]
 
 
+class _Program(NamedTuple):
+    """One conv block bound to one workspace at one row count.
+
+    Every view a run of the block reads, built the first time that row
+    count runs in the workspace and kept, so a warm run builds none.
+    """
+
+    input: np.ndarray    # first-n-rows interior of the full-width input arena
+    gather: F.Im2col     # the im2col gather into ``cols``
+    cols: np.ndarray     # leading rows of the columns
+    gemm: np.ndarray     # leading rows of the GEMM tile, (rows, C_out) NHWC-flat
+    tile: np.ndarray     # the same bytes as NCHW
+    windows: Optional[Tuple[np.ndarray, ...]]  # the pool's offset views of ``tile``
+    pooled: Optional[np.ndarray]       # channel-last pooled tile, (n, ph, pw, C_out)
+    pooled_nchw: Optional[np.ndarray]  # the same bytes as NCHW
+    out: np.ndarray      # this plan's channel rows of the destination's interior
+    ship: Optional[np.ndarray]  # ``out``, or None on the last conv round
+
+
+class _Bound(NamedTuple):
+    """A workspace's programs at one row count: one per conv, then the classifier's views."""
+
+    layers: Tuple[_Program, ...]
+    features: np.ndarray  # (n, features) view of ``feat``
+    logits: np.ndarray    # first n rows of ``logits``
+
+
 class _Run(NamedTuple):
-    """One in-flight batch: its checked-out workspace and row count."""
+    """One in-flight batch: its checked-out workspace, row count and programs."""
 
     workspace: Workspace
     rows: int
+    bound: _Bound
 
 
 class InferencePlan:
@@ -231,6 +272,7 @@ class InferencePlan:
         self.cache = cache
         self._steps = steps
         self._feature_slice = feature_slice
+        self._fc_weights = cache.linear_key(net.classifier, feature_slice, dtype)
         self._in_shape = (net.in_channels, net.image_size, net.image_size)
         self.workspaces = workspaces
 
@@ -294,8 +336,8 @@ class InferencePlan:
         # Warm the packed cache at compile so the first request is already
         # on the steady-state path.
         for step in steps:
-            cache.conv_block(step.layer, step.in_slice, step.out_slice, dtype)
-        cache.linear_block(classifier, feature_slice, dtype)
+            cache.packed(step.weights)
+        cache.packed(cache.linear_key(classifier, feature_slice, dtype))
         return (net, spec, batch_rows, dtype, steps, feature_slice, cache), buffers
 
     @staticmethod
@@ -339,10 +381,10 @@ class InferencePlan:
             if pool_layer is not None:
                 after = F.conv_out_size(out_h, pool_layer.kernel_size, pool_layer.stride, 0)
                 pool = (pool_layer.kernel_size, pool_layer.stride, (after, after))
-            # One conv block is gather -> GEMM -> NCHW copy (-> pool); its
-            # last step is the one that writes the block's destination.
-            gather, gemm, copy = at, at + 1, at + 2
-            write = copy + 1 if pool is not None else copy
+            # One conv block is gather -> GEMM (-> pool) -> copy; its last
+            # step is the copy that writes the block's destination.
+            gather, gemm = at, at + 1
+            write = gemm + 2 if pool is not None else gemm + 1
             at = write + 1
             in_c = in_sl.width
             src = f"in{i}"
@@ -362,16 +404,16 @@ class InferencePlan:
                 BufferSpec(f"stage{i}", (in_c * k * k, out_h * out_h), dt, live=(gather, gather))
             )
             buffers.append(
-                BufferSpec(f"gemm{i}", (rows, block.width), dt, live=(gemm, copy))
+                BufferSpec(f"gemm{i}", (rows, block.width), dt, live=(gemm, gemm + 1))
             )
-            # The NHWC-flat GEMM result must land in NCHW somewhere: in a
-            # staging buffer when a pool reads it, otherwise straight into the
-            # destination's interior.
-            act = f"act{i}" if pool is not None else None
-            if act is not None:
+            # A pool reads the GEMM tile and writes a channel-last tile, a
+            # quarter its size, which takes the bias and ReLU; otherwise the
+            # tile is copied straight into the destination's interior.
+            pooled = f"pool{i}" if pool is not None else None
+            if pooled is not None:
                 buffers.append(
                     BufferSpec(
-                        act, (batch_rows, block.width, out_h, out_h), dt, live=(copy, write)
+                        pooled, (batch_rows, after, after, block.width), dt, live=(gemm + 1, write)
                     )
                 )
             if i == num - 1:
@@ -400,10 +442,11 @@ class InferencePlan:
                     cols=f"cols{i}",
                     stage=f"stage{i}",
                     gemm=f"gemm{i}",
-                    act=act,
+                    pooled=pooled,
                     dst=dst,
                     dst_padding=dst_pad,
                     dst_rows=dst_rows,
+                    weights=PackedWeightCache.conv_key(conv, in_sl, block, dtype),
                 )
             )
             size = after
@@ -461,13 +504,15 @@ class InferencePlan:
         """
         if not parts:
             raise ValueError("run_parts needs at least one array")
+        rows = 0
         for p in parts:
-            if p.ndim != 4 or tuple(p.shape[1:]) != self._in_shape:
+            if p.ndim != 4 or p.shape[1:] != self._in_shape:
                 raise ValueError(
                     f"plan expects (*, {self._in_shape[0]}, {self._in_shape[1]}, "
                     f"{self._in_shape[2]}), got {p.shape}"
                 )
-        run = self.begin(sum(p.shape[0] for p in parts))
+            rows += p.shape[0]
+        run = self.begin(rows)
         try:
             self.scatter_input(run, *parts)
             for layer in range(len(self._steps)):
@@ -485,15 +530,76 @@ class InferencePlan:
             raise ValueError(
                 f"{rows} rows outside the plan's 1..{self.batch_rows}-row arena"
             )
-        return _Run(self.workspaces.acquire(), rows)
+        workspace = self.workspaces.acquire()
+        bound = workspace.programs.get(rows)
+        if bound is None:
+            try:
+                bound = self._bind(workspace, rows)
+            except BaseException:
+                self.workspaces.release(workspace)
+                raise
+        return _Run(workspace, rows, bound)
 
     def finish(self, run: _Run) -> None:
         self.workspaces.release(run.workspace)
 
-    def _input(self, run: _Run, layer: int) -> np.ndarray:
-        """Writable interior of ``layer``'s full-width input arena."""
-        step = self._steps[layer]
-        return _interior(run.workspace[step.src], run.rows, step.padding, step.in_hw)
+    def _bind(self, workspace: Workspace, n: int) -> _Bound:
+        """Build and keep ``workspace``'s programs for ``n`` rows.
+
+        A gather's per-image views do not depend on the row count, so a
+        smaller batch gathers through the leading ones of the widest batch
+        bound so far, and a wider one binds only the images past them: a
+        workspace holds two views per image and conv, not two per image,
+        conv and row count.
+        """
+        have = max(workspace.programs, default=0)
+        widest = workspace.programs.get(have)
+        layers = []
+        for i, step in enumerate(self._steps):
+            src = workspace[step.src]
+            out_h, out_w = step.out_hw
+            per_image = out_h * out_w
+            cols = workspace[step.cols][: n * per_image]
+            if n <= have:
+                gather = widest.layers[i].gather
+                gather = gather._replace(images=gather.images[:n])
+            else:
+                gather = F.bind_im2col(
+                    src[have:n], step.kernel, step.stride,
+                    cols[have * per_image :], workspace[step.stage],
+                )
+                if widest is not None:
+                    gather = gather._replace(images=widest.layers[i].gather.images + gather.images)
+            gemm = workspace[step.gemm][: n * per_image]
+            tile = gemm.reshape(n, out_h, out_w, step.out_slice.width).transpose(0, 3, 1, 2)
+            windows = pooled = pooled_nchw = None
+            hw = step.out_hw
+            if step.pool is not None:
+                kernel, stride, hw = step.pool
+                windows = F.pool_windows(tile, kernel, stride)
+                pooled = workspace[step.pooled][:n]
+                pooled_nchw = pooled.transpose(0, 3, 1, 2)
+            out = _interior(workspace[step.dst], n, step.dst_padding, hw)[
+                :, step.dst_rows.start : step.dst_rows.stop
+            ]
+            layers.append(
+                _Program(
+                    input=_interior(src, n, step.padding, step.in_hw),
+                    gather=gather,
+                    cols=cols,
+                    gemm=gemm,
+                    tile=tile,
+                    windows=windows,
+                    pooled=pooled,
+                    pooled_nchw=pooled_nchw,
+                    out=out,
+                    ship=out if i < len(self._steps) - 1 else None,
+                )
+            )
+        bound = workspace.programs[n] = _Bound(
+            tuple(layers), workspace["feat"][:n].reshape(n, -1), workspace["logits"][:n]
+        )
+        return bound
 
     def scatter_input(self, run: _Run, *parts: np.ndarray) -> None:
         """Place the batch's parts, in order, into layer 0's padded arena interior.
@@ -501,7 +607,7 @@ class InferencePlan:
         Assignment casts to the compute dtype; padded borders were zeroed at
         allocation and are never written, replacing a per-call ``np.pad``.
         """
-        interior = self._input(run, 0)
+        interior = run.bound.layers[0].input
         offset = 0
         for part in parts:
             k = part.shape[0]
@@ -510,49 +616,44 @@ class InferencePlan:
 
     def absorb(self, run: _Run, layer: int, block: ChannelSlice, half: np.ndarray) -> None:
         """Copy a peer's previous-round half into this layer's arena rows."""
-        np.copyto(self._input(run, layer)[:, block.start : block.stop], half)
+        np.copyto(run.bound.layers[layer].input[:, block.start : block.stop], half)
 
     def run_layer(self, run: _Run, layer: int) -> Optional[np.ndarray]:
         """One conv round: the fused conv block of this plan's channels.
 
-        im2col -> GEMM+bias+ReLU -> NCHW -> optional pool over the first
-        ``run.rows`` arena rows, written into the plan's own channel rows
-        of the next layer's input arena (or of ``feat``), with the same
-        reduction orders as the eager layers.  Returns the half to ship to
-        peers — a zero-copy view of that arena interior — or ``None`` on
-        the last conv round (the classifier needs only the locally-kept
-        feature block).
+        im2col -> GEMM -> (pool ->) bias -> ReLU over the first ``run.rows``
+        arena rows, written into the plan's own channel rows of the next
+        layer's input arena (or of ``feat``), bitwise what the eager layers'
+        conv -> bias -> ReLU (-> pool) computes.  A pooled block takes the
+        window max of the raw GEMM tile and adds bias and ReLU to the
+        4x smaller pooled tile: rounding is monotone, so
+        ``max(a + b, c + b) == max(a, c) + b``, and ReLU commutes with max.
+        Returns the half to ship to peers — a zero-copy view of that arena
+        interior — or ``None`` on the last conv round (the classifier needs
+        only the locally-kept feature block).
         """
-        ws, n, step = run.workspace, run.rows, self._steps[layer]
-        out_h, out_w = step.out_hw
-        rows = n * out_h * out_w
-        cols = ws[step.cols][:rows]
-        F.im2col_into(ws[step.src][:n], step.kernel, step.stride, cols, ws[step.stage])
-        w_mat, bias = self.cache.conv_block(step.layer, step.in_slice, step.out_slice, self.dtype)
-        gemm = ws[step.gemm][:rows]
-        F.gemm_bias_relu(cols, w_mat, bias, gemm)
-        nchw = gemm.reshape(n, out_h, out_w, step.out_slice.width).transpose(0, 3, 1, 2)
-        hw = step.pool[2] if step.pool is not None else step.out_hw
-        own = _interior(ws[step.dst], n, step.dst_padding, hw)[
-            :, step.dst_rows.start : step.dst_rows.stop
-        ]
-        if step.pool is not None:
-            act = ws[step.act][:n]
-            np.copyto(act, nchw)
-            F.maxpool2d_into(act, step.pool[0], step.pool[1], own)
+        program = run.bound.layers[layer]
+        F.im2col_into(program.gather)
+        weight_t, bias = self.cache.packed(self._steps[layer].weights)
+        pooled = program.pooled
+        if pooled is None:
+            F.gemm_bias_relu(program.cols, weight_t, bias, program.gemm)
+            np.copyto(program.out, program.tile)
         else:
-            np.copyto(own, nchw)
-        return own if layer < len(self._steps) - 1 else None
+            np.dot(program.cols, weight_t, out=program.gemm)
+            F.maxpool2d_into(program.windows, program.pooled_nchw)
+            np.add(pooled, bias, out=pooled)
+            np.maximum(pooled, 0.0, out=pooled)
+            np.copyto(program.out, program.pooled_nchw)
+        return program.ship
 
     def run_fc(self, run: _Run, include_bias: bool) -> np.ndarray:
         """(Partial) logits over this plan's feature block, as an arena view."""
-        n = run.rows
-        features = run.workspace["feat"][:n].reshape(n, -1)
-        logits = run.workspace["logits"][:n]
-        w, b = self.cache.linear_block(self.net.classifier, self._feature_slice, self.dtype)
+        bound = run.bound
+        weight_t, bias = self.cache.packed(self._fc_weights)
         if include_bias:
-            return F.gemm_bias(features, w, b, logits)
-        return np.dot(features, w.T, out=logits)
+            return F.gemm_bias(bound.features, weight_t, bias, bound.logits)
+        return np.dot(bound.features, weight_t, out=bound.logits)
 
     # -- cost hooks -----------------------------------------------------------
 

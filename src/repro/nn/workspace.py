@@ -232,7 +232,9 @@ class Workspace:
     """One layout's named views over an arena set's two regions.
 
     A :class:`WorkspacePool` builds one per (arena set, layout) the first
-    time that layout runs in that set, and keeps it.
+    time that layout runs in that set, and keeps it.  ``programs`` is what
+    the plan reading the layout binds over these views and keeps: row
+    count -> that batch size's bound conv programs.
     """
 
     def __init__(self, layout: BufferLayout, arenas: _ArenaSet) -> None:
@@ -244,6 +246,7 @@ class Workspace:
             )
             for name, in_scratch, offset, shape, dtype in layout.slots
         }
+        self.programs: Dict[int, object] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._buffers[name]

@@ -2,8 +2,8 @@
 
 The contracts under test (see ``nn/functional.py`` / README):
 
-* the compiled plans' K-major gather :func:`~repro.nn.functional.im2col_into`
-  writes exactly the eager :func:`~repro.nn.functional.im2col` bytes for
+* the compiled plans' K-major gather :func:`~repro.nn.functional.im2col_into`,
+  through a :func:`~repro.nn.functional.bind_im2col` binding, writes exactly the eager :func:`~repro.nn.functional.im2col` bytes for
   every geometry — kernels, strides and paddings the paper's net never
   uses included — in both float64 and float32, and allocates no array;
 * every compiled conv declares one one-image staging buffer, sized by the
@@ -64,7 +64,7 @@ class TestGather:
         out = np.full_like(ref, np.nan)
         stage = np.full((geo["c_in"] * k * k, oh * ow), np.nan, dtype=dtype)
         padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        assert F.im2col_into(padded, (k, k), stride, out, stage) == (oh, ow)
+        F.im2col_into(F.bind_im2col(padded, (k, k), stride, out, stage))
         assert out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
 
@@ -87,30 +87,33 @@ class TestGather:
                 cols = ws[step.cols][: ref.shape[0]]
                 cols.fill(np.nan)
                 ws[step.stage].fill(np.nan)
-                assert F.im2col_into(src, step.kernel, step.stride, cols, ws[step.stage]) == out_hw
+                assert out_hw == step.out_hw
+                F.im2col_into(F.bind_im2col(src, step.kernel, step.stride, cols, ws[step.stage]))
                 assert cols.tobytes() == ref.tobytes()
 
     def test_gather_allocates_no_array(self, fluid_model):
         plan = InferencePlan.compile(fluid_model, "lower100", batch_rows=16)
         step = plan._steps[1]
         with checked_out(plan.workspaces) as ws:
-            args = (ws[step.src], step.kernel, step.stride, ws[step.cols], ws[step.stage])
-            F.im2col_into(*args)
+            gather = F.bind_im2col(
+                ws[step.src], step.kernel, step.stride, ws[step.cols], ws[step.stage]
+            )
+            F.im2col_into(gather)
             calls = 20
             tracemalloc.start()
             for _ in range(calls):
-                F.im2col_into(*args)
+                F.im2col_into(gather)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-        # Views and small Python objects only: the staging buffer alone is
-        # 144 x 196 doubles (225 KiB), the columns 3.4 MiB.
+        # Small Python objects only (the binding holds every view): the
+        # staging buffer alone is 144 x 196 doubles (225 KiB), the columns 3.4 MiB.
         assert peak < 16 * 1024, peak
 
     def test_a_stage_of_another_geometry_is_refused(self):
         x = np.zeros((2, 3, 6, 6))
         cols = np.empty((2 * 4 * 4, 3 * 3 * 3))
         with pytest.raises(ValueError):
-            F.im2col_into(x, (3, 3), 1, cols, np.empty((3 * 3 * 3, 4 * 4 + 1)))
+            F.bind_im2col(x, (3, 3), 1, cols, np.empty((3 * 3 * 3, 4 * 4 + 1)))
 
 
 def _stage_specs(plan):

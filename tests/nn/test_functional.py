@@ -266,7 +266,7 @@ class TestFusedKernels:
         np.testing.assert_array_equal(cols, windows)
         out = np.full_like(windows, np.nan)
         stage = np.full((3 * kernel * kernel, oh * ow), np.nan)
-        assert F.im2col_into(padded, (kernel, kernel), stride, out, stage) == (oh, ow)
+        F.im2col_into(F.bind_im2col(padded, (kernel, kernel), stride, out, stage))
         np.testing.assert_array_equal(out, windows)
 
     def test_gemm_bias_matches_eager(self):
@@ -275,7 +275,7 @@ class TestFusedKernels:
         w = rng.standard_normal((4, 7))
         b = rng.standard_normal(4)
         out = np.empty((5, 4))
-        F.gemm_bias(x, w, b, out)
+        F.gemm_bias(x, w.T, b, out)
         np.testing.assert_array_equal(out, x @ w.T + b)
 
     def test_gemm_bias_relu_matches_eager(self):
@@ -284,7 +284,7 @@ class TestFusedKernels:
         w = rng.standard_normal((3, 9))
         b = rng.standard_normal(3)
         out = np.empty((6, 3))
-        F.gemm_bias_relu(cols, w, b, out)
+        F.gemm_bias_relu(cols, w.T, b, out)
         np.testing.assert_array_equal(out, np.maximum(cols @ w.T + b, 0.0))
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2)])
@@ -295,7 +295,7 @@ class TestFusedKernels:
         # (which now reuses maxpool2d_into itself).
         ref, _ = F.maxpool2d_forward(x, kernel, stride, need_indices=True)
         out = np.empty_like(ref)
-        F.maxpool2d_into(x, kernel, stride, out)
+        F.maxpool2d_into(F.pool_windows(x, kernel, stride), out)
         np.testing.assert_array_equal(out, ref)
 
     @given(
@@ -317,3 +317,62 @@ class TestFusedKernels:
         folded, no_idx = F.maxpool2d_forward(x, kernel, stride, need_indices=False)
         assert argmax is not None and no_idx is None
         np.testing.assert_array_equal(folded, indexed)
+
+
+#: Values a GEMM tile may hold that order or round specially.
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+
+class TestPoolFirstEpilogue:
+    """A compiled plan's pooled conv block pools the raw GEMM tile, then adds
+    bias and applies ReLU on the pooled tile; the eager layers add bias,
+    apply ReLU, then pool.  Rounding is monotone, so max(a + b, c + b) ==
+    max(a, c) + b, and ReLU commutes with max: the two orders agree bit for
+    bit, signed zeros and NaNs included."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        geometry=st.sampled_from([(2, 2), (3, 2), (2, 1), (3, 1)]),
+        n=st.integers(1, 3),
+        channels=st.integers(1, 5),
+        extra=st.integers(0, 4),
+        # Tiles far below the bias make distinct values round to one sum.
+        scale=st.sampled_from([1e-30, 1e-8, 1.0, 1e8]),
+        ties=st.floats(0.0, 0.6),
+        specials=st.floats(0.0, 0.4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pool_then_bias_relu_is_bias_relu_then_pool(
+        self, seed, dtype, geometry, n, channels, extra, scale, ties, specials
+    ):
+        kernel, stride = geometry
+        size = kernel + extra
+        rng = make_rng(seed)
+        # The GEMM tile as the plan holds it: NHWC-flat rows, one per pixel.
+        tile = (rng.standard_normal((n, size, size, channels)) * scale).astype(dtype)
+        tied = rng.random(tile.shape) < ties
+        tile[tied] = np.roll(tile, 1, axis=2)[tied]  # a window neighbour's value
+        special = rng.random(tile.shape) < specials
+        tile[special] = rng.choice(SPECIALS, special.sum())
+        bias = rng.standard_normal(channels).astype(dtype)
+        bias[rng.random(channels) < 0.3] = rng.choice([0.0, -0.0])
+
+        out = F.conv_out_size(size, kernel, stride, 0)
+        pooled = np.empty((n, out, out, channels), dtype=dtype)  # channel-last
+        F.maxpool2d_into(
+            F.pool_windows(tile.transpose(0, 3, 1, 2), kernel, stride),
+            pooled.transpose(0, 3, 1, 2),
+        )
+        np.add(pooled, bias, out=pooled)
+        np.maximum(pooled, 0.0, out=pooled)
+        got = pooled.transpose(0, 3, 1, 2)
+
+        activated, _ = F.relu_forward(tile + bias, need_mask=False)
+        want, _ = F.maxpool2d_forward(
+            np.ascontiguousarray(activated.transpose(0, 3, 1, 2)), kernel, stride,
+            need_indices=False,
+        )
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -14,6 +14,7 @@ The load-bearing properties:
   version counter.
 """
 
+import sys
 import threading
 import tracemalloc
 
@@ -22,12 +23,14 @@ import pytest
 
 from repro.engine.session import InferenceSession
 from repro.models.zoo import build_model
+from repro.nn import functional as F
 from repro.nn.context import ForwardContext
 from repro.nn.optim.sgd import SGD
 from repro.nn.plan import InferencePlan, PackedWeightCache, compile_width_plans
 from repro.slimmable.spec import paper_width_spec
 from repro.utils.dtypes import DtypePolicy, dtype_policy
 from repro.utils.rng import make_rng
+from tests.nn.arenas import checked_out
 
 FAMILIES = ("static", "dynamic", "fluid")
 POLICIES = (DtypePolicy(), DtypePolicy.fast_inference())
@@ -269,6 +272,65 @@ class TestAllocationBudget:
         tracemalloc.stop()
 
         assert plan_peak * 10 < eager_peak, (plan_peak, eager_peak)
+
+
+class TestBoundPrograms:
+    """A workspace keeps each conv's views bound per row count, so a warm run
+    builds none: no window view, no reshape, no transpose."""
+
+    BINDERS = ("sliding_windows", "bind_im2col", "pool_windows")
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        """A plan whose one arena set has run every row count 1..16 once."""
+        model = build_model("fluid", rng=make_rng(51))
+        plan = InferencePlan.compile(model, "lower100", batch_rows=16)
+        rng = make_rng(52)
+        inputs = [rng.standard_normal((rows, 1, 28, 28)) for rows in range(1, 17)]
+        for x in inputs:
+            plan.run(x)
+        assert plan.workspaces.shared.created == 1
+        return plan, inputs
+
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        """The names of the binders called while the test runs."""
+        calls = []
+        for name in self.BINDERS:
+            def spy(*args, _kernel=getattr(F, name), _name=name):
+                calls.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(F, name, spy)
+        return calls
+
+    def test_a_workspace_keeps_one_program_per_conv_and_row_count(self, warm):
+        plan, _ = warm
+        with checked_out(plan.workspaces) as workspace:
+            programs = dict(workspace.programs)
+        assert sorted(programs) == list(range(1, 17))
+        assert sum(len(bound.layers) for bound in programs.values()) <= (
+            len(plan._steps) * plan.batch_rows
+        )
+
+    def test_a_warm_run_binds_nothing(self, warm, binds):
+        plan, inputs = warm
+        for x in inputs:
+            plan.run(x)
+        assert binds == []
+        # The spy sees a cold workspace bind.
+        InferencePlan.compile(plan.net, "lower100", batch_rows=16).run(inputs[0])
+        assert "sliding_windows" in binds and "pool_windows" in binds
+
+    def test_a_warm_run_retains_nothing_but_its_logits(self, warm):
+        plan, inputs = warm
+        outs = [None] * len(inputs)
+        tracemalloc.start()
+        for i, x in enumerate(inputs):
+            outs[i] = plan.run(x)
+        retained, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert retained <= sum(sys.getsizeof(out) for out in outs), retained
 
 
 class TestLiveRows:
