@@ -19,7 +19,7 @@ the pool's health view and, per ejected slot,
    (a revived thread replica never went cold), so the first real request
    never pays a cold start — and the primes that worker reports are
    observed by nobody, so a respawn never moves the width policy's
-   calibrated EWMAs;
+   fitted service model;
 4. adopts it (:meth:`ReplicaPool.adopt` swaps the slot and rebinds the
    monitor) and invalidates the frontend's stale per-(replica, width)
    queues, then emits a ``replica.respawn`` trace event.

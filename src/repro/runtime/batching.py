@@ -137,6 +137,10 @@ class MicroBatchQueue:
         self.on_batch = on_batch
         self.config = config or BatchingConfig()
         self.stats = BatchingStats()
+        # What a queue-wait estimate reads: rows submitted but not yet
+        # flushed, and (start instant, rows) of the batch running now.
+        self.open_rows = 0
+        self.running: Optional[Tuple[float, int]] = None
         self._queue: "queue.Queue" = queue.Queue()
         self._closed = False
         self._submit_lock = threading.Lock()
@@ -202,6 +206,7 @@ class MicroBatchQueue:
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError("submit on a closed MicroBatchQueue")
+            self.open_rows += x.shape[0]
             self._queue.put((x, future, tag, alone))
         return future
 
@@ -286,6 +291,8 @@ class MicroBatchQueue:
         # here), and afterwards cancel() can no longer succeed — so the
         # set_result/set_exception calls below cannot race a cancellation
         # and kill the collector.
+        with self._submit_lock:
+            self.open_rows -= sum(x.shape[0] for x, _, _, _ in batch)
         batch = [(x, f, t) for x, f, t, _ in batch if f.set_running_or_notify_cancel()]
         if not batch:
             return
@@ -297,6 +304,7 @@ class MicroBatchQueue:
             # collector thread — later submissions still get served.
             if self.on_batch is not None:
                 self.on_batch([t for _, _, t in batch], sum(rows))
+            self.running = (time.monotonic(), sum(rows))
             out = self.run_batch_parts(arrays)
             if out.shape[0] != sum(rows):
                 raise RuntimeError(
@@ -306,6 +314,8 @@ class MicroBatchQueue:
             for future in futures:
                 future.set_exception(exc)
             return
+        finally:
+            self.running = None
         with self.stats.lock:
             self.stats.requests += len(batch)
             self.stats.batches += 1

@@ -70,7 +70,7 @@ class AdmissionController:
 
     The feasibility estimate is deliberately simple and cheap:
     ``queue_wait + service_floor <= budget * headroom`` where
-    ``service_floor`` is the calibrated latency of the *narrowest* width
+    ``service_floor`` is the predicted service of the *narrowest* width
     the SLA allows (the best the plane could possibly do) and
     ``queue_wait`` is the caller's live estimate of time spent behind
     already-admitted work.  ``headroom > 1`` admits optimistically (useful

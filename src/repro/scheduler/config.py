@@ -43,7 +43,7 @@ class SchedulerConfig:
     enable_admission: bool = True
     enable_hedging: bool = True
     hedge_ratio: float = 0.1    # hedges may add at most this fraction of load
-    warmup: bool = True         # prime the latency EWMAs with one run per width
+    warmup: bool = True         # fit the service model to one 1-row run per width
     max_batch: int = 16
     max_delay_s: float = 0.001  # longest a request with company waits for batch-mates
     replica_backend: str = "thread"  # "thread" shares one interpreter;

@@ -10,13 +10,16 @@ decided here and nowhere else:
 * :func:`summarize_outcomes` — goodput, miss rate and latency tails of a
   run.
 
-:class:`~repro.scheduler.frontend.ServingFrontend` binds the view to live
-state (replica pending counts, metric EWMAs, the wall clock);
-:meth:`~repro.trace.replay.TraceReplayer.simulate` binds it to virtual
-time (a ``WidthPolicy`` primed with the analytical service table, the
-sim's own backlog).  Neither carries decision logic of its own, so a
-change to the rule shows up in live serving, in the pinned simulation
-records and in the tuner's fitness function at once.
+Every time estimate in :func:`decide` — the width's service, admission's
+service floor and the plane's queue wait — is one
+:class:`~repro.scheduler.width_policy.ServiceModel`'s ``seconds(width,
+rows)``.  :class:`~repro.scheduler.frontend.ServingFrontend` binds the view
+to live state (the model fitted from its served batches, each queue's open
+rows, the wall clock); :meth:`~repro.trace.replay.TraceReplayer.simulate`
+binds it to virtual time (the model fixed at the coefficients of the
+analytical service table, the sim's own backlog).  Neither carries decision
+logic of its own, so a change to the rule shows up in live serving, in the
+pinned simulation records and in the tuner's fitness function at once.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class PlaneView(NamedTuple):
 
     The three signals are callables so a caller pays for one only when
     the decision reads it: ``depth`` and ``miss_rate`` feed the brown-out
-    controller alone, and ``queue_wait`` receives the service floor of
-    the request at hand (the live plane's cold-start estimate needs it).
+    controller alone; ``queue_wait`` is the work ahead on the replica the
+    request would be routed to, in ``policy.model`` seconds.
     """
 
     policy: WidthPolicy
@@ -51,7 +54,7 @@ class PlaneView(NamedTuple):
     brownout: Optional["BrownoutController"]
     depth: Callable[[], int]                      # requests queued or executing
     miss_rate: Callable[[], Optional[float]]      # deadline-miss signal, if any
-    queue_wait: Callable[[float], float]          # floor_s -> wait behind admitted work
+    queue_wait: Callable[[], float]               # seconds of work ahead of a new request
 
 
 class Decision(NamedTuple):
@@ -70,8 +73,9 @@ class Decision(NamedTuple):
         return isinstance(self.error, BrownoutShed)
 
 
-def decide(sla: SLA, remaining_s: float, plane: PlaneView) -> Decision:
-    """Admit ``sla`` with ``remaining_s`` of its deadline left, or say why not."""
+def decide(sla: SLA, remaining_s: float, rows: int, plane: PlaneView) -> Decision:
+    """Admit a ``rows``-row request for ``sla`` with ``remaining_s`` of its
+    deadline left, or say why not."""
     brownout, policy = plane.brownout, plane.policy
     engaged = False
     if brownout is not None:
@@ -84,8 +88,8 @@ def decide(sla: SLA, remaining_s: float, plane: PlaneView) -> Decision:
                 BrownoutShed("brown-out: low-priority admission shed")
             )
     narrowest = policy.narrowest(sla.min_width, sla.max_width)
-    floor = policy.predict(narrowest.name)
-    queue_wait = plane.queue_wait(floor)
+    floor = policy.model.seconds(narrowest.name, rows)
+    queue_wait = plane.queue_wait()
     admission = None
     if plane.admission is not None:
         admission = plane.admission.decide_remaining(
@@ -102,7 +106,7 @@ def decide(sla: SLA, remaining_s: float, plane: PlaneView) -> Decision:
         # quality traded for throughput until pressure subsides.
         return Decision(None, queue_wait, admission, narrowest, floor, budget, True)
     width, predicted = policy.choose(
-        budget, min_width=sla.min_width, max_width=sla.max_width
+        budget, rows=rows, min_width=sla.min_width, max_width=sla.max_width
     )
     return Decision(None, queue_wait, admission, width, predicted, budget)
 

@@ -284,9 +284,9 @@ class ServingFrontend:
             # What each process worker probes before it answers its readiness ping.
             widths=[spec.name for spec in self.policy.candidates],
         )
-        self._view = self._plane_view()
         self._queues: Dict[Tuple[int, str], MicroBatchQueue] = {}
         self._queues_lock = threading.Lock()
+        self._view = self._plane_view()
         self._closing = False  # submit() stops accepting
         self._closed = False   # dispatch (incl. reroutes) fully stopped
         hedge = self._hedge if self.config.enable_hedging else None
@@ -322,22 +322,32 @@ class ServingFrontend:
     def _plane_view(self) -> core.PlaneView:
         """The live binding of :func:`core.decide`'s inputs.
 
-        The callables close over the pool and the registry, not ``self``:
-        a closed frontend must be plain garbage, not a reference cycle.
+        ``queue_wait`` mirrors the simulator's: on the replica ``route()``
+        would pick, the residual of each batch running there plus
+        ``seconds(width, open rows)`` for each of its per-width queues, all
+        in the policy's one :class:`~repro.scheduler.width_policy.ServiceModel`.
+        The callables close over the pool, the queues and the registry,
+        not ``self``: a closed frontend must be plain garbage, not a
+        reference cycle.
         """
-        pool, metrics, max_batch = self.pool, self.metrics, self.config.max_batch
+        pool, metrics, seconds = self.pool, self.metrics, self.policy.model.seconds
+        queues, queues_lock = self._queues, self._queues_lock
 
-        def queue_wait(floor_s: float) -> float:
-            # Requests already ahead on the least-loaded replica times the
-            # measured per-row service rate of the live width mix (batching
-            # amortisation included, since the EWMA is per batched row).
-            # Before any batch has run, fall back to the narrowest allowed
-            # width's predicted batch time spread over a full batch.
-            least_pending = min((r.pending for r in pool.healthy()), default=0)
-            row_time = metrics.ewma("frontend.row_service_s").value
-            if row_time is None:
-                row_time = floor_s / max_batch
-            return least_pending * row_time
+        def queue_wait() -> float:
+            healthy = pool.healthy()
+            if not healthy:
+                return 0.0
+            index = min(healthy, key=lambda r: (r.pending, r.index)).index
+            with queues_lock:
+                ahead = [(w, q) for (i, w), q in queues.items() if i == index]
+            now, wait = time.monotonic(), 0.0
+            for width, queue in ahead:
+                running = queue.running
+                if running is not None:
+                    wait += max(running[0] + seconds(width, running[1]) - now, 0.0)
+                if queue.open_rows > 0:
+                    wait += seconds(width, queue.open_rows)
+            return wait
 
         return core.PlaneView(
             policy=self.policy,
@@ -349,14 +359,15 @@ class ServingFrontend:
         )
 
     def _warmup(self) -> None:
-        """Prime the EWMAs with replica 0's seconds for a 1-row service per
-        width (:meth:`Replica.warm_service_s`: a thread replica times a run
-        now, a process worker reports the probes it timed while booting)."""
+        """Fit the service model to replica 0's seconds for a 1-row service
+        per width (:meth:`Replica.warm_service_s`: a thread replica times a
+        run now, a process worker reports the probes it timed while
+        booting).  Until a served batch of another row count is timed, the
+        model scales these linearly in rows."""
         names = [spec.name for spec in self.policy.candidates]
         for width, seconds in self.pool.replicas[0].warm_service_s(names).items():
             self.metrics.histogram("frontend.warmup_s").observe(seconds)
             self.policy.observe(width, seconds)
-            self.metrics.ewma("frontend.row_service_s").observe(seconds)
 
     # -- submission -----------------------------------------------------------
 
@@ -404,7 +415,9 @@ class ServingFrontend:
             self._finalize(entry, REJECTED, None)
             return entry.future
 
-        decision = core.decide(sla, entry.deadline - time.monotonic(), self._view)
+        decision = core.decide(
+            sla, entry.deadline - time.monotonic(), int(x.shape[0]), self._view
+        )
         if decision.admission is not None:
             trace.emit(
                 rid,
@@ -502,25 +515,18 @@ class ServingFrontend:
 
                 def _run_parts(parts, r=replica, w=width, ctx=batch_ctx) -> np.ndarray:
                     # Observe *pure* service time (one batched forward), not
-                    # dispatch-to-done latency: queue wait is accounted
-                    # separately from live pending counts, so backlog never
-                    # poisons the width calibration.  The observation is
-                    # deliberately per-batch, not per-row: a request rides
-                    # its whole batch, so "one batched forward at the live
-                    # batch-size mix" is exactly the service time its
-                    # deadline budget must absorb.  The queue hands over the
-                    # raw per-request arrays: a compiled plan scatters their
-                    # rows straight into its input arena, so the batch is
-                    # never concatenated into a temporary.
+                    # dispatch-to-done latency: queue wait is estimated
+                    # separately from each queue's open rows, so backlog
+                    # never poisons the service model.  The observation is
+                    # per batch, at the batch's row count: the model's
+                    # ``rows`` features carry the batching amortisation.
+                    # The queue hands over the raw per-request arrays: a
+                    # compiled plan scatters their rows straight into its
+                    # input arena, so the batch is never concatenated.
                     with self.metrics.timer("frontend.batch_service_s") as timer:
                         out = r.run_parts(parts, w)
                     service = timer.elapsed
-                    self.policy.observe(w, service)
-                    # Pooled per-row rate over the live width mix: pending
-                    # rows x this EWMA estimates queue wait at admission.
-                    self.metrics.ewma("frontend.row_service_s").observe(
-                        service / out.shape[0]
-                    )
+                    self.policy.observe(w, service, out.shape[0])
                     # pop, not get: an idle queue must not pin its last
                     # batch's entries (payload + future) until the next one.
                     tags = ctx.pop("tags", ())
@@ -826,13 +832,13 @@ class ServingFrontend:
     # -- lifecycle -------------------------------------------------------------
 
     def report(self) -> Dict:
-        """JSON-friendly snapshot: metrics + width-policy calibration."""
+        """JSON-friendly snapshot: metrics + the service model's fit."""
         snapshot = self.metrics.snapshot()
         with self._queues_lock:
             queues = dict(self._queues)
         report = {
             "metrics": snapshot,
-            "calibration": self.policy.calibration_snapshot(),
+            "calibration": {"coef": list(self.policy.model.coef)},
             "replicas": [
                 {"index": r.index, "alive": r.alive, "pending": r.pending}
                 for r in self.pool.replicas

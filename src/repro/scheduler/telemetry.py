@@ -1,9 +1,9 @@
 """Serving telemetry: counters, EWMAs and latency histograms.
 
 The control plane makes every decision from *measured* behaviour: the
-width policy calibrates its cost-model predictions against an EWMA of
-observed per-width service times, admission reasons about live queue
-depth, and the benchmark reports p50/p95/p99 tails.  This module is the
+width policy's service model is fitted to timed batches, brown-out reads
+a deadline-miss EWMA and live queue depth, and the benchmark reports
+p50/p95/p99 tails.  This module is the
 shared, thread-safe registry those components write into.
 
 Everything here is windowed or O(1): a long-lived serving frontend never
@@ -67,8 +67,7 @@ class EWMA:
     """Exponentially weighted moving average of a scalar observation.
 
     ``value`` is ``None`` until the first observation, so callers can
-    distinguish "never measured" from "measured small" — the width policy
-    falls back to its analytical cost model in the former case.
+    distinguish "never measured" from "measured small".
     """
 
     def __init__(self) -> None:

@@ -21,7 +21,10 @@ explicit spec list — and re-injects it against a
   ``classify_outcome`` and ``summarize_outcomes``.  What executes the
   decision is an *analytical model*, :class:`_Simulation`: least-loaded
   routing, a per-(replica, width) micro-batch flush model, fault windows
-  — with service times that are pure functions of (width, rows), so the
+  — with service times from the policy's own
+  :class:`~repro.scheduler.width_policy.ServiceModel`, fixed at the
+  coefficients of an analytical table, so they are pure functions of
+  (width, rows) and the
   same corpus yields **bit-identical per-request outcomes** on every run
   and every machine.  This is the mode CI pins: miss-rate drift in
   ``BENCH_trace_replay.json`` means the scheduler's *decision logic*
@@ -38,6 +41,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.device.cost import subnet_flops, subnet_num_layers
+from repro.device.profiles import jetson_nx_master
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     CRASH,
@@ -79,8 +84,8 @@ from repro.trace.tracer import (
 from repro.utils.rng import derive_seed, make_rng
 
 #: Virtual service time of the *narrowest* width for one row, seconds.
-#: The other widths scale by their analytical cost ratios — the part of
-#: the cost model that is trustworthy (see width_policy docstring).
+#: The other widths scale by their analytical cost ratios (the Jetson
+#: profile's FLOP cost, whose ordering of widths is what it gets right).
 SIM_NARROWEST_ROW_S = 0.004
 
 #: Marginal cost of each additional batched row, as a fraction of the
@@ -302,14 +307,16 @@ class TraceReplayer:
         model: least-loaded routing, per-(replica, width) micro-batch
         coalescing with ``max_batch`` / ``max_delay_s`` flushes, FIFO
         replica service, with service times that are pure functions of
-        (width, rows):
+        (width, rows): the decision path's own ``policy.model.seconds``,
+        fixed at the coefficients of the table
 
         ``service(w, n) = row_s(w) * (1 + SIM_AMORTIZE * (n - 1))``
 
         where ``row_s`` preserves the analytical cost *ratios* between
-        widths and anchors the narrowest at ``SIM_NARROWEST_ROW_S``.  No
-        wall clock is read anywhere, so the per-request outcome stream
-        is a pure function of (specs, config, parameters).
+        widths and anchors the narrowest at ``SIM_NARROWEST_ROW_S``
+        (:func:`sim_coefficients`).  No wall clock is read anywhere, so
+        the per-request outcome stream is a pure function of (specs,
+        config, parameters).
 
         Faults (``fault_plan`` argument, else the replayer's attached
         plan) are modelled analytically: a **crash** makes the replica
@@ -328,26 +335,13 @@ class TraceReplayer:
         config = config or SchedulerConfig()
         net = getattr(model, "net", model)
         candidates = ServingFrontend._default_candidates(model, net)
-        policy = WidthPolicy(net, candidates)
-        # Width cost table: analytical ratios, anchored at the narrowest.
-        base = {spec.name: policy.predict(spec.name) for spec in policy.candidates}
-        anchor = min(base.values())
-        row_s = {name: SIM_NARROWEST_ROW_S * cost / anchor for name, cost in base.items()}
+        policy = WidthPolicy(net, candidates, coef=sim_coefficients(net, candidates))
         widest_first = [spec.name for spec in policy.candidates]  # widest → narrowest
-
-        def service_s(width: str, rows: int) -> float:
-            return row_s[width] * (1.0 + SIM_AMORTIZE * (rows - 1))
-
-        # The policy the shared decision path consults predicts exactly the
-        # table: a first observation *is* the EWMA's value.
-        for name in widest_first:
-            policy.observe(name, service_s(name, 1))
-
         sim = _Simulation(
             replicas=config.replicas,
             max_batch=config.max_batch,
             max_delay_s=config.max_delay_s,
-            service_s=service_s,
+            service_s=policy.model.seconds,
         )
 
         plan = fault_plan if fault_plan is not None else self.faults
@@ -382,7 +376,7 @@ class TraceReplayer:
             ),
             depth=lambda: sim.depth(t),
             miss_rate=lambda: None,
-            queue_wait=lambda floor_s: sim.queue_wait(replica, t),
+            queue_wait=lambda: sim.queue_wait(replica, t),
         )
 
         def record_sim(spec, record, events) -> None:
@@ -408,7 +402,7 @@ class TraceReplayer:
             ]
             record = _blank_record(spec)
             records.append(record)
-            decision = core.decide(sla_for(spec), spec.deadline_s, view)
+            decision = core.decide(sla_for(spec), spec.deadline_s, _spec_rows(spec), view)
             if decision.admission is not None:
                 events.append(
                     {
@@ -479,10 +473,32 @@ class TraceReplayer:
             "records": records,
         }
 
+def sim_coefficients(net, candidates) -> Tuple[float, float, float, float]:
+    """The :class:`~repro.scheduler.width_policy.ServiceModel` coefficients of
+    :meth:`TraceReplayer.simulate`'s table: the Jetson compute time behind
+    ``row_s`` is affine in FLOPs (``layers * overhead + flops /
+    flops_per_sec``), so the table is exactly ``c · [1, n, f_w, f_w * n]``."""
+    profile, layers = jetson_nx_master(), subnet_num_layers(net)
+    flops = [subnet_flops(net, spec) for spec in candidates]
+    scale = SIM_NARROWEST_ROW_S / profile.compute_time(min(flops), layers)
+    base = scale * layers * profile.layer_overhead_s
+    slope = scale * max(flops) / profile.flops_per_sec
+    return (
+        base * (1.0 - SIM_AMORTIZE),
+        base * SIM_AMORTIZE,
+        slope * (1.0 - SIM_AMORTIZE),
+        slope * SIM_AMORTIZE,
+    )
+
+
+def _spec_rows(spec: RequestSpec) -> int:
+    """A request's payload rows (a spec without a shape is one image)."""
+    return spec.shape[0] if spec.shape else 1
+
+
 def _rows(members) -> int:
-    """Payload rows across a batch's members (a spec without a shape is
-    the model's default single image)."""
-    return sum(spec.shape[0] if spec.shape else 1 for _, _, _, spec in members)
+    """Payload rows across a batch's members."""
+    return sum(_spec_rows(spec) for _, _, _, spec in members)
 
 
 class _Simulation:

@@ -80,22 +80,15 @@ class TestRespawn:
         out = frontend.pool.replicas[0].run(one_image(), "lower25")
         assert out.shape == (1, 10)
 
-    def test_untimed_warmup_never_feeds_the_width_ewmas(self, frontend):
-        """Satellite acceptance: a revived replica re-enters routing with
-        sane EWMAs — a fresh worker's cold forwards must not be observed
-        into the width policy's latency calibration."""
-        before = {
-            w: s["observed_ewma_s"]
-            for w, s in frontend.policy.calibration_snapshot().items()
-        }
+    def test_untimed_warmup_never_feeds_the_service_model(self, frontend):
+        """A revived replica re-enters routing with the service model
+        untouched: a fresh worker's cold forwards must not be observed
+        into it."""
+        before = frontend.policy.model.coef
         sup = ReplicaSupervisor(frontend, clock=FakeClock())
         eject(frontend, 1)
         sup.poll()
-        after = {
-            w: s["observed_ewma_s"]
-            for w, s in frontend.policy.calibration_snapshot().items()
-        }
-        assert after == before
+        assert frontend.policy.model.coef == before
 
     def test_trace_event_emitted_per_respawn(self, model):
         from repro.trace.tracer import EVENT_RESPAWN, Tracer

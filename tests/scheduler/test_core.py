@@ -17,8 +17,9 @@ from repro.trace.recorder import LATE, LOST, OK, REJECTED, RequestSpec
 from repro.trace.replay import TraceReplayer
 from repro.utils.rng import make_rng
 
-#: Service times the policy is primed with: 1 ms per quarter of width.
-SERVICE_S = {"lower25": 0.001, "lower50": 0.002, "lower75": 0.003, "lower100": 0.004}
+#: The policy's service model: 1 ms plus 3 ms per widest-width FLOP share,
+#: so one row takes 1.29 / 1.88 / 2.79 / 4.00 ms at lower25 / 50 / 75 / 100.
+COEF = (0.001, 0.0, 0.003, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +28,8 @@ def model():
 
 
 def make_view(model, *, queue_wait_s=0.0, depth=0, brownout=None, admission=True):
-    policy = WidthPolicy(model.net, ServingFrontend._default_candidates(model, model.net))
-    for name, service_s in SERVICE_S.items():
-        policy.observe(name, service_s)
+    candidates = ServingFrontend._default_candidates(model, model.net)
+    policy = WidthPolicy(model.net, candidates, coef=COEF)
     controller = None
     if brownout is not None:
         controller = BrownoutController(brownout, clock=lambda: 0.0)
@@ -39,7 +39,7 @@ def make_view(model, *, queue_wait_s=0.0, depth=0, brownout=None, admission=True
         brownout=controller,
         depth=lambda: depth,
         miss_rate=lambda: None,
-        queue_wait=lambda floor_s: queue_wait_s,
+        queue_wait=lambda: queue_wait_s,
     )
 
 
@@ -78,7 +78,8 @@ class TestDecide:
     )
     def test_decision_table(self, model, sla, remaining_s, view_kwargs, expected):
         error_type, width, clamped = expected
-        decision = core.decide(sla, remaining_s, make_view(model, **view_kwargs))
+        view = make_view(model, **view_kwargs)
+        decision = core.decide(sla, remaining_s, 1, view)
         if error_type is not None:
             assert type(decision.error) is error_type
             assert decision.width is None
@@ -86,31 +87,35 @@ class TestDecide:
             return
         assert decision.error is None and not decision.shed
         assert decision.width.name == width
-        assert decision.predicted_s == SERVICE_S[width]
+        assert decision.predicted_s == view.policy.model.seconds(width, 1)
         assert decision.clamped is clamped
 
     def test_budget_is_what_remains_after_the_queue(self, model):
-        decision = core.decide(SLA(0.05), 0.04, make_view(model, queue_wait_s=0.01))
+        view = make_view(model, queue_wait_s=0.01)
+        decision = core.decide(SLA(0.05), 0.04, 1, view)
         assert decision.queue_wait_s == 0.01
         assert decision.budget_s == pytest.approx(0.03)
         assert decision.admission.admitted
-        assert decision.admission.estimated_s == pytest.approx(0.011)
+        floor = view.policy.model.seconds("lower25", 1)
+        assert decision.admission.estimated_s == pytest.approx(0.01 + floor)
 
     def test_rejection_carries_the_controllers_reason_and_estimate(self, model):
-        decision = core.decide(SLA(0.05), 0.05, make_view(model, queue_wait_s=0.0495))
+        view = make_view(model, queue_wait_s=0.0495)
+        decision = core.decide(SLA(0.05), 0.05, 1, view)
         assert not decision.admission.admitted
         assert str(decision.error) == decision.admission.reason
-        assert decision.admission.estimated_s == pytest.approx(0.0505)
+        floor = view.policy.model.seconds("lower25", 1)
+        assert decision.admission.estimated_s == pytest.approx(0.0495 + floor)
 
     def test_admission_disabled_reports_no_admission_decision(self, model):
-        decision = core.decide(SLA(0.05), 0.05, make_view(model, admission=False))
+        decision = core.decide(SLA(0.05), 0.05, 1, make_view(model, admission=False))
         assert decision.admission is None and decision.width.name == "lower100"
 
     def test_a_shed_never_reads_the_queue(self, model):
         view = make_view(model, depth=9, brownout=OVERLOAD)._replace(
-            queue_wait=lambda floor_s: pytest.fail("shed must precede the wait estimate")
+            queue_wait=lambda: pytest.fail("shed must precede the wait estimate")
         )
-        assert core.decide(SLA(0.05), 0.05, view).shed
+        assert core.decide(SLA(0.05), 0.05, 1, view).shed
 
 
 class TestClassifyOutcome:
@@ -137,13 +142,15 @@ class TestOneCopy:
         real = core.decide
         calls = []
 
-        def narrowest_always(sla, remaining_s, plane):
+        def narrowest_always(sla, remaining_s, rows, plane):
             calls.append(remaining_s)
-            decision = real(sla, remaining_s, plane)
+            decision = real(sla, remaining_s, rows, plane)
             if decision.error is not None:
                 return decision
             spec = plane.policy.narrowest(sla.min_width, sla.max_width)
-            return decision._replace(width=spec, predicted_s=plane.policy.predict(spec.name))
+            return decision._replace(
+                width=spec, predicted_s=plane.policy.model.seconds(spec.name, rows)
+            )
 
         specs = [
             RequestSpec(request_id=i, arrival_s=0.01 * i, deadline_s=5.0) for i in range(4)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.models.zoo import build_model
-from repro.runtime.batching import DeadlineExceeded
+from repro.runtime.batching import DeadlineExceeded, MicroBatchQueue
 from repro.scheduler import pool as pool_module
 from repro.scheduler.admission import SLA, AdmissionRejected
 from repro.scheduler.config import SchedulerConfig
@@ -108,10 +108,10 @@ class TestCompiledPlans:
 
     def test_width_policy_seeded_from_plan_flops(self, model):
         with make_frontend(model) as frontend:
-            snapshot = frontend.policy.calibration_snapshot()
-            for width, plan in frontend.plans.items():
-                assert snapshot[width]["model_s"] > 0
-                assert plan.flops_per_image() > 0
+            flops = {width: plan.flops_per_image() for width, plan in frontend.plans.items()}
+            assert frontend.policy.model.features == {
+                width: f / max(flops.values()) for width, f in flops.items()
+            }
 
 
 class TestAdmission:
@@ -157,13 +157,73 @@ class TestAdmission:
             assert future.result(timeout=30.0).shape == (1, 10)
 
 
+class TestQueueWait:
+    """Admission's wait is the simulator's: on the replica ``route()`` would
+    pick, each running batch's residual plus ``seconds(width, open rows)``
+    per open queue, all in the policy's one service model."""
+
+    @staticmethod
+    def parked_queue(frontend, replica, width, *row_counts):
+        """A never-started queue holding requests of ``row_counts`` rows."""
+        queue = MicroBatchQueue(
+            lambda parts: np.zeros((sum(len(p) for p in parts), 10)), autostart=False
+        )
+        for rows in row_counts:
+            queue.submit(np.zeros((rows, 1, 28, 28)))
+        frontend._queues[(replica, width)] = queue
+        return queue
+
+    @staticmethod
+    def fit(frontend):
+        for name, f in frontend.policy.model.features.items():
+            frontend.policy.observe(name, 0.001 + 0.002 * f)
+            frontend.policy.observe(name, 0.004 + 0.010 * f, rows=16)
+
+    def test_an_idle_plane_waits_nothing(self, model):
+        with make_frontend(model) as frontend:
+            self.fit(frontend)
+            assert frontend._view.queue_wait() == 0.0
+            frontend.submit(one_image(), SLA(deadline_s=5.0)).result(timeout=10.0)
+            assert frontend._queues  # served: queues exist, all drained
+            assert frontend._view.queue_wait() == 0.0
+
+    def test_open_rows_cost_the_models_seconds_on_the_routed_replica(self, model):
+        with make_frontend(model) as frontend:
+            self.fit(frontend)
+            seconds = frontend.policy.model.seconds
+            self.parked_queue(frontend, 0, "lower50", 3, 1)
+            self.parked_queue(frontend, 0, "lower100", 5)
+            self.parked_queue(frontend, 1, "lower25", 2)
+            assert frontend._view.queue_wait() == seconds("lower50", 4) + seconds("lower100", 5)
+            frontend.pool.replicas[0].begin()  # replica 1 is now the least loaded
+            try:
+                assert frontend._view.queue_wait() == seconds("lower25", 2)
+            finally:
+                frontend.pool.replicas[0].finish()
+
+    def test_a_running_batch_adds_its_residual(self, model):
+        with make_frontend(model) as frontend:
+            self.fit(frontend)
+            seconds = frontend.policy.model.seconds
+            queue = self.parked_queue(frontend, 0, "lower75", 2)
+            queue.running = (time.monotonic() - 60.0, 16)  # overran its prediction
+            assert frontend._view.queue_wait() == seconds("lower75", 2)
+            before = time.monotonic()
+            queue.running = (before, 16)
+            wait = frontend._view.queue_wait()
+            elapsed = time.monotonic() - before
+            residual = wait - seconds("lower75", 2)
+            assert seconds("lower75", 16) - elapsed <= residual <= seconds("lower75", 16)
+            queue.running = None
+
+
 class TestWidthSelection:
     def test_tight_budget_narrows_width(self, model):
         with make_frontend(model) as frontend:
-            # Calibrate: only the narrowest width fits a 20ms budget.
-            times = {"lower100": 0.5, "lower75": 0.3, "lower50": 0.1, "lower25": 0.001}
-            for name, t in times.items():
-                frontend.policy.observe(name, t)
+            # Calibrate: 100 ms per widest-width FLOP share, so only the
+            # narrowest width (9.6 ms; lower50 29 ms) fits a 20ms budget.
+            for name, f in frontend.policy.model.features.items():
+                frontend.policy.observe(name, 0.1 * f)
             frontend.submit(one_image(), SLA(deadline_s=0.02)).result(timeout=10.0)
             counters = frontend.metrics.snapshot()["counters"]
             assert counters["frontend.width.lower25"] == 1
@@ -719,7 +779,7 @@ class TestReport:
             report = frontend.report()
             assert set(report) == {"metrics", "calibration", "replicas", "batching"}
             assert len(report["replicas"]) == 2
-            assert "lower100" in report["calibration"]
+            assert len(report["calibration"]["coef"]) == 4
 
     def test_report_before_any_traffic(self, model):
         """Zero-traffic report: well-formed, no fake-zero latency stats."""
@@ -779,10 +839,10 @@ class TestReport:
 
     def test_warmup_primes_every_width(self, model):
         with ServingFrontend(model, SchedulerConfig(replicas=1)) as frontend:
+            timed = frontend.metrics.histogram("frontend.warmup_s").count
+            assert timed == len(frontend.policy.candidates)
             for spec in frontend.policy.candidates:
-                assert frontend.policy.calibration_snapshot()[spec.name][
-                    "observed_ewma_s"
-                ] is not None
+                assert frontend.policy.model.seconds(spec.name, 1) > 0
 
 
 class TestPlanConfig:

@@ -33,6 +33,7 @@ from repro.scheduler.procpool import (
     pin_blas_threads,
 )
 from repro.scheduler.telemetry import MetricsRegistry
+from repro.scheduler.width_policy import ServiceModel
 from repro.utils.rng import make_rng
 
 
@@ -370,10 +371,12 @@ class TestBoot:
         try:
             assert exchanges == []
             primes = frontend.pool.replicas[0].primes
-            calibration = frontend.policy.calibration_snapshot()
-            assert set(primes) == set(calibration)
-            for width, stats in calibration.items():
-                assert 0 < primes[width] == stats["observed_ewma_s"]
+            fitted = frontend.policy.model
+            assert set(primes) == set(fitted.features) and min(primes.values()) > 0
+            reference = ServiceModel({w: f for w, f in fitted.features.items()})
+            for width in (spec.name for spec in frontend.policy.candidates):
+                reference.observe(width, 1, primes[width])
+            assert fitted.coef == reference.coef
         finally:
             frontend.close()
 
@@ -398,29 +401,21 @@ class TestBoot:
             for replica in replicas:
                 replica.close()
 
-    def test_respawned_workers_report_never_feeds_the_ewmas(self, model):
+    def test_respawned_workers_report_never_feeds_the_service_model(self, model):
         from repro.faults.supervisor import ReplicaSupervisor
 
         with ServingFrontend(
             model, SchedulerConfig(replicas=2, replica_backend="process")
         ) as frontend:
-            before = {
-                w: s["observed_ewma_s"]
-                for w, s in frontend.policy.calibration_snapshot().items()
-            }
-            row_service = frontend.metrics.ewma("frontend.row_service_s").count
+            model = frontend.policy.model
+            before = model.coef
             dead = frontend.pool.replicas[0]
             dead.kill()
             frontend.pool.report_failure(dead)
             ReplicaSupervisor(frontend, clock=lambda: 0.0).poll()
             fresh = frontend.pool.replicas[0]
-            assert fresh is not dead and set(fresh.primes) == set(before)
-            after = {
-                w: s["observed_ewma_s"]
-                for w, s in frontend.policy.calibration_snapshot().items()
-            }
-            assert after == before
-            assert frontend.metrics.ewma("frontend.row_service_s").count == row_service
+            assert fresh is not dead and set(fresh.primes) == set(model.features)
+            assert model.coef == before
 
     def test_worker_killed_while_booting_fails_the_wait_at_once(self, model, monkeypatch):
         rings_before = list_segments("r")

@@ -195,8 +195,6 @@ PARAM_EXEMPT: Tuple[Tuple[Tuple[str, ...], str], ...] = (
      "harness: the device, monitor, controller and scenario tests script their failure time with it"),
     (("repro.slimmable.slim_net.SlimmableConvNet(image_size)",),
      "harness: test_slim_net gradient-checks every sub-network end to end on 8x8 inputs through it"),
-    (("repro.trace.scenarios.TraceSpec(params)",),
-     "harness: test_scenarios checks a generator's phase rates are parameters through it"),
     (("repro.nn.layers.pooling.MaxPool2d(stride)",),
      "harness: test_layers checks F.maxpool2d_forward/backward on overlapping windows through it"),
     (("repro.slimmable.sliced_conv.SlicedConv2d(stride)",),
